@@ -236,23 +236,9 @@ fn stress_matrix_leg(repeats: usize, sim_secs: u64, seeds: &[u64]) -> Leg {
     // depending on the pool size). Serial pass first, the count only
     // depends on the always-serial legs that precede it.
     let allocs = if cfg!(feature = "alloc-count") {
-        // Engines built through the harness wire `AG_THREADS` into the
-        // tile-sharded engine, which allocates its worker lanes
-        // eagerly — so the env knob must be pinned too, or the count
-        // would differ between a 1-core and an 8-core host even with
-        // the job pool serial. Save/restore is race-free: the process
-        // is still single-threaded here (the parallel timed region
-        // runs after this pass, and every earlier leg is serial).
-        let saved = std::env::var_os("AG_THREADS");
-        std::env::set_var("AG_THREADS", "1");
         let a0 = alloc_count();
         stress_matrix_run(sim_secs, seeds, Parallelism::serial());
-        let counted = alloc_count() - a0;
-        match saved {
-            Some(v) => std::env::set_var("AG_THREADS", v),
-            None => std::env::remove_var("AG_THREADS"),
-        }
-        counted
+        alloc_count() - a0
     } else {
         0
     };

@@ -248,15 +248,7 @@ where
             }
         })
         .collect();
-    let mut engine = Engine::new(sc.phy(), seed, nodes);
-    // Arm the engine's tile-sharded receiver precompute with the same
-    // AG_THREADS knob the multi-seed pool honors. Results are
-    // bit-identical for every thread count (the engine validates every
-    // precomputed set against its mutation stamps before use), so this
-    // is purely a wall-clock lever; it only engages when enough
-    // transmissions are live at once, i.e. at city/metropolis scale —
-    // paper-scale runs never reach the batch floor.
-    engine.set_threads(crate::parallel::Parallelism::auto().threads());
+    let engine = Engine::new(sc.phy(), seed, nodes);
     (engine, members, source)
 }
 

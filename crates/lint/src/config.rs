@@ -92,11 +92,7 @@ impl Config {
             ]),
             hot_path_manifest: vec![
                 (
-                    // Receiver emission: everything a TxEnd touches —
-                    // including the tile-sharded precompute layer (the
-                    // worker body `precompute_one`, the pass that farms
-                    // it out, and the stamp-checked consumption), whose
-                    // buffers all come from the lane/spare pools.
+                    // Receiver emission: everything a TxEnd touches.
                     "crates/net/src/engine.rs".to_string(),
                     s(&[
                         "enqueue_frame",
@@ -108,25 +104,12 @@ impl Config {
                         "uncorrupted_receivers",
                         "finish_head_frame",
                         "handle_tx_end",
-                        "precompute_one",
-                        "precompute_pass",
-                        "maybe_precompute",
-                        "take_precomp",
                     ]),
                 ),
                 (
-                    // Spatial-index boundary exchange: the queries and
-                    // stamp reads both the serial path and the tile
-                    // workers issue per transmission.
+                    // The air-slab overlap scans every TxEnd issues.
                     "crates/net/src/grid.rs".to_string(),
-                    s(&[
-                        "disk_stamp",
-                        "overlap_stamp",
-                        "column_of",
-                        "note_insert",
-                        "any_overlapping",
-                        "collect_overlapping",
-                    ]),
+                    s(&["any_overlapping", "collect_overlapping"]),
                 ),
                 (
                     // Calendar queue steady state: push, pop, min scan.

@@ -73,224 +73,6 @@ struct PendingTx<M> {
     frame: OutFrame<M>,
 }
 
-/// Fewer live transmissions than this and a parallel precompute pass
-/// cannot amortize its fork-join cost; the engine stays serial. Purely
-/// a performance knob — results are bit-identical either way, because
-/// a precomputed receiver set is only ever used when its validity
-/// stamps prove the serial path would compute exactly the same thing.
-const PAR_BATCH_FLOOR: usize = 64;
-
-/// One transmission's receiver set, computed ahead of its `TxEnd` by a
-/// tile worker, plus the validity stamps recorded when the pass ran.
-#[derive(Debug)]
-struct TxPrecomp {
-    /// Accepted receivers, ascending node order (exactly what
-    /// [`World::uncorrupted_receivers`] would return).
-    receivers: Vec<usize>,
-    /// In-range receptions lost to overlapping transmissions.
-    collisions: u64,
-    /// In-range, uncollided receptions lost to the reception model.
-    channel_drops: u64,
-    /// [`NodeGrid::disk_stamp`] over the query disk at pass time.
-    grid_stamp: u64,
-    /// [`AirIndex::overlap_stamp`] over twice the range at pass time.
-    air_stamp: u64,
-}
-
-/// One precompute job: a live transmission, snapshotted serially
-/// (shot, sender, validity stamps) before the workers fork.
-#[derive(Debug, Clone, Copy)]
-struct PrecompJob {
-    id: u64,
-    shot: TxShot,
-    sender: u32,
-    grid_stamp: u64,
-    air_stamp: u64,
-}
-
-/// One column-tile's worker state: its share of the pass's jobs, its
-/// reusable scan buffers, and its outputs. Owned by [`ParEngine`] so
-/// every buffer survives between passes — the pass itself is
-/// allocation-free once the buffers reach their steady-state sizes.
-#[derive(Debug, Default)]
-struct WorkerLane {
-    jobs: Vec<PrecompJob>,
-    /// Receiver buffers handed out to this lane's jobs (recycled
-    /// through [`ParEngine::spare`] after consumption).
-    bufs: Vec<Vec<usize>>,
-    cands: Vec<u32>,
-    overlaps: Vec<Vec2>,
-    done: Vec<(u64, TxPrecomp)>,
-}
-
-/// The engine's tile-sharded parallel layer (see ARCHITECTURE.md):
-/// when enough transmissions are on the air, their receiver sets are
-/// precomputed by `threads` workers — the [`NodeGrid`] arena is
-/// partitioned into column tiles and each worker owns the
-/// transmissions keyed up in its columns — then consumed at each
-/// `TxEnd` after a stamp check proves nothing the computation read has
-/// changed. Invalid entries fall back to the serial path, so results
-/// are bit-identical for every thread count, including 1.
-#[derive(Debug)]
-struct ParEngine {
-    /// Worker/tile count; `< 2` disables the parallel layer.
-    threads: usize,
-    /// Live-transmission count below which passes don't run.
-    batch_floor: usize,
-    lanes: Vec<WorkerLane>,
-    /// Precomputed receiver sets awaiting their `TxEnd`, by tx id.
-    ready: ag_sim::hash::DetHashMap<u64, TxPrecomp>,
-    /// Recycled receiver buffers.
-    spare: Vec<Vec<usize>>,
-    /// `TxEnd`s served from a validated precomputed set (telemetry
-    /// only — never part of simulation results).
-    hits: u64,
-}
-
-impl ParEngine {
-    fn new() -> Self {
-        ParEngine {
-            threads: 1,
-            batch_floor: PAR_BATCH_FLOOR,
-            lanes: Vec::new(),
-            ready: ag_sim::hash::DetHashMap::default(),
-            spare: Vec::new(),
-            hits: 0,
-        }
-    }
-}
-
-/// The read-only slice of the world a precompute worker needs:
-/// positions (via legs), the node grid, the air slab's overlap facts,
-/// churn liveness and the reception model. Everything here is plain
-/// shared data — no `Message` payloads — so the view is `Send + Sync`
-/// and [`std::thread::scope`] can hand it to the tile workers while
-/// the event loop waits at the barrier.
-#[derive(Clone, Copy)]
-struct PrecompView<'a> {
-    grid: &'a NodeGrid,
-    air: crate::grid::AirOverlaps<'a>,
-    legs: &'a [LegSample],
-    down: &'a [bool],
-    up_since: &'a [SimTime],
-    shadow_cache: &'a [f64],
-    node_count: usize,
-    range: f64,
-    reception: ReceptionModel,
-    churny: bool,
-    channel_seed: u64,
-}
-
-impl PrecompView<'_> {
-    /// The pure twin of [`World::channel_receives`]: reads the shadow
-    /// cache but never fills it (a worker cannot write shared state).
-    /// Bit-identical decisions — the cache stores exactly the value
-    /// `shadow_eff_range_sq` computes, so a missing entry recomputed
-    /// here compares identically.
-    fn receives(&self, tx_id: u64, sender: u32, receiver: u32, dist_sq: f64) -> bool {
-        if let ReceptionModel::Shadowing {
-            sigma_db,
-            path_loss_exp,
-        } = self.reception
-        {
-            if !self.shadow_cache.is_empty() {
-                let (a, b) = if sender <= receiver {
-                    (sender, receiver)
-                } else {
-                    (receiver, sender)
-                };
-                let idx = a as usize * self.node_count + b as usize;
-                let mut eff_sq = self.shadow_cache[idx];
-                if eff_sq.is_nan() {
-                    eff_sq = crate::phy::shadow_eff_range_sq(
-                        self.channel_seed,
-                        sender,
-                        receiver,
-                        sigma_db,
-                        path_loss_exp,
-                        self.range,
-                    );
-                }
-                return dist_sq <= eff_sq;
-            }
-        }
-        self.reception.receives(
-            self.channel_seed,
-            tx_id,
-            sender,
-            receiver,
-            dist_sq,
-            self.range,
-        )
-    }
-}
-
-/// Computes one transmission's receiver set on a worker thread —
-/// the same candidate query, dedupe, liveness, distance, collision and
-/// reception tests as the serial `uncorrupted_receivers` grid path, so
-/// (given the stamps validate at use time) the same receivers in the
-/// same ascending order and the same collision/drop counts. Dedupe is
-/// a sort over the (small) candidate list instead of the serial path's
-/// shared visit-stamp array; set-identical candidates, and every
-/// per-candidate test is pure, so order of evaluation cannot matter.
-fn precompute_one(
-    v: &PrecompView<'_>,
-    job: &PrecompJob,
-    cands: &mut Vec<u32>,
-    overlaps: &mut Vec<Vec2>,
-    mut receivers: Vec<usize>,
-) -> TxPrecomp {
-    let shot = &job.shot;
-    cands.clear();
-    overlaps.clear();
-    receivers.clear();
-    v.grid.query_disk(shot.pos, v.range, cands);
-    cands.sort_unstable();
-    cands.dedup();
-    if v.air.any_overlapping(job.id, shot.start, shot.end) {
-        v.air
-            .collect_overlapping(job.id, shot.start, shot.end, overlaps);
-    }
-    let any_overlap = !overlaps.is_empty();
-    let ideal = v.reception.is_ideal();
-    let range_sq = v.range * v.range;
-    let mut collisions = 0u64;
-    let mut channel_drops = 0u64;
-    for &rid in cands.iter() {
-        let r = rid as usize;
-        if r == job.sender as usize {
-            continue;
-        }
-        if v.churny && (v.down[r] || v.up_since[r] > shot.start) {
-            continue;
-        }
-        // The receiver's position when the frame completes: `TxEnd`
-        // dispatches at `shot.end`, and the stamp check guarantees the
-        // leg this extrapolates along is still the leg the serial path
-        // would read at that instant.
-        let rpos = v.legs[r].position_at(shot.end);
-        let dist_sq = shot.pos.distance_sq(rpos);
-        if dist_sq > range_sq {
-            continue;
-        }
-        let corrupted = any_overlap && overlaps.iter().any(|p| p.distance_sq(rpos) <= range_sq);
-        if corrupted {
-            collisions += 1;
-        } else if !ideal && !v.receives(job.id, job.sender, rid, dist_sq) {
-            channel_drops += 1;
-        } else {
-            receivers.push(r);
-        }
-    }
-    TxPrecomp {
-        receivers,
-        collisions,
-        channel_drops,
-        grid_stamp: job.grid_stamp,
-        air_stamp: job.air_stamp,
-    }
-}
-
 /// The engine's own hot-path counters, kept as plain fields — a
 /// name-keyed map lookup per transmission is measurable at scale.
 /// [`Engine::counters`] folds them into the public [`CounterSet`]
@@ -1123,11 +905,6 @@ pub struct NodeSetup<P> {
 pub struct Engine<P: Protocol> {
     world: World<P::Msg>,
     protocols: Vec<P>,
-    /// The tile-sharded parallel precompute layer; dormant (and
-    /// costless) until [`Engine::set_threads`] raises the worker count
-    /// above one. Lives beside `world`, not inside it, so a pass can
-    /// borrow the world read-only while the lanes are borrowed mutably.
-    par: ParEngine,
 }
 
 impl<P: Protocol> Engine<P> {
@@ -1241,11 +1018,7 @@ impl<P: Protocol> Engine<P> {
                     .schedule(SimTime::ZERO + up, Event::Churn { node });
             }
         }
-        let mut engine = Engine {
-            world,
-            protocols,
-            par: ParEngine::new(),
-        };
+        let mut engine = Engine { world, protocols };
         for node in 0..n {
             let mut api = NodeApi {
                 world: &mut engine.world,
@@ -1269,36 +1042,14 @@ impl<P: Protocol> Engine<P> {
         }
     }
 
-    /// Sets the worker-thread (column-tile) count for the parallel
-    /// receiver-precompute layer; `1` (the default) keeps the engine
-    /// fully serial. **Purely a wall-clock knob**: results are
-    /// bit-identical for every value, because precomputed receiver
-    /// sets are only consumed when their validity stamps prove the
-    /// serial path would compute the same thing, and everything else
-    /// (event order, RNG streams, merges) is untouched. The layer also
-    /// requires the spatial index; on the brute-force path it stays
-    /// dormant.
-    pub fn set_threads(&mut self, threads: usize) {
-        let threads = threads.max(1);
-        self.par.threads = threads;
-        self.par
-            .lanes
-            .resize_with(if threads > 1 { threads } else { 0 }, WorkerLane::default);
-    }
+    /// Inert: the engine has no intra-run parallelism (ARCHITECTURE.md,
+    /// "Why there is no intra-engine parallelism"), so the value is
+    /// accepted and ignored. Kept only because `agbench/` calls it.
+    pub fn set_threads(&mut self, _threads: usize) {}
 
-    /// Lowers (or raises) the live-transmission count a parallel
-    /// precompute pass needs before it runs (default: 64). Exposed so
-    /// the differential tests can force passes in tiny scenarios;
-    /// results are independent of the value, only wall-clock changes.
-    pub fn set_parallel_batch_floor(&mut self, floor: usize) {
-        self.par.batch_floor = floor.max(1);
-    }
-
-    /// Number of `TxEnd`s served from a stamp-validated precomputed
-    /// receiver set so far. Telemetry for tests and tuning only — it
-    /// never feeds back into the simulation.
+    /// Inert companion of [`Engine::set_threads`]: always 0.
     pub fn parallel_hits(&self) -> u64 {
-        self.par.hits
+        0
     }
 
     /// Runs the event loop until simulated time `t` (inclusive). Safe to
@@ -1311,148 +1062,9 @@ impl<P: Protocol> Engine<P> {
             let (when, ev) = self.world.queue.pop().expect("peeked event vanished");
             debug_assert!(when >= self.world.now, "time went backwards");
             self.world.now = when;
-            if let Event::TxEnd { tx_id } = ev {
-                self.maybe_precompute(tx_id);
-            }
             self.dispatch(ev);
         }
         self.world.now = t;
-    }
-
-    /// Runs a parallel precompute pass if the upcoming `TxEnd` lacks a
-    /// precomputed receiver set and enough transmissions are live to
-    /// amortize the fork-join. One pass covers *every* live
-    /// transmission, so subsequent `TxEnd`s hit the ready map until
-    /// newly started transmissions outrun it.
-    fn maybe_precompute(&mut self, tx_id: u64) {
-        if self.par.threads < 2
-            || self.world.grid.is_none()
-            || self.world.air.live_count() < self.par.batch_floor
-            || self.par.ready.contains_key(&tx_id)
-        {
-            return;
-        }
-        // A transmission truncated by its sender's radio failure is
-        // never precomputed (it delivers to nobody); don't let its
-        // `TxEnd` trigger passes either.
-        let sender = match self.world.air.peek(tx_id) {
-            Some(p) => p.sender,
-            None => return,
-        };
-        if self.world.tx_of[sender] != Some(tx_id) {
-            return;
-        }
-        self.precompute_pass();
-    }
-
-    /// One tile-sharded precompute pass (see [`ParEngine`]).
-    ///
-    /// Serial prologue: snapshot each live, unprecomputed transmission
-    /// and its validity stamps, and assign it to the tile owning its
-    /// sender's grid column. Parallel middle: scoped workers, one per
-    /// tile, compute receiver sets against the read-only world view.
-    /// Serial epilogue: merge the lanes into the ready map in fixed
-    /// tile order. The scratch buffers all live in the lanes and the
-    /// spare pool, so a steady-state pass allocates nothing.
-    fn precompute_pass(&mut self) {
-        let par = &mut self.par;
-        let world = &self.world;
-        let Some(grid) = &world.grid else {
-            return;
-        };
-        let k = par.threads;
-        let range = world.phy.range_m();
-        for lane in &mut par.lanes {
-            lane.jobs.clear();
-            debug_assert!(lane.done.is_empty(), "lane outputs not merged");
-        }
-        let mut jobs = 0usize;
-        world.air.for_each_live(|id, shot, ptx| {
-            if world.tx_of[ptx.sender] != Some(id) || par.ready.contains_key(&id) {
-                return;
-            }
-            // Tiles stripe the grid's columns: tile `t` owns every
-            // column ≡ t (mod k). `rem_euclid` keeps negative columns
-            // (west of the origin cell) in range.
-            let tile = grid.column_of(shot.pos).rem_euclid(k as i64) as usize;
-            par.lanes[tile].jobs.push(PrecompJob {
-                id,
-                shot: *shot,
-                sender: ptx.sender as u32,
-                grid_stamp: grid.disk_stamp(shot.pos, range),
-                air_stamp: world.air.overlap_stamp(shot.pos, 2.0 * range),
-            });
-            jobs += 1;
-        });
-        if jobs == 0 {
-            return;
-        }
-        // Hand each lane one recycled receiver buffer per job.
-        for lane in &mut par.lanes {
-            while lane.bufs.len() < lane.jobs.len() {
-                lane.bufs.push(par.spare.pop().unwrap_or_default());
-            }
-        }
-        let view = PrecompView {
-            grid,
-            air: world.air.overlaps_view(),
-            legs: &world.legs,
-            down: &world.down,
-            up_since: &world.up_since,
-            shadow_cache: &world.shadow_cache,
-            node_count: world.macs.len(),
-            range,
-            reception: world.phy.reception(),
-            churny: world.phy.churn().is_some(),
-            channel_seed: world.channel_seed,
-        };
-        std::thread::scope(|s| {
-            for lane in &mut par.lanes {
-                if lane.jobs.is_empty() {
-                    continue;
-                }
-                s.spawn(move || {
-                    for i in 0..lane.jobs.len() {
-                        let job = lane.jobs[i];
-                        let buf = lane.bufs.pop().expect("lane handed too few buffers");
-                        let pc =
-                            precompute_one(&view, &job, &mut lane.cands, &mut lane.overlaps, buf);
-                        lane.done.push((job.id, pc));
-                    }
-                });
-            }
-        });
-        // Merge in fixed tile order. (Entries are keyed by tx id and
-        // consumed independently, so the order is for determinism
-        // hygiene, not correctness.)
-        for lane in &mut par.lanes {
-            for (id, pc) in lane.done.drain(..) {
-                par.ready.insert(id, pc);
-            }
-        }
-    }
-
-    /// Takes transmission `tx_id`'s precomputed receiver set if its
-    /// validity stamps still hold; an invalidated set is recycled and
-    /// `None` sends the caller down the serial path.
-    fn take_precomp(&mut self, tx_id: u64, shot: &TxShot) -> Option<TxPrecomp> {
-        let pc = self.par.ready.remove(&tx_id)?;
-        let range = self.world.phy.range_m();
-        let valid = self
-            .world
-            .grid
-            .as_ref()
-            .is_some_and(|g| g.disk_stamp(shot.pos, range) == pc.grid_stamp)
-            && self.world.air.overlap_stamp(shot.pos, 2.0 * range) == pc.air_stamp;
-        if valid {
-            self.par.hits += 1;
-            Some(pc)
-        } else {
-            let mut buf = pc.receivers;
-            buf.clear();
-            self.par.spare.push(buf);
-            None
-        }
     }
 
     fn dispatch(&mut self, ev: Event) {
@@ -1520,32 +1132,12 @@ impl<P: Protocol> Engine<P> {
         if self.world.tx_of[rec.sender] != Some(tx_id) {
             // The sender's radio failed mid-transmission (churn): the
             // frame was truncated on the air, nobody decodes it, and
-            // the sender's MAC state is long gone. Discard any receiver
-            // set precomputed before the failure (the failure bumped
-            // the grid stamps, so it would not validate anyway).
-            if let Some(pc) = self.par.ready.remove(&tx_id) {
-                let mut buf = pc.receivers;
-                buf.clear();
-                self.par.spare.push(buf);
-            }
+            // the sender's MAC state is long gone.
             self.world.air.prune();
             return;
         }
         self.world.tx_of[rec.sender] = None;
-        // Consume the precomputed receiver set if its stamps prove it
-        // is exactly what the serial path would compute; otherwise
-        // compute serially. (`finish` and `prune` never change stamps,
-        // so the ordering around them is immaterial.)
-        let mut from_pool = false;
-        let receivers = match self.take_precomp(tx_id, &shot) {
-            Some(pc) => {
-                self.world.hot.rx_collision += pc.collisions;
-                self.world.hot.rx_channel_drop += pc.channel_drops;
-                from_pool = true;
-                pc.receivers
-            }
-            None => self.world.uncorrupted_receivers(tx_id, &shot, rec.sender),
-        };
+        let receivers = self.world.uncorrupted_receivers(tx_id, &shot, rec.sender);
         self.world.air.prune();
         let sender = rec.sender;
         let from = NodeId::new(sender as u32);
@@ -1632,16 +1224,8 @@ impl<P: Protocol> Engine<P> {
         // half of the `uncorrupted_receivers` scratch round-trip. Every
         // exit from the delivery code above passes through here; the
         // truncated-frame early return happens before the buffer is
-        // taken, so it cannot leak it. A precomputed buffer goes back
-        // to the parallel layer's pool instead — `rx_scratch` was never
-        // taken on that path.
-        if from_pool {
-            let mut buf = receivers;
-            buf.clear();
-            self.par.spare.push(buf);
-        } else {
-            self.world.rx_scratch = receivers;
-        }
+        // taken, so it cannot leak it.
+        self.world.rx_scratch = receivers;
     }
 
     /// Current simulated time.
@@ -2303,6 +1887,66 @@ mod tests {
         let ca: Vec<_> = a.counters().iter().collect();
         let cb: Vec<_> = b.counters().iter().collect();
         assert_eq!(ca, cb);
+    }
+
+    #[test]
+    fn set_threads_is_inert() {
+        // The contract `agbench` relies on: the thread knob changes
+        // nothing and reports no hits, even with far more transmissions
+        // live at once than the retired precompute layer needed (64).
+        // A 10 × 10 lattice of senders 140 m apart (mutually inaudible
+        // at 75 m, so carrier sense never serializes them), each with a
+        // private listener 20 m north and a shared one midway to its
+        // eastern neighbour: one long broadcast each at t = 1 s puts
+        // all 100 frames on the air together, delivering to the private
+        // listeners and colliding at the shared ones.
+        fn build() -> Engine<Scripted> {
+            let long = TMsg { tag: 1, size: 2000 };
+            let at = |i: u32, dx: f64, dy: f64| -> Box<dyn Mobility> {
+                let p = Vec2::new(140.0 * (i % 10) as f64 + dx, 140.0 * (i / 10) as f64 + dy);
+                Box::new(Stationary::new(p))
+            };
+            let mut nodes = Vec::new();
+            for i in 0..100u32 {
+                nodes.push(NodeSetup {
+                    mobility: at(i, 0.0, 0.0),
+                    protocol: Scripted::with_script(vec![
+                        (SimDuration::from_secs(1), Action::Broadcast(long.clone())),
+                        (
+                            SimDuration::from_secs(2),
+                            Action::Send(NodeId::new(100 + i), msg(2)),
+                        ),
+                    ]),
+                });
+            }
+            for (dx, dy) in [(0.0, 20.0), (70.0, 0.0)] {
+                for i in 0..100u32 {
+                    nodes.push(NodeSetup {
+                        mobility: at(i, dx, dy),
+                        protocol: Scripted::default(),
+                    });
+                }
+            }
+            Engine::new(PhyParams::paper_default(75.0), 17, nodes)
+        }
+        let mut outcomes = Vec::new();
+        for threads in [1, 8] {
+            let mut e = build();
+            e.set_threads(threads);
+            // Every backoff (≤ 0.7 ms) has expired, no frame (8 ms) has
+            // ended: the whole lattice is on the air.
+            e.run_until(SimTime::from_secs(1) + SimDuration::from_millis(2));
+            assert!(e.world.air.len() >= 64, "{} live", e.world.air.len());
+            e.run_until(SimTime::from_secs(3));
+            assert_eq!(e.parallel_hits(), 0);
+            let counters: Vec<_> = e.counters().iter().collect();
+            outcomes.push((counters, e.events_processed(), e.events_scheduled()));
+        }
+        assert_eq!(outcomes[0], outcomes[1]);
+        let get = |name| outcomes[0].0.iter().find(|c| c.0 == name).map(|c| c.1);
+        assert_eq!(get("mac.broadcast_tx"), Some(100));
+        // 90 shared listeners × 2 corrupted frames, in each round.
+        assert_eq!(get("mac.rx_collision"), Some(360));
     }
 
     #[test]

@@ -173,17 +173,6 @@ pub(crate) struct NodeGrid {
     attached: Vec<bool>,
     /// Total nodes, for sizing fresh bucket capacity floors.
     nodes: usize,
-    /// Per-cell mutation stamps, parallel to `buckets`: every bucket
-    /// mutation (insert, clear, box regrow) stamps the touched cells
-    /// with a fresh value of `clock`. A reader that records
-    /// [`NodeGrid::disk_stamp`] over a query disk can later tell in
-    /// O(cells) whether *anything* relevant to that disk changed —
-    /// the validity check behind the engine's precomputed receiver
-    /// sets (a node's leg/churn change always rewrites its buckets,
-    /// so bucket stamps conservatively cover position validity too).
-    cell_stamps: Vec<u64>,
-    /// Monotone stamp source; only ever increases.
-    clock: u64,
 }
 
 impl NodeGrid {
@@ -199,8 +188,6 @@ impl NodeGrid {
             node_seg: vec![(Vec2::new(0.0, 0.0), Vec2::new(0.0, 0.0)); n],
             attached: vec![false; n],
             nodes: n,
-            cell_stamps: vec![0],
-            clock: 0,
         }
     }
 
@@ -256,10 +243,6 @@ impl NodeGrid {
         self.buckets = buckets;
         self.origin = new_origin;
         self.dims = new_dims;
-        // A regrow re-indexes every cell; conservatively restamp them
-        // all so any recorded disk stamp is invalidated.
-        self.clock += 1;
-        self.cell_stamps = vec![self.clock; (new_dims.0 * new_dims.1) as usize];
     }
 
     /// Removes `node` from every cell it occupies by re-running the
@@ -272,12 +255,10 @@ impl NodeGrid {
         self.attached[node] = false;
         let (a, b) = self.node_seg[node];
         let (lo, hi) = segment_cells(a, b, self.cell);
-        self.clock += 1;
         for cx in lo.0..=hi.0 {
             for cy in lo.1..=hi.1 {
                 if segment_touches_cell(a, b, (cx, cy), self.cell, GRID_PAD) {
                     let slot = self.slot((cx, cy)).expect("occupied cell outside grid box");
-                    self.cell_stamps[slot] = self.clock;
                     let v = &mut self.buckets[slot];
                     if let Some(i) = v.iter().position(|&id| id as usize == node) {
                         v.swap_remove(i);
@@ -304,12 +285,10 @@ impl NodeGrid {
         if self.slot(lo).is_none() || self.slot(hi).is_none() {
             self.grow_to(lo, hi);
         }
-        self.clock += 1;
         for cx in lo.0..=hi.0 {
             for cy in lo.1..=hi.1 {
                 if segment_touches_cell(a, b, (cx, cy), self.cell, GRID_PAD) {
                     let slot = self.slot((cx, cy)).expect("grid box just grown");
-                    self.cell_stamps[slot] = self.clock;
                     self.buckets[slot].push(node as u32);
                 }
             }
@@ -353,46 +332,6 @@ impl NodeGrid {
                 out.extend_from_slice(&self.buckets[(row + cx) as usize]);
             }
         }
-    }
-
-    /// The maximum mutation stamp over exactly the cells
-    /// [`NodeGrid::query_disk`] would read for `(center, r)`. Record it
-    /// at precompute time, compare it at use time: equality proves no
-    /// bucket the query depends on changed in between (any leg change,
-    /// churn toggle or box regrow touching the disk rewrites a read
-    /// cell's stamp). Mutations *outside* the disk advance `clock` but
-    /// not these cells' stamps, so they do not invalidate.
-    pub fn disk_stamp(&self, center: Vec2, r: f64) -> u64 {
-        let (lo, hi) = disk_cells(center, r + GRID_PAD, self.cell);
-        let r_sq = (r + GRID_PAD) * (r + GRID_PAD);
-        let x0 = lo.0.max(self.origin.0);
-        let x1 = hi.0.min(self.origin.0 + self.dims.0 - 1);
-        let y0 = lo.1.max(self.origin.1);
-        let y1 = hi.1.min(self.origin.1 + self.dims.1 - 1);
-        let mut stamp = 0u64;
-        for cy in y0..=y1 {
-            let row = (cy - self.origin.1) * self.dims.0 - self.origin.0;
-            let ny = center
-                .y
-                .clamp(cy as f64 * self.cell, (cy + 1) as f64 * self.cell);
-            let dy_sq = (ny - center.y) * (ny - center.y);
-            for cx in x0..=x1 {
-                let nx = center
-                    .x
-                    .clamp(cx as f64 * self.cell, (cx + 1) as f64 * self.cell);
-                if (nx - center.x) * (nx - center.x) + dy_sq > r_sq {
-                    continue;
-                }
-                stamp = stamp.max(self.cell_stamps[(row + cx) as usize]);
-            }
-        }
-        stamp
-    }
-
-    /// The grid column (cell x-index) containing `p`; the tile key for
-    /// the engine's column-sharded precompute passes.
-    pub fn column_of(&self, p: Vec2) -> i64 {
-        cell_of(p, self.cell).0
     }
 }
 
@@ -441,16 +380,6 @@ struct AirGrid {
     buckets: Vec<Vec<AirRec>>,
     origin: Cell,
     dims: (i64, i64),
-    /// Per-cell *insert* stamps, parallel to `buckets`: every
-    /// transmission keyed up from a cell stamps it (finishing and
-    /// pruning do **not** — removals can only shrink the set of
-    /// corrupters a precomputed reception already accounted for, and
-    /// finished records are retained until nothing live can overlap
-    /// them, so a recorded [`AirIndex::overlap_stamp`] stays valid
-    /// until a *new* transmission starts nearby).
-    stamps: Vec<u64>,
-    /// Monotone stamp source; only ever increases.
-    clock: u64,
 }
 
 impl AirGrid {
@@ -459,8 +388,6 @@ impl AirGrid {
             buckets: vec![Vec::with_capacity(AIR_BUCKET_FLOOR)],
             origin: (0, 0),
             dims: (1, 1),
-            stamps: vec![0],
-            clock: 0,
         }
     }
 
@@ -499,9 +426,6 @@ impl AirGrid {
         self.buckets = buckets;
         self.origin = new_origin;
         self.dims = new_dims;
-        // Re-indexed cells: conservatively restamp them all.
-        self.clock += 1;
-        self.stamps = vec![self.clock; (new_dims.0 * new_dims.1) as usize];
     }
 
     /// The bucket for `c`, growing the box if `c` falls outside it.
@@ -512,15 +436,6 @@ impl AirGrid {
         }
         let s = self.slot(c).expect("air box just grown");
         &mut self.buckets[s]
-    }
-
-    /// Stamps `c` as having received an insert. The cell must be inside
-    /// the box (call [`AirGrid::bucket_mut`] first).
-    #[inline]
-    fn note_insert(&mut self, c: Cell) {
-        let s = self.slot(c).expect("stamping a cell outside the air box");
-        self.clock += 1;
-        self.stamps[s] = self.clock;
     }
 
     /// The records bucketed under `c` (empty for cells outside the box).
@@ -626,7 +541,6 @@ impl<F> AirIndex<F> {
         };
         if let Some(grid) = &mut self.grid {
             grid.bucket_mut(cell).push(rec);
-            grid.note_insert(cell);
         }
         debug_assert!(!self.recs.iter().any(|r| r.id == id), "duplicate tx id");
         self.recs.push(rec);
@@ -659,68 +573,6 @@ impl<F> AirIndex<F> {
     #[inline]
     pub fn any_live(&self) -> bool {
         self.live_count > 0
-    }
-
-    /// Number of transmissions still on the air (the engine's batch
-    /// trigger for parallel precompute passes).
-    #[inline]
-    pub fn live_count(&self) -> usize {
-        self.live_count
-    }
-
-    /// Borrows the payload of transmission `id`, if still known.
-    pub fn peek(&self, id: u64) -> Option<&F> {
-        self.frames[self.slot_of(id)?].as_ref()
-    }
-
-    /// Calls `f` for every transmission still on the air (slab order).
-    pub fn for_each_live(&self, mut f: impl FnMut(u64, &TxShot, &F)) {
-        for (i, r) in self.recs.iter().enumerate() {
-            if r.live {
-                if let Some(frame) = &self.frames[i] {
-                    f(r.id, &r.shot, frame);
-                }
-            }
-        }
-    }
-
-    /// A payload-free, shareable view of the overlap facts — exactly
-    /// the slab data [`AirIndex::any_overlapping`] and
-    /// [`AirIndex::collect_overlapping`] read. [`AirRec`] is plain
-    /// copyable data, so the view is `Sync` regardless of the payload
-    /// type and can be read by the precompute worker threads.
-    pub fn overlaps_view(&self) -> AirOverlaps<'_> {
-        AirOverlaps { recs: &self.recs }
-    }
-
-    /// The maximum *insert* stamp over the air-grid cells within `r` of
-    /// `center` (use `r = 2 × range`: a later transmission can corrupt
-    /// one of this transmission's receivers only from within twice the
-    /// radio range of the sender). Equality with a recorded value
-    /// proves no new transmission started anywhere that could affect a
-    /// precomputed reception; finishing and pruning never change
-    /// stamps, and both are no-ops for overlap membership while the
-    /// observing transmission is still live.
-    ///
-    /// Returns `u64::MAX` on the brute-force (gridless) path, where no
-    /// stamps exist — callers there must not rely on precomputation.
-    pub fn overlap_stamp(&self, center: Vec2, r: f64) -> u64 {
-        let Some(grid) = &self.grid else {
-            return u64::MAX;
-        };
-        let (lo, hi) = disk_cells(center, r + GRID_PAD, self.cell);
-        let x0 = lo.0.max(grid.origin.0);
-        let x1 = hi.0.min(grid.origin.0 + grid.dims.0 - 1);
-        let y0 = lo.1.max(grid.origin.1);
-        let y1 = hi.1.min(grid.origin.1 + grid.dims.1 - 1);
-        let mut stamp = 0u64;
-        for cy in y0..=y1 {
-            for cx in x0..=x1 {
-                let s = ((cy - grid.origin.1) * grid.dims.0 + (cx - grid.origin.0)) as usize;
-                stamp = stamp.max(grid.stamps[s]);
-            }
-        }
-        stamp
     }
 
     /// The latest time any live transmission audible within `range` of
@@ -762,7 +614,9 @@ impl<F> AirIndex<F> {
     /// is uncorrupted and the per-receiver [`AirIndex::corrupts`] calls
     /// can be skipped wholesale — the common case in sparse networks.
     pub fn any_overlapping(&self, exclude: u64, start: SimTime, end: SimTime) -> bool {
-        self.overlaps_view().any_overlapping(exclude, start, end)
+        self.recs
+            .iter()
+            .any(|r| r.id != exclude && r.shot.start < end && start < r.shot.end)
     }
 
     /// Appends the sender position of every transmission other than
@@ -781,8 +635,11 @@ impl<F> AirIndex<F> {
         end: SimTime,
         out: &mut Vec<Vec2>,
     ) {
-        self.overlaps_view()
-            .collect_overlapping(exclude, start, end, out);
+        for r in &self.recs {
+            if r.id != exclude && r.shot.start < end && start < r.shot.end {
+                out.push(r.shot.pos);
+            }
+        }
     }
 
     /// `true` if any transmission other than `exclude` — live or
@@ -870,39 +727,6 @@ impl<F> AirIndex<F> {
     #[cfg(test)]
     pub fn len(&self) -> usize {
         self.recs.len()
-    }
-}
-
-/// Borrowed, payload-free view of the air slab's overlap facts (see
-/// [`AirIndex::overlaps_view`]). `Copy` plain data throughout, so it is
-/// `Send + Sync` and each precompute worker thread can scan it while
-/// the engine's event loop is parked at the pass barrier.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct AirOverlaps<'a> {
-    recs: &'a [AirRec],
-}
-
-impl AirOverlaps<'_> {
-    /// See [`AirIndex::any_overlapping`].
-    pub fn any_overlapping(&self, exclude: u64, start: SimTime, end: SimTime) -> bool {
-        self.recs
-            .iter()
-            .any(|r| r.id != exclude && r.shot.start < end && start < r.shot.end)
-    }
-
-    /// See [`AirIndex::collect_overlapping`].
-    pub fn collect_overlapping(
-        &self,
-        exclude: u64,
-        start: SimTime,
-        end: SimTime,
-        out: &mut Vec<Vec2>,
-    ) {
-        for r in self.recs {
-            if r.id != exclude && r.shot.start < end && start < r.shot.end {
-                out.push(r.shot.pos);
-            }
-        }
     }
 }
 

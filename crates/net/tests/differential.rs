@@ -155,14 +155,6 @@ impl Knobs {
 }
 
 fn run_once(k: Knobs, spatial: bool) -> Outcome {
-    run_engine(k, spatial, 1).0
-}
-
-/// Runs a scenario with `threads` precompute workers (1 = serial). With
-/// more than one worker, the batch floor is dropped to 1 so the tiled
-/// layer engages even in these tiny scenarios. Returns the outcome and
-/// how many `TxEnd`s were served from validated precomputed sets.
-fn run_engine(k: Knobs, spatial: bool, threads: usize) -> (Outcome, u64) {
     let field = Field::new(k.field_m, k.field_m);
     let setups = (0..k.nodes)
         .map(|i| NodeSetup {
@@ -177,12 +169,8 @@ fn run_engine(k: Knobs, spatial: bool, threads: usize) -> (Outcome, u64) {
         phy = phy.with_churn(ChurnParams::new(up, down));
     }
     let mut engine = Engine::new(phy, k.seed, setups);
-    if threads > 1 {
-        engine.set_threads(threads);
-        engine.set_parallel_batch_floor(1);
-    }
     engine.run_until(SimTime::from_secs(k.sim_secs));
-    let outcome = Outcome {
+    Outcome {
         per_node: engine
             .protocols()
             .iter()
@@ -192,8 +180,7 @@ fn run_engine(k: Knobs, spatial: bool, threads: usize) -> (Outcome, u64) {
         positions: (0..k.nodes)
             .map(|i| engine.position_of(NodeId::new(i as u32)))
             .collect(),
-    };
-    (outcome, engine.parallel_hits())
+    }
 }
 
 proptest! {
@@ -227,110 +214,6 @@ proptest! {
         }
         prop_assert_eq!(&grid.positions, &brute.positions, "final positions diverged");
     }
-
-    /// The tile-sharded parallel precompute layer must be a pure
-    /// wall-clock optimisation: for any worker/tile count the run is
-    /// byte-identical to the serial engine, across random node counts,
-    /// reception models and churn schedules. Stamp validation is what
-    /// makes this hold — a precomputed receiver set is only consumed
-    /// when the world provably didn't change under it — so this test
-    /// hammers exactly that machinery.
-    #[test]
-    fn tiled_path_is_identical_to_serial(
-        seed in 0u64..10_000,
-        nodes in 4usize..16,
-        field_m in 80.0f64..400.0,
-        range_m in 40.0f64..120.0,
-        max_speed in 0.2f64..25.0,
-        payload in 200usize..1500,
-        threads in 2usize..7,
-        reception_kind in 0u8..3,
-        churn in proptest::option::of((2.0f64..20.0, 1.0f64..8.0)),
-    ) {
-        let k = Knobs {
-            seed, nodes, field_m, range_m, max_speed, payload, sim_secs: 12,
-            reception_kind, churn_secs: churn,
-        };
-        let serial = run_once(k, true);
-        let (tiled, _hits) = run_engine(k, true, threads);
-        prop_assert_eq!(&tiled.counters, &serial.counters, "counters diverged");
-        for (i, (t, s)) in tiled.per_node.iter().zip(&serial.per_node).enumerate() {
-            prop_assert_eq!(t.2, s.2, "node {} send count diverged", i);
-            prop_assert_eq!(&t.1, &s.1, "node {} failures diverged", i);
-            prop_assert_eq!(&t.0, &s.0, "node {} receptions diverged", i);
-        }
-        prop_assert_eq!(&tiled.positions, &serial.positions, "final positions diverged");
-    }
-}
-
-/// Dense collision-heavy pinned scenario for the tiled layer: many
-/// overlapping transmissions keep several live at once, so the pass
-/// actually precomputes batches and `TxEnd`s consume them. Asserts the
-/// parallel path *engaged* (hits > 0) — without that, this whole
-/// differential would vacuously pass with the layer dormant — and that
-/// the run is byte-identical to serial for 2 and 4 tiles.
-#[test]
-fn tiled_dense_identical_and_engaged() {
-    let k = Knobs {
-        seed: 99,
-        nodes: 12,
-        field_m: 90.0,
-        range_m: 100.0,
-        max_speed: 10.0,
-        payload: 1200,
-        sim_secs: 20,
-        reception_kind: 0,
-        churn_secs: None,
-    };
-    let serial = run_once(k, true);
-    for threads in [2usize, 4] {
-        let (tiled, hits) = run_engine(k, true, threads);
-        assert!(
-            hits > 0,
-            "parallel precompute never engaged at {threads} threads"
-        );
-        assert_eq!(tiled.counters, serial.counters, "{threads} threads");
-        for (t, s) in tiled.per_node.iter().zip(&serial.per_node) {
-            assert_eq!(t.0, s.0);
-            assert_eq!(t.1, s.1);
-            assert_eq!(t.2, s.2);
-        }
-        assert_eq!(tiled.positions, serial.positions);
-    }
-}
-
-/// Churn plus shadowing on the tiled path: radio failures rewrite grid
-/// buckets and invalidate stamps mid-flight, so this pins the
-/// invalidate-then-recompute fallback. Byte-identity must survive it.
-#[test]
-fn tiled_churny_shadowed_identical() {
-    let k = Knobs {
-        seed: 1234,
-        nodes: 10,
-        field_m: 200.0,
-        range_m: 90.0,
-        max_speed: 12.0,
-        payload: 900,
-        sim_secs: 25,
-        reception_kind: 2,
-        churn_secs: Some((6.0, 3.0)),
-    };
-    let serial = run_once(k, true);
-    let (tiled, _hits) = run_engine(k, true, 3);
-    assert_eq!(tiled.counters, serial.counters);
-    assert!(
-        serial
-            .counters
-            .iter()
-            .any(|&(k, v)| k == "churn.fail" && v > 0),
-        "scenario failed to churn: {:?}",
-        serial.counters
-    );
-    for (t, s) in tiled.per_node.iter().zip(&serial.per_node) {
-        assert_eq!(t.0, s.0);
-        assert_eq!(t.1, s.1);
-    }
-    assert_eq!(tiled.positions, serial.positions);
 }
 
 /// A dense, collision-heavy scenario where every broadcast reaches (and

@@ -85,9 +85,8 @@ fn main() {
     drop(result);
 
     // Deterministic simulation results and wall-clock figures stay on
-    // separate lines on purpose: the CI scale-smoke job diffs this
-    // output across AG_THREADS values, filtering lines that mention
-    // wall time — everything else must be byte-identical.
+    // separate lines on purpose: two runs diff clean once the lines
+    // that mention wall time are filtered out.
     println!("  {wall:.2} s wall");
     println!(
         "  source sent {} packets, mean delivery {:.1} %",
