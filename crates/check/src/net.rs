@@ -36,7 +36,7 @@
 
 use std::collections::VecDeque;
 
-use ag_net::{Message, NodeId, ProtoCtx, Protocol, RxKind, TimerKey};
+use ag_net::{Dispatch, Message, NodeId, ProtoCtx, Protocol, RxKind, TimerKey};
 use ag_sim::{SimDuration, SimTime};
 
 use crate::machine::Machine;
@@ -224,16 +224,6 @@ pub enum NetAction {
     },
 }
 
-/// What gets dispatched into a protocol instance (the checker-side
-/// mirror of [`ag_net::Dispatch`], without trace metadata).
-#[derive(Debug, Clone)]
-enum LocalDispatch<M> {
-    Start,
-    Packet { from: NodeId, msg: M, rx: RxKind },
-    Timer { key: TimerKey },
-    SendFailure { to: NodeId, msg: M },
-}
-
 enum Effect<M> {
     Send(NodeId, M),
     Broadcast(M),
@@ -375,10 +365,10 @@ impl<P: Protocol + Clone> NetModel<P> {
         &self,
         st: &mut NetState<P>,
         node: usize,
-        disp: LocalDispatch<P::Msg>,
+        disp: Dispatch<P::Msg>,
         tape: &mut Tape,
     ) {
-        let mut work: VecDeque<(usize, LocalDispatch<P::Msg>)> = VecDeque::new();
+        let mut work: VecDeque<(usize, Dispatch<P::Msg>)> = VecDeque::new();
         work.push_back((node, disp));
         let mut steps = 0;
         while let Some((n, d)) = work.pop_front() {
@@ -395,16 +385,7 @@ impl<P: Protocol + Clone> NetModel<P> {
                 effects: Vec::new(),
                 timers: Vec::new(),
             };
-            match d {
-                LocalDispatch::Start => st.nodes[n].start(&mut ctx),
-                LocalDispatch::Packet { from, msg, rx } => {
-                    st.nodes[n].on_packet(&mut ctx, from, msg, rx);
-                }
-                LocalDispatch::Timer { key } => st.nodes[n].on_timer(&mut ctx, key),
-                LocalDispatch::SendFailure { to, msg } => {
-                    st.nodes[n].on_send_failure(&mut ctx, to, msg);
-                }
-            }
+            d.deliver(&mut st.nodes[n], &mut ctx);
             let CheckCtx {
                 effects, timers, ..
             } = ctx;
@@ -427,7 +408,7 @@ impl<P: Protocol + Clone> NetModel<P> {
                             Some(li) if st.alive[n] => {
                                 st.channels[li].push_back((msg, RxKind::Unicast));
                             }
-                            _ => work.push_back((n, LocalDispatch::SendFailure { to: dest, msg })),
+                            _ => work.push_back((n, Dispatch::SendFailure { to: dest, msg })),
                         }
                     }
                     Effect::Broadcast(msg) => {
@@ -452,7 +433,7 @@ impl<P: Protocol + Clone> NetModel<P> {
         &self,
         prepped: &NetState<P>,
         node: usize,
-        disp: &LocalDispatch<P::Msg>,
+        disp: &Dispatch<P::Msg>,
     ) -> Vec<(Vec<usize>, NetState<P>)> {
         let mut out = Vec::new();
         let mut prefix: Vec<usize> = Vec::new();
@@ -476,7 +457,7 @@ impl<P: Protocol + Clone> NetModel<P> {
         &self,
         prepped: &NetState<P>,
         node: usize,
-        disp: LocalDispatch<P::Msg>,
+        disp: Dispatch<P::Msg>,
         tape_values: &[usize],
     ) -> NetState<P> {
         let mut tape = Tape::replaying(tape_values.to_vec());
@@ -498,7 +479,7 @@ impl<P: Protocol + Clone> NetModel<P> {
         st: &NetState<P>,
         li: usize,
         consume_drop: bool,
-    ) -> (NetState<P>, Option<(usize, LocalDispatch<P::Msg>)>) {
+    ) -> (NetState<P>, Option<(usize, Dispatch<P::Msg>)>) {
         let (from, to) = self.links[li];
         let mut prepped = st.clone();
         let (msg, rx) = prepped.channels[li].pop_front().expect("head exists");
@@ -508,7 +489,7 @@ impl<P: Protocol + Clone> NetModel<P> {
         let dispatch = if !consume_drop && st.alive[to as usize] {
             Some((
                 to as usize,
-                LocalDispatch::Packet {
+                Dispatch::Packet {
                     from: NodeId::new(from),
                     msg,
                     rx,
@@ -519,7 +500,7 @@ impl<P: Protocol + Clone> NetModel<P> {
             // up and reports the failure.
             Some((
                 from as usize,
-                LocalDispatch::SendFailure {
+                Dispatch::SendFailure {
                     to: NodeId::new(to),
                     msg,
                 },
@@ -551,7 +532,7 @@ impl<P: Protocol + Clone> Machine for NetModel<P> {
             parked: false,
         };
         for node in 0..n {
-            let outs = self.enumerate_dispatch(&st, node, &LocalDispatch::Start);
+            let outs = self.enumerate_dispatch(&st, node, &Dispatch::Start);
             assert_eq!(
                 outs.len(),
                 1,
@@ -608,7 +589,7 @@ impl<P: Protocol + Clone> Machine for NetModel<P> {
                 let mut prepped = st.clone();
                 prepped.timers.remove(0);
                 for (tape, next) in
-                    self.enumerate_dispatch(&prepped, node as usize, &LocalDispatch::Timer { key })
+                    self.enumerate_dispatch(&prepped, node as usize, &Dispatch::Timer { key })
                 {
                     out.push((NetAction::Fire { node, key, tape }, next));
                 }
@@ -664,7 +645,7 @@ impl<P: Protocol + Clone> Machine for NetModel<P> {
                 self.replay_dispatch(
                     &prepped,
                     *node as usize,
-                    LocalDispatch::Timer { key: *key },
+                    Dispatch::Timer { key: *key },
                     tape,
                 )
             }

@@ -12,7 +12,7 @@
 //! ambient state, an RNG draw outside the named-choice surface), the
 //! first divergent dispatch pinpoints it.
 
-use ag_net::{state_digest, Choice, Dispatch, Message, NodeId, ProtoCtx, Protocol, TraceRecord};
+use ag_net::{state_digest, Choice, Message, NodeId, ProtoCtx, Protocol, TraceRecord};
 use ag_sim::{SimDuration, SimTime};
 
 /// A [`ProtoCtx`] that replays recorded named-choice outcomes and
@@ -118,16 +118,7 @@ pub fn replay_trace<P: Protocol>(protocols: &mut [P], trace: &[TraceRecord<P::Ms
     for (step, rec) in trace.iter().enumerate() {
         let i = rec.node.index();
         let mut ctx = ReplayCtx::new(rec.at, rec.node, protocols.len(), &rec.choices);
-        match &rec.dispatch {
-            Dispatch::Start => protocols[i].start(&mut ctx),
-            Dispatch::Packet { from, msg, rx } => {
-                protocols[i].on_packet(&mut ctx, *from, msg.clone(), *rx);
-            }
-            Dispatch::Timer { key } => protocols[i].on_timer(&mut ctx, *key),
-            Dispatch::SendFailure { to, msg } => {
-                protocols[i].on_send_failure(&mut ctx, *to, msg.clone());
-            }
-        }
+        rec.dispatch.clone().deliver(&mut protocols[i], &mut ctx);
         assert_eq!(
             ctx.consumed(),
             rec.choices.len(),

@@ -2,6 +2,7 @@
 //! sweep knobs (transmission range, maximum speed, node count).
 
 use ag_core::{AgConfig, AnonymousGossip};
+use ag_maodv::delivery::DeliveryLog;
 use ag_maodv::{GroupId, MaodvConfig, MaodvProtocol, TrafficSource};
 use ag_mobility::{Field, Mobility, PauseRange, RandomWaypoint, SpeedRange};
 use ag_net::{ChurnParams, Engine, NodeId, NodeSetup, PhyParams, Protocol, ReceptionModel};
@@ -224,10 +225,21 @@ impl Scenario {
 /// The group id used throughout (single-group scenarios, as in §5.1).
 pub const GROUP: GroupId = GroupId(0);
 
-fn build_engine<P, F>(sc: &Scenario, seed: u64, mut make: F) -> (Engine<P>, Vec<NodeId>, NodeId)
+/// The one run body behind every `run*` entry point: builds an engine
+/// whose nodes run the stack `make` constructs, runs it to
+/// `sc.sim_time`, and projects each member's protocol state through
+/// `stats`. Also returns the kernel events the engine dispatched.
+fn run_stack<P, F, S>(
+    sc: &Scenario,
+    seed: u64,
+    protocol: ProtocolKind,
+    mut make: F,
+    stats: S,
+) -> (RunResult, u64)
 where
     P: Protocol,
     F: FnMut(NodeId, bool, Option<TrafficSource>) -> P,
+    S: Fn(NodeId, &P) -> MemberStats,
 {
     let members = sc.members_for_seed(seed);
     let source = members[0];
@@ -240,16 +252,44 @@ where
     let nodes = (0..sc.nodes)
         .map(|i| {
             let id = NodeId::new(i as u32);
-            let is_member = member_flags[i];
             let traffic = (id == source).then_some(sc.traffic);
             NodeSetup {
                 mobility: sc.mobility_for(seed, i),
-                protocol: make(id, is_member, traffic),
+                protocol: make(id, member_flags[i], traffic),
             }
         })
         .collect();
-    let engine = Engine::new(sc.phy(), seed, nodes);
-    (engine, members, source)
+    let mut engine = Engine::new(sc.phy(), seed, nodes);
+    engine.run_until(sc.sim_time);
+    let events = engine.events_processed();
+    let result = RunResult {
+        protocol,
+        seed,
+        source,
+        sent: sc.packets_sent(),
+        members: members
+            .iter()
+            .map(|&m| stats(m, engine.protocol(m)))
+            .collect(),
+        counters: engine
+            .counters()
+            .iter()
+            .map(|(k, v)| (k.to_string(), v))
+            .collect(),
+    };
+    (result, events)
+}
+
+/// [`MemberStats`] of a stack with no gossip layer.
+fn tree_only_stats(node: NodeId, delivery: &DeliveryLog) -> MemberStats {
+    MemberStats {
+        node,
+        received: delivery.distinct(),
+        via_tree: delivery.via_tree(),
+        via_gossip: 0,
+        goodput_percent: None,
+        gossip_rounds: 0,
+    }
 }
 
 /// Runs the gossip stack (MAODV + AG) once. Deterministic in
@@ -262,38 +302,20 @@ pub fn run_gossip(sc: &Scenario, seed: u64) -> RunResult {
 /// dispatched (the `BENCH_<pr>.json` events/second numerator). The
 /// [`RunResult`] is identical to [`run_gossip`]'s.
 pub fn run_gossip_counting(sc: &Scenario, seed: u64) -> (RunResult, u64) {
-    let (mut engine, members, source) = build_engine(sc, seed, |id, member, traffic| {
-        AnonymousGossip::new(sc.ag, sc.maodv, id, GROUP, member, traffic)
-    });
-    engine.run_until(sc.sim_time);
-    let events = engine.events_processed();
-    let member_stats = members
-        .iter()
-        .map(|&m| {
-            let p = engine.protocol(m);
-            MemberStats {
-                node: m,
-                received: p.delivery().distinct(),
-                via_tree: p.delivery().via_tree(),
-                via_gossip: p.delivery().via_gossip(),
-                goodput_percent: p.metrics().goodput_percent(),
-                gossip_rounds: p.metrics().rounds_total(),
-            }
-        })
-        .collect();
-    let result = RunResult {
-        protocol: ProtocolKind::Gossip,
+    run_stack(
+        sc,
         seed,
-        source,
-        sent: sc.packets_sent(),
-        members: member_stats,
-        counters: engine
-            .counters()
-            .iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect(),
-    };
-    (result, events)
+        ProtocolKind::Gossip,
+        |id, member, traffic| AnonymousGossip::new(sc.ag, sc.maodv, id, GROUP, member, traffic),
+        |node, p| MemberStats {
+            node,
+            received: p.delivery().distinct(),
+            via_tree: p.delivery().via_tree(),
+            via_gossip: p.delivery().via_gossip(),
+            goodput_percent: p.metrics().goodput_percent(),
+            gossip_rounds: p.metrics().rounds_total(),
+        },
+    )
 }
 
 /// Runs the bare-MAODV baseline once. Deterministic in
@@ -305,38 +327,13 @@ pub fn run_maodv(sc: &Scenario, seed: u64) -> RunResult {
 /// [`run_maodv`], also reporting the kernel events the engine
 /// dispatched. The [`RunResult`] is identical to [`run_maodv`]'s.
 pub fn run_maodv_counting(sc: &Scenario, seed: u64) -> (RunResult, u64) {
-    let (mut engine, members, source) = build_engine(sc, seed, |id, member, traffic| {
-        MaodvProtocol::new(sc.maodv, id, GROUP, member, traffic)
-    });
-    engine.run_until(sc.sim_time);
-    let events = engine.events_processed();
-    let member_stats = members
-        .iter()
-        .map(|&m| {
-            let p = engine.protocol(m);
-            MemberStats {
-                node: m,
-                received: p.delivery().distinct(),
-                via_tree: p.delivery().via_tree(),
-                via_gossip: 0,
-                goodput_percent: None,
-                gossip_rounds: 0,
-            }
-        })
-        .collect();
-    let result = RunResult {
-        protocol: ProtocolKind::Maodv,
+    run_stack(
+        sc,
         seed,
-        source,
-        sent: sc.packets_sent(),
-        members: member_stats,
-        counters: engine
-            .counters()
-            .iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect(),
-    };
-    (result, events)
+        ProtocolKind::Maodv,
+        |id, member, traffic| MaodvProtocol::new(sc.maodv, id, GROUP, member, traffic),
+        |node, p| tree_only_stats(node, p.delivery()),
+    )
 }
 
 /// Runs the bare-ODMRP mesh baseline once (the related-work comparison
@@ -348,44 +345,14 @@ pub fn run_odmrp(sc: &Scenario, seed: u64) -> RunResult {
 /// [`run_odmrp`], also reporting the kernel events the engine
 /// dispatched. The [`RunResult`] is identical to [`run_odmrp`]'s.
 pub fn run_odmrp_counting(sc: &Scenario, seed: u64) -> (RunResult, u64) {
-    let (mut engine, members, source) = build_engine(sc, seed, |id, member, traffic| {
-        ag_odmrp::OdmrpProtocol::new(
-            ag_odmrp::OdmrpConfig::default_paper(),
-            id,
-            GROUP,
-            member,
-            traffic,
-        )
-    });
-    engine.run_until(sc.sim_time);
-    let events = engine.events_processed();
-    let member_stats = members
-        .iter()
-        .map(|&m| {
-            let p = engine.protocol(m);
-            MemberStats {
-                node: m,
-                received: p.delivery().distinct(),
-                via_tree: p.delivery().via_tree(),
-                via_gossip: 0,
-                goodput_percent: None,
-                gossip_rounds: 0,
-            }
-        })
-        .collect();
-    let result = RunResult {
-        protocol: ProtocolKind::Odmrp,
+    let cfg = ag_odmrp::OdmrpConfig::default_paper();
+    run_stack(
+        sc,
         seed,
-        source,
-        sent: sc.packets_sent(),
-        members: member_stats,
-        counters: engine
-            .counters()
-            .iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect(),
-    };
-    (result, events)
+        ProtocolKind::Odmrp,
+        |id, member, traffic| ag_odmrp::OdmrpProtocol::new(cfg, id, GROUP, member, traffic),
+        |node, p| tree_only_stats(node, p.delivery()),
+    )
 }
 
 /// Runs the requested protocol stack once.

@@ -92,24 +92,33 @@ impl Config {
             ]),
             hot_path_manifest: vec![
                 (
-                    // Receiver emission: everything a TxEnd touches.
+                    // The one protocol upcall every dispatch goes through.
                     "crates/net/src/engine.rs".to_string(),
+                    s(&["upcall"]),
+                ),
+                (
+                    // A frame's life cycle: queueing, backoff, carrier
+                    // sense, the air, and delivery at TxEnd.
+                    "crates/net/src/engine/dcf.rs".to_string(),
                     s(&[
                         "enqueue_frame",
                         "arm_attempt",
-                        "arm_attempt_after",
                         "handle_attempt",
                         "start_tx",
-                        "channel_receives",
-                        "uncorrupted_receivers",
                         "finish_head_frame",
                         "handle_tx_end",
                     ]),
                 ),
                 (
-                    // The air-slab overlap scans every TxEnd issues.
+                    // The production receiver-set kernel.
+                    "crates/net/src/engine/receive.rs".to_string(),
+                    s(&["channel_receives", "receivers"]),
+                ),
+                (
+                    // The index queries every MAC attempt (`busy_until`)
+                    // and every TxEnd (the other two) issues.
                     "crates/net/src/grid.rs".to_string(),
-                    s(&["any_overlapping", "collect_overlapping"]),
+                    s(&["busy_until", "collect_overlapping", "query_disk"]),
                 ),
                 (
                     // Calendar queue steady state: push, pop, min scan.

@@ -155,6 +155,26 @@ pub enum Dispatch<M> {
     },
 }
 
+impl<M: Message> Dispatch<M> {
+    /// Invokes the handler this dispatch names on `protocol`. The one
+    /// `Dispatch` → handler mapping in the workspace: the engine's
+    /// upcall, the conformance replay and the model checker all go
+    /// through it, so they cannot disagree on what a record means.
+    #[inline(always)]
+    pub fn deliver<P: crate::Protocol<Msg = M>, C: ProtoCtx<M>>(
+        self,
+        protocol: &mut P,
+        ctx: &mut C,
+    ) {
+        match self {
+            Dispatch::Start => protocol.start(ctx),
+            Dispatch::Packet { from, msg, rx } => protocol.on_packet(ctx, from, msg, rx),
+            Dispatch::Timer { key } => protocol.on_timer(ctx, key),
+            Dispatch::SendFailure { to, msg } => protocol.on_send_failure(ctx, to, msg),
+        }
+    }
+}
+
 /// One protocol dispatch in an engine trace: what went in, which
 /// choices were drawn, and a digest of the node's state afterwards.
 ///

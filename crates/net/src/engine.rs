@@ -15,34 +15,38 @@
 //! audibility at `PhyParams::range_m`, any overlapping audible
 //! transmission corrupts a reception, unicast is ACKed/retried, broadcast
 //! is fire-and-forget.
+//!
+//! This file holds the state, construction, the event loop and the one
+//! protocol upcall; the handlers hang off it by seam: `dcf` (MAC and
+//! `TxEnd` delivery), `receive` (the receiver-set kernel; its oracle is
+//! [`crate::reference`]), `motion` (mobility, grid windows, churn),
+//! `api` ([`NodeApi`]) and `trace` (conformance recording).
+
+mod api;
+mod dcf;
+mod motion;
+mod receive;
+mod trace;
+
+#[cfg(test)]
+mod tests;
 
 use ag_mobility::{LegSample, Mobility, Vec2};
 use ag_sim::rng::{SeedSplitter, StreamKind};
 use ag_sim::stats::CounterSet;
-use ag_sim::{EventQueue, SimDuration, SimTime};
+use ag_sim::{EventQueue, SimTime};
 use rand::rngs::SmallRng;
-use rand::Rng;
 
-use crate::ctx::{state_digest, Choice, Dispatch, ProtoCtx, TraceRecord};
-use crate::grid::{AirIndex, NodeGrid, TxShot};
-use crate::mac::{Mac, MacState, OutFrame};
-use crate::{Message, NodeId, PhyParams, Protocol, ReceptionModel, RxKind, TimerKey};
+pub use api::NodeApi;
+pub(crate) use receive::RxCounts;
 
-/// Largest node count for which the engine pre-allocates the dense
-/// `n × n` per-link shadowing cache (8 MiB of `f64` at the cap). Above
-/// this, shadowing decisions recompute the Box–Muller transform per
-/// reception, as before.
-const SHADOW_CACHE_MAX_NODES: usize = 1024;
-
-/// Node-grid cell size as a fraction of the radio range. Cells at the
-/// full range make every disk query fetch a ~3 × 3-cell box — nine
-/// times the disk's area in candidates, all paying the dedupe-and-
-/// distance test. Half-range cells tighten the fetched box (and halve
-/// each node's bucketing-window smear) for a fraction of the per-query
-/// work; the exact per-candidate distance test makes the cell size
-/// invisible in results. Below one half, per-query cell iteration
-/// overhead starts winning back the savings.
-const GRID_CELL_FACTOR: f64 = 0.5;
+use crate::ctx::{Dispatch, TraceRecord};
+use crate::grid::{AirIndex, NodeGrid};
+use crate::mac::{Mac, OutFrame};
+use crate::{Message, NodeId, PhyParams, Protocol, TimerKey};
+use motion::GRID_CELL_FACTOR;
+use receive::RxScratch;
+use trace::TraceSink;
 
 /// One scheduled kernel event.
 #[derive(Debug, Clone, Copy)]
@@ -68,7 +72,7 @@ enum Event {
 /// The sender and payload of a transmission currently in the air; its
 /// timing and geometry live in the [`AirIndex`].
 #[derive(Debug)]
-struct PendingTx<M> {
+pub(crate) struct PendingTx<M> {
     sender: usize,
     frame: OutFrame<M>,
 }
@@ -138,12 +142,13 @@ impl HotCounters {
 ///
 /// Splitting the world from the protocols lets the engine hand a protocol
 /// a mutable [`NodeApi`] view of the world while itself staying borrowed.
-struct World<M: Message> {
-    now: SimTime,
+/// (The `pub(crate)` fields are the ones [`crate::reference`] reads.)
+pub(crate) struct World<M: Message> {
+    pub(crate) now: SimTime,
     queue: EventQueue<Event>,
-    phy: PhyParams,
+    pub(crate) phy: PhyParams,
     macs: Vec<Mac<M>>,
-    mobility: Vec<Box<dyn Mobility>>,
+    pub(crate) mobility: Vec<Box<dyn Mobility>>,
     /// Per-node cached trajectory legs, refreshed at mobility
     /// transitions; every position the engine uses comes from here, so a
     /// range check never re-enters a boxed mobility model.
@@ -154,18 +159,18 @@ struct World<M: Message> {
     /// Per-node churn interval streams; empty unless churn is enabled.
     churn_rngs: Vec<SmallRng>,
     /// `true` while a node's radio is down (churn).
-    down: Vec<bool>,
+    pub(crate) down: Vec<bool>,
     /// When each node's radio last came (back) up. A receiver only
     /// decodes a frame whose *entire* airtime it was up for, so a node
     /// that recovers mid-frame cannot deliver it.
-    up_since: Vec<SimTime>,
+    pub(crate) up_since: Vec<SimTime>,
     /// The transmission each node currently has on the air, if any;
     /// cleared when the node fails mid-transmission so the `TxEnd`
     /// handler can tell a truncated frame from a completed one.
     tx_of: Vec<Option<u64>>,
     /// Keyed-hash seed for the (order-independent) reception-model
     /// decisions.
-    channel_seed: u64,
+    pub(crate) channel_seed: u64,
     /// Spatial index over nodes; `None` runs the brute-force scans (see
     /// [`PhyParams::with_spatial_index`]).
     grid: Option<NodeGrid>,
@@ -174,61 +179,13 @@ struct World<M: Message> {
     grid_gens: Vec<u64>,
     /// All channel-relevant transmissions (live + recently finished),
     /// carrying each live transmission's sender and frame.
-    air: AirIndex<PendingTx<M>>,
+    pub(crate) air: AirIndex<PendingTx<M>>,
     next_tx_id: u64,
     counters: CounterSet,
     hot: HotCounters,
-    /// Reusable candidate buffer for grid queries.
-    scratch: Vec<u32>,
-    /// Reusable receiver buffer (avoids an allocation per `TxEnd`).
-    rx_scratch: Vec<usize>,
-    /// Reusable buffer for frames a radio failure destroys (avoids an
-    /// allocation per churn toggle).
-    churn_scratch: Vec<OutFrame<M>>,
-    /// Reusable buffer of overlapping-sender positions for one `TxEnd`'s
-    /// collision checks (avoids a per-receiver air-index probe *and* a
-    /// per-event allocation).
-    overlap_scratch: Vec<Vec2>,
-    /// Memoized per-link squared effective range for the shadowing
-    /// reception model, indexed `a * n + b` with `a <= b` (the gain is
-    /// reciprocal and static, so one entry serves both directions for
-    /// the whole run). `NaN` marks an uncomputed entry — the gain math
-    /// can never legitimately produce `NaN`. Empty unless the model is
-    /// `Shadowing` and the node count is small enough to afford `n²`
-    /// entries.
-    shadow_cache: Vec<f64>,
-    /// Per-node visit stamps deduplicating grid candidates without a
-    /// sort (a node's leg can span several queried cells).
-    stamps: Vec<u64>,
-    stamp: u64,
-    /// One bit per node, set for each accepted receiver of the `TxEnd`
-    /// in flight. Sweeping the words in order emits the receiver list
-    /// already ascending, so the grid path never sorts it; the sweep
-    /// clears the bits behind itself.
-    recv_bits: Vec<u64>,
-    /// Indices of the `recv_bits` words the current `TxEnd` actually
-    /// touched (pushed on each word's 0 → nonzero transition). The
-    /// sweep visits only these — sorted, so output order is unchanged —
-    /// instead of walking all `n / 64` words: at metropolis scale the
-    /// full walk is ~2 KB of streamed zeros per kernel event, which
-    /// dominates the event loop long before the radio work does.
-    touched_words: Vec<u32>,
-    /// Watermarks asserting (in debug builds) that the scratch buffers
-    /// above actually round-trip: a capacity that shrinks between
-    /// events means some path leaked the buffer and replaced it with a
-    /// fresh allocation.
-    rx_scratch_cap: usize,
-    scratch_cap: usize,
     /// Conformance trace sink; `None` (the default) keeps tracing off
     /// the hot path entirely. See [`Engine::new_traced`].
     trace: Option<TraceSink<M>>,
-}
-
-/// Accumulates [`TraceRecord`]s plus the named-choice outcomes of the
-/// protocol dispatch currently executing.
-struct TraceSink<M> {
-    records: Vec<TraceRecord<M>>,
-    pending: Vec<Choice>,
 }
 
 impl<M: Message> World<M> {
@@ -236,620 +193,8 @@ impl<M: Message> World<M> {
         self.macs.len()
     }
 
-    /// Appends one named-choice outcome to the dispatch being traced
-    /// (no-op with tracing off).
-    #[inline]
-    fn record_choice(&mut self, c: Choice) {
-        if let Some(t) = &mut self.trace {
-            t.pending.push(c);
-        }
-    }
-
-    /// Seals the current dispatch into a [`TraceRecord`], taking the
-    /// accumulated choices with it.
-    fn trace_record(&mut self, node: usize, dispatch: Dispatch<M>, digest: u64) {
-        let now = self.now;
-        if let Some(t) = &mut self.trace {
-            t.records.push(TraceRecord {
-                node: NodeId::new(node as u32),
-                at: now,
-                dispatch,
-                choices: std::mem::take(&mut t.pending),
-                digest,
-            });
-        }
-    }
-
     fn position(&self, node: usize) -> Vec2 {
         self.legs[node].position_at(self.now)
-    }
-
-    /// Re-reads `node`'s current leg into the position cache and
-    /// rebuckets the node in the spatial index.
-    fn refresh_leg(&mut self, node: usize) {
-        self.legs[node] = self.mobility[node].current_leg();
-        self.grid_gens[node] = self.grid_gens[node].wrapping_add(1);
-        self.slide_window(node);
-    }
-
-    /// (Re)buckets `node` for the portion of its leg starting now and
-    /// spanning roughly half a grid cell of travel, and schedules the
-    /// next [`Event::GridRefresh`] if the leg continues past the window.
-    ///
-    /// Invariant: at every processed instant, each node's bucketed
-    /// segment contains its true position — window ends are inclusive
-    /// on both sides, so same-instant event ordering cannot break it.
-    fn slide_window(&mut self, node: usize) {
-        let Some(grid) = &mut self.grid else {
-            return;
-        };
-        if self.down[node] {
-            // A down radio stays detached; recovery rebuckets it.
-            grid.remove_node(node);
-            return;
-        }
-        let leg = self.legs[node];
-        let now = self.now;
-        if leg.is_static() || now >= leg.arrive {
-            let p = leg.position_at(now);
-            grid.update_segment(node, p, p);
-            return;
-        }
-        let gen = self.grid_gens[node];
-        if now < leg.depart {
-            // Parked at the leg's start until it departs.
-            grid.update_segment(node, leg.from, leg.from);
-            self.queue
-                .schedule(leg.depart, Event::GridRefresh { node, gen });
-            return;
-        }
-        let p0 = leg.position_at(now);
-        // Time to traverse half a cell at the leg's speed (short windows
-        // keep each node in ~1–2 cells, so queries see few duplicate
-        // candidates), floored to keep event counts sane for absurdly
-        // fast movers.
-        let secs_per_cell = leg.arrive.duration_since(leg.depart).as_secs_f64()
-            * (0.5 * GRID_CELL_FACTOR * self.phy.range_m())
-            / leg.from.distance_to(leg.to);
-        let window = SimDuration::from_secs_f64(secs_per_cell.max(1e-6));
-        let t1 = now.saturating_add(window);
-        if t1 >= leg.arrive {
-            grid.update_segment(node, p0, leg.to);
-        } else {
-            grid.update_segment(node, p0, leg.position_at(t1));
-            self.queue.schedule(t1, Event::GridRefresh { node, gen });
-        }
-    }
-
-    /// Queues a frame and kicks the MAC if it was idle. Frames from a
-    /// down radio are silently discarded (counted): the hardware is
-    /// off, so there is no carrier feedback to report.
-    fn enqueue_frame(&mut self, node: usize, dest: Option<NodeId>, msg: M) {
-        if self.down[node] {
-            self.hot.down_drop += 1;
-            return;
-        }
-        let accepted = self.macs[node].enqueue(OutFrame { dest, msg });
-        if !accepted {
-            self.hot.queue_drop += 1;
-            return;
-        }
-        self.hot.enqueued += 1;
-        if self.macs[node].state() == MacState::Idle {
-            self.arm_attempt(node);
-        }
-    }
-
-    /// Arms a fresh DIFS + backoff attempt for `node`'s head frame.
-    fn arm_attempt(&mut self, node: usize) {
-        debug_assert!(
-            !self.macs[node].is_empty(),
-            "arming attempt with empty queue"
-        );
-        let cw = self.macs[node].cw;
-        let slots = self.mac_rngs[node].random_range(0..=cw) as u64;
-        let delay = self.phy.difs() + self.phy.slot() * slots;
-        let gen = self.macs[node].bump_attempt_gen();
-        self.macs[node].set_state(MacState::Contending);
-        self.queue
-            .schedule(self.now + delay, Event::MacAttempt { node, gen });
-    }
-
-    /// Re-arms an attempt to start after the audible busy period ends.
-    fn arm_attempt_after(&mut self, node: usize, busy_until: SimTime) {
-        let cw = self.macs[node].cw;
-        let slots = self.mac_rngs[node].random_range(0..=cw) as u64;
-        let delay = self.phy.difs() + self.phy.slot() * slots;
-        let gen = self.macs[node].bump_attempt_gen();
-        self.macs[node].set_state(MacState::Contending);
-        self.queue.schedule(
-            busy_until.saturating_add(delay),
-            Event::MacAttempt { node, gen },
-        );
-    }
-
-    /// If any live transmission is audible at `node`, the latest time the
-    /// medium stays busy; otherwise `None`.
-    fn medium_busy_until(&self, node: usize) -> Option<SimTime> {
-        if !self.air.any_live() {
-            // Nothing on the air anywhere: skip the position sample.
-            return None;
-        }
-        let pos = self.position(node);
-        self.air.busy_until(pos, self.phy.range_m())
-    }
-
-    /// Handles an armed attempt firing: carrier-sense, then transmit or
-    /// defer.
-    fn handle_attempt(&mut self, node: usize, gen: u64) {
-        if self.macs[node].attempt_gen != gen || self.macs[node].state() != MacState::Contending {
-            return; // stale
-        }
-        if self.macs[node].is_empty() {
-            self.macs[node].set_state(MacState::Idle);
-            return;
-        }
-        if let Some(busy_until) = self.medium_busy_until(node) {
-            self.hot.cs_busy += 1;
-            self.arm_attempt_after(node, busy_until);
-            return;
-        }
-        self.start_tx(node);
-    }
-
-    /// Puts `node`'s head frame on the air.
-    fn start_tx(&mut self, node: usize) {
-        // The head frame stays queued until ACKed (unicast) or completed
-        // (broadcast), so the air record holds a clone — a refcount bump
-        // under the `Message` cheap-clone contract, not a payload copy.
-        let frame = self.macs[node]
-            .head()
-            .expect("start_tx with empty queue")
-            .clone();
-        let unicast = frame.dest.is_some();
-        let mut airtime = self.phy.airtime(frame.msg.wire_size());
-        if unicast {
-            airtime += self.phy.ack_overhead();
-        }
-        let id = self.next_tx_id;
-        self.next_tx_id += 1;
-        self.tx_of[node] = Some(id);
-        let end = self.now + airtime;
-        self.air.insert(
-            id,
-            TxShot {
-                start: self.now,
-                end,
-                pos: self.position(node),
-            },
-            PendingTx {
-                sender: node,
-                frame,
-            },
-        );
-        self.macs[node].set_state(MacState::Transmitting);
-        if unicast {
-            self.hot.unicast_tx += 1;
-        } else {
-            self.hot.broadcast_tx += 1;
-        }
-        self.queue.schedule(end, Event::TxEnd { tx_id: id });
-    }
-
-    /// Keyed-hash reception-model decision for one `(transmission,
-    /// receiver)` pair, serving shadowing decisions from the per-link
-    /// effective-range cache when one was allocated. Bit-identical to
-    /// [`ReceptionModel::receives`]: the cache stores exactly the value
-    /// `shadow_eff_range_sq` computes, and the comparison is the same.
-    fn channel_receives(
-        &mut self,
-        model: ReceptionModel,
-        tx_id: u64,
-        sender: u32,
-        receiver: u32,
-        dist_sq: f64,
-        range_m: f64,
-    ) -> bool {
-        if let ReceptionModel::Shadowing {
-            sigma_db,
-            path_loss_exp,
-        } = model
-        {
-            if !self.shadow_cache.is_empty() {
-                let n = self.node_count();
-                let (a, b) = if sender <= receiver {
-                    (sender, receiver)
-                } else {
-                    (receiver, sender)
-                };
-                let idx = a as usize * n + b as usize;
-                let mut eff_sq = self.shadow_cache[idx];
-                if eff_sq.is_nan() {
-                    eff_sq = crate::phy::shadow_eff_range_sq(
-                        self.channel_seed,
-                        sender,
-                        receiver,
-                        sigma_db,
-                        path_loss_exp,
-                        range_m,
-                    );
-                    self.shadow_cache[idx] = eff_sq;
-                }
-                return dist_sq <= eff_sq;
-            }
-        }
-        model.receives(self.channel_seed, tx_id, sender, receiver, dist_sq, range_m)
-    }
-
-    /// All nodes that hear transmission `id` (described by `shot`, sent
-    /// by `sender`) uncorrupted, in ascending node order. Also counts
-    /// collisions.
-    ///
-    /// `id` must already be marked finished in the air index.
-    ///
-    /// Scratch round-trip: this takes `rx_scratch` as the result buffer
-    /// and the **caller** must hand it back (`handle_tx_end`, the sole
-    /// caller, restores it after the delivery loop); `scratch` and
-    /// `overlap_scratch` are taken and restored internally. The
-    /// watermark asserts below catch any path that forgets, which would
-    /// silently reintroduce a per-event allocation.
-    fn uncorrupted_receivers(&mut self, id: u64, shot: &TxShot, sender: usize) -> Vec<usize> {
-        let mut out = std::mem::take(&mut self.rx_scratch);
-        debug_assert!(
-            out.capacity() >= self.rx_scratch_cap,
-            "rx_scratch was not returned by the previous TxEnd"
-        );
-        out.clear();
-        let range = self.phy.range_m();
-        let grid_path = self.grid.is_some();
-        let reception = self.phy.reception();
-        let ideal = reception.is_ideal();
-        // Without a churn model no radio is ever down and `up_since`
-        // stays at time zero, so the per-candidate liveness loads can't
-        // fire; hoist that fact out of the loop.
-        let churny = self.phy.churn().is_some();
-        // If no other transmission overlaps this one's airtime window at
-        // all, no receiver anywhere can be corrupted; skip the
-        // per-receiver collision checks wholesale (the common case in
-        // sparse networks). `corrupts` implies `any_overlapping`, so
-        // results are identical. The brute-force baseline runs the
-        // pre-index per-receiver scans unconditionally, as the original
-        // engine did.
-        let contended = !grid_path || self.air.any_overlapping(id, shot.start, shot.end);
-        // On the grid path, gather the overlapping senders once and let
-        // each receiver answer "am I corrupted?" with a linear scan over
-        // that (typically tiny) set, instead of probing the air index's
-        // cell grid per receiver. Same predicate as `corrupts`, same
-        // results. The brute-force baseline keeps the per-receiver
-        // scans as its documented cost baseline.
-        let mut overlaps = std::mem::take(&mut self.overlap_scratch);
-        overlaps.clear();
-        if grid_path && contended {
-            self.air
-                .collect_overlapping(id, shot.start, shot.end, &mut overlaps);
-        }
-        // Hoisted so the uncontended (empty-overlap) common case skips
-        // even the slice-iterator setup per candidate.
-        let any_overlap = !overlaps.is_empty();
-        let mut cands = std::mem::take(&mut self.scratch);
-        debug_assert!(
-            cands.capacity() >= self.scratch_cap,
-            "scratch was not restored by the previous event"
-        );
-        cands.clear();
-        if let Some(grid) = &self.grid {
-            grid.query_disk(shot.pos, range, &mut cands);
-            // A node's bucketed leg segment can span several queried
-            // cells; dedupe with visit stamps (cheaper than sorting the
-            // candidate list — only the much smaller receiver list needs
-            // ordering, below).
-            self.stamp += 1;
-        } else {
-            cands.extend(0..self.node_count() as u32);
-        }
-        for &rid in &cands {
-            let r = rid as usize;
-            if r == sender {
-                continue;
-            }
-            if grid_path {
-                if self.stamps[r] == self.stamp {
-                    continue;
-                }
-                self.stamps[r] = self.stamp;
-            }
-            // A down radio hears nothing, and a radio that recovered
-            // mid-frame missed the frame's head and cannot decode the
-            // rest. Grid queries never return down nodes (they are
-            // detached), but the brute-force path scans everyone, so
-            // both paths check explicitly.
-            if churny && (self.down[r] || self.up_since[r] > shot.start) {
-                continue;
-            }
-            // The brute-force path reproduces the pre-index engine:
-            // re-enter the boxed mobility model per range check instead
-            // of sampling the cached leg. Bit-identical positions (the
-            // models' own `position` *is* `LegSample::position_at`), so
-            // this is a cost baseline, not a behaviour switch.
-            let rpos = if grid_path {
-                self.position(r)
-            } else {
-                self.mobility[r].position(self.now)
-            };
-            let dist_sq = shot.pos.distance_sq(rpos);
-            if dist_sq > range * range {
-                continue;
-            }
-            let corrupted = if grid_path {
-                any_overlap
-                    && overlaps
-                        .iter()
-                        .any(|p| p.distance_sq(rpos) <= range * range)
-            } else {
-                contended && self.air.corrupts(id, shot.start, shot.end, rpos, range)
-            };
-            if corrupted {
-                self.hot.rx_collision += 1;
-            } else if !ideal
-                && !self.channel_receives(reception, id, sender as u32, rid, dist_sq, range)
-            {
-                self.hot.rx_channel_drop += 1;
-            } else if grid_path {
-                let w = r >> 6;
-                if self.recv_bits[w] == 0 {
-                    self.touched_words.push(w as u32);
-                }
-                self.recv_bits[w] |= 1u64 << (r & 63);
-            } else {
-                out.push(r);
-            }
-        }
-        if grid_path {
-            // Sweep the touched receiver-bitset words in ascending word
-            // order: the list comes out in the same ascending node
-            // order as the brute-force scan, without sorting it and
-            // without walking the (at metropolis scale, vast) untouched
-            // remainder of the bitset.
-            self.touched_words.sort_unstable();
-            for &w in &self.touched_words {
-                let w = w as usize;
-                let mut bits = self.recv_bits[w];
-                self.recv_bits[w] = 0;
-                while bits != 0 {
-                    out.push((w << 6) | bits.trailing_zeros() as usize);
-                    bits &= bits - 1;
-                }
-            }
-            self.touched_words.clear();
-        }
-        self.scratch_cap = cands.capacity();
-        self.scratch = cands;
-        self.overlap_scratch = overlaps;
-        self.rx_scratch_cap = self.rx_scratch_cap.max(out.capacity());
-        out
-    }
-
-    /// Completes the head frame (success or final drop) and moves the MAC
-    /// on to the next queued frame.
-    fn finish_head_frame(&mut self, node: usize) -> OutFrame<M> {
-        let frame = self.macs[node].pop_head().expect("no head frame to finish");
-        self.macs[node].retries = 0;
-        self.macs[node].cw = self.phy.cw_min();
-        if self.macs[node].is_empty() {
-            self.macs[node].set_state(MacState::Idle);
-        } else {
-            self.arm_attempt(node);
-        }
-        frame
-    }
-
-    /// Applies unicast failure policy: retry with doubled CW, or give up.
-    /// Returns the dropped frame once the retry limit is exhausted.
-    fn unicast_retry_or_fail(&mut self, node: usize) -> Option<OutFrame<M>> {
-        self.macs[node].retries += 1;
-        if self.macs[node].retries > self.phy.retry_limit() {
-            self.hot.send_fail += 1;
-            Some(self.finish_head_frame(node))
-        } else {
-            self.hot.unicast_retry += 1;
-            self.macs[node].cw = self.phy.next_cw(self.macs[node].cw);
-            self.arm_attempt(node);
-            None
-        }
-    }
-
-    /// Advances `node`'s mobility model through the transition due now and
-    /// schedules the next one.
-    fn handle_mobility(&mut self, node: usize) {
-        let now = self.now;
-        self.mobility[node].transition(now, &mut self.mobility_rngs[node]);
-        self.hot.mob_transition += 1;
-        self.refresh_leg(node);
-        self.schedule_mobility(node);
-    }
-
-    /// Toggles `node`'s radio between up and down and schedules the
-    /// next toggle (exponential durations from the node's churn
-    /// stream). Failing drops all in-flight MAC state — queued frames,
-    /// any armed backoff, a frame mid-air — and detaches the node from
-    /// the spatial index; recovering re-attaches it with a clean MAC.
-    ///
-    /// Leaves the queued frames dropped by a failure (none on recovery)
-    /// in `churn_scratch` — a reused buffer, not a per-toggle
-    /// allocation — so the engine can report the unicasts among them
-    /// through [`Protocol::on_send_failure`] — the stack keeps running
-    /// and deserves to hear that its radio took the queue down with it.
-    fn handle_churn(&mut self, node: usize) {
-        let churn = self.phy.churn().expect("churn event without churn model");
-        self.churn_scratch.clear();
-        if self.down[node] {
-            self.down[node] = false;
-            self.up_since[node] = self.now;
-            self.hot.churn_recover += 1;
-            // Rebucket at the node's current position (mobility kept
-            // advancing while the radio was off).
-            self.grid_gens[node] = self.grid_gens[node].wrapping_add(1);
-            self.slide_window(node);
-            let up = churn.sample_up(&mut self.churn_rngs[node]);
-            self.queue.schedule(self.now + up, Event::Churn { node });
-        } else {
-            self.down[node] = true;
-            self.hot.churn_fail += 1;
-            // Drop in-flight MAC state and invalidate any armed attempt.
-            while let Some(frame) = self.macs[node].pop_head() {
-                self.churn_scratch.push(frame);
-            }
-            self.macs[node].retries = 0;
-            self.macs[node].cw = self.phy.cw_min();
-            self.macs[node].bump_attempt_gen();
-            self.macs[node].set_state(MacState::Idle);
-            // A frame mid-air is truncated: disown it so `TxEnd`
-            // delivers it to nobody (it still occupies its airtime
-            // window for interference purposes until pruned).
-            self.tx_of[node] = None;
-            // Detach from the index; stale window refreshes die on the
-            // bumped generation.
-            self.grid_gens[node] = self.grid_gens[node].wrapping_add(1);
-            if let Some(grid) = &mut self.grid {
-                grid.remove_node(node);
-            }
-            let down = churn.sample_down(&mut self.churn_rngs[node]);
-            self.queue.schedule(self.now + down, Event::Churn { node });
-        }
-    }
-
-    /// Schedules `node`'s next mobility transition, guarding against
-    /// zero-length legs.
-    fn schedule_mobility(&mut self, node: usize) {
-        let next = self.mobility[node].next_transition();
-        if next == SimTime::MAX {
-            return;
-        }
-        let at = if next <= self.now {
-            self.now + SimDuration::from_nanos(1)
-        } else {
-            next
-        };
-        self.queue.schedule(at, Event::Mobility { node });
-    }
-}
-
-/// The per-node view of the world handed to [`Protocol`] callbacks.
-///
-/// This is the engine's implementation of [`ProtoCtx`]: sends become
-/// MAC-queued frames, timers become kernel events, and every named
-/// random choice draws from the node's [`StreamKind::Node`] stream —
-/// nothing else touches that stream, which is what makes engine runs
-/// replayable choice-for-choice through the pure facade (`ag-check`).
-pub struct NodeApi<'a, M: Message> {
-    world: &'a mut World<M>,
-    node: usize,
-}
-
-impl<'a, M: Message> NodeApi<'a, M> {
-    /// This node's current position (exposed for tracing/metrics only —
-    /// the protocols in this workspace never route on positions, so it
-    /// is deliberately *not* part of [`ProtoCtx`]).
-    pub fn position(&self) -> Vec2 {
-        self.world.position(self.node)
-    }
-}
-
-impl<'a, M: Message> ProtoCtx<M> for NodeApi<'a, M> {
-    fn now(&self) -> SimTime {
-        self.world.now
-    }
-
-    fn id(&self) -> NodeId {
-        NodeId::new(self.node as u32)
-    }
-
-    fn node_count(&self) -> usize {
-        self.world.node_count()
-    }
-
-    /// Queues a unicast frame to `dest` (ACKed; retried up to the retry
-    /// limit; [`Protocol::on_send_failure`] fires if it never gets
-    /// through — including when a radio failure destroys it while
-    /// queued). Exception: a frame sent while this node's own radio is
-    /// already down (churn) is discarded without a callback.
-    fn send(&mut self, dest: NodeId, msg: M) {
-        debug_assert!(
-            dest.index() < self.world.node_count(),
-            "unknown destination {dest}"
-        );
-        debug_assert!(dest.index() != self.node, "unicast to self");
-        self.world.enqueue_frame(self.node, Some(dest), msg);
-    }
-
-    /// Queues a local broadcast frame (heard by every node in range,
-    /// unacknowledged).
-    fn broadcast(&mut self, msg: M) {
-        self.world.enqueue_frame(self.node, None, msg);
-    }
-
-    /// Schedules [`Protocol::on_timer`] with `key` after `delay`.
-    ///
-    /// Timers are not cancellable; see [`TimerKey`] for the idiom.
-    fn set_timer(&mut self, delay: SimDuration, key: TimerKey) {
-        let at = self.world.now + delay;
-        self.world.queue.schedule(
-            at,
-            Event::Timer {
-                node: self.node,
-                key,
-            },
-        );
-    }
-
-    fn count(&mut self, name: &'static str) {
-        self.world.counters.incr(name);
-    }
-
-    fn count_n(&mut self, name: &'static str, n: u64) {
-        self.world.counters.add(name, n);
-    }
-
-    fn jitter(&mut self, bound: u64) -> u64 {
-        let v = self.world.node_rngs[self.node].random_range(0..bound);
-        self.world.record_choice(Choice::Jitter(v));
-        v
-    }
-
-    fn chance(&mut self, p: f64) -> bool {
-        // Drawn unconditionally (even for p ∈ {0, 1}) so the node RNG
-        // stream is bit-identical to the pre-facade engine.
-        let v = self.world.node_rngs[self.node].random_bool(p);
-        self.world.record_choice(Choice::Chance(v));
-        v
-    }
-
-    fn pick_index(&mut self, n: usize) -> usize {
-        let v = self.world.node_rngs[self.node].random_range(0..n);
-        self.world.record_choice(Choice::Index(v));
-        v
-    }
-
-    fn pick_weighted<F: Fn(usize) -> f64>(&mut self, n: usize, weight: F) -> usize {
-        assert!(n > 0, "weighted pick over no candidates");
-        // Two passes instead of a collected weight buffer: the sum
-        // visits the weights in the same order an explicit `Vec` would
-        // and the walk recomputes the same values, so the single RNG
-        // draw and every comparison are bit-identical to the historical
-        // allocating implementation (and nothing allocates).
-        let total: f64 = (0..n).map(&weight).sum();
-        let mut draw = self.world.node_rngs[self.node].random_range(0.0..total);
-        let mut picked = n - 1;
-        for i in 0..n {
-            let w = weight(i);
-            if draw < w {
-                picked = i;
-                break;
-            }
-            draw -= w;
-        }
-        self.world.record_choice(Choice::Index(picked));
-        picked
     }
 }
 
@@ -905,6 +250,11 @@ pub struct NodeSetup<P> {
 pub struct Engine<P: Protocol> {
     world: World<P::Msg>,
     protocols: Vec<P>,
+    /// The receive kernel's buffers and the receiver list it fills —
+    /// beside the world, so delivery reads one while mutating the other.
+    rx: RxScratch,
+    /// Frames destroyed by the radio failure being handled (reused).
+    churn_dropped: Vec<OutFrame<P::Msg>>,
 }
 
 impl<P: Protocol> Engine<P> {
@@ -977,29 +327,6 @@ impl<P: Protocol> Engine<P> {
             next_tx_id: 0,
             counters: CounterSet::new(),
             hot: HotCounters::default(),
-            // Scratch buffers start at their natural bounds (receivers
-            // and overlapping transmissions are each capped by n;
-            // grid candidates can repeat across a leg's cells, so 2n)
-            // instead of discovering their high-water push by push —
-            // each discovery is a rare, late reallocation that would
-            // show up in the zero-allocation steady-state gate.
-            scratch: Vec::with_capacity(2 * n),
-            rx_scratch: Vec::with_capacity(n),
-            churn_scratch: Vec::new(),
-            overlap_scratch: Vec::with_capacity(n),
-            shadow_cache: if matches!(phy.reception(), ReceptionModel::Shadowing { .. })
-                && n <= SHADOW_CACHE_MAX_NODES
-            {
-                vec![f64::NAN; n * n]
-            } else {
-                Vec::new()
-            },
-            stamps: vec![0; n],
-            stamp: 0,
-            recv_bits: vec![0; n.div_ceil(64)],
-            touched_words: Vec::with_capacity(n.div_ceil(64)),
-            rx_scratch_cap: 0,
-            scratch_cap: 0,
             trace: traced.then(|| TraceSink {
                 records: Vec::new(),
                 pending: Vec::new(),
@@ -1018,19 +345,35 @@ impl<P: Protocol> Engine<P> {
                     .schedule(SimTime::ZERO + up, Event::Churn { node });
             }
         }
-        let mut engine = Engine { world, protocols };
+        let mut engine = Engine {
+            rx: RxScratch::new(n, &world.phy),
+            churn_dropped: Vec::new(),
+            world,
+            protocols,
+        };
+        let (world, protocols) = (&mut engine.world, &mut engine.protocols);
         for node in 0..n {
-            let mut api = NodeApi {
-                world: &mut engine.world,
-                node,
-            };
-            engine.protocols[node].start(&mut api);
-            if traced {
-                let digest = state_digest(&engine.protocols[node]);
-                engine.world.trace_record(node, Dispatch::Start, digest);
-            }
+            Self::upcall(world, protocols, node, Dispatch::Start);
         }
         engine
+    }
+
+    /// The one protocol upcall: hands `dispatch` to `node`'s handler
+    /// through a [`NodeApi`]. Associated (not `&mut self`) so a caller
+    /// can keep the receiver list borrowed across it. The traced half
+    /// lives out of line in `trace.rs`: sharing a body with it cost the
+    /// untraced per-reception loop ~7 % of `city_20k` wall time.
+    #[inline(always)]
+    fn upcall(
+        world: &mut World<P::Msg>,
+        protocols: &mut [P],
+        node: usize,
+        dispatch: Dispatch<P::Msg>,
+    ) {
+        if world.trace.is_some() {
+            return Self::upcall_traced(world, protocols, node, dispatch);
+        }
+        dispatch.deliver(&mut protocols[node], &mut NodeApi { world, node });
     }
 
     /// Drains the conformance trace accumulated so far (empty unless
@@ -1053,7 +396,8 @@ impl<P: Protocol> Engine<P> {
     }
 
     /// Runs the event loop until simulated time `t` (inclusive). Safe to
-    /// call repeatedly with increasing times.
+    /// call repeatedly; a `t` already in the past processes nothing and
+    /// leaves the clock where it is.
     pub fn run_until(&mut self, t: SimTime) {
         while let Some(when) = self.world.queue.peek_time() {
             if when > t {
@@ -1064,168 +408,36 @@ impl<P: Protocol> Engine<P> {
             self.world.now = when;
             self.dispatch(ev);
         }
-        self.world.now = t;
+        self.world.now = self.world.now.max(t);
     }
 
     fn dispatch(&mut self, ev: Event) {
+        let (world, protocols) = (&mut self.world, &mut self.protocols);
         match ev {
             Event::Timer { node, key } => {
-                let traced = self.world.trace.is_some();
-                let mut api = NodeApi {
-                    world: &mut self.world,
-                    node,
-                };
-                self.protocols[node].on_timer(&mut api, key);
-                if traced {
-                    let digest = state_digest(&self.protocols[node]);
-                    self.world
-                        .trace_record(node, Dispatch::Timer { key }, digest);
-                }
+                Self::upcall(world, protocols, node, Dispatch::Timer { key });
             }
-            Event::MacAttempt { node, gen } => {
-                self.world.handle_attempt(node, gen);
-            }
-            Event::Mobility { node } => {
-                self.world.handle_mobility(node);
-            }
+            Event::MacAttempt { node, gen } => world.handle_attempt(node, gen),
+            Event::Mobility { node } => world.handle_mobility(node),
             Event::GridRefresh { node, gen } => {
-                if self.world.grid_gens[node] == gen {
-                    self.world.slide_window(node);
+                if world.grid_gens[node] == gen {
+                    world.slide_window(node);
                 }
             }
             Event::Churn { node } => {
                 // Unicast frames destroyed by a radio failure are
                 // reported to the (still running) stack, which relies
-                // on send failures as its link-break signal. The buffer
-                // is borrowed out of the world (the callback needs the
-                // world mutably) and handed back afterwards for reuse.
-                self.world.handle_churn(node);
-                let mut dropped = std::mem::take(&mut self.world.churn_scratch);
-                for frame in dropped.drain(..) {
-                    if let Some(dest) = frame.dest {
-                        let disp = self.world.trace.is_some().then(|| Dispatch::SendFailure {
-                            to: dest,
-                            msg: frame.msg.clone(),
-                        });
-                        let mut api = NodeApi {
-                            world: &mut self.world,
-                            node,
-                        };
-                        self.protocols[node].on_send_failure(&mut api, dest, frame.msg);
-                        if let Some(d) = disp {
-                            let digest = state_digest(&self.protocols[node]);
-                            self.world.trace_record(node, d, digest);
-                        }
+                // on send failures as its link-break signal.
+                world.handle_churn(node, &mut self.churn_dropped);
+                for frame in self.churn_dropped.drain(..) {
+                    if let Some(to) = frame.dest {
+                        let failure = Dispatch::SendFailure { to, msg: frame.msg };
+                        Self::upcall(world, protocols, node, failure);
                     }
                 }
-                self.world.churn_scratch = dropped;
             }
             Event::TxEnd { tx_id } => self.handle_tx_end(tx_id),
         }
-    }
-
-    fn handle_tx_end(&mut self, tx_id: u64) {
-        let Some((shot, rec)) = self.world.air.finish(tx_id) else {
-            debug_assert!(false, "TxEnd for unknown transmission");
-            return;
-        };
-        if self.world.tx_of[rec.sender] != Some(tx_id) {
-            // The sender's radio failed mid-transmission (churn): the
-            // frame was truncated on the air, nobody decodes it, and
-            // the sender's MAC state is long gone.
-            self.world.air.prune();
-            return;
-        }
-        self.world.tx_of[rec.sender] = None;
-        let receivers = self.world.uncorrupted_receivers(tx_id, &shot, rec.sender);
-        self.world.air.prune();
-        let sender = rec.sender;
-        let from = NodeId::new(sender as u32);
-        match rec.frame.dest {
-            None => {
-                // Broadcast: the sender is done with this frame regardless
-                // of who heard it. The per-receiver clone is the
-                // `Message` cheap-clone contract at work: for `Arc`-backed
-                // payloads it is a refcount bump, not a deep copy.
-                self.world.finish_head_frame(sender);
-                self.world.hot.rx_delivered += receivers.len() as u64;
-                self.world.hot.rx_delivered_touched = true;
-                for &r in &receivers {
-                    let traced = self.world.trace.is_some();
-                    let mut api = NodeApi {
-                        world: &mut self.world,
-                        node: r,
-                    };
-                    self.protocols[r].on_packet(
-                        &mut api,
-                        from,
-                        rec.frame.msg.clone(),
-                        RxKind::Broadcast,
-                    );
-                    if traced {
-                        let digest = state_digest(&self.protocols[r]);
-                        self.world.trace_record(
-                            r,
-                            Dispatch::Packet {
-                                from,
-                                msg: rec.frame.msg.clone(),
-                                rx: RxKind::Broadcast,
-                            },
-                            digest,
-                        );
-                    }
-                }
-            }
-            Some(dest) => {
-                let ok = receivers.contains(&dest.index());
-                if ok {
-                    self.world.hot.rx_delivered += 1;
-                    self.world.hot.rx_delivered_touched = true;
-                    self.world.finish_head_frame(sender);
-                    let disp = self.world.trace.is_some().then(|| Dispatch::Packet {
-                        from,
-                        msg: rec.frame.msg.clone(),
-                        rx: RxKind::Unicast,
-                    });
-                    let mut api = NodeApi {
-                        world: &mut self.world,
-                        node: dest.index(),
-                    };
-                    // Exactly one receiver: the air record's copy of the
-                    // frame is moved, not cloned.
-                    self.protocols[dest.index()].on_packet(
-                        &mut api,
-                        from,
-                        rec.frame.msg,
-                        RxKind::Unicast,
-                    );
-                    if let Some(d) = disp {
-                        let digest = state_digest(&self.protocols[dest.index()]);
-                        self.world.trace_record(dest.index(), d, digest);
-                    }
-                } else if let Some(dropped) = self.world.unicast_retry_or_fail(sender) {
-                    let disp = self.world.trace.is_some().then(|| Dispatch::SendFailure {
-                        to: dest,
-                        msg: dropped.msg.clone(),
-                    });
-                    let mut api = NodeApi {
-                        world: &mut self.world,
-                        node: sender,
-                    };
-                    self.protocols[sender].on_send_failure(&mut api, dest, dropped.msg);
-                    if let Some(d) = disp {
-                        let digest = state_digest(&self.protocols[sender]);
-                        self.world.trace_record(sender, d, digest);
-                    }
-                }
-            }
-        }
-        // Hand the receiver buffer back for the next `TxEnd` — the other
-        // half of the `uncorrupted_receivers` scratch round-trip. Every
-        // exit from the delivery code above passes through here; the
-        // truncated-frame early return happens before the buffer is
-        // taken, so it cannot leak it.
-        self.world.rx_scratch = receivers;
     }
 
     /// Current simulated time.
@@ -1252,7 +464,7 @@ impl<P: Protocol> Engine<P> {
     }
 
     /// Engine-global counters: MAC statistics plus anything protocols
-    /// record through [`NodeApi::count`]. The MAC hot path bumps plain
+    /// record through [`ProtoCtx::count`](crate::ProtoCtx::count). The MAC hot path bumps plain
     /// fields, not map entries; this folds those accumulated deltas
     /// into the persistent [`CounterSet`] (draining them, so repeated
     /// calls stay correct) and returns a borrow — no clone of the map
@@ -1299,700 +511,5 @@ impl<P: Protocol> Engine<P> {
     /// Panics if `node` is out of range.
     pub fn is_down(&self, node: NodeId) -> bool {
         self.world.down[node.index()]
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use ag_mobility::{Field, PauseRange, RandomWaypoint, SpeedRange, Stationary};
-
-    /// A test payload with an explicit wire size.
-    #[derive(Clone, Debug, PartialEq)]
-    struct TMsg {
-        tag: u32,
-        size: usize,
-    }
-
-    impl Message for TMsg {
-        fn wire_size(&self) -> usize {
-            self.size
-        }
-    }
-
-    /// What a scripted node should do when a timer fires.
-    #[derive(Clone, Debug)]
-    enum Action {
-        Broadcast(TMsg),
-        Send(NodeId, TMsg),
-    }
-
-    /// A scripted protocol: runs `script` actions at given delays, records
-    /// everything it receives.
-    #[derive(Debug, Default)]
-    struct Scripted {
-        script: Vec<(SimDuration, Action)>,
-        received: Vec<(SimTime, NodeId, TMsg, RxKind)>,
-        failures: Vec<(NodeId, TMsg)>,
-        timer_fires: Vec<(SimTime, TimerKey)>,
-    }
-
-    impl Scripted {
-        fn with_script(script: Vec<(SimDuration, Action)>) -> Self {
-            Scripted {
-                script,
-                ..Default::default()
-            }
-        }
-    }
-
-    impl Protocol for Scripted {
-        type Msg = TMsg;
-
-        fn start<C: ProtoCtx<TMsg>>(&mut self, ctx: &mut C) {
-            for (i, (delay, _)) in self.script.iter().enumerate() {
-                ctx.set_timer(*delay, i as TimerKey);
-            }
-        }
-
-        fn on_packet<C: ProtoCtx<TMsg>>(
-            &mut self,
-            ctx: &mut C,
-            from: NodeId,
-            msg: TMsg,
-            rx: RxKind,
-        ) {
-            self.received.push((ctx.now(), from, msg, rx));
-        }
-
-        fn on_timer<C: ProtoCtx<TMsg>>(&mut self, ctx: &mut C, key: TimerKey) {
-            self.timer_fires.push((ctx.now(), key));
-            if let Some((_, action)) = self.script.get(key as usize).cloned() {
-                match action {
-                    Action::Broadcast(m) => ctx.broadcast(m),
-                    Action::Send(to, m) => ctx.send(to, m),
-                }
-            }
-        }
-
-        fn on_send_failure<C: ProtoCtx<TMsg>>(&mut self, _ctx: &mut C, to: NodeId, msg: TMsg) {
-            self.failures.push((to, msg));
-        }
-    }
-
-    fn stationary(x: f64) -> Box<dyn Mobility> {
-        Box::new(Stationary::new(Vec2::new(x, 0.0)))
-    }
-
-    fn msg(tag: u32) -> TMsg {
-        TMsg { tag, size: 64 }
-    }
-
-    #[test]
-    fn unicast_delivery_between_neighbors() {
-        let nodes = vec![
-            NodeSetup {
-                mobility: stationary(0.0),
-                protocol: Scripted::with_script(vec![(
-                    SimDuration::from_secs(1),
-                    Action::Send(NodeId::new(1), msg(7)),
-                )]),
-            },
-            NodeSetup {
-                mobility: stationary(10.0),
-                protocol: Scripted::default(),
-            },
-        ];
-        let mut e = Engine::new(PhyParams::paper_default(75.0), 1, nodes);
-        e.run_until(SimTime::from_secs(2));
-        let rx = &e.protocol(NodeId::new(1)).received;
-        assert_eq!(rx.len(), 1);
-        assert_eq!(rx[0].1, NodeId::new(0));
-        assert_eq!(rx[0].2.tag, 7);
-        assert_eq!(rx[0].3, RxKind::Unicast);
-        assert_eq!(e.counters().get("mac.unicast_tx"), 1);
-        assert_eq!(e.counters().get("mac.send_fail"), 0);
-    }
-
-    #[test]
-    fn broadcast_respects_range() {
-        let nodes = vec![
-            NodeSetup {
-                mobility: stationary(0.0),
-                protocol: Scripted::with_script(vec![(
-                    SimDuration::from_secs(1),
-                    Action::Broadcast(msg(1)),
-                )]),
-            },
-            NodeSetup {
-                mobility: stationary(50.0),
-                protocol: Scripted::default(),
-            },
-            NodeSetup {
-                mobility: stationary(200.0),
-                protocol: Scripted::default(),
-            },
-        ];
-        let mut e = Engine::new(PhyParams::paper_default(75.0), 2, nodes);
-        e.run_until(SimTime::from_secs(2));
-        assert_eq!(e.protocol(NodeId::new(1)).received.len(), 1);
-        assert_eq!(e.protocol(NodeId::new(1)).received[0].3, RxKind::Broadcast);
-        assert!(e.protocol(NodeId::new(2)).received.is_empty());
-    }
-
-    #[test]
-    fn unicast_out_of_range_reports_failure() {
-        let nodes = vec![
-            NodeSetup {
-                mobility: stationary(0.0),
-                protocol: Scripted::with_script(vec![(
-                    SimDuration::from_secs(1),
-                    Action::Send(NodeId::new(1), msg(9)),
-                )]),
-            },
-            NodeSetup {
-                mobility: stationary(500.0),
-                protocol: Scripted::default(),
-            },
-        ];
-        let mut e = Engine::new(PhyParams::paper_default(75.0), 3, nodes);
-        e.run_until(SimTime::from_secs(5));
-        assert!(e.protocol(NodeId::new(1)).received.is_empty());
-        let fails = &e.protocol(NodeId::new(0)).failures;
-        assert_eq!(fails.len(), 1);
-        assert_eq!(fails[0].0, NodeId::new(1));
-        assert_eq!(fails[0].1.tag, 9);
-        assert_eq!(e.counters().get("mac.send_fail"), 1);
-        // retry limit 7 => 8 transmissions total
-        assert_eq!(e.counters().get("mac.unicast_tx"), 8);
-    }
-
-    #[test]
-    fn hidden_terminal_collides_at_middle_node() {
-        // A(0) and C(200) cannot hear each other (range 110) but both reach
-        // B(100). Long frames guarantee overlap despite random backoff.
-        let long = TMsg { tag: 5, size: 2000 };
-        let nodes = vec![
-            NodeSetup {
-                mobility: stationary(0.0),
-                protocol: Scripted::with_script(vec![(
-                    SimDuration::from_secs(1),
-                    Action::Broadcast(long.clone()),
-                )]),
-            },
-            NodeSetup {
-                mobility: stationary(100.0),
-                protocol: Scripted::default(),
-            },
-            NodeSetup {
-                mobility: stationary(200.0),
-                protocol: Scripted::with_script(vec![(
-                    SimDuration::from_secs(1),
-                    Action::Broadcast(long.clone()),
-                )]),
-            },
-        ];
-        let mut e = Engine::new(PhyParams::paper_default(110.0), 4, nodes);
-        e.run_until(SimTime::from_secs(2));
-        assert!(
-            e.protocol(NodeId::new(1)).received.is_empty(),
-            "middle node should lose both frames to the collision"
-        );
-        assert_eq!(e.counters().get("mac.rx_collision"), 2);
-    }
-
-    #[test]
-    fn carrier_sense_serializes_audible_senders() {
-        // A(0) and B(30) hear each other; both broadcast at t=1. Carrier
-        // sense + backoff must serialize them so C(60) receives both.
-        let nodes = vec![
-            NodeSetup {
-                mobility: stationary(0.0),
-                protocol: Scripted::with_script(vec![(
-                    SimDuration::from_secs(1),
-                    Action::Broadcast(msg(1)),
-                )]),
-            },
-            NodeSetup {
-                mobility: stationary(30.0),
-                protocol: Scripted::with_script(vec![(
-                    SimDuration::from_secs(1),
-                    Action::Broadcast(msg(2)),
-                )]),
-            },
-            NodeSetup {
-                mobility: stationary(60.0),
-                protocol: Scripted::default(),
-            },
-        ];
-        let mut e = Engine::new(PhyParams::paper_default(75.0), 5, nodes);
-        e.run_until(SimTime::from_secs(2));
-        let tags: Vec<u32> = e
-            .protocol(NodeId::new(2))
-            .received
-            .iter()
-            .map(|r| r.2.tag)
-            .collect();
-        assert_eq!(tags.len(), 2, "both frames should arrive, got {tags:?}");
-    }
-
-    #[test]
-    fn mac_queue_drains_in_order() {
-        let script: Vec<_> = (0..5)
-            .map(|i| (SimDuration::from_secs(1), Action::Broadcast(msg(i))))
-            .collect();
-        let nodes = vec![
-            NodeSetup {
-                mobility: stationary(0.0),
-                protocol: Scripted::with_script(script),
-            },
-            NodeSetup {
-                mobility: stationary(10.0),
-                protocol: Scripted::default(),
-            },
-        ];
-        let mut e = Engine::new(PhyParams::paper_default(75.0), 6, nodes);
-        e.run_until(SimTime::from_secs(2));
-        let tags: Vec<u32> = e
-            .protocol(NodeId::new(1))
-            .received
-            .iter()
-            .map(|r| r.2.tag)
-            .collect();
-        assert_eq!(tags, vec![0, 1, 2, 3, 4]);
-    }
-
-    #[test]
-    fn timers_fire_at_requested_times() {
-        let nodes = vec![NodeSetup {
-            mobility: stationary(0.0),
-            protocol: Scripted::with_script(vec![
-                (SimDuration::from_millis(250), Action::Broadcast(msg(0))),
-                (SimDuration::from_millis(100), Action::Broadcast(msg(1))),
-            ]),
-        }];
-        let mut e = Engine::new(PhyParams::paper_default(75.0), 7, nodes);
-        e.run_until(SimTime::from_secs(1));
-        let fires = &e.protocol(NodeId::new(0)).timer_fires;
-        assert_eq!(fires.len(), 2);
-        assert_eq!(fires[0], (SimTime::ZERO + SimDuration::from_millis(100), 1));
-        assert_eq!(fires[1], (SimTime::ZERO + SimDuration::from_millis(250), 0));
-    }
-
-    #[test]
-    fn mobility_breaks_links_over_time() {
-        // Node 1 moves from x=10 (in range) to far away; a unicast at t=0.5
-        // succeeds, one at t=400 fails.
-        let f = Field::new(2000.0, 1.0);
-        let mut rng = SeedSplitter::new(9).stream(StreamKind::Mobility, 99);
-        // Deterministic "mobility": start at 10 and walk; with a narrow
-        // field the node drifts along x. We use waypoint with fixed speed.
-        let m = RandomWaypoint::from_point(
-            f,
-            SpeedRange::fixed(5.0),
-            PauseRange::none(),
-            Vec2::new(10.0, 0.0),
-            &mut rng,
-        );
-        let nodes = vec![
-            NodeSetup {
-                mobility: stationary(0.0),
-                protocol: Scripted::with_script(vec![
-                    (
-                        SimDuration::from_millis(500),
-                        Action::Send(NodeId::new(1), msg(1)),
-                    ),
-                    (
-                        SimDuration::from_secs(400),
-                        Action::Send(NodeId::new(1), msg(2)),
-                    ),
-                ]),
-            },
-            NodeSetup {
-                mobility: Box::new(m),
-                protocol: Scripted::default(),
-            },
-        ];
-        let mut e = Engine::new(PhyParams::paper_default(75.0), 10, nodes);
-        e.run_until(SimTime::from_secs(500));
-        let got: Vec<u32> = e
-            .protocol(NodeId::new(1))
-            .received
-            .iter()
-            .map(|r| r.2.tag)
-            .collect();
-        let failed: Vec<u32> = e
-            .protocol(NodeId::new(0))
-            .failures
-            .iter()
-            .map(|f| f.1.tag)
-            .collect();
-        // Whatever the trajectory, message 1 (at 10 m) must arrive. If the
-        // node wandered out of range by t=400, message 2 must show up as a
-        // failure instead of silently vanishing.
-        assert!(got.contains(&1));
-        assert!(got.contains(&2) || failed.contains(&2));
-    }
-
-    #[test]
-    fn graded_loss_drops_some_broadcasts_near_the_edge() {
-        // 200 broadcasts over a 70 m link with a harsh edge PER: some
-        // must get through, some must be lost, and the loss shows up in
-        // the channel-drop counter — never as a collision.
-        let script: Vec<_> = (0..200)
-            .map(|i| {
-                (
-                    SimDuration::from_millis(100 * (i as u64 + 1)),
-                    Action::Broadcast(msg(i)),
-                )
-            })
-            .collect();
-        let nodes = vec![
-            NodeSetup {
-                mobility: stationary(0.0),
-                protocol: Scripted::with_script(script),
-            },
-            NodeSetup {
-                mobility: stationary(70.0),
-                protocol: Scripted::default(),
-            },
-        ];
-        let phy = PhyParams::paper_default(75.0)
-            .with_reception(crate::ReceptionModel::DistanceGraded { edge_per: 0.9 });
-        let mut e = Engine::new(phy, 21, nodes);
-        e.run_until(SimTime::from_secs(30));
-        let got = e.protocol(NodeId::new(1)).received.len() as u64;
-        let dropped = e.counters().get("mac.rx_channel_drop");
-        assert_eq!(got + dropped, 200);
-        assert!(got > 0, "some frames must survive");
-        assert!(dropped > 50, "a 0.9-edge PER at 70/75 m must hurt");
-        assert_eq!(e.counters().get("mac.rx_collision"), 0);
-    }
-
-    #[test]
-    fn shadowing_blocks_obstructed_links_entirely() {
-        // With a static per-link fade, a given link either always works
-        // or always fails at a fixed distance. Sweep several receivers:
-        // each must see all 20 frames or none.
-        let script: Vec<_> = (0..20)
-            .map(|i| {
-                (SimDuration::from_millis(200 * (i as u64 + 1)), {
-                    Action::Broadcast(msg(i))
-                })
-            })
-            .collect();
-        let mut nodes = vec![NodeSetup {
-            mobility: stationary(0.0),
-            protocol: Scripted::with_script(script),
-        }];
-        for r in 1..10u32 {
-            // All at 65 m, just inside the 75 m disk, spread on a ring.
-            let ang = r as f64;
-            nodes.push(NodeSetup {
-                mobility: Box::new(Stationary::new(Vec2::new(
-                    65.0 * ang.cos(),
-                    65.0 * ang.sin(),
-                ))),
-                protocol: Scripted::default(),
-            });
-        }
-        let phy = PhyParams::paper_default(75.0).with_reception(crate::ReceptionModel::Shadowing {
-            sigma_db: 10.0,
-            path_loss_exp: 3.0,
-        });
-        let mut e = Engine::new(phy, 5, nodes);
-        e.run_until(SimTime::from_secs(30));
-        let counts: Vec<usize> = (1..10u32)
-            .map(|r| e.protocol(NodeId::new(r)).received.len())
-            .collect();
-        assert!(
-            counts.iter().all(|&c| c == 0 || c == 20),
-            "static shadowing must be all-or-nothing per link: {counts:?}"
-        );
-        assert!(counts.contains(&20), "{counts:?}");
-        assert!(counts.contains(&0), "{counts:?}");
-    }
-
-    #[test]
-    fn churn_toggles_radios_and_drops_traffic() {
-        // A steady broadcast stream under aggressive churn: the
-        // receiver misses a chunk of frames, fail/recover counters
-        // move, and runs stay deterministic.
-        let script: Vec<_> = (0..300)
-            .map(|i| {
-                (
-                    SimDuration::from_millis(100 * (i as u64 + 1)),
-                    Action::Broadcast(msg(i)),
-                )
-            })
-            .collect();
-        let build = || {
-            let nodes = vec![
-                NodeSetup {
-                    mobility: stationary(0.0),
-                    protocol: Scripted::with_script(script.clone()),
-                },
-                NodeSetup {
-                    mobility: stationary(10.0),
-                    protocol: Scripted::default(),
-                },
-            ];
-            let phy = PhyParams::paper_default(75.0).with_churn(crate::ChurnParams::new(5.0, 5.0));
-            Engine::new(phy, 31, nodes)
-        };
-        let mut e = build();
-        e.run_until(SimTime::from_secs(40));
-        let c = e.counters();
-        assert!(c.get("churn.fail") > 0, "{c}");
-        assert!(c.get("churn.recover") > 0, "{c}");
-        // ~half the time either endpoint is down: substantial loss,
-        // via sender-side drops and/or deaf receiver windows.
-        let got = e.protocol(NodeId::new(1)).received.len();
-        assert!(got < 290, "churn must lose traffic, got {got}");
-        assert!(got > 0, "some frames must land in up-up windows");
-        // Deterministic replay.
-        let mut e2 = build();
-        e2.run_until(SimTime::from_secs(40));
-        assert_eq!(
-            e.protocol(NodeId::new(1)).received,
-            e2.protocol(NodeId::new(1)).received
-        );
-        let ca: Vec<_> = e.counters().iter().collect();
-        let cb: Vec<_> = e2.counters().iter().collect();
-        assert_eq!(ca, cb);
-    }
-
-    #[test]
-    fn churn_accounts_for_every_unicast_frame() {
-        // Under churn, every unicast the protocol attempts ends in
-        // exactly one of three ways: delivered to the receiver, a
-        // failure callback (retry exhaustion or queue destroyed by a
-        // radio failure), or discarded because the sender was already
-        // down (counted). Nothing may vanish silently.
-        let script: Vec<_> = (0..100)
-            .map(|i| {
-                (
-                    SimDuration::from_millis(100 * (i as u64 + 1)),
-                    Action::Send(NodeId::new(1), msg(i)),
-                )
-            })
-            .collect();
-        for seed in [1, 7, 42] {
-            let nodes = vec![
-                NodeSetup {
-                    mobility: stationary(0.0),
-                    protocol: Scripted::with_script(script.clone()),
-                },
-                NodeSetup {
-                    mobility: stationary(10.0),
-                    protocol: Scripted::default(),
-                },
-            ];
-            let phy = PhyParams::paper_default(75.0).with_churn(crate::ChurnParams::new(3.0, 2.0));
-            let mut e = Engine::new(phy, seed, nodes);
-            e.run_until(SimTime::from_secs(60));
-            let delivered = e.protocol(NodeId::new(1)).received.len() as u64;
-            let failed = e.protocol(NodeId::new(0)).failures.len() as u64;
-            let down_drops = e.counters().get("mac.down_drop");
-            assert_eq!(
-                delivered + failed + down_drops,
-                100,
-                "seed {seed}: {delivered} delivered + {failed} failed + {down_drops} down-drops"
-            );
-            assert!(failed > 0, "seed {seed}: churn must destroy some frames");
-        }
-    }
-
-    #[test]
-    fn churned_unicast_to_dead_node_reports_failure() {
-        // Receiver mean-up is tiny and mean-down is huge: it dies
-        // almost immediately and stays dead, so the unicast at t=5 s
-        // exhausts its retries.
-        let nodes = vec![
-            NodeSetup {
-                mobility: stationary(0.0),
-                protocol: Scripted::with_script(vec![(
-                    SimDuration::from_secs(5),
-                    Action::Send(NodeId::new(1), msg(3)),
-                )]),
-            },
-            NodeSetup {
-                mobility: stationary(10.0),
-                protocol: Scripted::default(),
-            },
-        ];
-        let phy = PhyParams::paper_default(75.0).with_churn(crate::ChurnParams::new(0.001, 1e6));
-        let mut e = Engine::new(phy, 8, nodes);
-        e.run_until(SimTime::from_secs(20));
-        assert!(e.is_down(NodeId::new(0)));
-        assert!(e.is_down(NodeId::new(1)));
-        // Node 0 was also dead by t=5 s, so its send was dropped at the
-        // (off) radio; nothing was received anywhere.
-        assert_eq!(e.counters().get("mac.down_drop"), 1);
-        assert!(e.protocol(NodeId::new(1)).received.is_empty());
-    }
-
-    #[test]
-    fn runs_are_deterministic() {
-        fn build() -> Engine<Scripted> {
-            let f = Field::paper();
-            let splitter = SeedSplitter::new(77);
-            let nodes = (0..10u32)
-                .map(|i| {
-                    let mut rng = splitter.stream(StreamKind::Placement, i as u64);
-                    let script = if i == 0 {
-                        (0..20)
-                            .map(|k| {
-                                (
-                                    SimDuration::from_millis(100 * k as u64 + 1),
-                                    Action::Broadcast(msg(k)),
-                                )
-                            })
-                            .collect()
-                    } else {
-                        vec![]
-                    };
-                    NodeSetup {
-                        mobility: Box::new(RandomWaypoint::new(
-                            f,
-                            SpeedRange::new(0.0, 5.0),
-                            PauseRange::paper(),
-                            &mut rng,
-                        )) as Box<dyn Mobility>,
-                        protocol: Scripted::with_script(script),
-                    }
-                })
-                .collect();
-            Engine::new(PhyParams::paper_default(75.0), 42, nodes)
-        }
-        let mut a = build();
-        let mut b = build();
-        a.run_until(SimTime::from_secs(30));
-        b.run_until(SimTime::from_secs(30));
-        for i in 0..10u32 {
-            let ra: Vec<_> = a
-                .protocol(NodeId::new(i))
-                .received
-                .iter()
-                .map(|r| (r.0, r.1, r.2.tag))
-                .collect();
-            let rb: Vec<_> = b
-                .protocol(NodeId::new(i))
-                .received
-                .iter()
-                .map(|r| (r.0, r.1, r.2.tag))
-                .collect();
-            assert_eq!(ra, rb, "node {i} diverged");
-        }
-        let ca: Vec<_> = a.counters().iter().collect();
-        let cb: Vec<_> = b.counters().iter().collect();
-        assert_eq!(ca, cb);
-    }
-
-    #[test]
-    fn set_threads_is_inert() {
-        // The contract `agbench` relies on: the thread knob changes
-        // nothing and reports no hits, even with far more transmissions
-        // live at once than the retired precompute layer needed (64).
-        // A 10 × 10 lattice of senders 140 m apart (mutually inaudible
-        // at 75 m, so carrier sense never serializes them), each with a
-        // private listener 20 m north and a shared one midway to its
-        // eastern neighbour: one long broadcast each at t = 1 s puts
-        // all 100 frames on the air together, delivering to the private
-        // listeners and colliding at the shared ones.
-        fn build() -> Engine<Scripted> {
-            let long = TMsg { tag: 1, size: 2000 };
-            let at = |i: u32, dx: f64, dy: f64| -> Box<dyn Mobility> {
-                let p = Vec2::new(140.0 * (i % 10) as f64 + dx, 140.0 * (i / 10) as f64 + dy);
-                Box::new(Stationary::new(p))
-            };
-            let mut nodes = Vec::new();
-            for i in 0..100u32 {
-                nodes.push(NodeSetup {
-                    mobility: at(i, 0.0, 0.0),
-                    protocol: Scripted::with_script(vec![
-                        (SimDuration::from_secs(1), Action::Broadcast(long.clone())),
-                        (
-                            SimDuration::from_secs(2),
-                            Action::Send(NodeId::new(100 + i), msg(2)),
-                        ),
-                    ]),
-                });
-            }
-            for (dx, dy) in [(0.0, 20.0), (70.0, 0.0)] {
-                for i in 0..100u32 {
-                    nodes.push(NodeSetup {
-                        mobility: at(i, dx, dy),
-                        protocol: Scripted::default(),
-                    });
-                }
-            }
-            Engine::new(PhyParams::paper_default(75.0), 17, nodes)
-        }
-        let mut outcomes = Vec::new();
-        for threads in [1, 8] {
-            let mut e = build();
-            e.set_threads(threads);
-            // Every backoff (≤ 0.7 ms) has expired, no frame (8 ms) has
-            // ended: the whole lattice is on the air.
-            e.run_until(SimTime::from_secs(1) + SimDuration::from_millis(2));
-            assert!(e.world.air.len() >= 64, "{} live", e.world.air.len());
-            e.run_until(SimTime::from_secs(3));
-            assert_eq!(e.parallel_hits(), 0);
-            let counters: Vec<_> = e.counters().iter().collect();
-            outcomes.push((counters, e.events_processed(), e.events_scheduled()));
-        }
-        assert_eq!(outcomes[0], outcomes[1]);
-        let get = |name| outcomes[0].0.iter().find(|c| c.0 == name).map(|c| c.1);
-        assert_eq!(get("mac.broadcast_tx"), Some(100));
-        // 90 shared listeners × 2 corrupted frames, in each round.
-        assert_eq!(get("mac.rx_collision"), Some(360));
-    }
-
-    #[test]
-    fn queue_drop_counter() {
-        // Capacity-4 queue, 10 back-to-back frames from one timer burst.
-        let script: Vec<_> = (0..10)
-            .map(|i| (SimDuration::from_secs(1), Action::Broadcast(msg(i))))
-            .collect();
-        let nodes = vec![
-            NodeSetup {
-                mobility: stationary(0.0),
-                protocol: Scripted::with_script(script),
-            },
-            NodeSetup {
-                mobility: stationary(10.0),
-                protocol: Scripted::default(),
-            },
-        ];
-        let phy = PhyParams::paper_default(75.0).with_queue_capacity(4);
-        let mut e = Engine::new(phy, 8, nodes);
-        e.run_until(SimTime::from_secs(2));
-        assert_eq!(e.total_queue_drops(), 6);
-        assert_eq!(e.counters().get("mac.queue_drop"), 6);
-        assert_eq!(e.protocol(NodeId::new(1)).received.len(), 4);
-    }
-
-    #[test]
-    fn run_until_is_resumable() {
-        let nodes = vec![
-            NodeSetup {
-                mobility: stationary(0.0),
-                protocol: Scripted::with_script(vec![
-                    (SimDuration::from_secs(1), Action::Broadcast(msg(1))),
-                    (SimDuration::from_secs(3), Action::Broadcast(msg(2))),
-                ]),
-            },
-            NodeSetup {
-                mobility: stationary(10.0),
-                protocol: Scripted::default(),
-            },
-        ];
-        let mut e = Engine::new(PhyParams::paper_default(75.0), 11, nodes);
-        e.run_until(SimTime::from_secs(2));
-        assert_eq!(e.protocol(NodeId::new(1)).received.len(), 1);
-        assert_eq!(e.now(), SimTime::from_secs(2));
-        e.run_until(SimTime::from_secs(4));
-        assert_eq!(e.protocol(NodeId::new(1)).received.len(), 2);
     }
 }

@@ -20,11 +20,14 @@
 //!
 //! # Cell sizing
 //!
-//! Both grids use a cell size equal to the radio range `R`. A disk query
-//! of radius `R` then touches at most a 3×3 block of cells (plus a
-//! one-cell fringe for the safety pad below), independent of field size,
-//! while cells stay small enough that candidate lists track local
-//! density rather than global population.
+//! [`AirIndex`] cells are one radio range `R` wide, so a disk probe of
+//! radius `R` touches at most a 3×3 block (plus a one-cell fringe for
+//! the safety pad below). [`NodeGrid`] cells are `R / 2` (the engine's
+//! `GRID_CELL_FACTOR`): the fetched box hugs the disk more tightly,
+//! [`NodeGrid::query_disk`] skips the box's out-of-disk corner cells,
+//! and each node's bucketing window smears over less area. Either way
+//! the work per query is independent of field size, and candidate
+//! lists track local density rather than global population.
 //!
 //! # Rebucket-on-mobility-event strategy
 //!
@@ -61,11 +64,11 @@
 //! pad, so candidate sets are immune to float fuzz while the exact
 //! distance test keeps delivery and collision outcomes **identical** to
 //! the brute-force scan. That equivalence is enforced two ways: the
-//! brute-force path survives behind
+//! brute-force scan survives as [`crate::reference`], selected by
 //! [`PhyParams::with_spatial_index`](crate::PhyParams::with_spatial_index)
 //! `(false)`, and a property test (`tests/differential.rs`) drives both
-//! paths over random scenarios and seeds asserting event-for-event
-//! identical behaviour.
+//! over random scenarios and seeds asserting event-for-event identical
+//! behaviour.
 
 use std::collections::VecDeque;
 
@@ -176,8 +179,7 @@ pub(crate) struct NodeGrid {
 }
 
 impl NodeGrid {
-    /// An empty grid for `n` nodes with `cell`-metre cells (the radio
-    /// range).
+    /// An empty grid for `n` nodes with `cell`-metre cells.
     pub fn new(cell: f64, n: usize) -> Self {
         assert!(cell > 0.0 && cell.is_finite(), "invalid grid cell {cell}");
         NodeGrid {
@@ -245,10 +247,12 @@ impl NodeGrid {
         self.dims = new_dims;
     }
 
-    /// Removes `node` from every cell it occupies by re-running the
-    /// bucketing clip over its stored segment — bit-identical floats in,
+    /// Detaches `node` from every cell it occupies (radio churn: a down
+    /// node must not appear in any disk query; re-attach by calling
+    /// [`NodeGrid::update_segment`] again) by re-running the bucketing
+    /// clip over its stored segment — bit-identical floats in,
     /// identical cell set out, so every insertion is found.
-    fn clear_node(&mut self, node: usize) {
+    pub fn remove_node(&mut self, node: usize) {
         if !self.attached[node] {
             return;
         }
@@ -268,19 +272,12 @@ impl NodeGrid {
         }
     }
 
-    /// Detaches `node` from the index entirely (radio churn: a down
-    /// node must not appear in any disk query). Re-attach by calling
-    /// [`NodeGrid::update_segment`] again.
-    pub fn remove_node(&mut self, node: usize) {
-        self.clear_node(node);
-    }
-
     /// Rebuckets `node` for the trajectory segment `a`→`b` (its next
     /// bucketing window): removes it from its old cells and inserts it
     /// under every cell the (pad-dilated) segment touches. Pass `a == b`
     /// for a parked node.
     pub fn update_segment(&mut self, node: usize, a: Vec2, b: Vec2) {
-        self.clear_node(node);
+        self.remove_node(node);
         let (lo, hi) = segment_cells(a, b, self.cell);
         if self.slot(lo).is_none() || self.slot(hi).is_none() {
             self.grow_to(lo, hi);
@@ -348,8 +345,8 @@ pub(crate) struct TxShot {
 }
 
 /// One transmission's record in the air slab: its shot, grid cell and
-/// liveness. Kept small so the linear scans (`any_overlapping`,
-/// `busy_until`, small-count `corrupts`) stride contiguous memory.
+/// liveness. Kept small so the linear scans (`collect_overlapping`,
+/// small-count `busy_until`) stride contiguous memory.
 #[derive(Debug, Clone, Copy)]
 struct AirRec {
     id: u64,
@@ -436,15 +433,6 @@ impl AirGrid {
         }
         let s = self.slot(c).expect("air box just grown");
         &mut self.buckets[s]
-    }
-
-    /// The records bucketed under `c` (empty for cells outside the box).
-    #[inline]
-    fn get(&self, c: Cell) -> &[AirRec] {
-        match self.slot(c) {
-            Some(s) => &self.buckets[s],
-            None => &[],
-        }
     }
 }
 
@@ -593,8 +581,9 @@ impl<F> AirIndex<F> {
                 let (lo, hi) = disk_cells(pos, range + GRID_PAD, self.cell);
                 for cx in lo.0..=hi.0 {
                     for cy in lo.1..=hi.1 {
-                        for r in grid.get((cx, cy)) {
-                            consider(r);
+                        // Cells outside the box hold nothing.
+                        if let Some(slot) = grid.slot((cx, cy)) {
+                            grid.buckets[slot].iter().for_each(&mut consider);
                         }
                     }
                 }
@@ -608,26 +597,15 @@ impl<F> AirIndex<F> {
         busy
     }
 
-    /// `true` if any transmission other than `exclude` — live or
-    /// finished — overlaps the `[start, end)` airtime window *anywhere*
-    /// (range ignored). When this is false, every receiver of `exclude`
-    /// is uncorrupted and the per-receiver [`AirIndex::corrupts`] calls
-    /// can be skipped wholesale — the common case in sparse networks.
-    pub fn any_overlapping(&self, exclude: u64, start: SimTime, end: SimTime) -> bool {
-        self.recs
-            .iter()
-            .any(|r| r.id != exclude && r.shot.start < end && start < r.shot.end)
-    }
-
     /// Appends the sender position of every transmission other than
     /// `exclude` — live or finished — whose airtime overlaps the
     /// `[start, end)` window to `out`.
     ///
-    /// One O(slab) pass per `TxEnd` replaces a per-receiver
-    /// [`AirIndex::corrupts`] grid probe: a reception at `rpos` is
-    /// corrupted iff any collected position is within range of `rpos`,
-    /// which each receiver can now answer with a linear scan over the
-    /// (typically tiny) overlap set. Same predicate, same results.
+    /// One O(slab) pass per `TxEnd` replaces the reference scan's
+    /// per-receiver [`AirIndex::corrupts`] probes: a reception at
+    /// `rpos` is corrupted iff any collected position is within range
+    /// of `rpos`. Same predicate, same results; an empty `out` means
+    /// no receiver anywhere is corrupted.
     pub fn collect_overlapping(
         &self,
         exclude: u64,
@@ -645,7 +623,8 @@ impl<F> AirIndex<F> {
     /// `true` if any transmission other than `exclude` — live or
     /// finished — overlaps the `[start, end)` airtime window and is
     /// audible within `range` of `at` (i.e. the reception there is
-    /// corrupted).
+    /// corrupted). Only [`crate::reference`] probes per receiver, and
+    /// its engine builds the air index without a grid: always linear.
     pub fn corrupts(
         &self,
         exclude: u64,
@@ -655,28 +634,12 @@ impl<F> AirIndex<F> {
         range: f64,
     ) -> bool {
         let range_sq = range * range;
-        let hit = |r: &AirRec| {
+        self.recs.iter().any(|r| {
             r.id != exclude
                 && r.shot.start < end
                 && start < r.shot.end
                 && r.shot.pos.distance_sq(at) <= range_sq
-        };
-        match &self.grid {
-            Some(grid) if self.recs.len() > AIR_LINEAR_CUTOVER => {
-                let (lo, hi) = disk_cells(at, range + GRID_PAD, self.cell);
-                for cx in lo.0..=hi.0 {
-                    for cy in lo.1..=hi.1 {
-                        for r in grid.get((cx, cy)) {
-                            if hit(r) {
-                                return true;
-                            }
-                        }
-                    }
-                }
-                false
-            }
-            _ => self.recs.iter().any(hit),
-        }
+        })
     }
 
     /// Eagerly drops finished transmissions whose airtime window can no
@@ -858,9 +821,9 @@ mod tests {
     #[test]
     fn dense_air_index_grid_path_matches_linear() {
         // Enough simultaneous transmissions to cross AIR_LINEAR_CUTOVER,
-        // so the grid branch of busy_until/corrupts actually runs and
-        // must agree with the always-exact linear path — including after
-        // some transmissions finish (bucket copies track liveness).
+        // so the grid branch of busy_until actually runs and must agree
+        // with the always-exact linear path — including after some
+        // transmissions finish (bucket copies track liveness).
         let n = AIR_LINEAR_CUTOVER + 8;
         let mut spatial: AirIndex<()> = AirIndex::new(75.0, true);
         let mut linear: AirIndex<()> = AirIndex::new(75.0, false);
@@ -879,12 +842,6 @@ mod tests {
                 spatial.busy_until(at, 75.0),
                 linear.busy_until(at, 75.0),
                 "busy_until diverged at probe {probe}"
-            );
-            let (start, end) = (SimTime::from_secs(1), SimTime::from_secs(3));
-            assert_eq!(
-                spatial.corrupts(probe, start, end, at, 75.0),
-                linear.corrupts(probe, start, end, at, 75.0),
-                "corrupts diverged at probe {probe}"
             );
         }
     }

@@ -40,6 +40,7 @@
 
 mod engine;
 mod grid;
+mod reference;
 mod types;
 
 pub mod ctx;

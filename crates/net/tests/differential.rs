@@ -323,3 +323,45 @@ fn sparse_field_identical_paths() {
         assert_eq!(g.1, b.1);
     }
 }
+
+/// A city block big enough to push the air slab past the air index's
+/// linear-scan cutover (24 records): the 12-node cases above never do,
+/// so this is where carrier sense through the air *grid* meets the
+/// brute-force engine's linear scan under mixed mobility. Dense enough
+/// that the medium is often busy (asserted), short enough for debug.
+#[test]
+fn crowded_air_identical_paths() {
+    let out: Vec<Outcome> = [true, false]
+        .iter()
+        .map(|&sp| {
+            run_once(
+                Knobs {
+                    seed: 4242,
+                    nodes: 320,
+                    field_m: 1600.0,
+                    range_m: 75.0,
+                    max_speed: 15.0,
+                    payload: 1400,
+                    sim_secs: 2,
+                    reception_kind: 1,
+                    churn_secs: None,
+                },
+                sp,
+            )
+        })
+        .collect();
+    assert_eq!(out[0].counters, out[1].counters);
+    assert!(
+        out[0]
+            .counters
+            .iter()
+            .any(|&(k, v)| k == "mac.cs_busy" && v > 100),
+        "scenario failed to load the medium: {:?}",
+        out[0].counters
+    );
+    for (g, b) in out[0].per_node.iter().zip(&out[1].per_node) {
+        assert_eq!(g.0, b.0);
+        assert_eq!(g.1, b.1);
+    }
+    assert_eq!(out[0].positions, out[1].positions);
+}
