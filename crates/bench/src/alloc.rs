@@ -1,12 +1,14 @@
-//! A counting global allocator for the allocation-regression benches.
+//! A counting global allocator for the zero-allocation proof.
 //!
-//! Only compiled under the `alloc-count` feature. The bench and test
-//! binaries that want allocation numbers install [`CountingAllocator`]
-//! as their `#[global_allocator]` and read [`CountingAllocator::count`]
-//! deltas around the measured region. Allocation counts — unlike
-//! nanoseconds — are deterministic for this workspace's deterministic
-//! simulations, so `BENCH_<pr>.json` records them exactly and the CI
-//! gate compares them with no tolerance.
+//! Compiled unconditionally but inert until installed: only a binary
+//! that declares [`CountingAllocator`] as its `#[global_allocator]`
+//! pays for the counting, and `tests/zero_alloc.rs` is the one binary
+//! in the workspace that does (`agbench` has a per-thread counter of its
+//! own for `net.run_allocs_per_event`). The test reads
+//! [`CountingAllocator::count`] deltas around each measured window.
+//! Allocation counts — unlike nanoseconds — are deterministic for this
+//! workspace's deterministic simulations, so the assertion is an exact
+//! `== 0`, with no tolerance.
 
 #![allow(unsafe_code)]
 

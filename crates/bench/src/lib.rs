@@ -1,12 +1,14 @@
-//! Shared helpers for the benchmark suite.
+//! Engine-only beacon workloads, and the counting allocator that proves
+//! the hot path allocation-free.
 //!
-//! Benchmarks run *scaled-down* versions of the paper's experiments: the
-//! same code paths as the `fig2`–`fig8` binaries, but fewer nodes, fewer
-//! seeds and shorter simulated time, so `cargo bench` finishes in
-//! minutes while still measuring realistic full-stack workloads. The
-//! benched value is the wall-clock cost of regenerating (a slice of)
-//! each figure; the *science* lives in the harness binaries and
-//! EXPERIMENTS.md.
+//! [`beacon_engine`] and [`dense_engine`] build an [`Engine`] running
+//! nothing but [`Beacon`], so what they cost is the engine itself:
+//! receiver scans, collision checks, MAC timers, mobility rebucketing.
+//! `agbench`'s engine drivers (`net.beacon_*_ns_per_event`,
+//! `net.grid_speedup_x`) and part 1 of `examples/city_scale.rs` time
+//! them; `tests/zero_alloc.rs` installs [`alloc::CountingAllocator`]
+//! and asserts that their steady state — and the calendar queue's —
+//! performs zero heap allocations.
 
 // `deny`, not `forbid`: the `alloc` module needs `unsafe` for its
 // `GlobalAlloc` impl and opts back in explicitly; everything else in the
@@ -14,27 +16,12 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
-use ag_harness::Scenario;
 use ag_mobility::{Field, Mobility, PauseRange, RandomWaypoint, SpeedRange};
 use ag_net::{Engine, Message, NodeId, NodeSetup, PhyParams, ProtoCtx, Protocol, RxKind, TimerKey};
 use ag_sim::rng::{SeedSplitter, StreamKind};
 use ag_sim::SimDuration;
 
-#[cfg(feature = "alloc-count")]
 pub mod alloc;
-pub mod perf;
-
-/// Seconds of simulated time per benchmark run.
-pub const BENCH_SECS: u64 = 60;
-
-/// Nodes per benchmark scenario (figure benches override where the
-/// figure sweeps node count).
-pub const BENCH_NODES: usize = 20;
-
-/// A scaled-down paper scenario for benchmarking.
-pub fn bench_scenario(range_m: f64, max_speed: f64) -> Scenario {
-    Scenario::paper(BENCH_NODES, range_m, max_speed).with_duration_secs(BENCH_SECS)
-}
 
 /// A fixed-size beacon payload.
 #[derive(Clone, Debug)]
@@ -98,8 +85,9 @@ impl Protocol for Beacon {
 /// ad-hoc networks live in, and the one where an `O(N)` receiver scan
 /// per transmission is almost pure waste), 100 m range, 4 Hz beacons.
 /// `spatial` selects the grid or the brute-force engine path — the knob
-/// the scaling bench compares. At higher densities the ratio shrinks
-/// toward the Amdahl floor of per-event costs shared by both paths.
+/// `agbench`'s `net.grid_speedup_x` compares. At higher densities the
+/// ratio shrinks toward the Amdahl floor of per-event costs shared by
+/// both paths.
 pub fn beacon_engine(n: usize, seed: u64, spatial: bool) -> Engine<Beacon> {
     let range = 100.0;
     // Mean degree ≈ n·π·range²/side² ≈ 2, independent of n.
@@ -134,7 +122,7 @@ pub fn beacon_engine(n: usize, seed: u64, spatial: bool) -> Engine<Beacon> {
 /// MAC timers — backoff re-arms, deferred attempts, busy-channel
 /// retries. That is exactly the event mix the calendar queue's dense
 /// day buckets are tuned for, which makes this the scheduler stress
-/// workload of `BENCH_<pr>.json`.
+/// workload behind `agbench`'s `net.beacon_dense_n250_ns_per_event`.
 pub fn dense_engine(n: usize, seed: u64) -> Engine<Beacon> {
     let range = 100.0;
     // Mean degree ≈ n·π·range²/side² ≈ 12.
@@ -166,13 +154,6 @@ pub fn dense_engine(n: usize, seed: u64) -> Engine<Beacon> {
 mod tests {
     use super::*;
     use ag_sim::SimTime;
-
-    #[test]
-    fn bench_scenario_is_scaled() {
-        let sc = bench_scenario(75.0, 0.2);
-        assert_eq!(sc.nodes, BENCH_NODES);
-        assert!(sc.packets_sent() < 2201);
-    }
 
     #[test]
     fn beacon_engine_paths_agree() {

@@ -9,8 +9,8 @@ use serde::{Deserialize, Serialize};
 /// per second, at most 10 requested packets per message, a 10-entry
 /// member cache, a 200-entry lost table and a 100-entry history table.
 /// The paper does not publish `p_anon` (anonymous vs. cached) or the
-/// member-relay accept probability; both default to 0.5 and are swept by
-/// the ablation benchmarks.
+/// member-relay accept probability; both default to 0.5, and
+/// `examples/gossip_tuning.rs` sweeps `p_anon`.
 ///
 /// # Example
 ///
@@ -47,7 +47,8 @@ pub struct AgConfig {
     /// losses (tail-loss recovery).
     pub tail_recovery_max: usize,
     /// Weight walk steps toward next hops with smaller `nearest_member`
-    /// distances (§4.2). Disable for the locality ablation benchmark.
+    /// distances (§4.2). `examples/gossip_tuning.rs` runs the ablation
+    /// with it disabled.
     pub locality_weighting: bool,
 }
 

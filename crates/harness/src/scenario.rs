@@ -114,7 +114,7 @@ impl Scenario {
     /// metropolis run is *more city* — constant local density,
     /// neighbour counts and contention — rather than an ever-denser
     /// square kilometre. Only tractable with the grid spatial index;
-    /// see `examples/city_scale.rs` and the `scaling` bench.
+    /// see `examples/city_scale.rs` and `agbench`'s `city_20k` workload.
     pub fn city_scale(nodes: usize) -> Self {
         let mut sc = Scenario::paper(nodes, 100.0, 5.0);
         let side = 1000.0 * (nodes as f64 / 500.0).sqrt().max(1.0);
@@ -299,8 +299,8 @@ pub fn run_gossip(sc: &Scenario, seed: u64) -> RunResult {
 }
 
 /// [`run_gossip`], also reporting the kernel events the engine
-/// dispatched (the `BENCH_<pr>.json` events/second numerator). The
-/// [`RunResult`] is identical to [`run_gossip`]'s.
+/// dispatched (the events/second numerator `examples/city_scale.rs`
+/// prints). The [`RunResult`] is identical to [`run_gossip`]'s.
 pub fn run_gossip_counting(sc: &Scenario, seed: u64) -> (RunResult, u64) {
     run_stack(
         sc,
@@ -365,8 +365,8 @@ pub fn run(sc: &Scenario, seed: u64, kind: ProtocolKind) -> RunResult {
 }
 
 /// [`run`], also reporting the kernel events the engine dispatched —
-/// the benchmark harness uses this to turn stress-matrix cells into
-/// events/second legs in `BENCH_<pr>.json`.
+/// `agbench` runs every `paper_sweep` and `stress_harsh` job through
+/// this and reads `sim.events_processed` off the count.
 pub fn run_counting(sc: &Scenario, seed: u64, kind: ProtocolKind) -> (RunResult, u64) {
     match kind {
         ProtocolKind::Maodv => run_maodv_counting(sc, seed),

@@ -10,8 +10,8 @@
 //! entry; keep the two in sync.
 //!
 //! Paths are workspace-relative with `/` separators. A "prefix" matches
-//! a file if the file's path starts with it, so `crates/bench/` covers
-//! the whole crate and `crates/sim/src/rng.rs` exactly one file.
+//! a file if the file's path starts with it, so `crates/harness/src/`
+//! covers the whole crate and `crates/sim/src/rng.rs` exactly one file.
 
 /// Scope and exception tables for one lint run.
 ///
@@ -26,14 +26,13 @@ pub struct Config {
     /// det-hash exceptions: the module that *defines* the deterministic
     /// hasher necessarily names the std types it wraps.
     pub det_hash_exempt: Vec<String>,
-    /// **wall-clock** exceptions: benchmarking code measures wall time
-    /// by design, and the `#[ignore]`d sizing probes time state-space
-    /// exploration. Everything else — test regions included — must not
-    /// read the host clock.
+    /// **wall-clock** exceptions: the `#[ignore]`d sizing probes that
+    /// time state-space exploration. Everything else — test regions
+    /// included — must not read the host clock (`agbench` and the
+    /// examples that time a run waive their call sites one by one).
     pub wall_clock_exempt: Vec<String>,
     /// **stream-discipline** exceptions: the `StreamKind` helper module
-    /// itself, and the bench crate whose synthetic workloads seed
-    /// throwaway RNGs outside any simulation. Test regions are exempt.
+    /// itself. Test regions are exempt.
     pub stream_discipline_exempt: Vec<String>,
     /// Path prefixes the **ordered-iteration** rule applies to: the
     /// modules that render reports, figures and golden artifacts, where
@@ -41,7 +40,7 @@ pub struct Config {
     pub ordered_iteration_scope: Vec<String>,
     /// The **hot-path-alloc** manifest: `(file, functions)` pairs naming
     /// the steady-state functions that must stay allocation-free. The
-    /// static complement of the runtime `alloc-count` gate: the gate
+    /// static complement of the tier-1 `zero_alloc` test: the test
     /// proves zero allocations happen, this proves none are written.
     /// A manifest entry whose function disappears is itself a finding,
     /// so renames cannot silently shrink coverage.
@@ -69,8 +68,6 @@ impl Config {
                 "crates/sim/src/hash.rs",
             ]),
             wall_clock_exempt: s(&[
-                // Benchmarks measure wall time; that is their job.
-                "crates/bench/",
                 // #[ignore]d sizing probes that time BFS exploration;
                 // run by hand, never by `cargo test -q`.
                 "crates/check/tests/probe.rs",
@@ -78,9 +75,6 @@ impl Config {
             stream_discipline_exempt: s(&[
                 // The StreamKind-keyed construction helpers themselves.
                 "crates/sim/src/rng.rs",
-                // Synthetic bench workloads: fixed-seed throwaway RNGs
-                // feeding queue/engine stress patterns, not simulations.
-                "crates/bench/",
             ]),
             ordered_iteration_scope: s(&[
                 "crates/harness/src/report.rs",

@@ -8,12 +8,12 @@
 //!   `BinaryHeap` in non-test simulation code (PR 7's `RandomState`
 //!   allocation wobble; PR 6's calendar queue).
 //! * **wall-clock** — no `Instant::now`/`SystemTime::now`/
-//!   `thread::sleep` outside the bench crate and allowlisted probes.
+//!   `thread::sleep` outside the allowlisted probes.
 //! * **stream-discipline** — no ad-hoc RNG seeding; randomness comes
 //!   from `StreamKind`-keyed `SeedSplitter` streams.
 //! * **hot-path-alloc** — no allocating calls inside the manifest of
-//!   steady-state hot-path functions (static complement of the runtime
-//!   `alloc-count` gate).
+//!   steady-state hot-path functions (static complement of the tier-1
+//!   `zero_alloc` test).
 //! * **ordered-iteration** — iterating a `DetHashMap`/`DetHashSet` in
 //!   report/figure/golden code must sort before emitting.
 //! * **waiver-reason** — the meta-rule: every waiver comment must name
@@ -86,7 +86,7 @@ impl Rule {
             }
             Rule::WallClock => {
                 "simulation code tells time via SimTime only; wall-clock reads belong in \
-                 crates/bench or an allowlisted probe; see docs/LINTS.md#wall-clock"
+                 agbench or an allowlisted probe; see docs/LINTS.md#wall-clock"
             }
             Rule::StreamDiscipline => {
                 "draw randomness from a named stream: SeedSplitter::stream(StreamKind::…, idx); \
@@ -94,7 +94,7 @@ impl Rule {
             }
             Rule::HotPathAlloc => {
                 "hot-path functions reuse pooled/scratch buffers instead of allocating; the \
-                 runtime alloc-count gate asserts the same at run time; see \
+                 tier-1 zero_alloc test asserts the same at run time; see \
                  docs/LINTS.md#hot-path-alloc"
             }
             Rule::OrderedIteration => {

@@ -452,8 +452,8 @@ impl<P: Protocol> Engine<P> {
 
     /// Total kernel events dispatched so far (timers, MAC attempts,
     /// transmission completions, mobility transitions, index refreshes,
-    /// churn toggles). The events/second figure in `BENCH_<pr>.json`
-    /// divides this by wall-clock time.
+    /// churn toggles). `agbench`'s per-event figures
+    /// (`net.ns_per_event` and the like) divide wall-clock time by this.
     pub fn events_processed(&self) -> u64 {
         self.world.queue.popped_count()
     }

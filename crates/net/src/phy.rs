@@ -379,7 +379,7 @@ impl PhyParams {
     /// Returns a copy selecting the grid-indexed (`true`) or brute-force
     /// (`false`) receiver/collision lookup path. Results are identical
     /// either way; the brute-force path exists for differential testing
-    /// and as the baseline of the scaling benchmarks.
+    /// and as the baseline of `agbench`'s `net.grid_speedup_x`.
     pub fn with_spatial_index(mut self, enabled: bool) -> Self {
         self.spatial_index = enabled;
         self

@@ -35,16 +35,16 @@
 //! function of queue content, never of wall clock, so replaying the same
 //! schedule sequence always rebuilds the same calendar. Retired bucket
 //! slabs are kept in a spare pool and reused across resizes;
-//! steady-state operation allocates nothing (the `ag-bench` zero-alloc
-//! regression test pins this down).
+//! steady-state operation allocates nothing (the `ag-bench`
+//! `zero_alloc` test pins this down on a 65,536-event hold pattern).
 //!
 //! # Ordering guarantee
 //!
 //! [`EventQueue`] drains in exactly ascending `(time, seq)` order — the
 //! same total order as the seed `BinaryHeap` implementation, which is
 //! preserved as [`crate::reference::BinaryHeapQueue`] and run against
-//! this queue both by differential property tests (below) and by the
-//! `perf_json` benchmark. Golden figure snapshots are byte-identical
+//! this queue both by differential property tests (below) and by
+//! `agbench`'s queue drivers. Golden figure snapshots are byte-identical
 //! under either queue.
 //!
 //! # Cancellation

@@ -5,9 +5,10 @@
 //! written to be iteration-order independent, and the golden snapshots
 //! prove it across processes — but it does change map iteration order,
 //! and with it the exact *allocation pattern* of anything that grows
-//! while folding over a map. The perf trajectory gates allocation
-//! counts as exact integers (see `docs/BENCHMARKS.md`), so run-to-run
-//! wobble of even a handful of allocations would make that gate flaky.
+//! while folding over a map. Allocation counts are compared as exact
+//! integers (`agbench`'s `net.run_allocs_per_event`, the `ag-bench`
+//! `zero_alloc` test), so run-to-run wobble of even a handful of
+//! allocations would make those readings flaky.
 //!
 //! The fix is a fixed-key hasher: same map behaviour every process,
 //! and cheaper per write than SipHash (hash-flooding resistance buys

@@ -9,10 +9,11 @@
 //!   feed an arbitrary interleaving of schedules and pops to both and
 //!   assert identical output (see the proptests in `event.rs`). Any
 //!   divergence is a scheduler bug by construction.
-//! * **Perf baseline.** The `perf_json` bench (`crates/bench`) replays
-//!   the same timer workload through both implementations and reports
-//!   the throughput ratio in `BENCH_<pr>.json`, so the calendar queue's
-//!   advantage is a tracked artifact, not a claim.
+//! * **Perf baseline.** `agbench` replays the same timer workload
+//!   through both implementations (`sim.queue_hold_ns` against
+//!   `sim.queue_ref_hold_ns`), so the calendar queue's advantage is a
+//!   measured number, not a claim — and, being frozen, this queue is
+//!   also the host-speed yardstick `agbench` calibrates timings with.
 //!
 //! Do not use this queue in new engine code; it exists to keep the fast
 //! path honest.

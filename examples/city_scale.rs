@@ -34,13 +34,18 @@
 
 use std::time::Instant;
 
-use ag_bench::{beacon_engine, perf::peak_rss_kb};
+use ag_bench::beacon_engine;
 use ag_harness::{report, run_gossip_counting, RunStats, Scenario};
 use ag_sim::SimTime;
 
 const BEACON_NODES: usize = 500;
 
 fn main() {
+    // Read the knobs first: a garbage value ends the process before any
+    // work is done.
+    let nodes = report::env_nodes(500);
+    let sim_secs = report::env_sim_secs_or(60);
+
     // ── Part 1: raw engine throughput, grid vs brute force. ──
     let beacon_secs = 5;
     println!("engine throughput: {BEACON_NODES} beaconing nodes, {beacon_secs} s simulated");
@@ -61,8 +66,6 @@ fn main() {
     println!("  speedup: {:.1}x\n", wall[1] / wall[0]);
 
     // ── Part 2: the full gossip stack at city (or metropolis) scale. ──
-    let nodes = report::env_nodes(500);
-    let sim_secs = report::env_sim_secs_or(60);
     let sc = Scenario::city_scale(nodes).with_duration_secs(sim_secs);
     println!(
         "full stack: {} nodes, {} members, {:.0} m x {:.0} m, range {} m, {} s simulated",
@@ -111,5 +114,17 @@ fn main() {
     }
     println!("  events: {events} kernel events");
     println!("  {:.0} events/s wall", events as f64 / wall.max(1e-9));
-    println!("  peak rss: {} KiB", peak_rss_kb());
+    match peak_rss_kb() {
+        Some(kb) => println!("  peak rss: {kb} KiB"),
+        None => println!("  peak rss: unavailable"),
+    }
+}
+
+/// Peak resident-set size of this process in KiB, from `VmHWM` in
+/// `/proc/self/status`; `None` where procfs or the field is missing or
+/// unparsable, so "unmeasured" can never read as "0 KiB, within budget".
+fn peak_rss_kb() -> Option<u64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find_map(|l| l.strip_prefix("VmHWM:"))?;
+    line.trim().trim_end_matches("kB").trim().parse().ok()
 }
