@@ -9,8 +9,10 @@ use crate::machine::Machine;
 
 /// 128 bits of canonical state identity: [`FastHasher`] plus an
 /// independent FNV-1a pass, both streamed over the state's `Debug`
-/// rendering (every table in this workspace iterates deterministically,
-/// so equal states render identically). Two hashes make an accidental
+/// rendering. The keyed protocol tables
+/// ([`DetHashMap`]/[`DetHashSet`](ag_sim::hash::DetHashSet)) render in
+/// key order, so states with equal contents render identically whatever
+/// insert/remove history produced them. Two hashes make an accidental
 /// visited-set collision astronomically unlikely even at millions of
 /// states, which lets the explorer drop full states after expansion.
 pub fn state_key<T: fmt::Debug>(value: &T) -> (u64, u64) {
@@ -249,5 +251,38 @@ mod tests {
     fn state_key_distinguishes() {
         assert_eq!(state_key(&(1, 2)), state_key(&(1, 2)));
         assert_ne!(state_key(&(1, 2)), state_key(&(2, 1)));
+    }
+
+    proptest::proptest! {
+        /// Tables with equal contents are one state, whatever
+        /// insert/remove history produced them. The second history grows
+        /// the tables with keys it later removes, so their capacity, and
+        /// with it the slot order, differs from the first's.
+        #[test]
+        fn prop_identity_ignores_operation_order(
+            keys in proptest::collection::vec(0u32..10_000, 0..40),
+            noise in proptest::collection::vec(10_000u32..20_000, 0..200),
+        ) {
+            type Tables = (DetHashMap<u32, u64>, ag_sim::hash::DetHashSet<u32>);
+            fn tables(noise: &[u32], keys: impl Iterator<Item = u32>) -> Tables {
+                let mut t = Tables::default();
+                for k in noise.iter().copied().chain(keys) {
+                    t.0.insert(k, u64::from(k) * 7);
+                    t.1.insert(k);
+                }
+                for k in noise {
+                    t.0.remove(k);
+                    t.1.remove(k);
+                }
+                t
+            }
+            let plain = tables(&[], keys.iter().copied());
+            let churned = tables(&noise, keys.iter().rev().copied());
+            proptest::prop_assert_eq!(state_key(&plain), state_key(&churned));
+            proptest::prop_assert_eq!(
+                ag_net::state_digest(&plain),
+                ag_net::state_digest(&churned)
+            );
+        }
     }
 }

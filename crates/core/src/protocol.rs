@@ -459,10 +459,8 @@ impl Protocol for AnonymousGossip {
         msg: Self::Msg,
         rx: RxKind,
     ) {
-        // The upcall buffer is borrowed out of `self` and handed back
-        // after the drain (the `rx_scratch` idiom): one warm buffer per
-        // node instead of a fresh `Vec` per received frame. Safe because
-        // the upcall handlers never re-enter these engine callbacks.
+        // Taking the buffer out of `self` is safe because the upcall
+        // handlers never re-enter these engine callbacks.
         let mut up = std::mem::take(&mut self.up_scratch);
         debug_assert!(up.is_empty(), "upcall scratch handed back dirty");
         self.maodv.on_packet(api, from, msg, rx, &mut up);

@@ -1,12 +1,13 @@
 //! Multi-seed parameter sweeps: the machinery behind every figure.
 //!
-//! Each sweep point runs both protocol stacks over `seeds` independent
-//! seeds and pools the per-receiver packet counts; the pooled summary's
+//! [`pool`] runs one protocol stack over `seeds` independent seeds and
+//! pools the per-receiver packet counts; a sweep point is the pools of
+//! the paper's two series, bare MAODV and gossip. The pooled summary's
 //! mean is the paper's plotted line and its min/max are the error bars
 //! ("the range of measured data values obtained for the full set of
 //! receivers", §5.1).
 //!
-//! Seeds are independent runs, so a sweep point farms them across a
+//! Seeds are independent runs, so [`pool`] farms them across a
 //! worker pool (see [`crate::parallel`]) and merges the per-seed
 //! summaries **in seed order regardless of completion order** — the
 //! pooled result is bit-for-bit identical whether it ran on one thread
@@ -16,7 +17,47 @@ use ag_sim::stats::Summary;
 use serde::Serialize;
 
 use crate::parallel::{run_seeds, Parallelism};
-use crate::{run, run_gossip, run_maodv, ProtocolKind, Scenario};
+use crate::{run, ProtocolKind, Scenario};
+
+/// One protocol stack at one configuration, pooled over seeds: what
+/// every figure and the stress matrix are built from.
+#[derive(Debug, Clone, Default)]
+pub struct Pooled {
+    /// Packets the source sent (the same in every seed).
+    pub sent: u64,
+    /// Per-receiver packet counts, per-seed summaries merged in seed
+    /// order.
+    pub received: Summary,
+    /// Per-member goodput observations concatenated in seed order,
+    /// member order within a seed (empty for stacks without gossip).
+    /// Consumers pool these by `extend`, one observation at a time —
+    /// not by [`Summary::merge`], whose floating-point result differs.
+    pub goodput: Vec<f64>,
+}
+
+/// Runs `kind` over `seeds` seeds on `par` worker threads and pools the
+/// outcomes in seed order, so the result is identical for every thread
+/// count.
+pub fn pool(sc: &Scenario, kind: ProtocolKind, seeds: u64, par: Parallelism) -> Pooled {
+    let per_seed = run_seeds(seeds, par, |seed| {
+        let r = run(sc, seed, kind);
+        let goodput: Vec<f64> = r.receivers().filter_map(|m| m.goodput_percent).collect();
+        (r.sent, r.received_summary(), goodput)
+    });
+    let mut pooled = Pooled::default();
+    for (sent, received, goodput) in per_seed {
+        debug_assert!(
+            pooled.sent == 0 || pooled.sent == sent,
+            "packets-sent varies across seeds ({} vs {sent}); \
+             delivery percentages would be computed against the wrong total",
+            pooled.sent
+        );
+        pooled.sent = sent;
+        pooled.received.merge(&received);
+        pooled.goodput.extend(goodput);
+    }
+    pooled
+}
 
 /// One x-position of a figure: pooled receiver summaries for both
 /// protocol series.
@@ -34,102 +75,24 @@ pub struct SweepPoint {
     pub goodput: Summary,
 }
 
-/// The per-seed slice of a sweep point, produced by one worker.
-struct SeedOutcome {
-    maodv: Summary,
-    gossip: Summary,
-    goodput: Vec<f64>,
-    sent: u64,
-}
-
-/// Runs one sweep point over `seeds` seeds with
-/// [`Parallelism::auto`]-sized parallelism.
-pub fn sweep_point(sc: &Scenario, x: f64, seeds: u64) -> SweepPoint {
-    sweep_point_par(sc, x, seeds, Parallelism::auto())
-}
-
-/// Runs one sweep point over `seeds` seeds on `par` worker threads.
-///
-/// Per-seed outcomes are merged in seed order, so the result is
-/// identical for every thread count.
-pub fn sweep_point_par(sc: &Scenario, x: f64, seeds: u64, par: Parallelism) -> SweepPoint {
-    let outcomes = run_seeds(seeds, par, |seed| {
-        let m = run_maodv(sc, seed);
-        let g = run_gossip(sc, seed);
-        SeedOutcome {
-            maodv: m.received_summary(),
-            gossip: g.received_summary(),
-            goodput: g.receivers().filter_map(|ms| ms.goodput_percent).collect(),
-            sent: g.sent,
-        }
-    });
-    let mut maodv = Summary::new();
-    let mut gossip = Summary::new();
-    let mut goodput = Summary::new();
-    let mut sent = 0;
-    for o in &outcomes {
-        maodv.merge(&o.maodv);
-        gossip.merge(&o.gossip);
-        goodput.extend(o.goodput.iter().copied());
-        sent = o.sent;
-    }
+/// Runs one sweep point — both of the paper's series — over `seeds`
+/// seeds on `par` worker threads.
+pub fn sweep_point(sc: &Scenario, x: f64, seeds: u64, par: Parallelism) -> SweepPoint {
+    let maodv = pool(sc, ProtocolKind::Maodv, seeds, par);
+    let gossip = pool(sc, ProtocolKind::Gossip, seeds, par);
     SweepPoint {
         x,
-        sent,
-        maodv,
-        gossip,
-        goodput,
+        sent: gossip.sent,
+        maodv: maodv.received,
+        gossip: gossip.received,
+        goodput: gossip.goodput.into_iter().collect(),
     }
 }
 
-/// Pools *one* protocol's per-receiver delivery counts at one
-/// configuration over `seeds` seeds on `par` worker threads, merging in
-/// seed order (thread-count invariant, like [`sweep_point_par`]).
-/// Returns `(packets sent, pooled receiver summary)`.
-///
-/// [`sweep_point_par`] serves the paper's two-series figures; this is
-/// the building block for single-series sweeps such as the
-/// [`crate::matrix`] stress matrix, where each protocol is its own
-/// axis.
-pub fn protocol_point_par(
-    sc: &Scenario,
-    kind: ProtocolKind,
-    seeds: u64,
-    par: Parallelism,
-) -> (u64, Summary) {
-    let outcomes = run_seeds(seeds, par, |seed| {
-        let r = run(sc, seed, kind);
-        (r.sent, r.received_summary())
-    });
-    let mut pooled = Summary::new();
-    let mut sent = 0;
-    for (s, summary) in &outcomes {
-        pooled.merge(summary);
-        debug_assert!(
-            sent == 0 || sent == *s,
-            "packets-sent varies across seeds ({sent} vs {s}); \
-             delivery percentages would be computed against the wrong total"
-        );
-        sent = *s;
-    }
-    (sent, pooled)
-}
-
-/// Sweeps `xs`, applying `apply(scenario, x)` to a fresh copy of `base`
-/// at each point, with [`Parallelism::auto`]-sized parallelism per
-/// point.
-pub fn sweep(
-    base: &Scenario,
-    xs: &[f64],
-    apply: fn(&mut Scenario, f64),
-    seeds: u64,
-) -> Vec<SweepPoint> {
-    sweep_par(base, xs, apply, seeds, Parallelism::auto())
-}
-
-/// Sweeps `xs` on `par` worker threads (seeds of one point run
+/// Sweeps `xs` on `par` worker threads, applying `apply(scenario, x)` to
+/// a fresh copy of `base` at each point (seeds of one point run
 /// concurrently; points run in order so output streams deterministically).
-pub fn sweep_par(
+pub fn sweep(
     base: &Scenario,
     xs: &[f64],
     apply: fn(&mut Scenario, f64),
@@ -140,7 +103,7 @@ pub fn sweep_par(
         .map(|&x| {
             let mut sc = base.clone();
             apply(&mut sc, x);
-            sweep_point_par(&sc, x, seeds, par)
+            sweep_point(&sc, x, seeds, par)
         })
         .collect()
 }
@@ -152,7 +115,7 @@ mod tests {
     #[test]
     fn sweep_point_pools_across_seeds_and_members() {
         let sc = Scenario::paper(8, 100.0, 0.2).with_duration_secs(40);
-        let p = sweep_point(&sc, 100.0, 2);
+        let p = sweep_point(&sc, 100.0, 2, Parallelism::new(2));
         // 8 nodes → 2 members min(8/3,2)=2 members → 1 receiver per run,
         // 2 seeds → 2 pooled observations per protocol.
         assert_eq!(p.maodv.count(), 2);
@@ -164,29 +127,39 @@ mod tests {
     #[test]
     fn sweep_applies_parameter() {
         let base = Scenario::paper(6, 50.0, 0.2).with_duration_secs(30);
-        let pts = sweep(&base, &[60.0, 90.0], |sc, x| sc.range_m = x, 1);
+        let pts = sweep(
+            &base,
+            &[60.0, 90.0],
+            |sc, x| sc.range_m = x,
+            1,
+            Parallelism::serial(),
+        );
         assert_eq!(pts.len(), 2);
         assert_eq!(pts[0].x, 60.0);
         assert_eq!(pts[1].x, 90.0);
     }
 
     #[test]
-    fn protocol_point_matches_single_runs() {
+    fn pool_matches_single_runs() {
         let sc = Scenario::paper(8, 100.0, 0.2).with_duration_secs(40);
-        let (sent, pooled) = protocol_point_par(&sc, ProtocolKind::Maodv, 2, Parallelism::new(2));
-        let mut expect = Summary::new();
+        let pooled = pool(&sc, ProtocolKind::Gossip, 2, Parallelism::new(2));
+        let mut received = Summary::new();
+        let mut goodput = Vec::new();
         for seed in 0..2 {
-            expect.merge(&crate::run_maodv(&sc, seed).received_summary());
+            let r = run(&sc, seed, ProtocolKind::Gossip);
+            received.merge(&r.received_summary());
+            goodput.extend(r.receivers().filter_map(|m| m.goodput_percent));
         }
-        assert_eq!(sent, sc.packets_sent());
-        assert_eq!(format!("{pooled:?}"), format!("{expect:?}"));
+        assert_eq!(pooled.sent, sc.packets_sent());
+        assert_eq!(format!("{:?}", pooled.received), format!("{received:?}"));
+        assert_eq!(pooled.goodput, goodput);
     }
 
     #[test]
     fn parallel_merge_is_bit_identical_to_serial() {
         let sc = Scenario::paper(8, 100.0, 0.5).with_duration_secs(40);
-        let serial = sweep_point_par(&sc, 1.0, 3, Parallelism::serial());
-        let par = sweep_point_par(&sc, 1.0, 3, Parallelism::new(3));
+        let serial = sweep_point(&sc, 1.0, 3, Parallelism::serial());
+        let par = sweep_point(&sc, 1.0, 3, Parallelism::new(3));
         // Debug formatting prints the exact bits of every float, so this
         // is a bit-for-bit comparison of the pooled summaries.
         assert_eq!(format!("{serial:?}"), format!("{par:?}"));

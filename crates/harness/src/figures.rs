@@ -5,9 +5,9 @@ use ag_mobility::density;
 use ag_sim::stats::Histogram;
 use serde::Serialize;
 
-use crate::experiment::{sweep, SweepPoint};
-use crate::parallel::{run_seeds, Parallelism};
-use crate::{run_gossip, Scenario};
+use crate::experiment::{pool, sweep, SweepPoint};
+use crate::parallel::Parallelism;
+use crate::{ProtocolKind, Scenario};
 
 /// A regenerable figure: base scenario, swept values and the knob they
 /// set.
@@ -28,15 +28,11 @@ pub struct FigureSpec {
 }
 
 impl FigureSpec {
-    /// Runs the figure's sweep with `seeds` seeds per point.
-    pub fn run(&self, seeds: u64) -> Vec<SweepPoint> {
-        sweep(&self.base, &self.xs, self.apply, seeds)
-    }
-
-    /// [`FigureSpec::run`] with an explicit worker-thread count. Output
-    /// is identical for every `par` (seeds merge in seed order).
-    pub fn run_par(&self, seeds: u64, par: Parallelism) -> Vec<SweepPoint> {
-        crate::experiment::sweep_par(&self.base, &self.xs, self.apply, seeds, par)
+    /// Runs the figure's sweep with `seeds` seeds per point on `par`
+    /// worker threads. Output is identical for every `par` (seeds merge
+    /// in seed order).
+    pub fn run(&self, seeds: u64, par: Parallelism) -> Vec<SweepPoint> {
+        sweep(&self.base, &self.xs, self.apply, seeds, par)
     }
 
     /// Rescales the base scenario (for tests/benches).
@@ -154,46 +150,30 @@ pub struct GoodputSeries {
     /// Per-member goodput observations pooled over seeds, sorted by
     /// member index within each run.
     pub member_goodput: Vec<f64>,
-    /// The same observations binned 0–100 % in 5 % bins: per-seed
-    /// histograms merged associatively in seed order.
+    /// The same observations binned 0–100 % in 5 % bins.
     pub goodput_hist: Histogram,
 }
 
 /// Figure 8: goodput at the group members for
 /// {45 m, 75 m} × {0.2 m/s, 2 m/s} (gossip runs only). Seeds of each
-/// configuration run on the [`Parallelism::auto`] worker pool; pooled
-/// observations keep seed order, so output is thread-count independent.
-pub fn fig8(seeds: u64, duration_secs: u64) -> Vec<GoodputSeries> {
-    fig8_par(seeds, duration_secs, Parallelism::auto())
-}
-
-/// [`fig8`] with an explicit worker-thread count.
-pub fn fig8_par(seeds: u64, duration_secs: u64, par: Parallelism) -> Vec<GoodputSeries> {
+/// configuration run on `par` worker threads; pooled observations keep
+/// seed order, so output is thread-count independent.
+pub fn fig8(seeds: u64, duration_secs: u64, par: Parallelism) -> Vec<GoodputSeries> {
     let configs = [(45.0, 0.2), (75.0, 0.2), (45.0, 2.0), (75.0, 2.0)];
     configs
         .iter()
         .map(|&(range, speed)| {
             let sc = Scenario::paper(40, range, speed).with_duration_secs(duration_secs);
-            let per_seed = run_seeds(seeds, par, |seed| {
-                let goodputs: Vec<f64> = run_gossip(&sc, seed)
-                    .receivers()
-                    .filter_map(|m| m.goodput_percent)
-                    .collect();
-                let mut hist = Histogram::new(0.0, 100.0, 20);
-                for &g in &goodputs {
-                    hist.record(g);
-                }
-                (goodputs, hist)
-            });
+            let member_goodput = pool(&sc, ProtocolKind::Gossip, seeds, par).goodput;
             let mut goodput_hist = Histogram::new(0.0, 100.0, 20);
-            for (_, h) in &per_seed {
-                goodput_hist.merge(h);
+            for &g in &member_goodput {
+                goodput_hist.record(g);
             }
             GoodputSeries {
                 label: format!("{range}m, {speed}m/s"),
                 range_m: range,
                 max_speed: speed,
-                member_goodput: per_seed.into_iter().flat_map(|(g, _)| g).collect(),
+                member_goodput,
                 goodput_hist,
             }
         })

@@ -7,11 +7,12 @@
 //!   field, random waypoint with `U(0, 80 s)` pauses, ⅓ of nodes in one
 //!   group, a single CBR source emitting 2201 64-byte packets, 802.11 at
 //!   2 Mbps) with every paper knob (range, speed, node count) exposed.
-//! * [`RunResult`] / [`run_gossip`] / [`run_maodv`] — one simulation run
-//!   of either protocol stack, reduced to per-member delivery counts and
+//! * [`run`] / [`RunResult`] — one simulation run of a protocol stack
+//!   ([`ProtocolKind`]), reduced to per-member delivery counts and
 //!   gossip metrics.
-//! * [`experiment`] — multi-seed parameter sweeps producing the paper's
-//!   "average with min/max error bars across receivers" series.
+//! * [`experiment`] — [`experiment::pool`], the one per-seed reduction,
+//!   and the multi-seed parameter sweeps built on it, producing the
+//!   paper's "average with min/max error bars across receivers" series.
 //! * [`figures`] — one [`figures::FigureSpec`] per paper figure (2–8).
 //! * [`report`] — ASCII/CSV rendering of a regenerated figure.
 //!
@@ -23,10 +24,11 @@
 //!   ([`Scenario::with_reception`], [`Scenario::with_churn`],
 //!   [`Scenario::lossy`]).
 //!
-//! The `fig2` … `fig8` binaries print each figure's series; environment
-//! variables `AG_SEEDS` (default 10) and `AG_SIM_SECS` (default 600)
-//! scale the sweep down for quick runs, and `AG_THREADS` caps the
-//! worker-thread count (default: all available cores).
+//! The `figures` binary prints a figure's series (`figures fig2` …
+//! `figures fig8`, or `figures all`); environment variables `AG_SEEDS`
+//! (default 10) and `AG_SIM_SECS` (default 600) scale the sweep down
+//! for quick runs, and `AG_THREADS` sets the worker-thread count
+//! (default: all available cores).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -43,7 +45,4 @@ pub mod report;
 pub use ag_net::{ChurnParams, ReceptionModel};
 pub use parallel::{run_seeds, Parallelism};
 pub use result::{MemberStats, RunResult, RunStats};
-pub use scenario::{
-    run, run_counting, run_gossip, run_gossip_counting, run_maodv, run_maodv_counting, run_odmrp,
-    run_odmrp_counting, ProtocolKind, Scenario, GROUP,
-};
+pub use scenario::{run, run_counting, ProtocolKind, Scenario, GROUP};

@@ -19,14 +19,14 @@
 //! use ag_harness::matrix::MatrixSpec;
 //! let spec = MatrixSpec::paper_stress(10, 600).with_speeds(vec![0.2]);
 //! assert_eq!(spec.cell_count(), 3 * 3 * 3); // protocols × losses × churns
-//! // spec.run() executes all 27 cells × 10 seeds (see examples/stress_matrix.rs).
+//! // spec.run(par) executes all 27 cells × 10 seeds (see examples/stress_matrix.rs).
 //! ```
 
 use ag_net::{ChurnParams, ReceptionModel};
 use ag_sim::stats::Summary;
 use serde::Serialize;
 
-use crate::experiment::protocol_point_par;
+use crate::experiment::pool;
 use crate::parallel::Parallelism;
 use crate::{ProtocolKind, Scenario};
 
@@ -164,15 +164,10 @@ impl MatrixSpec {
         self.protocols.len() * self.losses.len() * self.churns.len() * self.speeds.len()
     }
 
-    /// Runs the matrix with [`Parallelism::auto`]-sized parallelism.
-    pub fn run(&self) -> MatrixReport {
-        self.run_par(Parallelism::auto())
-    }
-
     /// Runs the matrix on `par` worker threads (seeds of one cell run
     /// concurrently; cells run in order, so the report is identical for
     /// every thread count).
-    pub fn run_par(&self, par: Parallelism) -> MatrixReport {
+    pub fn run(&self, par: Parallelism) -> MatrixReport {
         assert!(!self.protocols.is_empty(), "need at least one protocol");
         assert!(!self.losses.is_empty(), "need at least one loss level");
         assert!(!self.churns.is_empty(), "need at least one churn level");
@@ -185,14 +180,14 @@ impl MatrixSpec {
                     sc.max_speed = speed;
                     sc.churn = churn.churn;
                     for &kind in &self.protocols {
-                        let (sent, received) = protocol_point_par(&sc, kind, self.seeds, par);
+                        let pooled = pool(&sc, kind, self.seeds, par);
                         cells.push(MatrixCell {
                             protocol: kind,
                             loss: loss.label.clone(),
                             churn: churn.label.clone(),
                             max_speed: speed,
-                            sent,
-                            received,
+                            sent: pooled.sent,
+                            received: pooled.received,
                         });
                     }
                 }
@@ -221,7 +216,7 @@ mod tests {
     fn matrix_covers_the_full_cross_product() {
         let spec = tiny_spec();
         assert_eq!(spec.cell_count(), 3 * 2 * 2);
-        let report = spec.run_par(Parallelism::serial());
+        let report = spec.run(Parallelism::serial());
         assert_eq!(report.cells.len(), spec.cell_count());
         // Protocols vary fastest; every (loss, churn) pair appears.
         assert_eq!(report.cells[0].protocol, ProtocolKind::Gossip);
@@ -247,8 +242,8 @@ mod tests {
     #[test]
     fn matrix_is_thread_count_invariant() {
         let spec = tiny_spec();
-        let one = spec.run_par(Parallelism::new(1));
-        let four = spec.run_par(Parallelism::new(4));
+        let one = spec.run(Parallelism::new(1));
+        let four = spec.run(Parallelism::new(4));
         assert_eq!(format!("{one:?}"), format!("{four:?}"));
     }
 }

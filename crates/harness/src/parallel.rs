@@ -12,7 +12,7 @@
 //!
 //! Thread count comes from [`Parallelism`]: explicit, or
 //! [`Parallelism::auto`] honoring the `AG_THREADS` environment variable
-//! and falling back to the machine's available parallelism.
+//! and, when it is unset, using the machine's available parallelism.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -47,33 +47,20 @@ impl Parallelism {
         Parallelism::new(1)
     }
 
-    /// `AG_THREADS` if set to a positive integer, otherwise the
-    /// machine's available parallelism (1 if unknown).
+    /// `AG_THREADS` if set, otherwise the machine's available
+    /// parallelism (1 if unknown). Like every `AG_*` knob, a value that
+    /// is not a plain integer — here of at least 1 — ends the process
+    /// with status 2 and one line naming it.
     pub fn auto() -> Self {
-        if let Some(n) = std::env::var("AG_THREADS")
-            .ok()
-            .as_deref()
-            .and_then(parse_threads)
-        {
-            return Parallelism::new(n);
-        }
-        Parallelism::new(
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
-        )
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let threads = crate::report::env_knob("AG_THREADS", 1, cores as u64);
+        Parallelism::new(usize::try_from(threads).unwrap_or(usize::MAX))
     }
 
     /// The worker count.
     pub fn threads(&self) -> usize {
         self.threads
     }
-}
-
-/// Parses an `AG_THREADS` value; `None` for anything but a positive
-/// integer.
-fn parse_threads(v: &str) -> Option<usize> {
-    v.trim().parse::<usize>().ok().filter(|&n| n >= 1)
 }
 
 /// Runs `job(seed)` for every seed in `0..seeds` on up to
@@ -134,16 +121,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn parse_threads_accepts_positive_integers() {
-        assert_eq!(parse_threads("4"), Some(4));
-        assert_eq!(parse_threads(" 2 "), Some(2));
-        assert_eq!(parse_threads("0"), None);
-        assert_eq!(parse_threads("-1"), None);
-        assert_eq!(parse_threads("many"), None);
-        assert_eq!(parse_threads(""), None);
-    }
 
     #[test]
     #[should_panic]

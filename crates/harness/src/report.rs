@@ -10,7 +10,7 @@ use crate::matrix::MatrixReport;
 /// Environment knob: seeds per sweep point (`AG_SEEDS`, default 10 —
 /// the paper's count).
 pub fn env_seeds() -> u64 {
-    env_knob("AG_SEEDS", 10)
+    env_knob("AG_SEEDS", 0, 10)
 }
 
 /// Environment knob: run length in seconds (`AG_SIM_SECS`, default 600
@@ -23,24 +23,24 @@ pub fn env_sim_secs() -> u64 {
 /// natural length is not the paper's 600 s (the city-scale example
 /// defaults to 60 s).
 pub fn env_sim_secs_or(default: u64) -> u64 {
-    env_knob("AG_SIM_SECS", default)
+    env_knob("AG_SIM_SECS", 0, default)
 }
 
 /// Environment knob: node count for the scale examples (`AG_NODES`;
 /// the caller supplies its default — 500 for `city_scale`).
 pub fn env_nodes(default: usize) -> usize {
-    usize::try_from(env_knob("AG_NODES", default as u64)).unwrap_or(usize::MAX)
+    usize::try_from(env_knob("AG_NODES", 0, default as u64)).unwrap_or(usize::MAX)
 }
 
 /// Reads the integer knob `name`. Unset means `default`; a value that
-/// is not a plain non-negative integer ends the process with status 2
-/// and one line naming the variable and the value, because a silent
-/// fallback turns `AG_SIM_SECS=3O` into the 600 s paper run.
-fn env_knob(name: &str, default: u64) -> u64 {
+/// is not a plain integer of at least `min` ends the process with
+/// status 2 and one line naming the variable and the value, because a
+/// silent fallback turns `AG_SIM_SECS=3O` into the 600 s paper run.
+pub(crate) fn env_knob(name: &str, min: u64, default: u64) -> u64 {
     let raw = std::env::var_os(name).map(|v| v.to_string_lossy().into_owned());
-    parse_knob(raw.as_deref(), default).unwrap_or_else(|| {
+    parse_knob(raw.as_deref(), min, default).unwrap_or_else(|| {
         eprintln!(
-            "error: {name}={:?} is not a non-negative integer",
+            "error: {name}={:?} is not an integer of at least {min}",
             raw.unwrap_or_default()
         );
         std::process::exit(2)
@@ -49,9 +49,10 @@ fn env_knob(name: &str, default: u64) -> u64 {
 
 /// The value of a knob whose raw setting is `raw`: `default` when unset,
 /// the number when set to decimal digits (surrounding whitespace
-/// allowed), `None` for anything else — empty, signed, exponent
-/// notation, letters, or too large for a `u64`.
-fn parse_knob(raw: Option<&str>, default: u64) -> Option<u64> {
+/// allowed) reading at least `min`, `None` for anything else — empty,
+/// signed, exponent notation, letters, too small, or too large for a
+/// `u64`.
+fn parse_knob(raw: Option<&str>, min: u64, default: u64) -> Option<u64> {
     let Some(raw) = raw else {
         return Some(default);
     };
@@ -60,7 +61,7 @@ fn parse_knob(raw: Option<&str>, default: u64) -> Option<u64> {
     if !digits.bytes().all(|b| b.is_ascii_digit()) {
         return None;
     }
-    digits.parse().ok()
+    digits.parse().ok().filter(|&n| n >= min)
 }
 
 /// Renders a line figure as a fixed-width table mirroring the paper's
@@ -330,19 +331,26 @@ mod tests {
 
     #[test]
     fn knob_parser_accepts_plain_integers_only() {
-        assert_eq!(parse_knob(None, 600), Some(600));
-        assert_eq!(parse_knob(Some(" 30 "), 600), Some(30));
-        assert_eq!(parse_knob(Some("0"), 600), Some(0));
-        for garbage in ["", "  ", "3O", "-1", "+1", "1e5", "1_000", "0x10"] {
-            assert_eq!(parse_knob(Some(garbage), 600), None, "{garbage:?}");
+        assert_eq!(parse_knob(None, 0, 600), Some(600));
+        assert_eq!(parse_knob(Some(" 30 "), 0, 600), Some(30));
+        assert_eq!(parse_knob(Some("0"), 0, 600), Some(0));
+        for garbage in [
+            "", "  ", "3O", "-1", "-4", "+1", "1e5", "2.5", "1_000", "0x10", "many",
+        ] {
+            assert_eq!(parse_knob(Some(garbage), 0, 600), None, "{garbage:?}");
+            assert_eq!(parse_knob(Some(garbage), 1, 600), None, "{garbage:?}");
         }
+        // A knob with a floor (`AG_THREADS`: at least one worker).
+        assert_eq!(parse_knob(Some("0"), 1, 8), None);
+        assert_eq!(parse_knob(Some(" 2 "), 1, 8), Some(2));
+        assert_eq!(parse_knob(None, 1, 8), Some(8));
         // 30 digits: all digits, but past u64::MAX.
         assert_eq!(
-            parse_knob(Some("123456789012345678901234567890"), 600),
+            parse_knob(Some("123456789012345678901234567890"), 0, 600),
             None
         );
         assert_eq!(
-            parse_knob(Some("18446744073709551615"), 600),
+            parse_knob(Some("18446744073709551615"), 0, 600),
             Some(u64::MAX)
         );
     }

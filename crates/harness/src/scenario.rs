@@ -32,9 +32,9 @@ pub enum ProtocolKind {
 /// # Example
 ///
 /// ```
-/// use ag_harness::{Scenario, run_gossip};
+/// use ag_harness::{run, ProtocolKind, Scenario};
 /// let sc = Scenario::paper(10, 75.0, 0.2).with_duration_secs(40);
-/// let result = run_gossip(&sc, 1);
+/// let result = run(&sc, 1, ProtocolKind::Gossip);
 /// assert_eq!(result.members.len(), 3); // a third of 10, rounded down, min 2
 /// ```
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -128,13 +128,6 @@ impl Scenario {
         sc
     }
 
-    /// Returns a copy on a different field (the paper fixes 200 m ×
-    /// 200 m; larger workloads want more room).
-    pub fn with_field(mut self, field: Field) -> Self {
-        self.field = field;
-        self
-    }
-
     /// Returns a copy selecting the grid-indexed (`true`) or
     /// brute-force (`false`) engine lookup path.
     pub fn with_spatial_index(mut self, enabled: bool) -> Self {
@@ -225,7 +218,7 @@ impl Scenario {
 /// The group id used throughout (single-group scenarios, as in §5.1).
 pub const GROUP: GroupId = GroupId(0);
 
-/// The one run body behind every `run*` entry point: builds an engine
+/// The run body behind [`run_counting`]: builds an engine
 /// whose nodes run the stack `make` constructs, runs it to
 /// `sc.sim_time`, and projects each member's protocol state through
 /// `stats`. Also returns the kernel events the engine dispatched.
@@ -292,86 +285,51 @@ fn tree_only_stats(node: NodeId, delivery: &DeliveryLog) -> MemberStats {
     }
 }
 
-/// Runs the gossip stack (MAODV + AG) once. Deterministic in
+/// Runs the requested protocol stack once. Deterministic in
 /// `(scenario, seed)`.
-pub fn run_gossip(sc: &Scenario, seed: u64) -> RunResult {
-    run_gossip_counting(sc, seed).0
-}
-
-/// [`run_gossip`], also reporting the kernel events the engine
-/// dispatched (the events/second numerator `examples/city_scale.rs`
-/// prints). The [`RunResult`] is identical to [`run_gossip`]'s.
-pub fn run_gossip_counting(sc: &Scenario, seed: u64) -> (RunResult, u64) {
-    run_stack(
-        sc,
-        seed,
-        ProtocolKind::Gossip,
-        |id, member, traffic| AnonymousGossip::new(sc.ag, sc.maodv, id, GROUP, member, traffic),
-        |node, p| MemberStats {
-            node,
-            received: p.delivery().distinct(),
-            via_tree: p.delivery().via_tree(),
-            via_gossip: p.delivery().via_gossip(),
-            goodput_percent: p.metrics().goodput_percent(),
-            gossip_rounds: p.metrics().rounds_total(),
-        },
-    )
-}
-
-/// Runs the bare-MAODV baseline once. Deterministic in
-/// `(scenario, seed)`.
-pub fn run_maodv(sc: &Scenario, seed: u64) -> RunResult {
-    run_maodv_counting(sc, seed).0
-}
-
-/// [`run_maodv`], also reporting the kernel events the engine
-/// dispatched. The [`RunResult`] is identical to [`run_maodv`]'s.
-pub fn run_maodv_counting(sc: &Scenario, seed: u64) -> (RunResult, u64) {
-    run_stack(
-        sc,
-        seed,
-        ProtocolKind::Maodv,
-        |id, member, traffic| MaodvProtocol::new(sc.maodv, id, GROUP, member, traffic),
-        |node, p| tree_only_stats(node, p.delivery()),
-    )
-}
-
-/// Runs the bare-ODMRP mesh baseline once (the related-work comparison
-/// point of the paper's §2). Deterministic in `(scenario, seed)`.
-pub fn run_odmrp(sc: &Scenario, seed: u64) -> RunResult {
-    run_odmrp_counting(sc, seed).0
-}
-
-/// [`run_odmrp`], also reporting the kernel events the engine
-/// dispatched. The [`RunResult`] is identical to [`run_odmrp`]'s.
-pub fn run_odmrp_counting(sc: &Scenario, seed: u64) -> (RunResult, u64) {
-    let cfg = ag_odmrp::OdmrpConfig::default_paper();
-    run_stack(
-        sc,
-        seed,
-        ProtocolKind::Odmrp,
-        |id, member, traffic| ag_odmrp::OdmrpProtocol::new(cfg, id, GROUP, member, traffic),
-        |node, p| tree_only_stats(node, p.delivery()),
-    )
-}
-
-/// Runs the requested protocol stack once.
 pub fn run(sc: &Scenario, seed: u64, kind: ProtocolKind) -> RunResult {
-    match kind {
-        ProtocolKind::Maodv => run_maodv(sc, seed),
-        ProtocolKind::Gossip => run_gossip(sc, seed),
-        ProtocolKind::Odmrp => run_odmrp(sc, seed),
-    }
+    run_counting(sc, seed, kind).0
 }
 
-/// [`run`], also reporting the kernel events the engine dispatched —
-/// `agbench` runs every `paper_sweep` and `stress_harsh` job through
-/// this and reads `sim.events_processed` off the count.
+/// [`run`], also reporting the kernel events the engine dispatched (the
+/// events/second numerator `examples/city_scale.rs` prints) — `agbench`
+/// runs every `paper_sweep` and `stress_harsh` job through this and
+/// reads `sim.events_processed` off the count. The [`RunResult`] is
+/// identical to [`run`]'s.
 pub fn run_counting(sc: &Scenario, seed: u64, kind: ProtocolKind) -> (RunResult, u64) {
     match kind {
-        ProtocolKind::Maodv => run_maodv_counting(sc, seed),
-        ProtocolKind::Gossip => run_gossip_counting(sc, seed),
-        ProtocolKind::Odmrp => run_odmrp_counting(sc, seed),
+        ProtocolKind::Gossip => run_stack(
+            sc,
+            seed,
+            kind,
+            |id, member, traffic| AnonymousGossip::new(sc.ag, sc.maodv, id, GROUP, member, traffic),
+            |node, p| MemberStats {
+                node,
+                received: p.delivery().distinct(),
+                via_tree: p.delivery().via_tree(),
+                via_gossip: p.delivery().via_gossip(),
+                goodput_percent: p.metrics().goodput_percent(),
+                gossip_rounds: p.metrics().rounds_total(),
+            },
+        ),
+        ProtocolKind::Maodv => run_stack(
+            sc,
+            seed,
+            kind,
+            |id, member, traffic| MaodvProtocol::new(sc.maodv, id, GROUP, member, traffic),
+            |node, p| tree_only_stats(node, p.delivery()),
+        ),
+        // The mesh-based related-work comparison point of the paper's §2.
+        ProtocolKind::Odmrp => {
+            let cfg = ag_odmrp::OdmrpConfig::default_paper();
+            run_stack(
+                sc,
+                seed,
+                kind,
+                |id, member, traffic| ag_odmrp::OdmrpProtocol::new(cfg, id, GROUP, member, traffic),
+                |node, p| tree_only_stats(node, p.delivery()),
+            )
+        }
     }
 }
 
@@ -416,8 +374,8 @@ mod tests {
     #[test]
     fn small_scenario_runs_both_protocols() {
         let sc = Scenario::paper(10, 90.0, 0.2).with_duration_secs(50);
-        let g = run_gossip(&sc, 1);
-        let m = run_maodv(&sc, 1);
+        let g = run(&sc, 1, ProtocolKind::Gossip);
+        let m = run(&sc, 1, ProtocolKind::Maodv);
         assert_eq!(g.protocol, ProtocolKind::Gossip);
         assert_eq!(m.protocol, ProtocolKind::Maodv);
         assert_eq!(g.members.len(), m.members.len());
@@ -439,8 +397,8 @@ mod tests {
         // Identical scenario and seed; a harsh edge PER must not help.
         let ideal = Scenario::paper(10, 75.0, 0.5).with_duration_secs(60);
         let lossy = Scenario::lossy(10, 75.0, 0.5, 0.9).with_duration_secs(60);
-        let a = run_gossip(&ideal, 2);
-        let b = run_gossip(&lossy, 2);
+        let a = run(&ideal, 2, ProtocolKind::Gossip);
+        let b = run(&lossy, 2, ProtocolKind::Gossip);
         assert!(
             b.received_summary().mean() <= a.received_summary().mean(),
             "lossy {} must not beat ideal {}",
@@ -471,8 +429,8 @@ mod tests {
     #[test]
     fn identical_seeds_identical_results() {
         let sc = Scenario::paper(8, 90.0, 1.0).with_duration_secs(40);
-        let a = run_gossip(&sc, 3);
-        let b = run_gossip(&sc, 3);
+        let a = run(&sc, 3, ProtocolKind::Gossip);
+        let b = run(&sc, 3, ProtocolKind::Gossip);
         let fa: Vec<_> = a
             .members
             .iter()

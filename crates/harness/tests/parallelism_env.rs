@@ -18,19 +18,8 @@ fn auto_honors_ag_threads_and_falls_back_sanely() {
             "AG_THREADS={v:?}"
         );
     }
-    // Garbage, zero and negatives fall back to machine parallelism.
-    let fallback = {
-        std::env::remove_var("AG_THREADS");
-        Parallelism::auto().threads()
-    };
-    assert!(fallback >= 1);
-    for v in ["0", "-4", "many", "", "  ", "2.5"] {
-        std::env::set_var("AG_THREADS", v);
-        assert_eq!(
-            Parallelism::auto().threads(),
-            fallback,
-            "AG_THREADS={v:?} must fall back"
-        );
-    }
+    // Unset falls back to the machine's parallelism. (Garbage and zero
+    // end the process with status 2; `report::tests` covers the parser.)
     std::env::remove_var("AG_THREADS");
+    assert!(Parallelism::auto().threads() >= 1);
 }

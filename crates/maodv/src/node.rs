@@ -690,7 +690,7 @@ impl<X: Message> Maodv<X> {
         // 4. Unicast discovery timeouts.
         let mut to_retry: Vec<NodeId> = Vec::new();
         let mut to_fail: Vec<NodeId> = Vec::new();
-        for (dest, d) in &self.discoveries {
+        for (dest, d) in self.discoveries.iter() {
             if now.duration_since(d.sent_at) >= self.cfg.rrep_wait {
                 if d.retries < self.cfg.rreq_retries {
                     to_retry.push(*dest);

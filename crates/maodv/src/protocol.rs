@@ -179,8 +179,6 @@ impl Protocol for MaodvProtocol {
         msg: Self::Msg,
         rx: RxKind,
     ) {
-        // Borrow the warm upcall buffer out of `self` and hand it back
-        // after the drain (the engine's scratch idiom).
         let mut up = std::mem::take(&mut self.up_scratch);
         debug_assert!(up.is_empty(), "upcall scratch handed back dirty");
         self.node.on_packet(api, from, msg, rx, &mut up);

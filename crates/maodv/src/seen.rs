@@ -23,13 +23,13 @@ use std::hash::Hash;
 /// assert!(s.insert(1));
 /// ```
 #[derive(Debug, Clone)]
-pub struct SeenCache<K> {
+pub struct SeenCache<K: Ord> {
     set: HashSet<K>,
     order: VecDeque<K>,
     capacity: usize,
 }
 
-impl<K: Eq + Hash + Clone> SeenCache<K> {
+impl<K: Ord + Hash + Clone> SeenCache<K> {
     /// Creates a cache remembering up to `capacity` keys.
     ///
     /// # Panics

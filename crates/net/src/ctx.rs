@@ -200,12 +200,13 @@ pub struct TraceRecord<M> {
 /// Canonical digest of a protocol state: [`FastHasher`] over the
 /// state's `Debug` rendering, streamed without an intermediate string.
 ///
-/// `Debug` is the canonical form because every protocol table in this
-/// workspace hashes with fixed keys
-/// ([`DetHashMap`](ag_sim::hash::DetHashMap)), so iteration order — and
-/// with it the rendering — is identical across processes for identical
-/// operation histories. Two equal states therefore digest equally,
-/// which is all conformance and the checker's visited set need.
+/// `Debug` is the canonical form because every keyed protocol table in
+/// this workspace is a [`DetHashMap`](ag_sim::hash::DetHashMap) or
+/// [`DetHashSet`](ag_sim::hash::DetHashSet), whose `Debug` renders in
+/// key order: the rendering is a function of a table's contents, not of
+/// the insert/remove history that produced them. Two equal states
+/// therefore digest equally, which is what conformance and the
+/// checker's visited set need.
 pub fn state_digest<T: fmt::Debug>(value: &T) -> u64 {
     struct HashWriter(FastHasher);
     impl fmt::Write for HashWriter {

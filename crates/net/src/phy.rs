@@ -345,34 +345,10 @@ impl PhyParams {
         }
     }
 
-    /// Returns a copy with a different transmission range (the paper's
-    /// sweep parameter).
-    pub fn with_range(mut self, range_m: f64) -> Self {
-        assert!(
-            range_m > 0.0 && range_m.is_finite(),
-            "invalid range {range_m}"
-        );
-        self.range_m = range_m;
-        self
-    }
-
-    /// Returns a copy with a different bitrate.
-    pub fn with_bitrate(mut self, bitrate_bps: u64) -> Self {
-        assert!(bitrate_bps > 0, "bitrate must be positive");
-        self.bitrate_bps = bitrate_bps;
-        self
-    }
-
     /// Returns a copy with a different MAC queue capacity.
     pub fn with_queue_capacity(mut self, cap: usize) -> Self {
         assert!(cap > 0, "queue capacity must be positive");
         self.queue_capacity = cap;
-        self
-    }
-
-    /// Returns a copy with a different retry limit.
-    pub fn with_retry_limit(mut self, limit: u32) -> Self {
-        self.retry_limit = limit;
         self
     }
 
@@ -533,14 +509,10 @@ mod tests {
     #[test]
     fn builder_style_overrides() {
         let p = PhyParams::paper_default(55.0)
-            .with_range(85.0)
-            .with_bitrate(1_000_000)
             .with_queue_capacity(4)
-            .with_retry_limit(3);
-        assert_eq!(p.range_m(), 85.0);
-        assert_eq!(p.bitrate_bps(), 1_000_000);
+            .with_spatial_index(false);
         assert_eq!(p.queue_capacity(), 4);
-        assert_eq!(p.retry_limit(), 3);
+        assert!(!p.spatial_index());
     }
 
     #[test]

@@ -16,7 +16,10 @@
 //! use the [`DetHashMap`]/[`DetHashSet`] aliases instead of the std
 //! defaults.
 
+use std::collections::{HashMap, HashSet};
+use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
+use std::ops::{Deref, DerefMut};
 
 /// An FxHash-style multiply-rotate hasher with no per-process state.
 ///
@@ -93,11 +96,51 @@ impl Hasher for FastHasher {
 /// identical in every process.
 pub type DetBuildHasher = BuildHasherDefault<FastHasher>;
 
+/// Wrapper behind [`DetHashMap`] and [`DetHashSet`]. Storage, hashing
+/// and every lookup are the std collection's, reached through `Deref`.
+/// The one difference is `Debug`, which renders entries in **key
+/// order**: slot order depends on the insert/remove history, and state
+/// identity (`ag_net::state_digest`, `ag_check::state_key`) hashes the
+/// rendering, so equal contents must render equally.
+#[derive(Clone, Default)]
+pub struct KeyOrdered<T>(T);
+
 /// A `HashMap` with deterministic, per-process-stable hashing.
-pub type DetHashMap<K, V> = std::collections::HashMap<K, V, DetBuildHasher>;
+pub type DetHashMap<K, V> = KeyOrdered<HashMap<K, V, DetBuildHasher>>;
 
 /// A `HashSet` with deterministic, per-process-stable hashing.
-pub type DetHashSet<K> = std::collections::HashSet<K, DetBuildHasher>;
+pub type DetHashSet<K> = KeyOrdered<HashSet<K, DetBuildHasher>>;
+
+impl<T> Deref for KeyOrdered<T> {
+    type Target = T;
+    #[inline]
+    fn deref(&self) -> &T {
+        &self.0
+    }
+}
+
+impl<T> DerefMut for KeyOrdered<T> {
+    #[inline]
+    fn deref_mut(&mut self) -> &mut T {
+        &mut self.0
+    }
+}
+
+impl<K: Ord + fmt::Debug, V: fmt::Debug> fmt::Debug for DetHashMap<K, V> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let mut entries: Vec<(&K, &V)> = self.0.iter().collect();
+        entries.sort_unstable_by_key(|&(k, _)| k);
+        f.debug_map().entries(entries).finish()
+    }
+}
+
+impl<K: Ord + fmt::Debug> fmt::Debug for DetHashSet<K> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let mut keys: Vec<&K> = self.0.iter().collect();
+        keys.sort_unstable();
+        f.debug_set().entries(keys).finish()
+    }
+}
 
 #[cfg(test)]
 mod tests {
@@ -137,7 +180,7 @@ mod tests {
             for i in 0..1000u32 {
                 m.insert(i, i * 2);
             }
-            m.into_iter().collect::<Vec<_>>()
+            m.iter().map(|(&k, &v)| (k, v)).collect::<Vec<_>>()
         };
         assert_eq!(collect(), collect());
     }

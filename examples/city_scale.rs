@@ -35,7 +35,7 @@
 use std::time::Instant;
 
 use ag_bench::beacon_engine;
-use ag_harness::{report, run_gossip_counting, RunStats, Scenario};
+use ag_harness::{report, run_counting, ProtocolKind, RunStats, Scenario};
 use ag_sim::SimTime;
 
 const BEACON_NODES: usize = 500;
@@ -78,7 +78,7 @@ fn main() {
     );
     // ag-lint: allow(wall-clock) -- driver-side progress timing, outside the simulation
     let t0 = Instant::now();
-    let (result, events) = run_gossip_counting(&sc, 7);
+    let (result, events) = run_counting(&sc, 7, ProtocolKind::Gossip);
     let wall = t0.elapsed().as_secs_f64();
 
     // Fold the per-member records into the constant-size streaming

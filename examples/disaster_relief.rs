@@ -17,7 +17,7 @@
 //! cargo run --release --example disaster_relief
 //! ```
 
-use ag_harness::{run_gossip, run_maodv, Scenario};
+use ag_harness::{run, ProtocolKind, Scenario};
 use ag_mobility::Field;
 use ag_sim::stats::Summary;
 
@@ -36,8 +36,8 @@ fn main() {
         sc.packets_sent()
     );
 
-    let maodv = run_maodv(&sc, seed);
-    let gossip = run_gossip(&sc, seed);
+    let maodv = run(&sc, seed, ProtocolKind::Maodv);
+    let gossip = run(&sc, seed, ProtocolKind::Gossip);
 
     println!(
         "{:>8} | {:>14} | {:>14} {:>12}",

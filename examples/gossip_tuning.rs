@@ -14,7 +14,7 @@
 //! cargo run --release --example gossip_tuning
 //! ```
 
-use ag_harness::{run_gossip, Scenario};
+use ag_harness::{run, ProtocolKind, Scenario};
 use ag_sim::SimDuration;
 
 fn show(label: &str, sc: &Scenario, seeds: u64) {
@@ -22,7 +22,7 @@ fn show(label: &str, sc: &Scenario, seeds: u64) {
     let mut goodput = ag_sim::stats::Summary::new();
     let mut recovered = 0u64;
     for seed in 0..seeds {
-        let r = run_gossip(sc, seed);
+        let r = run(sc, seed, ProtocolKind::Gossip);
         recv.merge(&r.received_summary());
         for m in r.receivers() {
             recovered += m.via_gossip;

@@ -13,7 +13,7 @@
 use std::fs;
 use std::path::Path;
 
-use ag_harness::figures::{fig2, fig8_par};
+use ag_harness::figures::{fig2, fig8};
 use ag_harness::{report, Parallelism};
 
 /// Seeds per sweep point. Small on purpose: the snapshot is a tripwire,
@@ -30,12 +30,12 @@ fn main() {
     eprintln!("regenerating fig2 snapshot ({GOLDEN_SEEDS} seed x {GOLDEN_SECS} s)...");
     let points = fig2()
         .with_duration_secs(GOLDEN_SECS)
-        .run_par(GOLDEN_SEEDS, Parallelism::auto());
+        .run(GOLDEN_SEEDS, Parallelism::auto());
     let fig2_json = report::render_json(&points);
     fs::write(dir.join("fig2_small.json"), &fig2_json).expect("write fig2 snapshot");
 
     eprintln!("regenerating fig8 snapshot...");
-    let series = fig8_par(GOLDEN_SEEDS, GOLDEN_SECS, Parallelism::auto());
+    let series = fig8(GOLDEN_SEEDS, GOLDEN_SECS, Parallelism::auto());
     let fig8_txt = format!("{series:#?}\n");
     fs::write(dir.join("fig8_small.txt"), &fig8_txt).expect("write fig8 snapshot");
 

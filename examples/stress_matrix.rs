@@ -30,7 +30,7 @@
 use std::time::Instant;
 
 use ag_harness::matrix::MatrixSpec;
-use ag_harness::report;
+use ag_harness::{report, Parallelism};
 
 fn main() {
     let seeds = report::env_seeds();
@@ -47,7 +47,7 @@ fn main() {
     );
     // ag-lint: allow(wall-clock) -- driver-side progress timing, outside the simulation
     let t0 = Instant::now();
-    let result = spec.run();
+    let result = spec.run(Parallelism::auto());
     eprintln!("completed in {:.1} s wall", t0.elapsed().as_secs_f64());
     println!("{}", report::render_matrix(&result));
 

@@ -12,7 +12,7 @@
 //! Intentional changes (documented in EXPERIMENTS.md) refresh the
 //! snapshots with `cargo run --release --example regen_golden`.
 
-use ag_harness::figures::{fig2, fig8_par};
+use ag_harness::figures::{fig2, fig8};
 use ag_harness::{report, Parallelism};
 
 /// Must match `examples/regen_golden.rs`.
@@ -24,7 +24,7 @@ const GOLDEN_SECS: u64 = 30;
 fn fig2_small_sweep_matches_committed_snapshot() {
     let points = fig2()
         .with_duration_secs(GOLDEN_SECS)
-        .run_par(GOLDEN_SEEDS, Parallelism::auto());
+        .run(GOLDEN_SEEDS, Parallelism::auto());
     let got = report::render_json(&points);
     let want = include_str!("golden/fig2_small.json");
     assert_eq!(
@@ -37,7 +37,7 @@ fn fig2_small_sweep_matches_committed_snapshot() {
 
 #[test]
 fn fig8_small_series_matches_committed_snapshot() {
-    let series = fig8_par(GOLDEN_SEEDS, GOLDEN_SECS, Parallelism::auto());
+    let series = fig8(GOLDEN_SEEDS, GOLDEN_SECS, Parallelism::auto());
     let got = format!("{series:#?}\n");
     let want = include_str!("golden/fig8_small.txt");
     assert_eq!(

@@ -3,7 +3,7 @@
 //! on mid-sized scenarios.
 
 use ag_core::{AgConfig, AnonymousGossip};
-use ag_harness::{run_gossip, run_maodv, ProtocolKind, Scenario, GROUP};
+use ag_harness::{run, ProtocolKind, Scenario, GROUP};
 use ag_maodv::{MaodvConfig, TrafficSource};
 use ag_mobility::{Stationary, Vec2};
 use ag_net::{Engine, NodeId, NodeSetup, PhyParams};
@@ -16,7 +16,7 @@ fn small_scenario() -> Scenario {
 #[test]
 fn full_stack_delivers_most_packets() {
     let sc = small_scenario();
-    let r = run_gossip(&sc, 1);
+    let r = run(&sc, 1, ProtocolKind::Gossip);
     assert_eq!(r.protocol, ProtocolKind::Gossip);
     let ratio = r.delivery_ratio();
     assert!(
@@ -34,8 +34,12 @@ fn gossip_never_loses_to_maodv_on_matched_seeds() {
     let mut gossip_total = 0.0;
     let mut maodv_total = 0.0;
     for seed in 0..3 {
-        gossip_total += run_gossip(&sc, seed).received_summary().mean();
-        maodv_total += run_maodv(&sc, seed).received_summary().mean();
+        gossip_total += run(&sc, seed, ProtocolKind::Gossip)
+            .received_summary()
+            .mean();
+        maodv_total += run(&sc, seed, ProtocolKind::Maodv)
+            .received_summary()
+            .mean();
     }
     assert!(
         gossip_total >= maodv_total,
@@ -46,7 +50,7 @@ fn gossip_never_loses_to_maodv_on_matched_seeds() {
 #[test]
 fn delivery_split_is_consistent() {
     let sc = small_scenario();
-    let r = run_gossip(&sc, 2);
+    let r = run(&sc, 2, ProtocolKind::Gossip);
     for m in &r.members {
         assert_eq!(
             m.received,
@@ -61,7 +65,7 @@ fn delivery_split_is_consistent() {
 fn source_always_has_everything() {
     let sc = small_scenario();
     for seed in 0..3 {
-        let r = run_gossip(&sc, seed);
+        let r = run(&sc, seed, ProtocolKind::Gossip);
         let src = r.members.iter().find(|m| m.node == r.source).unwrap();
         assert_eq!(src.received, r.sent);
     }
@@ -70,7 +74,7 @@ fn source_always_has_everything() {
 #[test]
 fn counters_are_populated_by_real_traffic() {
     let sc = small_scenario();
-    let r = run_gossip(&sc, 3);
+    let r = run(&sc, 3, ProtocolKind::Gossip);
     assert!(
         r.counter("mac.broadcast_tx") > 1000,
         "hellos + data + floods"
@@ -196,7 +200,7 @@ fn runs_are_bit_deterministic_across_protocol_kinds() {
 fn goodput_stays_in_range_across_seeds() {
     let sc = Scenario::paper(20, 55.0, 2.0).with_duration_secs(120);
     for seed in 0..3 {
-        let r = run_gossip(&sc, seed);
+        let r = run(&sc, seed, ProtocolKind::Gossip);
         for m in r.receivers() {
             if let Some(g) = m.goodput_percent {
                 assert!((0.0..=100.0).contains(&g), "goodput {g} out of range");

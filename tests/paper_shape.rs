@@ -13,14 +13,14 @@
 //! file stays within a normal `cargo test` budget.
 
 use ag_harness::experiment::sweep_point;
-use ag_harness::{figures, run_gossip, Scenario};
+use ag_harness::{figures, run, Parallelism, ProtocolKind, Scenario};
 
 const SECS: u64 = 150;
 const SEEDS: u64 = 2;
 
 /// Pooled helper: run one scenario point for both protocols.
 fn point(sc: &Scenario) -> ag_harness::experiment::SweepPoint {
-    sweep_point(sc, 0.0, SEEDS)
+    sweep_point(sc, 0.0, SEEDS, Parallelism::auto())
 }
 
 #[test]
@@ -108,7 +108,7 @@ fn goodput_is_high() {
     let mut total = 0u64;
     let mut useful = 0u64;
     for seed in 0..SEEDS {
-        let r = run_gossip(&sc, seed);
+        let r = run(&sc, seed, ProtocolKind::Gossip);
         for m in r.receivers() {
             // goodput_percent is per-member; aggregate raw counts via the
             // ratio (approximate reconstruction is fine at this scale).
@@ -137,10 +137,10 @@ fn mesh_beats_bare_tree_but_costs_more_transmissions() {
     let mut odmrp_recv = 0.0;
     let mut maodv_recv = 0.0;
     for seed in 0..SEEDS {
-        odmrp_recv += ag_harness::run_odmrp(&mobile, seed)
+        odmrp_recv += run(&mobile, seed, ProtocolKind::Odmrp)
             .received_summary()
             .mean();
-        maodv_recv += ag_harness::run(&mobile, seed, ag_harness::ProtocolKind::Maodv)
+        maodv_recv += run(&mobile, seed, ProtocolKind::Maodv)
             .received_summary()
             .mean();
     }
@@ -153,8 +153,8 @@ fn mesh_beats_bare_tree_but_costs_more_transmissions() {
     // ODMRP keeps flooding Join-Queries and replies for as long as the
     // source lives — the "extra cost for mesh maintenance".
     let static_net = Scenario::paper(30, 60.0, 0.001).with_duration_secs(SECS);
-    let o = ag_harness::run_odmrp(&static_net, 0);
-    let m = ag_harness::run(&static_net, 0, ag_harness::ProtocolKind::Maodv);
+    let o = run(&static_net, 0, ProtocolKind::Odmrp);
+    let m = run(&static_net, 0, ProtocolKind::Maodv);
     let odmrp_control = o.counter("odmrp.query_originated") + o.counter("odmrp.reply_sent");
     let maodv_control = m.counter("maodv.join_rreq")
         + m.counter("maodv.join_rreq_retry")
@@ -174,13 +174,13 @@ fn figure_specs_run_end_to_end_scaled() {
     for spec in figures::all_line_figures() {
         let mut spec = spec.with_duration_secs(60);
         spec.xs = vec![spec.xs[0], *spec.xs.last().unwrap()];
-        let pts = spec.run(1);
+        let pts = spec.run(1, Parallelism::auto());
         assert_eq!(pts.len(), 2, "{} did not produce both points", spec.id);
         for p in &pts {
             assert!(p.sent > 0);
             assert!(p.gossip.count() > 0 && p.maodv.count() > 0);
         }
     }
-    let g8 = figures::fig8(1, 60);
+    let g8 = figures::fig8(1, 60, Parallelism::auto());
     assert_eq!(g8.len(), 4);
 }
