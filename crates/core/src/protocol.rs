@@ -468,6 +468,12 @@ impl Protocol for AnonymousGossip {
         self.up_scratch = up;
     }
 
+    fn prefetch(&self, from: NodeId, msg: &Self::Msg) {
+        self.maodv.prefetch(from, msg);
+        // `on_packet` opens by taking this buffer out of `self`.
+        std::hint::black_box(self.up_scratch.capacity());
+    }
+
     fn on_timer<C: MaodvCtx<AgMsg>>(&mut self, api: &mut C, key: TimerKey) {
         let mut up = std::mem::take(&mut self.up_scratch);
         debug_assert!(up.is_empty(), "upcall scratch handed back dirty");
@@ -509,8 +515,8 @@ impl Protocol for AnonymousGossip {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ag_mobility::{Mobility, Stationary, Vec2};
-    use ag_net::{Engine, NodeSetup, PhyParams, ProtoCtx};
+    use ag_mobility::{Field, Mobility, PauseRange, RandomWaypoint, SpeedRange, Stationary, Vec2};
+    use ag_net::{state_digest, ChurnParams, Engine, NodeSetup, PhyParams, ProtoCtx};
     use ag_sim::rng::{SeedSplitter, StreamKind};
     use rand::rngs::SmallRng;
     use rand::Rng;
@@ -986,5 +992,87 @@ mod tests {
                 .collect::<Vec<_>>()
         };
         assert_eq!(run(99), run(99));
+    }
+
+    /// Forwards every handler to the wrapped stack; `prefetch` only
+    /// when `FORWARD`, else the trait's default no-op.
+    #[derive(Debug)]
+    struct Wrap<const FORWARD: bool>(AnonymousGossip);
+
+    impl<const FORWARD: bool> Protocol for Wrap<FORWARD> {
+        type Msg = MaodvMsg<AgMsg>;
+
+        fn start<C: MaodvCtx<AgMsg>>(&mut self, api: &mut C) {
+            self.0.start(api);
+        }
+        fn on_packet<C: MaodvCtx<AgMsg>>(
+            &mut self,
+            api: &mut C,
+            from: NodeId,
+            msg: Self::Msg,
+            rx: RxKind,
+        ) {
+            self.0.on_packet(api, from, msg, rx);
+        }
+        fn on_timer<C: MaodvCtx<AgMsg>>(&mut self, api: &mut C, key: TimerKey) {
+            self.0.on_timer(api, key);
+        }
+        fn on_send_failure<C: MaodvCtx<AgMsg>>(&mut self, api: &mut C, to: NodeId, msg: Self::Msg) {
+            self.0.on_send_failure(api, to, msg);
+        }
+        fn prefetch(&self, from: NodeId, msg: &Self::Msg) {
+            if FORWARD {
+                self.0.prefetch(from, msg);
+            }
+        }
+    }
+
+    /// `Protocol::prefetch` cannot change a result by construction
+    /// (`&self`, no context); this pins it on a churny 60-node gossip
+    /// run — join floods, data, gossip rounds, send failures — by
+    /// running it with the pre-pass and without.
+    #[test]
+    fn prefetch_is_inert() {
+        type Digest = (Vec<u64>, Vec<(&'static str, u64)>, u64, u64);
+        fn run<const FORWARD: bool>() -> Digest {
+            let field = Field::new(400.0, 400.0);
+            let t = TrafficSource::compact(
+                SimTime::from_secs(10),
+                SimDuration::from_millis(200),
+                100,
+                64,
+            );
+            let nodes = (0..60u32)
+                .map(|i| {
+                    let mut rng = SeedSplitter::new(5).stream(StreamKind::Placement, i.into());
+                    NodeSetup {
+                        mobility: Box::new(RandomWaypoint::new(
+                            field,
+                            SpeedRange::new(0.5, 5.0),
+                            PauseRange::uniform_secs(0.0, 2.0),
+                            &mut rng,
+                        )) as Box<dyn Mobility>,
+                        protocol: Wrap::<FORWARD>(ag_node(i, i % 3 == 0, (i == 0).then_some(t))),
+                    }
+                })
+                .collect();
+            let phy = PhyParams::paper_default(75.0).with_churn(ChurnParams::new(15.0, 3.0));
+            let mut e = Engine::new(phy, 5, nodes);
+            e.run_until(SimTime::from_secs(40));
+            (
+                e.protocols().iter().map(|p| state_digest(&p.0)).collect(),
+                e.counters().iter().collect(),
+                e.events_processed(),
+                e.events_scheduled(),
+            )
+        }
+        let (with, without) = (run::<true>(), run::<false>());
+        assert!(
+            with.1.iter().any(|&(k, v)| k == "ag.recovered" && v > 0)
+                && with.1.iter().any(|&(k, v)| k == "churn.fail" && v > 0),
+            "scenario must churn and gossip: {:?}",
+            with.1
+        );
+        assert_eq!(with, without);
     }
 }

@@ -115,6 +115,13 @@ impl Config {
                     s(&["busy_until", "collect_overlapping", "query_disk"]),
                 ),
                 (
+                    // The delivery pre-pass, run once per broadcast
+                    // receiver ahead of its handler.
+                    "crates/maodv/src/node.rs".to_string(),
+                    s(&["prefetch"]),
+                ),
+                ("crates/core/src/protocol.rs".to_string(), s(&["prefetch"])),
+                (
                     // Calendar queue steady state: push, pop, min scan.
                     "crates/sim/src/event.rs".to_string(),
                     s(&["schedule", "pop", "peek_time", "recompute_min"]),

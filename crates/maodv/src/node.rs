@@ -20,6 +20,8 @@
 //! hop-count-to-leader RREQ extension to rule out replies from its own
 //! subtree (loop prevention).
 
+use std::hint::black_box;
+
 use ag_sim::hash::DetHashMap as HashMap;
 
 use ag_net::{Message, NodeId, ProtoCtx, RxKind, TimerKey};
@@ -363,6 +365,20 @@ impl<X: Message> Maodv<X> {
         }
     }
 
+    /// The read-only halves of the table probes [`Maodv::on_packet`]
+    /// makes first for `msg` from `from` — neighbour stamp, route to the
+    /// sender, and for a route request the reverse route and the flood
+    /// id — so their cache lines are on the way before the handler
+    /// needs them (see `Protocol::prefetch`). Changes nothing.
+    pub fn prefetch(&self, from: NodeId, msg: &MaodvMsg<X>) {
+        black_box(self.neighbors.last_heard(from));
+        black_box(self.rt.known_seq(from));
+        if let MaodvMsg::Rreq(r) = msg {
+            black_box(self.rt.known_seq(r.origin));
+            black_box(self.rreq_seen.contains(&(r.origin, r.rreq_id)));
+        }
+    }
+
     /// Handles a received frame. Returns the resulting upcalls.
     pub fn on_packet<C: MaodvCtx<X>>(
         &mut self,
@@ -376,14 +392,7 @@ impl<X: Message> Maodv<X> {
         self.neighbors.heard(from, now);
         // Any frame gives us a 1-hop route to the sender.
         let expires = now + self.cfg.active_route_timeout;
-        self.rt.update_allow_stale(
-            from,
-            from,
-            self.rt.known_seq(from).unwrap_or(0),
-            1,
-            expires,
-            now,
-        );
+        self.rt.update_keeping_seq(from, from, 1, expires, now);
         match msg {
             MaodvMsg::Hello => {}
             MaodvMsg::Rreq(r) => self.handle_rreq(api, from, r),
@@ -508,14 +517,7 @@ impl<X: Message> Maodv<X> {
             return;
         }
         let expires = now + self.cfg.active_route_timeout;
-        self.rt.update_allow_stale(
-            dest,
-            via,
-            self.rt.known_seq(dest).unwrap_or(0),
-            hops,
-            expires,
-            now,
-        );
+        self.rt.update_keeping_seq(dest, via, hops, expires, now);
     }
 
     /// Leaves the group (paper §3: leaf members prune; non-leaf members
@@ -1131,10 +1133,9 @@ impl<X: Message> Maodv<X> {
         }
         let now = api.now();
         // Free reverse route toward the origin (used by gossip replies).
-        self.rt.update_allow_stale(
+        self.rt.update_keeping_seq(
             d.origin,
             from,
-            self.rt.known_seq(d.origin).unwrap_or(0),
             d.hops.saturating_add(1),
             now + self.cfg.active_route_timeout,
             now,
@@ -1180,10 +1181,9 @@ impl<X: Message> Maodv<X> {
     ) {
         let now = api.now();
         // The routed frame teaches us the way back to its source.
-        self.rt.update_allow_stale(
+        self.rt.update_keeping_seq(
             r.src,
             from,
-            self.rt.known_seq(r.src).unwrap_or(0),
             r.hops.saturating_add(1),
             now + self.cfg.active_route_timeout,
             now,

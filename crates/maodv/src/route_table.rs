@@ -66,38 +66,7 @@ impl RouteTable {
         hops: u8,
         expires: SimTime,
     ) -> bool {
-        match self.routes.get_mut(&dest) {
-            Some(e) => {
-                let fresher = seq > e.seq || (seq == e.seq && hops < e.hops);
-                if fresher {
-                    *e = RouteEntry {
-                        next_hop,
-                        seq,
-                        hops,
-                        expires,
-                    };
-                    true
-                } else if seq == e.seq && next_hop == e.next_hop {
-                    // Same route re-confirmed: refresh lifetime.
-                    e.expires = e.expires.max(expires);
-                    false
-                } else {
-                    false
-                }
-            }
-            None => {
-                self.routes.insert(
-                    dest,
-                    RouteEntry {
-                        next_hop,
-                        seq,
-                        hops,
-                        expires,
-                    },
-                );
-                true
-            }
-        }
+        self.upsert(dest, next_hop, Some(seq), hops, expires, None)
     }
 
     /// Installs or refreshes a route, overriding the freshness rule when
@@ -111,21 +80,74 @@ impl RouteTable {
         expires: SimTime,
         now: SimTime,
     ) -> bool {
-        if let Some(e) = self.routes.get(&dest) {
-            if e.expires <= now {
-                self.routes.insert(
-                    dest,
-                    RouteEntry {
-                        next_hop,
-                        seq,
-                        hops,
-                        expires,
-                    },
-                );
-                return true;
+        self.upsert(dest, next_hop, Some(seq), hops, expires, Some(now))
+    }
+
+    /// [`RouteTable::update_allow_stale`] for a route learned from a
+    /// frame that says nothing about `dest`'s sequence number (any
+    /// frame teaches a 1-hop route to its sender; data and routed
+    /// frames teach the way back to their source): the known sequence
+    /// number is kept, or starts at 0 — read by the probe that updates
+    /// the entry, not by one of its own.
+    pub fn update_keeping_seq(
+        &mut self,
+        dest: NodeId,
+        next_hop: NodeId,
+        hops: u8,
+        expires: SimTime,
+        now: SimTime,
+    ) -> bool {
+        self.upsert(dest, next_hop, None, hops, expires, Some(now))
+    }
+
+    /// The body of every `update*`: `seq` of `None` keeps the known
+    /// sequence number, `stale_at` of `Some(now)` lets an entry expired
+    /// by `now` be replaced regardless of freshness. A live entry — the
+    /// per-reception case — is judged and updated through one probe;
+    /// only installing over nothing or over an expired entry takes a
+    /// second (`insert`, so the table grows exactly when it always did).
+    #[inline]
+    fn upsert(
+        &mut self,
+        dest: NodeId,
+        next_hop: NodeId,
+        seq: Option<u32>,
+        hops: u8,
+        expires: SimTime,
+        stale_at: Option<SimTime>,
+    ) -> bool {
+        let seq = match self.routes.get_mut(&dest) {
+            None => seq.unwrap_or(0),
+            Some(e) => {
+                let seq = seq.unwrap_or(e.seq);
+                if stale_at.is_none_or(|now| e.expires > now) {
+                    let fresher = seq > e.seq || (seq == e.seq && hops < e.hops);
+                    if fresher {
+                        *e = RouteEntry {
+                            next_hop,
+                            seq,
+                            hops,
+                            expires,
+                        };
+                    } else if seq == e.seq && next_hop == e.next_hop {
+                        // Same route re-confirmed: refresh lifetime.
+                        e.expires = e.expires.max(expires);
+                    }
+                    return fresher;
+                }
+                seq
             }
-        }
-        self.update(dest, next_hop, seq, hops, expires)
+        };
+        self.routes.insert(
+            dest,
+            RouteEntry {
+                next_hop,
+                seq,
+                hops,
+                expires,
+            },
+        );
+        true
     }
 
     /// Extends the lifetime of the route to `dest` (route-in-use rule).
@@ -261,6 +283,33 @@ mod tests {
         assert!(rt.lookup(NodeId::new(4), t(0)).is_some());
         assert_eq!(rt.len(), 1);
         assert!(!rt.is_empty());
+    }
+
+    proptest::proptest! {
+        /// `update_keeping_seq` is `update_allow_stale` fed the known
+        /// sequence number — the two-probe spelling it replaced — over
+        /// any history of fresher updates, re-learned routes and expiry.
+        #[test]
+        fn keeping_seq_is_allow_stale_with_known_seq(
+            ops in proptest::collection::vec(((0u32..4, 0u32..4, 0u32..3), (1u8..5, 1u64..6, 0u64..8)), 0..40),
+        ) {
+            let (mut one, mut two) = (RouteTable::new(), RouteTable::new());
+            for ((dest, via, seq), (hops, life, now)) in ops {
+                let (dest, via) = (NodeId::new(dest), NodeId::new(via));
+                let (now, expires) = (t(now), t(now + life));
+                if seq == 0 {
+                    let known = two.known_seq(dest).unwrap_or(0);
+                    proptest::prop_assert_eq!(
+                        one.update_keeping_seq(dest, via, hops, expires, now),
+                        two.update_allow_stale(dest, via, known, hops, expires, now)
+                    );
+                } else {
+                    one.update(dest, via, seq, hops, expires);
+                    two.update(dest, via, seq, hops, expires);
+                }
+                proptest::prop_assert_eq!(format!("{one:?}"), format!("{two:?}"));
+            }
+        }
     }
 
     #[test]

@@ -192,6 +192,13 @@ impl<P: Protocol> Engine<P> {
                 world.finish_head_frame(sender);
                 world.hot.rx_delivered += receivers.len() as u64;
                 world.hot.rx_delivered_touched = true;
+                // Two passes: every receiver first loads what its
+                // handler is about to probe, so the receivers' cold
+                // misses overlap (`Protocol::prefetch` cannot change
+                // state); then the handlers run in order.
+                for &r in receivers {
+                    protocols[r].prefetch(from, &frame.msg);
+                }
                 for &r in receivers {
                     let heard = packet(frame.msg.clone(), RxKind::Broadcast);
                     Self::upcall(world, protocols, r, heard);

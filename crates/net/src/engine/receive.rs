@@ -52,8 +52,8 @@ pub(super) struct RxScratch {
     pub receivers: Vec<usize>,
     /// Grid query candidates (duplicates included).
     cands: Vec<u32>,
-    /// Sender positions of the transmissions overlapping this one's
-    /// airtime.
+    /// Sender positions of the nearby transmissions overlapping this
+    /// one's airtime.
     overlaps: Vec<Vec2>,
     /// Per-node visit stamps deduplicating grid candidates without a
     /// sort (a node's leg can span several queried cells).
@@ -148,13 +148,13 @@ pub(super) fn receivers<F>(
     // at time zero, so the per-candidate liveness loads can't fire;
     // hoist that fact out of the loop.
     let churny = view.phy.churn().is_some();
-    // Gather the overlapping senders in one slab pass; each receiver
-    // then answers "am I corrupted?" with a linear scan over that
-    // (typically tiny) set instead of probing the air index. Same
-    // predicate as the oracle's `AirIndex::corrupts`, same results.
+    // Gather the overlapping senders near this one in one slab pass;
+    // each receiver then answers "am I corrupted?" with a linear scan
+    // over that (typically tiny) set instead of probing the air index.
+    // Same predicate as the oracle's `AirIndex::corrupts`, same results.
     s.overlaps.clear();
     view.air
-        .collect_overlapping(id, shot.start, shot.end, &mut s.overlaps);
+        .collect_overlapping(id, shot, range, &mut s.overlaps);
     // Hoisted so the uncontended (empty-overlap) common case skips even
     // the slice-iterator setup per candidate.
     let any_overlap = !s.overlaps.is_empty();

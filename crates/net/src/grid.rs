@@ -597,24 +597,36 @@ impl<F> AirIndex<F> {
         busy
     }
 
-    /// Appends the sender position of every transmission other than
-    /// `exclude` — live or finished — whose airtime overlaps the
-    /// `[start, end)` window to `out`.
+    /// Appends to `out` the sender position of every transmission
+    /// other than `exclude` — live or finished — whose airtime overlaps
+    /// `shot`'s and whose sender stood within `2·range` of `shot`'s.
     ///
     /// One O(slab) pass per `TxEnd` replaces the reference scan's
-    /// per-receiver [`AirIndex::corrupts`] probes: a reception at
-    /// `rpos` is corrupted iff any collected position is within range
-    /// of `rpos`. Same predicate, same results; an empty `out` means
-    /// no receiver anywhere is corrupted.
+    /// per-receiver [`AirIndex::corrupts`] probes: a reception of
+    /// `shot` at `rpos` is corrupted iff any collected position is
+    /// within `range` of `rpos`. Same predicate, same results; an empty
+    /// `out` means no receiver is corrupted. The `2·range` cut drops
+    /// only transmissions that cannot matter — a receiver is within
+    /// `range` of `shot.pos`, so by the triangle inequality nothing
+    /// farther than `2·range` from `shot.pos` is within `range` of it —
+    /// and keeps each receiver's scan the size of the neighbourhood,
+    /// not of the city's air. The bound is widened by a relative 1e-9
+    /// so rounding can only keep a record the exact per-receiver test
+    /// then rejects, never drop one it would accept.
     pub fn collect_overlapping(
         &self,
         exclude: u64,
-        start: SimTime,
-        end: SimTime,
+        shot: &TxShot,
+        range: f64,
         out: &mut Vec<Vec2>,
     ) {
+        let near_sq = (2.0 * range) * (2.0 * range) * (1.0 + 1e-9);
         for r in &self.recs {
-            if r.id != exclude && r.shot.start < end && start < r.shot.end {
+            if r.id != exclude
+                && r.shot.start < shot.end
+                && shot.start < r.shot.end
+                && r.shot.pos.distance_sq(shot.pos) <= near_sq
+            {
                 out.push(r.shot.pos);
             }
         }

@@ -128,6 +128,20 @@ pub trait Protocol: Sized + fmt::Debug {
     ///
     /// MAODV uses this as its primary link-break detector.
     fn on_send_failure<C: ProtoCtx<Self::Msg>>(&mut self, ctx: &mut C, to: NodeId, msg: Self::Msg);
+
+    /// A hint that [`Protocol::on_packet`]`(from, msg)` is about to run
+    /// here: the engine calls this on every receiver of a broadcast
+    /// before it delivers to the first, so an implementation can read
+    /// (through [`std::hint::black_box`]) the table entries `on_packet`
+    /// will probe, and the receivers' cache-miss chains overlap
+    /// instead of queueing behind one another's handlers.
+    ///
+    /// `&self` and no [`ProtoCtx`]: it cannot send, schedule, draw or
+    /// change state, so implementing it, or not, cannot alter a
+    /// simulation result — only its speed. The default does nothing,
+    /// which is right for any protocol whose state is cache-resident.
+    #[inline]
+    fn prefetch(&self, _from: NodeId, _msg: &Self::Msg) {}
 }
 
 #[cfg(test)]

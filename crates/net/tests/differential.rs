@@ -156,11 +156,8 @@ impl Knobs {
 
 fn run_once(k: Knobs, spatial: bool) -> Outcome {
     let field = Field::new(k.field_m, k.field_m);
-    let setups = (0..k.nodes)
-        .map(|i| NodeSetup {
-            mobility: mobility_for(k.seed, i, field, k.max_speed),
-            protocol: Chatter::new(40 + 13 * (i as u64 % 5), k.nodes as u32, k.payload),
-        })
+    let mobility = (0..k.nodes)
+        .map(|i| mobility_for(k.seed, i, field, k.max_speed))
         .collect();
     let mut phy = PhyParams::paper_default(k.range_m)
         .with_spatial_index(spatial)
@@ -168,8 +165,29 @@ fn run_once(k: Knobs, spatial: bool) -> Outcome {
     if let Some((up, down)) = k.churn_secs {
         phy = phy.with_churn(ChurnParams::new(up, down));
     }
-    let mut engine = Engine::new(phy, k.seed, setups);
-    engine.run_until(SimTime::from_secs(k.sim_secs));
+    run_chatter(phy, k.seed, mobility, k.payload, k.sim_secs)
+}
+
+/// Runs one [`Chatter`] per mobility model under `phy` and logs what
+/// every node saw.
+fn run_chatter(
+    phy: PhyParams,
+    seed: u64,
+    mobility: Vec<Box<dyn Mobility>>,
+    payload: usize,
+    sim_secs: u64,
+) -> Outcome {
+    let nodes = mobility.len();
+    let setups = mobility
+        .into_iter()
+        .enumerate()
+        .map(|(i, mobility)| NodeSetup {
+            mobility,
+            protocol: Chatter::new(40 + 13 * (i as u64 % 5), nodes as u32, payload),
+        })
+        .collect();
+    let mut engine = Engine::new(phy, seed, setups);
+    engine.run_until(SimTime::from_secs(sim_secs));
     Outcome {
         per_node: engine
             .protocols()
@@ -177,7 +195,7 @@ fn run_once(k: Knobs, spatial: bool) -> Outcome {
             .map(|p| (p.received.clone(), p.failures.clone(), p.sent))
             .collect(),
         counters: engine.counters().iter().collect(),
-        positions: (0..k.nodes)
+        positions: (0..nodes)
             .map(|i| engine.position_of(NodeId::new(i as u32)))
             .collect(),
     }
@@ -364,4 +382,41 @@ fn crowded_air_identical_paths() {
         assert_eq!(g.1, b.1);
     }
     assert_eq!(out[0].positions, out[1].positions);
+}
+
+/// The near-field overlap cut at its boundary: stationary nodes on a
+/// line at exact multiples of the range. Node 0 and node 2 are exactly
+/// `2·range` apart — hidden from each other, both exactly in range of
+/// node 1 between them — so their overlapping frames must keep
+/// colliding at node 1, and the cut (a `<=` on `2·range`) must keep
+/// node 2's. Node 3, one metre farther, is dropped by the cut and is
+/// indeed out of node 1's range. The brute-force engine applies no cut.
+#[test]
+fn overlap_cut_boundary_identical_paths() {
+    const RANGE: f64 = 75.0;
+    let out: Vec<Outcome> = [true, false]
+        .iter()
+        .map(|&sp| {
+            let line = [0.0, RANGE, 2.0 * RANGE, 2.0 * RANGE + 1.0]
+                .iter()
+                .map(|&x| Box::new(Stationary::new(Vec2::new(x, 0.0))) as Box<dyn Mobility>)
+                .collect();
+            let phy = PhyParams::paper_default(RANGE).with_spatial_index(sp);
+            run_chatter(phy, 11, line, 1400, 10)
+        })
+        .collect();
+    assert!(
+        out[0]
+            .counters
+            .iter()
+            .any(|&(k, v)| k == "mac.rx_collision" && v > 0),
+        "scenario failed to produce collisions: {:?}",
+        out[0].counters
+    );
+    // Every counter, `mac.rx_collision` and `mac.rx_delivered` included.
+    assert_eq!(out[0].counters, out[1].counters);
+    for (g, b) in out[0].per_node.iter().zip(&out[1].per_node) {
+        assert_eq!(g.0, b.0);
+        assert_eq!(g.1, b.1);
+    }
 }

@@ -1,0 +1,114 @@
+#!/usr/bin/env python3
+"""Flat sampling profile of one command, standard library only.
+
+    python3 tools/flat_profile.py [-f HZ] [-n TOP] -- <executable> [args...]
+
+For machines with no `perf`/`gdb`: samples the user-space instruction
+pointer of <executable> (and every thread it starts) on the kernel's
+software CPU clock through perf_event_open(2), resolves addresses with
+`nm -C -n`, and prints the functions by share of samples. Needs Linux,
+`nm`, and /proc/sys/kernel/perf_event_paranoid <= 2. A flat profile says
+where time goes, not why: inlined callees count under their caller.
+"""
+import argparse, bisect, collections, ctypes, mmap, os, platform, struct, subprocess, sys, time
+
+SYS_PERF_EVENT_OPEN = {"x86_64": 298, "aarch64": 241}[platform.machine()]
+PERF_TYPE_SOFTWARE, PERF_COUNT_SW_CPU_CLOCK = 1, 0
+PERF_SAMPLE_IP, PERF_RECORD_SAMPLE = 1, 9
+# perf_event_attr flag bits.
+DISABLED, INHERIT, EXCLUDE_KERNEL, EXCLUDE_HV, FREQ, ENABLE_ON_EXEC = 1, 2, 1 << 5, 1 << 6, 1 << 10, 1 << 12
+PAGE = mmap.PAGESIZE
+RING_PAGES = 128  # data pages per CPU; a power of two
+HEAD, TAIL = 1024, 1032  # perf_event_mmap_page.data_head / data_tail
+OUTSIDE = "[outside the executable]"
+
+
+def open_rings(pid, hz):
+    """One inherited event and ring per CPU (an inherited event cannot be mapped with cpu = -1)."""
+    flags = DISABLED | INHERIT | EXCLUDE_KERNEL | EXCLUDE_HV | FREQ | ENABLE_ON_EXEC
+    # PERF_ATTR_SIZE_VER0: type, size, config, sample_freq, sample_type, read_format, flags, wakeup, bp_type, config1
+    attr = struct.pack("IIQQQQQIIQ", PERF_TYPE_SOFTWARE, 64, PERF_COUNT_SW_CPU_CLOCK, hz, PERF_SAMPLE_IP, 0, flags, 0, 0, 0)
+    libc = ctypes.CDLL(None, use_errno=True)
+    rings = []
+    for cpu in sorted(os.sched_getaffinity(0)):
+        fd = libc.syscall(SYS_PERF_EVENT_OPEN, ctypes.c_char_p(attr), pid, cpu, -1, 0)
+        if fd < 0:
+            err = ctypes.get_errno()
+            sys.exit(f"perf_event_open: {os.strerror(err)} (perf_event_paranoid must be <= 2)")
+        rings.append(mmap.mmap(fd, (1 + RING_PAGES) * PAGE, mmap.MAP_SHARED, mmap.PROT_READ | mmap.PROT_WRITE))
+    return rings
+
+
+def drain(ring, counts):
+    """Counts the sampled addresses between the ring's tail and head, then releases them."""
+    size = RING_PAGES * PAGE
+    head, tail = struct.unpack_from("QQ", ring, HEAD)
+    while tail < head:  # records are 8-byte aligned, so no 8-byte field straddles the ring's end
+        kind, _misc, length = struct.unpack_from("IHH", ring, PAGE + tail % size)
+        if kind == PERF_RECORD_SAMPLE:
+            counts[struct.unpack_from("Q", ring, PAGE + (tail + 8) % size)[0]] += 1
+        tail += length
+    struct.pack_into("Q", ring, TAIL, tail)
+
+
+def load_base(pid, exe):
+    """Where the executable's first segment is mapped (0 for a non-PIE one)."""
+    with open(exe, "rb") as f:
+        pie = struct.unpack_from("H", f.read(18), 16)[0] == 3  # e_type == ET_DYN
+    if not pie:
+        return 0
+    while True:  # the mapping appears at exec
+        with open(f"/proc/{pid}/maps") as maps:
+            for line in maps:
+                if line.rstrip().endswith(exe):
+                    return int(line.split("-")[0], 16)
+        time.sleep(0.001)
+
+
+def symbols(exe):
+    """The executable's functions by ascending address, closed by the end of its image."""
+    out = subprocess.run(["nm", "-C", "-n", exe], capture_output=True, text=True, check=True).stdout
+    defined = [l.split(" ", 2) for l in out.splitlines() if l[0] != " "]
+    table = [(int(a, 16), name.strip()) for a, kind, name in defined if kind in "tTwW"]
+    table.append((int(defined[-1][0], 16) + 1, OUTSIDE))  # past `_end`: libc, the vDSO
+    return [a for a, _ in table], [n for _, n in table]
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("-f", "--hz", type=int, default=5000, help="samples per second of CPU time (default 5000)")
+    ap.add_argument("-n", "--top", type=int, default=40, help="rows to print (default 40)")
+    ap.add_argument("cmd", nargs="+", help="executable and its arguments")
+    args = ap.parse_args()
+    exe = os.path.realpath(args.cmd[0])
+    if not os.access(exe, os.X_OK):
+        sys.exit(f"{exe}: not an executable file")
+    go_r, go_w = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # child: wait until the events exist, then become the command
+        os.close(go_w)
+        os.read(go_r, 1)
+        os.execv(exe, args.cmd)
+    rings = open_rings(pid, args.hz)
+    os.write(go_w, b"x")
+    base = load_base(pid, exe)
+    counts = collections.Counter()
+    while os.waitpid(pid, os.WNOHANG) == (0, 0):
+        for ring in rings:
+            drain(ring, counts)
+        time.sleep(0.05)
+    for ring in rings:
+        drain(ring, counts)
+    addrs, names = symbols(exe)
+    by_fn = collections.Counter()
+    for ip, n in counts.items():
+        i = bisect.bisect_right(addrs, ip - base) - 1
+        by_fn[names[i] if 0 <= i and ip >= base else OUTSIDE] += n
+    total = sum(by_fn.values())
+    print(f"{total} samples at {args.hz} Hz of CPU time", file=sys.stderr)
+    for name, n in by_fn.most_common(args.top):
+        print(f"{100 * n / total:6.2f}%  {n:8d}  {name}")
+
+
+if __name__ == "__main__":
+    main()
