@@ -1,13 +1,12 @@
 //! The history table (§4.4): a bounded FIFO of the most recent packets
 //! received, retained so gossip replies can carry the actual data.
 
-use std::collections::VecDeque;
-
-use ag_sim::hash::DetHashMap as HashMap;
+use ag_maodv::seen::FifoTable;
 
 use crate::message::{PacketId, PacketRecord};
 
-/// Bounded FIFO packet store.
+/// Bounded FIFO packet store: a [`FifoTable`] keyed by packet id, so it
+/// starts empty and costs nothing until a node actually stores packets.
 ///
 /// # Example
 ///
@@ -22,11 +21,7 @@ use crate::message::{PacketId, PacketRecord};
 /// assert_eq!(h.get(&id).unwrap().payload_len, 64);
 /// ```
 #[derive(Debug, Clone)]
-pub struct HistoryTable {
-    by_id: HashMap<PacketId, PacketRecord>,
-    order: VecDeque<PacketId>,
-    capacity: usize,
-}
+pub struct HistoryTable(FifoTable<PacketId, PacketRecord>);
 
 impl HistoryTable {
     /// Creates a history holding at most `capacity` packets.
@@ -35,62 +30,43 @@ impl HistoryTable {
     ///
     /// Panics if `capacity` is zero.
     pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "history table needs capacity");
-        // `capacity` bounds eviction, not allocation: storage starts
-        // empty and grows on demand, so the millions of history tables
-        // a metropolis run builds cost nothing until a node actually
-        // stores packets. Iteration goes through `order` (a FIFO), so
-        // the map's bucket count cannot influence behaviour.
-        HistoryTable {
-            by_id: HashMap::default(),
-            order: VecDeque::new(),
-            capacity,
-        }
+        HistoryTable(FifoTable::new(capacity))
     }
 
     /// Stores a packet (no-op if already present); evicts the oldest
     /// packet when full.
     pub fn push(&mut self, rec: PacketRecord) {
-        if self.by_id.contains_key(&rec.id) {
-            return;
-        }
-        if self.order.len() >= self.capacity {
-            if let Some(old) = self.order.pop_front() {
-                self.by_id.remove(&old);
-            }
-        }
-        self.order.push_back(rec.id);
-        self.by_id.insert(rec.id, rec);
+        self.0.push(rec.id, rec);
     }
 
     /// Fetches a stored packet.
     pub fn get(&self, id: &PacketId) -> Option<&PacketRecord> {
-        self.by_id.get(id)
+        self.0.get(id)
     }
 
     /// `true` if `id` is currently stored.
     pub fn contains(&self, id: &PacketId) -> bool {
-        self.by_id.contains_key(id)
+        self.0.contains(id)
     }
 
     /// Iterates over stored packets, oldest first.
     pub fn iter(&self) -> impl Iterator<Item = &PacketRecord> {
-        self.order.iter().filter_map(|id| self.by_id.get(id))
+        self.0.values()
     }
 
     /// Number of stored packets.
     pub fn len(&self) -> usize {
-        self.by_id.len()
+        self.0.len()
     }
 
     /// `true` if nothing is stored.
     pub fn is_empty(&self) -> bool {
-        self.by_id.is_empty()
+        self.0.is_empty()
     }
 
     /// Capacity.
     pub fn capacity(&self) -> usize {
-        self.capacity
+        self.0.capacity()
     }
 }
 

@@ -26,7 +26,10 @@
 //!
 //! The pull state is the per-member [`LostTable`] (believed-missing
 //! sequence numbers) and [`HistoryTable`] (recent packets kept for
-//! answering), both bounded exactly as §4.4 describes.
+//! answering), both bounded exactly as §4.4 describes — and both the
+//! same bounded FIFO table MAODV's flood-id windows use
+//! ([`ag_maodv::seen::FifoTable`]): keyed by packet id, evicting the
+//! oldest entry at capacity, allocating nothing until first used.
 //!
 //! [`AnonymousGossip`] is the full node stack ([`ag_net::Protocol`]
 //! implementation) used by the examples, the experiment harness, the

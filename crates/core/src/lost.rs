@@ -2,10 +2,9 @@
 //! missing, discovered when a packet arrives with a sequence number past
 //! the expected one.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 
-use ag_sim::hash::DetHashSet as HashSet;
-
+use ag_maodv::seen::SeenCache;
 use ag_net::NodeId;
 
 use crate::message::PacketId;
@@ -13,10 +12,10 @@ use crate::message::PacketId;
 /// Bounded table of believed-lost packets plus per-origin expected
 /// sequence numbers.
 ///
-/// Insertion order is tracked so the gossip message can carry "the most
-/// recent entries of the lost table" (§4.4); capacity eviction drops the
-/// *oldest* entries, which are the least likely to still be in anyone's
-/// history table.
+/// The lost set is a [`SeenCache`]: insertion order is tracked so the
+/// gossip message can carry "the most recent entries of the lost table"
+/// (§4.4), and capacity eviction drops the *oldest* entries, which are
+/// the least likely to still be in anyone's history table.
 ///
 /// # Example
 ///
@@ -35,11 +34,8 @@ use crate::message::PacketId;
 /// ```
 #[derive(Debug, Clone)]
 pub struct LostTable {
-    lost: HashSet<PacketId>,
-    order: VecDeque<PacketId>,
+    lost: SeenCache<PacketId>,
     expected: BTreeMap<NodeId, u32>,
-    capacity: usize,
-    overflow_drops: u64,
 }
 
 impl LostTable {
@@ -49,13 +45,9 @@ impl LostTable {
     ///
     /// Panics if `capacity` is zero.
     pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "lost table needs capacity");
         LostTable {
-            lost: HashSet::default(),
-            order: VecDeque::new(),
+            lost: SeenCache::new(capacity),
             expected: BTreeMap::new(),
-            capacity,
-            overflow_drops: 0,
         }
     }
 
@@ -64,14 +56,11 @@ impl LostTable {
     /// `seq` become lost entries; a received packet that was in the
     /// table is removed.
     pub fn observe(&mut self, origin: NodeId, seq: u32) {
-        let id = PacketId::new(origin, seq);
-        if self.lost.remove(&id) {
-            self.order.retain(|x| *x != id);
-        }
+        self.recover(PacketId::new(origin, seq));
         let expected = *self.expected.entry(origin).or_insert(1);
         if seq >= expected {
             for missing in expected..seq {
-                self.insert_lost(PacketId::new(origin, missing));
+                self.lost.insert(PacketId::new(origin, missing));
             }
             self.expected.insert(origin, seq + 1);
         }
@@ -79,22 +68,7 @@ impl LostTable {
 
     /// Marks a believed-lost packet as recovered.
     pub fn recover(&mut self, id: PacketId) {
-        if self.lost.remove(&id) {
-            self.order.retain(|x| *x != id);
-        }
-    }
-
-    fn insert_lost(&mut self, id: PacketId) {
-        if !self.lost.insert(id) {
-            return;
-        }
-        if self.order.len() >= self.capacity {
-            if let Some(old) = self.order.pop_front() {
-                self.lost.remove(&old);
-                self.overflow_drops += 1;
-            }
-        }
-        self.order.push_back(id);
+        self.lost.remove(&id);
     }
 
     /// `true` if `id` is currently believed lost.
@@ -105,7 +79,7 @@ impl LostTable {
     /// The most recently added lost entries, newest first, up to `max` —
     /// the gossip message's lost buffer (§4.1, §4.4).
     pub fn lost_buffer(&self, max: usize) -> Vec<PacketId> {
-        self.order.iter().rev().take(max).copied().collect()
+        self.lost.keys().rev().take(max).copied().collect()
     }
 
     /// The per-origin next expected sequence numbers.
@@ -126,11 +100,6 @@ impl LostTable {
     /// `true` if nothing is believed lost.
     pub fn is_empty(&self) -> bool {
         self.lost.is_empty()
-    }
-
-    /// Entries evicted because the table was full.
-    pub fn overflow_drops(&self) -> u64 {
-        self.overflow_drops
     }
 }
 
@@ -210,7 +179,6 @@ mod tests {
         assert!(!lt.is_lost(&PacketId::new(o(), 1)));
         assert!(!lt.is_lost(&PacketId::new(o(), 2)));
         assert!(lt.is_lost(&PacketId::new(o(), 5)));
-        assert_eq!(lt.overflow_drops(), 2);
     }
 
     #[test]

@@ -4,7 +4,6 @@
 
 use ag_net::NodeId;
 use ag_sim::SimTime;
-use rand::Rng;
 
 /// One cached member: `(node_addr, numhops, last_gossip)` exactly as
 /// §4.3 defines.
@@ -29,10 +28,9 @@ pub struct CacheEntry {
 /// ```
 /// use ag_core::MemberCache;
 /// use ag_net::NodeId;
-/// use ag_sim::SimTime;
 ///
 /// let mut mc = MemberCache::new(10);
-/// mc.observe(NodeId::new(3), 2, SimTime::ZERO);
+/// mc.observe(NodeId::new(3), 2);
 /// assert_eq!(mc.len(), 1);
 /// assert_eq!(mc.entries()[0].numhops, 2);
 /// ```
@@ -43,7 +41,9 @@ pub struct MemberCache {
 }
 
 impl MemberCache {
-    /// Creates a cache holding at most `capacity` members.
+    /// Creates a cache holding at most `capacity` members. Like every
+    /// protocol table it starts empty: `capacity` bounds eviction, not
+    /// allocation, and most nodes of a large run are not members.
     ///
     /// # Panics
     ///
@@ -51,17 +51,16 @@ impl MemberCache {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "member cache needs capacity");
         MemberCache {
-            entries: Vec::with_capacity(capacity),
+            entries: Vec::new(),
             capacity,
         }
     }
 
-    /// Records that `member` was observed `numhops` away at `now`.
+    /// Records that `member` was observed `numhops` away.
     ///
     /// Existing entries keep their `last_gossip` and update `numhops`;
     /// new members enter via the eviction rule above.
-    pub fn observe(&mut self, member: NodeId, numhops: u8, now: SimTime) {
-        let _ = now;
+    pub fn observe(&mut self, member: NodeId, numhops: u8) {
         if let Some(e) = self.entries.iter_mut().find(|e| e.node == member) {
             e.numhops = numhops;
             return;
@@ -107,20 +106,12 @@ impl MemberCache {
         }
     }
 
-    /// Picks a uniformly random cached member other than `exclude`,
-    /// drawing from a raw RNG. The protocol path goes through
-    /// [`MemberCache::pick_via`] instead (so the draw is a named
-    /// `ProtoCtx` choice); this convenience remains for benchmarks and
-    /// direct library use.
-    pub fn pick_random<R: Rng + ?Sized>(&self, rng: &mut R, exclude: NodeId) -> Option<CacheEntry> {
-        self.pick_via(exclude, |n| rng.random_range(0..n))
-    }
-
-    /// Like [`MemberCache::pick_random`], but the caller supplies the
-    /// uniform index draw — a `ProtoCtx::pick_index` named choice, so
-    /// the selection is enumerable by the model checker and replayable
-    /// by the conformance harness. `choose` runs only when at least one
-    /// eligible entry exists, and receives the eligible count.
+    /// Picks a uniformly random cached member other than `exclude`. The
+    /// caller supplies the uniform index draw — a `ProtoCtx::pick_index`
+    /// named choice, so the selection is enumerable by the model checker
+    /// and replayable by the conformance harness. `choose` runs only
+    /// when at least one eligible entry exists, and receives the
+    /// eligible count.
     pub fn pick_via(
         &self,
         exclude: NodeId,
@@ -160,6 +151,7 @@ mod tests {
     use super::*;
     use ag_sim::rng::{SeedSplitter, StreamKind};
     use ag_sim::SimDuration;
+    use rand::Rng;
 
     fn id(n: u32) -> NodeId {
         NodeId::new(n)
@@ -172,8 +164,8 @@ mod tests {
     #[test]
     fn observe_updates_hops_in_place() {
         let mut mc = MemberCache::new(4);
-        mc.observe(id(1), 5, t(0));
-        mc.observe(id(1), 2, t(1));
+        mc.observe(id(1), 5);
+        mc.observe(id(1), 2);
         assert_eq!(mc.len(), 1);
         assert_eq!(mc.entries()[0].numhops, 2);
     }
@@ -181,10 +173,10 @@ mod tests {
     #[test]
     fn eviction_prefers_farther_member() {
         let mut mc = MemberCache::new(2);
-        mc.observe(id(1), 8, t(0));
-        mc.observe(id(2), 3, t(0));
+        mc.observe(id(1), 8);
+        mc.observe(id(2), 3);
         // Cache full; newcomer at 5 hops evicts the 8-hop member.
-        mc.observe(id(3), 5, t(1));
+        mc.observe(id(3), 5);
         let nodes: Vec<NodeId> = mc.entries().iter().map(|e| e.node).collect();
         assert!(nodes.contains(&id(2)));
         assert!(nodes.contains(&id(3)));
@@ -194,12 +186,12 @@ mod tests {
     #[test]
     fn eviction_falls_back_to_most_recent_gossip() {
         let mut mc = MemberCache::new(2);
-        mc.observe(id(1), 1, t(0));
-        mc.observe(id(2), 1, t(0));
+        mc.observe(id(1), 1);
+        mc.observe(id(2), 1);
         mc.record_gossip(id(1), t(5));
         mc.record_gossip(id(2), t(9));
         // Newcomer is farther than everyone: evict most recent gossip (2).
-        mc.observe(id(3), 4, t(10));
+        mc.observe(id(3), 4);
         let nodes: Vec<NodeId> = mc.entries().iter().map(|e| e.node).collect();
         assert!(nodes.contains(&id(1)));
         assert!(nodes.contains(&id(3)));
@@ -209,12 +201,15 @@ mod tests {
     #[test]
     fn pick_random_excludes_self() {
         let mut mc = MemberCache::new(4);
-        mc.observe(id(1), 1, t(0));
+        mc.observe(id(1), 1);
         let mut rng = SeedSplitter::new(1).stream(StreamKind::Node, 0);
-        assert!(mc.pick_random(&mut rng, id(1)).is_none());
-        mc.observe(id(2), 1, t(0));
+        assert!(mc.pick_via(id(1), |n| rng.random_range(0..n)).is_none());
+        mc.observe(id(2), 1);
         for _ in 0..20 {
-            assert_eq!(mc.pick_random(&mut rng, id(1)).unwrap().node, id(2));
+            assert_eq!(
+                mc.pick_via(id(1), |n| rng.random_range(0..n)).unwrap().node,
+                id(2)
+            );
         }
     }
 
@@ -222,12 +217,16 @@ mod tests {
     fn pick_random_covers_all_entries() {
         let mut mc = MemberCache::new(8);
         for n in 1..=5 {
-            mc.observe(id(n), 1, t(0));
+            mc.observe(id(n), 1);
         }
         let mut rng = SeedSplitter::new(2).stream(StreamKind::Node, 0);
         let mut seen = ag_sim::hash::DetHashSet::default();
         for _ in 0..200 {
-            seen.insert(mc.pick_random(&mut rng, id(99)).unwrap().node);
+            seen.insert(
+                mc.pick_via(id(99), |n| rng.random_range(0..n))
+                    .unwrap()
+                    .node,
+            );
         }
         assert_eq!(
             seen.len(),
@@ -239,7 +238,7 @@ mod tests {
     #[test]
     fn record_gossip_updates_timestamp() {
         let mut mc = MemberCache::new(2);
-        mc.observe(id(1), 1, t(0));
+        mc.observe(id(1), 1);
         mc.record_gossip(id(1), t(0) + SimDuration::from_secs(3));
         assert_eq!(mc.entries()[0].last_gossip, t(3));
         // Unknown member: no-op.
@@ -250,7 +249,7 @@ mod tests {
     #[test]
     fn remove_drops_entry() {
         let mut mc = MemberCache::new(2);
-        mc.observe(id(1), 1, t(0));
+        mc.observe(id(1), 1);
         mc.remove(id(1));
         assert!(mc.is_empty());
     }

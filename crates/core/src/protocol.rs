@@ -123,18 +123,27 @@ pub(crate) fn select_reply_packets(
 /// ```
 #[derive(Debug, Clone)]
 pub struct AnonymousGossip {
-    cfg: AgConfig,
     maodv: Maodv<AgMsg>,
+    /// Reused per-dispatch upcall buffer (engine callbacks fire once per
+    /// received frame/timer; a fresh `Vec` each time was a steady-state
+    /// allocation).
+    up: Vec<Upcall<AgMsg>>,
+    gossip: Gossip,
+}
+
+/// The gossip layer's own state, kept apart from the [`Maodv`] core and
+/// the upcall buffer so one handler can borrow all three at once: MAODV
+/// fills the buffer, the gossip layer drains it while sending through
+/// MAODV.
+#[derive(Debug, Clone)]
+struct Gossip {
+    cfg: AgConfig,
     delivery: DeliveryLog,
     lost: LostTable,
     history: HistoryTable,
     cache: MemberCache,
     metrics: GossipMetrics,
     traffic: Option<TrafficSource>,
-    /// Reused per-delivery upcall buffer (engine callbacks fire once per
-    /// received frame/timer; a fresh `Vec` each time was a steady-state
-    /// allocation).
-    up_scratch: Vec<Upcall<AgMsg>>,
     /// Reused `(node, nearest_member)` candidate buffer for
     /// [`weighted_pick`].
     cand_scratch: Vec<(NodeId, u8)>,
@@ -157,28 +166,28 @@ impl AnonymousGossip {
         cfg.validate();
         AnonymousGossip {
             maodv: Maodv::new(maodv_cfg, id, group, is_member),
-            delivery: DeliveryLog::new(),
-            lost: LostTable::new(cfg.lost_table_capacity),
-            history: HistoryTable::new(cfg.history_capacity),
-            cache: MemberCache::new(cfg.member_cache_capacity),
-            metrics: GossipMetrics::new(),
-            traffic,
-            up_scratch: Vec::new(),
-            cand_scratch: Vec::new(),
-            cfg,
+            up: Vec::new(),
+            gossip: Gossip {
+                delivery: DeliveryLog::new(),
+                lost: LostTable::new(cfg.lost_table_capacity),
+                history: HistoryTable::new(cfg.history_capacity),
+                cache: MemberCache::new(cfg.member_cache_capacity),
+                metrics: GossipMetrics::new(),
+                traffic,
+                cand_scratch: Vec::new(),
+                cfg,
+            },
         }
     }
 
-    // ───────────────────────── accessors ─────────────────────────
-
     /// Distinct packets delivered to this member (tree + gossip).
     pub fn delivery(&self) -> &DeliveryLog {
-        &self.delivery
+        &self.gossip.delivery
     }
 
     /// This node's gossip activity counters (goodput etc.).
     pub fn metrics(&self) -> &GossipMetrics {
-        &self.metrics
+        &self.gossip.metrics
     }
 
     /// The underlying MAODV state.
@@ -188,51 +197,43 @@ impl AnonymousGossip {
 
     /// The member cache.
     pub fn member_cache(&self) -> &MemberCache {
-        &self.cache
+        &self.gossip.cache
     }
 
     /// The lost table.
     pub fn lost_table(&self) -> &LostTable {
-        &self.lost
+        &self.gossip.lost
     }
 
     /// The history table.
     pub fn history(&self) -> &HistoryTable {
-        &self.history
+        &self.gossip.history
     }
 
     /// The gossip configuration.
     pub fn config(&self) -> &AgConfig {
-        &self.cfg
+        &self.gossip.cfg
     }
+}
 
+impl Gossip {
     // ───────────────────────── delivery plumbing ─────────────────────────
 
     /// A data packet reached this member (any path): account for it and
     /// keep a copy for future gossip replies.
-    fn deliver(
-        &mut self,
-        now: SimTime,
-        origin: NodeId,
-        seq: u32,
-        payload_len: u16,
-        path: DeliveryPath,
-    ) -> bool {
+    fn deliver(&mut self, origin: NodeId, seq: u32, payload_len: u16, path: DeliveryPath) -> bool {
         let new = self.delivery.record(origin, seq, path);
         self.history.push(PacketRecord {
             id: PacketId::new(origin, seq),
             payload_len,
         });
         self.lost.observe(origin, seq);
-        if origin != self.maodv.id() {
-            // Data implies the origin is a member (free cache feed).
-            let _ = now;
-        }
         new
     }
 
     fn process_upcalls<C: MaodvCtx<AgMsg>>(
         &mut self,
+        maodv: &mut Maodv<AgMsg>,
         api: &mut C,
         upcalls: &mut Vec<Upcall<AgMsg>>,
     ) {
@@ -244,26 +245,22 @@ impl AnonymousGossip {
                     payload_len,
                     hops,
                 } => {
-                    self.deliver(api.now(), origin, seq, payload_len, DeliveryPath::Tree);
-                    self.cache.observe(origin, hops, api.now());
+                    self.deliver(origin, seq, payload_len, DeliveryPath::Tree);
+                    // Data implies the origin is a member (free cache feed).
+                    self.cache.observe(origin, hops);
                 }
                 Upcall::MemberObserved { member, hops } => {
-                    if member != self.maodv.id() {
-                        self.cache.observe(member, hops, api.now());
+                    if member != maodv.id() {
+                        self.cache.observe(member, hops);
                     }
                 }
                 Upcall::ExtNeighbor { from, msg } => match msg {
-                    AgMsg::Request(r) => self.handle_walking_request(api, from, r),
+                    AgMsg::Request(r) => self.handle_walking_request(maodv, api, from, r),
                     AgMsg::Reply(rep) => self.handle_reply(api, rep, 1),
                 },
-                Upcall::ExtRouted { src, hops, msg } => match msg {
-                    AgMsg::Request(r) => {
-                        // Cached gossip addressed to us: always accept.
-                        let _ = src;
-                        self.metrics.requests_accepted += 1;
-                        self.cache.observe(r.initiator, hops, api.now());
-                        self.answer_request(api, &r);
-                    }
+                Upcall::ExtRouted { hops, msg, .. } => match msg {
+                    // Cached gossip addressed to us: always accept.
+                    AgMsg::Request(r) => self.accept_request(maodv, api, &r, hops),
                     AgMsg::Reply(rep) => self.handle_reply(api, rep, hops),
                 },
                 Upcall::JoinedTree | Upcall::BecameLeader => {}
@@ -273,10 +270,10 @@ impl AnonymousGossip {
 
     // ───────────────────────── gossip rounds ─────────────────────────
 
-    fn build_request(&self, hops: u8, ttl: u8) -> GossipRequest {
+    fn build_request(&self, maodv: &Maodv<AgMsg>, hops: u8, ttl: u8) -> GossipRequest {
         GossipRequest {
-            group: self.maodv.group(),
-            initiator: self.maodv.id(),
+            group: maodv.group(),
+            initiator: maodv.id(),
             lost: self.lost.lost_buffer(self.cfg.lost_buffer_max),
             expected: self.lost.expected_vec(),
             hops,
@@ -286,37 +283,29 @@ impl AnonymousGossip {
 
     /// One §4 gossip round: anonymous with probability `p_anon`, cached
     /// otherwise; each falls back to the other when impossible.
-    fn gossip_round<C: MaodvCtx<AgMsg>>(&mut self, api: &mut C) {
-        if !self.maodv.is_member() {
+    fn gossip_round<C: MaodvCtx<AgMsg>>(&mut self, maodv: &mut Maodv<AgMsg>, api: &mut C) {
+        if !maodv.is_member() {
             return;
         }
         let want_anon = api.chance(self.cfg.p_anon);
         let anon_target = {
             self.cand_scratch.clear();
-            self.cand_scratch.extend(
-                self.maodv
-                    .mrt()
-                    .enabled()
-                    .map(|h| (h.node, h.nearest_member)),
-            );
+            self.cand_scratch
+                .extend(maodv.mrt().enabled().map(|h| (h.node, h.nearest_member)));
             weighted_pick(&self.cand_scratch, self.cfg.locality_weighting, api)
         };
-        let cached_target = {
-            let me = self.maodv.id();
-            self.cache.pick_via(me, |n| api.pick_index(n))
-        };
-        let req = self.build_request(0, self.cfg.gossip_ttl);
+        let cached_target = self.cache.pick_via(maodv.id(), |n| api.pick_index(n));
+        let req = self.build_request(maodv, 0, self.cfg.gossip_ttl);
         match (want_anon, anon_target, cached_target) {
             (true, Some(next), _) | (false, Some(next), None) => {
                 self.metrics.rounds_anonymous += 1;
-                self.maodv.send_ext_neighbor(api, next, AgMsg::request(req));
+                maodv.send_ext_neighbor(api, next, AgMsg::request(req));
                 api.count("ag.request_anon_sent");
             }
             (false, _, Some(entry)) | (true, None, Some(entry)) => {
                 self.metrics.rounds_cached += 1;
                 self.cache.record_gossip(entry.node, api.now());
-                self.maodv
-                    .send_ext_routed(api, entry.node, AgMsg::request(req));
+                maodv.send_ext_routed(api, entry.node, AgMsg::request(req));
                 api.count("ag.request_cached_sent");
             }
             (_, None, None) => {
@@ -329,25 +318,22 @@ impl AnonymousGossip {
     /// A request walking the tree arrived from `from` (§4.1 step flow).
     fn handle_walking_request<C: MaodvCtx<AgMsg>>(
         &mut self,
+        maodv: &mut Maodv<AgMsg>,
         api: &mut C,
         from: NodeId,
         r: Arc<GossipRequest>,
     ) {
-        if r.initiator == self.maodv.id() {
+        if r.initiator == maodv.id() {
             // The walk came back around; nothing useful to do.
             self.metrics.requests_dropped += 1;
             return;
         }
         // Record the reverse path: this is what lets the eventual
         // accepting member unicast its reply without route discovery.
-        self.maodv
-            .note_route(api.now(), r.initiator, from, r.hops.saturating_add(1));
-        let accept = self.maodv.is_member() && api.chance(self.cfg.p_accept);
+        maodv.note_route(api.now(), r.initiator, from, r.hops.saturating_add(1));
+        let accept = maodv.is_member() && api.chance(self.cfg.p_accept);
         if accept {
-            self.metrics.requests_accepted += 1;
-            self.cache
-                .observe(r.initiator, r.hops.saturating_add(1), api.now());
-            self.answer_request(api, &r);
+            self.accept_request(maodv, api, &r, r.hops.saturating_add(1));
             return;
         }
         // Propagate to a random next hop other than the sender, biased
@@ -358,7 +344,7 @@ impl AnonymousGossip {
             let initiator = r.initiator;
             self.cand_scratch.clear();
             self.cand_scratch.extend(
-                self.maodv
+                maodv
                     .mrt()
                     .enabled()
                     .filter(|h| h.node != from && h.node != initiator)
@@ -376,15 +362,11 @@ impl AnonymousGossip {
                 let mut body = Arc::try_unwrap(r).unwrap_or_else(|shared| (*shared).clone());
                 body.hops = body.hops.saturating_add(1);
                 body.ttl -= 1;
-                self.maodv
-                    .send_ext_neighbor(api, next, AgMsg::Request(Arc::new(body)));
+                maodv.send_ext_neighbor(api, next, AgMsg::Request(Arc::new(body)));
             }
-            None if self.maodv.is_member() => {
+            None if maodv.is_member() => {
                 // Nowhere to go: accept rather than waste the walk.
-                self.metrics.requests_accepted += 1;
-                self.cache
-                    .observe(r.initiator, r.hops.saturating_add(1), api.now());
-                self.answer_request(api, &r);
+                self.accept_request(maodv, api, &r, r.hops.saturating_add(1));
             }
             None => {
                 self.metrics.requests_dropped += 1;
@@ -393,9 +375,19 @@ impl AnonymousGossip {
         }
     }
 
-    /// §4.4 pull: look up everything the initiator asked for (plus tail
-    /// recovery past its expected sequence numbers) and unicast it back.
-    fn answer_request<C: MaodvCtx<AgMsg>>(&mut self, api: &mut C, r: &GossipRequest) {
+    /// Accepts a request that reached us over `hops` hops: its initiator
+    /// is a member worth caching, and the §4.4 pull answers it — look up
+    /// everything it asked for (plus tail recovery past its expected
+    /// sequence numbers) and unicast it back.
+    fn accept_request<C: MaodvCtx<AgMsg>>(
+        &mut self,
+        maodv: &mut Maodv<AgMsg>,
+        api: &mut C,
+        r: &GossipRequest,
+        hops: u8,
+    ) {
+        self.metrics.requests_accepted += 1;
+        self.cache.observe(r.initiator, hops);
         let packets = select_reply_packets(&self.history, r, &self.cfg);
         if packets.is_empty() {
             api.count("ag.reply_empty");
@@ -403,12 +395,13 @@ impl AnonymousGossip {
         }
         self.metrics.reply_packets_sent += packets.len() as u64;
         api.count_n("ag.reply_packets_sent", packets.len() as u64);
-        self.maodv.send_ext_routed(
+        let responder = maodv.id();
+        maodv.send_ext_routed(
             api,
             r.initiator,
             AgMsg::reply(GossipReply {
                 group: r.group,
-                responder: self.maodv.id(),
+                responder,
                 packets,
             }),
         );
@@ -417,16 +410,10 @@ impl AnonymousGossip {
     /// A gossip reply arrived: deliver anything new (this is the paper's
     /// loss recovery) and measure goodput.
     fn handle_reply<C: MaodvCtx<AgMsg>>(&mut self, api: &mut C, rep: Arc<GossipReply>, hops: u8) {
-        self.cache.observe(rep.responder, hops, api.now());
+        self.cache.observe(rep.responder, hops);
         for &p in &rep.packets {
             self.metrics.reply_packets_received += 1;
-            let new = self.deliver(
-                api.now(),
-                p.id.origin,
-                p.id.seq,
-                p.payload_len,
-                DeliveryPath::Gossip,
-            );
+            let new = self.deliver(p.id.origin, p.id.seq, p.payload_len, DeliveryPath::Gossip);
             if new {
                 self.metrics.reply_packets_useful += 1;
                 api.count("ag.recovered");
@@ -442,12 +429,12 @@ impl Protocol for AnonymousGossip {
 
     fn start<C: MaodvCtx<AgMsg>>(&mut self, api: &mut C) {
         self.maodv.start(api);
+        let Gossip { cfg, traffic, .. } = &self.gossip;
         if self.maodv.is_member() {
-            let jitter =
-                SimDuration::from_nanos(api.jitter(self.cfg.gossip_interval.as_nanos().max(1)));
-            api.set_timer(self.cfg.gossip_interval + jitter, TIMER_GOSSIP);
+            let jitter = SimDuration::from_nanos(api.jitter(cfg.gossip_interval.as_nanos().max(1)));
+            api.set_timer(cfg.gossip_interval + jitter, TIMER_GOSSIP);
         }
-        if let Some(t) = self.traffic {
+        if let Some(t) = traffic {
             api.set_timer(t.start.duration_since(SimTime::ZERO), TIMER_TRAFFIC);
         }
     }
@@ -459,56 +446,42 @@ impl Protocol for AnonymousGossip {
         msg: Self::Msg,
         rx: RxKind,
     ) {
-        // Taking the buffer out of `self` is safe because the upcall
-        // handlers never re-enter these engine callbacks.
-        let mut up = std::mem::take(&mut self.up_scratch);
-        debug_assert!(up.is_empty(), "upcall scratch handed back dirty");
-        self.maodv.on_packet(api, from, msg, rx, &mut up);
-        self.process_upcalls(api, &mut up);
-        self.up_scratch = up;
+        let AnonymousGossip { maodv, up, gossip } = self;
+        maodv.on_packet(api, from, msg, rx, up);
+        gossip.process_upcalls(maodv, api, up);
     }
 
     fn prefetch(&self, from: NodeId, msg: &Self::Msg) {
         self.maodv.prefetch(from, msg);
-        // `on_packet` opens by taking this buffer out of `self`.
-        std::hint::black_box(self.up_scratch.capacity());
+        // `on_packet` hands this buffer to MAODV first.
+        std::hint::black_box(self.up.capacity());
     }
 
     fn on_timer<C: MaodvCtx<AgMsg>>(&mut self, api: &mut C, key: TimerKey) {
-        let mut up = std::mem::take(&mut self.up_scratch);
-        debug_assert!(up.is_empty(), "upcall scratch handed back dirty");
-        if self.maodv.on_timer(api, key, &mut up) {
-            self.process_upcalls(api, &mut up);
-            self.up_scratch = up;
-            return;
-        }
-        match key {
-            TIMER_GOSSIP => {
-                self.gossip_round(api);
-                api.set_timer(self.cfg.gossip_interval, TIMER_GOSSIP);
-            }
-            TIMER_TRAFFIC => {
-                if let Some(t) = self.traffic {
-                    if api.now() <= t.end {
-                        let seq = self.maodv.send_data(api, t.payload_len);
-                        let me = self.maodv.id();
-                        self.deliver(api.now(), me, seq, t.payload_len, DeliveryPath::Tree);
-                        api.set_timer(t.interval, TIMER_TRAFFIC);
+        let AnonymousGossip { maodv, up, gossip } = self;
+        if !maodv.on_timer(api, key, up) {
+            match key {
+                TIMER_GOSSIP => {
+                    gossip.gossip_round(maodv, api);
+                    api.set_timer(gossip.cfg.gossip_interval, TIMER_GOSSIP);
+                }
+                TIMER_TRAFFIC => {
+                    if let Some(t) = gossip.traffic {
+                        if api.now() <= t.end {
+                            let seq = maodv.send_data(api, t.payload_len);
+                            gossip.deliver(maodv.id(), seq, t.payload_len, DeliveryPath::Tree);
+                            api.set_timer(t.interval, TIMER_TRAFFIC);
+                        }
                     }
                 }
+                _ => {}
             }
-            _ => {}
         }
-        self.process_upcalls(api, &mut up);
-        self.up_scratch = up;
+        gossip.process_upcalls(maodv, api, up);
     }
 
     fn on_send_failure<C: MaodvCtx<AgMsg>>(&mut self, api: &mut C, to: NodeId, msg: Self::Msg) {
-        let mut up = std::mem::take(&mut self.up_scratch);
-        debug_assert!(up.is_empty(), "upcall scratch handed back dirty");
-        self.maodv.on_send_failure(api, to, msg, &mut up);
-        self.process_upcalls(api, &mut up);
-        self.up_scratch = up;
+        self.maodv.on_send_failure(api, to, msg);
     }
 }
 

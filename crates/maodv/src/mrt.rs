@@ -9,7 +9,10 @@
 //! * an **upstream** flag — the next hop toward the group leader;
 //! * the **nearest_member** distance — hops from *this node* to the
 //!   nearest group member reachable through that next hop. This is the
-//!   field Anonymous Gossip's locality-weighted propagation reads.
+//!   field Anonymous Gossip's locality-weighted propagation reads;
+//! * the value last **advertised** to that next hop, so an update goes
+//!   out only when it changed (§4.2) and removing the next hop forgets
+//!   what it was told.
 //!
 //! The propagation rule is split-horizon min-plus-one: the value this
 //! node advertises *to* next hop `H` is
@@ -33,6 +36,9 @@ pub struct NextHop {
     /// Hops from this node to the nearest member through this next hop;
     /// saturates at the table's infinity value when unknown.
     pub nearest_member: u8,
+    /// The `nearest_member` value last advertised *to* this neighbour;
+    /// `None` until the first advertisement.
+    advertised: Option<u8>,
 }
 
 /// The per-group multicast routing state of one node.
@@ -102,6 +108,7 @@ impl MulticastRouteTable {
                 enabled: false,
                 upstream: false,
                 nearest_member: self.infinity,
+                advertised: None,
             });
             self.next_hops.last_mut().expect("just pushed")
         }
@@ -138,11 +145,6 @@ impl MulticastRouteTable {
         let before = self.next_hops.len();
         self.next_hops.retain(|h| h.node != node);
         before != self.next_hops.len()
-    }
-
-    /// Drops all next-hop entries (partition reset).
-    pub fn clear_next_hops(&mut self) {
-        self.next_hops.clear();
     }
 
     /// Iterator over enabled (activated) next hops, in insertion order.
@@ -189,26 +191,35 @@ impl MulticastRouteTable {
         best.saturating_add(1).min(self.infinity)
     }
 
-    /// The advertisement vector: `(next hop, value)` for every enabled
-    /// next hop. The caller diffs this against what it last sent and
-    /// unicasts only the changes (§4.2: "sent only if different").
-    pub fn advertisements(&self, self_is_member: bool) -> Vec<(NodeId, u8)> {
-        self.enabled()
-            .map(|h| {
-                (
-                    h.node,
-                    self.advertised_nearest_member(h.node, self_is_member),
-                )
-            })
-            .collect()
+    /// Records and returns the value to advertise to next hop `to` now,
+    /// changed or not (the exchange that opens a freshly activated edge).
+    pub(crate) fn advertise_to(&mut self, to: NodeId, self_is_member: bool) -> u8 {
+        let value = self.advertised_nearest_member(to, self_is_member);
+        if let Some(h) = self.next_hops.iter_mut().find(|h| h.node == to) {
+            h.advertised = Some(value);
+        }
+        value
     }
 
-    /// Distance to the nearest member through *any* enabled next hop.
-    pub fn nearest_member_any(&self) -> u8 {
-        self.enabled()
-            .map(|h| h.nearest_member)
-            .min()
-            .unwrap_or(self.infinity)
+    /// Calls `send(next hop, value)` for every enabled next hop whose
+    /// advertisement differs from the one it was last sent, and records
+    /// the new value (§4.2: "sent only if different").
+    pub(crate) fn advertise_changes(
+        &mut self,
+        self_is_member: bool,
+        mut send: impl FnMut(NodeId, u8),
+    ) {
+        for i in 0..self.next_hops.len() {
+            let h = self.next_hops[i];
+            if !h.enabled {
+                continue;
+            }
+            let value = self.advertised_nearest_member(h.node, self_is_member);
+            if h.advertised != Some(value) {
+                self.next_hops[i].advertised = Some(value);
+                send(h.node, value);
+            }
+        }
     }
 }
 
@@ -258,15 +269,22 @@ mod tests {
     }
 
     #[test]
-    fn remove_and_clear() {
+    fn remove_forgets_the_entry() {
         let mut m = table();
         m.enable_next_hop(id(1), false);
         m.enable_next_hop(id(2), false);
         assert!(m.remove_next_hop(id(1)));
         assert!(!m.remove_next_hop(id(1)));
         assert_eq!(m.enabled_count(), 1);
-        m.clear_next_hops();
-        assert_eq!(m.all().len(), 0);
+        // What a next hop was told goes with it: told once, nothing to
+        // resend; removed and re-enabled, it is told again.
+        assert_eq!(m.advertise_to(id(2), true), 1);
+        m.advertise_changes(true, |to, _| panic!("unchanged, yet resent to {to:?}"));
+        m.remove_next_hop(id(2));
+        m.enable_next_hop(id(2), false);
+        let mut sent = Vec::new();
+        m.advertise_changes(true, |to, value| sent.push((to, value)));
+        assert_eq!(sent, [(id(2), 1)]);
     }
 
     /// The paper's Figure 1: members {A,C,D,H,I,J}, routers {B,E,F,G}.
@@ -285,7 +303,6 @@ mod tests {
         assert_eq!(e.advertised_nearest_member(d, false), 3); // 1 + min(3, 2)
         assert_eq!(e.advertised_nearest_member(f, false), 2); // 1 + min(1, 2)
         assert_eq!(e.advertised_nearest_member(b, false), 2); // 1 + min(1, 3)
-        assert_eq!(e.nearest_member_any(), 1);
     }
 
     /// §4.2's worked example: D has next hops {B, C, E} with values
@@ -301,8 +318,7 @@ mod tests {
         d.set_nearest_member(b, 4);
         d.set_nearest_member(c, 2);
         d.set_nearest_member(e, 7);
-        let ads = d.advertisements(false);
-        let get = |n: NodeId| ads.iter().find(|(h, _)| *h == n).unwrap().1;
+        let get = |n: NodeId| d.advertised_nearest_member(n, false);
         assert_eq!(get(b), 1 + 2); // 1 + min(c, e) = 1 + min(2, 7)
         assert_eq!(get(c), 1 + 4); // 1 + min(b, e) = 1 + min(4, 7)
         assert_eq!(get(e), 1 + 2); // 1 + min(b, c) = 1 + min(4, 2)
@@ -360,9 +376,10 @@ mod tests {
         for _ in 0..6 {
             let mut changed = false;
             for i in 0..4usize {
-                for (to, val) in tables[i].advertisements(member[i]) {
-                    let j = to.index();
-                    changed |= tables[j].set_nearest_member(ids[i], val);
+                let mut sent = Vec::new();
+                tables[i].advertise_changes(member[i], |to, val| sent.push((to, val)));
+                for (to, val) in sent {
+                    changed |= tables[to.index()].set_nearest_member(ids[i], val);
                 }
             }
             if !changed {

@@ -153,9 +153,6 @@ pub struct Maodv<X: Message> {
     rreq_seen: SeenCache<(NodeId, u32)>,
     data_seen: SeenCache<(NodeId, u32)>,
     grph_seen: SeenCache<(NodeId, u32)>,
-    /// Last `nearest_member` value advertised to each neighbour (§4.2:
-    /// send only on change).
-    nm_sent: HashMap<NodeId, u8>,
     /// Best join-RREP already forwarded per (origin, rreq_id): suppresses
     /// worse duplicates of the reply flood.
     forwarded_rreps: HashMap<(NodeId, u32), (u32, u8)>,
@@ -208,7 +205,6 @@ impl<X: Message> Maodv<X> {
             rreq_seen: SeenCache::new(cfg.rreq_seen_capacity),
             data_seen: SeenCache::new(cfg.data_seen_capacity),
             grph_seen: SeenCache::new(cfg.rreq_seen_capacity),
-            nm_sent: HashMap::default(),
             forwarded_rreps: HashMap::default(),
             join_started: false,
             last_tree_grph: None,
@@ -391,8 +387,7 @@ impl<X: Message> Maodv<X> {
         let now = api.now();
         self.neighbors.heard(from, now);
         // Any frame gives us a 1-hop route to the sender.
-        let expires = now + self.cfg.active_route_timeout;
-        self.rt.update_keeping_seq(from, from, 1, expires, now);
+        self.learn_route(now, from, from, 1);
         match msg {
             MaodvMsg::Hello => {}
             MaodvMsg::Rreq(r) => self.handle_rreq(api, from, r),
@@ -412,13 +407,7 @@ impl<X: Message> Maodv<X> {
 
     /// Handles a MAC-level unicast failure (retry limit exhausted): the
     /// primary link-break detector.
-    pub fn on_send_failure<C: MaodvCtx<X>>(
-        &mut self,
-        api: &mut C,
-        to: NodeId,
-        msg: MaodvMsg<X>,
-        up: &mut Vec<Upcall<X>>,
-    ) {
+    pub fn on_send_failure<C: MaodvCtx<X>>(&mut self, api: &mut C, to: NodeId, msg: MaodvMsg<X>) {
         api.count("maodv.send_failure");
         self.neighbors.forget(to);
         self.rt.invalidate_via(to);
@@ -428,7 +417,7 @@ impl<X: Message> Maodv<X> {
         }
         let was_tree_edge = self.mrt.next_hop(to).is_some_and(|h| h.enabled);
         if was_tree_edge {
-            self.handle_tree_break(api, to, up);
+            self.handle_tree_break(api, to);
         }
     }
 
@@ -493,8 +482,7 @@ impl<X: Message> Maodv<X> {
                 }
             }
             None => {
-                let rreq_id = self.fresh_rreq_id();
-                self.node_seq += 1;
+                let rreq_id = self.flood_unicast_rreq(api, dest);
                 self.discoveries.insert(
                     dest,
                     Discovery {
@@ -504,7 +492,6 @@ impl<X: Message> Maodv<X> {
                         buffer: vec![payload],
                     },
                 );
-                self.broadcast_unicast_rreq(api, dest, rreq_id);
             }
         }
     }
@@ -513,42 +500,49 @@ impl<X: Message> Maodv<X> {
     /// walk records the path back to its initiator this way, which is why
     /// gossip replies need no fresh discovery (§4.1).
     pub fn note_route(&mut self, now: SimTime, dest: NodeId, via: NodeId, hops: u8) {
-        if dest == self.id {
-            return;
+        if dest != self.id {
+            self.learn_route(now, dest, via, hops);
         }
+    }
+
+    /// Installs or refreshes the route to `dest` through `via`, keeping
+    /// whatever sequence number is already known for it.
+    fn learn_route(&mut self, now: SimTime, dest: NodeId, via: NodeId, hops: u8) {
         let expires = now + self.cfg.active_route_timeout;
         self.rt.update_keeping_seq(dest, via, hops, expires, now);
     }
 
-    /// Leaves the group (paper §3: leaf members prune; non-leaf members
-    /// keep routing but stop being members).
-    pub fn leave_group<C: MaodvCtx<X>>(&mut self, api: &mut C) {
-        self.is_member = false;
-        self.leaf_prune_check(api);
-        self.propagate_nearest_member(api);
-    }
-
     // ───────────────────────── internals ─────────────────────────
 
-    /// Queues a flood frame for rebroadcast after a small random delay
+    /// Queues a flood frame's relay copy — `copy(hop_count + 1, ttl - 1)`,
+    /// if the TTL allows one — for rebroadcast after a small random delay
     /// (0–10 ms). Synchronized flood relays from mutually hidden nodes
     /// would otherwise collide at the nodes between them *every* round —
     /// the classic broadcast-storm pathology jitter exists to break.
-    fn schedule_relay<C: MaodvCtx<X>>(&mut self, api: &mut C, msg: MaodvMsg<X>) {
-        self.relay_queue.push_back(msg);
+    fn schedule_relay<C: MaodvCtx<X>>(
+        &mut self,
+        api: &mut C,
+        hop_count: u8,
+        ttl: u8,
+        copy: impl FnOnce(u8, u8) -> MaodvMsg<X>,
+    ) {
+        if ttl <= 1 {
+            return;
+        }
+        self.relay_queue
+            .push_back(copy(hop_count.saturating_add(1), ttl - 1));
         let delay = SimDuration::from_micros(api.jitter(10_000));
         api.set_timer(delay, TIMER_RELAY);
     }
 
-    fn fresh_rreq_id(&mut self) -> u32 {
-        self.next_rreq_id += 1;
-        self.next_rreq_id
-    }
-
     fn start_join<C: MaodvCtx<X>>(&mut self, api: &mut C, repair: Option<u8>) {
         self.join_started = true;
-        let rreq_id = self.fresh_rreq_id();
-        self.node_seq += 1;
+        api.count(if repair.is_some() {
+            "maodv.repair_rreq"
+        } else {
+            "maodv.join_rreq"
+        });
+        let rreq_id = self.flood_join_rreq(api, repair);
         self.join = Some(JoinAttempt {
             rreq_id,
             sent_at: api.now(),
@@ -556,12 +550,21 @@ impl<X: Message> Maodv<X> {
             repair,
             candidates: Vec::new(),
         });
-        self.rreq_seen.insert((self.id, rreq_id));
-        api.count(if repair.is_some() {
-            "maodv.repair_rreq"
-        } else {
-            "maodv.join_rreq"
-        });
+    }
+
+    /// The id of a new route request of our own, under a new sequence
+    /// number and already marked seen.
+    fn fresh_rreq_id(&mut self) -> u32 {
+        self.next_rreq_id += 1;
+        self.node_seq += 1;
+        self.rreq_seen.insert((self.id, self.next_rreq_id));
+        self.next_rreq_id
+    }
+
+    /// Floods a new join (or, with `repair`, tree-repair) RREQ and
+    /// returns its id.
+    fn flood_join_rreq<C: MaodvCtx<X>>(&mut self, api: &mut C, repair: Option<u8>) -> u32 {
+        let rreq_id = self.fresh_rreq_id();
         api.broadcast(MaodvMsg::Rreq(RreqPayload {
             origin: self.id,
             origin_seq: self.node_seq,
@@ -574,10 +577,12 @@ impl<X: Message> Maodv<X> {
             join: true,
             repair_hops: repair,
         }));
+        rreq_id
     }
 
-    fn broadcast_unicast_rreq<C: MaodvCtx<X>>(&mut self, api: &mut C, dest: NodeId, rreq_id: u32) {
-        self.rreq_seen.insert((self.id, rreq_id));
+    /// Floods a new unicast route discovery for `dest` and returns its id.
+    fn flood_unicast_rreq<C: MaodvCtx<X>>(&mut self, api: &mut C, dest: NodeId) -> u32 {
+        let rreq_id = self.fresh_rreq_id();
         api.count("maodv.unicast_rreq");
         api.broadcast(MaodvMsg::Rreq(RreqPayload {
             origin: self.id,
@@ -591,6 +596,18 @@ impl<X: Message> Maodv<X> {
             join: false,
             repair_hops: None,
         }));
+        rreq_id
+    }
+
+    /// A MACT of ours for the group (`rreq_id` is unused by prunes).
+    fn mact(&self, kind: MactKind, origin: NodeId, rreq_id: u32) -> MaodvMsg<X> {
+        MaodvMsg::Mact(MactPayload {
+            group: self.group,
+            kind,
+            origin,
+            rreq_id,
+            sender_is_member: self.is_member,
+        })
     }
 
     fn become_leader<C: MaodvCtx<X>>(&mut self, api: &mut C, up: &mut Vec<Upcall<X>>) {
@@ -613,17 +630,8 @@ impl<X: Message> Maodv<X> {
                 // Best-effort prune so a *spurious* break (hellos lost to
                 // collisions, neighbour actually fine) cannot leave the
                 // tree edge dangling on one side only.
-                api.send(
-                    dead,
-                    MaodvMsg::Mact(MactPayload {
-                        group: self.group,
-                        kind: MactKind::Prune,
-                        origin: self.id,
-                        rreq_id: 0,
-                        sender_is_member: self.is_member,
-                    }),
-                );
-                self.handle_tree_break(api, dead, up);
+                api.send(dead, self.mact(MactKind::Prune, self.id, 0));
+                self.handle_tree_break(api, dead);
             }
         }
         // 2. Join/repair progress.
@@ -634,23 +642,8 @@ impl<X: Message> Maodv<X> {
                 } else if j.retries < self.cfg.rreq_retries {
                     j.retries += 1;
                     j.sent_at = now;
-                    let rreq_id = self.fresh_rreq_id();
-                    j.rreq_id = rreq_id;
-                    self.node_seq += 1;
-                    self.rreq_seen.insert((self.id, rreq_id));
                     api.count("maodv.join_rreq_retry");
-                    api.broadcast(MaodvMsg::Rreq(RreqPayload {
-                        origin: self.id,
-                        origin_seq: self.node_seq,
-                        rreq_id,
-                        dest: self.id,
-                        group: Some(self.group),
-                        known_seq: self.mrt.group_seq,
-                        hop_count: 0,
-                        ttl: self.cfg.flood_ttl,
-                        join: true,
-                        repair_hops: j.repair,
-                    }));
+                    j.rreq_id = self.flood_join_rreq(api, j.repair);
                     self.join = Some(j);
                 } else {
                     // Nobody answered: we are partitioned (or first).
@@ -704,14 +697,12 @@ impl<X: Message> Maodv<X> {
         to_retry.sort();
         to_fail.sort();
         for dest in to_retry {
-            let rreq_id = self.fresh_rreq_id();
-            self.node_seq += 1;
+            let rreq_id = self.flood_unicast_rreq(api, dest);
             if let Some(d) = self.discoveries.get_mut(&dest) {
                 d.retries += 1;
                 d.sent_at = now;
                 d.rreq_id = rreq_id;
             }
-            self.broadcast_unicast_rreq(api, dest, rreq_id);
         }
         for dest in to_fail {
             if let Some(d) = self.discoveries.remove(&dest) {
@@ -748,18 +739,8 @@ impl<X: Message> Maodv<X> {
         // upstream's subtree will run its own orphan repair).
         if let Some(old) = self.mrt.upstream() {
             if old != best.via {
-                api.send(
-                    old,
-                    MaodvMsg::Mact(MactPayload {
-                        group: self.group,
-                        kind: MactKind::Prune,
-                        origin: self.id,
-                        rreq_id: 0,
-                        sender_is_member: self.is_member,
-                    }),
-                );
+                api.send(old, self.mact(MactKind::Prune, self.id, 0));
                 self.mrt.remove_next_hop(old);
-                self.nm_sent.remove(&old);
             }
         }
         self.mrt.enable_next_hop(best.via, false);
@@ -768,16 +749,7 @@ impl<X: Message> Maodv<X> {
         self.mrt.hops_to_leader = best.leader_hops.saturating_add(best.hops_to_tree);
         // Optimistic grace: a tree GRPH should arrive within one round.
         self.last_tree_grph = Some(api.now());
-        api.send(
-            best.via,
-            MaodvMsg::Mact(MactPayload {
-                group: self.group,
-                kind: MactKind::Join,
-                origin: self.id,
-                rreq_id,
-                sender_is_member: self.is_member,
-            }),
-        );
+        api.send(best.via, self.mact(MactKind::Join, self.id, rreq_id));
         self.exchange_nearest_member(api, best.via);
         up.push(Upcall::JoinedTree);
         api.count("maodv.mact_sent");
@@ -800,6 +772,19 @@ impl<X: Message> Maodv<X> {
         if !self.rreq_seen.insert((r.origin, r.rreq_id)) {
             return;
         }
+        // What every reply of ours to this request says; each case below
+        // fills in what it answers with.
+        let reply = RrepPayload {
+            origin: r.origin,
+            rreq_id: r.rreq_id,
+            responder: self.id,
+            dest: self.id,
+            group: None,
+            seq: 0,
+            hop_count: 0,
+            leader_hops: 0,
+            responder_is_member: self.is_member,
+        };
         if r.join {
             // Only nodes with a *proven* live path to the leader answer;
             // this is what keeps a repairing/merging node from grafting
@@ -817,15 +802,10 @@ impl<X: Message> Maodv<X> {
                 api.send(
                     from,
                     MaodvMsg::Rrep(RrepPayload {
-                        origin: r.origin,
-                        rreq_id: r.rreq_id,
-                        responder: self.id,
-                        dest: self.id,
                         group: Some(self.group),
                         seq: self.mrt.group_seq,
-                        hop_count: 0,
                         leader_hops: self.mrt.hops_to_leader,
-                        responder_is_member: self.is_member,
+                        ..reply
                     }),
                 );
                 return;
@@ -834,20 +814,8 @@ impl<X: Message> Maodv<X> {
             if r.dest == self.id {
                 self.node_seq = self.node_seq.max(r.known_seq);
                 api.count("maodv.unicast_rrep_sent");
-                api.send(
-                    from,
-                    MaodvMsg::Rrep(RrepPayload {
-                        origin: r.origin,
-                        rreq_id: r.rreq_id,
-                        responder: self.id,
-                        dest: self.id,
-                        group: None,
-                        seq: self.node_seq,
-                        hop_count: 0,
-                        leader_hops: 0,
-                        responder_is_member: self.is_member,
-                    }),
-                );
+                let seq = self.node_seq;
+                api.send(from, MaodvMsg::Rrep(RrepPayload { seq, ..reply }));
                 return;
             }
             if let Some(route) = self.rt.lookup(r.dest, now) {
@@ -856,15 +824,11 @@ impl<X: Message> Maodv<X> {
                     api.send(
                         from,
                         MaodvMsg::Rrep(RrepPayload {
-                            origin: r.origin,
-                            rreq_id: r.rreq_id,
-                            responder: self.id,
                             dest: r.dest,
-                            group: None,
                             seq: route.seq,
                             hop_count: route.hops,
-                            leader_hops: 0,
                             responder_is_member: false,
+                            ..reply
                         }),
                     );
                     return;
@@ -872,16 +836,13 @@ impl<X: Message> Maodv<X> {
             }
         }
         // Rebroadcast the flood (jittered; see schedule_relay).
-        if r.ttl > 1 {
-            self.schedule_relay(
-                api,
-                MaodvMsg::Rreq(RreqPayload {
-                    hop_count: r.hop_count.saturating_add(1),
-                    ttl: r.ttl - 1,
-                    ..r
-                }),
-            );
-        }
+        self.schedule_relay(api, r.hop_count, r.ttl, |hop_count, ttl| {
+            MaodvMsg::Rreq(RreqPayload {
+                hop_count,
+                ttl,
+                ..r
+            })
+        });
     }
 
     fn handle_rrep<C: MaodvCtx<X>>(
@@ -1003,7 +964,6 @@ impl<X: Message> Maodv<X> {
                 api.count("maodv.prune_received");
                 let was_upstream = self.mrt.upstream() == Some(from);
                 self.mrt.remove_next_hop(from);
-                self.nm_sent.remove(&from);
                 self.propagate_nearest_member(api);
                 if was_upstream && !self.is_leader && self.on_tree() && self.join.is_none() {
                     // Our upstream cut us off: repair downstream-initiated,
@@ -1028,16 +988,7 @@ impl<X: Message> Maodv<X> {
                         self.mrt.group_seq = self.mrt.group_seq.max(p.group_seq);
                         self.mrt.hops_to_leader = p.leader_hops.saturating_add(p.hops_to_tree);
                         self.last_tree_grph = Some(api.now());
-                        api.send(
-                            p.upstream,
-                            MaodvMsg::Mact(MactPayload {
-                                group: self.group,
-                                kind: MactKind::Join,
-                                origin: m.origin,
-                                rreq_id: m.rreq_id,
-                                sender_is_member: self.is_member,
-                            }),
-                        );
+                        api.send(p.upstream, self.mact(MactKind::Join, m.origin, m.rreq_id));
                         self.exchange_nearest_member(api, p.upstream);
                         up.push(Upcall::JoinedTree);
                     }
@@ -1079,16 +1030,17 @@ impl<X: Message> Maodv<X> {
             // Freshness only; leader/hops adoption is the tree copy's job.
             self.mrt.group_seq = self.mrt.group_seq.max(g.group_seq);
         }
-        if g.ttl > 1 {
-            self.schedule_relay(
-                api,
-                MaodvMsg::Grph(GrphPayload {
-                    hop_count: g.hop_count.saturating_add(1),
-                    ttl: g.ttl - 1,
-                    ..g
-                }),
-            );
-        }
+        self.relay_grph(api, g);
+    }
+
+    fn relay_grph<C: MaodvCtx<X>>(&mut self, api: &mut C, g: GrphPayload) {
+        self.schedule_relay(api, g.hop_count, g.ttl, |hop_count, ttl| {
+            MaodvMsg::Grph(GrphPayload {
+                hop_count,
+                ttl,
+                ..g
+            })
+        });
     }
 
     /// A tree-scoped GRPH: adopt and relay downward only when it arrives
@@ -1109,15 +1061,8 @@ impl<X: Message> Maodv<X> {
         self.mrt.hops_to_leader = g.hop_count.saturating_add(1);
         self.last_tree_grph = Some(api.now());
         api.count("maodv.tree_grph_adopted");
-        if g.ttl > 1 && self.mrt.enabled().any(|h| h.node != from) {
-            self.schedule_relay(
-                api,
-                MaodvMsg::Grph(GrphPayload {
-                    hop_count: g.hop_count.saturating_add(1),
-                    ttl: g.ttl - 1,
-                    ..g
-                }),
-            );
+        if self.mrt.enabled().any(|h| h.node != from) {
+            self.relay_grph(api, g);
         }
     }
 
@@ -1133,13 +1078,7 @@ impl<X: Message> Maodv<X> {
         }
         let now = api.now();
         // Free reverse route toward the origin (used by gossip replies).
-        self.rt.update_keeping_seq(
-            d.origin,
-            from,
-            d.hops.saturating_add(1),
-            now + self.cfg.active_route_timeout,
-            now,
-        );
+        self.learn_route(now, d.origin, from, d.hops.saturating_add(1));
         // Tree discipline: accept only over an activated tree edge.
         if !self.mrt.next_hop(from).is_some_and(|h| h.enabled) {
             api.count("maodv.data_non_tree_ignored");
@@ -1181,13 +1120,7 @@ impl<X: Message> Maodv<X> {
     ) {
         let now = api.now();
         // The routed frame teaches us the way back to its source.
-        self.rt.update_keeping_seq(
-            r.src,
-            from,
-            r.hops.saturating_add(1),
-            now + self.cfg.active_route_timeout,
-            now,
-        );
+        self.learn_route(now, r.src, from, r.hops.saturating_add(1));
         if r.dest == self.id {
             up.push(Upcall::ExtRouted {
                 src: r.src,
@@ -1216,15 +1149,9 @@ impl<X: Message> Maodv<X> {
         );
     }
 
-    fn handle_tree_break<C: MaodvCtx<X>>(
-        &mut self,
-        api: &mut C,
-        neighbor: NodeId,
-        up: &mut Vec<Upcall<X>>,
-    ) {
+    fn handle_tree_break<C: MaodvCtx<X>>(&mut self, api: &mut C, neighbor: NodeId) {
         let was_upstream = self.mrt.upstream() == Some(neighbor);
         self.mrt.remove_next_hop(neighbor);
-        self.nm_sent.remove(&neighbor);
         self.propagate_nearest_member(api);
         api.count("maodv.tree_link_break");
         if was_upstream && !self.is_leader {
@@ -1238,7 +1165,6 @@ impl<X: Message> Maodv<X> {
             // Upstream side of the break: prune ourselves if now useless.
             self.leaf_prune_check(api);
         }
-        let _ = up;
     }
 
     /// A non-member router whose tree degree fell to one is a useless
@@ -1250,50 +1176,101 @@ impl<X: Message> Maodv<X> {
         if self.mrt.enabled_count() == 1 {
             let last = self.mrt.enabled().next().expect("count checked").node;
             api.count("maodv.prune_sent");
-            api.send(
-                last,
-                MaodvMsg::Mact(MactPayload {
-                    group: self.group,
-                    kind: MactKind::Prune,
-                    origin: self.id,
-                    rreq_id: 0,
-                    sender_is_member: false,
-                }),
-            );
+            api.send(last, self.mact(MactKind::Prune, self.id, 0));
             self.mrt.remove_next_hop(last);
-            self.nm_sent.remove(&last);
         }
     }
 
     /// Sends our advertised `nearest_member` value to a newly activated
     /// neighbour (bootstraps the exchange in both directions).
     fn exchange_nearest_member<C: MaodvCtx<X>>(&mut self, api: &mut C, to: NodeId) {
-        let value = self.mrt.advertised_nearest_member(to, self.is_member);
-        self.nm_sent.insert(to, value);
-        api.send(
-            to,
-            MaodvMsg::NmUpdate {
-                group: self.group,
-                value,
-            },
-        );
+        let (group, value) = (self.group, self.mrt.advertise_to(to, self.is_member));
+        api.send(to, MaodvMsg::NmUpdate { group, value });
     }
 
     /// Sends `nearest_member` advertisements to every enabled next hop
     /// whose value changed since last sent (§4.2).
     fn propagate_nearest_member<C: MaodvCtx<X>>(&mut self, api: &mut C) {
-        for (to, value) in self.mrt.advertisements(self.is_member) {
-            if self.nm_sent.get(&to) != Some(&value) {
-                self.nm_sent.insert(to, value);
-                api.send(
-                    to,
-                    MaodvMsg::NmUpdate {
-                        group: self.group,
-                        value,
-                    },
-                );
-                api.count("maodv.nm_update_sent");
-            }
+        let group = self.group;
+        self.mrt.advertise_changes(self.is_member, |to, value| {
+            api.send(to, MaodvMsg::NmUpdate { group, value });
+            api.count("maodv.nm_update_sent");
+        });
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::NoExt;
+
+    /// Records unicasts; every other effect is swallowed and every draw
+    /// is zero.
+    #[derive(Debug, Default)]
+    struct SendLog(Vec<(NodeId, MaodvMsg<NoExt>)>);
+
+    impl ProtoCtx<MaodvMsg<NoExt>> for SendLog {
+        fn now(&self) -> SimTime {
+            SimTime::ZERO
+        }
+        fn id(&self) -> NodeId {
+            NodeId::new(0)
+        }
+        fn node_count(&self) -> usize {
+            2
+        }
+        fn send(&mut self, dest: NodeId, msg: MaodvMsg<NoExt>) {
+            self.0.push((dest, msg));
+        }
+        fn broadcast(&mut self, _msg: MaodvMsg<NoExt>) {}
+        fn set_timer(&mut self, _delay: SimDuration, _key: TimerKey) {}
+        fn count(&mut self, _name: &'static str) {}
+        fn count_n(&mut self, _name: &'static str, _n: u64) {}
+        fn jitter(&mut self, _bound: u64) -> u64 {
+            0
+        }
+        fn chance(&mut self, _p: f64) -> bool {
+            false
+        }
+        fn pick_index(&mut self, _n: usize) -> usize {
+            0
+        }
+        fn pick_weighted<F: Fn(usize) -> f64>(&mut self, _n: usize, _weight: F) -> usize {
+            0
+        }
+    }
+
+    /// A tree neighbour that prunes itself and grafts again is told our
+    /// `nearest_member` afresh — exactly once per graft: removing the
+    /// next hop forgot what it had been told.
+    #[test]
+    fn regrafted_neighbour_is_sent_a_fresh_nm_update() {
+        let group = GroupId(0);
+        let neighbour = NodeId::new(1);
+        let mut node =
+            Maodv::<NoExt>::new(MaodvConfig::paper_default(), NodeId::new(0), group, true);
+        let mact = |kind| {
+            MaodvMsg::Mact(MactPayload {
+                group,
+                kind,
+                origin: neighbour,
+                rreq_id: 1,
+                sender_is_member: false,
+            })
+        };
+        let mut up = Vec::new();
+        for kind in [MactKind::Join, MactKind::Prune, MactKind::Join] {
+            let mut api = SendLog::default();
+            node.on_packet(&mut api, neighbour, mact(kind), RxKind::Unicast, &mut up);
+            let expect = match kind {
+                MactKind::Join => vec![(neighbour, MaodvMsg::NmUpdate { group, value: 1 })],
+                MactKind::Prune => vec![],
+            };
+            assert_eq!(api.0, expect, "{kind:?}");
+            assert_eq!(
+                node.mrt().next_hop(neighbour).is_some(),
+                kind == MactKind::Join
+            );
         }
     }
 }

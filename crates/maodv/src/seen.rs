@@ -1,15 +1,129 @@
-//! A bounded FIFO duplicate-suppression cache.
+//! The bounded FIFO keyed table every duplicate-suppression window and
+//! every §4.4 buffer is built on.
 //!
-//! Used for RREQ flood ids, data `(origin, seq)` pairs and GRPH rounds.
-//! The capacity only needs to exceed the in-flight window, not the run
-//! length; eviction is strict FIFO which is deterministic and cheap.
+//! [`SeenCache`] (RREQ flood ids, data `(origin, seq)` pairs, GRPH
+//! rounds, ODMRP's query/reply/data windows) is the table with no
+//! values; `ag-core`'s history table and lost table are the same table
+//! keyed by packet id. The capacity only needs to exceed the in-flight
+//! window, not the run length; eviction is strict FIFO, which is
+//! deterministic and cheap.
 
 use std::collections::VecDeque;
-
-use ag_sim::hash::DetHashSet as HashSet;
 use std::hash::Hash;
 
-/// Bounded set remembering the most recently inserted keys.
+use ag_sim::hash::DetHashMap as HashMap;
+
+/// Bounded map remembering the most recently inserted keys: a hash
+/// index for membership plus an insertion-order queue, evicting the
+/// oldest key when a new one arrives at capacity.
+///
+/// `capacity` bounds eviction, not allocation: storage starts empty and
+/// grows on demand. A metropolis run builds millions of these and most
+/// nodes never see enough distinct keys to fill one, so preallocating
+/// `capacity` slots would dominate per-node memory (it used to cost
+/// ~40 KiB/node). Iteration goes through the queue, never the index, so
+/// the index's bucket count cannot influence behaviour.
+///
+/// # Example
+///
+/// ```
+/// use ag_maodv::seen::FifoTable;
+/// let mut t = FifoTable::new(2);
+/// assert!(t.push("a", 1));
+/// assert!(!t.push("a", 9)); // already present: kept as it was
+/// assert!(t.push("b", 2));
+/// assert!(t.push("c", 3)); // evicts "a", the oldest
+/// assert_eq!(t.get(&"a"), None);
+/// assert_eq!(t.remove(&"b"), Some(2));
+/// assert_eq!(t.keys().collect::<Vec<_>>(), [&"c"]);
+/// ```
+#[derive(Debug, Clone)]
+pub struct FifoTable<K: Ord, V> {
+    map: HashMap<K, V>,
+    order: VecDeque<K>,
+    capacity: usize,
+}
+
+impl<K: Ord + Hash + Clone, V> FifoTable<K, V> {
+    /// Creates a table remembering up to `capacity` keys.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `capacity` is zero.
+    pub fn new(capacity: usize) -> Self {
+        assert!(capacity > 0, "bounded table needs capacity");
+        FifoTable {
+            map: HashMap::default(),
+            order: VecDeque::new(),
+            capacity,
+        }
+    }
+
+    /// Stores `value` under `key` unless the key is already present
+    /// (then nothing changes); evicts the oldest key when full. Returns
+    /// `true` if the key was new. A duplicate costs one probe and never
+    /// reserves.
+    pub fn push(&mut self, key: K, value: V) -> bool {
+        if self.map.contains_key(&key) {
+            return false;
+        }
+        if self.order.len() >= self.capacity {
+            if let Some(old) = self.order.pop_front() {
+                self.map.remove(&old);
+            }
+        }
+        self.map.insert(key.clone(), value);
+        self.order.push_back(key);
+        true
+    }
+
+    /// The value stored under `key`.
+    pub fn get(&self, key: &K) -> Option<&V> {
+        self.map.get(key)
+    }
+
+    /// `true` if `key` is currently remembered.
+    pub fn contains(&self, key: &K) -> bool {
+        self.map.contains_key(key)
+    }
+
+    /// Forgets `key`, returning its value; the remaining keys keep their
+    /// order.
+    pub fn remove(&mut self, key: &K) -> Option<V> {
+        let value = self.map.remove(key)?;
+        if let Some(i) = self.order.iter().position(|k| k == key) {
+            self.order.remove(i);
+        }
+        Some(value)
+    }
+
+    /// The remembered keys, oldest first.
+    pub fn keys(&self) -> impl DoubleEndedIterator<Item = &K> {
+        self.order.iter()
+    }
+
+    /// The stored values, oldest first.
+    pub fn values(&self) -> impl Iterator<Item = &V> {
+        self.order.iter().filter_map(|k| self.map.get(k))
+    }
+
+    /// Number of remembered keys.
+    pub fn len(&self) -> usize {
+        self.map.len()
+    }
+
+    /// `true` if nothing is remembered.
+    pub fn is_empty(&self) -> bool {
+        self.map.is_empty()
+    }
+
+    /// The most keys the table remembers at once.
+    pub fn capacity(&self) -> usize {
+        self.capacity
+    }
+}
+
+/// Bounded duplicate-suppression set: a [`FifoTable`] with no values.
 ///
 /// # Example
 ///
@@ -22,63 +136,12 @@ use std::hash::Hash;
 /// assert!(s.insert(3)); // evicts 1
 /// assert!(s.insert(1));
 /// ```
-#[derive(Debug, Clone)]
-pub struct SeenCache<K: Ord> {
-    set: HashSet<K>,
-    order: VecDeque<K>,
-    capacity: usize,
-}
+pub type SeenCache<K> = FifoTable<K, ()>;
 
-impl<K: Ord + Hash + Clone> SeenCache<K> {
-    /// Creates a cache remembering up to `capacity` keys.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "seen cache needs capacity");
-        // `capacity` bounds eviction, not allocation: storage starts
-        // empty and grows on demand. A metropolis run builds millions
-        // of these caches and most nodes never relay enough distinct
-        // keys to fill one, so preallocating `capacity` slots would
-        // dominate per-node memory (it used to cost ~40 KiB/node).
-        // The set is membership-only (never iterated), so its bucket
-        // count cannot influence behaviour.
-        SeenCache {
-            set: HashSet::default(),
-            order: VecDeque::new(),
-            capacity,
-        }
-    }
-
+impl<K: Ord + Hash + Clone> FifoTable<K, ()> {
     /// Inserts `key`; returns `true` if it was *not* already present.
     pub fn insert(&mut self, key: K) -> bool {
-        if self.set.contains(&key) {
-            return false;
-        }
-        if self.order.len() >= self.capacity {
-            if let Some(old) = self.order.pop_front() {
-                self.set.remove(&old);
-            }
-        }
-        self.set.insert(key.clone());
-        self.order.push_back(key);
-        true
-    }
-
-    /// `true` if `key` is currently remembered.
-    pub fn contains(&self, key: &K) -> bool {
-        self.set.contains(key)
-    }
-
-    /// Number of remembered keys.
-    pub fn len(&self) -> usize {
-        self.set.len()
-    }
-
-    /// `true` if nothing is remembered.
-    pub fn is_empty(&self) -> bool {
-        self.set.is_empty()
+        self.push(key, ())
     }
 }
 
@@ -117,6 +180,43 @@ mod tests {
     }
 
     proptest! {
+        /// The table against a plain oldest-first `Vec<(K, V)>` over
+        /// random push / get / remove sequences, capacity 1 included:
+        /// bounded, evicts strictly the oldest, `remove` keeps the
+        /// survivors' order, and an evicted key is new again.
+        #[test]
+        fn prop_matches_vec_model(
+            ops in prop::collection::vec((0u8..3, 0u8..10, 0u16..1000), 0..200),
+            cap in 1usize..6,
+        ) {
+            let mut t = FifoTable::new(cap);
+            let mut model: Vec<(u8, u16)> = Vec::new();
+            for (op, k, v) in ops {
+                let at = model.iter().position(|e| e.0 == k);
+                match op {
+                    0 => {
+                        if at.is_none() {
+                            if model.len() == cap {
+                                model.remove(0);
+                            }
+                            model.push((k, v));
+                        }
+                        prop_assert_eq!(t.push(k, v), at.is_none());
+                    }
+                    1 => prop_assert_eq!(t.get(&k), at.map(|i| &model[i].1)),
+                    _ => prop_assert_eq!(t.remove(&k), at.map(|i| model.remove(i).1)),
+                }
+                prop_assert!(t.len() <= cap);
+                prop_assert_eq!(t.len(), model.len());
+                prop_assert_eq!(t.is_empty(), model.is_empty());
+                prop_assert_eq!(t.contains(&k), model.iter().any(|e| e.0 == k));
+                let keys: Vec<u8> = t.keys().copied().collect();
+                let values: Vec<u16> = t.values().copied().collect();
+                prop_assert_eq!(keys, model.iter().map(|e| e.0).collect::<Vec<_>>());
+                prop_assert_eq!(values, model.iter().map(|e| e.1).collect::<Vec<_>>());
+            }
+        }
+
         /// Size never exceeds capacity and set/order stay consistent.
         #[test]
         fn prop_bounded(keys in prop::collection::vec(0u16..50, 0..300), cap in 1usize..16) {
