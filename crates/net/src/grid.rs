@@ -148,22 +148,97 @@ fn segment_touches_cell(a: Vec2, b: Vec2, cell_idx: Cell, cell: f64, pad: f64) -
     true
 }
 
+/// Row-major buckets over the axis-aligned bounding box of every cell
+/// touched so far — the storage under both [`NodeGrid`] and
+/// [`AirIndex`]. A cell lookup is pure index arithmetic (a hashed
+/// lookup per cell dominated query cost in profiles), and every bucket
+/// in the box exists, with a capacity floor, from the moment the box
+/// grows: a lazy map kept *creating* buckets in steady state, one rare
+/// allocation per never-before-used cell, for as long as mobility kept
+/// finding new cells. Mobility models are field-clamped, so the box
+/// converges to the field's extent shortly after start-up; an
+/// out-of-box touch triggers a rare O(cells) regrow.
+#[derive(Debug)]
+struct CellBox<T> {
+    /// The `dims.0 × dims.1` cells at `origin`, row-major.
+    buckets: Vec<Vec<T>>,
+    origin: Cell,
+    dims: (i64, i64),
+}
+
+impl<T> CellBox<T> {
+    /// The one-cell box at the origin, its bucket holding `floor` items
+    /// before it reallocates.
+    fn new(floor: usize) -> Self {
+        CellBox {
+            buckets: vec![Vec::with_capacity(floor)],
+            origin: (0, 0),
+            dims: (1, 1),
+        }
+    }
+
+    /// Row-major index of cell `c`, or `None` outside the box.
+    #[inline]
+    fn slot(&self, c: Cell) -> Option<usize> {
+        let dx = c.0.wrapping_sub(self.origin.0);
+        let dy = c.1.wrapping_sub(self.origin.1);
+        if dx < 0 || dy < 0 || dx >= self.dims.0 || dy >= self.dims.1 {
+            None
+        } else {
+            Some((dy * self.dims.0 + dx) as usize)
+        }
+    }
+
+    /// The bucket of cell `c`, which must lie inside the box.
+    #[inline]
+    fn bucket_mut(&mut self, c: Cell) -> &mut Vec<T> {
+        let slot = self.slot(c).expect("cell outside the grid box");
+        &mut self.buckets[slot]
+    }
+
+    /// Grows the box to cover `lo..=hi`, preserving contents. `floor`
+    /// maps the new cell count to the capacity each bucket gets at
+    /// least: occupied buckets move over and are topped up to it, the
+    /// rest start afresh with exactly it — an emptied bucket's old
+    /// capacity was sized for a smaller box's higher occupancy, and
+    /// keeping it cost `city_20k` 3 % of its peak RSS.
+    fn grow_to(&mut self, lo: Cell, hi: Cell, floor: impl Fn(usize) -> usize) {
+        let new_origin = (lo.0.min(self.origin.0), lo.1.min(self.origin.1));
+        let new_max = (
+            hi.0.max(self.origin.0 + self.dims.0 - 1),
+            hi.1.max(self.origin.1 + self.dims.1 - 1),
+        );
+        let new_dims = (new_max.0 - new_origin.0 + 1, new_max.1 - new_origin.1 + 1);
+        let floor = floor((new_dims.0 * new_dims.1) as usize);
+        let mut buckets: Vec<Vec<T>> = (0..new_dims.0 * new_dims.1)
+            .map(|_| Vec::with_capacity(floor))
+            .collect();
+        for dy in 0..self.dims.1 {
+            for dx in 0..self.dims.0 {
+                let old = &mut self.buckets[(dy * self.dims.0 + dx) as usize];
+                if !old.is_empty() {
+                    let mut moved = std::mem::take(old);
+                    if moved.capacity() < floor {
+                        moved.reserve(floor - moved.len());
+                    }
+                    let nx = self.origin.0 + dx - new_origin.0;
+                    let ny = self.origin.1 + dy - new_origin.1;
+                    buckets[(ny * new_dims.0 + nx) as usize] = moved;
+                }
+            }
+        }
+        self.buckets = buckets;
+        self.origin = new_origin;
+        self.dims = new_dims;
+    }
+}
+
 /// Spatial index over nodes: each node is bucketed under every cell its
 /// current mobility leg can touch, and rebucketed at leg transitions.
-///
-/// Buckets live in a dense row-major array covering the axis-aligned
-/// bounding box of every cell ever touched; a cell lookup is pure index
-/// arithmetic (a hashed lookup per cell dominated query cost in
-/// profiles). Mobility models are field-clamped, so the box converges
-/// to the field's extent after the first few updates; an out-of-bounds
-/// touch triggers a rare O(cells) regrow.
 #[derive(Debug)]
 pub(crate) struct NodeGrid {
     cell: f64,
-    /// Row-major buckets for the `dims.0 × dims.1` cell box at `origin`.
-    buckets: Vec<Vec<u32>>,
-    origin: Cell,
-    dims: (i64, i64),
+    cells: CellBox<u32>,
     /// Each node's currently bucketed segment, as flat struct-of-arrays
     /// storage (two `Vec2`s per node — no per-node heap block). The
     /// occupied cells are *recomputed* from the segment on removal with
@@ -174,8 +249,6 @@ pub(crate) struct NodeGrid {
     /// Whether the node currently occupies any buckets ([`NodeGrid::
     /// remove_node`] detaches churned-down nodes until re-attached).
     attached: Vec<bool>,
-    /// Total nodes, for sizing fresh bucket capacity floors.
-    nodes: usize,
 }
 
 impl NodeGrid {
@@ -184,12 +257,9 @@ impl NodeGrid {
         assert!(cell > 0.0 && cell.is_finite(), "invalid grid cell {cell}");
         NodeGrid {
             cell,
-            buckets: vec![Vec::new()],
-            origin: (0, 0),
-            dims: (1, 1),
+            cells: CellBox::new(0),
             node_seg: vec![(Vec2::new(0.0, 0.0), Vec2::new(0.0, 0.0)); n],
             attached: vec![false; n],
-            nodes: n,
         }
     }
 
@@ -205,71 +275,39 @@ impl NodeGrid {
         (16 * (2 * n).div_ceil(cells.max(1)) + 8).min(n)
     }
 
-    #[inline]
-    fn slot(&self, c: Cell) -> Option<usize> {
-        let dx = c.0.wrapping_sub(self.origin.0);
-        let dy = c.1.wrapping_sub(self.origin.1);
-        if dx < 0 || dy < 0 || dx >= self.dims.0 || dy >= self.dims.1 {
-            None
-        } else {
-            Some((dy * self.dims.0 + dx) as usize)
-        }
-    }
-
-    /// Grows the dense box to cover `lo..=hi`, preserving contents.
-    fn grow_to(&mut self, lo: Cell, hi: Cell) {
-        let new_origin = (lo.0.min(self.origin.0), lo.1.min(self.origin.1));
-        let new_max = (
-            hi.0.max(self.origin.0 + self.dims.0 - 1),
-            hi.1.max(self.origin.1 + self.dims.1 - 1),
-        );
-        let new_dims = (new_max.0 - new_origin.0 + 1, new_max.1 - new_origin.1 + 1);
-        let floor = Self::floor_for(self.nodes, (new_dims.0 * new_dims.1) as usize);
-        let mut buckets: Vec<Vec<u32>> = (0..new_dims.0 * new_dims.1)
-            .map(|_| Vec::with_capacity(floor))
-            .collect();
-        for dy in 0..self.dims.1 {
-            for dx in 0..self.dims.0 {
-                let old = &mut self.buckets[(dy * self.dims.0 + dx) as usize];
-                if !old.is_empty() {
-                    let nx = self.origin.0 + dx - new_origin.0;
-                    let ny = self.origin.1 + dy - new_origin.1;
-                    let mut moved = std::mem::take(old);
-                    if moved.capacity() < floor {
-                        moved.reserve(floor - moved.len());
-                    }
-                    buckets[(ny * new_dims.0 + nx) as usize] = moved;
+    /// Calls `f` on the bucket of every cell in `lo..=hi` that the
+    /// pad-dilated segment `a`→`b` touches: the one clip-walk insertion
+    /// and removal share, so bit-identical floats in give an identical
+    /// cell set out and every insertion is found again.
+    fn for_touched(
+        &mut self,
+        (a, b): (Vec2, Vec2),
+        (lo, hi): (Cell, Cell),
+        mut f: impl FnMut(&mut Vec<u32>),
+    ) {
+        for cx in lo.0..=hi.0 {
+            for cy in lo.1..=hi.1 {
+                if segment_touches_cell(a, b, (cx, cy), self.cell, GRID_PAD) {
+                    f(self.cells.bucket_mut((cx, cy)));
                 }
             }
         }
-        self.buckets = buckets;
-        self.origin = new_origin;
-        self.dims = new_dims;
     }
 
     /// Detaches `node` from every cell it occupies (radio churn: a down
     /// node must not appear in any disk query; re-attach by calling
-    /// [`NodeGrid::update_segment`] again) by re-running the bucketing
-    /// clip over its stored segment — bit-identical floats in,
-    /// identical cell set out, so every insertion is found.
+    /// [`NodeGrid::update_segment`] again).
     pub fn remove_node(&mut self, node: usize) {
         if !self.attached[node] {
             return;
         }
         self.attached[node] = false;
         let (a, b) = self.node_seg[node];
-        let (lo, hi) = segment_cells(a, b, self.cell);
-        for cx in lo.0..=hi.0 {
-            for cy in lo.1..=hi.1 {
-                if segment_touches_cell(a, b, (cx, cy), self.cell, GRID_PAD) {
-                    let slot = self.slot((cx, cy)).expect("occupied cell outside grid box");
-                    let v = &mut self.buckets[slot];
-                    if let Some(i) = v.iter().position(|&id| id as usize == node) {
-                        v.swap_remove(i);
-                    }
-                }
+        self.for_touched((a, b), segment_cells(a, b, self.cell), |v| {
+            if let Some(i) = v.iter().position(|&id| id as usize == node) {
+                v.swap_remove(i);
             }
-        }
+        });
     }
 
     /// Rebuckets `node` for the trajectory segment `a`→`b` (its next
@@ -279,17 +317,12 @@ impl NodeGrid {
     pub fn update_segment(&mut self, node: usize, a: Vec2, b: Vec2) {
         self.remove_node(node);
         let (lo, hi) = segment_cells(a, b, self.cell);
-        if self.slot(lo).is_none() || self.slot(hi).is_none() {
-            self.grow_to(lo, hi);
+        if self.cells.slot(lo).is_none() || self.cells.slot(hi).is_none() {
+            let n = self.node_seg.len();
+            self.cells
+                .grow_to(lo, hi, |cells| Self::floor_for(n, cells));
         }
-        for cx in lo.0..=hi.0 {
-            for cy in lo.1..=hi.1 {
-                if segment_touches_cell(a, b, (cx, cy), self.cell, GRID_PAD) {
-                    let slot = self.slot((cx, cy)).expect("grid box just grown");
-                    self.buckets[slot].push(node as u32);
-                }
-            }
-        }
+        self.for_touched((a, b), (lo, hi), |v| v.push(node as u32));
         self.node_seg[node] = (a, b);
         self.attached[node] = true;
     }
@@ -302,12 +335,12 @@ impl NodeGrid {
         let (lo, hi) = disk_cells(center, r + GRID_PAD, self.cell);
         let r_sq = (r + GRID_PAD) * (r + GRID_PAD);
         // Clamp to the dense box: cells outside it are empty.
-        let x0 = lo.0.max(self.origin.0);
-        let x1 = hi.0.min(self.origin.0 + self.dims.0 - 1);
-        let y0 = lo.1.max(self.origin.1);
-        let y1 = hi.1.min(self.origin.1 + self.dims.1 - 1);
+        let x0 = lo.0.max(self.cells.origin.0);
+        let x1 = hi.0.min(self.cells.origin.0 + self.cells.dims.0 - 1);
+        let y0 = lo.1.max(self.cells.origin.1);
+        let y1 = hi.1.min(self.cells.origin.1 + self.cells.dims.1 - 1);
         for cy in y0..=y1 {
-            let row = (cy - self.origin.1) * self.dims.0 - self.origin.0;
+            let row = (cy - self.cells.origin.1) * self.cells.dims.0 - self.cells.origin.0;
             let ny = center
                 .y
                 .clamp(cy as f64 * self.cell, (cy + 1) as f64 * self.cell);
@@ -326,7 +359,7 @@ impl NodeGrid {
                 if (nx - center.x) * (nx - center.x) + dy_sq > r_sq {
                     continue;
                 }
-                out.extend_from_slice(&self.buckets[(row + cx) as usize]);
+                out.extend_from_slice(&self.cells.buckets[(row + cx) as usize]);
             }
         }
     }
@@ -364,78 +397,6 @@ struct AirRec {
 /// steady-state gate catches those).
 const AIR_BUCKET_FLOOR: usize = 8;
 
-/// The air index's cell grid: row-major buckets over the axis-aligned
-/// box of every cell transmitted from, like [`NodeGrid`]'s layout. A
-/// dense box beats the hash map it replaced twice over: cell lookups
-/// on the query path are pure index arithmetic, and every bucket in
-/// the box exists (with a capacity floor) from the moment the box
-/// grows — a lazy map kept *creating* buckets in steady state, one
-/// rare allocation per never-before-used sender cell, for as long as
-/// mobility kept finding new cells.
-#[derive(Debug)]
-struct AirGrid {
-    buckets: Vec<Vec<AirRec>>,
-    origin: Cell,
-    dims: (i64, i64),
-}
-
-impl AirGrid {
-    fn new() -> Self {
-        AirGrid {
-            buckets: vec![Vec::with_capacity(AIR_BUCKET_FLOOR)],
-            origin: (0, 0),
-            dims: (1, 1),
-        }
-    }
-
-    #[inline]
-    fn slot(&self, c: Cell) -> Option<usize> {
-        let dx = c.0.wrapping_sub(self.origin.0);
-        let dy = c.1.wrapping_sub(self.origin.1);
-        if dx < 0 || dy < 0 || dx >= self.dims.0 || dy >= self.dims.1 {
-            None
-        } else {
-            Some((dy * self.dims.0 + dx) as usize)
-        }
-    }
-
-    /// Grows the dense box to cover `c`, preserving bucket contents
-    /// and capacities. Rare: the box converges to the mobility field's
-    /// extent shortly after start-up.
-    fn grow_to(&mut self, c: Cell) {
-        let new_origin = (c.0.min(self.origin.0), c.1.min(self.origin.1));
-        let new_max = (
-            c.0.max(self.origin.0 + self.dims.0 - 1),
-            c.1.max(self.origin.1 + self.dims.1 - 1),
-        );
-        let new_dims = (new_max.0 - new_origin.0 + 1, new_max.1 - new_origin.1 + 1);
-        let mut buckets: Vec<Vec<AirRec>> = (0..new_dims.0 * new_dims.1)
-            .map(|_| Vec::with_capacity(AIR_BUCKET_FLOOR))
-            .collect();
-        for dy in 0..self.dims.1 {
-            for dx in 0..self.dims.0 {
-                let old = &mut self.buckets[(dy * self.dims.0 + dx) as usize];
-                let nx = self.origin.0 + dx - new_origin.0;
-                let ny = self.origin.1 + dy - new_origin.1;
-                buckets[(ny * new_dims.0 + nx) as usize] = std::mem::take(old);
-            }
-        }
-        self.buckets = buckets;
-        self.origin = new_origin;
-        self.dims = new_dims;
-    }
-
-    /// The bucket for `c`, growing the box if `c` falls outside it.
-    #[inline]
-    fn bucket_mut(&mut self, c: Cell) -> &mut Vec<AirRec> {
-        if self.slot(c).is_none() {
-            self.grow_to(c);
-        }
-        let s = self.slot(c).expect("air box just grown");
-        &mut self.buckets[s]
-    }
-}
-
 /// Every transmission currently relevant to the channel: a dense slab
 /// of records (plus each live transmission's sender and frame, held in
 /// a parallel vector so the scan path stays compact) and — when spatial
@@ -460,7 +421,7 @@ pub(crate) struct AirIndex<F> {
     /// bucket entries directly instead of resolving each id against the
     /// slab — that resolution would cost O(candidates × slab), worse
     /// than the linear scan the grid is supposed to beat.
-    grid: Option<AirGrid>,
+    grid: Option<CellBox<AirRec>>,
     cell: f64,
     /// Finished records awaiting pruning.
     done_count: usize,
@@ -487,7 +448,7 @@ impl<F> AirIndex<F> {
         AirIndex {
             recs: Vec::new(),
             frames: Vec::new(),
-            grid: spatial.then(AirGrid::new),
+            grid: spatial.then(|| CellBox::new(AIR_BUCKET_FLOOR)),
             cell,
             done_count: 0,
             live_count: 0,
@@ -528,6 +489,9 @@ impl<F> AirIndex<F> {
             live: true,
         };
         if let Some(grid) = &mut self.grid {
+            if grid.slot(cell).is_none() {
+                grid.grow_to(cell, cell, |_| AIR_BUCKET_FLOOR);
+            }
             grid.bucket_mut(cell).push(rec);
         }
         debug_assert!(!self.recs.iter().any(|r| r.id == id), "duplicate tx id");
@@ -790,6 +754,46 @@ mod tests {
         let p = Vec2::new(75.0, 75.0);
         assert!(segment_touches_cell(p, p, (1, 1), 50.0, GRID_PAD));
         assert!(!segment_touches_cell(p, p, (0, 0), 50.0, GRID_PAD));
+    }
+
+    #[test]
+    fn cell_box_grows_in_all_four_directions() {
+        let mut b: CellBox<u32> = CellBox::new(0);
+        b.bucket_mut((0, 0)).push(7);
+        // Right/up, then left/down; the floor shrinks as the box grows.
+        let floor = |cells: usize| 64 / cells;
+        for (n, (lo, hi)) in [((1, 0), (2, 3)), ((-2, -1), (-1, 0))]
+            .into_iter()
+            .enumerate()
+        {
+            assert_eq!(b.slot(lo), None);
+            assert_eq!(b.slot(hi), None);
+            b.grow_to(lo, hi, floor);
+            b.bucket_mut(lo).push(10 + n as u32);
+            b.bucket_mut(hi).push(20 + n as u32);
+        }
+        assert_eq!((b.origin, b.dims), ((-2, -1), (5, 5)));
+        assert_eq!(b.buckets.len(), 25);
+        for (c, want) in [((0, 0), 7), ((1, 0), 10), ((2, 3), 20), ((-2, -1), 11)] {
+            assert_eq!(b.bucket_mut(c), &[want], "contents of {c:?} lost");
+        }
+        // (-1, 0) came into the box with the second growth and took 21.
+        assert_eq!(b.bucket_mut((-1, 0)), &[21]);
+        assert_eq!(b.buckets.iter().map(Vec::len).sum::<usize>(), 5);
+        // Every bucket has room for the last growth's floor; occupied
+        // ones kept the larger capacity the first growth gave them.
+        assert!(b.buckets.iter().all(|v| v.capacity() >= 64 / 25));
+        assert!(b.bucket_mut((0, 0)).capacity() >= 64 / 12);
+        for outside in [
+            (-3, 0),
+            (3, 0),
+            (0, -2),
+            (0, 4),
+            (i64::MAX, 0),
+            (0, i64::MIN),
+        ] {
+            assert_eq!(b.slot(outside), None, "{outside:?}");
+        }
     }
 
     fn shot(start_s: u64, dur_ms: u64, x: f64) -> TxShot {
