@@ -15,8 +15,10 @@
 //! * [`NodeGrid`] indexes **nodes** by the cells their current mobility
 //!   leg can touch.
 //! * [`AirIndex`] owns every transmission record (live and recently
-//!   finished), keyed by id for `O(1)` `TxEnd` lookup, and indexes them
-//!   by the sender's (fixed) cell.
+//!   finished) in a slab kept in id order — a `TxEnd` finds its record
+//!   by binary search — and indexes them by the sender's (fixed) cell.
+//!
+//! Both keep their buckets in a [`CellBox`], the one dense cell array.
 //!
 //! # Cell sizing
 //!
@@ -69,8 +71,6 @@
 //! `(false)`, and a property test (`tests/differential.rs`) drives both
 //! over random scenarios and seeds asserting event-for-event identical
 //! behaviour.
-
-use std::collections::VecDeque;
 
 use ag_mobility::Vec2;
 use ag_sim::SimTime;
@@ -199,9 +199,9 @@ impl<T> CellBox<T> {
     /// Grows the box to cover `lo..=hi`, preserving contents. `floor`
     /// maps the new cell count to the capacity each bucket gets at
     /// least: occupied buckets move over and are topped up to it, the
-    /// rest start afresh with exactly it — an emptied bucket's old
-    /// capacity was sized for a smaller box's higher occupancy, and
-    /// keeping it cost `city_20k` 3 % of its peak RSS.
+    /// rest start afresh with exactly it. (An empty bucket's old
+    /// capacity was sized for a smaller box's higher occupancy; moving
+    /// those over too read +3 % `peak_rss_mb` on `city_20k`.)
     fn grow_to(&mut self, lo: Cell, hi: Cell, floor: impl Fn(usize) -> usize) {
         let new_origin = (lo.0.min(self.origin.0), lo.1.min(self.origin.1));
         let new_max = (
@@ -402,15 +402,16 @@ const AIR_BUCKET_FLOOR: usize = 8;
 /// a parallel vector so the scan path stays compact) and — when spatial
 /// indexing is on — a cell index over sender positions.
 ///
-/// Ids are assigned sequentially by the engine, so lookup by id is O(1)
-/// through a ring of slab slots indexed by `id - first_id`. The slab is
-/// kept tiny by *eager pruning* — after every `TxEnd`, any finished
-/// record whose airtime window ends at or before the earliest start
-/// among still-live transmissions can no longer overlap an in-flight
-/// reception and is dropped; with nothing in the air the slab empties
-/// entirely.
+/// The slab is its own id index: the engine hands out ascending ids and
+/// pruning compacts in place, so records stay in id order and lookup by
+/// id is a binary search. The slab is kept tiny by *eager pruning* —
+/// after every `TxEnd`, any finished record whose airtime window ends at
+/// or before the earliest start among still-live transmissions can no
+/// longer overlap an in-flight reception and is dropped; with nothing in
+/// the air the slab empties entirely.
 #[derive(Debug)]
 pub(crate) struct AirIndex<F> {
+    /// Ascending by id.
     recs: Vec<AirRec>,
     /// Parallel to `recs`: the sender/frame payload, `None` once
     /// finished.
@@ -430,15 +431,7 @@ pub(crate) struct AirIndex<F> {
     /// a guaranteed no — an O(1) answer for the idle-channel common
     /// case, skipping even the asker's position sample.
     live_count: usize,
-    /// Slab slot of id `first_id + i` at ring position `i`
-    /// ([`NO_SLOT`] once removed); the O(1) id→record key.
-    slot_ring: VecDeque<u32>,
-    /// The id at the ring's front.
-    first_id: u64,
 }
-
-/// Ring marker for an id whose record has been pruned.
-const NO_SLOT: u32 = u32::MAX;
 
 impl<F> AirIndex<F> {
     /// An empty index; `spatial` selects grid-backed queries, `cell` is
@@ -452,35 +445,23 @@ impl<F> AirIndex<F> {
             cell,
             done_count: 0,
             live_count: 0,
-            slot_ring: VecDeque::new(),
-            first_id: 0,
         }
     }
 
     /// Slab index of `id`, or `None` if unknown/pruned.
     #[inline]
     fn slot_of(&self, id: u64) -> Option<usize> {
-        let off = usize::try_from(id.checked_sub(self.first_id)?).ok()?;
-        match self.slot_ring.get(off) {
-            Some(&s) if s != NO_SLOT => Some(s as usize),
-            _ => None,
-        }
+        self.recs.binary_search_by_key(&id, |r| r.id).ok()
     }
 
     /// Registers a transmission going on the air, carrying its payload.
-    /// Ids must be assigned sequentially (the engine's monotone tx-id
-    /// counter guarantees this).
+    /// Ids must ascend (the engine's monotone tx-id counter guarantees
+    /// this).
     pub fn insert(&mut self, id: u64, shot: TxShot, frame: F) {
-        if self.recs.is_empty() {
-            self.slot_ring.clear();
-            self.first_id = id;
-        }
-        debug_assert_eq!(
-            id,
-            self.first_id + self.slot_ring.len() as u64,
-            "tx ids must be sequential"
+        debug_assert!(
+            self.recs.last().is_none_or(|r| r.id < id),
+            "tx ids must ascend"
         );
-        self.slot_ring.push_back(self.recs.len() as u32);
         let cell = cell_of(shot.pos, self.cell);
         let rec = AirRec {
             id,
@@ -494,7 +475,6 @@ impl<F> AirIndex<F> {
             }
             grid.bucket_mut(cell).push(rec);
         }
-        debug_assert!(!self.recs.iter().any(|r| r.id == id), "duplicate tx id");
         self.recs.push(rec);
         self.frames.push(Some(frame));
         self.live_count += 1;
@@ -619,8 +599,9 @@ impl<F> AirIndex<F> {
     }
 
     /// Eagerly drops finished transmissions whose airtime window can no
-    /// longer overlap any live transmission's reception. O(slab), and
-    /// the slab is small by construction.
+    /// longer overlap any live transmission's reception, compacting the
+    /// survivors in place (id order is kept). O(slab), and the slab is
+    /// small by construction.
     pub fn prune(&mut self) {
         if self.done_count == 0 {
             return;
@@ -631,22 +612,10 @@ impl<F> AirIndex<F> {
             .filter(|r| r.live)
             .map(|r| r.shot.start)
             .min();
-        let mut i = 0;
-        while i < self.recs.len() {
+        let mut kept = 0;
+        for i in 0..self.recs.len() {
             let r = self.recs[i];
             if !r.live && min_live_start.is_none_or(|m| r.shot.end <= m) {
-                self.recs.swap_remove(i);
-                self.frames.swap_remove(i);
-                self.done_count -= 1;
-                self.slot_ring[(r.id - self.first_id) as usize] = NO_SLOT;
-                if i < self.recs.len() {
-                    let moved = self.recs[i].id;
-                    self.slot_ring[(moved - self.first_id) as usize] = i as u32;
-                }
-                while self.slot_ring.front() == Some(&NO_SLOT) {
-                    self.slot_ring.pop_front();
-                    self.first_id += 1;
-                }
                 if let Some(grid) = &mut self.grid {
                     // Emptied buckets keep their capacity: senders are
                     // stationary per transmission, so the same cells
@@ -657,9 +626,18 @@ impl<F> AirIndex<F> {
                     }
                 }
             } else {
-                i += 1;
+                // A survivor ahead of the first dropped record stays
+                // put; rewriting it onto itself read +3 % `city_20k`.
+                if kept != i {
+                    self.recs[kept] = r;
+                    self.frames.swap(kept, i);
+                }
+                kept += 1;
             }
         }
+        self.done_count -= self.recs.len() - kept;
+        self.recs.truncate(kept);
+        self.frames.truncate(kept);
     }
 
     /// Number of records currently held (live + not-yet-pruned).
@@ -673,6 +651,7 @@ impl<F> AirIndex<F> {
 mod tests {
     use super::*;
     use ag_sim::SimDuration;
+    use proptest::prelude::*;
 
     fn sorted_query(g: &NodeGrid, c: Vec2, r: f64) -> Vec<u32> {
         let mut out = Vec::new();
@@ -882,6 +861,111 @@ mod tests {
             air.finish(3).unwrap();
             air.prune();
             assert_eq!(air.len(), 0, "spatial={spatial}");
+        }
+    }
+    /// The naive counterpart of one [`AirIndex`] record: same facts,
+    /// found by linear search.
+    #[derive(Debug, Clone, Copy)]
+    struct ModelRec {
+        id: u64,
+        shot: TxShot,
+        live: bool,
+    }
+
+    fn pos_bits(p: &Vec2) -> (u64, u64) {
+        (p.x.to_bits(), p.y.to_bits())
+    }
+
+    proptest! {
+        /// Random insert / finish / prune histories — ascending ids
+        /// with gaps, overlapping and nested airtimes, optionally one
+        /// long frame holding the slab's front while short ones behind
+        /// it finish (which also pushes the slab past
+        /// `AIR_LINEAR_CUTOVER`) — against a `Vec` of records with
+        /// linear lookups. `finish` only finds its record while `prune`
+        /// keeps the slab in id order.
+        #[test]
+        fn prop_air_index_matches_naive_model(
+            ops in prop::collection::vec((0u8..10, 0.0f64..600.0, 0.0f64..300.0, 1u64..4), 1..160),
+            spatial in 0u8..2,
+            hold_front in 0u8..2,
+        ) {
+            const RANGE: f64 = 75.0;
+            let mut air: AirIndex<u64> = AirIndex::new(RANGE, spatial == 1);
+            let mut model: Vec<ModelRec> = Vec::new();
+            let mut now = SimTime::from_secs(1);
+            let mut next_id = 0u64;
+            let mut most_held = 0;
+            for (n, &(kind, x, y, step)) in ops.iter().enumerate() {
+                let pos = Vec2::new(x, y);
+                now += SimDuration::from_micros(100 * step);
+                let earliest_end = model.iter().filter(|r| r.live).map(|r| r.shot.end).min();
+                if kind < 5 || earliest_end.is_none() {
+                    // Key up: a short frame, a long one, or the one
+                    // that outlasts the whole history.
+                    let airtime = match (n, kind) {
+                        (0, _) if hold_front == 1 => SimDuration::from_secs(60),
+                        (_, 0) => SimDuration::from_millis(20),
+                        _ => SimDuration::from_micros(300 * step),
+                    };
+                    next_id += step;
+                    let shot = TxShot { start: now, end: now + airtime, pos };
+                    air.insert(next_id, shot, next_id);
+                    model.push(ModelRec { id: next_id, shot, live: true });
+                } else if kind < 8 {
+                    // The next `TxEnd` due, as the engine would pop it.
+                    let end = earliest_end.expect("checked above");
+                    let m = model
+                        .iter_mut()
+                        .find(|r| r.live && r.shot.end == end)
+                        .expect("a live record ends then");
+                    m.live = false;
+                    let ModelRec { id, shot: want, .. } = *m;
+                    now = now.max(end);
+                    let (shot, frame) = air.finish(id).expect("live tx lost by the slab");
+                    prop_assert_eq!(frame, id);
+                    prop_assert_eq!((shot.start, shot.end, pos_bits(&shot.pos)),
+                                    (want.start, want.end, pos_bits(&want.pos)));
+                    air.prune();
+                    let min_live_start = model.iter().filter(|r| r.live).map(|r| r.shot.start).min();
+                    model.retain(|r| r.live || min_live_start.is_some_and(|s| r.shot.end > s));
+                    prop_assert_eq!(air.len(), model.len());
+                    if !model.iter().any(|r| r.id == id) {
+                        prop_assert!(air.finish(id).is_none(), "pruned id still found");
+                    }
+                }
+                most_held = most_held.max(air.len());
+                // Every query, every step.
+                let busy = model
+                    .iter()
+                    .filter(|r| r.live && r.shot.pos.distance_sq(pos) <= RANGE * RANGE)
+                    .map(|r| r.shot.end)
+                    .max();
+                prop_assert_eq!(air.busy_until(pos, RANGE), busy);
+                prop_assert_eq!(air.any_live(), model.iter().any(|r| r.live));
+                let probe = TxShot { start: now, end: now + SimDuration::from_millis(1), pos };
+                let exclude = model.first().map_or(0, |r| r.id);
+                let near_sq = (2.0 * RANGE) * (2.0 * RANGE) * (1.0 + 1e-9);
+                let mut want: Vec<_> = model
+                    .iter()
+                    .filter(|r| {
+                        r.id != exclude
+                            && r.shot.start < probe.end
+                            && probe.start < r.shot.end
+                            && r.shot.pos.distance_sq(pos) <= near_sq
+                    })
+                    .map(|r| pos_bits(&r.shot.pos))
+                    .collect();
+                let mut got = Vec::new();
+                air.collect_overlapping(exclude, &probe, RANGE, &mut got);
+                let mut got: Vec<_> = got.iter().map(pos_bits).collect();
+                want.sort_unstable();
+                got.sort_unstable();
+                prop_assert_eq!(got, want);
+            }
+            if hold_front == 1 && ops.len() > 4 * AIR_LINEAR_CUTOVER {
+                prop_assert!(most_held > AIR_LINEAR_CUTOVER, "grid path of busy_until never ran");
+            }
         }
     }
 }
