@@ -241,57 +241,6 @@ pub trait Mobility: std::fmt::Debug + Send {
     fn current_leg(&self) -> LegSample;
 }
 
-#[derive(Debug, Clone, Copy)]
-enum Leg {
-    Pausing {
-        at: Vec2,
-        until: SimTime,
-    },
-    Moving {
-        from: Vec2,
-        to: Vec2,
-        depart: SimTime,
-        arrive: SimTime,
-    },
-}
-
-impl Leg {
-    /// The leg as an analytic sample; [`Leg::position`] delegates to
-    /// [`LegSample::position_at`] so the two can never drift apart.
-    fn sample(&self) -> LegSample {
-        match *self {
-            Leg::Pausing { at, until } => LegSample {
-                from: at,
-                to: at,
-                depart: until,
-                arrive: until,
-            },
-            Leg::Moving {
-                from,
-                to,
-                depart,
-                arrive,
-            } => LegSample {
-                from,
-                to,
-                depart,
-                arrive,
-            },
-        }
-    }
-
-    fn position(&self, t: SimTime) -> Vec2 {
-        self.sample().position_at(t)
-    }
-
-    fn end(&self) -> SimTime {
-        match *self {
-            Leg::Pausing { until, .. } => until,
-            Leg::Moving { arrive, .. } => arrive,
-        }
-    }
-}
-
 /// The random-waypoint model (paper §5.1).
 ///
 /// The node repeats: pick a uniform destination, travel to it at a speed
@@ -314,7 +263,12 @@ pub struct RandomWaypoint {
     field: Field,
     speeds: SpeedRange,
     pauses: PauseRange,
-    leg: Leg,
+    /// The current move, or the pause at its end: a leg with
+    /// `from == to` whose `depart == arrive` is when the pause ends.
+    leg: LegSample,
+    /// Not `leg.is_static()`: a zero-length move is still followed by
+    /// its pause draw.
+    pausing: bool,
 }
 
 impl RandomWaypoint {
@@ -327,13 +281,7 @@ impl RandomWaypoint {
         rng: &mut R,
     ) -> Self {
         let start = field.sample_uniform(rng);
-        let leg = Self::new_move(field, speeds, start, SimTime::ZERO, rng);
-        RandomWaypoint {
-            field,
-            speeds,
-            pauses,
-            leg,
-        }
+        Self::from_point(field, speeds, pauses, start, rng)
     }
 
     /// Creates a node at an explicit starting point (useful in tests).
@@ -351,6 +299,7 @@ impl RandomWaypoint {
             speeds,
             pauses,
             leg,
+            pausing: false,
         }
     }
 
@@ -360,48 +309,45 @@ impl RandomWaypoint {
         from: Vec2,
         depart: SimTime,
         rng: &mut R,
-    ) -> Leg {
+    ) -> LegSample {
         let to = field.sample_uniform(rng);
         let speed = speeds.sample(rng);
         let dist = from.distance_to(to);
         let travel = SimDuration::from_secs_f64(dist / speed);
-        Leg::Moving {
-            from,
-            to,
-            depart,
-            arrive: depart.saturating_add(travel),
-        }
+        LegSample::moving(from, to, depart, depart.saturating_add(travel))
     }
 }
 
 impl Mobility for RandomWaypoint {
     fn position(&self, t: SimTime) -> Vec2 {
-        self.leg.position(t)
+        self.leg.position_at(t)
     }
 
     fn current_leg(&self) -> LegSample {
-        self.leg.sample()
+        self.leg
     }
 
     fn next_transition(&self) -> SimTime {
-        self.leg.end()
+        self.leg.arrive
     }
 
     fn transition(&mut self, now: SimTime, rng: &mut SmallRng) {
-        let here = self.leg.position(now);
-        self.leg = match self.leg {
-            Leg::Moving { .. } => {
-                let pause = self.pauses.sample(rng);
-                if pause.is_zero() {
-                    Self::new_move(self.field, self.speeds, here, now, rng)
-                } else {
-                    Leg::Pausing {
-                        at: here,
-                        until: now.saturating_add(pause),
-                    }
-                }
+        let here = self.leg.position_at(now);
+        let pause = if self.pausing {
+            SimDuration::ZERO
+        } else {
+            self.pauses.sample(rng)
+        };
+        self.pausing = !pause.is_zero();
+        self.leg = if self.pausing {
+            let until = now.saturating_add(pause);
+            LegSample {
+                depart: until,
+                arrive: until,
+                ..LegSample::fixed(here)
             }
-            Leg::Pausing { .. } => Self::new_move(self.field, self.speeds, here, now, rng),
+        } else {
+            Self::new_move(self.field, self.speeds, here, now, rng)
         };
     }
 }
@@ -416,7 +362,7 @@ pub struct RandomWalk {
     field: Field,
     speeds: SpeedRange,
     epoch: SimDuration,
-    leg: Leg,
+    leg: LegSample,
 }
 
 impl RandomWalk {
@@ -450,7 +396,7 @@ impl RandomWalk {
         from: Vec2,
         depart: SimTime,
         rng: &mut R,
-    ) -> Leg {
+    ) -> LegSample {
         let theta = rng.random_range(0.0..std::f64::consts::TAU);
         let speed = speeds.sample(rng);
         let reach = speed * epoch.as_secs_f64();
@@ -458,30 +404,25 @@ impl RandomWalk {
         let to = field.clamp(raw_to);
         let dist = from.distance_to(to);
         let travel = SimDuration::from_secs_f64(dist / speed);
-        Leg::Moving {
-            from,
-            to,
-            depart,
-            arrive: depart.saturating_add(travel),
-        }
+        LegSample::moving(from, to, depart, depart.saturating_add(travel))
     }
 }
 
 impl Mobility for RandomWalk {
     fn position(&self, t: SimTime) -> Vec2 {
-        self.leg.position(t)
+        self.leg.position_at(t)
     }
 
     fn current_leg(&self) -> LegSample {
-        self.leg.sample()
+        self.leg
     }
 
     fn next_transition(&self) -> SimTime {
-        self.leg.end()
+        self.leg.arrive
     }
 
     fn transition(&mut self, now: SimTime, rng: &mut SmallRng) {
-        let here = self.leg.position(now);
+        let here = self.leg.position_at(now);
         self.leg = Self::new_leg(self.field, self.speeds, self.epoch, here, now, rng);
     }
 }
@@ -635,6 +576,24 @@ mod tests {
         assert!(m.next_transition() > arrive);
         let p_mid = m.position(arrive + SimDuration::from_millis(1));
         assert!(Field::paper().contains(p_mid));
+    }
+
+    #[test]
+    fn zero_length_move_is_still_followed_by_its_pause() {
+        let p = Vec2::new(5.0, 5.0);
+        let mut m = RandomWaypoint {
+            field: Field::paper(),
+            speeds: SpeedRange::fixed(1.0),
+            pauses: PauseRange::uniform_secs(2.0, 2.0),
+            leg: LegSample::moving(p, p, SimTime::ZERO, SimTime::ZERO),
+            pausing: false,
+        };
+        // The move looks exactly like a pause that has just ended...
+        assert!(m.current_leg().is_static());
+        m.transition(SimTime::ZERO, &mut rng(11));
+        // ...but what follows it is the pause, not the next move.
+        assert_eq!(m.next_transition(), SimTime::from_secs(2));
+        assert_eq!(m.position(SimTime::from_secs(1)), p);
     }
 
     #[test]
