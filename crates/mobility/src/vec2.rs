@@ -37,34 +37,16 @@ impl Vec2 {
         self.x.hypot(self.y)
     }
 
-    /// Squared length (avoids the square root for comparisons).
-    pub fn length_sq(self) -> f64 {
-        self.x * self.x + self.y * self.y
-    }
-
     /// Euclidean distance to `other`.
     pub fn distance_to(self, other: Vec2) -> f64 {
         (self - other).length()
     }
 
-    /// Squared distance to `other`.
+    /// Squared distance to `other` (avoids the square root for
+    /// comparisons).
     pub fn distance_sq(self, other: Vec2) -> f64 {
-        (self - other).length_sq()
-    }
-
-    /// Dot product.
-    pub fn dot(self, other: Vec2) -> f64 {
-        self.x * other.x + self.y * other.y
-    }
-
-    /// Unit vector in this direction, or `None` for the zero vector.
-    pub fn normalized(self) -> Option<Vec2> {
-        let len = self.length();
-        if len == 0.0 {
-            None
-        } else {
-            Some(Vec2::new(self.x / len, self.y / len))
-        }
+        let d = self - other;
+        d.x * d.x + d.y * d.y
     }
 
     /// Linear interpolation: `self` at `t == 0`, `other` at `t == 1`.
@@ -135,7 +117,6 @@ mod tests {
     fn length_and_distance() {
         let v = Vec2::new(3.0, 4.0);
         assert_eq!(v.length(), 5.0);
-        assert_eq!(v.length_sq(), 25.0);
         assert_eq!(Vec2::ZERO.distance_to(v), 5.0);
         assert_eq!(Vec2::ZERO.distance_sq(v), 25.0);
     }
@@ -148,15 +129,6 @@ mod tests {
         assert_eq!(a - b, Vec2::new(-2.0, 3.0));
         assert_eq!(a * 2.0, Vec2::new(2.0, 4.0));
         assert_eq!(-a, Vec2::new(-1.0, -2.0));
-        assert_eq!(a.dot(b), 1.0);
-    }
-
-    #[test]
-    fn normalize() {
-        assert_eq!(Vec2::ZERO.normalized(), None);
-        let n = Vec2::new(0.0, 5.0).normalized().unwrap();
-        assert!((n.length() - 1.0).abs() < 1e-12);
-        assert_eq!(n, Vec2::new(0.0, 1.0));
     }
 
     #[test]

@@ -89,12 +89,6 @@ struct HotCounters {
     unicast_tx: u64,
     broadcast_tx: u64,
     rx_delivered: u64,
-    /// `CounterSet` entries exist once *touched*, even at zero; every
-    /// hot counter but `rx_delivered` is only touched when incremented,
-    /// but `rx_delivered` historically did `add(len)` with possibly-zero
-    /// `len`, so its touched state is tracked separately to keep
-    /// [`Engine::counters`] identical to the pre-refactor engine.
-    rx_delivered_touched: bool,
     rx_collision: u64,
     unicast_retry: u64,
     send_fail: u64,
@@ -109,9 +103,8 @@ struct HotCounters {
 }
 
 impl HotCounters {
-    /// Folds the touched counters into `set`, matching the entry-
-    /// existence semantics of the pre-refactor per-call `CounterSet`
-    /// updates.
+    /// Folds the non-zero counters into `set`: an entry exists once
+    /// its event has happened.
     fn fold_into(&self, set: &mut CounterSet) {
         for (name, v) in [
             ("mac.enqueued", self.enqueued),
@@ -119,6 +112,7 @@ impl HotCounters {
             ("mac.cs_busy", self.cs_busy),
             ("mac.unicast_tx", self.unicast_tx),
             ("mac.broadcast_tx", self.broadcast_tx),
+            ("mac.rx_delivered", self.rx_delivered),
             ("mac.rx_collision", self.rx_collision),
             ("mac.unicast_retry", self.unicast_retry),
             ("mac.send_fail", self.send_fail),
@@ -131,9 +125,6 @@ impl HotCounters {
             if v > 0 {
                 set.add(name, v);
             }
-        }
-        if self.rx_delivered_touched {
-            set.add("mac.rx_delivered", self.rx_delivered);
         }
     }
 }
@@ -496,11 +487,6 @@ impl<P: Protocol> Engine<P> {
     /// Panics if `node` is out of range.
     pub fn position_of(&self, node: NodeId) -> Vec2 {
         self.world.position(node.index())
-    }
-
-    /// Sum of MAC tail drops across all nodes.
-    pub fn total_queue_drops(&self) -> u64 {
-        self.world.macs.iter().map(|m| m.tail_drops).sum()
     }
 
     /// `true` while `node`'s radio is down (churn). Always `false`

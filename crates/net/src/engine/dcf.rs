@@ -191,7 +191,6 @@ impl<P: Protocol> Engine<P> {
                 // payloads it is a refcount bump, not a deep copy.
                 world.finish_head_frame(sender);
                 world.hot.rx_delivered += receivers.len() as u64;
-                world.hot.rx_delivered_touched = true;
                 // Two passes: every receiver first loads what its
                 // handler is about to probe, so the receivers' cold
                 // misses overlap (`Protocol::prefetch` cannot change
@@ -206,7 +205,6 @@ impl<P: Protocol> Engine<P> {
             }
             Some(dest) if receivers.contains(&dest.index()) => {
                 world.hot.rx_delivered += 1;
-                world.hot.rx_delivered_touched = true;
                 world.finish_head_frame(sender);
                 // Exactly one receiver: the air record's copy of the
                 // frame is moved, not cloned.

@@ -50,8 +50,6 @@ pub struct Mac<M> {
     /// Generation counter for attempt events; bump to invalidate stale ones.
     pub attempt_gen: u64,
     capacity: usize,
-    /// Frames dropped because the queue was full.
-    pub tail_drops: u64,
 }
 
 impl<M: Message> Mac<M> {
@@ -65,7 +63,6 @@ impl<M: Message> Mac<M> {
             retries: 0,
             attempt_gen: 0,
             capacity,
-            tail_drops: 0,
         }
     }
 
@@ -79,10 +76,10 @@ impl<M: Message> Mac<M> {
         self.state = s;
     }
 
-    /// Appends a frame; returns `false` (and counts a tail drop) if full.
+    /// Appends a frame; returns `false` if full (a tail drop, which the
+    /// engine counts as `mac.queue_drop`).
     pub fn enqueue(&mut self, frame: OutFrame<M>) -> bool {
         if self.queue.len() >= self.capacity {
-            self.tail_drops += 1;
             return false;
         }
         self.queue.push_back(frame);
@@ -97,11 +94,6 @@ impl<M: Message> Mac<M> {
     /// Removes and returns the head frame.
     pub fn pop_head(&mut self) -> Option<OutFrame<M>> {
         self.queue.pop_front()
-    }
-
-    /// Number of queued frames (including the head).
-    pub fn queue_len(&self) -> usize {
-        self.queue.len()
     }
 
     /// `true` if nothing is queued.
@@ -135,7 +127,6 @@ mod tests {
         let m = mac();
         assert_eq!(m.state(), MacState::Idle);
         assert!(m.is_empty());
-        assert_eq!(m.queue_len(), 0);
         assert!(m.head().is_none());
     }
 
@@ -145,8 +136,10 @@ mod tests {
         assert!(m.enqueue(OutFrame { dest: None, msg: 1 }));
         assert!(m.enqueue(OutFrame { dest: None, msg: 2 }));
         assert!(!m.enqueue(OutFrame { dest: None, msg: 3 }));
-        assert_eq!(m.tail_drops, 1);
-        assert_eq!(m.queue_len(), 2);
+        // The refused frame is gone; the two accepted ones are intact.
+        assert_eq!(m.pop_head().unwrap().msg, 1);
+        assert_eq!(m.pop_head().unwrap().msg, 2);
+        assert!(m.is_empty());
     }
 
     #[test]

@@ -18,48 +18,6 @@ use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
-/// A monotonically increasing named counter.
-///
-/// # Example
-///
-/// ```
-/// use ag_sim::stats::Counter;
-/// let mut c = Counter::new();
-/// c.add(3);
-/// c.incr();
-/// assert_eq!(c.value(), 4);
-/// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Counter(u64);
-
-impl Counter {
-    /// Creates a zeroed counter.
-    pub fn new() -> Self {
-        Counter(0)
-    }
-
-    /// Adds `n`.
-    pub fn add(&mut self, n: u64) {
-        self.0 += n;
-    }
-
-    /// Adds one.
-    pub fn incr(&mut self) {
-        self.0 += 1;
-    }
-
-    /// Current value.
-    pub fn value(&self) -> u64 {
-        self.0
-    }
-}
-
-impl fmt::Display for Counter {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.0)
-    }
-}
-
 /// Running summary of a stream of observations: count, mean, min, max and
 /// (Welford) variance — no sample storage.
 ///
@@ -274,11 +232,6 @@ impl Histogram {
         self.bins[idx]
     }
 
-    /// Number of bins.
-    pub fn bin_len(&self) -> usize {
-        self.bins.len()
-    }
-
     /// Lower edge of bin `idx`.
     pub fn bin_lo(&self, idx: usize) -> f64 {
         self.lo + (self.hi - self.lo) * idx as f64 / self.bins.len() as f64
@@ -392,7 +345,7 @@ impl fmt::Display for SummarySet {
 /// Keys are static strings so call sites stay greppable.
 #[derive(Debug, Clone, Default, Serialize)]
 pub struct CounterSet {
-    counters: BTreeMap<&'static str, Counter>,
+    counters: BTreeMap<&'static str, u64>,
 }
 
 impl CounterSet {
@@ -403,7 +356,7 @@ impl CounterSet {
 
     /// Adds `n` to counter `name`, creating it at zero if absent.
     pub fn add(&mut self, name: &'static str, n: u64) {
-        self.counters.entry(name).or_default().add(n);
+        *self.counters.entry(name).or_default() += n;
     }
 
     /// Adds one to counter `name`.
@@ -413,12 +366,12 @@ impl CounterSet {
 
     /// Current value of `name` (0 if never touched).
     pub fn get(&self, name: &str) -> u64 {
-        self.counters.get(name).map_or(0, |c| c.value())
+        self.counters.get(name).copied().unwrap_or(0)
     }
 
     /// Iterates over `(name, value)` in name order.
     pub fn iter(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
-        self.counters.iter().map(|(k, v)| (*k, v.value()))
+        self.counters.iter().map(|(k, v)| (*k, *v))
     }
 
     /// Merges another set into this one by summing matching counters.
@@ -448,15 +401,6 @@ impl fmt::Display for CounterSet {
 mod tests {
     use super::*;
     use proptest::prelude::*;
-
-    #[test]
-    fn counter_accumulates() {
-        let mut c = Counter::new();
-        c.incr();
-        c.add(9);
-        assert_eq!(c.value(), 10);
-        assert_eq!(c.to_string(), "10");
-    }
 
     #[test]
     fn summary_empty_is_zeroed() {
@@ -517,7 +461,7 @@ mod tests {
         let h = Histogram::new(0.0, 100.0, 4);
         assert_eq!(h.bin_lo(0), 0.0);
         assert_eq!(h.bin_lo(2), 50.0);
-        assert_eq!(h.bin_len(), 4);
+        assert_eq!(h.iter().count(), 4);
     }
 
     #[test]
