@@ -104,6 +104,14 @@ fn wall_clock_must_pass() {
 }
 
 #[test]
+fn wall_clock_alias_is_the_clippy_layers_catch() {
+    // Not compliant code: the case the lexical rule misses and
+    // clippy.toml's type-resolved `disallowed-methods` catches, which
+    // is why both layers stay (docs/LINTS.md, "The clippy layer").
+    assert_passes("wall_clock_alias_pass.rs");
+}
+
+#[test]
 fn stream_discipline_must_fire() {
     // Ad-hoc SmallRng::seed_from_u64, from_entropy, thread_rng.
     assert_fires(
