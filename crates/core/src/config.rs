@@ -1,7 +1,6 @@
 //! Gossip-layer configuration.
 
 use ag_sim::SimDuration;
-use serde::{Deserialize, Serialize};
 
 /// Anonymous Gossip parameters.
 ///
@@ -20,7 +19,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(cfg.lost_buffer_max, 10);
 /// assert_eq!(cfg.history_capacity, 100);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AgConfig {
     /// Interval between gossip rounds at each member (paper: 1 s).
     pub gossip_interval: SimDuration,

@@ -1,15 +1,13 @@
 //! Gossip-layer measurement: the paper's goodput metric (§5.5) plus
 //! round/walk accounting for the overhead analysis.
 
-use serde::Serialize;
-
 /// Counters describing one member's gossip activity.
 ///
 /// **Goodput** (§5.5) is "the percentage of non-duplicate messages
 /// received through gossip replies to the total number of messages
 /// received through gossip replies" — the fraction of recovery traffic
 /// that was actually useful.
-#[derive(Debug, Clone, Copy, Default, Serialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct GossipMetrics {
     /// Gossip rounds that chose anonymous gossip.
     pub rounds_anonymous: u64,

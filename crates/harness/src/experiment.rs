@@ -14,7 +14,6 @@
 //! or sixteen.
 
 use ag_sim::stats::Summary;
-use serde::Serialize;
 
 use crate::parallel::{run_seeds, Parallelism};
 use crate::{run, ProtocolKind, Scenario};
@@ -61,7 +60,7 @@ pub fn pool(sc: &Scenario, kind: ProtocolKind, seeds: u64, par: Parallelism) -> 
 
 /// One x-position of a figure: pooled receiver summaries for both
 /// protocol series.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct SweepPoint {
     /// The swept parameter's value.
     pub x: f64,

@@ -3,7 +3,6 @@
 
 use ag_mobility::density;
 use ag_sim::stats::Histogram;
-use serde::Serialize;
 
 use crate::experiment::{pool, sweep, SweepPoint};
 use crate::parallel::Parallelism;
@@ -139,7 +138,7 @@ pub fn all_line_figures() -> Vec<FigureSpec> {
 
 /// One Figure 8 series: per-member goodput for a (range, speed)
 /// configuration.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct GoodputSeries {
     /// Legend label, e.g. `"45m, 0.2m/s"`.
     pub label: String,

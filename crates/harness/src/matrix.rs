@@ -24,14 +24,13 @@
 
 use ag_net::{ChurnParams, ReceptionModel};
 use ag_sim::stats::Summary;
-use serde::Serialize;
 
 use crate::experiment::pool;
 use crate::parallel::Parallelism;
 use crate::{ProtocolKind, Scenario};
 
 /// A labelled loss level (reception model) of the matrix.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct LossLevel {
     /// Human-readable axis label, e.g. `"per0.4"`.
     pub label: String,
@@ -40,7 +39,7 @@ pub struct LossLevel {
 }
 
 /// A labelled churn level of the matrix.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct ChurnLevel {
     /// Human-readable axis label, e.g. `"up120/down15"`.
     pub label: String,
@@ -67,7 +66,7 @@ pub struct MatrixSpec {
 
 /// One cell of the matrix: a protocol's pooled delivery at one stress
 /// configuration.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct MatrixCell {
     /// The protocol stack.
     pub protocol: ProtocolKind,
@@ -95,7 +94,7 @@ impl MatrixCell {
 
 /// The reduced outcome of a matrix run, in (loss, churn, speed,
 /// protocol) row-major order.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct MatrixReport {
     /// Protocol order of the inner axis (one table column each).
     pub protocols: Vec<ProtocolKind>,

@@ -4,12 +4,11 @@ use std::collections::BTreeMap;
 
 use ag_net::NodeId;
 use ag_sim::stats::{Histogram, Summary, SummarySet};
-use serde::{Deserialize, Serialize};
 
 use crate::ProtocolKind;
 
 /// One member's outcome.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MemberStats {
     /// The member.
     pub node: NodeId,
@@ -26,7 +25,7 @@ pub struct MemberStats {
 }
 
 /// The reduced outcome of one `(scenario, seed, protocol)` run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RunResult {
     /// Which stack ran.
     pub protocol: ProtocolKind,
@@ -86,7 +85,7 @@ impl RunResult {
 ///
 /// Merging is associative; `run_seeds` workers can each build a
 /// `RunStats` and the seed-ordered merge reproduces the serial fold.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct RunStats {
     /// Runs absorbed.
     pub runs: u64,

@@ -9,12 +9,11 @@ use ag_net::{ChurnParams, Engine, NodeId, NodeSetup, PhyParams, Protocol, Recept
 use ag_sim::rng::{SeedSplitter, StreamKind};
 use ag_sim::SimTime;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::result::{MemberStats, RunResult};
 
 /// Which protocol stack a run uses (the paper's two series).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ProtocolKind {
     /// Bare MAODV (baseline).
     Maodv,
@@ -37,7 +36,7 @@ pub enum ProtocolKind {
 /// let result = run(&sc, 1, ProtocolKind::Gossip);
 /// assert_eq!(result.members.len(), 3); // a third of 10, rounded down, min 2
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Scenario {
     /// Total node count (paper default 40).
     pub nodes: usize,

@@ -1,7 +1,6 @@
 //! Protocol constants.
 
 use ag_sim::SimDuration;
-use serde::{Deserialize, Serialize};
 
 /// MAODV timing and retry parameters.
 ///
@@ -16,7 +15,7 @@ use serde::{Deserialize, Serialize};
 /// let cfg = MaodvConfig::paper_default();
 /// assert_eq!(cfg.allowed_hello_loss, 4);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MaodvConfig {
     /// Interval between HELLO broadcasts (paper: 600 ms).
     pub hello_interval: SimDuration,

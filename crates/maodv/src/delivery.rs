@@ -8,7 +8,6 @@
 use ag_sim::hash::DetHashSet as HashSet;
 
 use ag_net::NodeId;
-use serde::Serialize;
 
 /// How a data packet reached a member.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -20,7 +19,7 @@ pub enum DeliveryPath {
 }
 
 /// Per-member record of every distinct data packet received.
-#[derive(Debug, Clone, Default, Serialize)]
+#[derive(Debug, Clone, Default)]
 pub struct DeliveryLog {
     seen: HashSet<(NodeId, u32)>,
     via_tree: u64,

@@ -62,9 +62,7 @@ pub use protocol::{MaodvProtocol, TrafficSource};
 ///
 /// The paper evaluates a single group; the type keeps call sites honest
 /// and leaves room for multi-group scenarios.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct GroupId(pub u16);
 
 impl std::fmt::Display for GroupId {

@@ -24,7 +24,7 @@ const TIMER_TRAFFIC: TimerKey = TIMER_USER_BASE;
 /// let t = TrafficSource::paper();
 /// assert_eq!(t.packet_count(), 2201);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TrafficSource {
     /// First packet at this time.
     pub start: SimTime,

@@ -1,7 +1,6 @@
 //! The rectangular simulation area.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::Vec2;
 
@@ -18,7 +17,7 @@ use crate::Vec2;
 /// assert!(!f.contains(Vec2::new(-1.0, 0.0)));
 /// assert_eq!(f.area(), 40_000.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Field {
     width: f64,
     height: f64,

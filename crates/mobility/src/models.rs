@@ -9,7 +9,6 @@
 use ag_sim::{SimDuration, SimTime};
 use rand::rngs::SmallRng;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::{Field, Vec2};
 
@@ -21,7 +20,7 @@ use crate::{Field, Vec2};
 pub const MIN_EFFECTIVE_SPEED: f64 = 1e-4;
 
 /// A uniform speed distribution `[min, max]` in m/s.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SpeedRange {
     min: f64,
     max: f64,
@@ -70,7 +69,7 @@ impl SpeedRange {
 /// A uniform pause-time distribution, `[lo, hi]`.
 ///
 /// The paper pauses each node for `U(0, 80)` seconds at every waypoint.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PauseRange {
     lo: SimDuration,
     hi: SimDuration,
@@ -143,7 +142,7 @@ impl PauseRange {
 /// assert_eq!(leg.position_at(SimTime::from_secs(5)), Vec2::new(5.0, 0.0));
 /// assert_eq!(leg.position_at(SimTime::from_secs(99)), Vec2::new(10.0, 0.0));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LegSample {
     /// Position at (and before) `depart`.
     pub from: Vec2,

@@ -3,8 +3,6 @@
 use std::fmt;
 use std::ops::{Add, AddAssign, Mul, Neg, Sub, SubAssign};
 
-use serde::{Deserialize, Serialize};
-
 /// A point or displacement in the plane, in metres.
 ///
 /// # Example
@@ -15,7 +13,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(a.length(), 5.0);
 /// assert_eq!(a.distance_to(Vec2::ZERO), 5.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Vec2 {
     /// Horizontal coordinate (m).
     pub x: f64,

@@ -24,7 +24,6 @@
 use ag_sim::rng::splitmix64;
 use ag_sim::SimDuration;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Maps a 64-bit hash to a uniform draw in `[0, 1)` (53 mantissa bits).
 #[inline]
@@ -51,7 +50,7 @@ fn unit_uniform(h: u64) -> f64 {
 ///     .with_reception(ReceptionModel::DistanceGraded { edge_per: 0.4 });
 /// assert_ne!(phy.reception(), ReceptionModel::Ideal);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ReceptionModel {
     /// The paper's channel: every in-range, uncollided frame is
     /// received. The default.
@@ -209,7 +208,7 @@ pub(crate) fn shadow_eff_range_sq(
 /// let churn = ChurnParams::new(120.0, 15.0);
 /// assert_eq!(churn.mean_up_secs(), 120.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChurnParams {
     mean_up_secs: f64,
     mean_down_secs: f64,
@@ -278,7 +277,7 @@ fn sample_exp<R: Rng + ?Sized>(mean_secs: f64, rng: &mut R) -> SimDuration {
 /// let t = phy.airtime(64);
 /// assert!(t > ag_sim::SimDuration::from_micros(192));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PhyParams {
     /// Unit-disk transmission (and carrier-sense) range in metres.
     range_m: f64,

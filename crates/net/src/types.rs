@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::ctx::ProtoCtx;
 
 /// A node's network address.
@@ -22,7 +20,7 @@ use crate::ctx::ProtoCtx;
 /// assert_eq!(a.index(), 3);
 /// assert_eq!(a.to_string(), "n3");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(u32);
 
 impl NodeId {

@@ -1,11 +1,10 @@
 //! ODMRP constants.
 
 use ag_sim::SimDuration;
-use serde::{Deserialize, Serialize};
 
 /// ODMRP timing parameters (defaults follow the WCNC '99 paper: 3 s
 /// Join-Query refresh, forwarding-group lifetime of three refreshes).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OdmrpConfig {
     /// Interval between a source's Join-Query floods.
     pub query_interval: SimDuration,

@@ -16,8 +16,6 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Running summary of a stream of observations: count, mean, min, max and
 /// (Welford) variance — no sample storage.
 ///
@@ -30,7 +28,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(s.min(), 2.0);
 /// assert_eq!(s.max(), 6.0);
 /// ```
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct Summary {
     count: u64,
     mean: f64,
@@ -189,7 +187,7 @@ impl fmt::Display for Summary {
 /// assert_eq!(h.bin_count(9), 2);
 /// assert_eq!(h.total(), 3);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Histogram {
     lo: f64,
     hi: f64,
@@ -289,7 +287,7 @@ impl Histogram {
 /// assert_eq!(s.get("received").mean(), 4.0);
 /// assert_eq!(s.get("missing").count(), 0);
 /// ```
-#[derive(Debug, Clone, Default, Serialize)]
+#[derive(Debug, Clone, Default)]
 pub struct SummarySet {
     summaries: BTreeMap<&'static str, Summary>,
 }
@@ -343,7 +341,7 @@ impl fmt::Display for SummarySet {
 /// (packets sent, collisions, RREQs, gossip replies…).
 ///
 /// Keys are static strings so call sites stay greppable.
-#[derive(Debug, Clone, Default, Serialize)]
+#[derive(Debug, Clone, Default)]
 pub struct CounterSet {
     counters: BTreeMap<&'static str, u64>,
 }

@@ -8,8 +8,6 @@
 use std::fmt;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 
-use serde::{Deserialize, Serialize};
-
 /// An instant in simulated time, in nanoseconds since simulation start.
 ///
 /// `SimTime` is ordered, hashable and cheap to copy. Construct instants by
@@ -22,9 +20,7 @@ use serde::{Deserialize, Serialize};
 /// let t = SimTime::ZERO + SimDuration::from_secs(2);
 /// assert_eq!(t.as_secs_f64(), 2.0);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(u64);
 
 /// A span of simulated time, in nanoseconds.
@@ -36,9 +32,7 @@ pub struct SimTime(u64);
 /// let d = SimDuration::from_millis(200);
 /// assert_eq!(d * 5, SimDuration::from_secs(1));
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimDuration(u64);
 
 impl SimTime {
