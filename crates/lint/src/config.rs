@@ -122,9 +122,21 @@ impl Config {
                 ),
                 ("crates/core/src/protocol.rs".to_string(), s(&["prefetch"])),
                 (
-                    // Calendar queue steady state: push, pop, min scan.
+                    // Calendar queue steady state: push, pop, min scan,
+                    // the arena's free list and the overflow heap's sifts.
                     "crates/sim/src/event.rs".to_string(),
-                    s(&["schedule", "pop", "peek_time", "recompute_min"]),
+                    s(&[
+                        "schedule",
+                        "pop",
+                        "peek_time",
+                        "recompute_min",
+                        "predecessor",
+                        "alloc",
+                        "release",
+                        "link",
+                        "heap_push",
+                        "heap_pop",
+                    ]),
                 ),
             ],
         }

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Flat sampling profile of one command, standard library only.
 
-    python3 tools/flat_profile.py [-f HZ] [-n TOP] -- <executable> [args...]
+    python3 tools/flat_profile.py [-f HZ] [-n TOP] [--lines SUBSTR]... -- <executable> [args...]
 
 For machines with no `perf`/`gdb`: samples the user-space instruction
 pointer of <executable> (and every thread it starts) on the kernel's
@@ -9,6 +9,16 @@ software CPU clock through perf_event_open(2), resolves addresses with
 `nm -C -n`, and prints the functions by share of samples. Needs Linux,
 `nm`, and /proc/sys/kernel/perf_event_paranoid <= 2. A flat profile says
 where time goes, not why: inlined callees count under their caller.
+
+`--lines SUBSTR` (repeatable) adds, for every function whose demangled
+name contains SUBSTR, the share of samples per source line of that
+function's own body: each sample is resolved with `addr2line -i -e
+<executable>` and charged to the outermost frame, so an inlined callee
+counts on the line that calls it. That needs line tables, which the
+release profile leaves out; build a second executable for it, e.g.
+`CARGO_PROFILE_RELEASE_DEBUG=line-tables-only CARGO_TARGET_DIR=<dir>
+cargo build --release ...`, in a target directory of its own so the
+measured executable stays as it was.
 """
 import argparse, bisect, collections, ctypes, mmap, os, platform, struct, subprocess, sys, time
 
@@ -74,10 +84,36 @@ def symbols(exe):
     return [a for a, _ in table], [n for _, n in table]
 
 
+def source_lines(exe, offsets):
+    """Maps each file offset to the `file:line` of the outermost frame `addr2line -i` prints for it."""
+    asked = "".join(f"{o:#x}\n" for o in offsets)
+    out = subprocess.run(["addr2line", "-a", "-i", "-e", exe], input=asked, capture_output=True, text=True, check=True).stdout
+    where, key = {}, None
+    for line in out.splitlines():  # per offset: `0x…`, then one `file:line` per frame, innermost first
+        if line.startswith("0x"):
+            key = int(line, 16)
+        else:
+            where[key] = line.split(" (discriminator")[0]
+    return where
+
+
+def print_lines(exe, picked, total):
+    """`picked`: function name -> Counter of file offsets sampled inside it."""
+    for name, offsets in sorted(picked.items(), key=lambda kv: -sum(kv[1].values())):
+        where = source_lines(exe, sorted(offsets))
+        by_line = collections.Counter()
+        for off, n in offsets.items():
+            by_line[where.get(off, "??:0")] += n
+        print(f"\n{100 * sum(offsets.values()) / total:6.2f}%  {name}")
+        for line, n in by_line.most_common():
+            print(f"  {100 * n / total:6.2f}%  {n:8d}  {line}")
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("-f", "--hz", type=int, default=5000, help="samples per second of CPU time (default 5000)")
     ap.add_argument("-n", "--top", type=int, default=40, help="rows to print (default 40)")
+    ap.add_argument("--lines", action="append", default=[], metavar="SUBSTR", help="also print per-source-line shares of functions whose name contains SUBSTR (repeatable)")
     ap.add_argument("cmd", nargs="+", help="executable and its arguments")
     args = ap.parse_args()
     exe = os.path.realpath(args.cmd[0])
@@ -100,14 +136,18 @@ def main():
     for ring in rings:
         drain(ring, counts)
     addrs, names = symbols(exe)
-    by_fn = collections.Counter()
+    by_fn, picked = collections.Counter(), collections.defaultdict(collections.Counter)
     for ip, n in counts.items():
         i = bisect.bisect_right(addrs, ip - base) - 1
-        by_fn[names[i] if 0 <= i and ip >= base else OUTSIDE] += n
+        name = names[i] if 0 <= i and ip >= base else OUTSIDE
+        by_fn[name] += n
+        if name != OUTSIDE and any(s in name for s in args.lines):
+            picked[name][ip - base] += n
     total = sum(by_fn.values())
     print(f"{total} samples at {args.hz} Hz of CPU time", file=sys.stderr)
     for name, n in by_fn.most_common(args.top):
         print(f"{100 * n / total:6.2f}%  {n:8d}  {name}")
+    print_lines(exe, picked, total)
 
 
 if __name__ == "__main__":
