@@ -600,22 +600,34 @@ impl<F> AirIndex<F> {
 
     /// Eagerly drops finished transmissions whose airtime window can no
     /// longer overlap any live transmission's reception, compacting the
-    /// survivors in place (id order is kept). O(slab), and the slab is
-    /// small by construction.
+    /// survivors in place (id order is kept).
+    ///
+    /// The engine inserts at `now`, so starts ascend with ids: the
+    /// oldest live transmission is the *first* live record, and —
+    /// airtimes being positive — a record behind it cannot have ended by
+    /// its start. Only the finished prefix ahead of it is looked at, and
+    /// with a live record at the front nothing is.
     pub fn prune(&mut self) {
         if self.done_count == 0 {
             return;
         }
-        let min_live_start = self
+        let first_live = self
             .recs
             .iter()
-            .filter(|r| r.live)
-            .map(|r| r.shot.start)
-            .min();
+            .position(|r| r.live)
+            .unwrap_or(self.recs.len());
+        let min_live_start = self.recs.get(first_live).map(|r| r.shot.start);
+        debug_assert!(
+            self.recs[first_live..].iter().all(|r| {
+                let m = min_live_start.expect("a record at `first_live`");
+                m <= r.shot.start && (r.live || m < r.shot.end)
+            }),
+            "starts descended behind the first live record"
+        );
         let mut kept = 0;
-        for i in 0..self.recs.len() {
+        for i in 0..first_live {
             let r = self.recs[i];
-            if !r.live && min_live_start.is_none_or(|m| r.shot.end <= m) {
+            if min_live_start.is_none_or(|m| r.shot.end <= m) {
                 if let Some(grid) = &mut self.grid {
                     // Emptied buckets keep their capacity: senders are
                     // stationary per transmission, so the same cells
@@ -630,14 +642,14 @@ impl<F> AirIndex<F> {
                 // put; rewriting it onto itself read +3 % `city_20k`.
                 if kept != i {
                     self.recs[kept] = r;
-                    self.frames.swap(kept, i);
                 }
                 kept += 1;
             }
         }
-        self.done_count -= self.recs.len() - kept;
-        self.recs.truncate(kept);
-        self.frames.truncate(kept);
+        // The prefix is finished records: its frames are all `None`.
+        self.done_count -= first_live - kept;
+        self.recs.drain(kept..first_live);
+        self.frames.drain(kept..first_live);
     }
 
     /// Number of records currently held (live + not-yet-pruned).
