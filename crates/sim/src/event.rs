@@ -375,9 +375,8 @@ impl<E> EventQueue<E> {
             self.free = std::mem::replace(&mut self.nodes[id as usize], node).next;
             return id;
         }
-        let full = self.nodes.len() >= ARENA_LIMIT;
         assert!(
-            !full,
+            self.nodes.len() < ARENA_LIMIT,
             "EventQueue: near events exhaust the arena's u32 links"
         );
         self.nodes.push(node);
