@@ -54,7 +54,7 @@ fn assert_queue_hold_steady(max_delay: SimDuration, ops: u64) {
 
 /// Asserts that `engine` allocates nothing over a continuation window
 /// of at least 10,000 events, after `warm_secs` simulated seconds have
-/// brought every scratch buffer, MAC queue, calendar-queue bucket and
+/// brought every scratch buffer, MAC queue, calendar-queue tier and
 /// spatial-index cell to its high-water capacity.
 fn assert_engine_steady(name: &str, mut engine: Engine<Beacon>, warm_secs: u64) {
     engine.run_until(SimTime::from_secs(warm_secs));

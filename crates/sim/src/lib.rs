@@ -6,9 +6,10 @@
 //!
 //! * [`SimTime`] / [`SimDuration`] — integer nanosecond simulated time,
 //!   immune to floating-point drift over 600-second runs.
-//! * [`EventQueue`] — the scheduler: a self-resizing calendar queue of
-//!   timestamped events with deterministic FIFO tie-breaking, the heart
-//!   of the kernel. The seed `BinaryHeap` implementation survives as
+//! * [`EventQueue`] — the scheduler: a self-tuning calendar queue of
+//!   timestamped events (one node arena under a sliding day window, an
+//!   overflow heap beyond it) with deterministic FIFO tie-breaking, the
+//!   heart of the kernel. The seed `BinaryHeap` implementation survives as
 //!   [`reference::BinaryHeapQueue`], the differential-testing oracle and
 //!   perf baseline (both drain in the identical `(time, seq)` order).
 //! * [`rng`] — reproducible random-number streams: a master seed is split
