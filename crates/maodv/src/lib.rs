@@ -11,12 +11,16 @@
 //!   RREQ flood / RREP reverse-path route discovery, per-use lifetime
 //!   refresh, and buffered sends while discovery is in flight
 //!   ([`route_table`], parts of [`Maodv`]).
+//! * **Neighbour liveness** — HELLO-based link sensing: every frame
+//!   stamps its sender, and the tick sweeps neighbours silent for the
+//!   hello timeout. The stamp lives in the sender's [`route_table`]
+//!   record beside the one-hop route the same frame teaches, so a
+//!   reception touches one record.
 //! * **Multicast tree** — the Multicast Route Table with enabled/inactive
 //!   next hops ([`mrt`]), Join-RREQ → RREP → MACT activation, prune,
-//!   duplicate-suppressed data forwarding along tree edges, HELLO-based
-//!   neighbour liveness ([`neighbors`]), downstream link repair with the
-//!   hop-count-to-leader extension, leader takeover on partition and
-//!   GRPH-based leader merge.
+//!   duplicate-suppressed data forwarding along tree edges, downstream
+//!   link repair with the hop-count-to-leader extension, leader takeover
+//!   on partition and GRPH-based leader merge.
 //! * **The AG hooks** — the `nearest_member` field on every next hop with
 //!   its split-horizon min-propagation rule (paper §4.2), one-hop and
 //!   routed extension payloads for the gossip layer, and
@@ -44,7 +48,6 @@ mod protocol;
 
 pub mod delivery;
 pub mod mrt;
-pub mod neighbors;
 pub mod route_table;
 pub mod seen;
 

@@ -31,7 +31,6 @@ use crate::messages::{
     DataHeader, GrphPayload, MactKind, MactPayload, MaodvMsg, RoutedExt, RrepPayload, RreqPayload,
 };
 use crate::mrt::MulticastRouteTable;
-use crate::neighbors::NeighborTable;
 use crate::route_table::RouteTable;
 use crate::seen::SeenCache;
 use crate::{GroupId, MaodvConfig};
@@ -144,9 +143,9 @@ pub struct Maodv<X: Message> {
     node_seq: u32,
     next_rreq_id: u32,
     data_seq: u32,
+    /// Routes and neighbour liveness, one record per peer.
     rt: RouteTable,
     mrt: MulticastRouteTable,
-    neighbors: NeighborTable,
     join: Option<JoinAttempt>,
     pending_joins: HashMap<(NodeId, u32), PendingJoin>,
     discoveries: HashMap<NodeId, Discovery<X>>,
@@ -198,7 +197,6 @@ impl<X: Message> Maodv<X> {
             data_seq: 0,
             rt: RouteTable::new(),
             mrt: MulticastRouteTable::new(group, cfg.nearest_member_infinity),
-            neighbors: NeighborTable::new(cfg.neighbor_timeout()),
             join: None,
             pending_joins: HashMap::default(),
             discoveries: HashMap::default(),
@@ -266,21 +264,6 @@ impl<X: Message> Maodv<X> {
     /// locality-weighted next-hop choice).
     pub fn mrt(&self) -> &MulticastRouteTable {
         &self.mrt
-    }
-
-    /// The unicast route table.
-    pub fn rt(&self) -> &RouteTable {
-        &self.rt
-    }
-
-    /// The neighbour liveness table.
-    pub fn neighbors(&self) -> &NeighborTable {
-        &self.neighbors
-    }
-
-    /// Protocol configuration.
-    pub fn config(&self) -> &MaodvConfig {
-        &self.cfg
     }
 
     // ───────────────────────── lifecycle ─────────────────────────
@@ -362,13 +345,12 @@ impl<X: Message> Maodv<X> {
     }
 
     /// The read-only halves of the table probes [`Maodv::on_packet`]
-    /// makes first for `msg` from `from` — neighbour stamp, route to the
-    /// sender, and for a route request the reverse route and the flood
-    /// id — so their cache lines are on the way before the handler
-    /// needs them (see `Protocol::prefetch`). Changes nothing.
+    /// makes first for `msg` from `from` — the sender's peer record, and
+    /// for a route request the reverse route and the flood id — so their
+    /// cache lines are on the way before the handler needs them (see
+    /// `Protocol::prefetch`). Changes nothing.
     pub fn prefetch(&self, from: NodeId, msg: &MaodvMsg<X>) {
-        black_box(self.neighbors.last_heard(from));
-        black_box(self.rt.known_seq(from));
+        black_box(self.rt.last_heard(from));
         if let MaodvMsg::Rreq(r) = msg {
             black_box(self.rt.known_seq(r.origin));
             black_box(self.rreq_seen.contains(&(r.origin, r.rreq_id)));
@@ -385,9 +367,9 @@ impl<X: Message> Maodv<X> {
         up: &mut Vec<Upcall<X>>,
     ) {
         let now = api.now();
-        self.neighbors.heard(from, now);
-        // Any frame gives us a 1-hop route to the sender.
-        self.learn_route(now, from, from, 1);
+        // The sender is alive, and any frame gives us a 1-hop route to it.
+        self.rt
+            .heard_from(from, now, now + self.cfg.active_route_timeout);
         match msg {
             MaodvMsg::Hello => {}
             MaodvMsg::Rreq(r) => self.handle_rreq(api, from, r),
@@ -409,7 +391,7 @@ impl<X: Message> Maodv<X> {
     /// primary link-break detector.
     pub fn on_send_failure<C: MaodvCtx<X>>(&mut self, api: &mut C, to: NodeId, msg: MaodvMsg<X>) {
         api.count("maodv.send_failure");
-        self.neighbors.forget(to);
+        self.rt.forget(to);
         self.rt.invalidate_via(to);
         self.rt.invalidate(to);
         if let MaodvMsg::Routed(_) = msg {
@@ -623,7 +605,7 @@ impl<X: Message> Maodv<X> {
     fn tick<C: MaodvCtx<X>>(&mut self, api: &mut C, up: &mut Vec<Upcall<X>>) {
         let now = api.now();
         // 1. Neighbour liveness: silent tree neighbours break links.
-        for dead in self.neighbors.sweep_dead(now) {
+        for dead in self.rt.sweep_dead(now, self.cfg.neighbor_timeout()) {
             self.rt.invalidate_via(dead);
             if self.mrt.next_hop(dead).is_some_and(|h| h.enabled) {
                 api.count("maodv.hello_link_break");
