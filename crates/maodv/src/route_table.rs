@@ -160,9 +160,30 @@ impl fmt::Debug for Peer {
 /// assert_eq!(rt.sweep_dead(now + SimDuration::from_secs(3), timeout), [NodeId::new(2)]);
 /// assert_eq!(rt.last_heard(NodeId::new(2)), None);
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Clone)]
 pub struct RouteTable {
     peers: HashMap<NodeId, Peer>,
+    /// A lower bound on every liveness stamp in `peers` (`MAX` when
+    /// there is none): lowered by each stamp, recomputed only by a
+    /// sweep that looks. A cache, so `Debug` leaves it out.
+    oldest: SimTime,
+}
+
+impl Default for RouteTable {
+    fn default() -> Self {
+        RouteTable {
+            peers: HashMap::default(),
+            oldest: SimTime::MAX,
+        }
+    }
+}
+
+impl fmt::Debug for RouteTable {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("RouteTable")
+            .field("peers", &self.peers)
+            .finish()
+    }
 }
 
 impl RouteTable {
@@ -233,6 +254,7 @@ impl RouteTable {
     /// teaches (`update_keeping_seq(who, who, 1, expires, now)`), through
     /// one probe. Returns what that route update returns.
     pub fn heard_from(&mut self, who: NodeId, now: SimTime, expires: SimTime) -> bool {
+        self.oldest = self.oldest.min(now);
         let p = self.peer_mut(who);
         p.heard = true;
         p.heard_at = now;
@@ -291,16 +313,26 @@ impl RouteTable {
 
     /// Forgets and returns every neighbour silent for `timeout` or
     /// longer by `now`, in id order (deterministic regardless of
-    /// hash-map seeding).
+    /// hash-map seeding). Returns at once, without looking at a record,
+    /// until the oldest stamp can have timed out; only a sweep that
+    /// looks recomputes that bound.
     pub fn sweep_dead(&mut self, now: SimTime, timeout: SimDuration) -> Vec<NodeId> {
-        let mut dead = Vec::new();
+        if now.duration_since(self.oldest.min(now)) < timeout {
+            return Vec::new();
+        }
+        let (mut dead, mut oldest) = (Vec::new(), SimTime::MAX);
         self.peers.retain(|&who, p| {
-            if p.heard && now.duration_since(p.heard_at) >= timeout {
-                p.heard = false;
-                dead.push(who);
+            if p.heard {
+                if now.duration_since(p.heard_at) >= timeout {
+                    p.heard = false;
+                    dead.push(who);
+                } else {
+                    oldest = oldest.min(p.heard_at);
+                }
             }
             !p.is_empty()
         });
+        self.oldest = oldest;
         dead.sort_unstable();
         dead
     }
@@ -472,6 +504,50 @@ mod tests {
         assert_eq!(rt.lookup(a, t(5)).unwrap().next_hop, a);
         rt.invalidate(a);
         assert!(rt.is_empty());
+    }
+
+    /// The sweep's bound is a cache: two tables that know the same but
+    /// swept differently (so their bounds differ) render and digest the
+    /// same.
+    #[test]
+    fn sweep_bound_stays_out_of_the_state_digest() {
+        let timeout = SimDuration::from_secs(2);
+        let (a, b) = (NodeId::new(1), NodeId::new(2));
+        let mut swept = RouteTable::new();
+        swept.heard_from(a, t(0), t(9));
+        swept.heard_from(b, t(3), t(9));
+        assert_eq!(swept.sweep_dead(t(4), timeout), [a]);
+        let mut fresh = RouteTable::new();
+        fresh.heard_from(a, t(0), t(9));
+        fresh.forget(a);
+        fresh.heard_from(b, t(3), t(9));
+        assert_ne!(swept.oldest, fresh.oldest);
+        assert_eq!(ag_net::state_digest(&swept), ag_net::state_digest(&fresh));
+    }
+
+    /// A sweep that finds nothing to expire returns before looking, and
+    /// one that looks leaves the bound at the oldest stamp it kept.
+    #[test]
+    fn sweep_skips_until_the_oldest_stamp_can_have_timed_out() {
+        let timeout = SimDuration::from_secs(2);
+        let (a, b) = (NodeId::new(1), NodeId::new(2));
+        let mut rt = RouteTable::new();
+        assert_eq!(rt.oldest, SimTime::MAX);
+        assert!(rt.sweep_dead(t(5), timeout).is_empty());
+        rt.heard_from(a, t(1), t(9));
+        rt.heard_from(b, t(2), t(9));
+        assert_eq!(rt.oldest, t(1));
+        assert!(rt.sweep_dead(t(2), timeout).is_empty());
+        rt.heard_from(a, t(3), t(9));
+        // Still t(1): a stamp only ever lowers the bound.
+        assert_eq!(rt.oldest, t(1));
+        // Looks, finds nothing dead, and tightens the bound to b's t(2).
+        assert!(rt.sweep_dead(t(3), timeout).is_empty());
+        assert_eq!(rt.oldest, t(2));
+        assert_eq!(rt.sweep_dead(t(4), timeout), [b]);
+        assert_eq!(rt.oldest, t(3));
+        assert_eq!(rt.sweep_dead(t(5), timeout), [a]);
+        assert_eq!(rt.oldest, SimTime::MAX);
     }
 
     /// The two tables the merged one replaced, kept verbatim (minus what
