@@ -6,7 +6,7 @@
 //! MAODV without much overhead" and could wrap any multicast protocol
 //! exposing the same hooks.
 
-use std::sync::Arc;
+use std::sync::{Arc, LazyLock};
 
 use ag_maodv::delivery::{DeliveryLog, DeliveryPath};
 use ag_maodv::{
@@ -138,16 +138,41 @@ pub struct AnonymousGossip {
 #[derive(Debug, Clone)]
 struct Gossip {
     cfg: AgConfig,
-    delivery: DeliveryLog,
-    lost: LostTable,
-    history: HistoryTable,
     cache: MemberCache,
     metrics: GossipMetrics,
-    traffic: Option<TrafficSource>,
     /// Reused `(node, nearest_member)` candidate buffer for
     /// [`weighted_pick`].
     cand_scratch: Vec<(NodeId, u8)>,
+    /// Boxed in `new` at members and the source; a router, which never
+    /// delivers, carries only the pointer.
+    member: Option<Box<MemberState>>,
 }
+
+/// What only a member (or the source) touches: the delivery record, the
+/// §4.4 pull state and the CBR source.
+#[derive(Debug, Clone)]
+struct MemberState {
+    delivery: DeliveryLog,
+    lost: LostTable,
+    history: HistoryTable,
+    traffic: Option<TrafficSource>,
+}
+
+impl MemberState {
+    fn new(cfg: &AgConfig, traffic: Option<TrafficSource>) -> Self {
+        MemberState {
+            delivery: DeliveryLog::new(),
+            lost: LostTable::new(cfg.lost_table_capacity),
+            history: HistoryTable::new(cfg.history_capacity),
+            traffic,
+        }
+    }
+}
+
+/// What a router's member-only accessors answer from: nothing delivered,
+/// nothing lost, nothing kept.
+static NO_MEMBER: LazyLock<MemberState> =
+    LazyLock::new(|| MemberState::new(&AgConfig::paper_default(), None));
 
 impl AnonymousGossip {
     /// Creates a node. `traffic` makes it the group's CBR source.
@@ -168,21 +193,20 @@ impl AnonymousGossip {
             maodv: Maodv::new(maodv_cfg, id, group, is_member),
             up: Vec::new(),
             gossip: Gossip {
-                delivery: DeliveryLog::new(),
-                lost: LostTable::new(cfg.lost_table_capacity),
-                history: HistoryTable::new(cfg.history_capacity),
                 cache: MemberCache::new(cfg.member_cache_capacity),
                 metrics: GossipMetrics::new(),
-                traffic,
                 cand_scratch: Vec::new(),
+                member: (is_member || traffic.is_some())
+                    .then(|| Box::new(MemberState::new(&cfg, traffic))),
                 cfg,
             },
         }
     }
 
-    /// Distinct packets delivered to this member (tree + gossip).
+    /// Distinct packets delivered to this member (tree + gossip); empty
+    /// at a router.
     pub fn delivery(&self) -> &DeliveryLog {
-        &self.gossip.delivery
+        &self.gossip.member().delivery
     }
 
     /// This node's gossip activity counters (goodput etc.).
@@ -200,34 +224,35 @@ impl AnonymousGossip {
         &self.gossip.cache
     }
 
-    /// The lost table.
+    /// The lost table; empty at a router.
     pub fn lost_table(&self) -> &LostTable {
-        &self.gossip.lost
-    }
-
-    /// The history table.
-    pub fn history(&self) -> &HistoryTable {
-        &self.gossip.history
-    }
-
-    /// The gossip configuration.
-    pub fn config(&self) -> &AgConfig {
-        &self.gossip.cfg
+        &self.gossip.member().lost
     }
 }
 
 impl Gossip {
+    /// The member-only state, or [`NO_MEMBER`]'s empty one at a router.
+    fn member(&self) -> &MemberState {
+        self.member.as_deref().unwrap_or(&NO_MEMBER)
+    }
+
     // ───────────────────────── delivery plumbing ─────────────────────────
 
     /// A data packet reached this member (any path): account for it and
     /// keep a copy for future gossip replies.
+    /// A router has no member state and the protocol never delivers to
+    /// one; should it ever, the box is made then.
     fn deliver(&mut self, origin: NodeId, seq: u32, payload_len: u16, path: DeliveryPath) -> bool {
-        let new = self.delivery.record(origin, seq, path);
-        self.history.push(PacketRecord {
+        let cfg = &self.cfg;
+        let m = self
+            .member
+            .get_or_insert_with(|| Box::new(MemberState::new(cfg, None)));
+        let new = m.delivery.record(origin, seq, path);
+        m.history.push(PacketRecord {
             id: PacketId::new(origin, seq),
             payload_len,
         });
-        self.lost.observe(origin, seq);
+        m.lost.observe(origin, seq);
         new
     }
 
@@ -271,11 +296,12 @@ impl Gossip {
     // ───────────────────────── gossip rounds ─────────────────────────
 
     fn build_request(&self, maodv: &Maodv<AgMsg>, hops: u8, ttl: u8) -> GossipRequest {
+        let lost = &self.member().lost;
         GossipRequest {
             group: maodv.group(),
             initiator: maodv.id(),
-            lost: self.lost.lost_buffer(self.cfg.lost_buffer_max),
-            expected: self.lost.expected_vec(),
+            lost: lost.lost_buffer(self.cfg.lost_buffer_max),
+            expected: lost.expected_vec(),
             hops,
             ttl,
         }
@@ -388,7 +414,7 @@ impl Gossip {
     ) {
         self.metrics.requests_accepted += 1;
         self.cache.observe(r.initiator, hops);
-        let packets = select_reply_packets(&self.history, r, &self.cfg);
+        let packets = select_reply_packets(&self.member().history, r, &self.cfg);
         if packets.is_empty() {
             api.count("ag.reply_empty");
             return;
@@ -429,12 +455,13 @@ impl Protocol for AnonymousGossip {
 
     fn start<C: MaodvCtx<AgMsg>>(&mut self, api: &mut C) {
         self.maodv.start(api);
-        let Gossip { cfg, traffic, .. } = &self.gossip;
+        let gossip = &self.gossip;
         if self.maodv.is_member() {
-            let jitter = SimDuration::from_nanos(api.jitter(cfg.gossip_interval.as_nanos().max(1)));
-            api.set_timer(cfg.gossip_interval + jitter, TIMER_GOSSIP);
+            let interval = gossip.cfg.gossip_interval;
+            let jitter = SimDuration::from_nanos(api.jitter(interval.as_nanos().max(1)));
+            api.set_timer(interval + jitter, TIMER_GOSSIP);
         }
-        if let Some(t) = traffic {
+        if let Some(t) = gossip.member().traffic {
             api.set_timer(t.start.duration_since(SimTime::ZERO), TIMER_TRAFFIC);
         }
     }
@@ -466,7 +493,7 @@ impl Protocol for AnonymousGossip {
                     api.set_timer(gossip.cfg.gossip_interval, TIMER_GOSSIP);
                 }
                 TIMER_TRAFFIC => {
-                    if let Some(t) = gossip.traffic {
+                    if let Some(t) = gossip.member().traffic {
                         if api.now() <= t.end {
                             let seq = maodv.send_data(api, t.payload_len);
                             gossip.deliver(maodv.id(), seq, t.payload_len, DeliveryPath::Tree);
@@ -718,6 +745,36 @@ mod tests {
             .collect();
         got.sort_unstable();
         assert_eq!(got, vec![(1, 3), (1, 4), (2, 7)]);
+    }
+
+    /// A metropolis run holds one of these per node, so a new field
+    /// costs 20,000 × its size on `city_20k`: the pins make that a
+    /// decision, not an accident.
+    #[test]
+    fn per_node_structs_stay_small() {
+        use std::mem::size_of;
+        assert!(
+            size_of::<AnonymousGossip>() <= 560,
+            "{}",
+            size_of::<AnonymousGossip>()
+        );
+        assert!(
+            size_of::<Maodv<AgMsg>>() <= 320,
+            "{}",
+            size_of::<Maodv<AgMsg>>()
+        );
+        assert!(size_of::<ag_maodv::MaodvProtocol>() <= 440);
+    }
+
+    /// Only members and the source carry the member-only box; a
+    /// router's member accessors answer from an empty value.
+    #[test]
+    fn routers_carry_no_member_state() {
+        let router = ag_node(1, false, None);
+        assert!(router.gossip.member.is_none());
+        assert_eq!(router.delivery().distinct(), 0);
+        assert!(router.lost_table().is_empty());
+        assert!(ag_node(0, true, None).gossip.member.is_some());
     }
 
     // ── full-stack integration ──

@@ -20,6 +20,7 @@
 //! hop-count-to-leader RREQ extension to rule out replies from its own
 //! subtree (loop prevention).
 
+use std::fmt;
 use std::hint::black_box;
 
 use ag_sim::hash::DetHashMap as HashMap;
@@ -132,8 +133,42 @@ struct Discovery<X> {
     buffer: Vec<X>,
 }
 
-/// The MAODV routing state of one node. See module docs.
+/// Join and tree-forwarding bookkeeping: what a node needs only once it
+/// joins or repairs, relays a join reply, discovers a route, or forwards
+/// data or group hellos — most routers of a large run never do. Boxed on
+/// first use ([`Maodv::cold_mut`]); never freed.
 #[derive(Debug, Clone)]
+struct Cold<X> {
+    join: Option<JoinAttempt>,
+    pending_joins: HashMap<(NodeId, u32), PendingJoin>,
+    discoveries: HashMap<NodeId, Discovery<X>>,
+    data_seen: SeenCache<(NodeId, u32)>,
+    grph_seen: SeenCache<(NodeId, u32)>,
+    /// Best join-RREP already forwarded per (origin, rreq_id): suppresses
+    /// worse duplicates of the reply flood.
+    forwarded_rreps: HashMap<(NodeId, u32), (u32, u8)>,
+    /// Newest `(leader, group_seq)` adopted from a tree-scoped GRPH;
+    /// dedupes the downward relay.
+    adopted_grph: Option<(NodeId, u32)>,
+}
+
+impl<X> Cold<X> {
+    /// Empty bookkeeping; allocates nothing.
+    fn new(cfg: &MaodvConfig) -> Self {
+        Cold {
+            join: None,
+            pending_joins: HashMap::default(),
+            discoveries: HashMap::default(),
+            data_seen: SeenCache::new(cfg.data_seen_capacity),
+            grph_seen: SeenCache::new(cfg.rreq_seen_capacity),
+            forwarded_rreps: HashMap::default(),
+            adopted_grph: None,
+        }
+    }
+}
+
+/// The MAODV routing state of one node. See module docs.
+#[derive(Clone)]
 pub struct Maodv<X: Message> {
     cfg: MaodvConfig,
     id: NodeId,
@@ -146,15 +181,7 @@ pub struct Maodv<X: Message> {
     /// Routes and neighbour liveness, one record per peer.
     rt: RouteTable,
     mrt: MulticastRouteTable,
-    join: Option<JoinAttempt>,
-    pending_joins: HashMap<(NodeId, u32), PendingJoin>,
-    discoveries: HashMap<NodeId, Discovery<X>>,
     rreq_seen: SeenCache<(NodeId, u32)>,
-    data_seen: SeenCache<(NodeId, u32)>,
-    grph_seen: SeenCache<(NodeId, u32)>,
-    /// Best join-RREP already forwarded per (origin, rreq_id): suppresses
-    /// worse duplicates of the reply flood.
-    forwarded_rreps: HashMap<(NodeId, u32), (u32, u8)>,
     /// Set once the member's initial (jittered) join has fired; gates the
     /// tick's re-join self-healing so it cannot pre-empt the join jitter.
     join_started: bool,
@@ -162,9 +189,6 @@ pub struct Maodv<X: Message> {
     /// / grafted). `None` until first tree contact. Staleness means the
     /// path to the leader is gone even if the local tree edges look fine.
     last_tree_grph: Option<SimTime>,
-    /// Newest `(leader, group_seq)` adopted from a tree-scoped GRPH;
-    /// dedupes the downward relay.
-    adopted_grph: Option<(NodeId, u32)>,
     /// Flood frames awaiting their jittered rebroadcast (see
     /// [`Maodv::schedule_relay`]).
     relay_queue: std::collections::VecDeque<MaodvMsg<X>>,
@@ -174,6 +198,60 @@ pub struct Maodv<X: Message> {
     /// to suppress. `ag-check` asserts its MRT loop-freedom property
     /// catches this mutation.
     canary_accept_stale_seq: bool,
+    /// `None` until first needed; see [`Cold`].
+    cold: Option<Box<Cold<X>>>,
+}
+
+/// Renders an absent cold box as its empty contents, so a node that
+/// never needed the box and one whose box emptied again are the same
+/// state to `ag_net::state_digest`.
+impl<X: Message> fmt::Debug for Maodv<X> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let Maodv {
+            cfg,
+            id,
+            group,
+            is_member,
+            is_leader,
+            node_seq,
+            next_rreq_id,
+            data_seq,
+            rt,
+            mrt,
+            rreq_seen,
+            join_started,
+            last_tree_grph,
+            relay_queue,
+            canary_accept_stale_seq,
+            cold,
+        } = self;
+        let empty;
+        let cold = match cold {
+            Some(cold) => &**cold,
+            None => {
+                empty = Cold::new(cfg);
+                &empty
+            }
+        };
+        f.debug_struct("Maodv")
+            .field("cfg", cfg)
+            .field("id", id)
+            .field("group", group)
+            .field("is_member", is_member)
+            .field("is_leader", is_leader)
+            .field("node_seq", node_seq)
+            .field("next_rreq_id", next_rreq_id)
+            .field("data_seq", data_seq)
+            .field("rt", rt)
+            .field("mrt", mrt)
+            .field("rreq_seen", rreq_seen)
+            .field("join_started", join_started)
+            .field("last_tree_grph", last_tree_grph)
+            .field("relay_queue", relay_queue)
+            .field("canary_accept_stale_seq", canary_accept_stale_seq)
+            .field("cold", cold)
+            .finish()
+    }
 }
 
 /// Bound alias for contexts carrying MAODV frames: every
@@ -197,18 +275,12 @@ impl<X: Message> Maodv<X> {
             data_seq: 0,
             rt: RouteTable::new(),
             mrt: MulticastRouteTable::new(group, cfg.nearest_member_infinity),
-            join: None,
-            pending_joins: HashMap::default(),
-            discoveries: HashMap::default(),
             rreq_seen: SeenCache::new(cfg.rreq_seen_capacity),
-            data_seen: SeenCache::new(cfg.data_seen_capacity),
-            grph_seen: SeenCache::new(cfg.rreq_seen_capacity),
-            forwarded_rreps: HashMap::default(),
             join_started: false,
             last_tree_grph: None,
-            adopted_grph: None,
             relay_queue: std::collections::VecDeque::new(),
             canary_accept_stale_seq: false,
+            cold: None,
             cfg,
         }
     }
@@ -260,6 +332,17 @@ impl<X: Message> Maodv<X> {
         self.is_leader || self.mrt.enabled_count() > 0
     }
 
+    /// Whether a join or repair attempt is in flight.
+    fn joining(&self) -> bool {
+        self.cold.as_ref().is_some_and(|c| c.join.is_some())
+    }
+
+    /// The cold bookkeeping, boxed on first use.
+    fn cold_mut(&mut self) -> &mut Cold<X> {
+        self.cold
+            .get_or_insert_with(|| Box::new(Cold::new(&self.cfg)))
+    }
+
     /// The multicast route table (read access for the gossip layer's
     /// locality-weighted next-hop choice).
     pub fn mrt(&self) -> &MulticastRouteTable {
@@ -301,9 +384,10 @@ impl<X: Message> Maodv<X> {
             TIMER_GRPH => {
                 if self.is_leader {
                     self.mrt.group_seq += 1;
-                    let seq = self.mrt.group_seq;
-                    self.grph_seen.insert((self.id, seq));
-                    self.adopted_grph = Some((self.id, seq));
+                    let (id, seq) = (self.id, self.mrt.group_seq);
+                    let cold = self.cold_mut();
+                    cold.grph_seen.insert((id, seq));
+                    cold.adopted_grph = Some((id, seq));
                     let base = GrphPayload {
                         group: self.group,
                         leader: self.id,
@@ -335,7 +419,7 @@ impl<X: Message> Maodv<X> {
             }
             TIMER_JOIN_START => {
                 self.join_started = true;
-                if self.is_member && !self.on_tree() && self.join.is_none() {
+                if self.is_member && !self.on_tree() && !self.joining() {
                     self.start_join(api, None);
                 }
                 true
@@ -409,8 +493,8 @@ impl<X: Message> Maodv<X> {
     /// protocol). Returns the per-origin sequence number used.
     pub fn send_data<C: MaodvCtx<X>>(&mut self, api: &mut C, payload_len: u16) -> u32 {
         self.data_seq += 1;
-        let seq = self.data_seq;
-        self.data_seen.insert((self.id, seq));
+        let (id, seq) = (self.id, self.data_seq);
+        self.cold_mut().data_seen.insert((id, seq));
         if self.on_tree() {
             api.broadcast(MaodvMsg::Data(DataHeader {
                 group: self.group,
@@ -455,9 +539,10 @@ impl<X: Message> Maodv<X> {
             return;
         }
         // No route: buffer and discover.
-        match self.discoveries.get_mut(&dest) {
+        let room = self.cfg.discovery_buffer;
+        match self.cold_mut().discoveries.get_mut(&dest) {
             Some(d) => {
-                if d.buffer.len() < self.cfg.discovery_buffer {
+                if d.buffer.len() < room {
                     d.buffer.push(payload);
                 } else {
                     api.count("maodv.discovery_buffer_drop");
@@ -465,7 +550,7 @@ impl<X: Message> Maodv<X> {
             }
             None => {
                 let rreq_id = self.flood_unicast_rreq(api, dest);
-                self.discoveries.insert(
+                self.cold_mut().discoveries.insert(
                     dest,
                     Discovery {
                         rreq_id,
@@ -525,9 +610,10 @@ impl<X: Message> Maodv<X> {
             "maodv.join_rreq"
         });
         let rreq_id = self.flood_join_rreq(api, repair);
-        self.join = Some(JoinAttempt {
+        let sent_at = api.now();
+        self.cold_mut().join = Some(JoinAttempt {
             rreq_id,
-            sent_at: api.now(),
+            sent_at,
             retries: 0,
             repair,
             candidates: Vec::new(),
@@ -617,7 +703,7 @@ impl<X: Message> Maodv<X> {
             }
         }
         // 2. Join/repair progress.
-        if let Some(mut j) = self.join.take() {
+        if let Some(mut j) = self.cold.as_mut().and_then(|c| c.join.take()) {
             if now.duration_since(j.sent_at) >= self.cfg.rrep_wait {
                 if let Some(best) = Self::select_candidate(&j.candidates) {
                     self.activate_branch(api, best, j.rreq_id, up);
@@ -626,25 +712,24 @@ impl<X: Message> Maodv<X> {
                     j.sent_at = now;
                     api.count("maodv.join_rreq_retry");
                     j.rreq_id = self.flood_join_rreq(api, j.repair);
-                    self.join = Some(j);
+                    self.cold_mut().join = Some(j);
                 } else {
                     // Nobody answered: we are partitioned (or first).
                     self.become_leader(api, up);
                 }
             } else {
-                self.join = Some(j);
+                self.cold_mut().join = Some(j);
             }
         }
         // 3a. A tree router without an upstream and not the leader must
         //     repair (covers lost MACT cascades and leader loss).
-        if self.on_tree() && !self.is_leader && self.mrt.upstream().is_none() && self.join.is_none()
-        {
+        if self.on_tree() && !self.is_leader && self.mrt.upstream().is_none() && !self.joining() {
             let hops = self.mrt.hops_to_leader;
             self.start_join(api, Some(hops));
         }
         // 3b. A member that fell off the tree entirely (pruned away or
         //     failed graft) re-joins from scratch.
-        if self.is_member && self.join_started && !self.on_tree() && self.join.is_none() {
+        if self.is_member && self.join_started && !self.on_tree() && !self.joining() {
             api.count("maodv.member_rejoin");
             self.start_join(api, None);
         }
@@ -653,7 +738,7 @@ impl<X: Message> Maodv<X> {
         //     Jittered so a whole subtree does not flood RREQs at once.
         if self.on_tree()
             && !self.is_leader
-            && self.join.is_none()
+            && !self.joining()
             && self.last_tree_grph.is_some()
             && !self.tree_connected(now)
         {
@@ -664,10 +749,14 @@ impl<X: Message> Maodv<X> {
                 self.start_join(api, None);
             }
         }
+        // Nothing below touches a node that never needed the cold box.
+        let Some(cold) = self.cold.as_deref() else {
+            return;
+        };
         // 4. Unicast discovery timeouts.
         let mut to_retry: Vec<NodeId> = Vec::new();
         let mut to_fail: Vec<NodeId> = Vec::new();
-        for (dest, d) in self.discoveries.iter() {
+        for (dest, d) in cold.discoveries.iter() {
             if now.duration_since(d.sent_at) >= self.cfg.rrep_wait {
                 if d.retries < self.cfg.rreq_retries {
                     to_retry.push(*dest);
@@ -680,22 +769,23 @@ impl<X: Message> Maodv<X> {
         to_fail.sort();
         for dest in to_retry {
             let rreq_id = self.flood_unicast_rreq(api, dest);
-            if let Some(d) = self.discoveries.get_mut(&dest) {
+            if let Some(d) = self.cold_mut().discoveries.get_mut(&dest) {
                 d.retries += 1;
                 d.sent_at = now;
                 d.rreq_id = rreq_id;
             }
         }
         for dest in to_fail {
-            if let Some(d) = self.discoveries.remove(&dest) {
+            if let Some(d) = self.cold_mut().discoveries.remove(&dest) {
                 api.count_n("maodv.discovery_failed_pkts", d.buffer.len() as u64);
                 api.count("maodv.discovery_failed");
             }
         }
         // 5. Expire stale pending-join bookkeeping.
-        self.pending_joins.retain(|_, p| p.expires > now);
-        if self.pending_joins.is_empty() && !self.forwarded_rreps.is_empty() {
-            self.forwarded_rreps.clear();
+        let cold = self.cold_mut();
+        cold.pending_joins.retain(|_, p| p.expires > now);
+        if cold.pending_joins.is_empty() && !cold.forwarded_rreps.is_empty() {
+            cold.forwarded_rreps.clear();
         }
     }
 
@@ -869,7 +959,7 @@ impl<X: Message> Maodv<X> {
                             hops: p.hop_count.saturating_add(1),
                         });
                     }
-                    if let Some(j) = &mut self.join {
+                    if let Some(j) = self.cold.as_mut().and_then(|c| c.join.as_mut()) {
                         if j.rreq_id == p.rreq_id {
                             j.candidates.push(JoinCandidate {
                                 via: from,
@@ -882,7 +972,11 @@ impl<X: Message> Maodv<X> {
                 }
                 _ => {
                     // Unicast discovery answered: flush the buffer.
-                    if let Some(d) = self.discoveries.remove(&p.dest) {
+                    if let Some(d) = self
+                        .cold
+                        .as_mut()
+                        .and_then(|c| c.discoveries.remove(&p.dest))
+                    {
                         for x in d.buffer {
                             self.send_ext_routed(api, p.dest, x);
                         }
@@ -902,20 +996,22 @@ impl<X: Message> Maodv<X> {
             // duplicates that are no better than what we already relayed.
             let key = (p.origin, p.rreq_id);
             let score = (p.seq, p.hop_count);
-            if let Some(&(best_seq, best_hops)) = self.forwarded_rreps.get(&key) {
+            let expires = now + self.cfg.rrep_wait * 4;
+            let cold = self.cold_mut();
+            if let Some(&(best_seq, best_hops)) = cold.forwarded_rreps.get(&key) {
                 if p.seq < best_seq || (p.seq == best_seq && p.hop_count >= best_hops) {
                     return;
                 }
             }
-            self.forwarded_rreps.insert(key, score);
-            self.pending_joins.insert(
+            cold.forwarded_rreps.insert(key, score);
+            cold.pending_joins.insert(
                 key,
                 PendingJoin {
                     upstream: from,
                     group_seq: p.seq,
                     hops_to_tree: p.hop_count.saturating_add(1),
                     leader_hops: p.leader_hops,
-                    expires: now + self.cfg.rrep_wait * 4,
+                    expires,
                 },
             );
             // Inactive entries for the potential branch, per draft-05.
@@ -947,7 +1043,7 @@ impl<X: Message> Maodv<X> {
                 let was_upstream = self.mrt.upstream() == Some(from);
                 self.mrt.remove_next_hop(from);
                 self.propagate_nearest_member(api);
-                if was_upstream && !self.is_leader && self.on_tree() && self.join.is_none() {
+                if was_upstream && !self.is_leader && self.on_tree() && !self.joining() {
                     // Our upstream cut us off: repair downstream-initiated,
                     // exactly as for a detected link break.
                     let hops = self.mrt.hops_to_leader;
@@ -964,7 +1060,12 @@ impl<X: Message> Maodv<X> {
                 if !was_on_tree {
                     // We are an intermediate node being grafted: continue
                     // the activation toward the tree.
-                    if let Some(p) = self.pending_joins.remove(&(m.origin, m.rreq_id)) {
+                    let key = (m.origin, m.rreq_id);
+                    if let Some(p) = self
+                        .cold
+                        .as_mut()
+                        .and_then(|c| c.pending_joins.remove(&key))
+                    {
                         self.mrt.enable_next_hop(p.upstream, false);
                         self.mrt.set_upstream(p.upstream);
                         self.mrt.group_seq = self.mrt.group_seq.max(p.group_seq);
@@ -990,7 +1091,7 @@ impl<X: Message> Maodv<X> {
             self.handle_tree_grph(api, from, g);
             return;
         }
-        if !self.grph_seen.insert((g.leader, g.group_seq)) {
+        if !self.cold_mut().grph_seen.insert((g.leader, g.group_seq)) {
             return;
         }
         if self.is_leader && g.leader != self.id && self.id > g.leader {
@@ -1005,7 +1106,7 @@ impl<X: Message> Maodv<X> {
             // Grace period: our subtree stays "connected" through us
             // while the graft completes.
             self.last_tree_grph = Some(api.now());
-            if self.join.is_none() {
+            if !self.joining() {
                 self.start_join(api, None);
             }
         } else {
@@ -1032,12 +1133,12 @@ impl<X: Message> Maodv<X> {
         if self.is_leader || self.mrt.upstream() != Some(from) {
             return;
         }
-        if let Some((leader, seq)) = self.adopted_grph {
+        if let Some((leader, seq)) = self.cold.as_ref().and_then(|c| c.adopted_grph) {
             if g.leader == leader && g.group_seq <= seq {
                 return;
             }
         }
-        self.adopted_grph = Some((g.leader, g.group_seq));
+        self.cold_mut().adopted_grph = Some((g.leader, g.group_seq));
         self.mrt.leader = Some(g.leader);
         self.mrt.group_seq = self.mrt.group_seq.max(g.group_seq);
         self.mrt.hops_to_leader = g.hop_count.saturating_add(1);
@@ -1066,7 +1167,7 @@ impl<X: Message> Maodv<X> {
             api.count("maodv.data_non_tree_ignored");
             return;
         }
-        if !self.data_seen.insert((d.origin, d.seq)) {
+        if !self.cold_mut().data_seen.insert((d.origin, d.seq)) {
             api.count("maodv.data_duplicate");
             return;
         }
@@ -1139,7 +1240,7 @@ impl<X: Message> Maodv<X> {
         if was_upstream && !self.is_leader {
             // Paper §3: only the downstream node repairs, advertising its
             // old distance to the leader so only closer nodes answer.
-            if self.join.is_none() {
+            if !self.joining() {
                 let hops = self.mrt.hops_to_leader;
                 self.start_join(api, Some(hops));
             }
@@ -1185,6 +1286,7 @@ impl<X: Message> Maodv<X> {
 mod tests {
     use super::*;
     use crate::NoExt;
+    use ag_net::state_digest;
 
     /// Records unicasts; every other effect is swallowed and every draw
     /// is zero.
@@ -1220,6 +1322,28 @@ mod tests {
         fn pick_weighted<F: Fn(usize) -> f64>(&mut self, _n: usize, _weight: F) -> usize {
             0
         }
+    }
+
+    /// An absent cold box renders as its empty contents: a node whose
+    /// box was allocated and then emptied again is the same state as a
+    /// fresh one.
+    #[test]
+    fn emptied_cold_box_digests_like_an_absent_one() {
+        let fresh = || {
+            Maodv::<NoExt>::new(
+                MaodvConfig::paper_default(),
+                NodeId::new(0),
+                GroupId(0),
+                false,
+            )
+        };
+        let mut used = fresh();
+        let key = (NodeId::new(1), 1);
+        used.cold_mut().forwarded_rreps.insert(key, (1, 1));
+        assert_ne!(state_digest(&used), state_digest(&fresh()));
+        used.cold_mut().forwarded_rreps.clear();
+        assert!(used.cold.is_some() && fresh().cold.is_none());
+        assert_eq!(state_digest(&used), state_digest(&fresh()));
     }
 
     /// A tree neighbour that prunes itself and grafts again is told our

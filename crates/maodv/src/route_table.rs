@@ -485,6 +485,14 @@ mod tests {
         assert_eq!(rt.known_seq(NodeId::new(2)), None);
     }
 
+    /// Every node holds one bucket per peer it knows; a new field here
+    /// costs every one of them.
+    #[test]
+    fn peer_record_fits_a_40_byte_bucket() {
+        assert!(std::mem::size_of::<Peer>() <= 32);
+        assert!(std::mem::size_of::<(NodeId, Peer)>() <= 40);
+    }
+
     #[test]
     fn a_record_goes_when_both_halves_are_cleared() {
         let (a, b) = (NodeId::new(1), NodeId::new(2));
@@ -702,7 +710,7 @@ mod tests {
             let mut rt = reference::RouteTable::default();
             let mut now = SimTime::ZERO;
             for ((op, a, b), (seq, hops, step_ms, life_ms)) in ops {
-                now = now + SimDuration::from_millis(step_ms);
+                now += SimDuration::from_millis(step_ms);
                 let (a, b) = (NodeId::new(a), NodeId::new(b));
                 let expires = now + SimDuration::from_millis(life_ms);
                 match op {
