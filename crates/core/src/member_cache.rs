@@ -125,11 +125,6 @@ impl MemberCache {
         Some(*eligible[choose(eligible.len())])
     }
 
-    /// Drops `member` from the cache (e.g. repeated unreachability).
-    pub fn remove(&mut self, member: NodeId) {
-        self.entries.retain(|e| e.node != member);
-    }
-
     /// The current entries, in insertion order.
     pub fn entries(&self) -> &[CacheEntry] {
         &self.entries
@@ -244,13 +239,5 @@ mod tests {
         // Unknown member: no-op.
         mc.record_gossip(id(9), t(4));
         assert_eq!(mc.len(), 1);
-    }
-
-    #[test]
-    fn remove_drops_entry() {
-        let mut mc = MemberCache::new(2);
-        mc.observe(id(1), 1);
-        mc.remove(id(1));
-        assert!(mc.is_empty());
     }
 }

@@ -88,11 +88,6 @@ impl MulticastRouteTable {
         }
     }
 
-    /// The saturation value for unknown member distances.
-    pub fn infinity(&self) -> u8 {
-        self.infinity
-    }
-
     /// Looks up a next hop.
     pub fn next_hop(&self, node: NodeId) -> Option<&NextHop> {
         self.next_hops.iter().find(|h| h.node == node)
