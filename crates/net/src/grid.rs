@@ -92,7 +92,15 @@ const AIR_LINEAR_CUTOVER: usize = 24;
 type Cell = (i64, i64);
 
 fn cell_of(p: Vec2, cell: f64) -> Cell {
-    ((p.x / cell).floor() as i64, (p.y / cell).floor() as i64)
+    (floor_i64(p.x / cell), floor_i64(p.y / cell))
+}
+
+/// `q.floor() as i64` without the libm call `floor` compiles to on
+/// baseline x86-64 (no `roundsd`): truncate (saturating, NaN → 0), then
+/// step down once if truncation rounded a negative fraction up.
+fn floor_i64(q: f64) -> i64 {
+    let t = q as i64;
+    t.saturating_sub(((t as f64) > q) as i64)
 }
 
 /// The inclusive cell range covering the disk of radius `r` around `c`.
@@ -888,7 +896,57 @@ mod tests {
         (p.x.to_bits(), p.y.to_bits())
     }
 
+    /// The cases a bit-pattern draw rarely hits.
+    #[test]
+    fn floor_i64_matches_libm_at_the_edges() {
+        let p52 = (1u64 << 52) as f64;
+        let p63 = (1u64 << 63) as f64;
+        let edges = [
+            0.0,
+            -0.0,
+            f64::MIN_POSITIVE,
+            -f64::MIN_POSITIVE,
+            f64::from_bits(1),
+            -f64::from_bits(1),
+            1.0f64.next_down(),
+            1.0f64.next_up(),
+            (-1.0f64).next_down(),
+            (-1.0f64).next_up(),
+            p52,
+            -p52,
+            p52 - 0.5,
+            -p52 + 0.5,
+            p63,
+            -p63,
+            p63.next_down(),
+            (-p63).next_down(),
+            f64::MAX,
+            f64::MIN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            -f64::NAN,
+        ];
+        for q in edges {
+            assert_eq!(floor_i64(q), q.floor() as i64, "{q:e}");
+        }
+    }
+
     proptest! {
+        /// `floor_i64` is `q.floor() as i64` over random bit patterns
+        /// (NaNs, infinities, subnormals and out-of-range values
+        /// included) and one ulp either side of random integers.
+        #[test]
+        fn prop_floor_i64_matches_libm(
+            bits in 0u64..=u64::MAX,
+            k in -(1i64 << 53)..(1i64 << 53),
+        ) {
+            let k = k as f64;
+            for q in [f64::from_bits(bits), k, k.next_up(), k.next_down()] {
+                prop_assert_eq!(floor_i64(q), q.floor() as i64, "{:e}", q);
+            }
+        }
+
         /// Random insert / finish / prune histories — ascending ids
         /// with gaps, overlapping and nested airtimes, optionally one
         /// long frame holding the slab's front while short ones behind
