@@ -332,17 +332,6 @@ impl<X: Message> Maodv<X> {
         self.is_leader || self.mrt.enabled_count() > 0
     }
 
-    /// Whether a join or repair attempt is in flight.
-    fn joining(&self) -> bool {
-        self.cold.as_ref().is_some_and(|c| c.join.is_some())
-    }
-
-    /// The cold bookkeeping, boxed on first use.
-    fn cold_mut(&mut self) -> &mut Cold<X> {
-        self.cold
-            .get_or_insert_with(|| Box::new(Cold::new(&self.cfg)))
-    }
-
     /// The multicast route table (read access for the gossip layer's
     /// locality-weighted next-hop choice).
     pub fn mrt(&self) -> &MulticastRouteTable {
@@ -580,6 +569,17 @@ impl<X: Message> Maodv<X> {
     }
 
     // ───────────────────────── internals ─────────────────────────
+
+    /// Whether a join or repair attempt is in flight.
+    fn joining(&self) -> bool {
+        self.cold.as_ref().is_some_and(|c| c.join.is_some())
+    }
+
+    /// The cold bookkeeping, boxed on first use.
+    fn cold_mut(&mut self) -> &mut Cold<X> {
+        self.cold
+            .get_or_insert_with(|| Box::new(Cold::new(&self.cfg)))
+    }
 
     /// Queues a flood frame's relay copy — `copy(hop_count + 1, ttl - 1)`,
     /// if the TTL allows one — for rebroadcast after a small random delay
