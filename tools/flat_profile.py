@@ -19,6 +19,14 @@ release profile leaves out; build a second executable for it, e.g.
 `CARGO_PROFILE_RELEASE_DEBUG=line-tables-only CARGO_TARGET_DIR=<dir>
 cargo build --release ...`, in a target directory of its own so the
 measured executable stays as it was.
+
+Samples outside the executable's image (libc's `memmove`/`malloc`, the
+vDSO) are one row in the table, then broken down by shared object: the
+tool reads /proc/<pid>/maps while the command runs and charges each such
+sample to the mapping that held its address. Beside each object it
+names the nearest *exported* symbol below the sampled addresses
+(`nm -D`); libc's internal variants (`__memmove_avx_unaligned_erms`)
+are not exported, so that name is a hint, marked `≈`, not an attribution.
 """
 import argparse, bisect, collections, ctypes, mmap, os, platform, struct, subprocess, sys, time
 
@@ -75,6 +83,55 @@ def load_base(pid, exe):
         time.sleep(0.001)
 
 
+def read_maps(pid, exe, maps):
+    """Adds the command's executable mappings to `maps` ({(start, end): (offset, path)}); python's own, before the exec, are skipped."""
+    try:
+        with open(f"/proc/{pid}/maps") as f:
+            lines = f.read().splitlines()
+    except OSError:  # the command has exited
+        return
+    if not any(line.endswith(exe) for line in lines):
+        return
+    for line in lines:
+        fields = line.split(maxsplit=5)
+        if "x" in fields[1]:
+            start, end = (int(a, 16) for a in fields[0].split("-"))
+            maps[(start, end)] = (int(fields[2], 16), fields[5] if len(fields) > 5 else "[anon]")
+
+
+def exported(path):
+    """A shared object's defined dynamic symbols by ascending address (empty if `nm` cannot read it)."""
+    out = subprocess.run(["nm", "-D", "--defined-only", "-n", path], capture_output=True, text=True).stdout
+    table = [(int(f[0], 16), f[2]) for f in (l.split() for l in out.splitlines()) if len(f) == 3 and f[1] in "TtWiI"]
+    return [a for a, _ in table], [n for _, n in table]
+
+
+def print_outside(samples, maps, total):
+    """`samples`: Counter of addresses outside the executable's image."""
+    objects = collections.defaultdict(collections.Counter)  # object -> Counter of (hint)
+    spans = sorted(maps.items())
+    starts = [s for (s, _), _ in spans]
+    nm_cache = {}
+    for ip, n in samples.items():
+        i = bisect.bisect_right(starts, ip) - 1
+        if i < 0 or ip >= spans[i][0][1]:
+            objects["[unmapped]"]["?"] += n
+            continue
+        (start, _), (offset, path) = spans[i]
+        name = os.path.basename(path) if path.startswith("/") else path
+        hint = "?"
+        if path.startswith("/"):
+            addrs, names = nm_cache.setdefault(path, exported(path))
+            j = bisect.bisect_right(addrs, ip - start + offset) - 1
+            hint = f"≈ {names[j]}" if j >= 0 else "?"
+        objects[name][hint] += n
+    print(f"\n{OUTSIDE} by shared object (≈ = nearest exported symbol below the address, approximate):")
+    for name, hints in sorted(objects.items(), key=lambda kv: -sum(kv[1].values())):
+        print(f"{100 * sum(hints.values()) / total:6.2f}%  {sum(hints.values()):8d}  {name}")
+        for hint, n in hints.most_common(5):
+            print(f"  {100 * n / total:6.2f}%  {n:8d}  {hint}")
+
+
 def symbols(exe):
     """The executable's functions by ascending address, closed by the end of its image."""
     out = subprocess.run(["nm", "-C", "-n", exe], capture_output=True, text=True, check=True).stdout
@@ -128,25 +185,30 @@ def main():
     rings = open_rings(pid, args.hz)
     os.write(go_w, b"x")
     base = load_base(pid, exe)
-    counts = collections.Counter()
+    counts, maps = collections.Counter(), {}
     while os.waitpid(pid, os.WNOHANG) == (0, 0):
+        read_maps(pid, exe, maps)
         for ring in rings:
             drain(ring, counts)
         time.sleep(0.05)
     for ring in rings:
         drain(ring, counts)
     addrs, names = symbols(exe)
-    by_fn, picked = collections.Counter(), collections.defaultdict(collections.Counter)
+    by_fn, picked, outside = collections.Counter(), collections.defaultdict(collections.Counter), collections.Counter()
     for ip, n in counts.items():
         i = bisect.bisect_right(addrs, ip - base) - 1
         name = names[i] if 0 <= i and ip >= base else OUTSIDE
         by_fn[name] += n
-        if name != OUTSIDE and any(s in name for s in args.lines):
+        if name == OUTSIDE:
+            outside[ip] += n
+        elif any(s in name for s in args.lines):
             picked[name][ip - base] += n
     total = sum(by_fn.values())
     print(f"{total} samples at {args.hz} Hz of CPU time", file=sys.stderr)
     for name, n in by_fn.most_common(args.top):
         print(f"{100 * n / total:6.2f}%  {n:8d}  {name}")
+    if outside:
+        print_outside(outside, maps, total)
     print_lines(exe, picked, total)
 
 
