@@ -5,7 +5,7 @@
 //! byte-for-byte, and `render_json` promises exact-float-bits
 //! rendering. These tests pin the *renderers themselves* against a
 //! fixed synthetic input, so an innocent-looking formatting tweak
-//! (precision change, column shuffle, serde-style escape) fails
+//! (precision change, column shuffle, string escape) fails
 //! `cargo test` here instead of silently invalidating every committed
 //! golden downstream.
 //!

@@ -925,7 +925,7 @@ impl<X: Message> Maodv<X> {
         up: &mut Vec<Upcall<X>>,
     ) {
         let now = api.now();
-        if p.hop_count >= 2 * self.cfg.flood_ttl {
+        if p.hop_count >= self.cfg.flood_ttl.saturating_mul(2) {
             // A reply circulating on stale reverse routes; kill the loop.
             api.count("maodv.rrep_loop_dropped");
             return;
@@ -1377,6 +1377,43 @@ mod tests {
                 node.mrt().next_hop(neighbour).is_some(),
                 kind == MactKind::Join
             );
+        }
+    }
+
+    /// The RREP loop guard is `2 × flood_ttl` saturated to a `u8`: with
+    /// a TTL of 200 a 200-hop reply still travels on, and only a
+    /// saturated hop count is taken for a loop.
+    #[test]
+    fn rrep_loop_guard_saturates_for_large_ttls() {
+        let (origin, rev_next, from) = (NodeId::new(5), NodeId::new(1), NodeId::new(2));
+        let cfg = MaodvConfig {
+            flood_ttl: 200,
+            ..MaodvConfig::paper_default()
+        };
+        let mut node = Maodv::<NoExt>::new(cfg, NodeId::new(0), GroupId(0), false);
+        node.note_route(SimTime::ZERO, origin, rev_next, 3);
+        let rrep = |hop_count| RrepPayload {
+            origin,
+            rreq_id: 1,
+            responder: NodeId::new(3),
+            dest: NodeId::new(3),
+            group: None,
+            seq: 1,
+            hop_count,
+            leader_hops: 0,
+            responder_is_member: false,
+        };
+        let mut up = Vec::new();
+        for (hops, forwarded) in [(200, true), (255, false)] {
+            let mut api = SendLog::default();
+            let msg = MaodvMsg::Rrep(rrep(hops));
+            node.on_packet(&mut api, from, msg, RxKind::Unicast, &mut up);
+            let expect = if forwarded {
+                vec![(rev_next, MaodvMsg::Rrep(rrep(hops + 1)))]
+            } else {
+                vec![]
+            };
+            assert_eq!(api.0, expect, "hop count {hops}");
         }
     }
 }

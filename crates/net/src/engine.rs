@@ -314,7 +314,7 @@ impl<P: Protocol> Engine<P> {
             channel_seed: splitter.derive(StreamKind::Channel, 0),
             grid,
             grid_gens: vec![0; n],
-            air: AirIndex::new(phy.range_m(), phy.spatial_index()),
+            air: AirIndex::new(),
             next_tx_id: 0,
             counters: CounterSet::new(),
             hot: HotCounters::default(),

@@ -621,9 +621,9 @@ fn set_threads_is_inert() {
         Engine::new(phy, 17, nodes)
     }
     // The third run is the brute-force engine: with ≥ 64 frames on the
-    // air the slab is far above `AIR_LINEAR_CUTOVER`, so this is the
-    // engine-level oracle for the `AirGrid` carrier-sense branch (the
-    // unicast round senses a crowded slab) and the receive kernel.
+    // air, this is the engine-level oracle for carrier sense over a
+    // crowded slab (the unicast round senses one) and the receive
+    // kernel.
     let mut outcomes = Vec::new();
     for (threads, spatial) in [(1, true), (8, true), (1, false)] {
         let mut e = build(spatial);

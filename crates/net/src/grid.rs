@@ -1,4 +1,5 @@
-//! Uniform-grid spatial indexes for the network engine's hot path.
+//! The network engine's hot-path indexes: a uniform grid over nodes
+//! and a slab of the transmissions on the air.
 //!
 //! The engine answers two geometric questions constantly:
 //!
@@ -8,28 +9,25 @@
 //!    attempt and every delivery needs the transmissions audible at a
 //!    point.
 //!
-//! Answering either with a linear scan costs `O(N)` per query, which is
-//! fine at the paper's 40 nodes and hopeless at city scale. This module
-//! provides two uniform grids that cut both to `O(local density)`:
-//!
-//! * [`NodeGrid`] indexes **nodes** by the cells their current mobility
-//!   leg can touch.
-//! * [`AirIndex`] owns every transmission record (live and recently
-//!   finished) in a slab kept in id order — a `TxEnd` finds its record
-//!   by binary search — and indexes them by the sender's (fixed) cell.
-//!
-//! Both keep their buckets in a [`CellBox`], the one dense cell array.
+//! Answering the first with a linear scan costs `O(N)` per query, which
+//! is fine at the paper's 40 nodes and hopeless at city scale, so
+//! [`NodeGrid`] indexes **nodes** by the cells their current mobility
+//! leg can touch and cuts it to `O(local density)`. The second is asked
+//! of far fewer records: [`AirIndex`] owns every transmission record
+//! (live and recently finished) in a slab kept in id order — a `TxEnd`
+//! finds its record by binary search — and eager pruning keeps it to
+//! the transmissions that can still matter, so each query is one pass
+//! over the slab.
 //!
 //! # Cell sizing
 //!
-//! [`AirIndex`] cells are one radio range `R` wide, so a disk probe of
-//! radius `R` touches at most a 3×3 block (plus a one-cell fringe for
-//! the safety pad below). [`NodeGrid`] cells are `R / 2` (the engine's
-//! `GRID_CELL_FACTOR`): the fetched box hugs the disk more tightly,
-//! [`NodeGrid::query_disk`] skips the box's out-of-disk corner cells,
-//! and each node's bucketing window smears over less area. Either way
-//! the work per query is independent of field size, and candidate
-//! lists track local density rather than global population.
+//! [`NodeGrid`] cells are `R / 2` for radio range `R` (the engine's
+//! `GRID_CELL_FACTOR`): the fetched box hugs the disk more tightly than
+//! one-`R` cells would, [`NodeGrid::query_disk`] skips the box's
+//! out-of-disk corner cells, and each node's bucketing window smears
+//! over less area. The work per query is independent of field size,
+//! and candidate lists track local density rather than global
+//! population.
 //!
 //! # Rebucket-on-mobility-event strategy
 //!
@@ -80,13 +78,6 @@ use ag_sim::SimTime;
 /// (~1e-13 m for kilometre-scale fields) by a wide margin while staying
 /// far below any radio range.
 pub(crate) const GRID_PAD: f64 = 1e-6;
-
-/// Below this many transmissions in the air, [`AirIndex`] answers
-/// queries by scanning all records instead of probing grid cells: a
-/// 3×3-cell probe costs ~9 map lookups, so a linear pass over a handful
-/// of records is cheaper. Purely a cost decision — both paths run the
-/// same exact predicate, so results are identical.
-const AIR_LINEAR_CUTOVER: usize = 24;
 
 /// A cell coordinate (floor of position / cell size, per axis).
 type Cell = (i64, i64);
@@ -156,33 +147,61 @@ fn segment_touches_cell(a: Vec2, b: Vec2, cell_idx: Cell, cell: f64, pad: f64) -
     true
 }
 
-/// Row-major buckets over the axis-aligned bounding box of every cell
-/// touched so far — the storage under both [`NodeGrid`] and
-/// [`AirIndex`]. A cell lookup is pure index arithmetic (a hashed
-/// lookup per cell dominated query cost in profiles), and every bucket
-/// in the box exists, with a capacity floor, from the moment the box
-/// grows: a lazy map kept *creating* buckets in steady state, one rare
-/// allocation per never-before-used cell, for as long as mobility kept
-/// finding new cells. Mobility models are field-clamped, so the box
-/// converges to the field's extent shortly after start-up; an
+/// Spatial index over nodes: each node is bucketed under every cell its
+/// current mobility leg can touch, and rebucketed at leg transitions.
+///
+/// The buckets are row-major over the axis-aligned bounding box of
+/// every cell touched so far. A cell lookup is pure index arithmetic (a
+/// hashed lookup per cell dominated query cost in profiles), and every
+/// bucket in the box exists, with a capacity floor, from the moment the
+/// box grows: a lazy map kept *creating* buckets in steady state, one
+/// rare allocation per never-before-used cell, for as long as mobility
+/// kept finding new cells. Mobility models are field-clamped, so the
+/// box converges to the field's extent shortly after start-up; an
 /// out-of-box touch triggers a rare O(cells) regrow.
 #[derive(Debug)]
-struct CellBox<T> {
+pub(crate) struct NodeGrid {
+    cell: f64,
     /// The `dims.0 × dims.1` cells at `origin`, row-major.
-    buckets: Vec<Vec<T>>,
+    buckets: Vec<Vec<u32>>,
     origin: Cell,
     dims: (i64, i64),
+    /// Each node's currently bucketed segment, as flat struct-of-arrays
+    /// storage (two `Vec2`s per node — no per-node heap block). The
+    /// occupied cells are *recomputed* from the segment on removal with
+    /// the same deterministic clip that inserted them, so storing the
+    /// cell lists (a `Vec<Cell>` allocation per node, ruinous at
+    /// millions of nodes) buys nothing.
+    node_seg: Vec<(Vec2, Vec2)>,
+    /// Whether the node currently occupies any buckets ([`NodeGrid::
+    /// remove_node`] detaches churned-down nodes until re-attached).
+    attached: Vec<bool>,
 }
 
-impl<T> CellBox<T> {
-    /// The one-cell box at the origin, its bucket holding `floor` items
-    /// before it reallocates.
-    fn new(floor: usize) -> Self {
-        CellBox {
-            buckets: vec![Vec::with_capacity(floor)],
+impl NodeGrid {
+    /// An empty grid for `n` nodes with `cell`-metre cells.
+    pub fn new(cell: f64, n: usize) -> Self {
+        assert!(cell > 0.0 && cell.is_finite(), "invalid grid cell {cell}");
+        NodeGrid {
+            cell,
+            buckets: vec![Vec::new()],
             origin: (0, 0),
             dims: (1, 1),
+            node_seg: vec![(Vec2::new(0.0, 0.0), Vec2::new(0.0, 0.0)); n],
+            attached: vec![false; n],
         }
+    }
+
+    /// Capacity floor for a cell bucket in an `n`-node grid of `cells`
+    /// cells: generously above the mean occupancy (`~2n / cells`, a
+    /// moving node's window spans a cell or two), capped at `n`.
+    /// Mobility keeps nudging each cell's occupancy high-water up for
+    /// a long time after start-up; handing every bucket room for a
+    /// dense local cluster up front is a few cells × `u32` of memory
+    /// and keeps the hot path free of the late, rare `Vec` growth
+    /// reallocations it would otherwise see.
+    fn floor_for(n: usize, cells: usize) -> usize {
+        (16 * (2 * n).div_ceil(cells.max(1)) + 8).min(n)
     }
 
     /// Row-major index of cell `c`, or `None` outside the box.
@@ -199,26 +218,26 @@ impl<T> CellBox<T> {
 
     /// The bucket of cell `c`, which must lie inside the box.
     #[inline]
-    fn bucket_mut(&mut self, c: Cell) -> &mut Vec<T> {
+    fn bucket_mut(&mut self, c: Cell) -> &mut Vec<u32> {
         let slot = self.slot(c).expect("cell outside the grid box");
         &mut self.buckets[slot]
     }
 
-    /// Grows the box to cover `lo..=hi`, preserving contents. `floor`
-    /// maps the new cell count to the capacity each bucket gets at
-    /// least: occupied buckets move over and are topped up to it, the
-    /// rest start afresh with exactly it. (An empty bucket's old
-    /// capacity was sized for a smaller box's higher occupancy; moving
-    /// those over too read +3 % `peak_rss_mb` on `city_20k`.)
-    fn grow_to(&mut self, lo: Cell, hi: Cell, floor: impl Fn(usize) -> usize) {
+    /// Grows the box to cover `lo..=hi`, preserving contents. Every
+    /// bucket gets at least [`NodeGrid::floor_for`] the new cell count:
+    /// occupied buckets move over and are topped up to it, the rest
+    /// start afresh with exactly it. (An empty bucket's old capacity
+    /// was sized for a smaller box's higher occupancy; moving those
+    /// over too read +3 % `peak_rss_mb` on `city_20k`.)
+    fn grow_to(&mut self, lo: Cell, hi: Cell) {
         let new_origin = (lo.0.min(self.origin.0), lo.1.min(self.origin.1));
         let new_max = (
             hi.0.max(self.origin.0 + self.dims.0 - 1),
             hi.1.max(self.origin.1 + self.dims.1 - 1),
         );
         let new_dims = (new_max.0 - new_origin.0 + 1, new_max.1 - new_origin.1 + 1);
-        let floor = floor((new_dims.0 * new_dims.1) as usize);
-        let mut buckets: Vec<Vec<T>> = (0..new_dims.0 * new_dims.1)
+        let floor = Self::floor_for(self.node_seg.len(), (new_dims.0 * new_dims.1) as usize);
+        let mut buckets: Vec<Vec<u32>> = (0..new_dims.0 * new_dims.1)
             .map(|_| Vec::with_capacity(floor))
             .collect();
         for dy in 0..self.dims.1 {
@@ -239,49 +258,6 @@ impl<T> CellBox<T> {
         self.origin = new_origin;
         self.dims = new_dims;
     }
-}
-
-/// Spatial index over nodes: each node is bucketed under every cell its
-/// current mobility leg can touch, and rebucketed at leg transitions.
-#[derive(Debug)]
-pub(crate) struct NodeGrid {
-    cell: f64,
-    cells: CellBox<u32>,
-    /// Each node's currently bucketed segment, as flat struct-of-arrays
-    /// storage (two `Vec2`s per node — no per-node heap block). The
-    /// occupied cells are *recomputed* from the segment on removal with
-    /// the same deterministic clip that inserted them, so storing the
-    /// cell lists (a `Vec<Cell>` allocation per node, ruinous at
-    /// millions of nodes) buys nothing.
-    node_seg: Vec<(Vec2, Vec2)>,
-    /// Whether the node currently occupies any buckets ([`NodeGrid::
-    /// remove_node`] detaches churned-down nodes until re-attached).
-    attached: Vec<bool>,
-}
-
-impl NodeGrid {
-    /// An empty grid for `n` nodes with `cell`-metre cells.
-    pub fn new(cell: f64, n: usize) -> Self {
-        assert!(cell > 0.0 && cell.is_finite(), "invalid grid cell {cell}");
-        NodeGrid {
-            cell,
-            cells: CellBox::new(0),
-            node_seg: vec![(Vec2::new(0.0, 0.0), Vec2::new(0.0, 0.0)); n],
-            attached: vec![false; n],
-        }
-    }
-
-    /// Capacity floor for a cell bucket in an `n`-node grid of `cells`
-    /// cells: generously above the mean occupancy (`~2n / cells`, a
-    /// moving node's window spans a cell or two), capped at `n`.
-    /// Mobility keeps nudging each cell's occupancy high-water up for
-    /// a long time after start-up; handing every bucket room for a
-    /// dense local cluster up front is a few cells × `u16` of memory
-    /// and keeps the hot path free of the late, rare `Vec` growth
-    /// reallocations it would otherwise see.
-    fn floor_for(n: usize, cells: usize) -> usize {
-        (16 * (2 * n).div_ceil(cells.max(1)) + 8).min(n)
-    }
 
     /// Calls `f` on the bucket of every cell in `lo..=hi` that the
     /// pad-dilated segment `a`→`b` touches: the one clip-walk insertion
@@ -296,7 +272,7 @@ impl NodeGrid {
         for cx in lo.0..=hi.0 {
             for cy in lo.1..=hi.1 {
                 if segment_touches_cell(a, b, (cx, cy), self.cell, GRID_PAD) {
-                    f(self.cells.bucket_mut((cx, cy)));
+                    f(self.bucket_mut((cx, cy)));
                 }
             }
         }
@@ -325,10 +301,8 @@ impl NodeGrid {
     pub fn update_segment(&mut self, node: usize, a: Vec2, b: Vec2) {
         self.remove_node(node);
         let (lo, hi) = segment_cells(a, b, self.cell);
-        if self.cells.slot(lo).is_none() || self.cells.slot(hi).is_none() {
-            let n = self.node_seg.len();
-            self.cells
-                .grow_to(lo, hi, |cells| Self::floor_for(n, cells));
+        if self.slot(lo).is_none() || self.slot(hi).is_none() {
+            self.grow_to(lo, hi);
         }
         self.for_touched((a, b), (lo, hi), |v| v.push(node as u32));
         self.node_seg[node] = (a, b);
@@ -343,12 +317,12 @@ impl NodeGrid {
         let (lo, hi) = disk_cells(center, r + GRID_PAD, self.cell);
         let r_sq = (r + GRID_PAD) * (r + GRID_PAD);
         // Clamp to the dense box: cells outside it are empty.
-        let x0 = lo.0.max(self.cells.origin.0);
-        let x1 = hi.0.min(self.cells.origin.0 + self.cells.dims.0 - 1);
-        let y0 = lo.1.max(self.cells.origin.1);
-        let y1 = hi.1.min(self.cells.origin.1 + self.cells.dims.1 - 1);
+        let x0 = lo.0.max(self.origin.0);
+        let x1 = hi.0.min(self.origin.0 + self.dims.0 - 1);
+        let y0 = lo.1.max(self.origin.1);
+        let y1 = hi.1.min(self.origin.1 + self.dims.1 - 1);
         for cy in y0..=y1 {
-            let row = (cy - self.cells.origin.1) * self.cells.dims.0 - self.cells.origin.0;
+            let row = (cy - self.origin.1) * self.dims.0 - self.origin.0;
             let ny = center
                 .y
                 .clamp(cy as f64 * self.cell, (cy + 1) as f64 * self.cell);
@@ -367,7 +341,7 @@ impl NodeGrid {
                 if (nx - center.x) * (nx - center.x) + dy_sq > r_sq {
                     continue;
                 }
-                out.extend_from_slice(&self.cells.buckets[(row + cx) as usize]);
+                out.extend_from_slice(&self.buckets[(row + cx) as usize]);
             }
         }
     }
@@ -385,30 +359,23 @@ pub(crate) struct TxShot {
     pub pos: Vec2,
 }
 
-/// One transmission's record in the air slab: its shot, grid cell and
-/// liveness. Kept small so the linear scans (`collect_overlapping`,
-/// small-count `busy_until`) stride contiguous memory.
+/// One transmission's record in the air slab: its shot and liveness.
+/// Kept small because every query (`busy_until`, `collect_overlapping`,
+/// `corrupts`) strides the whole slab.
 #[derive(Debug, Clone, Copy)]
 struct AirRec {
     id: u64,
     shot: TxShot,
-    cell: Cell,
     /// `true` until the transmission's `TxEnd` is processed; finished
     /// records stick around only while their airtime window can still
     /// corrupt an in-flight reception.
     live: bool,
 }
 
-/// Fresh air-grid cell buckets start with room for this many
-/// overlapping transmissions; crossing a tiny capacity would otherwise
-/// be a rare late reallocation per cell (the zero-allocation
-/// steady-state gate catches those).
-const AIR_BUCKET_FLOOR: usize = 8;
-
 /// Every transmission currently relevant to the channel: a dense slab
-/// of records (plus each live transmission's sender and frame, held in
-/// a parallel vector so the scan path stays compact) and — when spatial
-/// indexing is on — a cell index over sender positions.
+/// of records, plus each live transmission's sender and frame held in
+/// a parallel vector so the scans stay compact. Every query is one
+/// linear pass over the slab.
 ///
 /// The slab is its own id index: the engine hands out ascending ids and
 /// pruning compacts in place, so records stay in id order and lookup by
@@ -424,14 +391,6 @@ pub(crate) struct AirIndex<F> {
     /// Parallel to `recs`: the sender/frame payload, `None` once
     /// finished.
     frames: Vec<Option<F>>,
-    /// `Some` when spatial indexing is enabled. Buckets hold full
-    /// record *copies* (records are immutable apart from the `live`
-    /// flag, which is kept in sync), so dense-regime queries iterate
-    /// bucket entries directly instead of resolving each id against the
-    /// slab — that resolution would cost O(candidates × slab), worse
-    /// than the linear scan the grid is supposed to beat.
-    grid: Option<CellBox<AirRec>>,
-    cell: f64,
     /// Finished records awaiting pruning.
     done_count: usize,
     /// Records still on the air. Carrier-sense asks "is anything
@@ -442,15 +401,11 @@ pub(crate) struct AirIndex<F> {
 }
 
 impl<F> AirIndex<F> {
-    /// An empty index; `spatial` selects grid-backed queries, `cell` is
-    /// the radio range.
-    pub fn new(cell: f64, spatial: bool) -> Self {
-        assert!(cell > 0.0 && cell.is_finite(), "invalid grid cell {cell}");
+    /// An empty index.
+    pub fn new() -> Self {
         AirIndex {
             recs: Vec::new(),
             frames: Vec::new(),
-            grid: spatial.then(|| CellBox::new(AIR_BUCKET_FLOOR)),
-            cell,
             done_count: 0,
             live_count: 0,
         }
@@ -470,20 +425,11 @@ impl<F> AirIndex<F> {
             self.recs.last().is_none_or(|r| r.id < id),
             "tx ids must ascend"
         );
-        let cell = cell_of(shot.pos, self.cell);
-        let rec = AirRec {
+        self.recs.push(AirRec {
             id,
             shot,
-            cell,
             live: true,
-        };
-        if let Some(grid) = &mut self.grid {
-            if grid.slot(cell).is_none() {
-                grid.grow_to(cell, cell, |_| AIR_BUCKET_FLOOR);
-            }
-            grid.bucket_mut(cell).push(rec);
-        }
-        self.recs.push(rec);
+        });
         self.frames.push(Some(frame));
         self.live_count += 1;
     }
@@ -495,14 +441,6 @@ impl<F> AirIndex<F> {
         let idx = self.slot_of(id)?;
         debug_assert!(self.recs[idx].live, "TxEnd for finished transmission");
         self.recs[idx].live = false;
-        if let Some(grid) = &mut self.grid {
-            let bucket = grid.bucket_mut(self.recs[idx].cell);
-            let copy = bucket
-                .iter_mut()
-                .find(|r| r.id == id)
-                .expect("finished tx missing from its cell bucket");
-            copy.live = false;
-        }
         self.done_count += 1;
         self.live_count -= 1;
         let frame = self.frames[idx].take().expect("finished tx lost its frame");
@@ -518,35 +456,12 @@ impl<F> AirIndex<F> {
     /// The latest time any live transmission audible within `range` of
     /// `pos` stays on the air, or `None` if the medium is free there.
     pub fn busy_until(&self, pos: Vec2, range: f64) -> Option<SimTime> {
-        if self.live_count == 0 {
-            return None;
-        }
         let range_sq = range * range;
-        let mut busy: Option<SimTime> = None;
-        let mut consider = |r: &AirRec| {
-            if r.live && r.shot.pos.distance_sq(pos) <= range_sq {
-                busy = Some(busy.map_or(r.shot.end, |b: SimTime| b.max(r.shot.end)));
-            }
-        };
-        match &self.grid {
-            Some(grid) if self.recs.len() > AIR_LINEAR_CUTOVER => {
-                let (lo, hi) = disk_cells(pos, range + GRID_PAD, self.cell);
-                for cx in lo.0..=hi.0 {
-                    for cy in lo.1..=hi.1 {
-                        // Cells outside the box hold nothing.
-                        if let Some(slot) = grid.slot((cx, cy)) {
-                            grid.buckets[slot].iter().for_each(&mut consider);
-                        }
-                    }
-                }
-            }
-            _ => {
-                for r in &self.recs {
-                    consider(r);
-                }
-            }
-        }
-        busy
+        self.recs
+            .iter()
+            .filter(|r| r.live && r.shot.pos.distance_sq(pos) <= range_sq)
+            .map(|r| r.shot.end)
+            .max()
     }
 
     /// Appends to `out` the sender position of every transmission
@@ -587,8 +502,7 @@ impl<F> AirIndex<F> {
     /// `true` if any transmission other than `exclude` — live or
     /// finished — overlaps the `[start, end)` airtime window and is
     /// audible within `range` of `at` (i.e. the reception there is
-    /// corrupted). Only [`crate::reference`] probes per receiver, and
-    /// its engine builds the air index without a grid: always linear.
+    /// corrupted). Only [`crate::reference`] probes per receiver.
     pub fn corrupts(
         &self,
         exclude: u64,
@@ -635,17 +549,7 @@ impl<F> AirIndex<F> {
         let mut kept = 0;
         for i in 0..first_live {
             let r = self.recs[i];
-            if min_live_start.is_none_or(|m| r.shot.end <= m) {
-                if let Some(grid) = &mut self.grid {
-                    // Emptied buckets keep their capacity: senders are
-                    // stationary per transmission, so the same cells
-                    // fill again immediately.
-                    let v = grid.bucket_mut(r.cell);
-                    if let Some(j) = v.iter().position(|x| x.id == r.id) {
-                        v.swap_remove(j);
-                    }
-                }
-            } else {
+            if min_live_start.is_some_and(|m| r.shot.end > m) {
                 // A survivor ahead of the first dropped record stays
                 // put; rewriting it onto itself read +3 % `city_20k`.
                 if kept != i {
@@ -757,23 +661,25 @@ mod tests {
 
     #[test]
     fn cell_box_grows_in_all_four_directions() {
-        let mut b: CellBox<u32> = CellBox::new(0);
+        // Enough nodes that the floor stays under its cap of `N` and
+        // shrinks as the box grows.
+        const N: usize = 1000;
+        let mut b = NodeGrid::new(1.0, N);
         b.bucket_mut((0, 0)).push(7);
-        // Right/up, then left/down; the floor shrinks as the box grows.
-        let floor = |cells: usize| 64 / cells;
-        for (n, (lo, hi)) in [((1, 0), (2, 3)), ((-2, -1), (-1, 0))]
+        // Right/up, then left/down.
+        for (n, (lo, hi)) in [((1, 0), (4, 7)), ((-5, -2), (-1, 0))]
             .into_iter()
             .enumerate()
         {
             assert_eq!(b.slot(lo), None);
             assert_eq!(b.slot(hi), None);
-            b.grow_to(lo, hi, floor);
+            b.grow_to(lo, hi);
             b.bucket_mut(lo).push(10 + n as u32);
             b.bucket_mut(hi).push(20 + n as u32);
         }
-        assert_eq!((b.origin, b.dims), ((-2, -1), (5, 5)));
-        assert_eq!(b.buckets.len(), 25);
-        for (c, want) in [((0, 0), 7), ((1, 0), 10), ((2, 3), 20), ((-2, -1), 11)] {
+        assert_eq!((b.origin, b.dims), ((-5, -2), (10, 10)));
+        assert_eq!(b.buckets.len(), 100);
+        for (c, want) in [((0, 0), 7), ((1, 0), 10), ((4, 7), 20), ((-5, -2), 11)] {
             assert_eq!(b.bucket_mut(c), &[want], "contents of {c:?} lost");
         }
         // (-1, 0) came into the box with the second growth and took 21.
@@ -781,13 +687,15 @@ mod tests {
         assert_eq!(b.buckets.iter().map(Vec::len).sum::<usize>(), 5);
         // Every bucket has room for the last growth's floor; occupied
         // ones kept the larger capacity the first growth gave them.
-        assert!(b.buckets.iter().all(|v| v.capacity() >= 64 / 25));
-        assert!(b.bucket_mut((0, 0)).capacity() >= 64 / 12);
+        let floor = |cells| NodeGrid::floor_for(N, cells);
+        assert!(floor(40) > floor(100) && floor(40) < N);
+        assert!(b.buckets.iter().all(|v| v.capacity() >= floor(100)));
+        assert!(b.bucket_mut((0, 0)).capacity() >= floor(40));
         for outside in [
-            (-3, 0),
-            (3, 0),
-            (0, -2),
-            (0, 4),
+            (-6, 0),
+            (5, 0),
+            (0, -3),
+            (0, 8),
             (i64::MAX, 0),
             (0, i64::MIN),
         ] {
@@ -805,84 +713,61 @@ mod tests {
 
     #[test]
     fn air_index_busy_and_corruption() {
-        for spatial in [false, true] {
-            let mut air: AirIndex<()> = AirIndex::new(75.0, spatial);
-            air.insert(1, shot(1, 500, 0.0), ());
-            air.insert(2, shot(1, 900, 300.0), ());
-            // Near tx 1: busy until its end.
-            let busy = air.busy_until(Vec2::new(10.0, 0.0), 75.0).unwrap();
-            assert_eq!(busy, SimTime::from_secs(1) + SimDuration::from_millis(500));
-            // Far from both: free.
-            assert!(air.busy_until(Vec2::new(150.0, 0.0), 75.0).is_none());
-            // A reception of tx 1 at a point also hearing tx 2 is corrupted.
-            assert!(air.corrupts(
-                1,
-                SimTime::from_secs(1),
-                SimTime::from_secs(2),
-                Vec2::new(300.0, 0.0),
-                75.0
-            ));
-            // ...but not where tx 2 is inaudible.
-            assert!(!air.corrupts(
-                1,
-                SimTime::from_secs(1),
-                SimTime::from_secs(2),
-                Vec2::new(10.0, 0.0),
-                75.0
-            ));
-        }
+        let mut air: AirIndex<()> = AirIndex::new();
+        air.insert(1, shot(1, 500, 0.0), ());
+        air.insert(2, shot(1, 900, 300.0), ());
+        // Near tx 1: busy until its end.
+        let busy = air.busy_until(Vec2::new(10.0, 0.0), 75.0).unwrap();
+        assert_eq!(busy, SimTime::from_secs(1) + SimDuration::from_millis(500));
+        // Far from both: free.
+        assert!(air.busy_until(Vec2::new(150.0, 0.0), 75.0).is_none());
+        // A reception of tx 1 at a point also hearing tx 2 is corrupted.
+        assert!(air.corrupts(
+            1,
+            SimTime::from_secs(1),
+            SimTime::from_secs(2),
+            Vec2::new(300.0, 0.0),
+            75.0
+        ));
+        // ...but not where tx 2 is inaudible.
+        assert!(!air.corrupts(
+            1,
+            SimTime::from_secs(1),
+            SimTime::from_secs(2),
+            Vec2::new(10.0, 0.0),
+            75.0
+        ));
     }
 
+    /// Every `busy_until` and `collect_overlapping` call strides the
+    /// whole slab of these, so the pin makes a new field a decision,
+    /// not an accident.
     #[test]
-    fn dense_air_index_grid_path_matches_linear() {
-        // Enough simultaneous transmissions to cross AIR_LINEAR_CUTOVER,
-        // so the grid branch of busy_until actually runs and must agree
-        // with the always-exact linear path — including after some
-        // transmissions finish (bucket copies track liveness).
-        let n = AIR_LINEAR_CUTOVER + 8;
-        let mut spatial: AirIndex<()> = AirIndex::new(75.0, true);
-        let mut linear: AirIndex<()> = AirIndex::new(75.0, false);
-        for i in 0..n as u64 {
-            let s = shot(1 + i % 3, 400, 40.0 * i as f64);
-            spatial.insert(i, s, ());
-            linear.insert(i, s, ());
-        }
-        for i in 0..6 {
-            spatial.finish(i).unwrap();
-            linear.finish(i).unwrap();
-        }
-        for probe in 0..n as u64 {
-            let at = Vec2::new(40.0 * probe as f64, 10.0);
-            assert_eq!(
-                spatial.busy_until(at, 75.0),
-                linear.busy_until(at, 75.0),
-                "busy_until diverged at probe {probe}"
-            );
-        }
+    fn air_record_stays_small() {
+        assert_eq!(std::mem::size_of::<AirRec>(), 48);
     }
 
     #[test]
     fn eager_pruning_drops_irrelevant_done_txs() {
-        for spatial in [false, true] {
-            let mut air: AirIndex<()> = AirIndex::new(75.0, spatial);
-            air.insert(1, shot(1, 100, 0.0), ());
-            air.finish(1).unwrap();
-            // Nothing live: the finished record is dropped immediately.
-            air.prune();
-            assert_eq!(air.len(), 0, "spatial={spatial}");
+        let mut air: AirIndex<()> = AirIndex::new();
+        air.insert(1, shot(1, 100, 0.0), ());
+        air.finish(1).unwrap();
+        // Nothing live: the finished record is dropped immediately.
+        air.prune();
+        assert_eq!(air.len(), 0);
 
-            // A finished tx overlapping a live one must survive the prune…
-            air.insert(2, shot(2, 100, 0.0), ());
-            air.insert(3, shot(2, 400, 10.0), ());
-            air.finish(2).unwrap();
-            air.prune();
-            assert_eq!(air.len(), 2, "spatial={spatial}");
-            // …until the live one finishes too.
-            air.finish(3).unwrap();
-            air.prune();
-            assert_eq!(air.len(), 0, "spatial={spatial}");
-        }
+        // A finished tx overlapping a live one must survive the prune…
+        air.insert(2, shot(2, 100, 0.0), ());
+        air.insert(3, shot(2, 400, 10.0), ());
+        air.finish(2).unwrap();
+        air.prune();
+        assert_eq!(air.len(), 2);
+        // …until the live one finishes too.
+        air.finish(3).unwrap();
+        air.prune();
+        assert_eq!(air.len(), 0);
     }
+
     /// The naive counterpart of one [`AirIndex`] record: same facts,
     /// found by linear search.
     #[derive(Debug, Clone, Copy)]
@@ -950,22 +835,19 @@ mod tests {
         /// Random insert / finish / prune histories — ascending ids
         /// with gaps, overlapping and nested airtimes, optionally one
         /// long frame holding the slab's front while short ones behind
-        /// it finish (which also pushes the slab past
-        /// `AIR_LINEAR_CUTOVER`) — against a `Vec` of records with
-        /// linear lookups. `finish` only finds its record while `prune`
-        /// keeps the slab in id order.
+        /// it finish (which keeps the slab long) — against a `Vec` of
+        /// records with linear lookups. `finish` only finds its record
+        /// while `prune` keeps the slab in id order.
         #[test]
         fn prop_air_index_matches_naive_model(
             ops in prop::collection::vec((0u8..10, 0.0f64..600.0, 0.0f64..300.0, 1u64..4), 1..160),
-            spatial in 0u8..2,
             hold_front in 0u8..2,
         ) {
             const RANGE: f64 = 75.0;
-            let mut air: AirIndex<u64> = AirIndex::new(RANGE, spatial == 1);
+            let mut air: AirIndex<u64> = AirIndex::new();
             let mut model: Vec<ModelRec> = Vec::new();
             let mut now = SimTime::from_secs(1);
             let mut next_id = 0u64;
-            let mut most_held = 0;
             for (n, &(kind, x, y, step)) in ops.iter().enumerate() {
                 let pos = Vec2::new(x, y);
                 now += SimDuration::from_micros(100 * step);
@@ -1004,7 +886,6 @@ mod tests {
                         prop_assert!(air.finish(id).is_none(), "pruned id still found");
                     }
                 }
-                most_held = most_held.max(air.len());
                 // Every query, every step.
                 let busy = model
                     .iter()
@@ -1032,9 +913,6 @@ mod tests {
                 want.sort_unstable();
                 got.sort_unstable();
                 prop_assert_eq!(got, want);
-            }
-            if hold_front == 1 && ops.len() > 4 * AIR_LINEAR_CUTOVER {
-                prop_assert!(most_held > AIR_LINEAR_CUTOVER, "grid path of busy_until never ran");
             }
         }
     }

@@ -302,9 +302,9 @@ pub struct PhyParams {
     retry_limit: u32,
     /// MAC transmit-queue capacity (drop-tail beyond this).
     queue_capacity: usize,
-    /// Use the uniform-grid spatial index for receiver and collision
-    /// lookups (`true`, the default) or the brute-force linear scans
-    /// (`false`, kept for differential testing). Both produce identical
+    /// Compute each transmission's receivers with the node-grid kernel
+    /// (`true`, the default) or the brute-force reference scan (`false`,
+    /// kept for differential testing). Both produce identical
     /// simulations; only the wall-clock cost differs.
     spatial_index: bool,
     /// How in-range, uncollided frames are accepted or lost
@@ -351,10 +351,12 @@ impl PhyParams {
         self
     }
 
-    /// Returns a copy selecting the grid-indexed (`true`) or brute-force
-    /// (`false`) receiver/collision lookup path. Results are identical
-    /// either way; the brute-force path exists for differential testing
-    /// and as the baseline of `agbench`'s `net.grid_speedup_x`.
+    /// Returns a copy selecting how a `TxEnd` finds its receivers: the
+    /// node-grid kernel (`true`) or the brute-force reference scan
+    /// (`false`). Carrier sense is the same slab pass either way.
+    /// Results are identical; the brute-force path exists for
+    /// differential testing and as the baseline of `agbench`'s
+    /// `net.grid_speedup_x`.
     pub fn with_spatial_index(mut self, enabled: bool) -> Self {
         self.spatial_index = enabled;
         self
@@ -424,7 +426,7 @@ impl PhyParams {
         self
     }
 
-    /// `true` when receiver/collision lookups use the spatial index.
+    /// `true` when receiver sets come from the node-grid kernel.
     pub fn spatial_index(&self) -> bool {
         self.spatial_index
     }

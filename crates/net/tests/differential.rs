@@ -342,11 +342,11 @@ fn sparse_field_identical_paths() {
     }
 }
 
-/// A city block big enough to push the air slab past the air index's
-/// linear-scan cutover (24 records): the 12-node cases above never do,
-/// so this is where carrier sense through the air *grid* meets the
-/// brute-force engine's linear scan under mixed mobility. Dense enough
-/// that the medium is often busy (asserted), short enough for debug.
+/// A city block big enough to keep dozens of records in the air slab:
+/// the 12-node cases above never do, so this is where carrier sense and
+/// collisions over a crowded slab meet the brute-force engine under
+/// mixed mobility. Dense enough that the medium is often busy
+/// (asserted), short enough for debug.
 #[test]
 fn crowded_air_identical_paths() {
     let out: Vec<Outcome> = [true, false]
