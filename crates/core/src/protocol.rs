@@ -124,9 +124,8 @@ pub(crate) fn select_reply_packets(
 #[derive(Debug, Clone)]
 pub struct AnonymousGossip {
     maodv: Maodv<AgMsg>,
-    /// Reused per-dispatch upcall buffer (engine callbacks fire once per
-    /// received frame/timer; a fresh `Vec` each time was a steady-state
-    /// allocation).
+    /// Reused per-reception upcall buffer (a fresh `Vec` per received
+    /// frame was a steady-state allocation); MAODV's timers fill none.
     up: Vec<Upcall<AgMsg>>,
     gossip: Gossip,
 }
@@ -289,7 +288,6 @@ impl Gossip {
                     AgMsg::Request(r) => self.accept_request(maodv, api, &r, hops),
                     AgMsg::Reply(rep) => self.handle_reply(api, rep, hops),
                 },
-                Upcall::JoinedTree | Upcall::BecameLeader => {}
             }
         }
     }
@@ -485,26 +483,26 @@ impl Protocol for AnonymousGossip {
     }
 
     fn on_timer<C: MaodvCtx<AgMsg>>(&mut self, api: &mut C, key: TimerKey) {
-        let AnonymousGossip { maodv, up, gossip } = self;
-        if !maodv.on_timer(api, key, up) {
-            match key {
-                TIMER_GOSSIP => {
-                    gossip.gossip_round(maodv, api);
-                    api.set_timer(gossip.cfg.gossip_interval, TIMER_GOSSIP);
-                }
-                TIMER_TRAFFIC => {
-                    if let Some(t) = gossip.member().traffic {
-                        if api.now() <= t.end {
-                            let seq = maodv.send_data(api, t.payload_len);
-                            gossip.deliver(maodv.id(), seq, t.payload_len, DeliveryPath::Tree);
-                            api.set_timer(t.interval, TIMER_TRAFFIC);
-                        }
+        let AnonymousGossip { maodv, gossip, .. } = self;
+        if maodv.on_timer(api, key) {
+            return;
+        }
+        match key {
+            TIMER_GOSSIP => {
+                gossip.gossip_round(maodv, api);
+                api.set_timer(gossip.cfg.gossip_interval, TIMER_GOSSIP);
+            }
+            TIMER_TRAFFIC => {
+                if let Some(t) = gossip.member().traffic {
+                    if api.now() <= t.end {
+                        let seq = maodv.send_data(api, t.payload_len);
+                        gossip.deliver(maodv.id(), seq, t.payload_len, DeliveryPath::Tree);
+                        api.set_timer(t.interval, TIMER_TRAFFIC);
                     }
                 }
-                _ => {}
             }
+            _ => {}
         }
-        gossip.process_upcalls(maodv, api, up);
     }
 
     fn on_send_failure<C: MaodvCtx<AgMsg>>(&mut self, api: &mut C, to: NodeId, msg: Self::Msg) {

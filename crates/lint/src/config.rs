@@ -122,8 +122,14 @@ impl Config {
                 ),
                 ("crates/core/src/protocol.rs".to_string(), s(&["prefetch"])),
                 (
-                    // Calendar queue steady state: push, pop, min scan,
-                    // the arena's free list and the overflow heap's sifts.
+                    // The flood relay, MAODV's and ODMRP's: once per
+                    // rebroadcast copy queued and once per relay timer.
+                    "crates/maodv/src/seen.rs".to_string(),
+                    s(&["queue", "relay", "drain"]),
+                ),
+                (
+                    // Calendar queue steady state: push, pop, min scan
+                    // and the arena's free list.
                     "crates/sim/src/event.rs".to_string(),
                     s(&[
                         "schedule",
@@ -134,8 +140,6 @@ impl Config {
                         "alloc",
                         "release",
                         "link",
-                        "heap_push",
-                        "heap_pop",
                     ]),
                 ),
             ],

@@ -1,9 +1,10 @@
 //! The MAODV node state machine.
 //!
-//! [`Maodv`] is deliberately *not* an [`ag_net::Protocol`]: its handlers
-//! return [`Upcall`]s so a wrapping layer (Anonymous Gossip in `ag-core`,
-//! or the bare [`crate::MaodvProtocol`] baseline) can observe deliveries,
-//! membership sightings and extension frames without callback traits.
+//! [`Maodv`] is deliberately *not* an [`ag_net::Protocol`]: its reception
+//! handler returns [`Upcall`]s so a wrapping layer (Anonymous Gossip in
+//! `ag-core`, or the bare [`crate::MaodvProtocol`] baseline) can observe
+//! deliveries, membership sightings and extension frames without
+//! callback traits. Its timers surface nothing.
 //!
 //! The flow of a group join (paper §3):
 //!
@@ -22,6 +23,7 @@
 
 use std::fmt;
 use std::hint::black_box;
+use std::ops::{Deref, DerefMut};
 
 use ag_sim::hash::DetHashMap as HashMap;
 
@@ -33,7 +35,7 @@ use crate::messages::{
 };
 use crate::mrt::MulticastRouteTable;
 use crate::route_table::RouteTable;
-use crate::seen::SeenCache;
+use crate::seen::{FloodRelay, SeenCache};
 use crate::{GroupId, MaodvConfig};
 
 /// Timer: periodic HELLO broadcast.
@@ -44,7 +46,7 @@ pub const TIMER_TICK: TimerKey = 2;
 pub const TIMER_GRPH: TimerKey = 3;
 /// Timer: a member's jittered initial join.
 pub const TIMER_JOIN_START: TimerKey = 4;
-/// Timer: jittered flood-relay drain (RREQ/GRPH rebroadcasts).
+/// Timer: the [`FloodRelay`] drain (RREQ/GRPH rebroadcasts).
 pub const TIMER_RELAY: TimerKey = 5;
 /// First timer key available to layers above MAODV.
 pub const TIMER_USER_BASE: TimerKey = 64;
@@ -88,10 +90,6 @@ pub enum Upcall<X> {
         /// The payload.
         msg: X,
     },
-    /// This node's branch to the multicast tree was activated.
-    JoinedTree,
-    /// This node became the group leader (first member or partition).
-    BecameLeader,
 }
 
 /// An in-flight join or repair attempt at this node.
@@ -105,23 +103,14 @@ struct JoinAttempt {
     candidates: Vec<JoinCandidate>,
 }
 
+/// A branch a graft can take: the neighbour a join reply came from and
+/// what the reply offered through it.
 #[derive(Debug, Clone, Copy)]
 struct JoinCandidate {
     via: NodeId,
     group_seq: u32,
     hops_to_tree: u8,
     leader_hops: u8,
-}
-
-/// Bookkeeping at an intermediate node that forwarded a join RREP and may
-/// receive the MACT cascade.
-#[derive(Debug, Clone, Copy)]
-struct PendingJoin {
-    upstream: NodeId,
-    group_seq: u32,
-    hops_to_tree: u8,
-    leader_hops: u8,
-    expires: SimTime,
 }
 
 /// An in-flight unicast route discovery with its packet buffer.
@@ -140,7 +129,9 @@ struct Discovery<X> {
 #[derive(Debug, Clone)]
 struct Cold<X> {
     join: Option<JoinAttempt>,
-    pending_joins: HashMap<(NodeId, u32), PendingJoin>,
+    /// Join replies relayed toward their origin, per `(origin, rreq_id)`:
+    /// the branch the MACT cascade grafts if it comes, and until when.
+    pending_joins: HashMap<(NodeId, u32), (JoinCandidate, SimTime)>,
     discoveries: HashMap<NodeId, Discovery<X>>,
     data_seen: SeenCache<(NodeId, u32)>,
     grph_seen: SeenCache<(NodeId, u32)>,
@@ -165,10 +156,56 @@ impl<X> Cold<X> {
             adopted_grph: None,
         }
     }
+
+    /// Whether this holds no more than [`Cold::new`] does. Names every
+    /// field, so a new one cannot be left out of state identity.
+    fn is_empty(&self) -> bool {
+        let Cold {
+            join,
+            pending_joins,
+            discoveries,
+            data_seen,
+            grph_seen,
+            forwarded_rreps,
+            adopted_grph,
+        } = self;
+        join.is_none()
+            && pending_joins.is_empty()
+            && discoveries.is_empty()
+            && data_seen.is_empty()
+            && grph_seen.is_empty()
+            && forwarded_rreps.is_empty()
+            && adopted_grph.is_none()
+    }
+}
+
+/// The [`Cold`] box, `None` until first needed. Renders an emptied box
+/// as an absent one, so a node that never needed the box and one whose
+/// box emptied again are the same state to `ag_net::state_digest`.
+#[derive(Clone)]
+struct ColdBox<X>(Option<Box<Cold<X>>>);
+
+impl<X: fmt::Debug> fmt::Debug for ColdBox<X> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.0.as_ref().filter(|c| !c.is_empty()).fmt(f)
+    }
+}
+
+impl<X> Deref for ColdBox<X> {
+    type Target = Option<Box<Cold<X>>>;
+    fn deref(&self) -> &Self::Target {
+        &self.0
+    }
+}
+
+impl<X> DerefMut for ColdBox<X> {
+    fn deref_mut(&mut self) -> &mut Self::Target {
+        &mut self.0
+    }
 }
 
 /// The MAODV routing state of one node. See module docs.
-#[derive(Clone)]
+#[derive(Debug, Clone)]
 pub struct Maodv<X: Message> {
     cfg: MaodvConfig,
     id: NodeId,
@@ -189,69 +226,16 @@ pub struct Maodv<X: Message> {
     /// / grafted). `None` until first tree contact. Staleness means the
     /// path to the leader is gone even if the local tree edges look fine.
     last_tree_grph: Option<SimTime>,
-    /// Flood frames awaiting their jittered rebroadcast (see
-    /// [`Maodv::schedule_relay`]).
-    relay_queue: std::collections::VecDeque<MaodvMsg<X>>,
+    /// RREQ and GRPH copies awaiting their jittered rebroadcast
+    /// ([`TIMER_RELAY`]).
+    relay: FloodRelay<MaodvMsg<X>>,
     /// Seeded-bug canary (always `false` in production): when set, a
     /// node answers join RREQs even when its group sequence number is
     /// *stale* — exactly the reply the §3 loop-prevention guard exists
     /// to suppress. `ag-check` asserts its MRT loop-freedom property
     /// catches this mutation.
     canary_accept_stale_seq: bool,
-    /// `None` until first needed; see [`Cold`].
-    cold: Option<Box<Cold<X>>>,
-}
-
-/// Renders an absent cold box as its empty contents, so a node that
-/// never needed the box and one whose box emptied again are the same
-/// state to `ag_net::state_digest`.
-impl<X: Message> fmt::Debug for Maodv<X> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let Maodv {
-            cfg,
-            id,
-            group,
-            is_member,
-            is_leader,
-            node_seq,
-            next_rreq_id,
-            data_seq,
-            rt,
-            mrt,
-            rreq_seen,
-            join_started,
-            last_tree_grph,
-            relay_queue,
-            canary_accept_stale_seq,
-            cold,
-        } = self;
-        let empty;
-        let cold = match cold {
-            Some(cold) => &**cold,
-            None => {
-                empty = Cold::new(cfg);
-                &empty
-            }
-        };
-        f.debug_struct("Maodv")
-            .field("cfg", cfg)
-            .field("id", id)
-            .field("group", group)
-            .field("is_member", is_member)
-            .field("is_leader", is_leader)
-            .field("node_seq", node_seq)
-            .field("next_rreq_id", next_rreq_id)
-            .field("data_seq", data_seq)
-            .field("rt", rt)
-            .field("mrt", mrt)
-            .field("rreq_seen", rreq_seen)
-            .field("join_started", join_started)
-            .field("last_tree_grph", last_tree_grph)
-            .field("relay_queue", relay_queue)
-            .field("canary_accept_stale_seq", canary_accept_stale_seq)
-            .field("cold", cold)
-            .finish()
-    }
+    cold: ColdBox<X>,
 }
 
 /// Bound alias for contexts carrying MAODV frames: every
@@ -278,9 +262,9 @@ impl<X: Message> Maodv<X> {
             rreq_seen: SeenCache::new(cfg.rreq_seen_capacity),
             join_started: false,
             last_tree_grph: None,
-            relay_queue: std::collections::VecDeque::new(),
+            relay: FloodRelay::default(),
             canary_accept_stale_seq: false,
-            cold: None,
+            cold: ColdBox(None),
             cfg,
         }
     }
@@ -358,12 +342,7 @@ impl<X: Message> Maodv<X> {
 
     /// Handles one of MAODV's own timers. Returns `true` if the key was
     /// consumed (wrappers pass unknown keys to their own logic).
-    pub fn on_timer<C: MaodvCtx<X>>(
-        &mut self,
-        api: &mut C,
-        key: TimerKey,
-        up: &mut Vec<Upcall<X>>,
-    ) -> bool {
+    pub fn on_timer<C: MaodvCtx<X>>(&mut self, api: &mut C, key: TimerKey) -> bool {
         match key {
             TIMER_HELLO => {
                 api.broadcast(MaodvMsg::Hello);
@@ -396,14 +375,12 @@ impl<X: Message> Maodv<X> {
                 true
             }
             TIMER_TICK => {
-                self.tick(api, up);
+                self.tick(api);
                 api.set_timer(self.cfg.tick_interval, TIMER_TICK);
                 true
             }
             TIMER_RELAY => {
-                if let Some(msg) = self.relay_queue.pop_front() {
-                    api.broadcast(msg);
-                }
+                self.relay.drain(api);
                 true
             }
             TIMER_JOIN_START => {
@@ -447,7 +424,7 @@ impl<X: Message> Maodv<X> {
             MaodvMsg::Hello => {}
             MaodvMsg::Rreq(r) => self.handle_rreq(api, from, r),
             MaodvMsg::Rrep(p) => self.handle_rrep(api, from, p, up),
-            MaodvMsg::Mact(m) => self.handle_mact(api, from, m, up),
+            MaodvMsg::Mact(m) => self.handle_mact(api, from, m),
             MaodvMsg::Grph(g) => self.handle_grph(api, from, g),
             MaodvMsg::Data(d) => self.handle_data(api, from, d, up),
             MaodvMsg::NmUpdate { group, value } => {
@@ -581,27 +558,6 @@ impl<X: Message> Maodv<X> {
             .get_or_insert_with(|| Box::new(Cold::new(&self.cfg)))
     }
 
-    /// Queues a flood frame's relay copy — `copy(hop_count + 1, ttl - 1)`,
-    /// if the TTL allows one — for rebroadcast after a small random delay
-    /// (0–10 ms). Synchronized flood relays from mutually hidden nodes
-    /// would otherwise collide at the nodes between them *every* round —
-    /// the classic broadcast-storm pathology jitter exists to break.
-    fn schedule_relay<C: MaodvCtx<X>>(
-        &mut self,
-        api: &mut C,
-        hop_count: u8,
-        ttl: u8,
-        copy: impl FnOnce(u8, u8) -> MaodvMsg<X>,
-    ) {
-        if ttl <= 1 {
-            return;
-        }
-        self.relay_queue
-            .push_back(copy(hop_count.saturating_add(1), ttl - 1));
-        let delay = SimDuration::from_micros(api.jitter(10_000));
-        api.set_timer(delay, TIMER_RELAY);
-    }
-
     fn start_join<C: MaodvCtx<X>>(&mut self, api: &mut C, repair: Option<u8>) {
         self.join_started = true;
         api.count(if repair.is_some() {
@@ -678,17 +634,16 @@ impl<X: Message> Maodv<X> {
         })
     }
 
-    fn become_leader<C: MaodvCtx<X>>(&mut self, api: &mut C, up: &mut Vec<Upcall<X>>) {
+    fn become_leader<C: MaodvCtx<X>>(&mut self, api: &mut C) {
         self.is_leader = true;
         self.mrt.leader = Some(self.id);
         self.mrt.group_seq += 1;
         self.mrt.hops_to_leader = 0;
         self.last_tree_grph = Some(api.now());
-        up.push(Upcall::BecameLeader);
         api.count("maodv.became_leader");
     }
 
-    fn tick<C: MaodvCtx<X>>(&mut self, api: &mut C, up: &mut Vec<Upcall<X>>) {
+    fn tick<C: MaodvCtx<X>>(&mut self, api: &mut C) {
         let now = api.now();
         // 1. Neighbour liveness: silent tree neighbours break links.
         for dead in self.rt.sweep_dead(now, self.cfg.neighbor_timeout()) {
@@ -706,7 +661,8 @@ impl<X: Message> Maodv<X> {
         if let Some(mut j) = self.cold.as_mut().and_then(|c| c.join.take()) {
             if now.duration_since(j.sent_at) >= self.cfg.rrep_wait {
                 if let Some(best) = Self::select_candidate(&j.candidates) {
-                    self.activate_branch(api, best, j.rreq_id, up);
+                    self.graft(api, best, self.id, j.rreq_id);
+                    api.count("maodv.mact_sent");
                 } else if j.retries < self.cfg.rreq_retries {
                     j.retries += 1;
                     j.sent_at = now;
@@ -715,7 +671,7 @@ impl<X: Message> Maodv<X> {
                     self.cold_mut().join = Some(j);
                 } else {
                     // Nobody answered: we are partitioned (or first).
-                    self.become_leader(api, up);
+                    self.become_leader(api);
                 }
             } else {
                 self.cold_mut().join = Some(j);
@@ -783,7 +739,8 @@ impl<X: Message> Maodv<X> {
         }
         // 5. Expire stale pending-join bookkeeping.
         let cold = self.cold_mut();
-        cold.pending_joins.retain(|_, p| p.expires > now);
+        cold.pending_joins
+            .retain(|_, &mut (_, expires)| expires > now);
         if cold.pending_joins.is_empty() && !cold.forwarded_rreps.is_empty() {
             cold.forwarded_rreps.clear();
         }
@@ -798,33 +755,35 @@ impl<X: Message> Maodv<X> {
         })
     }
 
-    /// Requester side of MACT: activate the best candidate branch.
-    fn activate_branch<C: MaodvCtx<X>>(
+    /// Grafts this node onto the tree through `branch`: the requester
+    /// with its best candidate, and every router the MACT cascade crosses
+    /// with the branch it relayed the join reply from. Sends the MACT
+    /// join for `origin`'s request `rreq_id` on up the branch.
+    fn graft<C: MaodvCtx<X>>(
         &mut self,
         api: &mut C,
-        best: JoinCandidate,
+        branch: JoinCandidate,
+        origin: NodeId,
         rreq_id: u32,
-        up: &mut Vec<Upcall<X>>,
     ) {
         // An orphan re-graft replaces a still-enabled but disconnected
         // upstream: prune that stale edge so both sides agree (the old
-        // upstream's subtree will run its own orphan repair).
+        // upstream's subtree will run its own orphan repair). A router
+        // the cascade crosses was off the tree, so it has no upstream.
         if let Some(old) = self.mrt.upstream() {
-            if old != best.via {
+            if old != branch.via {
                 api.send(old, self.mact(MactKind::Prune, self.id, 0));
                 self.mrt.remove_next_hop(old);
             }
         }
-        self.mrt.enable_next_hop(best.via, false);
-        self.mrt.set_upstream(best.via);
-        self.mrt.group_seq = self.mrt.group_seq.max(best.group_seq);
-        self.mrt.hops_to_leader = best.leader_hops.saturating_add(best.hops_to_tree);
+        self.mrt.enable_next_hop(branch.via, false);
+        self.mrt.set_upstream(branch.via);
+        self.mrt.group_seq = self.mrt.group_seq.max(branch.group_seq);
+        self.mrt.hops_to_leader = branch.leader_hops.saturating_add(branch.hops_to_tree);
         // Optimistic grace: a tree GRPH should arrive within one round.
         self.last_tree_grph = Some(api.now());
-        api.send(best.via, self.mact(MactKind::Join, self.id, rreq_id));
-        self.exchange_nearest_member(api, best.via);
-        up.push(Upcall::JoinedTree);
-        api.count("maodv.mact_sent");
+        api.send(branch.via, self.mact(MactKind::Join, origin, rreq_id));
+        self.exchange_nearest_member(api, branch.via);
     }
 
     fn handle_rreq<C: MaodvCtx<X>>(&mut self, api: &mut C, from: NodeId, r: RreqPayload) {
@@ -907,14 +866,15 @@ impl<X: Message> Maodv<X> {
                 }
             }
         }
-        // Rebroadcast the flood (jittered; see schedule_relay).
-        self.schedule_relay(api, r.hop_count, r.ttl, |hop_count, ttl| {
-            MaodvMsg::Rreq(RreqPayload {
-                hop_count,
-                ttl,
-                ..r
-            })
-        });
+        // Rebroadcast the flood.
+        self.relay
+            .relay(api, TIMER_RELAY, r.hop_count, r.ttl, |hop_count, ttl| {
+                MaodvMsg::Rreq(RreqPayload {
+                    hop_count,
+                    ttl,
+                    ..r
+                })
+            });
     }
 
     fn handle_rrep<C: MaodvCtx<X>>(
@@ -1004,16 +964,13 @@ impl<X: Message> Maodv<X> {
                 }
             }
             cold.forwarded_rreps.insert(key, score);
-            cold.pending_joins.insert(
-                key,
-                PendingJoin {
-                    upstream: from,
-                    group_seq: p.seq,
-                    hops_to_tree: p.hop_count.saturating_add(1),
-                    leader_hops: p.leader_hops,
-                    expires,
-                },
-            );
+            let branch = JoinCandidate {
+                via: from,
+                group_seq: p.seq,
+                hops_to_tree: p.hop_count.saturating_add(1),
+                leader_hops: p.leader_hops,
+            };
+            cold.pending_joins.insert(key, (branch, expires));
             // Inactive entries for the potential branch, per draft-05.
             self.mrt.ensure_next_hop(from);
             self.mrt.ensure_next_hop(rev_next);
@@ -1027,13 +984,7 @@ impl<X: Message> Maodv<X> {
         );
     }
 
-    fn handle_mact<C: MaodvCtx<X>>(
-        &mut self,
-        api: &mut C,
-        from: NodeId,
-        m: MactPayload,
-        up: &mut Vec<Upcall<X>>,
-    ) {
+    fn handle_mact<C: MaodvCtx<X>>(&mut self, api: &mut C, from: NodeId, m: MactPayload) {
         if m.group != self.group {
             return;
         }
@@ -1061,19 +1012,12 @@ impl<X: Message> Maodv<X> {
                     // We are an intermediate node being grafted: continue
                     // the activation toward the tree.
                     let key = (m.origin, m.rreq_id);
-                    if let Some(p) = self
+                    if let Some((branch, _)) = self
                         .cold
                         .as_mut()
                         .and_then(|c| c.pending_joins.remove(&key))
                     {
-                        self.mrt.enable_next_hop(p.upstream, false);
-                        self.mrt.set_upstream(p.upstream);
-                        self.mrt.group_seq = self.mrt.group_seq.max(p.group_seq);
-                        self.mrt.hops_to_leader = p.leader_hops.saturating_add(p.hops_to_tree);
-                        self.last_tree_grph = Some(api.now());
-                        api.send(p.upstream, self.mact(MactKind::Join, m.origin, m.rreq_id));
-                        self.exchange_nearest_member(api, p.upstream);
-                        up.push(Upcall::JoinedTree);
+                        self.graft(api, branch, m.origin, m.rreq_id);
                     }
                     // else: stale MACT with no pending record; the tick's
                     // upstream-less repair rule will fix us up.
@@ -1117,13 +1061,14 @@ impl<X: Message> Maodv<X> {
     }
 
     fn relay_grph<C: MaodvCtx<X>>(&mut self, api: &mut C, g: GrphPayload) {
-        self.schedule_relay(api, g.hop_count, g.ttl, |hop_count, ttl| {
-            MaodvMsg::Grph(GrphPayload {
-                hop_count,
-                ttl,
-                ..g
-            })
-        });
+        self.relay
+            .relay(api, TIMER_RELAY, g.hop_count, g.ttl, |hop_count, ttl| {
+                MaodvMsg::Grph(GrphPayload {
+                    hop_count,
+                    ttl,
+                    ..g
+                })
+            });
     }
 
     /// A tree-scoped GRPH: adopt and relay downward only when it arrives

@@ -101,7 +101,7 @@ pub struct MaodvProtocol {
     node: Maodv<NoExt>,
     delivery: DeliveryLog,
     traffic: Option<TrafficSource>,
-    /// Reused per-dispatch upcall buffer (a fresh `Vec` per engine
+    /// Reused per-reception upcall buffer (a fresh `Vec` per engine
     /// callback was a steady-state allocation).
     up: Vec<Upcall<NoExt>>,
 }
@@ -139,19 +139,6 @@ impl MaodvProtocol {
     pub fn delivery(&self) -> &DeliveryLog {
         &self.delivery
     }
-
-    /// Drains what MAODV surfaced: the baseline only keeps deliveries.
-    fn process(&mut self) {
-        for up in self.up.drain(..) {
-            match up {
-                Upcall::DataReceived { origin, seq, .. } => {
-                    self.delivery.record(origin, seq, DeliveryPath::Tree);
-                }
-                Upcall::ExtNeighbor { msg, .. } | Upcall::ExtRouted { msg, .. } => match msg {},
-                Upcall::MemberObserved { .. } | Upcall::JoinedTree | Upcall::BecameLeader => {}
-            }
-        }
-    }
 }
 
 impl Protocol for MaodvProtocol {
@@ -172,11 +159,20 @@ impl Protocol for MaodvProtocol {
         rx: RxKind,
     ) {
         self.node.on_packet(api, from, msg, rx, &mut self.up);
-        self.process();
+        // The baseline only keeps deliveries.
+        for up in self.up.drain(..) {
+            match up {
+                Upcall::DataReceived { origin, seq, .. } => {
+                    self.delivery.record(origin, seq, DeliveryPath::Tree);
+                }
+                Upcall::ExtNeighbor { msg, .. } | Upcall::ExtRouted { msg, .. } => match msg {},
+                Upcall::MemberObserved { .. } => {}
+            }
+        }
     }
 
     fn on_timer<C: ProtoCtx<Self::Msg>>(&mut self, api: &mut C, key: TimerKey) {
-        if !self.node.on_timer(api, key, &mut self.up) && key == TIMER_TRAFFIC {
+        if !self.node.on_timer(api, key) && key == TIMER_TRAFFIC {
             if let Some(t) = self.traffic {
                 if api.now() <= t.end {
                     let seq = self.node.send_data(api, t.payload_len);
@@ -187,7 +183,6 @@ impl Protocol for MaodvProtocol {
                 }
             }
         }
-        self.process();
     }
 
     fn on_send_failure<C: ProtoCtx<Self::Msg>>(&mut self, api: &mut C, to: NodeId, msg: Self::Msg) {

@@ -93,10 +93,9 @@ impl Peer {
         };
     }
 
-    /// The route half of every `update*` (see [`RouteTable::update`] for
-    /// the rule): `seq` of `None` keeps the known sequence number,
-    /// `stale_at` of `Some(now)` lets a route expired by `now` be
-    /// replaced regardless of freshness.
+    /// The route half of every `update*` (see
+    /// [`RouteTable::update_allow_stale`] for the rule): `seq` of `None`
+    /// keeps the known sequence number.
     #[inline]
     fn upsert(
         &mut self,
@@ -104,14 +103,14 @@ impl Peer {
         seq: Option<u32>,
         hops: u8,
         expires: SimTime,
-        stale_at: Option<SimTime>,
+        now: SimTime,
     ) -> bool {
         if !self.routed {
             self.set_route(next_hop, seq.unwrap_or(0), hops, expires);
             return true;
         }
         let seq = seq.unwrap_or(self.seq);
-        if stale_at.is_some_and(|now| self.expires <= now) {
+        if self.expires <= now {
             self.set_route(next_hop, seq, hops, expires);
             return true;
         }
@@ -148,7 +147,8 @@ impl fmt::Debug for Peer {
 ///
 /// let mut rt = RouteTable::new();
 /// let now = SimTime::ZERO;
-/// rt.update(NodeId::new(5), NodeId::new(2), 10, 3, now + SimDuration::from_secs(3));
+/// let expires = now + SimDuration::from_secs(3);
+/// rt.update_allow_stale(NodeId::new(5), NodeId::new(2), 10, 3, expires, now);
 /// assert_eq!(rt.lookup(NodeId::new(5), now).unwrap().next_hop, NodeId::new(2));
 /// assert!(rt.lookup(NodeId::new(5), now + SimDuration::from_secs(4)).is_none());
 ///
@@ -202,23 +202,10 @@ impl RouteTable {
 
     /// Installs or refreshes a route following the AODV freshness rule:
     /// accept if the new sequence number is strictly fresher, or equally
-    /// fresh with a shorter hop count, or the existing entry has expired.
+    /// fresh with a shorter hop count, or the existing entry has expired
+    /// by `now`.
     ///
     /// Returns `true` if the table changed.
-    pub fn update(
-        &mut self,
-        dest: NodeId,
-        next_hop: NodeId,
-        seq: u32,
-        hops: u8,
-        expires: SimTime,
-    ) -> bool {
-        self.peer_mut(dest)
-            .upsert(next_hop, Some(seq), hops, expires, None)
-    }
-
-    /// Installs or refreshes a route, overriding the freshness rule when
-    /// the existing entry has already expired.
     pub fn update_allow_stale(
         &mut self,
         dest: NodeId,
@@ -229,7 +216,7 @@ impl RouteTable {
         now: SimTime,
     ) -> bool {
         self.peer_mut(dest)
-            .upsert(next_hop, Some(seq), hops, expires, Some(now))
+            .upsert(next_hop, Some(seq), hops, expires, now)
     }
 
     /// [`RouteTable::update_allow_stale`] for a route learned from a
@@ -246,7 +233,7 @@ impl RouteTable {
         now: SimTime,
     ) -> bool {
         self.peer_mut(dest)
-            .upsert(next_hop, None, hops, expires, Some(now))
+            .upsert(next_hop, None, hops, expires, now)
     }
 
     /// A frame from neighbour `who` was heard at `now`: stamps it alive
@@ -258,7 +245,7 @@ impl RouteTable {
         let p = self.peer_mut(who);
         p.heard = true;
         p.heard_at = now;
-        p.upsert(who, None, 1, expires, Some(now))
+        p.upsert(who, None, 1, expires, now)
     }
 
     /// The record of `who`, created empty if there is none; every caller
@@ -371,7 +358,7 @@ mod tests {
     #[test]
     fn lookup_respects_expiry() {
         let mut rt = RouteTable::new();
-        rt.update(NodeId::new(1), NodeId::new(2), 1, 1, t(3));
+        rt.update_allow_stale(NodeId::new(1), NodeId::new(2), 1, 1, t(3), t(0));
         assert!(rt.lookup(NodeId::new(1), t(2)).is_some());
         assert!(rt.lookup(NodeId::new(1), t(3)).is_none());
         assert!(rt.lookup(NodeId::new(9), t(0)).is_none());
@@ -380,15 +367,15 @@ mod tests {
     #[test]
     fn fresher_seq_wins() {
         let mut rt = RouteTable::new();
-        rt.update(NodeId::new(1), NodeId::new(2), 5, 3, t(3));
+        rt.update_allow_stale(NodeId::new(1), NodeId::new(2), 5, 3, t(3), t(0));
         // Older seq rejected.
-        assert!(!rt.update(NodeId::new(1), NodeId::new(7), 4, 1, t(3)));
+        assert!(!rt.update_allow_stale(NodeId::new(1), NodeId::new(7), 4, 1, t(3), t(0)));
         assert_eq!(
             rt.lookup(NodeId::new(1), t(0)).unwrap().next_hop,
             NodeId::new(2)
         );
         // Fresher seq accepted.
-        assert!(rt.update(NodeId::new(1), NodeId::new(7), 6, 4, t(4)));
+        assert!(rt.update_allow_stale(NodeId::new(1), NodeId::new(7), 6, 4, t(4), t(0)));
         assert_eq!(
             rt.lookup(NodeId::new(1), t(0)).unwrap().next_hop,
             NodeId::new(7)
@@ -398,24 +385,24 @@ mod tests {
     #[test]
     fn equal_seq_shorter_hops_wins() {
         let mut rt = RouteTable::new();
-        rt.update(NodeId::new(1), NodeId::new(2), 5, 3, t(3));
-        assert!(rt.update(NodeId::new(1), NodeId::new(3), 5, 2, t(3)));
+        rt.update_allow_stale(NodeId::new(1), NodeId::new(2), 5, 3, t(3), t(0));
+        assert!(rt.update_allow_stale(NodeId::new(1), NodeId::new(3), 5, 2, t(3), t(0)));
         assert_eq!(rt.lookup(NodeId::new(1), t(0)).unwrap().hops, 2);
-        assert!(!rt.update(NodeId::new(1), NodeId::new(4), 5, 2, t(3)));
+        assert!(!rt.update_allow_stale(NodeId::new(1), NodeId::new(4), 5, 2, t(3), t(0)));
     }
 
     #[test]
     fn reconfirmation_refreshes_lifetime() {
         let mut rt = RouteTable::new();
-        rt.update(NodeId::new(1), NodeId::new(2), 5, 3, t(3));
-        rt.update(NodeId::new(1), NodeId::new(2), 5, 3, t(9));
+        rt.update_allow_stale(NodeId::new(1), NodeId::new(2), 5, 3, t(3), t(0));
+        rt.update_allow_stale(NodeId::new(1), NodeId::new(2), 5, 3, t(9), t(0));
         assert!(rt.lookup(NodeId::new(1), t(8)).is_some());
     }
 
     #[test]
     fn update_allow_stale_replaces_expired() {
         let mut rt = RouteTable::new();
-        rt.update(NodeId::new(1), NodeId::new(2), 9, 3, t(3));
+        rt.update_allow_stale(NodeId::new(1), NodeId::new(2), 9, 3, t(3), t(0));
         // At t=5 entry is expired; an older-seq update must be allowed in.
         assert!(rt.update_allow_stale(NodeId::new(1), NodeId::new(4), 2, 1, t(8), t(5)));
         assert_eq!(
@@ -427,7 +414,7 @@ mod tests {
     #[test]
     fn refresh_extends() {
         let mut rt = RouteTable::new();
-        rt.update(NodeId::new(1), NodeId::new(2), 1, 1, t(3));
+        rt.update_allow_stale(NodeId::new(1), NodeId::new(2), 1, 1, t(3), t(0));
         rt.refresh(NodeId::new(1), t(10));
         assert!(rt.lookup(NodeId::new(1), t(9)).is_some());
         // Refreshing a missing route is a no-op.
@@ -438,9 +425,9 @@ mod tests {
     #[test]
     fn invalidate_via_sweeps_all_dependents() {
         let mut rt = RouteTable::new();
-        rt.update(NodeId::new(1), NodeId::new(2), 1, 1, t(30));
-        rt.update(NodeId::new(3), NodeId::new(2), 1, 2, t(30));
-        rt.update(NodeId::new(4), NodeId::new(5), 1, 2, t(30));
+        rt.update_allow_stale(NodeId::new(1), NodeId::new(2), 1, 1, t(30), t(0));
+        rt.update_allow_stale(NodeId::new(3), NodeId::new(2), 1, 2, t(30), t(0));
+        rt.update_allow_stale(NodeId::new(4), NodeId::new(5), 1, 2, t(30), t(0));
         let mut dead = rt.invalidate_via(NodeId::new(2));
         dead.sort();
         assert_eq!(dead, vec![NodeId::new(1), NodeId::new(3)]);
@@ -469,8 +456,9 @@ mod tests {
                         two.update_allow_stale(dest, via, known, hops, expires, now)
                     );
                 } else {
-                    one.update(dest, via, seq, hops, expires);
-                    two.update(dest, via, seq, hops, expires);
+                    // Time zero is before every expiry: freshness alone.
+                    one.update_allow_stale(dest, via, seq, hops, expires, SimTime::ZERO);
+                    two.update_allow_stale(dest, via, seq, hops, expires, SimTime::ZERO);
                 }
                 proptest::prop_assert_eq!(format!("{one:?}"), format!("{two:?}"));
             }
@@ -480,7 +468,7 @@ mod tests {
     #[test]
     fn known_seq_survives_expiry() {
         let mut rt = RouteTable::new();
-        rt.update(NodeId::new(1), NodeId::new(2), 42, 1, t(3));
+        rt.update_allow_stale(NodeId::new(1), NodeId::new(2), 42, 1, t(3), t(0));
         assert_eq!(rt.known_seq(NodeId::new(1)), Some(42));
         assert_eq!(rt.known_seq(NodeId::new(2)), None);
     }
@@ -498,7 +486,7 @@ mod tests {
         let (a, b) = (NodeId::new(1), NodeId::new(2));
         let mut rt = RouteTable::new();
         rt.heard_from(a, t(0), t(3));
-        rt.update(b, a, 7, 2, t(3));
+        rt.update_allow_stale(b, a, 7, 2, t(3), t(0));
         // `a`'s route is gone, but `a` itself is still heard.
         assert_eq!(rt.invalidate_via(a), [a, b]);
         assert_eq!(rt.last_heard(a), Some(t(0)));
@@ -720,8 +708,8 @@ mod tests {
                         proptest::prop_assert_eq!(merged.heard_from(a, now, expires), want);
                     }
                     1 => proptest::prop_assert_eq!(
-                        merged.update(a, b, seq, hops, expires),
-                        rt.upsert(a, b, Some(seq), hops, expires, None)
+                        merged.update_allow_stale(a, b, seq, hops, expires, SimTime::ZERO),
+                        rt.upsert(a, b, Some(seq), hops, expires, Some(SimTime::ZERO))
                     ),
                     2 => proptest::prop_assert_eq!(
                         merged.update_allow_stale(a, b, seq, hops, expires, now),

@@ -1,17 +1,21 @@
 //! The bounded FIFO keyed table every duplicate-suppression window and
-//! every §4.4 buffer is built on.
+//! every §4.4 buffer is built on, and the jittered relay every flood
+//! rebroadcast goes through.
 //!
 //! [`SeenCache`] (RREQ flood ids, data `(origin, seq)` pairs, GRPH
 //! rounds, ODMRP's query/reply/data windows) is the table with no
 //! values; `ag-core`'s history table and lost table are the same table
 //! keyed by packet id. The capacity only needs to exceed the in-flight
 //! window, not the run length; eviction is strict FIFO, which is
-//! deterministic and cheap.
+//! deterministic and cheap. A flood that a [`SeenCache`] lets through
+//! goes on to a [`FloodRelay`], MAODV's and ODMRP's alike.
 
 use std::collections::VecDeque;
 use std::hash::Hash;
 
+use ag_net::{Message, ProtoCtx, TimerKey};
 use ag_sim::hash::DetHashMap as HashMap;
+use ag_sim::SimDuration;
 
 /// Bounded map remembering the most recently inserted keys: a hash
 /// index for membership plus an insertion-order queue, evicting the
@@ -145,6 +149,58 @@ impl<K: Ord + Hash + Clone> FifoTable<K, ()> {
     }
 }
 
+/// The copies of flood frames a node waits to rebroadcast, oldest first.
+/// Each copy waits a random 0–10 ms on one timer of the caller's key and
+/// goes out once, when a firing of that key calls [`FloodRelay::drain`]:
+/// synchronized relays from mutually hidden nodes would otherwise
+/// collide at the nodes between them *every* round — the classic
+/// broadcast-storm pathology jitter exists to break. Deduplication stays
+/// with the caller's [`SeenCache`].
+#[derive(Debug, Clone)]
+pub struct FloodRelay<M>(VecDeque<M>);
+
+impl<M> Default for FloodRelay<M> {
+    fn default() -> Self {
+        FloodRelay(VecDeque::new())
+    }
+}
+
+impl<M: Message> FloodRelay<M> {
+    /// Queues `msg` as it is and arms one `key` timer for it.
+    pub fn queue<C: ProtoCtx<M>>(&mut self, api: &mut C, key: TimerKey, msg: M) {
+        self.0.push_back(msg);
+        let delay = SimDuration::from_micros(api.jitter(10_000));
+        api.set_timer(delay, key);
+    }
+
+    /// Queues the next hop's copy of a flood frame received at
+    /// `hop_count` / `ttl` — `copy(hop_count + 1, ttl - 1)`, the hop count
+    /// saturating — unless the TTL ends the flood here. Returns whether a
+    /// copy was queued.
+    pub fn relay<C: ProtoCtx<M>>(
+        &mut self,
+        api: &mut C,
+        key: TimerKey,
+        hop_count: u8,
+        ttl: u8,
+        copy: impl FnOnce(u8, u8) -> M,
+    ) -> bool {
+        if ttl <= 1 {
+            return false;
+        }
+        self.queue(api, key, copy(hop_count.saturating_add(1), ttl - 1));
+        true
+    }
+
+    /// Broadcasts the oldest queued copy, if any; call on every firing of
+    /// the key the copies were queued with.
+    pub fn drain<C: ProtoCtx<M>>(&mut self, api: &mut C) {
+        if let Some(msg) = self.0.pop_front() {
+            api.broadcast(msg);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -177,6 +233,86 @@ mod tests {
     #[should_panic]
     fn zero_capacity_rejected() {
         let _ = SeenCache::<u8>::new(0);
+    }
+
+    /// A flood copy: what [`FloodRelay::relay`] steps.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    struct Flood {
+        hops: u8,
+        ttl: u8,
+    }
+
+    impl Message for Flood {
+        fn wire_size(&self) -> usize {
+            2
+        }
+    }
+
+    /// Records timers and broadcasts; every jitter draw is its bound's
+    /// last value.
+    #[derive(Debug, Default)]
+    struct Log {
+        timers: Vec<(SimDuration, TimerKey)>,
+        sent: Vec<Flood>,
+    }
+
+    impl ProtoCtx<Flood> for Log {
+        fn now(&self) -> ag_sim::SimTime {
+            ag_sim::SimTime::ZERO
+        }
+        fn id(&self) -> ag_net::NodeId {
+            ag_net::NodeId::new(0)
+        }
+        fn node_count(&self) -> usize {
+            1
+        }
+        fn send(&mut self, _dest: ag_net::NodeId, _msg: Flood) {
+            unreachable!("a relay only broadcasts");
+        }
+        fn broadcast(&mut self, msg: Flood) {
+            self.sent.push(msg);
+        }
+        fn set_timer(&mut self, delay: SimDuration, key: TimerKey) {
+            self.timers.push((delay, key));
+        }
+        fn count(&mut self, _name: &'static str) {}
+        fn count_n(&mut self, _name: &'static str, _n: u64) {}
+        fn jitter(&mut self, bound: u64) -> u64 {
+            bound - 1
+        }
+        fn chance(&mut self, _p: f64) -> bool {
+            false
+        }
+        fn pick_index(&mut self, _n: usize) -> usize {
+            0
+        }
+        fn pick_weighted<F: Fn(usize) -> f64>(&mut self, _n: usize, _weight: F) -> usize {
+            0
+        }
+    }
+
+    /// The shared flood relay: a copy at TTL 1 is not queued; hop and
+    /// TTL are stepped, the hop count saturating; each queued copy arms
+    /// exactly one timer, on the caller's key, at most 10 ms out; copies
+    /// drain oldest first; draining an empty queue broadcasts nothing.
+    #[test]
+    fn flood_relay_steps_queues_and_drains_in_order() {
+        const KEY: TimerKey = 9;
+        let copy = |hops, ttl| Flood { hops, ttl };
+        let (mut api, mut relay) = (Log::default(), FloodRelay::default());
+        assert!(!relay.relay(&mut api, KEY, 0, 1, copy));
+        assert!(!relay.relay(&mut api, KEY, 0, 0, copy));
+        assert!(api.timers.is_empty());
+        assert!(relay.relay(&mut api, KEY, 3, 5, copy));
+        assert!(relay.relay(&mut api, KEY, u8::MAX, 2, copy));
+        relay.queue(&mut api, KEY, copy(7, 7));
+        let armed = (SimDuration::from_micros(9_999), KEY);
+        assert_eq!(api.timers, [armed; 3]);
+        for _ in 0..4 {
+            relay.drain(&mut api);
+        }
+        assert_eq!(api.sent, [copy(4, 4), copy(u8::MAX, 1), copy(7, 7)]);
+        assert_eq!(api.timers.len(), 3);
     }
 
     proptest! {

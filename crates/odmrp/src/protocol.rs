@@ -3,7 +3,7 @@
 use ag_sim::hash::DetHashMap as HashMap;
 
 use ag_maodv::delivery::{DeliveryLog, DeliveryPath};
-use ag_maodv::seen::SeenCache;
+use ag_maodv::seen::{FloodRelay, SeenCache};
 use ag_maodv::{GroupId, TrafficSource};
 use ag_net::{NodeId, ProtoCtx, Protocol, RxKind, TimerKey};
 use ag_sim::{SimDuration, SimTime};
@@ -66,7 +66,7 @@ pub struct OdmrpProtocol {
     reply_sent: SeenCache<(NodeId, u32)>,
     data_seen: SeenCache<(NodeId, u32)>,
     delivery: DeliveryLog,
-    relay_queue: std::collections::VecDeque<OdmrpMsg>,
+    relay: FloodRelay<OdmrpMsg>,
     /// Seeded-bug canary (always `false` in production): when set, a
     /// Join-Reply nominating this node does *not* refresh `fg_until`,
     /// so the forwarding group silently decays. `ag-check` asserts its
@@ -97,7 +97,7 @@ impl OdmrpProtocol {
             reply_sent: SeenCache::new(cfg.seen_capacity),
             data_seen: SeenCache::new(cfg.seen_capacity),
             delivery: DeliveryLog::new(),
-            relay_queue: std::collections::VecDeque::new(),
+            relay: FloodRelay::default(),
             canary_skip_fg_refresh: false,
         }
     }
@@ -121,12 +121,6 @@ impl OdmrpProtocol {
     #[cfg(any(test, feature = "bug-canary"))]
     pub fn canary_skip_fg_refresh(&mut self) {
         self.canary_skip_fg_refresh = true;
-    }
-
-    fn schedule_relay<C: ProtoCtx<OdmrpMsg>>(&mut self, api: &mut C, msg: OdmrpMsg) {
-        self.relay_queue.push_back(msg);
-        let delay = SimDuration::from_micros(api.jitter(10_000));
-        api.set_timer(delay, TIMER_RELAY);
     }
 
     fn flood_query<C: ProtoCtx<OdmrpMsg>>(&mut self, api: &mut C) {
@@ -217,18 +211,15 @@ impl Protocol for OdmrpProtocol {
                 if self.is_member {
                     self.send_reply(api, source, round);
                 }
-                if ttl > 1 {
+                let copy = |hops, ttl| OdmrpMsg::JoinQuery {
+                    group,
+                    source,
+                    round,
+                    hops,
+                    ttl,
+                };
+                if self.relay.relay(api, TIMER_RELAY, hops, ttl, copy) {
                     api.count("odmrp.query_relayed");
-                    self.schedule_relay(
-                        api,
-                        OdmrpMsg::JoinQuery {
-                            group,
-                            source,
-                            round,
-                            hops: hops.saturating_add(1),
-                            ttl: ttl - 1,
-                        },
-                    );
                 }
             }
             OdmrpMsg::JoinReply {
@@ -250,10 +241,7 @@ impl Protocol for OdmrpProtocol {
                 }
             }
             OdmrpMsg::Data {
-                group,
-                source,
-                seq,
-                payload_len,
+                group, source, seq, ..
             } => {
                 if group != self.group || source == self.id {
                     return;
@@ -270,15 +258,7 @@ impl Protocol for OdmrpProtocol {
                     // Jittered: redundant mesh forwarders are often
                     // mutually hidden, and synchronized forwards would
                     // collide at the receivers between them.
-                    self.schedule_relay(
-                        api,
-                        OdmrpMsg::Data {
-                            group,
-                            source,
-                            seq,
-                            payload_len,
-                        },
-                    );
+                    self.relay.queue(api, TIMER_RELAY, msg);
                 }
             }
         }
@@ -312,11 +292,7 @@ impl Protocol for OdmrpProtocol {
                     }
                 }
             }
-            TIMER_RELAY => {
-                if let Some(msg) = self.relay_queue.pop_front() {
-                    api.broadcast(msg);
-                }
-            }
+            TIMER_RELAY => self.relay.drain(api),
             _ => {}
         }
     }
@@ -378,6 +354,29 @@ mod tests {
         let mut e = build(&[(0.0, 0.0), (40.0, 0.0)], &[0, 1], 0, t, 75.0, 1);
         e.run_until(SimTime::from_secs(30));
         assert_eq!(e.protocol(NodeId::new(1)).delivery().distinct(), 30);
+    }
+
+    /// A Join-Query that arrives at TTL 1 ends its flood: the member
+    /// still answers it, but nobody relays it.
+    #[test]
+    fn ttl_one_query_is_answered_but_not_relayed() {
+        let cfg = OdmrpConfig {
+            flood_ttl: 1,
+            ..OdmrpConfig::default_paper()
+        };
+        let t = TrafficSource::compact(SimTime::from_secs(5), SimDuration::from_millis(200), 5, 64);
+        let nodes = [(0.0, Some(t)), (40.0, None)]
+            .into_iter()
+            .enumerate()
+            .map(|(i, (x, traffic))| NodeSetup {
+                mobility: stationary(x, 0.0),
+                protocol: OdmrpProtocol::new(cfg, NodeId::new(i as u32), GroupId(0), true, traffic),
+            })
+            .collect();
+        let mut e = Engine::new(PhyParams::paper_default(75.0), 1, nodes);
+        e.run_until(SimTime::from_secs(10));
+        assert!(e.counters().get("odmrp.reply_sent") > 0);
+        assert_eq!(e.counters().get("odmrp.query_relayed"), 0);
     }
 
     #[test]

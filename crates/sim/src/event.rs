@@ -32,11 +32,11 @@
 //!   times — the steady-state case — append at `tail`; an out-of-order
 //!   insert walks at most [`WALK_BUDGET`] links from the head.
 //! * **Overflow.** Everything else — a day beyond the window or before
-//!   the cursor, a walk out of budget — goes to one implicit min-heap on
-//!   `(time, seq)`. [`EventQueue::pop`] takes the smaller of the near
-//!   minimum and the heap top, so nothing migrates from the heap back to
-//!   the ring, and a mis-tuned phase degrades to heap speed, never to a
-//!   long list walk.
+//!   the cursor, a walk out of budget — goes to one `std` `BinaryHeap`
+//!   keyed on `(time, seq)`. [`EventQueue::pop`] takes the smaller of the
+//!   near minimum and the heap top, so nothing migrates from the heap
+//!   back to the ring, and a mis-tuned phase degrades to heap speed,
+//!   never to a long list walk.
 //!
 //! Tuning is automatic and **deterministic**: when the population
 //! doubles past two events per bucket (or collapses below a quarter),
@@ -70,6 +70,10 @@
 //! handles that would have to follow an entry across a retune's change
 //! of tier; a stale event costs one pop and one integer compare.
 
+use std::cmp::Ordering;
+// ag-lint: allow(det-hash) -- the overflow tier; `Overflow` gives it a total order with no ties
+use std::collections::BinaryHeap;
+
 use crate::SimTime;
 
 /// A single scheduled entry: an event of type `E` due at `time`.
@@ -81,6 +85,30 @@ pub struct EventEntry<E> {
     pub seq: u64,
     /// The payload.
     pub event: E,
+}
+
+/// An overflow-heap entry: `(time, seq)` reversed, so the max-heap keeps
+/// the earliest on top; `seq` is unique, so no two entries tie.
+#[derive(Debug, Clone)]
+struct Overflow<E>(EventEntry<E>);
+
+impl<E> PartialEq for Overflow<E> {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+impl<E> Eq for Overflow<E> {}
+
+impl<E> PartialOrd for Overflow<E> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl<E> Ord for Overflow<E> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        (other.0.time, other.0.seq).cmp(&(self.0.time, self.0.seq))
+    }
 }
 
 /// Fewest day buckets the ring ever holds.
@@ -110,8 +138,6 @@ const RETUNE_POPS: u64 = 1 << 15;
 /// goes to the overflow heap instead: bounds the cost of a day that a
 /// stale tuning has let grow long.
 const WALK_BUDGET: usize = 8;
-/// Children per overflow-heap node.
-const ARITY: usize = 2;
 /// The null link.
 const NIL: u32 = u32::MAX;
 /// Most arena nodes `u32` links can address (lowered under test to
@@ -167,9 +193,9 @@ pub struct EventQueue<E> {
     nodes: Vec<Node<E>>,
     /// Head of the LIFO free list.
     free: u32,
-    /// Implicit `ARITY`-ary min-heap on `(time, seq)` of the entries the
-    /// window does not hold.
-    overflow: Vec<EventEntry<E>>,
+    /// The entries the window does not hold, earliest on top.
+    // ag-lint: allow(det-hash) -- the overflow tier, totally ordered by `Overflow`
+    overflow: BinaryHeap<Overflow<E>>,
     /// Day width is `2^shift` nanoseconds.
     shift: u32,
     /// First day of the window: the day of the latest pop, so no near
@@ -196,7 +222,8 @@ impl<E> EventQueue<E> {
             buckets: vec![EMPTY; MIN_BUCKETS],
             nodes: Vec::new(),
             free: NIL,
-            overflow: Vec::new(),
+            // ag-lint: allow(det-hash) -- constructing the overflow tier
+            overflow: BinaryHeap::new(),
             shift: INITIAL_SHIFT,
             cursor_day: 0,
             len: 0,
@@ -234,7 +261,8 @@ impl<E> EventQueue<E> {
                 self.near_min = Some((time, seq));
             }
         } else {
-            self.heap_push(EventEntry { time, seq, event });
+            self.overflow
+                .push(Overflow(EventEntry { time, seq, event }));
         }
         if self.len > 2 * self.buckets.len() && self.buckets.len() < MAX_BUCKETS {
             self.retune(None);
@@ -243,7 +271,7 @@ impl<E> EventQueue<E> {
 
     /// Removes and returns the earliest event, or `None` if empty.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let heap_top = self.overflow.first().map(|h| (h.time, h.seq));
+        let heap_top = self.overflow.peek().map(|h| (h.0.time, h.0.seq));
         let near = self.near_min.filter(|&m| heap_top.is_none_or(|h| m < h));
         let entry = if let Some(min) = near {
             let slot = self.slot(min.0.as_nanos() >> self.shift);
@@ -255,7 +283,7 @@ impl<E> EventQueue<E> {
             self.near_min = None;
             self.release(id)
         } else {
-            self.heap_pop()?
+            self.overflow.pop()?.0
         };
         debug_assert!(
             near.is_none_or(|m| m == (entry.time, entry.seq)),
@@ -298,7 +326,7 @@ impl<E> EventQueue<E> {
 
     /// The timestamp of the earliest pending event, if any.
     pub fn peek_time(&self) -> Option<SimTime> {
-        let heap_top = self.overflow.first().map(|h| h.time);
+        let heap_top = self.overflow.peek().map(|h| h.0.time);
         match self.near_min {
             Some((near, _)) => Some(heap_top.map_or(near, |h| h.min(near))),
             None => heap_top,
@@ -410,40 +438,6 @@ impl<E> EventQueue<E> {
         self.nodes[id as usize].next = next;
     }
 
-    fn heap_key(&self, i: usize) -> (SimTime, u64) {
-        (self.overflow[i].time, self.overflow[i].seq)
-    }
-
-    /// Adds `entry` to the overflow heap and sifts it up.
-    fn heap_push(&mut self, entry: EventEntry<E>) {
-        let mut i = self.overflow.len();
-        self.overflow.push(entry);
-        while i > 0 && self.heap_key(i) < self.heap_key((i - 1) / ARITY) {
-            self.overflow.swap(i, (i - 1) / ARITY);
-            i = (i - 1) / ARITY;
-        }
-    }
-
-    /// Removes the overflow heap's top, if any, and sifts the last entry
-    /// down from the root.
-    fn heap_pop(&mut self) -> Option<EventEntry<E>> {
-        if self.overflow.is_empty() {
-            return None;
-        }
-        let top = self.overflow.swap_remove(0);
-        let (mut i, n) = (0, self.overflow.len());
-        while let Some(least) =
-            (ARITY * i + 1..n.min(ARITY * i + 1 + ARITY)).min_by_key(|&c| self.heap_key(c))
-        {
-            if self.heap_key(i) < self.heap_key(least) {
-                break;
-            }
-            self.overflow.swap(i, least);
-            i = least;
-        }
-        Some(top)
-    }
-
     /// Re-locates the earliest near entry: the head of the first
     /// non-empty bucket from `cursor_day` on. One bucket is one day, so
     /// one pass over the window is exhaustive.
@@ -532,7 +526,7 @@ impl<E> EventQueue<E> {
                 self.link(slot, self.buckets[slot].tail, id);
             } else {
                 let entry = self.release(id);
-                self.heap_push(entry);
+                self.overflow.push(Overflow(entry));
             }
         }
         self.recompute_min();
@@ -746,8 +740,9 @@ mod tests {
             id = q.nodes[id as usize].next;
         }
         assert_eq!(near + free, q.nodes.len(), "arena leak");
-        for i in 1..q.overflow.len() {
-            assert!(q.heap_key((i - 1) / ARITY) < q.heap_key(i), "heap order");
+        let heap = q.overflow.as_slice();
+        for i in 1..heap.len() {
+            assert!(heap[(i - 1) / 2] > heap[i], "heap order");
         }
     }
 
