@@ -104,7 +104,8 @@ impl Config {
                     ]),
                 ),
                 (
-                    // The production receiver-set kernel.
+                    // The production receiver-set kernel: its three
+                    // passes all run inside `receivers`.
                     "crates/net/src/engine/receive.rs".to_string(),
                     s(&["channel_receives", "receivers"]),
                 ),

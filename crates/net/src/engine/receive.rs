@@ -50,15 +50,18 @@ pub(super) struct RxView<'a, F> {
 pub(super) struct RxScratch {
     /// The last `TxEnd`'s uncorrupted receivers, ascending.
     pub receivers: Vec<usize>,
-    /// Grid query candidates (duplicates included).
-    cands: Vec<u32>,
     /// Sender positions of the nearby transmissions overlapping this
     /// one's airtime.
     overlaps: Vec<Vec2>,
-    /// Per-node visit stamps deduplicating grid candidates without a
-    /// sort (a node's leg can span several queried cells).
+    /// Per-node visit stamps deduplicating the fetched buckets' ids
+    /// without a sort (a node's window can span several queried cells).
     stamps: Vec<u64>,
     stamp: u64,
+    /// Pass 1 leaves the unique candidate ids at the front; pass 2
+    /// compacts the in-range ones to the front in place, with each
+    /// one's position at the same index of `pos`.
+    ids: Vec<u32>,
+    pos: Vec<Vec2>,
     /// One bit per node, set for each accepted receiver. Sweeping the
     /// words in order emits the receiver list already ascending, so it
     /// is never sorted; the sweep clears the bits behind itself.
@@ -78,19 +81,21 @@ pub(super) struct RxScratch {
 
 impl RxScratch {
     /// Buffers start at their natural bounds (receivers and overlapping
-    /// transmissions are each capped by `n`; grid candidates can repeat
-    /// across a leg's cells, so `2n`) instead of discovering their
-    /// high-water push by push — each discovery is a rare, late
-    /// reallocation the zero-allocation gate would catch.
+    /// transmissions are each capped by `n`, and so are the unique
+    /// candidates' positions; their ids take a write one past the last,
+    /// so `n + 1`) instead of discovering their high-water push by push
+    /// — each discovery is a rare, late reallocation the zero-allocation
+    /// gate would catch.
     pub fn new(n: usize, phy: &PhyParams) -> Self {
         let cached = matches!(phy.reception(), ReceptionModel::Shadowing { .. })
             && n <= SHADOW_CACHE_MAX_NODES;
         RxScratch {
             receivers: Vec::with_capacity(n),
-            cands: Vec::with_capacity(2 * n),
             overlaps: Vec::with_capacity(n),
             stamps: vec![0; n],
             stamp: 0,
+            ids: vec![0; n + 1],
+            pos: Vec::with_capacity(n),
             recv_bits: vec![0; n.div_ceil(64)],
             touched_words: Vec::with_capacity(n.div_ceil(64)),
             shadow_cache: vec![f64::NAN; if cached { n * n } else { 0 }],
@@ -145,8 +150,8 @@ pub(super) fn receivers<F>(
     let range = view.phy.range_m();
     let ideal = view.phy.reception().is_ideal();
     // Without a churn model no radio is ever down and `up_since` stays
-    // at time zero, so the per-candidate liveness loads can't fire;
-    // hoist that fact out of the loop.
+    // at time zero, so pass 3's liveness loads can't fire; hoist that
+    // fact out of the loop.
     let churny = view.phy.churn().is_some();
     // Gather the overlapping senders near this one in one slab pass;
     // each receiver then answers "am I corrupted?" with a linear scan
@@ -158,16 +163,39 @@ pub(super) fn receivers<F>(
     // Hoisted so the uncontended (empty-overlap) common case skips even
     // the slice-iterator setup per candidate.
     let any_overlap = !s.overlaps.is_empty();
-    s.cands.clear();
-    view.grid.query_disk(shot.pos, range, &mut s.cands);
+    // Passes 1 and 2 write every slot and advance the length by a 0/1
+    // flag: no branch waits on a candidate's data, so pass 2's
+    // divisions pipeline instead of each feeding a mispredicted jump.
+    //
+    // Pass 1, dedupe: the fetched buckets' ids, read in place, each
+    // kept once. The sender is pre-stamped, so it is never kept.
     s.stamp += 1;
     let stamp = s.stamp;
-    for &rid in &s.cands {
-        let r = rid as usize;
-        if r == sender || s.stamps[r] == stamp {
-            continue;
+    s.stamps[sender] = stamp;
+    let mut unique = 0;
+    view.grid.query_disk(shot.pos, range, |bucket| {
+        for &rid in bucket {
+            let fresh = s.stamps[rid as usize] != stamp;
+            s.stamps[rid as usize] = stamp;
+            s.ids[unique] = rid;
+            unique += fresh as usize;
         }
-        s.stamps[r] = stamp;
+    });
+    // Pass 2, measure: the oracle's positions, then the in-range ones
+    // compacted to the front.
+    let at = |&rid: &u32| view.legs[rid as usize].position_at(view.now);
+    s.pos.clear();
+    s.pos.extend(s.ids[..unique].iter().map(at));
+    let mut near = 0;
+    for i in 0..unique {
+        let (rid, rpos) = (s.ids[i], s.pos[i]);
+        s.ids[near] = rid;
+        s.pos[near] = rpos;
+        near += (shot.pos.distance_sq(rpos) <= range * range) as usize;
+    }
+    // Pass 3, decide: the per-receiver logic over the in-range few.
+    for (&rid, &rpos) in s.ids[..near].iter().zip(&s.pos[..near]) {
+        let r = rid as usize;
         // A down radio hears nothing (it is detached from the grid, so
         // this half only mirrors the oracle's predicate), and a radio
         // that recovered mid-frame missed the frame's head and cannot
@@ -175,11 +203,7 @@ pub(super) fn receivers<F>(
         if churny && (view.down[r] || view.up_since[r] > shot.start) {
             continue;
         }
-        let rpos = view.legs[r].position_at(view.now);
         let dist_sq = shot.pos.distance_sq(rpos);
-        if dist_sq > range * range {
-            continue;
-        }
         let in_range = |p: &Vec2| p.distance_sq(rpos) <= range * range;
         if any_overlap && s.overlaps.iter().any(in_range) {
             lost.collisions += 1;

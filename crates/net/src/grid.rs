@@ -25,9 +25,11 @@
 //! `GRID_CELL_FACTOR`): the fetched box hugs the disk more tightly than
 //! one-`R` cells would, [`NodeGrid::query_disk`] skips the box's
 //! out-of-disk corner cells, and each node's bucketing window smears
-//! over less area. The work per query is independent of field size,
-//! and candidate lists track local density rather than global
-//! population.
+//! over less area. The query copies nothing: it lends each fetched
+//! bucket to the caller in place. The work per query is independent of
+//! field size, and the ids fetched (at most four per node: a half-cell
+//! window or a point straddles at most the 2 × 2 cells at a corner)
+//! track local density rather than global population.
 //!
 //! # Rebucket-on-mobility-event strategy
 //!
@@ -309,11 +311,11 @@ impl NodeGrid {
         self.attached[node] = true;
     }
 
-    /// Appends every node bucketed within radius `r` (+pad) of `center`
-    /// to `out`. Candidates may contain duplicates (a leg spans several
-    /// queried cells) and nodes farther than `r`; the caller must dedupe
-    /// and run the exact distance test.
-    pub fn query_disk(&self, center: Vec2, r: f64, out: &mut Vec<u32>) {
+    /// Hands `f` the bucket of every cell within radius `r` (+pad) of
+    /// `center`, in place, each once, rows ascending. A node may sit in
+    /// up to four of them and lie farther than `r`; the caller must
+    /// dedupe and run the exact distance test.
+    pub fn query_disk(&self, center: Vec2, r: f64, mut f: impl FnMut(&[u32])) {
         let (lo, hi) = disk_cells(center, r + GRID_PAD, self.cell);
         let r_sq = (r + GRID_PAD) * (r + GRID_PAD);
         // Clamp to the dense box: cells outside it are empty.
@@ -341,7 +343,7 @@ impl NodeGrid {
                 if (nx - center.x) * (nx - center.x) + dy_sq > r_sq {
                     continue;
                 }
-                out.extend_from_slice(&self.buckets[(row + cx) as usize]);
+                f(&self.buckets[(row + cx) as usize]);
             }
         }
     }
@@ -579,7 +581,7 @@ mod tests {
 
     fn sorted_query(g: &NodeGrid, c: Vec2, r: f64) -> Vec<u32> {
         let mut out = Vec::new();
-        g.query_disk(c, r, &mut out);
+        g.query_disk(c, r, |bucket| out.extend_from_slice(bucket));
         out.sort_unstable();
         out.dedup();
         out
@@ -829,6 +831,51 @@ mod tests {
             let k = k as f64;
             for q in [f64::from_bits(bits), k, k.next_up(), k.next_down()] {
                 prop_assert_eq!(floor_i64(q), q.floor() as i64, "{:e}", q);
+            }
+        }
+
+        /// Random bucketed segments (points and moving windows) and
+        /// random disks, some wholly outside the grid's box: the fetch
+        /// hands over each bucket at most once per query, and its ids
+        /// include every node whose segment comes within `r` of the
+        /// centre.
+        #[test]
+        fn prop_query_disk_visits_each_bucket_once_and_misses_no_node(
+            cell in 5.0f64..80.0,
+            segs in prop::collection::vec(((0.0f64..300.0, 0.0f64..300.0), (-40.0f64..40.0, -40.0f64..40.0), 0u8..3), 1..40),
+            disks in prop::collection::vec((-400.0f64..700.0, -400.0f64..700.0, 0.1f64..200.0), 1..20),
+        ) {
+            let mut g = NodeGrid::new(cell, segs.len());
+            let mut bucketed = Vec::new();
+            for (i, &((x, y), (dx, dy), kind)) in segs.iter().enumerate() {
+                let a = Vec2::new(x, y);
+                // One in three is a parked point, the rest move.
+                let b = if kind == 0 { a } else { Vec2::new(x + dx, y + dy) };
+                g.update_segment(i, a, b);
+                bucketed.push((a, b));
+            }
+            for &(cx, cy, r) in &disks {
+                let c = Vec2::new(cx, cy);
+                let (mut seen, mut ids) = (Vec::new(), Vec::new());
+                g.query_disk(c, r, |bucket| {
+                    let slot = g.buckets.iter().position(|v| std::ptr::eq(v.as_slice(), bucket));
+                    seen.push(slot.expect("a slice of a grid bucket"));
+                    ids.extend_from_slice(bucket);
+                });
+                let fetched = seen.len();
+                seen.sort_unstable();
+                seen.dedup();
+                prop_assert_eq!(seen.len(), fetched, "a bucket was handed over twice");
+                for (i, &(a, b)) in bucketed.iter().enumerate() {
+                    // The closest point of the segment to the centre.
+                    let d = b - a;
+                    let len_sq = d.x * d.x + d.y * d.y;
+                    let t = if len_sq == 0.0 { 0.0 } else { ((c - a).x * d.x + (c - a).y * d.y) / len_sq };
+                    let near = a.lerp(b, t.clamp(0.0, 1.0));
+                    if near.distance_sq(c) <= r * r {
+                        prop_assert!(ids.contains(&(i as u32)), "node {} missed by {:?}", i, (c, r));
+                    }
+                }
             }
         }
 

@@ -384,6 +384,93 @@ fn crowded_air_identical_paths() {
     assert_eq!(out[0].positions, out[1].positions);
 }
 
+/// Runs `scenario` on the grid-indexed engine, then on the brute-force
+/// one, asserts they agree on counters, every node's receptions and
+/// failures, and final positions, and returns the grid run's outcome.
+fn identical_paths(scenario: impl Fn(bool) -> Outcome) -> Outcome {
+    let (grid, brute) = (scenario(true), scenario(false));
+    assert_eq!(grid.counters, brute.counters, "counters diverged");
+    for (i, (g, b)) in grid.per_node.iter().zip(&brute.per_node).enumerate() {
+        assert_eq!(g, b, "node {i} diverged");
+    }
+    assert_eq!(grid.positions, brute.positions, "final positions diverged");
+    grid
+}
+
+fn counter(out: &Outcome, name: &str) -> u64 {
+    out.counters
+        .iter()
+        .find(|&&(k, _)| k == name)
+        .map_or(0, |&(_, v)| v)
+}
+
+/// Boundary knobs for the receive kernel: a scenario at the paper's
+/// scale whose one extreme knob is set by the caller.
+fn boundary(seed: u64, nodes: usize, field_m: f64, range_m: f64) -> Knobs {
+    Knobs {
+        seed,
+        nodes,
+        field_m,
+        range_m,
+        max_speed: 10.0,
+        payload: 300,
+        sim_secs: 10,
+        reception_kind: 0,
+        churn_secs: None,
+    }
+}
+
+/// A range beyond the field's diagonal: every fetch covers the whole
+/// field, and every node hears from every other.
+#[test]
+fn range_beyond_diagonal_identical_paths() {
+    let k = boundary(21, 8, 100.0, 150.0);
+    let out = identical_paths(|sp| run_once(k, sp));
+    for (i, (log, _, _)) in out.per_node.iter().enumerate() {
+        let heard: std::collections::BTreeSet<_> = log.iter().map(|e| e.1.raw()).collect();
+        assert_eq!(heard.len(), k.nodes - 1, "node {i} missed a sender");
+    }
+}
+
+/// A sub-metre range: fetches find nobody in range, frames reach
+/// nobody and every unicast fails.
+#[test]
+fn sub_metre_range_identical_paths() {
+    let out = identical_paths(|sp| run_once(boundary(22, 8, 200.0, 0.5), sp));
+    assert_eq!(counter(&out, "mac.rx_delivered"), 0);
+    assert!(counter(&out, "mac.send_fail") > 0, "{:?}", out.counters);
+}
+
+/// Exactly two nodes, on a graded channel: each fetch holds at most
+/// the one other node.
+#[test]
+fn two_nodes_identical_paths() {
+    let k = Knobs {
+        reception_kind: 1,
+        sim_secs: 20,
+        ..boundary(23, 2, 150.0, 75.0)
+    };
+    let out = identical_paths(|sp| run_once(k, sp));
+    assert!(counter(&out, "mac.rx_delivered") > 0, "{:?}", out.counters);
+}
+
+/// Every node parked on one cell corner (a multiple of the `R / 2`
+/// cell): each is bucketed under the four cells meeting there, so a
+/// fetch returns every id four times — the most duplicates one query
+/// can hand the kernel's dedupe.
+#[test]
+fn shared_cell_corner_identical_paths() {
+    const RANGE: f64 = 75.0;
+    let out = identical_paths(|sp| {
+        let corner = (0..6)
+            .map(|_| Box::new(Stationary::new(Vec2::new(RANGE, RANGE))) as Box<dyn Mobility>)
+            .collect();
+        let phy = PhyParams::paper_default(RANGE).with_spatial_index(sp);
+        run_chatter(phy, 24, corner, 300, 10)
+    });
+    assert!(counter(&out, "mac.rx_delivered") > 0, "{:?}", out.counters);
+}
+
 /// The near-field overlap cut at its boundary: stationary nodes on a
 /// line at exact multiples of the range. Node 0 and node 2 are exactly
 /// `2·range` apart — hidden from each other, both exactly in range of

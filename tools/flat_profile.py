@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Flat sampling profile of one command, standard library only.
 
-    python3 tools/flat_profile.py [-f HZ] [-n TOP] [--lines SUBSTR]... -- <executable> [args...]
+    python3 tools/flat_profile.py [-f HZ] [-n TOP] [--lines SUBSTR]... [--inner] -- <executable> [args...]
 
 For machines with no `perf`/`gdb`: samples the user-space instruction
 pointer of <executable> (and every thread it starts) on the kernel's
@@ -19,6 +19,13 @@ release profile leaves out; build a second executable for it, e.g.
 `CARGO_PROFILE_RELEASE_DEBUG=line-tables-only CARGO_TARGET_DIR=<dir>
 cargo build --release ...`, in a target directory of its own so the
 measured executable stays as it was.
+
+`--inner` charges each of those samples to its *innermost* frame inside
+the workspace instead, skipping standard-library (`/rustc/`) and
+vendored (`vendor/`) frames; a sample with no workspace frame keeps its
+outermost one. Where the event loop inlines whole subsystems into one
+function, the outermost view reports them as a single calling line;
+the innermost view says which kernel line inside them the time is on.
 
 Samples outside the executable's image (libc's `memmove`/`malloc`, the
 vDSO) are one row in the table, then broken down by shared object: the
@@ -141,23 +148,30 @@ def symbols(exe):
     return [a for a, _ in table], [n for _, n in table]
 
 
-def source_lines(exe, offsets):
-    """Maps each file offset to the `file:line` of the outermost frame `addr2line -i` prints for it."""
+def in_workspace(frame):
+    """`True` for a `file:line` frame of the workspace's own sources (not the standard library, a vendored crate or unknown)."""
+    return not (frame.startswith("??") or "/rustc/" in frame or "vendor/" in frame)
+
+
+def source_lines(exe, offsets, inner):
+    """Maps each file offset to the `file:line` of the outermost frame `addr2line -i` prints for it or, with `inner`, of the innermost workspace frame (the outermost if none is)."""
     asked = "".join(f"{o:#x}\n" for o in offsets)
     out = subprocess.run(["addr2line", "-a", "-i", "-e", exe], input=asked, capture_output=True, text=True, check=True).stdout
-    where, key = {}, None
+    frames, key = collections.defaultdict(list), None
     for line in out.splitlines():  # per offset: `0x…`, then one `file:line` per frame, innermost first
         if line.startswith("0x"):
             key = int(line, 16)
         else:
-            where[key] = line.split(" (discriminator")[0]
-    return where
+            frames[key].append(line.split(" (discriminator")[0])
+    if not inner:
+        return {key: fs[-1] for key, fs in frames.items()}
+    return {key: next((f for f in fs if in_workspace(f)), fs[-1]) for key, fs in frames.items()}
 
 
-def print_lines(exe, picked, total):
+def print_lines(exe, picked, total, inner):
     """`picked`: function name -> Counter of file offsets sampled inside it."""
     for name, offsets in sorted(picked.items(), key=lambda kv: -sum(kv[1].values())):
-        where = source_lines(exe, sorted(offsets))
+        where = source_lines(exe, sorted(offsets), inner)
         by_line = collections.Counter()
         for off, n in offsets.items():
             by_line[where.get(off, "??:0")] += n
@@ -171,6 +185,7 @@ def main():
     ap.add_argument("-f", "--hz", type=int, default=5000, help="samples per second of CPU time (default 5000)")
     ap.add_argument("-n", "--top", type=int, default=40, help="rows to print (default 40)")
     ap.add_argument("--lines", action="append", default=[], metavar="SUBSTR", help="also print per-source-line shares of functions whose name contains SUBSTR (repeatable)")
+    ap.add_argument("--inner", action="store_true", help="charge each --lines sample to its innermost workspace frame, not its outermost")
     ap.add_argument("cmd", nargs="+", help="executable and its arguments")
     args = ap.parse_args()
     exe = os.path.realpath(args.cmd[0])
@@ -209,7 +224,7 @@ def main():
         print(f"{100 * n / total:6.2f}%  {n:8d}  {name}")
     if outside:
         print_outside(outside, maps, total)
-    print_lines(exe, picked, total)
+    print_lines(exe, picked, total, args.inner)
 
 
 if __name__ == "__main__":
