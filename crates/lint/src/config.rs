@@ -105,9 +105,21 @@ impl Config {
                 ),
                 (
                     // The production receiver-set kernel: its three
-                    // passes all run inside `receivers`.
+                    // passes, and the neighbour-list lookup and
+                    // rebuild that feed pass 1.
                     "crates/net/src/engine/receive.rs".to_string(),
-                    s(&["channel_receives", "receivers"]),
+                    s(&[
+                        "channel_receives",
+                        "fresh",
+                        "measure",
+                        "rebuild",
+                        "receivers",
+                    ]),
+                ),
+                (
+                    // The lists' bookkeeping at every leg load.
+                    "crates/net/src/engine/motion.rs".to_string(),
+                    s(&["load"]),
                 ),
                 (
                     // The index queries every MAC attempt (`busy_until`)

@@ -44,7 +44,7 @@ use crate::ctx::{Dispatch, TraceRecord};
 use crate::grid::{AirIndex, NodeGrid};
 use crate::mac::{Mac, OutFrame};
 use crate::{Message, NodeId, PhyParams, Protocol, TimerKey};
-use motion::GRID_CELL_FACTOR;
+use motion::{MotionBound, GRID_CELL_FACTOR};
 use receive::RxScratch;
 use trace::TraceSink;
 
@@ -168,6 +168,8 @@ pub(crate) struct World<M: Message> {
     /// Per-node bucketing-window generation; bumped at leg changes so
     /// stale [`Event::GridRefresh`] events are ignored.
     grid_gens: Vec<u64>,
+    /// What the receive kernel's neighbour lists are judged by.
+    bound: MotionBound,
     /// All channel-relevant transmissions (live + recently finished),
     /// carrying each live transmission's sender and frame.
     pub(crate) air: AirIndex<PendingTx<M>>,
@@ -281,6 +283,7 @@ impl<P: Protocol> Engine<P> {
             protocols.push(setup.protocol);
         }
         let legs: Vec<LegSample> = mobility.iter().map(|m| m.current_leg()).collect();
+        let bound = MotionBound::new(&legs);
         let grid = phy
             .spatial_index()
             .then(|| NodeGrid::new(GRID_CELL_FACTOR * phy.range_m(), n));
@@ -314,6 +317,7 @@ impl<P: Protocol> Engine<P> {
             channel_seed: splitter.derive(StreamKind::Channel, 0),
             grid,
             grid_gens: vec![0; n],
+            bound,
             air: AirIndex::new(),
             next_tx_id: 0,
             counters: CounterSet::new(),
@@ -337,7 +341,7 @@ impl<P: Protocol> Engine<P> {
             }
         }
         let mut engine = Engine {
-            rx: RxScratch::new(n, &world.phy),
+            rx: RxScratch::new(&world.phy, &world.legs),
             churn_dropped: Vec::new(),
             world,
             protocols,

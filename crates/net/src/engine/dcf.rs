@@ -172,6 +172,7 @@ impl<P: Protocol> Engine<P> {
                     grid,
                     air: &world.air,
                     channel_seed: world.channel_seed,
+                    bound: world.bound,
                 };
                 receive::receivers(&view, rx, tx_id, &shot, sender)
             }

@@ -2,6 +2,7 @@
 //! of, or across the spatial index. Nothing here draws from a protocol
 //! or MAC stream, and with the index off it reduces to leg caching.
 
+use ag_mobility::LegSample;
 use ag_sim::{SimDuration, SimTime};
 
 use super::{Event, World};
@@ -15,8 +16,48 @@ use crate::Message;
 /// each node's bucketing-window smear) for a fraction of the per-query
 /// work; the exact per-candidate distance test makes the cell size
 /// invisible in results. Below one half, per-query cell iteration
-/// overhead starts winning back the savings.
+/// overhead starts winning back the savings. (Measured with a query at
+/// `R` per `TxEnd`; now only neighbour-list rebuilds query, at `R + skin`.)
 pub(super) const GRID_CELL_FACTOR: f64 = 0.5;
+
+/// What the receive kernel's neighbour lists must know of motion.
+#[derive(Debug, Clone, Copy)]
+pub(super) struct MotionBound {
+    /// `v̄`, m/ns: the fastest `|to − from| / (arrive − depart)` of any
+    /// leg loaded so far (a jump's is its distance per ns), read at each
+    /// use, so a faster leg shortens every list at once.
+    pub speed: f64,
+    /// When a leg load last broke continuity (`Mobility` does not promise
+    /// it) or a radio last recovered (detached, it is on no list); dated,
+    /// it also voids a list built after its sender jumped mid-shot.
+    pub voided_at: SimTime,
+}
+
+impl MotionBound {
+    /// The bound over the legs the nodes start on.
+    pub fn new(legs: &[LegSample]) -> Self {
+        MotionBound {
+            speed: legs.iter().map(speed_of).fold(0.0, f64::max),
+            voided_at: SimTime::ZERO,
+        }
+    }
+
+    /// Takes in `new`, which replaces `old` at `now`.
+    pub fn load(&mut self, old: &LegSample, new: &LegSample, now: SimTime) {
+        self.speed = self.speed.max(speed_of(new));
+        if new.position_at(now) != old.position_at(now) {
+            self.voided_at = now;
+        }
+    }
+}
+
+/// A leg's speed in m/ns; 0 for one whose position never changes.
+fn speed_of(leg: &LegSample) -> f64 {
+    match leg.arrive.as_nanos().saturating_sub(leg.depart.as_nanos()) {
+        0 => 0.0,
+        ns => leg.from.distance_to(leg.to) / ns as f64,
+    }
+}
 
 impl<M: Message> World<M> {
     /// (Re)buckets `node` for the portion of its leg starting now and
@@ -74,7 +115,9 @@ impl<M: Message> World<M> {
     pub(super) fn handle_mobility(&mut self, node: usize) {
         self.mobility[node].transition(self.now, &mut self.mobility_rngs[node]);
         self.hot.mob_transition += 1;
-        self.legs[node] = self.mobility[node].current_leg();
+        let leg = self.mobility[node].current_leg();
+        self.bound.load(&self.legs[node], &leg, self.now);
+        self.legs[node] = leg;
         self.grid_gens[node] = self.grid_gens[node].wrapping_add(1);
         self.slide_window(node);
         self.schedule_mobility(node);
@@ -97,6 +140,8 @@ impl<M: Message> World<M> {
         let next_toggle = if self.down[node] {
             self.down[node] = false;
             self.up_since[node] = self.now;
+            // Detached while the lists were built, it is on none.
+            self.bound.voided_at = self.now;
             self.hot.churn_recover += 1;
             // Rebucket at the node's current position (mobility kept
             // advancing while the radio was off).

@@ -6,11 +6,27 @@
 //! one owned [`RxScratch`]. It selects no path: the brute-force oracle
 //! it is differentially tested against lives in [`crate::reference`],
 //! and `Engine::handle_tx_end` picks between the two once per `TxEnd`.
+//!
+//! # Neighbour lists
+//!
+//! After Verlet's neighbour lists (L. Verlet, *Phys. Rev.* 159, 98,
+//! 1967), each sender caches every node within `R + skin` of a shot it
+//! sent, fetched by one [`NodeGrid::query_disk`] at that radius, and
+//! its later `TxEnd`s skip the grid while the list is [`fresh`]. That
+//! is safe because a sender has one frame on the air (a `TxEnd` whose
+//! sender keyed up again mid-frame is truncated and builds nothing):
+//! from the built shot's start `t0` to a later shot's the sender moves
+//! at most `v̄·(t − t0)`, from the build to `t` so does every node, so a
+//! node in range of the later shot is on the list while
+//! `2·v̄·(t − t0) ≤ skin − ε`, unless motion broke the bound
+//! ([`MotionBound`]'s void). A node that went down after a build stays
+//! listed: pass 3's liveness test keeps it out.
 
 use ag_mobility::{LegSample, Vec2};
 use ag_sim::SimTime;
 
-use crate::grid::{AirIndex, NodeGrid, TxShot};
+use super::motion::MotionBound;
+use crate::grid::{AirIndex, NodeGrid, TxShot, GRID_PAD};
 use crate::phy::shadow_eff_range_sq;
 use crate::{PhyParams, ReceptionModel};
 
@@ -19,6 +35,21 @@ use crate::{PhyParams, ReceptionModel};
 /// this, shadowing decisions recompute the Box–Muller transform per
 /// reception.
 const SHADOW_CACHE_MAX_NODES: usize = 1024;
+
+/// The lists' skin as a fraction of `R`: wider lives longer but lists
+/// more for pass 2 to reject. Hit rates, first three workloads below:
+/// 91 / 84 / 75 % at 1/16, 95 / 90 / 84 % at 1/8, 97 / 92 / 92 % at
+/// 1/4, whose 50-id `city_20k` slot costs 1 MB more RSS than 40.
+const SKIN: f64 = 1.0 / 8.0;
+
+/// A slot holds this many times the mean count within `R + skin` of a
+/// node ([`stride_for`]). `TxEnd`s whose neighbourhood outgrew its slot,
+/// then `TxEnd`s a list served, on `paper_sweep` / `stress_harsh` /
+/// `city_20k` / 100k-node `city_scale` (seed 7): 2×: 0.2 / 0 / 0 / 0 %,
+/// 94.9 / 89.6 / 84.0 / 72.4 %; 1.5×: 4.9 / 0 / 0.9 / 1.1 %, 90.4 /
+/// 89.6 / 83.3 / 71.7 %, for 0.7 MB less RSS on `city_20k` and 4 MB at
+/// 100k; 1.25×: 11 / 0.03 / 9.4 / 9.8 %, 84.3 / 89.5 / 76.2 / 65.3 %.
+const SLOT_HEADROOM: f64 = 2.0;
 
 /// Receptions a `TxEnd` lost, by cause.
 #[derive(Debug, Default, Clone, Copy)]
@@ -40,6 +71,7 @@ pub(super) struct RxView<'a, F> {
     pub grid: &'a NodeGrid,
     pub air: &'a AirIndex<F>,
     pub channel_seed: u64,
+    pub bound: MotionBound,
 }
 
 /// Everything the kernel writes: its reusable buffers and the receiver
@@ -62,6 +94,12 @@ pub(super) struct RxScratch {
     /// one's position at the same index of `pos`.
     ids: Vec<u32>,
     pos: Vec<Vec2>,
+    /// Per sender: the start of the shot its list was built for (the
+    /// initial zero is never [`fresh`]) and the list's length in its
+    /// `stride` ids of `slab`, at `sender * stride`.
+    lists: Vec<(SimTime, u32)>,
+    slab: Vec<u32>,
+    stride: usize,
     /// One bit per node, set for each accepted receiver. Sweeping the
     /// words in order emits the receiver list already ascending, so it
     /// is never sorted; the sweep clears the bits behind itself.
@@ -85,10 +123,12 @@ impl RxScratch {
     /// candidates' positions; their ids take a write one past the last,
     /// so `n + 1`) instead of discovering their high-water push by push
     /// — each discovery is a rare, late reallocation the zero-allocation
-    /// gate would catch.
-    pub fn new(n: usize, phy: &PhyParams) -> Self {
+    /// gate would catch. The oracle keeps no lists, so no slab.
+    pub fn new(phy: &PhyParams, legs: &[LegSample]) -> Self {
+        let n = legs.len();
         let cached = matches!(phy.reception(), ReceptionModel::Shadowing { .. })
             && n <= SHADOW_CACHE_MAX_NODES;
+        let stride = phy.spatial_index() as usize * stride_for(legs, phy.range_m() * (1.0 + SKIN));
         RxScratch {
             receivers: Vec::with_capacity(n),
             overlaps: Vec::with_capacity(n),
@@ -96,11 +136,80 @@ impl RxScratch {
             stamp: 0,
             ids: vec![0; n + 1],
             pos: Vec::with_capacity(n),
+            lists: vec![(SimTime::ZERO, 0); n],
+            slab: vec![0; n * stride],
+            stride,
             recv_bits: vec![0; n.div_ceil(64)],
             touched_words: Vec::with_capacity(n.div_ceil(64)),
             shadow_cache: vec![f64::NAN; if cached { n * n } else { 0 }],
         }
     }
+}
+
+/// Ids per slot: [`SLOT_HEADROOM`] times the mean count within `reach`
+/// were the nodes spread evenly over their starting bounding box (each
+/// side at least the disk's diameter, so a line or a point reads as an
+/// area); at least 8, at most `n − 1` and 1,024, past which pass 2
+/// dwarfs the walk a list saves and the slab nears `n²`.
+fn stride_for(legs: &[LegSample], reach: f64) -> usize {
+    let start = |leg: &LegSample| leg.position_at(SimTime::ZERO);
+    let (mut lo, mut hi) = (start(&legs[0]), start(&legs[0]));
+    for p in legs.iter().map(start) {
+        lo = Vec2::new(lo.x.min(p.x), lo.y.min(p.y));
+        hi = Vec2::new(hi.x.max(p.x), hi.y.max(p.y));
+    }
+    let side = |d: f64| d.max(2.0 * reach);
+    let area = side(hi.x - lo.x) * side(hi.y - lo.y);
+    let mean = legs.len() as f64 * std::f64::consts::PI * reach * reach / area;
+    ((SLOT_HEADROOM * mean).ceil().clamp(8.0, 1024.0) as usize).min(legs.len() - 1)
+}
+
+/// `true` while a list built for a shot that started at `start` may
+/// serve its sender's `TxEnd` at `now`: no void at or after `start`,
+/// and `2·v̄·(now − start) ≤ skin − ε`, with `ε` four [`GRID_PAD`]s of
+/// rounding slack. With `v̄ = 0` a list lives until a void.
+fn fresh(bound: &MotionBound, start: SimTime, now: SimTime, range: f64) -> bool {
+    let life_ns = (range * SKIN - 4.0 * GRID_PAD) / (2.0 * bound.speed);
+    bound.voided_at < start && now.duration_since(start).as_nanos() as f64 <= life_ns
+}
+
+/// Pass 2's positions: each of `ids`' node at `now`, into `pos`.
+fn measure(legs: &[LegSample], now: SimTime, ids: &[u32], pos: &mut Vec<Vec2>) {
+    pos.clear();
+    pos.extend(ids.iter().map(|&rid| legs[rid as usize].position_at(now)));
+}
+
+/// Fetches `sender`'s candidates afresh: the grid's buckets within
+/// `R + skin` of `shot`, each id kept once (the sender is pre-stamped),
+/// measured, the ones within reach compacted to the front. Caches them
+/// as the sender's list if they fit its slot; returns their count.
+fn rebuild<F>(view: &RxView<'_, F>, s: &mut RxScratch, shot: &TxShot, sender: usize) -> usize {
+    let reach = view.phy.range_m() * (1.0 + SKIN);
+    s.stamp += 1;
+    let stamp = s.stamp;
+    s.stamps[sender] = stamp;
+    let mut unique = 0;
+    view.grid.query_disk(shot.pos, reach, |bucket| {
+        for &rid in bucket {
+            let first = s.stamps[rid as usize] != stamp;
+            s.stamps[rid as usize] = stamp;
+            s.ids[unique] = rid;
+            unique += first as usize;
+        }
+    });
+    measure(view.legs, view.now, &s.ids[..unique], &mut s.pos);
+    let mut kept = 0;
+    for i in 0..unique {
+        let (rid, rpos) = (s.ids[i], s.pos[i]);
+        s.ids[kept] = rid;
+        s.pos[kept] = rpos;
+        kept += (shot.pos.distance_sq(rpos) <= reach * reach) as usize;
+    }
+    if kept <= s.stride {
+        s.slab[sender * s.stride..][..kept].copy_from_slice(&s.ids[..kept]);
+        s.lists[sender] = (shot.start, kept as u32);
+    }
+    kept
 }
 
 /// Keyed-hash reception-model decision for one `(transmission,
@@ -167,25 +276,17 @@ pub(super) fn receivers<F>(
     // flag: no branch waits on a candidate's data, so pass 2's
     // divisions pipeline instead of each feeding a mispredicted jump.
     //
-    // Pass 1, dedupe: the fetched buckets' ids, read in place, each
-    // kept once. The sender is pre-stamped, so it is never kept.
-    s.stamp += 1;
-    let stamp = s.stamp;
-    s.stamps[sender] = stamp;
-    let mut unique = 0;
-    view.grid.query_disk(shot.pos, range, |bucket| {
-        for &rid in bucket {
-            let fresh = s.stamps[rid as usize] != stamp;
-            s.stamps[rid as usize] = stamp;
-            s.ids[unique] = rid;
-            unique += fresh as usize;
-        }
-    });
-    // Pass 2, measure: the oracle's positions, then the in-range ones
-    // compacted to the front.
-    let at = |&rid: &u32| view.legs[rid as usize].position_at(view.now);
-    s.pos.clear();
-    s.pos.extend(s.ids[..unique].iter().map(at));
+    // Pass 1, candidates at `now`: the sender's fresh list, or a rebuild.
+    let (start, len) = s.lists[sender];
+    let unique = if fresh(&view.bound, start, view.now, range) {
+        let list = &s.slab[sender * s.stride..][..len as usize];
+        s.ids[..list.len()].copy_from_slice(list);
+        measure(view.legs, view.now, list, &mut s.pos);
+        list.len()
+    } else {
+        rebuild(view, s, shot, sender)
+    };
+    // Pass 2, measure: the in-range candidates compacted to the front.
     let mut near = 0;
     for i in 0..unique {
         let (rid, rpos) = (s.ids[i], s.pos[i]);
@@ -196,10 +297,10 @@ pub(super) fn receivers<F>(
     // Pass 3, decide: the per-receiver logic over the in-range few.
     for (&rid, &rpos) in s.ids[..near].iter().zip(&s.pos[..near]) {
         let r = rid as usize;
-        // A down radio hears nothing (it is detached from the grid, so
-        // this half only mirrors the oracle's predicate), and a radio
-        // that recovered mid-frame missed the frame's head and cannot
-        // decode the rest.
+        // A down radio hears nothing, and a cached list may still hold
+        // one that failed after the list was built: this test is what
+        // keeps it out. A radio that recovered mid-frame missed the
+        // frame's head and cannot decode the rest.
         if churny && (view.down[r] || view.up_since[r] > shot.start) {
             continue;
         }
@@ -234,4 +335,114 @@ pub(super) fn receivers<F>(
         }
     }
     lost
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ag_sim::SimDuration;
+    use proptest::prelude::*;
+
+    /// A node's legs so far, each with the instant it was loaded.
+    type History = Vec<(SimTime, LegSample)>;
+
+    /// Where the node of `h` stood at `t`.
+    fn pos(h: &History, t: SimTime) -> Vec2 {
+        let (_, leg) = h
+            .iter()
+            .rev()
+            .find(|(at, _)| *at <= t)
+            .expect("a leg from zero");
+        leg.position_at(t)
+    }
+
+    fn parked(points: &[(f64, f64)]) -> Vec<LegSample> {
+        points
+            .iter()
+            .map(|&(x, y)| LegSample::fixed(Vec2::new(x, y)))
+            .collect()
+    }
+
+    #[test]
+    fn stride_follows_the_starting_density() {
+        // 60 nodes over a kilometre square at reach 56.25: a mean of
+        // 0.6 in reach, so the floor.
+        let spread: Vec<_> = (0..60)
+            .map(|i| ((i % 8) as f64 * 140.0, (i / 8) as f64 * 140.0))
+            .collect();
+        assert_eq!(stride_for(&parked(&spread), 56.25), 8);
+        // The paper's 40 nodes on 200 m × 200 m: a list can hold everyone.
+        let paper: Vec<_> = (0..40)
+            .map(|i| ((i % 7) as f64 * 33.0, (i / 7) as f64 * 33.0))
+            .collect();
+        assert_eq!(stride_for(&parked(&paper), 95.625), 39);
+        // A line reads as a strip one disk wide: 100 · π · 10² / (99 · 20)
+        // ≈ 15.9 in reach, twice that rounded up.
+        let line: Vec<_> = (0..100).map(|i| (i as f64, 0.0)).collect();
+        assert_eq!(stride_for(&parked(&line), 10.0), 32);
+        // 3,000 nodes on one point: the cap, not n − 1.
+        assert_eq!(stride_for(&parked(&[(5.0, 5.0); 3000]), 10.0), 1024);
+    }
+
+    proptest! {
+        /// The list rule against brute force. A few nodes load random
+        /// legs — moves at random speeds, parked starts, pauses, jumps
+        /// and restarts elsewhere — while lists are built at random
+        /// `TxEnd`s, for shots that started up to 20 ms earlier (across
+        /// leg loads), and used at random later ones whose shots start
+        /// after the build. Whenever [`fresh`] calls a list valid, it
+        /// holds every node within range of the later shot.
+        #[test]
+        fn prop_fresh_list_holds_every_receiver(
+            range in 5.0f64..80.0,
+            vmax in 0.1f64..40.0,
+            starts in prop::collection::vec((0.0f64..200.0, 0.0f64..200.0), 2..7),
+            ops in prop::collection::vec(((0u8..16, 0usize..7), 1u64..2_000, (0.0f64..200.0, 0.0f64..200.0), 0.0f64..1.0), 1..200),
+        ) {
+            let n = starts.len();
+            let mut hist: Vec<History> = parked(&starts).into_iter().map(|leg| vec![(SimTime::ZERO, leg)]).collect();
+            let mut bound = MotionBound::new(&parked(&starts));
+            // Per sender: the built shot's start, the build's instant, the list.
+            let mut lists: Vec<Option<(SimTime, SimTime, Vec<usize>)>> = vec![None; n];
+            let mut now = SimTime::ZERO;
+            let reach = range * (1.0 + SKIN);
+            for &((kind, i), step, (x, y), frac) in &ops {
+                now += SimDuration::from_micros(100 * step);
+                let node = i % n;
+                let here = pos(&hist[node], now);
+                let there = Vec2::new(x, y);
+                let travel = SimDuration::from_secs_f64(here.distance_to(there) / (frac * vmax).max(0.01));
+                let later = now + SimDuration::from_micros(50 * step);
+                let leg = match kind {
+                    0..=2 => LegSample::moving(here, there, now, now + travel),
+                    3 => LegSample::moving(here, there, later, later + travel),
+                    4 => LegSample { depart: later, arrive: later, ..LegSample::fixed(here) },
+                    5 => LegSample::moving(there, here, now, now + travel),
+                    6 if frac < 0.1 => LegSample::jump(here, there, later),
+                    _ => {
+                        let shot_start = SimTime::from_nanos(now.as_nanos().saturating_sub(10_000 * step));
+                        if kind < 11 {
+                            let s0 = pos(&hist[node], shot_start);
+                            let within = (0..n)
+                                .filter(|&r| r != node && s0.distance_sq(pos(&hist[r], now)) <= reach * reach)
+                                .collect();
+                            lists[node] = Some((shot_start, now, within));
+                        } else if let Some((t0, built, within)) = &lists[node] {
+                            if fresh(&bound, *t0, now, range) {
+                                let s1 = pos(&hist[node], shot_start.max(*built));
+                                for r in (0..n).filter(|&r| r != node) {
+                                    let d_sq = s1.distance_sq(pos(&hist[r], now));
+                                    prop_assert!(d_sq > range * range || within.contains(&r),
+                                        "node {} at {:?} is in range but not on {}'s list", r, now, node);
+                                }
+                            }
+                        }
+                        continue;
+                    }
+                };
+                bound.load(&hist[node].last().expect("a leg from zero").1, &leg, now);
+                hist[node].push((now, leg));
+            }
+        }
+    }
 }

@@ -29,7 +29,9 @@
 //! bucket to the caller in place. The work per query is independent of
 //! field size, and the ids fetched (at most four per node: a half-cell
 //! window or a point straddles at most the 2 × 2 cells at a corner)
-//! track local density rather than global population.
+//! track local density rather than global population. Most `TxEnd`s
+//! never query: the receive kernel caches each sender's neighbours
+//! within `R + skin` and queries, at that radius, only to rebuild them.
 //!
 //! # Rebucket-on-mobility-event strategy
 //!

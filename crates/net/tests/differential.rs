@@ -5,7 +5,8 @@
 //! divergence here is a bug in the index, not a tuning trade-off.
 
 use ag_mobility::{
-    Field, Mobility, PauseRange, RandomWalk, RandomWaypoint, SpeedRange, Stationary, Vec2,
+    Field, LegSample, Mobility, PauseRange, RandomWalk, RandomWaypoint, SpeedRange, Stationary,
+    Vec2,
 };
 use ag_net::{
     ChurnParams, Engine, Message, NodeId, NodeSetup, PhyParams, ProtoCtx, Protocol, ReceptionModel,
@@ -14,6 +15,7 @@ use ag_net::{
 use ag_sim::rng::{SeedSplitter, StreamKind};
 use ag_sim::{SimDuration, SimTime};
 use proptest::prelude::*;
+use rand::rngs::SmallRng;
 
 /// A payload with a configurable wire size (drives airtime and thus
 /// collision windows).
@@ -467,6 +469,174 @@ fn shared_cell_corner_identical_paths() {
             .collect();
         let phy = PhyParams::paper_default(RANGE).with_spatial_index(sp);
         run_chatter(phy, 24, corner, 300, 10)
+    });
+    assert!(counter(&out, "mac.rx_delivered") > 0, "{:?}", out.counters);
+}
+
+/// A scripted trajectory: leg `k` takes over at `legs[k].0` (the first
+/// one's instant is ignored). Unlike the shipped models it may restart
+/// a node anywhere, which the `Mobility` contract allows.
+#[derive(Debug)]
+struct Script {
+    legs: Vec<(SimTime, LegSample)>,
+    at: usize,
+}
+
+impl Mobility for Script {
+    fn position(&self, t: SimTime) -> Vec2 {
+        self.legs[self.at].1.position_at(t)
+    }
+
+    fn next_transition(&self) -> SimTime {
+        self.legs.get(self.at + 1).map_or(SimTime::MAX, |l| l.0)
+    }
+
+    fn transition(&mut self, _now: SimTime, _rng: &mut SmallRng) {
+        self.at = (self.at + 1).min(self.legs.len() - 1);
+    }
+
+    fn current_leg(&self) -> LegSample {
+        self.legs[self.at].1
+    }
+}
+
+fn script(legs: Vec<(SimTime, LegSample)>) -> Box<dyn Mobility> {
+    Box::new(Script { legs, at: 0 })
+}
+
+fn parked(x: f64, y: f64) -> Box<dyn Mobility> {
+    Box::new(Stationary::new(Vec2::new(x, y)))
+}
+
+/// Four parked nodes 60 m apart on the x axis, and `mover` as node 4,
+/// at range 75 m through `identical_paths`, optionally churny. Node 4
+/// must hear the row.
+fn row_and(secs: u64, churn: Option<(f64, f64)>, mover: fn() -> Box<dyn Mobility>) -> Outcome {
+    let out = identical_paths(|sp| {
+        let mut nodes: Vec<_> = (0..4).map(|i| parked(60.0 * i as f64, 0.0)).collect();
+        nodes.push(mover());
+        let mut phy = PhyParams::paper_default(75.0).with_spatial_index(sp);
+        if let Some((up, down)) = churn {
+            phy = phy.with_churn(ChurnParams::new(up, down));
+        }
+        run_chatter(phy, 31, nodes, 300, secs)
+    });
+    assert!(
+        out.per_node[4].0.iter().any(|e| e.1.raw() < 4),
+        "node 4 never heard the row"
+    );
+    out
+}
+
+/// Neighbour lists: a node whose second leg is faster than every leg
+/// loaded before it. The row is parked and node 4 walks at 0.5 m/s far
+/// to its east, so lists live ~9 s; at 5 s it sprints west along the
+/// row at 40 m/s, into the reach of lists built under the slow bound.
+#[test]
+fn faster_second_leg_identical_paths() {
+    row_and(15, None, || {
+        let turn = SimTime::from_secs(5);
+        let slow = LegSample::moving(
+            Vec2::new(400.0, 30.0),
+            Vec2::new(410.0, 30.0),
+            SimTime::ZERO,
+            SimTime::from_secs(20),
+        );
+        let (here, west) = (slow.position_at(turn), Vec2::new(-200.0, 30.0));
+        let sprint = SimDuration::from_secs_f64(here.distance_to(west) / 40.0);
+        let fast = LegSample::moving(here, west, turn, turn + sprint);
+        script(vec![(SimTime::ZERO, slow), (turn, fast)])
+    });
+}
+
+/// Neighbour lists: a custom model whose leg restarts elsewhere.
+/// Everyone is parked, so `v̄ = 0` and lists never expire; at 3 s node
+/// 4 reappears in the middle of the row, off every list built before.
+#[test]
+fn discontinuous_leg_identical_paths() {
+    row_and(8, None, || {
+        let away = LegSample::fixed(Vec2::new(900.0, 900.0));
+        let back = LegSample::fixed(Vec2::new(90.0, 20.0));
+        script(vec![(SimTime::ZERO, away), (SimTime::from_secs(3), back)])
+    });
+}
+
+/// Neighbour lists: a `LegSample::jump` leg, the shape of `ag-maodv`'s
+/// `TeleportAt`, loaded while lists are live. Everyone is parked for
+/// 2 s, so `v̄ = 0` and the lists built then never expire; at 2 s node
+/// 4 loads a jump from one end of the row to the other at 4 s. The load
+/// continues where node 4 stood, so only the jump's speed (its distance
+/// per nanosecond) ends the lists that would miss it after the jump.
+#[test]
+fn jump_legs_identical_paths() {
+    row_and(8, None, || {
+        let (load, at) = (SimTime::from_secs(2), SimTime::from_secs(4));
+        let (west, east) = (Vec2::new(-40.0, 10.0), Vec2::new(220.0, 10.0));
+        let hop = LegSample::jump(west, east, at);
+        script(vec![(SimTime::ZERO, LegSample::fixed(west)), (load, hop)])
+    });
+}
+
+/// Neighbour lists: radios recover while their neighbours' lists are
+/// inside their deadlines. Node 4 walks along the row at 3 m/s, so a
+/// list lives ~1.6 s and is rebuilt while some radios are down; one
+/// that recovers before the list expires was detached from the grid
+/// when the list was built.
+#[test]
+fn recovery_inside_list_life_identical_paths() {
+    let out = row_and(20, Some((3.0, 1.0)), || {
+        let (from, to) = (Vec2::new(90.0, 20.0), Vec2::new(150.0, 20.0));
+        script(vec![(
+            SimTime::ZERO,
+            LegSample::moving(from, to, SimTime::ZERO, SimTime::from_secs(20)),
+        )])
+    });
+    assert!(counter(&out, "churn.recover") > 0, "{:?}", out.counters);
+}
+
+/// Neighbour lists: an all-`Stationary` field, where `v̄ = 0` and a
+/// list, once built, serves every later `TxEnd` of its sender.
+#[test]
+fn all_stationary_identical_paths() {
+    let out = identical_paths(|sp| {
+        let field = Field::new(300.0, 300.0);
+        let nodes = (0..12)
+            .map(|i| {
+                let mut rng = SeedSplitter::new(25).stream(StreamKind::Placement, i);
+                Box::new(Stationary::random(field, &mut rng)) as Box<dyn Mobility>
+            })
+            .collect();
+        run_chatter(
+            PhyParams::paper_default(90.0).with_spatial_index(sp),
+            25,
+            nodes,
+            300,
+            10,
+        )
+    });
+    assert!(counter(&out, "mac.rx_delivered") > 0, "{:?}", out.counters);
+}
+
+/// Neighbour lists: a cluster denser than its slot. Slots are sized
+/// from the starting placement's mean density; 20 nodes within a metre
+/// of one point among 40 movers over a kilometre square outgrow theirs,
+/// so the cluster's neighbourhoods are fetched afresh at every `TxEnd`.
+#[test]
+fn cluster_denser_than_slot_identical_paths() {
+    let k = boundary(26, 40, 1000.0, 50.0);
+    let out = identical_paths(|sp| {
+        let field = Field::new(k.field_m, k.field_m);
+        let mut nodes: Vec<_> = (0..k.nodes)
+            .map(|i| mobility_for(k.seed, i, field, k.max_speed))
+            .collect();
+        nodes.extend((0..20).map(|i| parked(500.0 + 0.05 * i as f64, 500.0)));
+        run_chatter(
+            PhyParams::paper_default(k.range_m).with_spatial_index(sp),
+            k.seed,
+            nodes,
+            300,
+            6,
+        )
     });
     assert!(counter(&out, "mac.rx_delivered") > 0, "{:?}", out.counters);
 }

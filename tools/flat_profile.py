@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Flat sampling profile of one command, standard library only.
 
-    python3 tools/flat_profile.py [-f HZ] [-n TOP] [--lines SUBSTR]... [--inner] -- <executable> [args...]
+    python3 tools/flat_profile.py [-f HZ] [-n TOP] [--lines SUBSTR]... [--inner] [--passes N] -- <executable> [args...]
 
 For machines with no `perf`/`gdb`: samples the user-space instruction
 pointer of <executable> (and every thread it starts) on the kernel's
@@ -21,11 +21,25 @@ cargo build --release ...`, in a target directory of its own so the
 measured executable stays as it was.
 
 `--inner` charges each of those samples to its *innermost* frame inside
-the workspace instead, skipping standard-library (`/rustc/`) and
-vendored (`vendor/`) frames; a sample with no workspace frame keeps its
+the workspace instead, skipping standard-library (`/rustc/`), the
+standard library's own dependencies (`/rust/deps/`: `hashbrown`, so a
+hash probe counts on the table line that made it) and vendored
+(`vendor/`) frames; a sample with no workspace frame keeps its
 outermost one. Where the event loop inlines whole subsystems into one
 function, the outermost view reports them as a single calling line;
 the innermost view says which kernel line inside them the time is on.
+
+The yardstick row: `agbench` brackets every timed segment with a fixed
+loop (`agbench/src/calib.rs`, on the frozen `ag_sim::reference` heap),
+so the samples in functions named after those two are a measure of the
+host's speed, not of the code under test. After the function table the
+tool prints them per pass (`--passes N`: the run's passes, `attempted /
+24` on `paper_sweep`) as a normaliser row, with everything else per
+pass and per yardstick sample beneath; with `--lines`, every sampled
+source file follows the same way. Compare two profiles per yardstick
+sample: on a shared host the yardstick's own samples per pass moved by
+14 % from one profile to the next, enough to hide a 10 % gain in raw
+per-pass counts.
 
 Samples outside the executable's image (libc's `memmove`/`malloc`, the
 vDSO) are one row in the table, then broken down by shared object: the
@@ -46,6 +60,7 @@ PAGE = mmap.PAGESIZE
 RING_PAGES = 128  # data pages per CPU; a power of two
 HEAD, TAIL = 1024, 1032  # perf_event_mmap_page.data_head / data_tail
 OUTSIDE = "[outside the executable]"
+YARDSTICK = ("agbench::calib::", "ag_sim::reference::")  # agbench's calibration loops
 
 
 def open_rings(pid, hz):
@@ -149,8 +164,8 @@ def symbols(exe):
 
 
 def in_workspace(frame):
-    """`True` for a `file:line` frame of the workspace's own sources (not the standard library, a vendored crate or unknown)."""
-    return not (frame.startswith("??") or "/rustc/" in frame or "vendor/" in frame)
+    """`True` for a `file:line` frame of the workspace's own sources (not the standard library or its dependencies, a vendored crate or unknown)."""
+    return not (frame.startswith("??") or "/rustc/" in frame or "/rust/deps/" in frame or "vendor/" in frame)
 
 
 def source_lines(exe, offsets, inner):
@@ -169,7 +184,8 @@ def source_lines(exe, offsets, inner):
 
 
 def print_lines(exe, picked, total, inner):
-    """`picked`: function name -> Counter of file offsets sampled inside it."""
+    """`picked`: function name -> Counter of file offsets sampled inside it. Returns the samples by source file."""
+    by_file = collections.Counter()
     for name, offsets in sorted(picked.items(), key=lambda kv: -sum(kv[1].values())):
         where = source_lines(exe, sorted(offsets), inner)
         by_line = collections.Counter()
@@ -178,6 +194,20 @@ def print_lines(exe, picked, total, inner):
         print(f"\n{100 * sum(offsets.values()) / total:6.2f}%  {name}")
         for line, n in by_line.most_common():
             print(f"  {100 * n / total:6.2f}%  {n:8d}  {line}")
+            by_file[line.rsplit(":", 1)[0]] += n
+    return by_file
+
+
+def print_normalised(by_fn, by_file, total, passes, top):
+    """The yardstick's samples per pass as the normaliser row, then everything else and each sampled source file per pass and per yardstick sample."""
+    yard = sum(n for name, n in by_fn.items() if any(s in name for s in YARDSTICK))
+    if not yard:
+        return
+    print(f"\nper pass ({passes} passes) and per yardstick sample:")
+    print(f"{yard / passes:10.0f}  {1:8.3f}  [yardstick: {', '.join(YARDSTICK)}]")
+    print(f"{(total - yard) / passes:10.0f}  {(total - yard) / yard:8.3f}  [everything else]")
+    for path, n in by_file.most_common(top):
+        print(f"{n / passes:10.0f}  {n / yard:8.3f}  {path}")
 
 
 def main():
@@ -186,6 +216,7 @@ def main():
     ap.add_argument("-n", "--top", type=int, default=40, help="rows to print (default 40)")
     ap.add_argument("--lines", action="append", default=[], metavar="SUBSTR", help="also print per-source-line shares of functions whose name contains SUBSTR (repeatable)")
     ap.add_argument("--inner", action="store_true", help="charge each --lines sample to its innermost workspace frame, not its outermost")
+    ap.add_argument("--passes", type=float, default=1, help="the run's passes, dividing the normaliser rows (default 1)")
     ap.add_argument("cmd", nargs="+", help="executable and its arguments")
     args = ap.parse_args()
     exe = os.path.realpath(args.cmd[0])
@@ -224,7 +255,8 @@ def main():
         print(f"{100 * n / total:6.2f}%  {n:8d}  {name}")
     if outside:
         print_outside(outside, maps, total)
-    print_lines(exe, picked, total, args.inner)
+    by_file = print_lines(exe, picked, total, args.inner)
+    print_normalised(by_fn, by_file, total, args.passes, args.top)
 
 
 if __name__ == "__main__":
