@@ -117,15 +117,16 @@ impl Config {
                     ]),
                 ),
                 (
-                    // The lists' bookkeeping at every leg load.
+                    // The motion bound's bookkeeping at every leg load.
                     "crates/net/src/engine/motion.rs".to_string(),
-                    s(&["load"]),
+                    s(&["load", "take"]),
                 ),
                 (
                     // The index queries every MAC attempt (`busy_until`)
-                    // and every TxEnd (the other two) issues.
+                    // and every TxEnd (the other two) issues, and the
+                    // snapshot a list rebuild retakes when it is stale.
                     "crates/net/src/grid.rs".to_string(),
-                    s(&["busy_until", "collect_overlapping", "query_disk"]),
+                    s(&["busy_until", "collect_overlapping", "query_disk", "retake"]),
                 ),
                 (
                     // The delivery pre-pass, run once per broadcast

@@ -3,13 +3,12 @@
 //! [`Engine`] owns the shared wireless channel, every node's MAC, mobility
 //! model and RNG streams, and an upper-layer [`Protocol`] instance per
 //! node. It advances simulated time by draining an [`EventQueue`] (the
-//! calendar-queue scheduler in `ag-sim`); the six event kinds are
+//! calendar-queue scheduler in `ag-sim`); the five event kinds are
 //! protocol timers, MAC backoff attempts, transmission completions,
-//! mobility leg transitions, spatial-index window refreshes, and (when
-//! churn is enabled) radio fail/recover toggles. Cancellable events
-//! (`MacAttempt`, `GridRefresh`) carry a generation token and are
-//! dropped at dispatch when stale — the queue itself never needs a
-//! cancel operation or tombstones.
+//! mobility leg transitions and (when churn is enabled) radio
+//! fail/recover toggles. The one cancellable event, `MacAttempt`,
+//! carries a generation token and is dropped at dispatch when stale —
+//! the queue itself never needs a cancel operation or tombstones.
 //!
 //! Channel semantics (see crate docs and DESIGN.md §5): unit-disk
 //! audibility at `PhyParams::range_m`, any overlapping audible
@@ -19,7 +18,7 @@
 //! This file holds the state, construction, the event loop and the one
 //! protocol upcall; the handlers hang off it by seam: `dcf` (MAC and
 //! `TxEnd` delivery), `receive` (the receiver-set kernel; its oracle is
-//! [`crate::reference`]), `motion` (mobility, grid windows, churn),
+//! [`crate::reference`]), `motion` (mobility, churn, the motion bound),
 //! `api` ([`NodeApi`]) and `trace` (conformance recording).
 
 mod api;
@@ -41,10 +40,10 @@ pub use api::NodeApi;
 pub(crate) use receive::RxCounts;
 
 use crate::ctx::{Dispatch, TraceRecord};
-use crate::grid::{AirIndex, NodeGrid};
+use crate::grid::AirIndex;
 use crate::mac::{Mac, OutFrame};
 use crate::{Message, NodeId, PhyParams, Protocol, TimerKey};
-use motion::{MotionBound, GRID_CELL_FACTOR};
+use motion::MotionBound;
 use receive::RxScratch;
 use trace::TraceSink;
 
@@ -59,11 +58,6 @@ enum Event {
     TxEnd { tx_id: u64 },
     /// `node`'s mobility model reaches a leg transition.
     Mobility { node: usize },
-    /// `node`'s grid bucketing window expires; slide it forward. `gen`
-    /// detects windows orphaned by a leg change. Touches only the
-    /// spatial index — never RNGs or protocol state — so these events
-    /// cannot perturb the simulation.
-    GridRefresh { node: usize, gen: u64 },
     /// `node`'s radio toggles between up and down (churn; only
     /// scheduled when [`PhyParams::churn`] is set).
     Churn { node: usize },
@@ -162,13 +156,8 @@ pub(crate) struct World<M: Message> {
     /// Keyed-hash seed for the (order-independent) reception-model
     /// decisions.
     pub(crate) channel_seed: u64,
-    /// Spatial index over nodes; `None` runs the brute-force scans (see
-    /// [`PhyParams::with_spatial_index`]).
-    grid: Option<NodeGrid>,
-    /// Per-node bucketing-window generation; bumped at leg changes so
-    /// stale [`Event::GridRefresh`] events are ignored.
-    grid_gens: Vec<u64>,
-    /// What the receive kernel's neighbour lists are judged by.
+    /// What the receive kernel's neighbour lists and snapshot are
+    /// judged by.
     bound: MotionBound,
     /// All channel-relevant transmissions (live + recently finished),
     /// carrying each live transmission's sender and frame.
@@ -284,9 +273,6 @@ impl<P: Protocol> Engine<P> {
         }
         let legs: Vec<LegSample> = mobility.iter().map(|m| m.current_leg()).collect();
         let bound = MotionBound::new(&legs);
-        let grid = phy
-            .spatial_index()
-            .then(|| NodeGrid::new(GRID_CELL_FACTOR * phy.range_m(), n));
         let mut world = World {
             now: SimTime::ZERO,
             queue: EventQueue::new(),
@@ -315,8 +301,6 @@ impl<P: Protocol> Engine<P> {
             up_since: vec![SimTime::ZERO; n],
             tx_of: vec![None; n],
             channel_seed: splitter.derive(StreamKind::Channel, 0),
-            grid,
-            grid_gens: vec![0; n],
             bound,
             air: AirIndex::new(),
             next_tx_id: 0,
@@ -329,7 +313,6 @@ impl<P: Protocol> Engine<P> {
             phy,
         };
         for node in 0..n {
-            world.slide_window(node);
             world.schedule_mobility(node);
         }
         if let Some(churn) = world.phy.churn() {
@@ -414,11 +397,6 @@ impl<P: Protocol> Engine<P> {
             }
             Event::MacAttempt { node, gen } => world.handle_attempt(node, gen),
             Event::Mobility { node } => world.handle_mobility(node),
-            Event::GridRefresh { node, gen } => {
-                if world.grid_gens[node] == gen {
-                    world.slide_window(node);
-                }
-            }
             Event::Churn { node } => {
                 // Unicast frames destroyed by a radio failure are
                 // reported to the (still running) stack, which relies
@@ -446,9 +424,9 @@ impl<P: Protocol> Engine<P> {
     }
 
     /// Total kernel events dispatched so far (timers, MAC attempts,
-    /// transmission completions, mobility transitions, index refreshes,
-    /// churn toggles). `agbench`'s per-event figures
-    /// (`net.ns_per_event` and the like) divide wall-clock time by this.
+    /// transmission completions, mobility transitions, churn toggles).
+    /// `agbench`'s per-event figures (`net.ns_per_event` and the like)
+    /// divide wall-clock time by this.
     pub fn events_processed(&self) -> u64 {
         self.world.queue.popped_count()
     }

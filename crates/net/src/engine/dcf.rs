@@ -161,22 +161,20 @@ impl<P: Protocol> Engine<P> {
         world.tx_of[sender] = None;
         // The one place the production kernel and its brute-force
         // oracle part ways (`PhyParams::with_spatial_index`).
-        let lost = match &world.grid {
-            Some(grid) => {
-                let view = RxView {
-                    phy: &world.phy,
-                    now: world.now,
-                    legs: &world.legs,
-                    down: &world.down,
-                    up_since: &world.up_since,
-                    grid,
-                    air: &world.air,
-                    channel_seed: world.channel_seed,
-                    bound: world.bound,
-                };
-                receive::receivers(&view, rx, tx_id, &shot, sender)
-            }
-            None => reference::receivers(world, tx_id, &shot, sender, &mut rx.receivers),
+        let lost = if world.phy.spatial_index() {
+            let view = RxView {
+                phy: &world.phy,
+                now: world.now,
+                legs: &world.legs,
+                down: &world.down,
+                up_since: &world.up_since,
+                air: &world.air,
+                channel_seed: world.channel_seed,
+                bound: world.bound,
+            };
+            receive::receivers(&view, rx, tx_id, &shot, sender)
+        } else {
+            reference::receivers(world, tx_id, &shot, sender, &mut rx.receivers)
         };
         world.hot.rx_collision += lost.collisions;
         world.hot.rx_channel_drop += lost.channel_drops;

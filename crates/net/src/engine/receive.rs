@@ -21,14 +21,33 @@
 //! `2·v̄·(t − t0) ≤ skin − ε`, unless motion broke the bound
 //! ([`MotionBound`]'s void). A node that went down after a build stays
 //! listed: pass 3's liveness test keeps it out.
+//!
+//! # The snapshot behind them
+//!
+//! A rebuild fetches from [`NodeGrid`], every up node's position at one
+//! instant `tₛ`, and widens its query by `v̄·(t − tₛ)`, as far as any
+//! node can have moved since. The same bound judges it: it is retaken
+//! once a void falls at or after `tₛ` (a radio that recovered was left
+//! out while down) or the widening would pass half the skin. That is
+//! the linked-cell list molecular dynamics pairs with Verlet's.
 
 use ag_mobility::{LegSample, Vec2};
 use ag_sim::SimTime;
 
 use super::motion::MotionBound;
-use crate::grid::{AirIndex, NodeGrid, TxShot, GRID_PAD};
+use crate::grid::{bounds, AirIndex, NodeGrid, TxShot, GRID_PAD};
 use crate::phy::shadow_eff_range_sq;
 use crate::{PhyParams, ReceptionModel};
+
+/// Node-grid cell size as a fraction of the radio range. Cells at the
+/// full range make every disk query fetch a ~3 × 3-cell box — nine
+/// times the disk's area in candidates, all paying the distance test.
+/// Half-range cells tighten the fetched box for a fraction of the
+/// per-query work; the exact per-candidate distance test makes the cell
+/// size invisible in results. Below one half, per-query cell iteration
+/// overhead starts winning back the savings. (Measured with a query at
+/// `R` per `TxEnd`; now only rebuilds query, at `R + skin` and drift.)
+const GRID_CELL_FACTOR: f64 = 0.5;
 
 /// Largest node count for which the engine pre-allocates the dense
 /// `n × n` per-link shadowing cache (8 MiB of `f64` at the cap). Above
@@ -68,7 +87,6 @@ pub(super) struct RxView<'a, F> {
     pub legs: &'a [LegSample],
     pub down: &'a [bool],
     pub up_since: &'a [SimTime],
-    pub grid: &'a NodeGrid,
     pub air: &'a AirIndex<F>,
     pub channel_seed: u64,
     pub bound: MotionBound,
@@ -85,11 +103,11 @@ pub(super) struct RxScratch {
     /// Sender positions of the nearby transmissions overlapping this
     /// one's airtime.
     overlaps: Vec<Vec2>,
-    /// Per-node visit stamps deduplicating the fetched buckets' ids
-    /// without a sort (a node's window can span several queried cells).
-    stamps: Vec<u64>,
-    stamp: u64,
-    /// Pass 1 leaves the unique candidate ids at the front; pass 2
+    /// Where rebuilds fetch candidates: every up node's position at
+    /// `taken`, by cell.
+    grid: NodeGrid,
+    taken: SimTime,
+    /// Pass 1 leaves the candidate ids at the front; pass 2
     /// compacts the in-range ones to the front in place, with each
     /// one's position at the same index of `pos`.
     ids: Vec<u32>,
@@ -119,21 +137,25 @@ pub(super) struct RxScratch {
 
 impl RxScratch {
     /// Buffers start at their natural bounds (receivers and overlapping
-    /// transmissions are each capped by `n`, and so are the unique
-    /// candidates' positions; their ids take a write one past the last,
-    /// so `n + 1`) instead of discovering their high-water push by push
-    /// — each discovery is a rare, late reallocation the zero-allocation
-    /// gate would catch. The oracle keeps no lists, so no slab.
+    /// transmissions are each capped by `n`, and so are the candidates'
+    /// positions; their ids take a write one past the last, so `n + 1`)
+    /// instead of discovering their high-water push by push — each
+    /// discovery is a rare, late reallocation the zero-allocation gate
+    /// would catch. The grid's box covers the starting legs' endpoints.
+    /// The oracle keeps no lists and takes no snapshot, so it has no
+    /// slab and no snapshot ids.
     pub fn new(phy: &PhyParams, legs: &[LegSample]) -> Self {
         let n = legs.len();
         let cached = matches!(phy.reception(), ReceptionModel::Shadowing { .. })
             && n <= SHADOW_CACHE_MAX_NODES;
-        let stride = phy.spatial_index() as usize * stride_for(legs, phy.range_m() * (1.0 + SKIN));
+        let indexed = phy.spatial_index() as usize;
+        let stride = indexed * stride_for(legs, phy.range_m() * (1.0 + SKIN));
+        let ends = bounds(legs.iter().flat_map(|leg| [leg.from, leg.to]));
         RxScratch {
             receivers: Vec::with_capacity(n),
             overlaps: Vec::with_capacity(n),
-            stamps: vec![0; n],
-            stamp: 0,
+            grid: NodeGrid::new(GRID_CELL_FACTOR * phy.range_m(), indexed * n, ends),
+            taken: SimTime::ZERO,
             ids: vec![0; n + 1],
             pos: Vec::with_capacity(n),
             lists: vec![(SimTime::ZERO, 0); n],
@@ -152,12 +174,7 @@ impl RxScratch {
 /// area); at least 8, at most `n − 1` and 1,024, past which pass 2
 /// dwarfs the walk a list saves and the slab nears `n²`.
 fn stride_for(legs: &[LegSample], reach: f64) -> usize {
-    let start = |leg: &LegSample| leg.position_at(SimTime::ZERO);
-    let (mut lo, mut hi) = (start(&legs[0]), start(&legs[0]));
-    for p in legs.iter().map(start) {
-        lo = Vec2::new(lo.x.min(p.x), lo.y.min(p.y));
-        hi = Vec2::new(hi.x.max(p.x), hi.y.max(p.y));
-    }
+    let (lo, hi) = bounds(legs.iter().map(|leg| leg.position_at(SimTime::ZERO)));
     let side = |d: f64| d.max(2.0 * reach);
     let area = side(hi.x - lo.x) * side(hi.y - lo.y);
     let mean = legs.len() as f64 * std::f64::consts::PI * reach * reach / area;
@@ -179,27 +196,32 @@ fn measure(legs: &[LegSample], now: SimTime, ids: &[u32], pos: &mut Vec<Vec2>) {
     pos.extend(ids.iter().map(|&rid| legs[rid as usize].position_at(now)));
 }
 
-/// Fetches `sender`'s candidates afresh: the grid's buckets within
-/// `R + skin` of `shot`, each id kept once (the sender is pre-stamped),
-/// measured, the ones within reach compacted to the front. Caches them
-/// as the sender's list if they fit its slot; returns their count.
+/// Fetches `sender`'s candidates afresh: the snapshot's buckets within
+/// `R + skin` of `shot` and its drift, retaking it first if stale, the
+/// sender left out; measured, the ones within reach compacted to the
+/// front. Caches them as the sender's list if they fit its slot;
+/// returns their count.
 fn rebuild<F>(view: &RxView<'_, F>, s: &mut RxScratch, shot: &TxShot, sender: usize) -> usize {
-    let reach = view.phy.range_m() * (1.0 + SKIN);
-    s.stamp += 1;
-    let stamp = s.stamp;
-    s.stamps[sender] = stamp;
-    let mut unique = 0;
-    view.grid.query_disk(shot.pos, reach, |bucket| {
+    let range = view.phy.range_m();
+    let reach = range * (1.0 + SKIN);
+    let mut drift = view.bound.speed * view.now.duration_since(s.taken).as_nanos() as f64;
+    if view.bound.voided_at >= s.taken || drift > range * SKIN / 2.0 {
+        s.pos.clear();
+        s.pos
+            .extend(view.legs.iter().map(|leg| leg.position_at(view.now)));
+        s.grid.retake(&s.pos, view.down);
+        (s.taken, drift) = (view.now, 0.0);
+    }
+    let mut found = 0;
+    s.grid.query_disk(shot.pos, reach + drift, |bucket| {
         for &rid in bucket {
-            let first = s.stamps[rid as usize] != stamp;
-            s.stamps[rid as usize] = stamp;
-            s.ids[unique] = rid;
-            unique += first as usize;
+            s.ids[found] = rid;
+            found += (rid as usize != sender) as usize;
         }
     });
-    measure(view.legs, view.now, &s.ids[..unique], &mut s.pos);
+    measure(view.legs, view.now, &s.ids[..found], &mut s.pos);
     let mut kept = 0;
-    for i in 0..unique {
+    for i in 0..found {
         let (rid, rpos) = (s.ids[i], s.pos[i]);
         s.ids[kept] = rid;
         s.pos[kept] = rpos;
@@ -278,7 +300,7 @@ pub(super) fn receivers<F>(
     //
     // Pass 1, candidates at `now`: the sender's fresh list, or a rebuild.
     let (start, len) = s.lists[sender];
-    let unique = if fresh(&view.bound, start, view.now, range) {
+    let found = if fresh(&view.bound, start, view.now, range) {
         let list = &s.slab[sender * s.stride..][..len as usize];
         s.ids[..list.len()].copy_from_slice(list);
         measure(view.legs, view.now, list, &mut s.pos);
@@ -288,7 +310,7 @@ pub(super) fn receivers<F>(
     };
     // Pass 2, measure: the in-range candidates compacted to the front.
     let mut near = 0;
-    for i in 0..unique {
+    for i in 0..found {
         let (rid, rpos) = (s.ids[i], s.pos[i]);
         s.ids[near] = rid;
         s.pos[near] = rpos;
@@ -384,7 +406,90 @@ mod tests {
         assert_eq!(stride_for(&parked(&[(5.0, 5.0); 3000]), 10.0), 1024);
     }
 
+    /// A jump voids the lists up to its arrival, not every list after
+    /// it: `v̄` stays the walkers' (here 0), and a list built for a shot
+    /// that started after the arrival is served until the next void.
+    #[test]
+    fn list_built_after_a_jump_is_served() {
+        let legs = parked(&[(0.0, 0.0), (50.0, 0.0)]);
+        let mut bound = MotionBound::new(&legs);
+        let (load, arrive) = (SimTime::from_secs(2), SimTime::from_secs(4));
+        let hop = LegSample::jump(Vec2::new(0.0, 0.0), Vec2::new(500.0, 0.0), arrive);
+        bound.load(&legs[0], &hop, load);
+        assert_eq!(bound.speed, 0.0);
+        let ms = SimTime::from_millis;
+        assert!(
+            !fresh(&bound, ms(1_000), ms(1_500), 75.0),
+            "built before the load"
+        );
+        assert!(
+            !fresh(&bound, ms(3_000), ms(3_500), 75.0),
+            "built between load and arrival"
+        );
+        assert!(
+            !fresh(&bound, arrive, ms(4_500), 75.0),
+            "built at the arrival"
+        );
+        assert!(
+            fresh(&bound, ms(4_001), ms(60_000), 75.0),
+            "built after the arrival"
+        );
+    }
+
     proptest! {
+        /// The snapshot rule against brute force. Nodes walk straight
+        /// legs at random speeds (some parked) while radios fail and
+        /// recover (each recovery a void); at random instants a random
+        /// sender rebuilds. Whatever snapshot the rebuild fetched from,
+        /// it lists every up node within `R + skin` of the shot now,
+        /// and nothing farther.
+        #[test]
+        fn prop_rebuild_lists_every_node_in_reach(
+            range in 5.0f64..80.0,
+            vmax in 0.1f64..40.0,
+            walks in prop::collection::vec(((0.0f64..200.0, 0.0f64..200.0), (0.0f64..200.0, 0.0f64..200.0), 0.0f64..1.0), 2..30),
+            ops in prop::collection::vec((0u64..60, 0usize..30, 0u8..8), 1..80),
+        ) {
+            let legs: Vec<LegSample> = walks
+                .iter()
+                .map(|&((x0, y0), (x1, y1), frac)| {
+                    let (a, b) = (Vec2::new(x0, y0), Vec2::new(x1, y1));
+                    let travel = SimDuration::from_secs_f64(a.distance_to(b) / (frac * vmax).max(0.05));
+                    if frac < 0.15 { LegSample::fixed(a) } else { LegSample::moving(a, b, SimTime::ZERO, SimTime::ZERO + travel) }
+                })
+                .collect();
+            let n = legs.len();
+            let phy = PhyParams::paper_default(range);
+            let mut s = RxScratch::new(&phy, &legs);
+            let mut bound = MotionBound::new(&legs);
+            let (air, up_since) = (AirIndex::<()>::new(), vec![SimTime::ZERO; n]);
+            let mut down = vec![false; n];
+            let reach = range * (1.0 + SKIN);
+            let mut now = SimTime::ZERO;
+            for &(step, who, kind) in &ops {
+                now += SimDuration::from_millis(step);
+                let node = who % n;
+                if kind == 0 {
+                    down[node] = !down[node];
+                    if !down[node] {
+                        bound.voided_at = bound.voided_at.max(now);
+                    }
+                    continue;
+                }
+                let pos = legs[node].position_at(now);
+                let shot = TxShot { start: now, end: now + SimDuration::from_millis(1), pos };
+                let view = RxView { phy: &phy, now, legs: &legs, down: &down, up_since: &up_since, air: &air, channel_seed: 0, bound };
+                let kept = rebuild(&view, &mut s, &shot, node);
+                let listed = &s.ids[..kept];
+                for r in (0..n).filter(|&r| r != node) {
+                    let near = pos.distance_sq(legs[r].position_at(now)) <= reach * reach;
+                    prop_assert!(!near || down[r] || listed.contains(&(r as u32)), "node {} in reach of {} at {:?} but not listed", r, node, now);
+                    prop_assert!(near || !listed.contains(&(r as u32)), "node {} listed out of reach", r);
+                }
+                prop_assert!(!listed.contains(&(node as u32)), "the sender listed itself");
+            }
+        }
+
         /// The list rule against brute force. A few nodes load random
         /// legs — moves at random speeds, parked starts, pauses, jumps
         /// and restarts elsewhere — while lists are built at random

@@ -637,7 +637,6 @@ fn set_threads_is_inert() {
         let counters: Vec<_> = e.counters().iter().collect();
         let logs = |p: &Scripted| (p.received.clone(), p.failures.clone());
         let per_node: Vec<_> = e.protocols().iter().map(logs).collect();
-        // Nobody moves, so even the event totals match without the grid.
         let events = (e.events_processed(), e.events_scheduled());
         outcomes.push((counters, per_node, events));
     }

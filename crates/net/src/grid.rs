@@ -11,63 +11,49 @@
 //!
 //! Answering the first with a linear scan costs `O(N)` per query, which
 //! is fine at the paper's 40 nodes and hopeless at city scale, so
-//! [`NodeGrid`] indexes **nodes** by the cells their current mobility
-//! leg can touch and cuts it to `O(local density)`. The second is asked
-//! of far fewer records: [`AirIndex`] owns every transmission record
-//! (live and recently finished) in a slab kept in id order — a `TxEnd`
-//! finds its record by binary search — and eager pruning keeps it to
-//! the transmissions that can still matter, so each query is one pass
-//! over the slab.
+//! [`NodeGrid`] indexes a **snapshot of node positions** by cell and
+//! cuts it to `O(local density)`. The second is asked of far fewer
+//! records: [`AirIndex`] owns every transmission record (live and
+//! recently finished) in a slab kept in id order — a `TxEnd` finds its
+//! record by binary search — and eager pruning keeps it to the
+//! transmissions that can still matter, so each query is one pass over
+//! the slab.
 //!
 //! # Cell sizing
 //!
-//! [`NodeGrid`] cells are `R / 2` for radio range `R` (the engine's
-//! `GRID_CELL_FACTOR`): the fetched box hugs the disk more tightly than
-//! one-`R` cells would, [`NodeGrid::query_disk`] skips the box's
-//! out-of-disk corner cells, and each node's bucketing window smears
-//! over less area. The query copies nothing: it lends each fetched
-//! bucket to the caller in place. The work per query is independent of
-//! field size, and the ids fetched (at most four per node: a half-cell
-//! window or a point straddles at most the 2 × 2 cells at a corner)
-//! track local density rather than global population. Most `TxEnd`s
-//! never query: the receive kernel caches each sender's neighbours
-//! within `R + skin` and queries, at that radius, only to rebuild them.
+//! [`NodeGrid`] cells are `R / 2` for radio range `R` (the receive
+//! kernel's `GRID_CELL_FACTOR`): the fetched box hugs the disk more
+//! tightly than one-`R` cells would, and [`NodeGrid::query_disk`] skips
+//! the box's out-of-disk corner cells. The query copies nothing: it
+//! lends each fetched bucket to the caller in place. The work per query
+//! is independent of field size, and each node sits in exactly one
+//! bucket, so the ids fetched track local density rather than global
+//! population. Most `TxEnd`s never query: the receive kernel caches
+//! each sender's neighbours within `R + skin` and queries only to
+//! rebuild them.
 //!
-//! # Rebucket-on-mobility-event strategy
+//! # A snapshot under a motion bound
 //!
-//! Node positions change *continuously* during a movement leg, but the
-//! engine only touches the index at *events*. The grid buckets each
-//! node under every cell a **segment of its current leg** touches
-//! (dilated by a small pad, see below):
-//!
-//! * A pausing (or parked) node covers the single cell of its point.
-//! * A moving node covers the sub-segment it will traverse over the
-//!   next ~half cell of travel; the engine schedules a grid-refresh
-//!   event at the window's end to slide it forward. Random-waypoint
-//!   legs can span the whole field, so bucketing entire legs would put
-//!   most nodes in most query results — the window keeps each node in
-//!   one or two cells at `O(leg length / R)` refresh events per leg,
-//!   the same order as the mobility transitions themselves.
-//!
-//! Rebuckets therefore happen only at mobility events: leg transitions
-//! and the window refreshes derived from them. Grid-refresh events
-//! mutate nothing but the index — no RNG draws, no protocol state — so
-//! enabling the index cannot perturb the simulation. At any instant a
-//! node's true position lies on its bucketed segment, so its true cell
-//! is always one of its bucket cells: queries are *conservative*, and
-//! the engine runs the exact unit-disk distance test on every
-//! candidate — a superset of candidates never changes results, only
-//! costs.
+//! Nodes move continuously, but the grid holds where they stood at one
+//! instant, each in the cell of its position: a linked-cell list (after
+//! Hockney & Eastwood, *Computer Simulation Using Particles*, 1981),
+//! counting-sorted into two flat arrays. Nothing updates it as nodes
+//! move, fail or recover. The receive kernel owns it and retakes it
+//! when the motion bound its neighbour lists are judged by says it is
+//! stale; until then each query widens by how far any node can have
+//! moved since the snapshot, so candidate sets are *conservative*, and
+//! the engine runs the exact unit-disk distance test on every candidate
+//! — a superset of candidates never changes results, only costs.
 //!
 //! # Exactness and the safety pad
 //!
-//! Interpolated positions (`from + (to − from)·s`) can land a rounding
-//! error off the ideal segment. Bucketing dilates the segment by
-//! [`GRID_PAD`] (1 µm — about seven orders of magnitude above the worst
-//! interpolation jitter) and disk queries widen their radius by the same
-//! pad, so candidate sets are immune to float fuzz while the exact
-//! distance test keeps delivery and collision outcomes **identical** to
-//! the brute-force scan. That equivalence is enforced two ways: the
+//! A position's cell comes from a floating division and the kernel's
+//! widening from a floating product, so either can land a rounding
+//! error off the ideal. Disk queries widen their radius by [`GRID_PAD`]
+//! (1 µm — about seven orders of magnitude above the worst such error),
+//! so candidate sets are immune to float fuzz while the exact distance
+//! test keeps delivery and collision outcomes **identical** to the
+//! brute-force scan. That equivalence is enforced two ways: the
 //! brute-force scan survives as [`crate::reference`], selected by
 //! [`PhyParams::with_spatial_index`](crate::PhyParams::with_spatial_index)
 //! `(false)`, and a property test (`tests/differential.rs`) drives both
@@ -77,10 +63,10 @@
 use ag_mobility::Vec2;
 use ag_sim::SimTime;
 
-/// Dilation applied to leg segments when bucketing and to disk queries,
-/// in metres. Must exceed worst-case position interpolation error
-/// (~1e-13 m for kilometre-scale fields) by a wide margin while staying
-/// far below any radio range.
+/// Widening applied to disk queries, in metres. Must exceed worst-case
+/// rounding in a cell or distance computation (~1e-13 m for
+/// kilometre-scale fields) by a wide margin while staying far below any
+/// radio range.
 pub(crate) const GRID_PAD: f64 = 1e-6;
 
 /// A cell coordinate (floor of position / cell size, per axis).
@@ -105,222 +91,108 @@ fn disk_cells(c: Vec2, r: f64, cell: f64) -> (Cell, Cell) {
     (lo, hi)
 }
 
-/// The inclusive cell range covering the pad-dilated bounding box of
-/// the segment `a`→`b`.
-fn segment_cells(a: Vec2, b: Vec2, cell: f64) -> (Cell, Cell) {
-    let lo = cell_of(
-        Vec2::new(a.x.min(b.x) - GRID_PAD, a.y.min(b.y) - GRID_PAD),
-        cell,
-    );
-    let hi = cell_of(
-        Vec2::new(a.x.max(b.x) + GRID_PAD, a.y.max(b.y) + GRID_PAD),
-        cell,
-    );
-    (lo, hi)
+/// The bounding box of `points`: inverted, so no cell lies in it, when
+/// there are none.
+pub(crate) fn bounds(points: impl Iterator<Item = Vec2>) -> (Vec2, Vec2) {
+    let far = (Vec2::new(f64::MAX, f64::MAX), Vec2::new(f64::MIN, f64::MIN));
+    points.fold(far, |(lo, hi), p| {
+        let min = Vec2::new(lo.x.min(p.x), lo.y.min(p.y));
+        (min, Vec2::new(hi.x.max(p.x), hi.y.max(p.y)))
+    })
 }
 
-/// `true` if the segment `a`→`b` comes within `pad` of the axis-aligned
-/// cell rectangle `cell_idx` (slab/Liang–Barsky clip against the
-/// pad-dilated rectangle).
-fn segment_touches_cell(a: Vec2, b: Vec2, cell_idx: Cell, cell: f64, pad: f64) -> bool {
-    let min_x = cell_idx.0 as f64 * cell - pad;
-    let max_x = (cell_idx.0 + 1) as f64 * cell + pad;
-    let min_y = cell_idx.1 as f64 * cell - pad;
-    let max_y = (cell_idx.1 + 1) as f64 * cell + pad;
-    let d = b - a;
-    let mut t0 = 0.0f64;
-    let mut t1 = 1.0f64;
-    for (p0, dp, lo, hi) in [(a.x, d.x, min_x, max_x), (a.y, d.y, min_y, max_y)] {
-        if dp == 0.0 {
-            if p0 < lo || p0 > hi {
-                return false;
-            }
-        } else {
-            let mut ta = (lo - p0) / dp;
-            let mut tb = (hi - p0) / dp;
-            if ta > tb {
-                std::mem::swap(&mut ta, &mut tb);
-            }
-            t0 = t0.max(ta);
-            t1 = t1.min(tb);
-            if t0 > t1 {
-                return false;
-            }
-        }
-    }
-    true
-}
-
-/// Spatial index over nodes: each node is bucketed under every cell its
-/// current mobility leg can touch, and rebucketed at leg transitions.
+/// A snapshot of node positions bucketed by cell: each node handed to
+/// [`NodeGrid::retake`] sits in the one bucket of its position's cell.
 ///
-/// The buckets are row-major over the axis-aligned bounding box of
-/// every cell touched so far. A cell lookup is pure index arithmetic (a
-/// hashed lookup per cell dominated query cost in profiles), and every
-/// bucket in the box exists, with a capacity floor, from the moment the
-/// box grows: a lazy map kept *creating* buckets in steady state, one
-/// rare allocation per never-before-used cell, for as long as mobility
-/// kept finding new cells. Mobility models are field-clamped, so the
-/// box converges to the field's extent shortly after start-up; an
-/// out-of-box touch triggers a rare O(cells) regrow.
+/// The buckets are row-major over a box of cells, stored back to back
+/// in two flat arrays, so a cell lookup is index arithmetic and a
+/// retake is a counting sort into the same memory. The box is sized at
+/// construction and grows only when a snapshot's positions outgrow it;
+/// mobility models are field-clamped, so that is rare after start-up.
 #[derive(Debug)]
 pub(crate) struct NodeGrid {
     cell: f64,
-    /// The `dims.0 × dims.1` cells at `origin`, row-major.
-    buckets: Vec<Vec<u32>>,
     origin: Cell,
     dims: (i64, i64),
-    /// Each node's currently bucketed segment, as flat struct-of-arrays
-    /// storage (two `Vec2`s per node — no per-node heap block). The
-    /// occupied cells are *recomputed* from the segment on removal with
-    /// the same deterministic clip that inserted them, so storing the
-    /// cell lists (a `Vec<Cell>` allocation per node, ruinous at
-    /// millions of nodes) buys nothing.
-    node_seg: Vec<(Vec2, Vec2)>,
-    /// Whether the node currently occupies any buckets ([`NodeGrid::
-    /// remove_node`] detaches churned-down nodes until re-attached).
-    attached: Vec<bool>,
+    /// Cell `c`'s bucket is `ids[starts[c]..starts[c + 1]]`, ascending.
+    starts: Vec<u32>,
+    ids: Vec<u32>,
 }
 
 impl NodeGrid {
-    /// An empty grid for `n` nodes with `cell`-metre cells.
-    pub fn new(cell: f64, n: usize) -> Self {
+    /// An empty snapshot of up to `n` nodes in `cell`-metre cells, its
+    /// box covering the rectangle from `lo` to `hi`.
+    pub fn new(cell: f64, n: usize, (lo, hi): (Vec2, Vec2)) -> Self {
         assert!(cell > 0.0 && cell.is_finite(), "invalid grid cell {cell}");
-        NodeGrid {
+        let origin = cell_of(lo, cell);
+        let mut grid = NodeGrid {
             cell,
-            buckets: vec![Vec::new()],
-            origin: (0, 0),
+            origin,
             dims: (1, 1),
-            node_seg: vec![(Vec2::new(0.0, 0.0), Vec2::new(0.0, 0.0)); n],
-            attached: vec![false; n],
-        }
+            starts: Vec::new(),
+            ids: vec![0; n],
+        };
+        grid.cover(origin, cell_of(hi, cell));
+        grid
     }
 
-    /// Capacity floor for a cell bucket in an `n`-node grid of `cells`
-    /// cells: generously above the mean occupancy (`~2n / cells`, a
-    /// moving node's window spans a cell or two), capped at `n`.
-    /// Mobility keeps nudging each cell's occupancy high-water up for
-    /// a long time after start-up; handing every bucket room for a
-    /// dense local cluster up front is a few cells × `u32` of memory
-    /// and keeps the hot path free of the late, rare `Vec` growth
-    /// reallocations it would otherwise see.
-    fn floor_for(n: usize, cells: usize) -> usize {
-        (16 * (2 * n).div_ceil(cells.max(1)) + 8).min(n)
+    /// Grows the box to cover `lo..=hi` too. Every retake rewrites
+    /// every start, so nothing moves over.
+    fn cover(&mut self, lo: Cell, hi: Cell) {
+        let (o, d) = (self.origin, self.dims);
+        self.origin = (lo.0.min(o.0), lo.1.min(o.1));
+        let max = (hi.0.max(o.0 + d.0 - 1), hi.1.max(o.1 + d.1 - 1));
+        self.dims = (max.0 - self.origin.0 + 1, max.1 - self.origin.1 + 1);
+        self.starts
+            .resize((self.dims.0 * self.dims.1) as usize + 1, 0);
     }
 
-    /// Row-major index of cell `c`, or `None` outside the box.
+    /// Row-major index of cell `c`, which must lie inside the box.
     #[inline]
-    fn slot(&self, c: Cell) -> Option<usize> {
-        let dx = c.0.wrapping_sub(self.origin.0);
-        let dy = c.1.wrapping_sub(self.origin.1);
-        if dx < 0 || dy < 0 || dx >= self.dims.0 || dy >= self.dims.1 {
-            None
-        } else {
-            Some((dy * self.dims.0 + dx) as usize)
-        }
+    fn slot(&self, c: Cell) -> usize {
+        ((c.1 - self.origin.1) * self.dims.0 + c.0 - self.origin.0) as usize
     }
 
-    /// The bucket of cell `c`, which must lie inside the box.
-    #[inline]
-    fn bucket_mut(&mut self, c: Cell) -> &mut Vec<u32> {
-        let slot = self.slot(c).expect("cell outside the grid box");
-        &mut self.buckets[slot]
-    }
-
-    /// Grows the box to cover `lo..=hi`, preserving contents. Every
-    /// bucket gets at least [`NodeGrid::floor_for`] the new cell count:
-    /// occupied buckets move over and are topped up to it, the rest
-    /// start afresh with exactly it. (An empty bucket's old capacity
-    /// was sized for a smaller box's higher occupancy; moving those
-    /// over too read +3 % `peak_rss_mb` on `city_20k`.)
-    fn grow_to(&mut self, lo: Cell, hi: Cell) {
-        let new_origin = (lo.0.min(self.origin.0), lo.1.min(self.origin.1));
-        let new_max = (
-            hi.0.max(self.origin.0 + self.dims.0 - 1),
-            hi.1.max(self.origin.1 + self.dims.1 - 1),
-        );
-        let new_dims = (new_max.0 - new_origin.0 + 1, new_max.1 - new_origin.1 + 1);
-        let floor = Self::floor_for(self.node_seg.len(), (new_dims.0 * new_dims.1) as usize);
-        let mut buckets: Vec<Vec<u32>> = (0..new_dims.0 * new_dims.1)
-            .map(|_| Vec::with_capacity(floor))
-            .collect();
-        for dy in 0..self.dims.1 {
-            for dx in 0..self.dims.0 {
-                let old = &mut self.buckets[(dy * self.dims.0 + dx) as usize];
-                if !old.is_empty() {
-                    let mut moved = std::mem::take(old);
-                    if moved.capacity() < floor {
-                        moved.reserve(floor - moved.len());
-                    }
-                    let nx = self.origin.0 + dx - new_origin.0;
-                    let ny = self.origin.1 + dy - new_origin.1;
-                    buckets[(ny * new_dims.0 + nx) as usize] = moved;
-                }
-            }
+    /// Retakes the snapshot: node `i` at `pos[i]`, unless `skip[i]`.
+    pub fn retake(&mut self, pos: &[Vec2], skip: &[bool]) {
+        debug_assert!(pos.len() == skip.len() && pos.len() <= self.ids.len());
+        let kept = || pos.iter().zip(skip).enumerate().filter(|&(_, (_, &s))| !s);
+        // `floor` is monotone, so the kept positions' box has every
+        // kept cell between its corners' cells.
+        let (lo, hi) = bounds(kept().map(|(_, (&p, _))| p));
+        let (lo, hi) = (cell_of(lo, self.cell), cell_of(hi, self.cell));
+        let (o, d) = (self.origin, self.dims);
+        if lo.0 < o.0 || lo.1 < o.1 || hi.0 >= o.0 + d.0 || hi.1 >= o.1 + d.1 {
+            self.cover(lo, hi);
         }
-        self.buckets = buckets;
-        self.origin = new_origin;
-        self.dims = new_dims;
-    }
-
-    /// Calls `f` on the bucket of every cell in `lo..=hi` that the
-    /// pad-dilated segment `a`→`b` touches: the one clip-walk insertion
-    /// and removal share, so bit-identical floats in give an identical
-    /// cell set out and every insertion is found again.
-    fn for_touched(
-        &mut self,
-        (a, b): (Vec2, Vec2),
-        (lo, hi): (Cell, Cell),
-        mut f: impl FnMut(&mut Vec<u32>),
-    ) {
-        for cx in lo.0..=hi.0 {
-            for cy in lo.1..=hi.1 {
-                if segment_touches_cell(a, b, (cx, cy), self.cell, GRID_PAD) {
-                    f(self.bucket_mut((cx, cy)));
-                }
-            }
+        // Count each cell's nodes at its own index, sum the counts into
+        // each cell's end, then place the nodes backwards, each stepping
+        // its cell's end down: every bucket ends ascending and starting
+        // at its index, and the last entry holds the total.
+        self.starts.fill(0);
+        for (_, (&p, _)) in kept() {
+            let c = self.slot(cell_of(p, self.cell));
+            self.starts[c] += 1;
         }
-    }
-
-    /// Detaches `node` from every cell it occupies (radio churn: a down
-    /// node must not appear in any disk query; re-attach by calling
-    /// [`NodeGrid::update_segment`] again).
-    pub fn remove_node(&mut self, node: usize) {
-        if !self.attached[node] {
-            return;
+        let mut total = 0;
+        for s in &mut self.starts {
+            total += *s;
+            *s = total;
         }
-        self.attached[node] = false;
-        let (a, b) = self.node_seg[node];
-        self.for_touched((a, b), segment_cells(a, b, self.cell), |v| {
-            if let Some(i) = v.iter().position(|&id| id as usize == node) {
-                v.swap_remove(i);
-            }
-        });
-    }
-
-    /// Rebuckets `node` for the trajectory segment `a`→`b` (its next
-    /// bucketing window): removes it from its old cells and inserts it
-    /// under every cell the (pad-dilated) segment touches. Pass `a == b`
-    /// for a parked node.
-    pub fn update_segment(&mut self, node: usize, a: Vec2, b: Vec2) {
-        self.remove_node(node);
-        let (lo, hi) = segment_cells(a, b, self.cell);
-        if self.slot(lo).is_none() || self.slot(hi).is_none() {
-            self.grow_to(lo, hi);
+        for (i, (&p, _)) in kept().rev() {
+            let c = self.slot(cell_of(p, self.cell));
+            self.starts[c] -= 1;
+            self.ids[self.starts[c] as usize] = i as u32;
         }
-        self.for_touched((a, b), (lo, hi), |v| v.push(node as u32));
-        self.node_seg[node] = (a, b);
-        self.attached[node] = true;
     }
 
     /// Hands `f` the bucket of every cell within radius `r` (+pad) of
-    /// `center`, in place, each once, rows ascending. A node may sit in
-    /// up to four of them and lie farther than `r`; the caller must
-    /// dedupe and run the exact distance test.
+    /// `center`, in place, each once, rows ascending. A bucket may hold
+    /// nodes farther than `r`; the caller runs the exact distance test.
     pub fn query_disk(&self, center: Vec2, r: f64, mut f: impl FnMut(&[u32])) {
         let (lo, hi) = disk_cells(center, r + GRID_PAD, self.cell);
         let r_sq = (r + GRID_PAD) * (r + GRID_PAD);
-        // Clamp to the dense box: cells outside it are empty.
+        // Clamp to the box: cells outside it are empty.
         let x0 = lo.0.max(self.origin.0);
         let x1 = hi.0.min(self.origin.0 + self.dims.0 - 1);
         let y0 = lo.1.max(self.origin.1);
@@ -333,19 +205,17 @@ impl NodeGrid {
             let dy_sq = (ny - center.y) * (ny - center.y);
             for cx in x0..=x1 {
                 // Skip cells (the fetch box's corners) whose nearest
-                // point lies beyond the dilated disk: an in-range node's
-                // true position sits on its bucketed segment, so the
-                // cell *containing* that position is in the box and
-                // passes this test — a rejected cell can only hold that
-                // node's duplicate entries, which the caller's dedupe
-                // would discard anyway.
+                // point lies beyond the dilated disk: a node within `r`
+                // of the centre sits in the cell containing its
+                // position, which passes this test.
                 let nx = center
                     .x
                     .clamp(cx as f64 * self.cell, (cx + 1) as f64 * self.cell);
                 if (nx - center.x) * (nx - center.x) + dy_sq > r_sq {
                     continue;
                 }
-                f(&self.buckets[(row + cx) as usize]);
+                let c = (row + cx) as usize;
+                f(&self.ids[self.starts[c] as usize..self.starts[c + 1] as usize]);
             }
         }
     }
@@ -581,130 +451,38 @@ mod tests {
     use ag_sim::SimDuration;
     use proptest::prelude::*;
 
+    /// A snapshot of `points`, none skipped, on a grid whose box was
+    /// sized for the first alone.
+    fn snapshot(cell: f64, points: &[Vec2]) -> NodeGrid {
+        let mut g = NodeGrid::new(cell, points.len(), (points[0], points[0]));
+        g.retake(points, &vec![false; points.len()]);
+        g
+    }
+
     fn sorted_query(g: &NodeGrid, c: Vec2, r: f64) -> Vec<u32> {
         let mut out = Vec::new();
         g.query_disk(c, r, |bucket| out.extend_from_slice(bucket));
         out.sort_unstable();
-        out.dedup();
         out
     }
 
     #[test]
     fn point_node_is_found_within_range() {
-        let mut g = NodeGrid::new(75.0, 3);
-        g.update_segment(0, Vec2::new(10.0, 10.0), Vec2::new(10.0, 10.0));
-        g.update_segment(1, Vec2::new(60.0, 10.0), Vec2::new(60.0, 10.0));
-        g.update_segment(2, Vec2::new(500.0, 500.0), Vec2::new(500.0, 500.0));
-        let got = sorted_query(&g, Vec2::new(0.0, 0.0), 75.0);
-        assert!(got.contains(&0));
-        assert!(got.contains(&1));
-        assert!(!got.contains(&2));
-    }
-
-    #[test]
-    fn moving_node_is_found_anywhere_on_its_segment() {
-        let mut g = NodeGrid::new(50.0, 1);
-        // A diagonal window segment; the node must be a candidate near
-        // both ends and in the middle.
-        g.update_segment(0, Vec2::new(0.0, 0.0), Vec2::new(100.0, 100.0));
-        for p in [
-            Vec2::new(0.0, 0.0),
-            Vec2::new(50.0, 50.0),
-            Vec2::new(100.0, 100.0),
-        ] {
-            assert_eq!(sorted_query(&g, p, 50.0), vec![0], "missing at {p:?}");
-        }
-        // ...but not far off the segment's corridor.
-        assert!(sorted_query(&g, Vec2::new(250.0, 0.0), 50.0).is_empty());
-    }
-
-    #[test]
-    fn rebucket_replaces_old_cells() {
-        let mut g = NodeGrid::new(50.0, 1);
-        g.update_segment(0, Vec2::new(10.0, 10.0), Vec2::new(10.0, 10.0));
-        assert_eq!(sorted_query(&g, Vec2::new(0.0, 0.0), 50.0), vec![0]);
-        g.update_segment(0, Vec2::new(1000.0, 1000.0), Vec2::new(1000.0, 1000.0));
-        assert!(sorted_query(&g, Vec2::new(0.0, 0.0), 50.0).is_empty());
-        assert_eq!(sorted_query(&g, Vec2::new(990.0, 990.0), 50.0), vec![0]);
-    }
-
-    #[test]
-    fn remove_node_detaches_until_next_update() {
-        let mut g = NodeGrid::new(50.0, 2);
-        g.update_segment(0, Vec2::new(10.0, 10.0), Vec2::new(10.0, 10.0));
-        g.update_segment(1, Vec2::new(20.0, 10.0), Vec2::new(20.0, 10.0));
-        g.remove_node(0);
-        assert_eq!(sorted_query(&g, Vec2::new(0.0, 0.0), 50.0), vec![1]);
-        // Removing twice is a no-op; re-attach restores queries.
-        g.remove_node(0);
-        g.update_segment(0, Vec2::new(10.0, 10.0), Vec2::new(10.0, 10.0));
-        assert_eq!(sorted_query(&g, Vec2::new(0.0, 0.0), 50.0), vec![0, 1]);
+        let g = snapshot(
+            75.0,
+            &[
+                Vec2::new(10.0, 10.0),
+                Vec2::new(60.0, 10.0),
+                Vec2::new(500.0, 500.0),
+            ],
+        );
+        assert_eq!(sorted_query(&g, Vec2::new(0.0, 0.0), 75.0), vec![0, 1]);
     }
 
     #[test]
     fn negative_coordinates_bucket_correctly() {
-        let mut g = NodeGrid::new(50.0, 1);
-        g.update_segment(0, Vec2::new(-10.0, -10.0), Vec2::new(-10.0, -10.0));
+        let g = snapshot(50.0, &[Vec2::new(-10.0, -10.0)]);
         assert_eq!(sorted_query(&g, Vec2::new(0.0, 0.0), 50.0), vec![0]);
-    }
-
-    #[test]
-    fn segment_cell_test_matches_geometry() {
-        // Horizontal segment through row 0 only.
-        let a = Vec2::new(5.0, 25.0);
-        let b = Vec2::new(145.0, 25.0);
-        assert!(segment_touches_cell(a, b, (0, 0), 50.0, GRID_PAD));
-        assert!(segment_touches_cell(a, b, (2, 0), 50.0, GRID_PAD));
-        assert!(!segment_touches_cell(a, b, (1, 1), 50.0, GRID_PAD));
-        assert!(!segment_touches_cell(a, b, (3, 0), 50.0, GRID_PAD));
-        // Degenerate (point) segment.
-        let p = Vec2::new(75.0, 75.0);
-        assert!(segment_touches_cell(p, p, (1, 1), 50.0, GRID_PAD));
-        assert!(!segment_touches_cell(p, p, (0, 0), 50.0, GRID_PAD));
-    }
-
-    #[test]
-    fn cell_box_grows_in_all_four_directions() {
-        // Enough nodes that the floor stays under its cap of `N` and
-        // shrinks as the box grows.
-        const N: usize = 1000;
-        let mut b = NodeGrid::new(1.0, N);
-        b.bucket_mut((0, 0)).push(7);
-        // Right/up, then left/down.
-        for (n, (lo, hi)) in [((1, 0), (4, 7)), ((-5, -2), (-1, 0))]
-            .into_iter()
-            .enumerate()
-        {
-            assert_eq!(b.slot(lo), None);
-            assert_eq!(b.slot(hi), None);
-            b.grow_to(lo, hi);
-            b.bucket_mut(lo).push(10 + n as u32);
-            b.bucket_mut(hi).push(20 + n as u32);
-        }
-        assert_eq!((b.origin, b.dims), ((-5, -2), (10, 10)));
-        assert_eq!(b.buckets.len(), 100);
-        for (c, want) in [((0, 0), 7), ((1, 0), 10), ((4, 7), 20), ((-5, -2), 11)] {
-            assert_eq!(b.bucket_mut(c), &[want], "contents of {c:?} lost");
-        }
-        // (-1, 0) came into the box with the second growth and took 21.
-        assert_eq!(b.bucket_mut((-1, 0)), &[21]);
-        assert_eq!(b.buckets.iter().map(Vec::len).sum::<usize>(), 5);
-        // Every bucket has room for the last growth's floor; occupied
-        // ones kept the larger capacity the first growth gave them.
-        let floor = |cells| NodeGrid::floor_for(N, cells);
-        assert!(floor(40) > floor(100) && floor(40) < N);
-        assert!(b.buckets.iter().all(|v| v.capacity() >= floor(100)));
-        assert!(b.bucket_mut((0, 0)).capacity() >= floor(40));
-        for outside in [
-            (-6, 0),
-            (5, 0),
-            (0, -3),
-            (0, 8),
-            (i64::MAX, 0),
-            (0, i64::MIN),
-        ] {
-            assert_eq!(b.slot(outside), None, "{outside:?}");
-        }
     }
 
     fn shot(start_s: u64, dur_ms: u64, x: f64) -> TxShot {
@@ -836,46 +614,54 @@ mod tests {
             }
         }
 
-        /// Random bucketed segments (points and moving windows) and
-        /// random disks, some wholly outside the grid's box: the fetch
-        /// hands over each bucket at most once per query, and its ids
-        /// include every node whose segment comes within `r` of the
-        /// centre.
+        /// Two snapshots of random points, negative coordinates and
+        /// skipped nodes included, on one grid whose box grows for the
+        /// first and holds the second in a corner: every kept node sits
+        /// in exactly one bucket, its cell's, ascending within it; and
+        /// against random disks, some wholly outside the box, a query
+        /// hands over no bucket twice and fetches every kept node within
+        /// `r` of the centre.
         #[test]
         fn prop_query_disk_visits_each_bucket_once_and_misses_no_node(
             cell in 5.0f64..80.0,
-            segs in prop::collection::vec(((0.0f64..300.0, 0.0f64..300.0), (-40.0f64..40.0, -40.0f64..40.0), 0u8..3), 1..40),
+            nodes in prop::collection::vec(((-200.0f64..300.0, -200.0f64..300.0), (0.0f64..1.0, 0.0f64..1.0), 0u8..4), 1..40),
             disks in prop::collection::vec((-400.0f64..700.0, -400.0f64..700.0, 0.1f64..200.0), 1..20),
         ) {
-            let mut g = NodeGrid::new(cell, segs.len());
-            let mut bucketed = Vec::new();
-            for (i, &((x, y), (dx, dy), kind)) in segs.iter().enumerate() {
-                let a = Vec2::new(x, y);
-                // One in three is a parked point, the rest move.
-                let b = if kind == 0 { a } else { Vec2::new(x + dx, y + dy) };
-                g.update_segment(i, a, b);
-                bucketed.push((a, b));
-            }
-            for &(cx, cy, r) in &disks {
-                let c = Vec2::new(cx, cy);
-                let (mut seen, mut ids) = (Vec::new(), Vec::new());
-                g.query_disk(c, r, |bucket| {
-                    let slot = g.buckets.iter().position(|v| std::ptr::eq(v.as_slice(), bucket));
-                    seen.push(slot.expect("a slice of a grid bucket"));
-                    ids.extend_from_slice(bucket);
-                });
-                let fetched = seen.len();
-                seen.sort_unstable();
-                seen.dedup();
-                prop_assert_eq!(seen.len(), fetched, "a bucket was handed over twice");
-                for (i, &(a, b)) in bucketed.iter().enumerate() {
-                    // The closest point of the segment to the centre.
-                    let d = b - a;
-                    let len_sq = d.x * d.x + d.y * d.y;
-                    let t = if len_sq == 0.0 { 0.0 } else { ((c - a).x * d.x + (c - a).y * d.y) / len_sq };
-                    let near = a.lerp(b, t.clamp(0.0, 1.0));
-                    if near.distance_sq(c) <= r * r {
-                        prop_assert!(ids.contains(&(i as u32)), "node {} missed by {:?}", i, (c, r));
+            let n = nodes.len();
+            // One in four is skipped.
+            let skip: Vec<bool> = nodes.iter().map(|node| node.2 == 0).collect();
+            let wide = nodes.iter().map(|&((x, y), _, _)| Vec2::new(x, y)).collect();
+            let narrow = nodes.iter().map(|&(_, (u, v), _)| Vec2::new(60.0 * u - 20.0, 60.0 * v + 10.0)).collect();
+            let mut g = NodeGrid::new(cell, n, (Vec2::new(0.0, 0.0), Vec2::new(1.0, 1.0)));
+            for pos in [wide, narrow] {
+                let pos: Vec<Vec2> = pos;
+                g.retake(&pos, &skip);
+                let cells = (g.dims.0 * g.dims.1) as usize;
+                prop_assert_eq!(g.starts.len(), cells + 1);
+                let mut held = vec![0; n];
+                for c in 0..cells {
+                    let bucket = &g.ids[g.starts[c] as usize..g.starts[c + 1] as usize];
+                    prop_assert!(bucket.windows(2).all(|w| w[0] < w[1]), "bucket {} out of order", c);
+                    for &i in bucket {
+                        prop_assert_eq!(g.slot(cell_of(pos[i as usize], cell)), c, "node {} off its cell", i);
+                        held[i as usize] += 1;
+                    }
+                }
+                for (i, &s) in skip.iter().enumerate() {
+                    prop_assert_eq!(held[i], !s as u32, "node {} held {} times", i, held[i]);
+                }
+                for &(cx, cy, r) in &disks {
+                    let c = Vec2::new(cx, cy);
+                    let mut ids = Vec::new();
+                    g.query_disk(c, r, |bucket| ids.extend_from_slice(bucket));
+                    let fetched = ids.len();
+                    ids.sort_unstable();
+                    ids.dedup();
+                    prop_assert_eq!(ids.len(), fetched, "a bucket was handed over twice");
+                    for (i, p) in pos.iter().enumerate() {
+                        if !skip[i] && p.distance_sq(c) <= r * r {
+                            prop_assert!(ids.binary_search(&(i as u32)).is_ok(), "node {} missed by {:?}", i, (c, r));
+                        }
                     }
                 }
             }

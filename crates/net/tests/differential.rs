@@ -98,7 +98,7 @@ impl Protocol for Chatter {
 }
 
 /// Builds one node's mobility model; the mix (waypoint / walk /
-/// stationary) exercises moving-segment, short-epoch and point buckets.
+/// stationary) exercises long legs, short epochs and parked nodes.
 fn mobility_for(seed: u64, node: usize, field: Field, max_speed: f64) -> Box<dyn Mobility> {
     let mut rng = SeedSplitter::new(seed).stream(StreamKind::Placement, node as u64);
     match node % 3 {
@@ -125,6 +125,9 @@ struct Outcome {
     per_node: Vec<(RxLog, FailLog, u32)>,
     counters: Vec<(&'static str, u64)>,
     positions: Vec<Vec2>,
+    /// `(events_processed, events_scheduled)`: kernel and oracle
+    /// schedule the same events, so these match too.
+    events: (u64, u64),
 }
 
 /// One random scenario's knobs.
@@ -200,6 +203,7 @@ fn run_chatter(
         positions: (0..nodes)
             .map(|i| engine.position_of(NodeId::new(i as u32)))
             .collect(),
+        events: (engine.events_processed(), engine.events_scheduled()),
     }
 }
 
@@ -233,6 +237,7 @@ proptest! {
             prop_assert_eq!(&g.0, &b.0, "node {} receptions diverged", i);
         }
         prop_assert_eq!(&grid.positions, &brute.positions, "final positions diverged");
+        prop_assert_eq!(grid.events, brute.events, "event totals diverged");
     }
 }
 
@@ -274,9 +279,9 @@ fn dense_cluster_identical_paths() {
 }
 
 /// A fully hostile fixed scenario — shadowed channel *and* aggressive
-/// churn — where the grid's detach/re-attach bookkeeping gets the most
-/// exercise, pinned so it runs on every `cargo test` (the proptest only
-/// samples this corner).
+/// churn — where recoveries void the snapshot most often, pinned so
+/// it runs on every `cargo test` (the proptest only samples this
+/// corner).
 #[test]
 fn stressed_channel_identical_paths() {
     let out: Vec<Outcome> = [true, false]
@@ -388,7 +393,8 @@ fn crowded_air_identical_paths() {
 
 /// Runs `scenario` on the grid-indexed engine, then on the brute-force
 /// one, asserts they agree on counters, every node's receptions and
-/// failures, and final positions, and returns the grid run's outcome.
+/// failures, final positions and event totals, and returns the grid
+/// run's outcome.
 fn identical_paths(scenario: impl Fn(bool) -> Outcome) -> Outcome {
     let (grid, brute) = (scenario(true), scenario(false));
     assert_eq!(grid.counters, brute.counters, "counters diverged");
@@ -396,6 +402,7 @@ fn identical_paths(scenario: impl Fn(bool) -> Outcome) -> Outcome {
         assert_eq!(g, b, "node {i} diverged");
     }
     assert_eq!(grid.positions, brute.positions, "final positions diverged");
+    assert_eq!(grid.events, brute.events, "event totals diverged");
     grid
 }
 
@@ -457,9 +464,8 @@ fn two_nodes_identical_paths() {
 }
 
 /// Every node parked on one cell corner (a multiple of the `R / 2`
-/// cell): each is bucketed under the four cells meeting there, so a
-/// fetch returns every id four times — the most duplicates one query
-/// can hand the kernel's dedupe.
+/// cell): all share the one bucket of the cell whose lower corner it
+/// is, and a fetch's widened disk reaches all four cells meeting there.
 #[test]
 fn shared_cell_corner_identical_paths() {
     const RANGE: f64 = 75.0;
@@ -565,8 +571,8 @@ fn discontinuous_leg_identical_paths() {
 /// `TeleportAt`, loaded while lists are live. Everyone is parked for
 /// 2 s, so `v̄ = 0` and the lists built then never expire; at 2 s node
 /// 4 loads a jump from one end of the row to the other at 4 s. The load
-/// continues where node 4 stood, so only the jump's speed (its distance
-/// per nanosecond) ends the lists that would miss it after the jump.
+/// continues where node 4 stood, so only the jump's void, dated at its
+/// arrival, ends the lists and the snapshot that would miss it after.
 #[test]
 fn jump_legs_identical_paths() {
     row_and(8, None, || {
@@ -580,8 +586,8 @@ fn jump_legs_identical_paths() {
 /// Neighbour lists: radios recover while their neighbours' lists are
 /// inside their deadlines. Node 4 walks along the row at 3 m/s, so a
 /// list lives ~1.6 s and is rebuilt while some radios are down; one
-/// that recovers before the list expires was detached from the grid
-/// when the list was built.
+/// that recovers before the list expires was left out of the snapshot
+/// the list was built from.
 #[test]
 fn recovery_inside_list_life_identical_paths() {
     let out = row_and(20, Some((3.0, 1.0)), || {

@@ -62,10 +62,10 @@
 //!
 //! # Cancellation
 //!
-//! Deliberately absent. The engine cancels by *generation token*: each
+//! Deliberately absent. The engine cancels by *generation token*: a
 //! cancellable event carries a generation stamp and the dispatcher drops
 //! events whose stamp no longer matches the owner's counter (see
-//! `Event::MacAttempt` / `Event::GridRefresh` in `ag-net`). That keeps
+//! `Event::MacAttempt` in `ag-net`, the one such event). That keeps
 //! the queue free of tombstone bookkeeping on the hot path, and of
 //! handles that would have to follow an entry across a retune's change
 //! of tier; a stale event costs one pop and one integer compare.
