@@ -13,11 +13,11 @@
 //!    and every named choice branch nondeterministically. Temporal
 //!    properties (`always` / `eventually` / `leads_to`) are decided
 //!    over the full reachable graph with lasso-shaped counterexamples.
-//! 2. **Engine-trace conformance** ([`replay`]): a recorded engine run
-//!    (`Engine::new_traced`) is replayed choice-for-choice through the
-//!    facade, asserting lockstep state-digest equality — the proof
-//!    that the model the checker explores *is* the code the simulator
-//!    runs.
+//! 2. **Lockstep conformance** ([`Conform`]): a wrapper run under a
+//!    plain engine delivers every dispatch to the live protocol and,
+//!    with the choices it drew, to a replica, asserting the same
+//!    choices and the same [`state_key`] after each — the proof that
+//!    the model the checker explores *is* the code the simulator runs.
 //!
 //! Everything is implemented in-workspace (no external model-checking
 //! dependency), mirroring the vendored-shim policy in `vendor/`.
@@ -28,16 +28,16 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod conform;
 pub mod explore;
 pub mod logic;
 pub mod machine;
 pub mod net;
-pub mod replay;
 
+pub use conform::Conform;
 pub use explore::{explore, state_key, Exploration, Limits};
 pub use logic::{
     always, eventually, exists, leads_to, render_counterexample, Counterexample, Verdict,
 };
 pub use machine::Machine;
 pub use net::{NetAction, NetModel, NetState};
-pub use replay::{replay_trace, ReplayCtx};

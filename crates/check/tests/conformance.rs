@@ -1,37 +1,72 @@
-//! Engine-trace conformance: the model the checker explores is the
-//! code the simulator runs.
+//! Lockstep conformance: the model the checker explores is the code
+//! the simulator runs.
 //!
-//! Each test builds a small engine simulation with tracing enabled,
-//! runs it, then replays the recorded dispatch/choice log through
-//! fresh protocol instances via the pure [`ProtoCtx`] facade —
-//! asserting state-digest equality after **every single dispatch**.
-//! Any drift between what runs under `ag_net::Engine` and what the
-//! model checker executes (an unrecorded RNG draw, a handler peeking
-//! at ambient state) fails here with the exact divergent step.
+//! Each test wraps every node's protocol in [`Conform`] and runs a
+//! plain engine simulation. `Conform` hands each dispatch to the live
+//! instance and, with the choices it drew, to a replica through the
+//! pure [`ProtoCtx`](ag_net::ProtoCtx) facade, asserting the same
+//! choices and the same state after **every single dispatch**. Any
+//! drift between what runs under `ag_net::Engine` and what the model
+//! checker executes (an unrecorded RNG draw, a handler peeking at
+//! ambient state) fails here with the exact divergent step; the last
+//! two tests show that it does.
 
-use ag_check::replay_trace;
+use std::sync::atomic::{AtomicU64, Ordering};
+
+use ag_check::Conform;
 use ag_core::{AgConfig, AnonymousGossip};
 use ag_maodv::{GroupId, MaodvConfig, MaodvProtocol, TrafficSource};
-use ag_mobility::{Stationary, Vec2};
-use ag_net::{Engine, NodeId, NodeSetup, PhyParams};
+use ag_mobility::{Field, Mobility, PauseRange, RandomWaypoint, SpeedRange, Stationary, Vec2};
+use ag_net::{
+    ChurnParams, Engine, Message, NodeId, NodeSetup, PhyParams, ProtoCtx, Protocol, ReceptionModel,
+    RxKind, TimerKey,
+};
 use ag_odmrp::{OdmrpConfig, OdmrpProtocol};
+use ag_sim::rng::{SeedSplitter, StreamKind};
 use ag_sim::{SimDuration, SimTime};
 
-/// Five stationary nodes on a line, 40 m apart (75 m radio range, so
-/// only adjacent nodes hear each other).
-fn line_positions(n: u32) -> Vec<Box<dyn ag_mobility::Mobility>> {
-    (0..n)
-        .map(|i| {
-            Box::new(Stationary::new(Vec2::new(40.0 * f64::from(i), 0.0)))
-                as Box<dyn ag_mobility::Mobility>
+/// Nodes stationary on a line, 40 m apart (75 m radio range, so only
+/// adjacent nodes hear each other).
+fn line(i: u32) -> Box<dyn Mobility> {
+    Box::new(Stationary::new(Vec2::new(40.0 * f64::from(i), 0.0)))
+}
+
+/// Runs `n` nodes, each `build(i)` wrapped in [`Conform`] and placed by
+/// `place(i)`, until `secs`; returns the engine and the dispatches
+/// checked.
+fn run<P: Protocol + Clone>(
+    phy: PhyParams,
+    seed: u64,
+    secs: u64,
+    n: u32,
+    place: impl Fn(u32) -> Box<dyn Mobility>,
+    build: impl Fn(u32) -> P,
+) -> (Engine<Conform<P>>, usize) {
+    let nodes = (0..n)
+        .map(|i| NodeSetup {
+            mobility: place(i),
+            protocol: Conform::new(build(i)),
         })
-        .collect()
+        .collect();
+    let mut e = Engine::new(phy, seed, nodes);
+    e.run_until(SimTime::from_secs(secs));
+    let checked = e.protocols().iter().map(Conform::checked).sum();
+    (e, checked)
+}
+
+fn gossip_node(i: u32, member: bool, traffic: Option<TrafficSource>) -> AnonymousGossip {
+    AnonymousGossip::new(
+        AgConfig::paper_default(),
+        MaodvConfig::paper_default(),
+        NodeId::new(i),
+        GroupId(0),
+        member,
+        traffic,
+    )
 }
 
 #[test]
 fn maodv_trace_replays_through_the_facade() {
-    let cfg = MaodvConfig::paper_default();
-    let g = GroupId(0);
     let traffic = TrafficSource::compact(
         SimTime::from_secs(30),
         SimDuration::from_millis(200),
@@ -40,96 +75,158 @@ fn maodv_trace_replays_through_the_facade() {
     );
     let build = |i: u32| {
         MaodvProtocol::new(
-            cfg,
+            MaodvConfig::paper_default(),
             NodeId::new(i),
-            g,
+            GroupId(0),
             i == 0 || i == 4,
             (i == 0).then_some(traffic),
         )
     };
-    let nodes = line_positions(5)
-        .into_iter()
-        .enumerate()
-        .map(|(i, mobility)| NodeSetup {
-            mobility,
-            protocol: build(i as u32),
-        })
-        .collect();
-    let mut e = Engine::new_traced(PhyParams::paper_default(75.0), 7, nodes);
-    e.run_until(SimTime::from_secs(40));
-    let trace = e.take_trace();
-
-    let mut fresh: Vec<MaodvProtocol> = (0..5).map(build).collect();
-    let steps = replay_trace(&mut fresh, &trace);
-    println!("maodv conformance: {steps} dispatches replayed in lockstep");
-    assert!(steps > 500, "trace suspiciously short: {steps}");
+    let (_, steps) = run(PhyParams::paper_default(75.0), 7, 40, 5, line, build);
+    println!("maodv conformance: {steps} dispatches checked in lockstep");
+    assert_eq!(steps, 2_351);
 }
 
 #[test]
 fn odmrp_trace_replays_through_the_facade() {
-    let cfg = OdmrpConfig::default_paper();
-    let g = GroupId(0);
     let traffic = TrafficSource::compact(
         SimTime::from_secs(10),
         SimDuration::from_millis(200),
         20,
         64,
     );
-    let build =
-        |i: u32| OdmrpProtocol::new(cfg, NodeId::new(i), g, i != 2, (i == 0).then_some(traffic));
-    let nodes = line_positions(5)
-        .into_iter()
-        .enumerate()
-        .map(|(i, mobility)| NodeSetup {
-            mobility,
-            protocol: build(i as u32),
-        })
-        .collect();
-    let mut e = Engine::new_traced(PhyParams::paper_default(75.0), 11, nodes);
-    e.run_until(SimTime::from_secs(20));
-    let trace = e.take_trace();
-
-    let mut fresh: Vec<OdmrpProtocol> = (0..5).map(build).collect();
-    let steps = replay_trace(&mut fresh, &trace);
-    println!("odmrp conformance: {steps} dispatches replayed in lockstep");
-    assert!(steps > 200, "trace suspiciously short: {steps}");
+    let build = |i: u32| {
+        let cfg = OdmrpConfig::default_paper();
+        OdmrpProtocol::new(
+            cfg,
+            NodeId::new(i),
+            GroupId(0),
+            i != 2,
+            (i == 0).then_some(traffic),
+        )
+    };
+    let (_, steps) = run(PhyParams::paper_default(75.0), 11, 20, 5, line, build);
+    println!("odmrp conformance: {steps} dispatches checked in lockstep");
+    assert_eq!(steps, 277);
 }
 
 #[test]
 fn gossip_trace_replays_through_the_facade() {
-    let cfg = AgConfig::paper_default();
-    let maodv_cfg = MaodvConfig::paper_default();
-    let g = GroupId(0);
     let traffic = TrafficSource::compact(
         SimTime::from_secs(30),
         SimDuration::from_millis(200),
         30,
         64,
     );
-    let build = |i: u32| {
-        AnonymousGossip::new(
-            cfg,
-            maodv_cfg,
-            NodeId::new(i),
-            g,
-            i == 0 || i == 4,
-            (i == 0).then_some(traffic),
-        )
-    };
-    let nodes = line_positions(5)
-        .into_iter()
-        .enumerate()
-        .map(|(i, mobility)| NodeSetup {
-            mobility,
-            protocol: build(i as u32),
-        })
-        .collect();
-    let mut e = Engine::new_traced(PhyParams::paper_default(75.0), 23, nodes);
-    e.run_until(SimTime::from_secs(45));
-    let trace = e.take_trace();
+    let build = |i: u32| gossip_node(i, i == 0 || i == 4, (i == 0).then_some(traffic));
+    let (_, steps) = run(PhyParams::paper_default(75.0), 23, 45, 5, line, build);
+    println!("gossip conformance: {steps} dispatches checked in lockstep");
+    assert_eq!(steps, 3_090);
+}
 
-    let mut fresh: Vec<AnonymousGossip> = (0..5).map(build).collect();
-    let steps = replay_trace(&mut fresh, &trace);
-    println!("gossip conformance: {steps} dispatches replayed in lockstep");
-    assert!(steps > 500, "trace suspiciously short: {steps}");
+/// The gossip stack where the engine's rarer paths run: walking nodes,
+/// radios that fail and recover, and frames lost to a graded channel.
+#[test]
+fn gossip_conforms_under_motion_churn_and_loss() {
+    let field = Field::new(200.0, 200.0);
+    let place = |i: u32| -> Box<dyn Mobility> {
+        let mut rng = SeedSplitter::new(3).stream(StreamKind::Placement, i.into());
+        Box::new(RandomWaypoint::new(
+            field,
+            SpeedRange::new(1.0, 10.0),
+            PauseRange::uniform_secs(0.0, 2.0),
+            &mut rng,
+        ))
+    };
+    let traffic =
+        TrafficSource::compact(SimTime::from_secs(5), SimDuration::from_millis(200), 60, 64);
+    let build = |i: u32| gossip_node(i, i.is_multiple_of(2), (i == 0).then_some(traffic));
+    let phy = PhyParams::paper_default(75.0)
+        .with_churn(ChurnParams::new(15.0, 3.0))
+        .with_reception(ReceptionModel::DistanceGraded { edge_per: 0.4 });
+    let (mut e, steps) = run(phy, 3, 20, 12, place, build);
+    let counters = e.counters();
+    println!("churn conformance: {steps} dispatches checked in lockstep; {counters:?}");
+    for name in [
+        "churn.fail",
+        "maodv.send_failure",
+        "ag.recovered",
+        "mac.rx_channel_drop",
+    ] {
+        assert!(counters.get(name) > 0, "{name} never happened");
+    }
+    let delivered: u64 = e
+        .protocols()
+        .iter()
+        .map(|c| c.inner().delivery().distinct())
+        .sum();
+    assert!(delivered > 0, "no member received data");
+    assert_eq!(steps, 4_313);
+}
+
+#[derive(Debug, Clone)]
+struct Ping;
+
+impl Message for Ping {
+    fn wire_size(&self) -> usize {
+        8
+    }
+}
+
+/// A protocol whose every handler reads a `static` counter, ambient
+/// state the facade cannot see. With `FOLD` it keeps the counter in its
+/// state; without, it draws a choice only when the counter is odd.
+#[derive(Debug, Clone, Default)]
+struct Ambient<const FOLD: bool> {
+    seen: u64,
+}
+
+static FOLDED: AtomicU64 = AtomicU64::new(0);
+static DRAWN: AtomicU64 = AtomicU64::new(0);
+
+impl<const FOLD: bool> Ambient<FOLD> {
+    fn act<C: ProtoCtx<Ping>>(&mut self, ctx: &mut C) {
+        if FOLD {
+            self.seen = FOLDED.fetch_add(1, Ordering::Relaxed);
+        } else if DRAWN.fetch_add(1, Ordering::Relaxed) % 2 == 1 {
+            ctx.chance(0.5);
+        }
+        ctx.set_timer(SimDuration::from_millis(10), 0);
+    }
+}
+
+impl<const FOLD: bool> Protocol for Ambient<FOLD> {
+    type Msg = Ping;
+
+    fn start<C: ProtoCtx<Ping>>(&mut self, ctx: &mut C) {
+        self.act(ctx);
+    }
+
+    fn on_packet<C: ProtoCtx<Ping>>(&mut self, ctx: &mut C, _: NodeId, _: Ping, _: RxKind) {
+        self.act(ctx);
+    }
+
+    fn on_timer<C: ProtoCtx<Ping>>(&mut self, ctx: &mut C, _: TimerKey) {
+        self.act(ctx);
+    }
+
+    fn on_send_failure<C: ProtoCtx<Ping>>(&mut self, ctx: &mut C, _: NodeId, _: Ping) {
+        self.act(ctx);
+    }
+}
+
+#[test]
+#[should_panic(expected = "state diverged")]
+fn state_read_outside_the_facade_fails() {
+    run(PhyParams::paper_default(75.0), 1, 1, 2, line, |_| {
+        Ambient::<true>::default()
+    });
+}
+
+#[test]
+#[should_panic(expected = "drew the choices")]
+fn choice_drawn_outside_the_facade_fails() {
+    run(PhyParams::paper_default(75.0), 1, 1, 2, line, |_| {
+        Ambient::<false>::default()
+    });
 }

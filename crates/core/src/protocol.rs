@@ -514,7 +514,7 @@ impl Protocol for AnonymousGossip {
 mod tests {
     use super::*;
     use ag_mobility::{Field, Mobility, PauseRange, RandomWaypoint, SpeedRange, Stationary, Vec2};
-    use ag_net::{state_digest, ChurnParams, Engine, NodeSetup, PhyParams, ProtoCtx};
+    use ag_net::{ChurnParams, Engine, NodeSetup, PhyParams, ProtoCtx};
     use ag_sim::rng::{SeedSplitter, StreamKind};
     use rand::rngs::SmallRng;
     use rand::Rng;
@@ -1057,7 +1057,7 @@ mod tests {
     /// running it with the pre-pass and without.
     #[test]
     fn prefetch_is_inert() {
-        type Digest = (Vec<u64>, Vec<(&'static str, u64)>, u64, u64);
+        type Digest = (Vec<String>, Vec<(&'static str, u64)>, u64, u64);
         fn run<const FORWARD: bool>() -> Digest {
             let field = Field::new(400.0, 400.0);
             let t = TrafficSource::compact(
@@ -1084,7 +1084,7 @@ mod tests {
             let mut e = Engine::new(phy, 5, nodes);
             e.run_until(SimTime::from_secs(40));
             (
-                e.protocols().iter().map(|p| state_digest(&p.0)).collect(),
+                e.protocols().iter().map(|p| format!("{:?}", p.0)).collect(),
                 e.counters().iter().collect(),
                 e.events_processed(),
                 e.events_scheduled(),

@@ -117,6 +117,19 @@ impl Config {
                     ]),
                 ),
                 (
+                    // `NodeApi`'s effects and named choices, once per
+                    // call a handler makes (`count`/`count_n` left out:
+                    // a counter name's first use inserts a map node).
+                    "crates/net/src/engine/api.rs".to_string(),
+                    s(&[
+                        "set_timer",
+                        "jitter",
+                        "chance",
+                        "pick_index",
+                        "pick_weighted",
+                    ]),
+                ),
+                (
                     // The motion bound's bookkeeping at every leg load.
                     "crates/net/src/engine/motion.rs".to_string(),
                     s(&["load", "take"]),

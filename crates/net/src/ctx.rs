@@ -18,13 +18,10 @@
 //! rather than an ambient capability. Each names the *decision* a
 //! protocol makes (jitter a timer, accept with probability `p`, pick a
 //! next hop), which is what lets the checker treat them as
-//! nondeterministic branch points and the conformance harness replay a
-//! recorded engine run choice-for-choice (see [`Choice`]).
+//! nondeterministic branch points, and `ag-check`'s `Conform` wrapper
+//! replay each engine dispatch choice-for-choice into a replica of the
+//! node.
 
-use std::fmt;
-use std::hash::Hasher;
-
-use ag_sim::hash::FastHasher;
 use ag_sim::{SimDuration, SimTime};
 
 use crate::types::{Message, NodeId, RxKind, TimerKey};
@@ -33,9 +30,9 @@ use crate::types::{Message, NodeId, RxKind, TimerKey};
 ///
 /// The engine's [`NodeApi`](crate::NodeApi) is the production
 /// implementation; `ag-check` provides an enumerating one (model
-/// checking) and a replaying one (trace conformance). Handlers are
-/// generic over `C`, so the engine pays no dynamic dispatch: the same
-/// code monomorphizes per context.
+/// checking), and a recording and a replaying one (conformance).
+/// Handlers are generic over `C`, so the engine pays no dynamic
+/// dispatch: the same code monomorphizes per context.
 ///
 /// # Determinism contract
 ///
@@ -111,22 +108,6 @@ pub trait ProtoCtx<M: Message> {
     fn pick_weighted<F: Fn(usize) -> f64>(&mut self, n: usize, weight: F) -> usize;
 }
 
-/// The recorded outcome of one named random choice.
-///
-/// The engine appends one `Choice` per [`ProtoCtx`] draw while tracing
-/// is enabled; the conformance harness feeds them back verbatim, so a
-/// replayed handler re-executes the engine run decision-for-decision.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Choice {
-    /// Outcome of [`ProtoCtx::jitter`].
-    Jitter(u64),
-    /// Outcome of [`ProtoCtx::chance`].
-    Chance(bool),
-    /// Outcome of [`ProtoCtx::pick_index`] or
-    /// [`ProtoCtx::pick_weighted`] (the selected candidate).
-    Index(usize),
-}
-
 /// What the engine dispatched into a protocol instance.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Dispatch<M> {
@@ -158,8 +139,8 @@ pub enum Dispatch<M> {
 impl<M: Message> Dispatch<M> {
     /// Invokes the handler this dispatch names on `protocol`. The one
     /// `Dispatch` → handler mapping in the workspace: the engine's
-    /// upcall, the conformance replay and the model checker all go
-    /// through it, so they cannot disagree on what a record means.
+    /// upcall, the conformance check and the model checker all go
+    /// through it, so they cannot disagree on what a dispatch means.
     #[inline(always)]
     pub fn deliver<P: crate::Protocol<Msg = M>, C: ProtoCtx<M>>(
         self,
@@ -175,70 +156,9 @@ impl<M: Message> Dispatch<M> {
     }
 }
 
-/// One protocol dispatch in an engine trace: what went in, which
-/// choices were drawn, and a digest of the node's state afterwards.
-///
-/// A trace is the engine's half of the conformance contract: replaying
-/// `dispatch` with `choices` through the pure facade must land on a
-/// state with the same `digest`, or the simulated protocol and the
-/// checked model have drifted apart.
-#[derive(Debug, Clone)]
-pub struct TraceRecord<M> {
-    /// The node the dispatch went to.
-    pub node: NodeId,
-    /// Simulated time of the dispatch.
-    pub at: SimTime,
-    /// The handler invocation.
-    pub dispatch: Dispatch<M>,
-    /// Every named-choice outcome drawn during the handler, in order.
-    pub choices: Vec<Choice>,
-    /// [`state_digest`] of the protocol state after the handler
-    /// returned.
-    pub digest: u64,
-}
-
-/// Canonical digest of a protocol state: [`FastHasher`] over the
-/// state's `Debug` rendering, streamed without an intermediate string.
-///
-/// `Debug` is the canonical form because every keyed protocol table in
-/// this workspace is a [`DetHashMap`](ag_sim::hash::DetHashMap) or
-/// [`DetHashSet`](ag_sim::hash::DetHashSet), whose `Debug` renders in
-/// key order: the rendering is a function of a table's contents, not of
-/// the insert/remove history that produced them. Two equal states
-/// therefore digest equally, which is what conformance and the
-/// checker's visited set need.
-pub fn state_digest<T: fmt::Debug>(value: &T) -> u64 {
-    struct HashWriter(FastHasher);
-    impl fmt::Write for HashWriter {
-        fn write_str(&mut self, s: &str) -> fmt::Result {
-            self.0.write(s.as_bytes());
-            Ok(())
-        }
-    }
-    let mut w = HashWriter(FastHasher::default());
-    let _ = fmt::write(&mut w, format_args!("{value:?}"));
-    w.0.finish()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn digest_distinguishes_and_reproduces() {
-        let a = (1u32, "x", vec![3u8, 4]);
-        let b = (1u32, "x", vec![3u8, 5]);
-        assert_eq!(state_digest(&a), state_digest(&a));
-        assert_ne!(state_digest(&a), state_digest(&b));
-    }
-
-    #[test]
-    fn digest_is_stable_across_calls() {
-        // `fmt` hands the writer the same chunk sequence for the same
-        // value, so the streamed digest is reproducible.
-        let v = vec![(1u16, 2u64); 17];
-        assert_eq!(state_digest(&v), state_digest(&v));
-    }
 
     #[test]
     fn choice_and_dispatch_are_comparable() {
@@ -249,8 +169,6 @@ mod tests {
                 1
             }
         }
-        assert_eq!(Choice::Index(3), Choice::Index(3));
-        assert_ne!(Choice::Chance(true), Choice::Chance(false));
         let d: Dispatch<Ping> = Dispatch::Timer { key: 7 };
         assert_eq!(d, Dispatch::Timer { key: 7 });
     }

@@ -18,14 +18,13 @@
 //! This file holds the state, construction, the event loop and the one
 //! protocol upcall; the handlers hang off it by seam: `dcf` (MAC and
 //! `TxEnd` delivery), `receive` (the receiver-set kernel; its oracle is
-//! [`crate::reference`]), `motion` (mobility, churn, the motion bound),
-//! `api` ([`NodeApi`]) and `trace` (conformance recording).
+//! [`crate::reference`]), `motion` (mobility, churn, the motion bound)
+//! and `api` ([`NodeApi`]).
 
 mod api;
 mod dcf;
 mod motion;
 mod receive;
-mod trace;
 
 #[cfg(test)]
 mod tests;
@@ -39,13 +38,12 @@ use rand::rngs::SmallRng;
 pub use api::NodeApi;
 pub(crate) use receive::RxCounts;
 
-use crate::ctx::{Dispatch, TraceRecord};
+use crate::ctx::Dispatch;
 use crate::grid::AirIndex;
 use crate::mac::{Mac, OutFrame};
 use crate::{Message, NodeId, PhyParams, Protocol, TimerKey};
 use motion::MotionBound;
 use receive::RxScratch;
-use trace::TraceSink;
 
 /// One scheduled kernel event.
 #[derive(Debug, Clone, Copy)]
@@ -165,9 +163,6 @@ pub(crate) struct World<M: Message> {
     next_tx_id: u64,
     counters: CounterSet,
     hot: HotCounters,
-    /// Conformance trace sink; `None` (the default) keeps tracing off
-    /// the hot path entirely. See [`Engine::new_traced`].
-    trace: Option<TraceSink<M>>,
 }
 
 impl<M: Message> World<M> {
@@ -247,20 +242,6 @@ impl<P: Protocol> Engine<P> {
     ///
     /// Panics if `nodes` is empty or has more than `u32::MAX` entries.
     pub fn new(phy: PhyParams, seed: u64, nodes: Vec<NodeSetup<P>>) -> Self {
-        Self::build(phy, seed, nodes, false)
-    }
-
-    /// Like [`Engine::new`], but with conformance tracing enabled from
-    /// the very first [`Protocol::start`] dispatch: every protocol
-    /// dispatch is recorded as a [`TraceRecord`] (inputs, named-choice
-    /// outcomes, post-dispatch state digest) for replay through the
-    /// pure facade in `ag-check`. Tracing accumulates unboundedly —
-    /// meant for short conformance runs, not production simulations.
-    pub fn new_traced(phy: PhyParams, seed: u64, nodes: Vec<NodeSetup<P>>) -> Self {
-        Self::build(phy, seed, nodes, true)
-    }
-
-    fn build(phy: PhyParams, seed: u64, nodes: Vec<NodeSetup<P>>, traced: bool) -> Self {
         assert!(!nodes.is_empty(), "need at least one node");
         assert!(nodes.len() <= u32::MAX as usize, "too many nodes");
         let splitter = SeedSplitter::new(seed);
@@ -306,10 +287,6 @@ impl<P: Protocol> Engine<P> {
             next_tx_id: 0,
             counters: CounterSet::new(),
             hot: HotCounters::default(),
-            trace: traced.then(|| TraceSink {
-                records: Vec::new(),
-                pending: Vec::new(),
-            }),
             phy,
         };
         for node in 0..n {
@@ -338,9 +315,7 @@ impl<P: Protocol> Engine<P> {
 
     /// The one protocol upcall: hands `dispatch` to `node`'s handler
     /// through a [`NodeApi`]. Associated (not `&mut self`) so a caller
-    /// can keep the receiver list borrowed across it. The traced half
-    /// lives out of line in `trace.rs`: sharing a body with it cost the
-    /// untraced per-reception loop ~7 % of `city_20k` wall time.
+    /// can keep the receiver list borrowed across it.
     #[inline(always)]
     fn upcall(
         world: &mut World<P::Msg>,
@@ -348,19 +323,7 @@ impl<P: Protocol> Engine<P> {
         node: usize,
         dispatch: Dispatch<P::Msg>,
     ) {
-        if world.trace.is_some() {
-            return Self::upcall_traced(world, protocols, node, dispatch);
-        }
         dispatch.deliver(&mut protocols[node], &mut NodeApi { world, node });
-    }
-
-    /// Drains the conformance trace accumulated so far (empty unless
-    /// the engine was built with [`Engine::new_traced`]).
-    pub fn take_trace(&mut self) -> Vec<TraceRecord<P::Msg>> {
-        match &mut self.world.trace {
-            Some(t) => std::mem::take(&mut t.records),
-            None => Vec::new(),
-        }
     }
 
     /// Inert: the engine has no intra-run parallelism (ARCHITECTURE.md,

@@ -1,11 +1,10 @@
 //! [`NodeApi`]: the engine's implementation of the [`ProtoCtx`] facade.
 
-use ag_mobility::Vec2;
 use ag_sim::{SimDuration, SimTime};
 use rand::Rng;
 
 use super::{Event, World};
-use crate::ctx::{Choice, ProtoCtx};
+use crate::ctx::ProtoCtx;
 use crate::{Message, NodeId, TimerKey};
 
 /// The per-node view of the world handed to [`Protocol`](crate::Protocol) callbacks.
@@ -18,15 +17,6 @@ use crate::{Message, NodeId, TimerKey};
 pub struct NodeApi<'a, M: Message> {
     pub(super) world: &'a mut World<M>,
     pub(super) node: usize,
-}
-
-impl<'a, M: Message> NodeApi<'a, M> {
-    /// This node's current position (exposed for tracing/metrics only —
-    /// the protocols in this workspace never route on positions, so it
-    /// is deliberately *not* part of [`ProtoCtx`]).
-    pub fn position(&self) -> Vec2 {
-        self.world.position(self.node)
-    }
 }
 
 impl<'a, M: Message> ProtoCtx<M> for NodeApi<'a, M> {
@@ -85,32 +75,24 @@ impl<'a, M: Message> ProtoCtx<M> for NodeApi<'a, M> {
     }
 
     fn jitter(&mut self, bound: u64) -> u64 {
-        let v = self.world.node_rngs[self.node].random_range(0..bound);
-        self.world.record_choice(Choice::Jitter(v));
-        v
+        self.world.node_rngs[self.node].random_range(0..bound)
     }
 
     fn chance(&mut self, p: f64) -> bool {
         // Drawn unconditionally (even for p ∈ {0, 1}) so the node RNG
         // stream is bit-identical to the pre-facade engine.
-        let v = self.world.node_rngs[self.node].random_bool(p);
-        self.world.record_choice(Choice::Chance(v));
-        v
+        self.world.node_rngs[self.node].random_bool(p)
     }
 
     fn pick_index(&mut self, n: usize) -> usize {
-        let v = self.world.node_rngs[self.node].random_range(0..n);
-        self.world.record_choice(Choice::Index(v));
-        v
+        self.world.node_rngs[self.node].random_range(0..n)
     }
 
     fn pick_weighted<F: Fn(usize) -> f64>(&mut self, n: usize, weight: F) -> usize {
         assert!(n > 0, "weighted pick over no candidates");
-        // Two passes instead of a collected weight buffer: the sum
-        // visits the weights in the same order an explicit `Vec` would
-        // and the walk recomputes the same values, so the single RNG
-        // draw and every comparison are bit-identical to the historical
-        // allocating implementation (and nothing allocates).
+        // Two passes, so nothing allocates: the walk recomputes the
+        // weights in the order the sum visited them, so the one draw and
+        // every comparison are those of a collected weight buffer.
         let total: f64 = (0..n).map(&weight).sum();
         let mut draw = self.world.node_rngs[self.node].random_range(0.0..total);
         let mut picked = n - 1;
@@ -122,7 +104,6 @@ impl<'a, M: Message> ProtoCtx<M> for NodeApi<'a, M> {
             }
             draw -= w;
         }
-        self.world.record_choice(Choice::Index(picked));
         picked
     }
 }

@@ -114,19 +114,11 @@ pub(super) struct RxScratch {
     pos: Vec<Vec2>,
     /// Per sender: the start of the shot its list was built for (the
     /// initial zero is never [`fresh`]) and the list's length in its
-    /// `stride` ids of `slab`, at `sender * stride`.
+    /// `stride` ids of `slab`, at `sender * stride`. A list is
+    /// ascending, as [`rebuild`] leaves its candidates.
     lists: Vec<(SimTime, u32)>,
     slab: Vec<u32>,
     stride: usize,
-    /// One bit per node, set for each accepted receiver. Sweeping the
-    /// words in order emits the receiver list already ascending, so it
-    /// is never sorted; the sweep clears the bits behind itself.
-    recv_bits: Vec<u64>,
-    /// The `recv_bits` words this `TxEnd` touched (pushed on each
-    /// word's 0 → nonzero transition). The sweep visits only these,
-    /// sorted, instead of all `n / 64` words: at metropolis scale the
-    /// full walk is ~2 KB of streamed zeros per event.
-    touched_words: Vec<u32>,
     /// Memoized per-link squared effective range for the shadowing
     /// model, indexed `a * n + b` with `a <= b` (the gain is reciprocal
     /// and static). `NaN` marks an uncomputed entry — the gain math can
@@ -161,8 +153,6 @@ impl RxScratch {
             lists: vec![(SimTime::ZERO, 0); n],
             slab: vec![0; n * stride],
             stride,
-            recv_bits: vec![0; n.div_ceil(64)],
-            touched_words: Vec::with_capacity(n.div_ceil(64)),
             shadow_cache: vec![f64::NAN; if cached { n * n } else { 0 }],
         }
     }
@@ -198,9 +188,9 @@ fn measure(legs: &[LegSample], now: SimTime, ids: &[u32], pos: &mut Vec<Vec2>) {
 
 /// Fetches `sender`'s candidates afresh: the snapshot's buckets within
 /// `R + skin` of `shot` and its drift, retaking it first if stale, the
-/// sender left out; measured, the ones within reach compacted to the
-/// front. Caches them as the sender's list if they fit its slot;
-/// returns their count.
+/// sender left out; sorted ascending, measured, the ones within reach
+/// compacted to the front. Caches them as the sender's list if they fit
+/// its slot; returns their count.
 fn rebuild<F>(view: &RxView<'_, F>, s: &mut RxScratch, shot: &TxShot, sender: usize) -> usize {
     let range = view.phy.range_m();
     let reach = range * (1.0 + SKIN);
@@ -219,6 +209,7 @@ fn rebuild<F>(view: &RxView<'_, F>, s: &mut RxScratch, shot: &TxShot, sender: us
             found += (rid as usize != sender) as usize;
         }
     });
+    s.ids[..found].sort_unstable();
     measure(view.legs, view.now, &s.ids[..found], &mut s.pos);
     let mut kept = 0;
     for i in 0..found {
@@ -316,7 +307,9 @@ pub(super) fn receivers<F>(
         s.pos[near] = rpos;
         near += (shot.pos.distance_sq(rpos) <= range * range) as usize;
     }
-    // Pass 3, decide: the per-receiver logic over the in-range few.
+    // Pass 3, decide: the per-receiver logic over the in-range few,
+    // ascending because every candidate list is.
+    s.receivers.clear();
     for (&rid, &rpos) in s.ids[..near].iter().zip(&s.pos[..near]) {
         let r = rid as usize;
         // A down radio hears nothing, and a cached list may still hold
@@ -335,25 +328,7 @@ pub(super) fn receivers<F>(
         {
             lost.channel_drops += 1;
         } else {
-            let w = r >> 6;
-            if s.recv_bits[w] == 0 {
-                s.touched_words.push(w as u32);
-            }
-            s.recv_bits[w] |= 1u64 << (r & 63);
-        }
-    }
-    // Sweep the touched bitset words in ascending order: the list comes
-    // out in the oracle's ascending node order without sorting it and
-    // without walking the untouched remainder of the bitset.
-    s.receivers.clear();
-    s.touched_words.sort_unstable();
-    for w in s.touched_words.drain(..) {
-        let w = w as usize;
-        let mut bits = s.recv_bits[w];
-        s.recv_bits[w] = 0;
-        while bits != 0 {
-            s.receivers.push((w << 6) | bits.trailing_zeros() as usize);
-            bits &= bits - 1;
+            s.receivers.push(r);
         }
     }
     lost

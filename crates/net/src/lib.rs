@@ -17,8 +17,8 @@
 //!   are written against: effects (frames, timers, counters) and *named
 //!   random choices* flow through the context, never directly into the
 //!   world. The same handler code therefore also runs under `ag-check`'s
-//!   model checker and its conformance replayer ([`Engine::new_traced`]
-//!   records the per-dispatch [`TraceRecord`]s the replay consumes).
+//!   model checker, and its `Conform` wrapper checks an engine run
+//!   against a replica dispatch by dispatch, with no engine hook.
 //!
 //! ## Fidelity notes (see DESIGN.md §5)
 //!
@@ -47,7 +47,7 @@ pub mod ctx;
 pub mod mac;
 pub mod phy;
 
-pub use ctx::{state_digest, Choice, Dispatch, ProtoCtx, TraceRecord};
+pub use ctx::{Dispatch, ProtoCtx};
 pub use engine::{Engine, NodeApi, NodeSetup};
 pub use phy::{ChurnParams, PhyParams, ReceptionModel};
 pub use types::{Message, NodeId, Protocol, RxKind, TimerKey};

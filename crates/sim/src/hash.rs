@@ -100,8 +100,9 @@ pub type DetBuildHasher = BuildHasherDefault<FastHasher>;
 /// and every lookup are the std collection's, reached through `Deref`.
 /// The one difference is `Debug`, which renders entries in **key
 /// order**: slot order depends on the insert/remove history, and state
-/// identity (`ag_net::state_digest`, `ag_check::state_key`) hashes the
-/// rendering, so equal contents must render equally.
+/// identity (`ag_check::state_key`, which the checker's visited set and
+/// its conformance wrapper both use) hashes the rendering, so equal
+/// contents must render equally.
 #[derive(Clone, Default)]
 pub struct KeyOrdered<T>(T);
 
