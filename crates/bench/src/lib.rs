@@ -3,7 +3,7 @@
 //!
 //! [`beacon_engine`] and [`dense_engine`] build an [`Engine`] running
 //! nothing but [`Beacon`], so what they cost is the engine itself:
-//! receiver scans, collision checks, MAC timers, mobility rebucketing.
+//! receiver scans, collision checks, MAC timers, mobility transitions.
 //! `agbench`'s engine drivers (`net.beacon_*_ns_per_event`,
 //! `net.grid_speedup_x`) and part 1 of `examples/city_scale.rs` time
 //! them; `tests/zero_alloc.rs` installs [`alloc::CountingAllocator`]
@@ -34,7 +34,7 @@ impl Message for BeaconMsg {
 }
 
 /// A minimal broadcast-beacon protocol used to measure *engine*
-/// throughput (receiver scans, collision checks, mobility rebucketing)
+/// throughput (receiver scans, collision checks, mobility transitions)
 /// without any routing-layer cost on top.
 #[derive(Debug)]
 pub struct Beacon {
@@ -89,30 +89,7 @@ impl Protocol for Beacon {
 /// ratio shrinks toward the Amdahl floor of per-event costs shared by
 /// both paths.
 pub fn beacon_engine(n: usize, seed: u64, spatial: bool) -> Engine<Beacon> {
-    let range = 100.0;
-    // Mean degree ≈ n·π·range²/side² ≈ 2, independent of n.
-    let side = (n as f64 * std::f64::consts::PI * range * range / 2.0).sqrt();
-    let field = Field::new(side, side);
-    let splitter = SeedSplitter::new(seed);
-    let nodes = (0..n)
-        .map(|i| {
-            let mut rng = splitter.stream(StreamKind::Placement, i as u64);
-            NodeSetup {
-                mobility: Box::new(RandomWaypoint::new(
-                    field,
-                    SpeedRange::new(1.0, 10.0),
-                    PauseRange::uniform_secs(0.0, 5.0),
-                    &mut rng,
-                )) as Box<dyn Mobility>,
-                protocol: Beacon::new(SimDuration::from_millis(250)),
-            }
-        })
-        .collect();
-    Engine::new(
-        PhyParams::paper_default(range).with_spatial_index(spatial),
-        seed,
-        nodes,
-    )
+    beacon_network(n, seed, 2.0, SimDuration::from_millis(250), spatial)
 }
 
 /// A contention-heavy beaconing network: `n` random-waypoint nodes
@@ -124,9 +101,21 @@ pub fn beacon_engine(n: usize, seed: u64, spatial: bool) -> Engine<Beacon> {
 /// day buckets are tuned for, which makes this the scheduler stress
 /// workload behind `agbench`'s `net.beacon_dense_n250_ns_per_event`.
 pub fn dense_engine(n: usize, seed: u64) -> Engine<Beacon> {
+    beacon_network(n, seed, 12.0, SimDuration::from_millis(100), true)
+}
+
+/// `n` random-waypoint beacon nodes at 100 m range on a square field
+/// sized for `degree` mean neighbours, each beaconing every `interval`.
+fn beacon_network(
+    n: usize,
+    seed: u64,
+    degree: f64,
+    interval: SimDuration,
+    spatial: bool,
+) -> Engine<Beacon> {
     let range = 100.0;
-    // Mean degree ≈ n·π·range²/side² ≈ 12.
-    let side = (n as f64 * std::f64::consts::PI * range * range / 12.0).sqrt();
+    // Mean degree ≈ n·π·range²/side².
+    let side = (n as f64 * std::f64::consts::PI * range * range / degree).sqrt();
     let field = Field::new(side, side);
     let splitter = SeedSplitter::new(seed);
     let nodes = (0..n)
@@ -139,12 +128,12 @@ pub fn dense_engine(n: usize, seed: u64) -> Engine<Beacon> {
                     PauseRange::uniform_secs(0.0, 5.0),
                     &mut rng,
                 )) as Box<dyn Mobility>,
-                protocol: Beacon::new(SimDuration::from_millis(100)),
+                protocol: Beacon::new(interval),
             }
         })
         .collect();
     Engine::new(
-        PhyParams::paper_default(range).with_spatial_index(true),
+        PhyParams::paper_default(range).with_spatial_index(spatial),
         seed,
         nodes,
     )

@@ -61,19 +61,18 @@ impl Default for Limits {
 /// user-projected observation `O` (the fields the properties read), its
 /// canonical key, its BFS tree parent, and its outgoing edges.
 /// [`Exploration::replay_path`] re-derives the concrete states along
-/// any path via [`Machine::step`].
+/// any path via [`Machine::successors`].
 pub struct Exploration<M: Machine, O> {
     /// Per-state property observations, indexed by state id.
     pub obs: Vec<O>,
     /// Canonical state keys (see [`state_key`]).
     pub keys: Vec<(u64, u64)>,
-    /// BFS tree parent and the action that led here (`None` for the
-    /// initial state). Parent chains give *shortest* counterexamples.
-    pub parent: Vec<Option<(u32, M::Action)>>,
+    /// BFS tree parent and the index of the edge in `edges[parent]`
+    /// that led here (`None` for the initial state). Parent chains give
+    /// *shortest* counterexamples.
+    pub parent: Vec<Option<(u32, u32)>>,
     /// Outgoing edges: `(action, successor id)` per state.
     pub edges: Vec<Vec<(M::Action, u32)>>,
-    /// BFS depth per state.
-    pub depth: Vec<u32>,
     /// `true` if the full reachable graph fit inside the limits
     /// (fixpoint reached).
     pub complete: bool,
@@ -105,9 +104,9 @@ impl<M: Machine, O> Exploration<M, O> {
     pub fn path_to(&self, state: usize) -> Vec<M::Action> {
         let mut actions = Vec::new();
         let mut cur = state;
-        while let Some((p, a)) = &self.parent[cur] {
-            actions.push(a.clone());
-            cur = *p as usize;
+        while let Some((p, e)) = self.parent[cur] {
+            actions.push(self.edges[p as usize][e as usize].0.clone());
+            cur = p as usize;
         }
         actions.reverse();
         actions
@@ -115,11 +114,22 @@ impl<M: Machine, O> Exploration<M, O> {
 
     /// Re-derives the concrete states visited along `actions` starting
     /// from the initial state (the first element is the initial state,
-    /// so the result has `actions.len() + 1` entries).
+    /// so the result has `actions.len() + 1` entries). Each step takes
+    /// the successor [`Machine::successors`] pairs with the recorded
+    /// action.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the action, if a recorded action is not enabled
+    /// in the state the path has reached.
     pub fn replay_path(&self, machine: &M, actions: &[M::Action]) -> Vec<M::State> {
         let mut states = vec![machine.initial()];
-        for a in actions {
-            let next = machine.step(states.last().expect("non-empty"), a);
+        for (i, a) in actions.iter().enumerate() {
+            let (_, next) = machine
+                .successors(states.last().expect("non-empty"))
+                .into_iter()
+                .find(|(b, _)| b == a)
+                .unwrap_or_else(|| panic!("replayed action #{} {a:?} is not enabled", i + 1));
             states.push(next);
         }
         states
@@ -140,7 +150,6 @@ pub fn explore<M: Machine, O>(
         keys: vec![state_key(&initial)],
         parent: vec![None],
         edges: Vec::new(),
-        depth: vec![0],
         complete: true,
     };
     let mut index: DetHashMap<(u64, u64), u32> = DetHashMap::default();
@@ -177,8 +186,7 @@ pub fn explore<M: Machine, O>(
                     index.insert(key, i);
                     ex.obs.push(observe(&next));
                     ex.keys.push(key);
-                    ex.parent.push(Some((id, action.clone())));
-                    ex.depth.push(ex.depth[id as usize] + 1);
+                    ex.parent.push(Some((id, out.len() as u32)));
                     frontier.push_back((i, next));
                     i
                 }
@@ -187,12 +195,8 @@ pub fn explore<M: Machine, O>(
         }
         ex.edges.push(out);
     }
-    // States admitted to the graph but cut from the frontier by the
-    // limit would leave `edges` short; pad so the vectors stay aligned.
-    while ex.edges.len() < ex.obs.len() {
-        ex.complete = false;
-        ex.edges.push(Vec::new());
-    }
+    // Every admitted state went through the frontier, so `edges` is
+    // aligned with `obs`; the limit only refuses new states.
     ex
 }
 
@@ -215,9 +219,6 @@ mod tests {
             }
             [1u8, 2].iter().map(|d| (*d, (*s + *d).min(3))).collect()
         }
-        fn step(&self, s: &u8, a: &u8) -> u8 {
-            (*s + *a).min(3)
-        }
     }
 
     #[test]
@@ -233,11 +234,17 @@ mod tests {
         let ex = explore(&Counter, Limits::default(), |s| *s);
         let three = ex.obs.iter().position(|&o| o == 3).unwrap();
         // 0 →2→ 2 →(1|2)→ 3 is depth 2; the +1-only path is depth 3.
-        assert_eq!(ex.depth[three], 2);
         let path = ex.path_to(three);
         assert_eq!(path.len(), 2);
         let states = ex.replay_path(&Counter, &path);
         assert_eq!(*states.last().unwrap(), 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "replayed action #2 3 is not enabled")]
+    fn replay_names_a_disabled_action() {
+        let ex = explore(&Counter, Limits::default(), |s| *s);
+        ex.replay_path(&Counter, &[1, 3]);
     }
 
     #[test]

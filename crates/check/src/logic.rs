@@ -257,8 +257,9 @@ fn build_cex_with_edge<M: Machine, O>(
     cex
 }
 
-/// Renders a counterexample as a numbered action/state trace by
-/// replaying it through the machine. `describe` summarizes one concrete
+/// Renders a counterexample as a numbered action/state trace, its
+/// states re-derived through the machine's successors (see
+/// [`Exploration::replay_path`]). `describe` summarizes one concrete
 /// state per line (keep it short; it runs once per step).
 pub fn render_counterexample<M: Machine, O>(
     machine: &M,
@@ -304,13 +305,6 @@ mod tests {
                 1 => vec![('a', 2), ('b', 1)],
                 _ => vec![],
             }
-        }
-        fn step(&self, s: &u8, a: &char) -> u8 {
-            self.successors(s)
-                .into_iter()
-                .find(|(x, _)| x == a)
-                .unwrap()
-                .1
         }
     }
 

@@ -179,8 +179,8 @@ impl<P: Protocol + Clone> NetState<P> {
 }
 
 /// One resolved transition of a [`NetModel`]. The `tape` pins every
-/// named-choice outcome drawn during the dispatch, making the action
-/// deterministic (see [`Machine::step`]).
+/// named-choice outcome drawn during the dispatch, so no two successors
+/// of a state share an action.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum NetAction {
     /// Deliver the head frame of the `from → to` channel.
@@ -229,47 +229,23 @@ enum Effect<M> {
     Broadcast(M),
 }
 
-/// A choice tape: the prefix (`values[..pos]`) replays fixed outcomes;
+/// A choice tape: the prefix it starts with replays fixed outcomes;
 /// past the prefix, the first outcome (0) is taken and recorded so the
-/// enumerator can bump to sibling branches. `arities` is rebuilt per
-/// run and aligned with the positions actually consumed.
+/// enumerator can bump to sibling branches. `arities` holds one entry
+/// per choice drawn, so its length is the read position.
 struct Tape {
     values: Vec<usize>,
     arities: Vec<usize>,
-    pos: usize,
-    strict: bool,
 }
 
 impl Tape {
-    fn exploring(prefix: Vec<usize>) -> Self {
-        Tape {
-            values: prefix,
-            arities: Vec::new(),
-            pos: 0,
-            strict: false,
-        }
-    }
-
-    fn replaying(values: Vec<usize>) -> Self {
-        Tape {
-            values,
-            arities: Vec::new(),
-            pos: 0,
-            strict: true,
-        }
-    }
-
     fn next(&mut self, arity: usize) -> usize {
-        if self.pos == self.values.len() {
-            assert!(
-                !self.strict,
-                "action tape too short: handler drew more choices than recorded"
-            );
+        let pos = self.arities.len();
+        if pos == self.values.len() {
             self.values.push(0);
         }
         self.arities.push(arity);
-        let v = self.values[self.pos];
-        self.pos += 1;
+        let v = self.values[pos];
         assert!(v < arity, "tape value {v} out of range 0..{arity}");
         v
     }
@@ -438,37 +414,23 @@ impl<P: Protocol + Clone> NetModel<P> {
         let mut out = Vec::new();
         let mut prefix: Vec<usize> = Vec::new();
         loop {
-            let mut tape = Tape::exploring(prefix.clone());
+            let mut tape = Tape {
+                values: prefix,
+                arities: Vec::new(),
+            };
             let mut st = prepped.clone();
             self.apply_dispatch(&mut st, node, disp.clone(), &mut tape);
-            let consumed = tape.pos;
-            let mut values = tape.values;
-            values.truncate(consumed);
-            out.push((values.clone(), st));
-            prefix = values;
+            assert_eq!(
+                tape.values.len(),
+                tape.arities.len(),
+                "handler drew fewer choices than the prefix it was given"
+            );
+            out.push((tape.values.clone(), st));
+            prefix = tape.values;
             if !bump(&mut prefix, &tape.arities) {
                 return out;
             }
         }
-    }
-
-    /// Deterministic re-application of one dispatch with a pinned tape.
-    fn replay_dispatch(
-        &self,
-        prepped: &NetState<P>,
-        node: usize,
-        disp: Dispatch<P::Msg>,
-        tape_values: &[usize],
-    ) -> NetState<P> {
-        let mut tape = Tape::replaying(tape_values.to_vec());
-        let mut st = prepped.clone();
-        self.apply_dispatch(&mut st, node, disp, &mut tape);
-        assert_eq!(
-            tape.pos,
-            tape_values.len(),
-            "action tape not fully consumed: state/action mismatch"
-        );
-        st
     }
 
     /// The popped-head channel state plus how the head must be
@@ -621,51 +583,5 @@ impl<P: Protocol + Clone> Machine for NetModel<P> {
             }
         }
         out
-    }
-
-    fn step(&self, st: &NetState<P>, action: &NetAction) -> NetState<P> {
-        match action {
-            NetAction::Deliver { link, tape } | NetAction::Drop { link, tape } => {
-                let li = self.link_index(link.0, link.1).expect("action link exists");
-                let consume_drop = matches!(action, NetAction::Drop { .. });
-                let (prepped, dispatch) = self.prep_head(st, li, consume_drop);
-                match dispatch {
-                    Some((node, disp)) => self.replay_dispatch(&prepped, node, disp, tape),
-                    None => prepped,
-                }
-            }
-            NetAction::Fire { node, key, tape } => {
-                let mut prepped = st.clone();
-                let idx = prepped
-                    .timers
-                    .iter()
-                    .position(|&t| t == (st.now, *node, *key))
-                    .expect("due timer present");
-                prepped.timers.remove(idx);
-                self.replay_dispatch(
-                    &prepped,
-                    *node as usize,
-                    Dispatch::Timer { key: *key },
-                    tape,
-                )
-            }
-            NetAction::Churn { node } => {
-                let mut next = st.clone();
-                next.alive[*node as usize] = !next.alive[*node as usize];
-                next.churns_left -= 1;
-                next
-            }
-            NetAction::Advance { to } => {
-                let mut next = st.clone();
-                next.now = *to;
-                next
-            }
-            NetAction::Park { to } => {
-                let mut next = st.clone();
-                next.now = *to;
-                next.parked = true;
-                next
-            }
-        }
     }
 }

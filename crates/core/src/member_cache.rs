@@ -111,18 +111,18 @@ impl MemberCache {
     /// named choice, so the selection is enumerable by the model checker
     /// and replayable by the conformance harness. `choose` runs only
     /// when at least one eligible entry exists, and receives the
-    /// eligible count.
+    /// eligible count, below which its draw must fall.
     pub fn pick_via(
         &self,
         exclude: NodeId,
         choose: impl FnOnce(usize) -> usize,
     ) -> Option<CacheEntry> {
-        let eligible: Vec<&CacheEntry> =
-            self.entries.iter().filter(|e| e.node != exclude).collect();
-        if eligible.is_empty() {
+        let eligible = || self.entries.iter().filter(|e| e.node != exclude);
+        let n = eligible().count();
+        if n == 0 {
             return None;
         }
-        Some(*eligible[choose(eligible.len())])
+        Some(*eligible().nth(choose(n)).expect("draw out of range"))
     }
 
     /// The current entries, in insertion order.

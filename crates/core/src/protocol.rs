@@ -784,13 +784,6 @@ mod tests {
     }
 
     impl Mobility for AwayAndBack {
-        fn position(&self, t: SimTime) -> Vec2 {
-            if t >= self.at && t < self.back {
-                self.b
-            } else {
-                self.a
-            }
-        }
         fn current_leg(&self) -> ag_mobility::LegSample {
             // Per-phase jump legs; each is exact until (and past) the
             // phase's transition, when the engine re-queries.

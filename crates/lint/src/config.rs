@@ -149,6 +149,12 @@ impl Config {
                 ),
                 ("crates/core/src/protocol.rs".to_string(), s(&["prefetch"])),
                 (
+                    // The cached-gossip target draw, once per member's
+                    // gossip round.
+                    "crates/core/src/member_cache.rs".to_string(),
+                    s(&["pick_via"]),
+                ),
+                (
                     // The flood relay, MAODV's and ODMRP's: once per
                     // rebroadcast copy queued and once per relay timer.
                     "crates/maodv/src/seen.rs".to_string(),

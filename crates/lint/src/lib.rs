@@ -101,11 +101,8 @@ const SKIP_PREFIXES: [&str; 1] = ["crates/lint/tests/fixtures"];
 /// the given config. Files are visited in sorted order so the report is
 /// deterministic.
 pub fn run_workspace(root: &Path, cfg: &Config) -> io::Result<Report> {
-    let mut files = Vec::new();
-    collect_rs_files(root, root, &mut files)?;
-    files.sort();
     let mut report = Report::default();
-    for rel in files {
+    for rel in workspace_rs_files(root)? {
         let src = fs::read_to_string(root.join(&rel))?;
         let scan = scan_file(&rel, &src, cfg);
         report.files_scanned += 1;
@@ -119,6 +116,15 @@ pub fn run_workspace(root: &Path, cfg: &Config) -> io::Result<Report> {
             }));
     }
     Ok(report)
+}
+
+/// The workspace-relative paths of the `.rs` files [`run_workspace`]
+/// scans, sorted.
+pub fn workspace_rs_files(root: &Path) -> io::Result<Vec<String>> {
+    let mut files = Vec::new();
+    collect_rs_files(root, root, &mut files)?;
+    files.sort();
+    Ok(files)
 }
 
 /// Recursively collects workspace-relative `.rs` paths.

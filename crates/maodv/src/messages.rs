@@ -11,11 +11,11 @@ use crate::GroupId;
 
 /// RREQ: route request, broadcast-flooded.
 ///
-/// Serves three roles distinguished by flags: unicast route discovery
-/// (`join == false`), group join (`join == true`,
-/// `repair_hops == None`), and tree repair (`join == true`,
-/// `repair_hops == Some(d)` where `d` is the requester's old distance to
-/// the group leader — only tree nodes strictly closer may answer).
+/// Serves three roles: unicast route discovery (`group == None`), group
+/// join (`group == Some(_)`, `repair_hops == None`), and tree repair
+/// (`group == Some(_)`, `repair_hops == Some(d)` where `d` is the
+/// requester's old distance to the group leader — only tree nodes
+/// strictly closer may answer).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RreqPayload {
     /// The requesting node.
@@ -26,7 +26,8 @@ pub struct RreqPayload {
     pub rreq_id: u32,
     /// Unicast target (route discovery) or the group's notional address.
     pub dest: NodeId,
-    /// Multicast group being joined, if this is a join/repair RREQ.
+    /// Multicast group being joined, if this is a join/repair RREQ (the
+    /// draft's join flag).
     pub group: Option<GroupId>,
     /// Last group/destination sequence number the origin knows.
     pub known_seq: u32,
@@ -34,8 +35,6 @@ pub struct RreqPayload {
     pub hop_count: u8,
     /// Remaining TTL.
     pub ttl: u8,
-    /// Join flag (multicast).
-    pub join: bool,
     /// Repair extension: requester's previous hop-count to the leader.
     pub repair_hops: Option<u8>,
 }
@@ -191,7 +190,8 @@ impl<X: Message> Message for MaodvMsg<X> {
         match self {
             MaodvMsg::Hello => 12,
             MaodvMsg::Rreq(r) => {
-                24 + if r.join { 4 } else { 0 } + if r.repair_hops.is_some() { 4 } else { 0 }
+                24 + if r.group.is_some() { 4 } else { 0 }
+                    + if r.repair_hops.is_some() { 4 } else { 0 }
             }
             MaodvMsg::Rrep(_) => 20,
             MaodvMsg::Mact(_) => 16,
@@ -251,13 +251,15 @@ mod tests {
             known_seq: 0,
             hop_count: 0,
             ttl: 10,
-            join: false,
             repair_hops: None,
         };
         let plain: MaodvMsg<Fake> = MaodvMsg::Rreq(base);
-        let join: MaodvMsg<Fake> = MaodvMsg::Rreq(RreqPayload { join: true, ..base });
+        let join: MaodvMsg<Fake> = MaodvMsg::Rreq(RreqPayload {
+            group: Some(GroupId(0)),
+            ..base
+        });
         let repair: MaodvMsg<Fake> = MaodvMsg::Rreq(RreqPayload {
-            join: true,
+            group: Some(GroupId(0)),
             repair_hops: Some(3),
             ..base
         });

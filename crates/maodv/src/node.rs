@@ -55,7 +55,8 @@ pub const TIMER_USER_BASE: TimerKey = 64;
 #[derive(Debug, Clone, PartialEq)]
 pub enum Upcall<X> {
     /// A multicast data packet was delivered to this (member) node along
-    /// the tree.
+    /// the tree. It also says its origin is a member `hops` away; no
+    /// [`Upcall::MemberObserved`] repeats that.
     DataReceived {
         /// Originating member.
         origin: NodeId,
@@ -599,7 +600,6 @@ impl<X: Message> Maodv<X> {
             known_seq: self.mrt.group_seq,
             hop_count: 0,
             ttl: self.cfg.flood_ttl,
-            join: true,
             repair_hops: repair,
         }));
         rreq_id
@@ -618,7 +618,6 @@ impl<X: Message> Maodv<X> {
             known_seq: self.rt.known_seq(dest).unwrap_or(0),
             hop_count: 0,
             ttl: self.cfg.flood_ttl,
-            join: false,
             repair_hops: None,
         }));
         rreq_id
@@ -817,7 +816,7 @@ impl<X: Message> Maodv<X> {
             leader_hops: 0,
             responder_is_member: self.is_member,
         };
-        if r.join {
+        if r.group.is_some() {
             // Only nodes with a *proven* live path to the leader answer;
             // this is what keeps a repairing/merging node from grafting
             // onto its own orphaned subtree. Never answer our own
@@ -1041,8 +1040,9 @@ impl<X: Message> Maodv<X> {
         }
         if self.is_leader && g.leader != self.id && self.id > g.leader {
             // Two leaders: the higher id defers and grafts its whole
-            // subtree onto the other partition (simplified merge, see
-            // DESIGN.md §5). Only leader-connected nodes answer join
+            // subtree onto the other partition (a simplified merge; the
+            // 3-node MAODV line in `docs/MODEL_CHECKING.md` checks it
+            // stays loop-free). Only leader-connected nodes answer join
             // RREQs, so the graft cannot land in our own subtree.
             api.count("maodv.leader_merge_defer");
             self.is_leader = false;
@@ -1122,10 +1122,6 @@ impl<X: Message> Maodv<X> {
                 origin: d.origin,
                 seq: d.seq,
                 payload_len: d.payload_len,
-                hops: d.hops.saturating_add(1),
-            });
-            up.push(Upcall::MemberObserved {
-                member: d.origin,
                 hops: d.hops.saturating_add(1),
             });
         }

@@ -212,13 +212,6 @@ mod tests {
     }
 
     impl Mobility for TeleportAt {
-        fn position(&self, t: SimTime) -> Vec2 {
-            if t >= self.at {
-                self.b
-            } else {
-                self.a
-            }
-        }
         fn current_leg(&self) -> ag_mobility::LegSample {
             // The jump leg describes the whole trajectory exactly (the
             // 1 ns "travel" window contains no queryable instant).

@@ -216,12 +216,14 @@ impl LegSample {
 ///
 /// Object-safe so the network engine can mix models in one run.
 pub trait Mobility: std::fmt::Debug + Send {
-    /// Exact position at instant `t`.
+    /// Position at instant `t` on the [current leg](Mobility::current_leg).
     ///
     /// `t` may be anywhere; times before the current leg return the leg's
     /// start point and times after it return its end point, so stale queries
     /// degrade gracefully.
-    fn position(&self, t: SimTime) -> Vec2;
+    fn position(&self, t: SimTime) -> Vec2 {
+        self.current_leg().position_at(t)
+    }
 
     /// Absolute time of the next leg transition, or [`SimTime::MAX`] if the
     /// model never changes state again.
@@ -231,12 +233,10 @@ pub trait Mobility: std::fmt::Debug + Send {
     /// from `rng`. Calling it early or late is harmless.
     fn transition(&mut self, now: SimTime, rng: &mut SmallRng);
 
-    /// The current leg as an analytic sample.
-    ///
-    /// The sample must agree exactly with [`Mobility::position`] at every
-    /// instant up to (at least) [`Mobility::next_transition`]; models whose
-    /// whole remaining trajectory is linear may return a longer-lived
-    /// sample. The engine re-queries after every transition.
+    /// The current leg as an analytic sample: the trajectory up to (at
+    /// least) [`Mobility::next_transition`]. Models whose whole remaining
+    /// trajectory is linear may return a longer-lived sample. The engine
+    /// re-queries after every transition.
     fn current_leg(&self) -> LegSample;
 }
 
@@ -318,10 +318,6 @@ impl RandomWaypoint {
 }
 
 impl Mobility for RandomWaypoint {
-    fn position(&self, t: SimTime) -> Vec2 {
-        self.leg.position_at(t)
-    }
-
     fn current_leg(&self) -> LegSample {
         self.leg
     }
@@ -408,10 +404,6 @@ impl RandomWalk {
 }
 
 impl Mobility for RandomWalk {
-    fn position(&self, t: SimTime) -> Vec2 {
-        self.leg.position_at(t)
-    }
-
     fn current_leg(&self) -> LegSample {
         self.leg
     }
@@ -447,10 +439,6 @@ impl Stationary {
 }
 
 impl Mobility for Stationary {
-    fn position(&self, _t: SimTime) -> Vec2 {
-        self.at
-    }
-
     fn current_leg(&self) -> LegSample {
         LegSample::fixed(self.at)
     }

@@ -10,7 +10,7 @@
 //! carries a generation token and is dropped at dispatch when stale —
 //! the queue itself never needs a cancel operation or tombstones.
 //!
-//! Channel semantics (see crate docs and DESIGN.md §5): unit-disk
+//! Channel semantics (see the crate docs' fidelity notes): unit-disk
 //! audibility at `PhyParams::range_m`, any overlapping audible
 //! transmission corrupts a reception, unicast is ACKed/retried, broadcast
 //! is fire-and-forget.

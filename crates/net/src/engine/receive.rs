@@ -52,7 +52,11 @@ const GRID_CELL_FACTOR: f64 = 0.5;
 /// Largest node count for which the engine pre-allocates the dense
 /// `n × n` per-link shadowing cache (8 MiB of `f64` at the cap). Above
 /// this, shadowing decisions recompute the Box–Muller transform per
-/// reception.
+/// reception. What the cache buys: with it disabled (cap 0), `agbench`'s
+/// `stress_harsh` (40 nodes, half its jobs shadowed) read `wall_s`
+/// 2.665 [2.614, 2.834] → 3.226 [3.022, 3.248] s (median [quartiles],
+/// +21 %), slower in 6 of 6 alternating pairs at seed 7 on a 2-CPU
+/// host, `result_digest` `f8c81bb0290f6056` on both sides.
 const SHADOW_CACHE_MAX_NODES: usize = 1024;
 
 /// The lists' skin as a fraction of `R`: wider lives longer but lists

@@ -20,7 +20,7 @@
 //!   model checker, and its `Conform` wrapper checks an engine run
 //!   against a replica dispatch by dispatch, with no engine hook.
 //!
-//! ## Fidelity notes (see DESIGN.md §5)
+//! ## Fidelity notes
 //!
 //! * Propagation is unit-disk: a frame is audible exactly within
 //!   `range_m` of the sender. The paper sweeps this "transmission range"

@@ -190,10 +190,11 @@ pub(crate) fn shadow_eff_range_sq(
 /// Per-node radio churn: alternating up/down periods with exponentially
 /// distributed durations.
 ///
-/// While a node is down its radio is off: it is detached from the
-/// spatial index, hears nothing (including frames that started while it
-/// was down, even if it recovers mid-frame), any in-flight MAC state is
-/// dropped — queued *unicast* frames are reported through
+/// While a node is down its radio is off: it is left out of the next
+/// node snapshot the receive kernel takes, hears nothing (including
+/// frames that started while it was down, even if it recovers
+/// mid-frame), any in-flight MAC state is dropped — queued *unicast*
+/// frames are reported through
 /// `Protocol::on_send_failure` at the moment of failure, a frame
 /// mid-air is truncated — and frames its protocol tries to send while
 /// down are discarded without a callback (the hardware is off, there is

@@ -63,9 +63,10 @@ pub enum RxKind {
 
 /// An opaque protocol-defined timer tag.
 ///
-/// Timers are *not* cancellable; protocols that need cancellation keep a
-/// generation counter in their state and ignore stale firings (the idiom
-/// used throughout `ag-maodv`).
+/// Timers are *not* cancellable: a protocol checks its state when a
+/// timer fires and does only what that state still calls for (MAODV's
+/// group-hello timer runs on every node, but originates a hello only
+/// while its node leads).
 pub type TimerKey = u64;
 
 /// A frame payload that can ride the simulated wireless channel.

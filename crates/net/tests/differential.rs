@@ -489,10 +489,6 @@ struct Script {
 }
 
 impl Mobility for Script {
-    fn position(&self, t: SimTime) -> Vec2 {
-        self.legs[self.at].1.position_at(t)
-    }
-
     fn next_transition(&self) -> SimTime {
         self.legs.get(self.at + 1).map_or(SimTime::MAX, |l| l.0)
     }

@@ -3,7 +3,7 @@
 //! The paper plots, for every parameter point, the *average* number of
 //! packets received per group member with *min/max error bars* across
 //! members (§5.1). [`Summary`] captures exactly that triple (plus variance,
-//! used in EXPERIMENTS.md to verify the "decreased variation" claim), and
+//! which the harness's JSON report carries beside it), and
 //! [`Histogram`] backs the goodput distribution of Figure 8.
 //!
 //! Everything here is *streaming*: accumulators are constant-size

@@ -4,7 +4,7 @@
 //! exact float bits; `tests/golden_figures.rs` asserts byte-identical
 //! output on every `cargo test`, so an engine refactor cannot silently
 //! shift paper results. If a change *intentionally* alters results
-//! (and EXPERIMENTS.md explains why), refresh the snapshots with:
+//! (and CHANGES.md records why), refresh the snapshots with:
 //!
 //! ```text
 //! cargo run --release --example regen_golden

@@ -9,7 +9,7 @@
 //! refactor. The new opt-in stress knobs (reception models, churn) are
 //! exercised elsewhere; these runs use the default ideal PHY.
 //!
-//! Intentional changes (documented in EXPERIMENTS.md) refresh the
+//! Intentional changes (recorded in CHANGES.md) refresh the
 //! snapshots with `cargo run --release --example regen_golden`.
 
 use ag_harness::figures::{fig2, fig8};
