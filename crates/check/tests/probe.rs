@@ -14,8 +14,8 @@
 
 // Wall-clock timing is this probe's whole point: it measures real BFS
 // exploration speed, is `#[ignore]`d, and never runs in `cargo test -q`.
-// This file is on the documented wall-clock allowlist (docs/LINTS.md);
-// the attribute grants the same exception to the clippy layer.
+// Each `Instant::now()` carries an ag-lint waiver (docs/LINTS.md); the
+// attribute grants the same exception to the clippy layer.
 #![allow(clippy::disallowed_methods)]
 
 use ag_check::{explore, Limits, Machine, NetModel, NetState};
@@ -76,6 +76,7 @@ fn probe_sizes() {
         )
         .with_drop_budget(drop)
         .with_churn_budget(churn);
+        // ag-lint: allow(wall-clock) -- the probe reports BFS exploration time
         let t0 = std::time::Instant::now();
         let ex = explore(
             &model,
@@ -110,6 +111,7 @@ fn probe_sizes() {
     let warm = model.warm_up(model.initial(), SimTime::from_millis(warm_ms));
     println!("warm obs: {:?}", obs(&warm));
     let model = model.with_root(warm);
+    // ag-lint: allow(wall-clock) -- the probe reports BFS exploration time
     let t0 = std::time::Instant::now();
     let ex = explore(
         &model,

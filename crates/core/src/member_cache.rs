@@ -106,6 +106,7 @@ impl MemberCache {
         }
     }
 
+    // ag-lint: hot-path
     /// Picks a uniformly random cached member other than `exclude`. The
     /// caller supplies the uniform index draw — a `ProtoCtx::pick_index`
     /// named choice, so the selection is enumerable by the model checker

@@ -476,6 +476,7 @@ impl Protocol for AnonymousGossip {
         gossip.process_upcalls(maodv, api, up);
     }
 
+    // ag-lint: hot-path
     fn prefetch(&self, from: NodeId, msg: &Self::Msg) {
         self.maodv.prefetch(from, msg);
         // `on_packet` hands this buffer to MAODV first.

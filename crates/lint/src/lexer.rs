@@ -14,9 +14,9 @@
 //! Stripping strings and comments is what makes the rules trustworthy:
 //! `"Instant::now"` inside a test assertion message or a doc example
 //! mentioning `BinaryHeap` must never fire a rule. The flip side is
-//! that waivers *live* in comments, so the lexer collects every comment
-//! containing the `ag-lint:` marker as a [`WaiverComment`] for the rule
-//! layer to parse.
+//! that waivers and hot-path markers *live* in comments, so the lexer
+//! collects every comment that begins with `ag-lint:` as a
+//! [`LintComment`] for the rule layer to parse.
 
 /// One significant token: an identifier-like word or a single
 /// punctuation character.
@@ -37,13 +37,13 @@ pub struct Token {
     pub line: u32,
 }
 
-/// A comment that contains the `ag-lint:` waiver marker, kept verbatim
-/// for the rule layer to parse and validate.
+/// A comment that begins with `ag-lint:` (a waiver or a hot-path
+/// marker), kept verbatim for the rule layer to parse and validate.
 #[derive(Debug, Clone)]
-pub struct WaiverComment {
+pub struct LintComment {
     /// 1-based line the comment starts on.
     pub line: u32,
-    /// The comment text from the `ag-lint:` marker onward.
+    /// The comment text from the `ag-lint` prefix onward.
     pub body: String,
 }
 
@@ -53,14 +53,14 @@ pub struct Lexed {
     /// Significant tokens in source order.
     pub tokens: Vec<Token>,
     /// Every `ag-lint:` comment, in source order.
-    pub waivers: Vec<WaiverComment>,
+    pub comments: Vec<LintComment>,
 }
 
-/// Marker that introduces a waiver inside a comment. The colon is
-/// deliberately not part of the marker so `// ag-lint allow(…)` (a
-/// typo) is still collected — and then rejected by the format check —
-/// instead of silently ignored.
-const WAIVER_MARKER: &str = "ag-lint";
+/// Prefix that introduces a lint comment. The colon is
+/// deliberately not part of the prefix so `// ag-lint allow(…)` (the
+/// colon forgotten) is still collected and parsed instead of silently
+/// ignored.
+const LINT_PREFIX: &str = "ag-lint";
 
 /// Lexes `src`, stripping comments, strings and literals.
 pub fn lex(src: &str) -> Lexed {
@@ -85,7 +85,7 @@ pub fn lex(src: &str) -> Lexed {
             while i < c.len() && c[i] != '\n' {
                 i += 1;
             }
-            record_waiver(&c[start..i], line, &mut out.waivers);
+            record_lint_comment(&c[start..i], line, &mut out.comments);
             continue;
         }
         // Block comment, nested per Rust's rules.
@@ -108,7 +108,7 @@ pub fn lex(src: &str) -> Lexed {
                     i += 1;
                 }
             }
-            record_waiver(&c[start..i.min(c.len())], start_line, &mut out.waivers);
+            record_lint_comment(&c[start..i.min(c.len())], start_line, &mut out.comments);
             continue;
         }
         // Raw / byte string literals: r"…", r#"…"#, b"…", br#"…"#.
@@ -167,20 +167,20 @@ pub fn lex(src: &str) -> Lexed {
     out
 }
 
-/// Records a [`WaiverComment`] if the comment *begins* with the marker
+/// Records a [`LintComment`] if the comment *begins* with the prefix
 /// (after its `//`/`///`/`//!`/`/*` opener). Anchoring to the start is
 /// what lets prose and doc examples *mention* `ag-lint:` without being
-/// parsed as waivers — a doc example shows the comment syntax itself
+/// parsed as lint comments — a doc example shows the comment syntax itself
 /// (`// ag-lint: …`), so after the doc opener it starts with `//`, not
-/// with the marker.
-fn record_waiver(comment: &[char], line: u32, waivers: &mut Vec<WaiverComment>) {
+/// with the prefix.
+fn record_lint_comment(comment: &[char], line: u32, comments: &mut Vec<LintComment>) {
     let text: String = comment.iter().collect();
     let body = text.trim_start_matches(['/', '*', '!']).trim_start();
-    if body.starts_with(WAIVER_MARKER) {
-        // Cut at the next newline so only the marker's own line counts
+    if body.starts_with(LINT_PREFIX) {
+        // Cut at the next newline so only the prefix's own line counts
         // inside a multi-line block comment.
         let body = body.split('\n').next().unwrap_or(body);
-        waivers.push(WaiverComment {
+        comments.push(LintComment {
             line,
             body: body.trim_end().to_string(),
         });
@@ -334,9 +334,9 @@ mod tests {
     fn waiver_comments_are_collected_with_lines() {
         let src = "fn a() {}\n// ag-lint: allow(det-hash) -- reason here\nfn b() {}\n";
         let lexed = lex(src);
-        assert_eq!(lexed.waivers.len(), 1);
-        assert_eq!(lexed.waivers[0].line, 2);
-        assert!(lexed.waivers[0].body.starts_with("ag-lint:"));
+        assert_eq!(lexed.comments.len(), 1);
+        assert_eq!(lexed.comments[0].line, 2);
+        assert!(lexed.comments[0].body.starts_with("ag-lint:"));
     }
 
     #[test]

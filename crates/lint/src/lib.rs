@@ -10,12 +10,16 @@
 //! checker (`ag-check`) made for protocol logic.
 //!
 //! The scanner is a hand-rolled lexer ([`lexer`]) feeding token-pattern
-//! rules ([`rules`]) under a policy table ([`config`]) — no AST, no
+//! rules ([`rules`]) under two path scopes ([`config`]) — no AST, no
 //! dependencies, so the gate itself can never rot behind a toolchain or
-//! crates.io change. It ships three ways, so it cannot be forgotten:
+//! crates.io change. The rest of the policy sits at the code it governs:
+//! a `// ag-lint: hot-path` comment marks each allocation-free function,
+//! and a reason-bearing `// ag-lint: allow(<rule>) -- <reason>` comment
+//! waives each exception. It ships three ways, so it cannot be forgotten:
 //!
 //! 1. `cargo run -p ag-lint` — the binary, exit 1 on any finding;
-//! 2. a self-run inside `cargo test` asserting the workspace is clean;
+//! 2. a self-run inside `cargo test` asserting the workspace is clean
+//!    and counting its hot-path functions;
 //! 3. a fixture corpus asserting every rule still *fires* on the bug
 //!    shape it was built to catch (including PR 7's `RandomState` bug).
 //!
@@ -54,6 +58,8 @@ pub struct Report {
     pub waivers_present: usize,
     /// Waivers that suppressed at least one finding.
     pub waivers_used: usize,
+    /// Functions marked `// ag-lint: hot-path` across the tree.
+    pub hot_path_fns: usize,
 }
 
 impl Report {
@@ -80,11 +86,13 @@ impl Report {
         }
         let _ = writeln!(
             out,
-            "ag-lint: {} finding(s) · {} file(s) scanned · {} waiver(s) ({} active)",
+            "ag-lint: {} finding(s) · {} file(s) scanned · {} waiver(s) ({} active) · {} hot-path \
+             fn(s)",
             self.findings.len(),
             self.files_scanned,
             self.waivers_present,
             self.waivers_used,
+            self.hot_path_fns,
         );
         out
     }
@@ -108,6 +116,7 @@ pub fn run_workspace(root: &Path, cfg: &Config) -> io::Result<Report> {
         report.files_scanned += 1;
         report.waivers_present += scan.waivers_present;
         report.waivers_used += scan.waivers_used;
+        report.hot_path_fns += scan.hot_path_fns;
         report
             .findings
             .extend(scan.findings.into_iter().map(|finding| FileFinding {

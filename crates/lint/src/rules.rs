@@ -8,16 +8,17 @@
 //!   `BinaryHeap` in non-test simulation code (PR 7's `RandomState`
 //!   allocation wobble; PR 6's calendar queue).
 //! * **wall-clock** — no `Instant::now`/`SystemTime::now`/
-//!   `thread::sleep` outside the allowlisted probes.
+//!   `thread::sleep`, test code included.
 //! * **stream-discipline** — no ad-hoc RNG seeding; randomness comes
 //!   from `StreamKind`-keyed `SeedSplitter` streams.
-//! * **hot-path-alloc** — no allocating calls inside the manifest of
-//!   steady-state hot-path functions (static complement of the tier-1
+//! * **hot-path-alloc** — no allocating calls inside a function marked
+//!   `// ag-lint: hot-path` (static complement of the tier-1
 //!   `zero_alloc` test).
 //! * **ordered-iteration** — iterating a `DetHashMap`/`DetHashSet` in
 //!   report/figure/golden code must sort before emitting.
 //! * **waiver-reason** — the meta-rule: every waiver comment must name
-//!   a real rule and carry a `-- <reason>`.
+//!   a real rule and carry a `-- <reason>`, and a hot-path marker must
+//!   be exactly `hot-path`.
 //!
 //! A finding is waived by a comment on the same line or the line
 //! directly above:
@@ -28,9 +29,13 @@
 //! ```
 //!
 //! The reason is mandatory and `waiver-reason` itself cannot be waived.
+//!
+//! The other lint comment is the hot-path marker: `// ag-lint: hot-path`
+//! above a `fn` (doc comments and attributes may come between) puts
+//! that function's body under **hot-path-alloc**.
 
 use crate::config::{matches_any, Config};
-use crate::lexer::{is_ident, is_punct, lex, match_seq, Tok, Token, WaiverComment};
+use crate::lexer::{is_ident, is_punct, lex, match_seq, LintComment, Tok, Token};
 
 /// The named rules. `Meta` is the waiver-format check.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -41,11 +46,12 @@ pub enum Rule {
     WallClock,
     /// RNG construction outside the `StreamKind` helpers.
     StreamDiscipline,
-    /// Allocation in a manifest hot-path function.
+    /// Allocation in a function marked `// ag-lint: hot-path`, or a
+    /// marker that marks no function body.
     HotPathAlloc,
     /// Unsorted hash-map iteration feeding rendered output.
     OrderedIteration,
-    /// Malformed or reason-less waiver comments.
+    /// Malformed or reason-less waivers, and malformed hot-path markers.
     WaiverReason,
 }
 
@@ -85,8 +91,8 @@ impl Rule {
                  ag_sim::EventQueue calendar queue; see docs/LINTS.md#det-hash"
             }
             Rule::WallClock => {
-                "simulation code tells time via SimTime only; wall-clock reads belong in \
-                 agbench or an allowlisted probe; see docs/LINTS.md#wall-clock"
+                "simulation code tells time via SimTime only; a wall-clock read outside the \
+                 simulation carries a waiver; see docs/LINTS.md#wall-clock"
             }
             Rule::StreamDiscipline => {
                 "draw randomness from a named stream: SeedSplitter::stream(StreamKind::…, idx); \
@@ -103,7 +109,7 @@ impl Rule {
             }
             Rule::WaiverReason => {
                 "waivers are `// ag-lint: allow(<rule>) -- <reason>`; the reason is mandatory; \
-                 see docs/LINTS.md#waivers"
+                 a marker is exactly `// ag-lint: hot-path`; see docs/LINTS.md#waivers"
             }
         }
     }
@@ -130,6 +136,8 @@ pub struct FileScan {
     pub waivers_used: usize,
     /// Number of well-formed waivers present in this file.
     pub waivers_present: usize,
+    /// Number of functions marked `// ag-lint: hot-path` in this file.
+    pub hot_path_fns: usize,
 }
 
 /// A parsed `ag-lint: allow(<rule>) -- <reason>` comment.
@@ -147,10 +155,10 @@ pub fn scan_file(rel_path: &str, src: &str, cfg: &Config) -> FileScan {
     let lexed = lex(src);
     let tokens = &lexed.tokens;
 
-    // Waiver parsing: malformed waivers are findings of the meta-rule
-    // and never suppress anything.
+    // Lint-comment parsing: malformed comments are findings of the
+    // meta-rule and never suppress anything.
     let mut meta_findings = Vec::new();
-    let waivers = parse_waivers(&lexed.waivers, &mut meta_findings);
+    let (waivers, markers) = parse_comments(&lexed.comments, &mut meta_findings);
 
     let is_test_file = rel_path.starts_with("tests/") || rel_path.contains("/tests/");
     let in_test = if is_test_file {
@@ -160,18 +168,24 @@ pub fn scan_file(rel_path: &str, src: &str, cfg: &Config) -> FileScan {
     };
 
     let mut findings = Vec::new();
-    if matches_any(rel_path, &cfg.det_hash_scope) && !matches_any(rel_path, &cfg.det_hash_exempt) {
+    if matches_any(rel_path, &cfg.det_hash_scope) {
         det_hash(tokens, &in_test, &mut findings);
     }
-    if !matches_any(rel_path, &cfg.wall_clock_exempt) {
-        wall_clock(tokens, &mut findings);
-    }
-    if !matches_any(rel_path, &cfg.stream_discipline_exempt) {
-        stream_discipline(tokens, &in_test, &mut findings);
-    }
-    for (file, fns) in &cfg.hot_path_manifest {
-        if rel_path == file {
-            hot_path_alloc(tokens, fns, &mut findings);
+    wall_clock(tokens, &mut findings);
+    stream_discipline(tokens, &in_test, &mut findings);
+    // A misplaced marker cannot be waived: it joins the meta findings.
+    let mut hot_path_fns = 0;
+    for &line in &markers {
+        match marked_fn(tokens, line) {
+            Some(hot) => {
+                hot_path_fns += 1;
+                hot_path_alloc(tokens, hot, &mut findings);
+            }
+            None => meta_findings.push(Finding {
+                rule: Rule::HotPathAlloc,
+                line,
+                message: "`ag-lint: hot-path` marks no `fn` with a body".to_string(),
+            }),
         }
     }
     if matches_any(rel_path, &cfg.ordered_iteration_scope) {
@@ -204,13 +218,16 @@ pub fn scan_file(rel_path: &str, src: &str, cfg: &Config) -> FileScan {
         findings,
         waivers_used: used.iter().filter(|u| **u).count(),
         waivers_present: waivers.len(),
+        hot_path_fns,
     }
 }
 
-/// Parses waiver comments; malformed ones become `waiver-reason`
-/// findings (which cannot themselves be waived).
-fn parse_waivers(raw: &[WaiverComment], findings: &mut Vec<Finding>) -> Vec<Waiver> {
+/// Parses lint comments into waivers and the lines of hot-path markers;
+/// malformed ones become `waiver-reason` findings (which cannot
+/// themselves be waived).
+fn parse_comments(raw: &[LintComment], findings: &mut Vec<Finding>) -> (Vec<Waiver>, Vec<u32>) {
     let mut out = Vec::new();
+    let mut markers = Vec::new();
     for w in raw {
         let body = w
             .body
@@ -225,9 +242,14 @@ fn parse_waivers(raw: &[WaiverComment], findings: &mut Vec<Finding>) -> Vec<Waiv
                 message,
             });
         };
+        if body == "hot-path" {
+            markers.push(w.line);
+            continue;
+        }
         let Some(rest) = body.strip_prefix("allow(") else {
             bad(format!(
-                "unrecognized waiver `{body}`; expected `allow(<rule>) -- <reason>`"
+                "unrecognized lint comment `{body}`; expected `allow(<rule>) -- <reason>` \
+                 or `hot-path`"
             ));
             continue;
         };
@@ -260,7 +282,7 @@ fn parse_waivers(raw: &[WaiverComment], findings: &mut Vec<Finding>) -> Vec<Waiv
         }
         out.push(Waiver { line: w.line, rule });
     }
-    out
+    (out, markers)
 }
 
 /// Marks every token inside a `#[cfg(test)]` (or `#[test]`) item as
@@ -508,88 +530,81 @@ const HOT_ALLOC_METHODS: [&str; 5] = [
     "with_capacity",
 ];
 
-/// hot-path-alloc: allocation written inside a manifest function.
-fn hot_path_alloc(tokens: &[Token], fns: &[String], findings: &mut Vec<Finding>) {
-    for name in fns {
-        let Some((body_start, body_end, fn_line)) = fn_body(tokens, name) else {
-            findings.push(Finding {
-                rule: Rule::HotPathAlloc,
-                line: 1,
-                message: format!(
-                    "hot-path manifest names `fn {name}` but this file no longer defines it; \
-                     update the manifest in crates/lint/src/config.rs"
-                ),
-            });
-            continue;
-        };
-        let _ = fn_line;
-        for i in body_start..body_end {
-            let path = HOT_ALLOC_PATHS
-                .into_iter()
-                .find(|(ty, m)| match_seq(tokens, i, &[ty, ":", ":", m]))
-                .map(|(ty, m)| format!("`{ty}::{m}` allocates"));
-            let method = HOT_ALLOC_METHODS
-                .into_iter()
-                .find(|m| is_punct(tokens, i, '.') && is_ident(tokens, i + 1, m))
-                .map(|m| format!("`.{m}(…)` allocates"));
-            let mac = ["vec", "format"]
-                .into_iter()
-                .find(|m| is_ident(tokens, i, m) && is_punct(tokens, i + 1, '!'))
-                .map(|m| format!("`{m}!` allocates"));
-            if let Some(what) = path.or(method).or(mac) {
-                findings.push(Finding {
-                    rule: Rule::HotPathAlloc,
-                    line: tokens[i].line,
-                    message: format!("{what} inside hot-path `fn {name}`"),
-                });
-            }
-        }
-    }
+/// A marked function: its name and the token range of its body, from
+/// the opening `{` to one past the matching `}`.
+struct HotFn<'a> {
+    name: &'a str,
+    body: std::ops::Range<usize>,
 }
 
-/// Finds the body token range of `fn name`, returning
-/// `(start, end, line)` where `start` is the index of the opening `{`
-/// and `end` is one past the matching `}`.
-fn fn_body(tokens: &[Token], name: &str) -> Option<(usize, usize, u32)> {
-    let mut i = 0usize;
-    while i < tokens.len() {
-        if is_ident(tokens, i, "fn") && is_ident(tokens, i + 1, name) {
-            let fn_line = tokens[i].line;
-            let mut j = i + 2;
-            // Scan the signature for the opening brace; a `;` first
-            // means a trait method declaration — keep looking.
-            let mut found = None;
-            while j < tokens.len() {
-                match tokens[j].tok {
-                    Tok::Punct('{') => {
-                        found = Some(j);
-                        break;
-                    }
-                    Tok::Punct(';') => break,
-                    _ => j += 1,
-                }
-            }
-            if let Some(start) = found {
-                let mut depth = 0usize;
-                let mut k = start;
-                while k < tokens.len() {
-                    match tokens[k].tok {
-                        Tok::Punct('{') => depth += 1,
-                        Tok::Punct('}') => {
-                            depth -= 1;
-                            if depth == 0 {
-                                return Some((start, k + 1, fn_line));
-                            }
-                        }
-                        _ => {}
-                    }
-                    k += 1;
-                }
-            }
+/// Resolves the hot-path marker on `line` to the `fn` after it. Doc
+/// comments are already gone, and attributes and qualifiers such as
+/// `pub(crate)` hold no `{`, `;` or `}`, so any other item reaches one
+/// of those before a `fn`. `None` if the item is not a `fn`, or is a
+/// declaration without a body.
+fn marked_fn(tokens: &[Token], line: u32) -> Option<HotFn<'_>> {
+    let mut i = tokens.partition_point(|t| t.line <= line);
+    while !is_ident(tokens, i, "fn") {
+        match tokens.get(i)?.tok {
+            Tok::Punct('{' | ';' | '}') => return None,
+            _ => i += 1,
         }
-        i += 1;
+    }
+    let Tok::Ident(name) = &tokens.get(i + 1)?.tok else {
+        return None;
+    };
+    // One bracket count over signature and body: a `;` outside brackets
+    // (`[u8; 4]` is inside) ends a declaration, and the `}` that closes
+    // the first `{` ends the body.
+    let mut open = None;
+    let mut depth = 0usize;
+    for (k, t) in tokens.iter().enumerate().skip(i + 2) {
+        match t.tok {
+            Tok::Punct(c @ ('(' | '[' | '{')) => {
+                if c == '{' {
+                    open.get_or_insert(k);
+                }
+                depth += 1;
+            }
+            Tok::Punct(')' | ']' | '}') => {
+                depth = depth.checked_sub(1)?;
+                if let (0, Some(open)) = (depth, open) {
+                    return Some(HotFn {
+                        name,
+                        body: open..k + 1,
+                    });
+                }
+            }
+            Tok::Punct(';') if depth == 0 => return None,
+            _ => {}
+        }
     }
     None
+}
+
+/// hot-path-alloc: allocation written inside a marked function.
+fn hot_path_alloc(tokens: &[Token], hot: HotFn<'_>, findings: &mut Vec<Finding>) {
+    for i in hot.body {
+        let path = HOT_ALLOC_PATHS
+            .into_iter()
+            .find(|(ty, m)| match_seq(tokens, i, &[ty, ":", ":", m]))
+            .map(|(ty, m)| format!("`{ty}::{m}` allocates"));
+        let method = HOT_ALLOC_METHODS
+            .into_iter()
+            .find(|m| is_punct(tokens, i, '.') && is_ident(tokens, i + 1, m))
+            .map(|m| format!("`.{m}(…)` allocates"));
+        let mac = ["vec", "format"]
+            .into_iter()
+            .find(|m| is_ident(tokens, i, m) && is_punct(tokens, i + 1, '!'))
+            .map(|m| format!("`{m}!` allocates"));
+        if let Some(what) = path.or(method).or(mac) {
+            findings.push(Finding {
+                rule: Rule::HotPathAlloc,
+                line: tokens[i].line,
+                message: format!("{what} inside hot-path `fn {}`", hot.name),
+            });
+        }
+    }
 }
 
 /// Iteration adapters ordered-iteration polices on Det collections.

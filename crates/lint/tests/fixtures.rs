@@ -128,20 +128,25 @@ fn stream_discipline_must_pass() {
 
 #[test]
 fn hot_path_alloc_must_fire() {
-    // Line 1 is the manifest-rot finding (`renamed_hot_fn` is in the
-    // fixture manifest but not the file); 6/12/14 are Vec::new,
-    // format!/.collect and .to_vec inside `emit_receivers`. The
-    // allocating cold path must not fire.
+    // 7/13/15 are Vec::new, format!/.collect and .to_vec inside the
+    // marked `emit_receivers`; 22 and 26 are markers above a `struct`
+    // and above a bodiless trait method. The allocating cold path must
+    // not fire.
     assert_fires(
         "hot_path_alloc_fire.rs",
         Rule::HotPathAlloc,
-        &[1, 6, 12, 14],
+        &[7, 13, 15, 22, 26],
     );
+    assert_eq!(scan("hot_path_alloc_fire.rs").hot_path_fns, 1);
 }
 
 #[test]
 fn hot_path_alloc_must_pass() {
     assert_passes("hot_path_alloc_pass.rs");
+    // The marker reaches its `fn` across the doc comment and attribute.
+    let scan = scan("hot_path_alloc_pass.rs");
+    assert_eq!(scan.hot_path_fns, 1);
+    assert_eq!(scan.waivers_present, 0, "a marker is not a waiver");
 }
 
 #[test]
@@ -162,11 +167,11 @@ fn ordered_iteration_must_pass() {
 #[test]
 fn waiver_reason_must_fire() {
     // Missing reason, empty reason, unknown rule, waiving the
-    // meta-rule, and a non-allow form.
+    // meta-rule, a non-allow form, and a hot-path marker with a tail.
     assert_fires(
         "waiver_reason_fire.rs",
         Rule::WaiverReason,
-        &[4, 7, 10, 13, 16],
+        &[4, 7, 10, 13, 16, 19],
     );
 }
 

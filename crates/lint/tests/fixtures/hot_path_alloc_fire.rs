@@ -1,7 +1,8 @@
-//! must-fire: allocation written inside a manifest hot-path function,
-//! plus the manifest-rot finding — the fixture manifest also names a
-//! `renamed_hot_fn` this file deliberately does not define.
+//! must-fire: allocation written inside a marked hot-path function,
+//! plus two markers that mark no `fn` body — one above a `struct`, one
+//! above a trait-method declaration.
 
+// ag-lint: hot-path
 pub fn emit_receivers(words: &[u64]) -> Vec<usize> {
     let mut out = Vec::new();
     for (w, &bits) in words.iter().enumerate() {
@@ -16,4 +17,12 @@ pub fn emit_receivers(words: &[u64]) -> Vec<usize> {
 
 pub fn cold_path_allocates_freely() -> Vec<u8> {
     Vec::new()
+}
+
+// ag-lint: hot-path
+pub struct Receivers(Vec<usize>);
+
+pub trait Emit {
+    // ag-lint: hot-path
+    fn emit(&mut self, words: &[u64; 4]);
 }

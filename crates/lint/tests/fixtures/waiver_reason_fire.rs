@@ -1,5 +1,5 @@
-//! must-fire: malformed waivers are findings of the waiver-reason
-//! meta-rule — and never suppress anything.
+//! must-fire: malformed waivers and hot-path markers are findings of
+//! the waiver-reason meta-rule — and never suppress or mark anything.
 
 // ag-lint: allow(det-hash)
 pub fn missing_reason() {}
@@ -15,3 +15,6 @@ pub fn meta_rule_is_unwaivable() {}
 
 // ag-lint: deny(det-hash) -- not the allow(...) form
 pub fn unrecognized_form() {}
+
+// ag-lint: hot-path extra
+pub fn malformed_marker() {}

@@ -396,6 +396,7 @@ impl<X: Message> Maodv<X> {
         }
     }
 
+    // ag-lint: hot-path
     /// The read-only halves of the table probes [`Maodv::on_packet`]
     /// makes first for `msg` from `from` — the sender's peer record, and
     /// for a route request the reverse route and the flood id — so their

@@ -166,6 +166,7 @@ impl<M> Default for FloodRelay<M> {
 }
 
 impl<M: Message> FloodRelay<M> {
+    // ag-lint: hot-path
     /// Queues `msg` as it is and arms one `key` timer for it.
     pub fn queue<C: ProtoCtx<M>>(&mut self, api: &mut C, key: TimerKey, msg: M) {
         self.0.push_back(msg);
@@ -173,6 +174,7 @@ impl<M: Message> FloodRelay<M> {
         api.set_timer(delay, key);
     }
 
+    // ag-lint: hot-path
     /// Queues the next hop's copy of a flood frame received at
     /// `hop_count` / `ttl` — `copy(hop_count + 1, ttl - 1)`, the hop count
     /// saturating — unless the TTL ends the flood here. Returns whether a
@@ -192,6 +194,7 @@ impl<M: Message> FloodRelay<M> {
         true
     }
 
+    // ag-lint: hot-path
     /// Broadcasts the oldest queued copy, if any; call on every firing of
     /// the key the copies were queued with.
     pub fn drain<C: ProtoCtx<M>>(&mut self, api: &mut C) {

@@ -313,6 +313,7 @@ impl<P: Protocol> Engine<P> {
         engine
     }
 
+    // ag-lint: hot-path
     /// The one protocol upcall: hands `dispatch` to `node`'s handler
     /// through a [`NodeApi`]. Associated (not `&mut self`) so a caller
     /// can keep the receiver list borrowed across it.

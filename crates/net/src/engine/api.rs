@@ -52,6 +52,7 @@ impl<'a, M: Message> ProtoCtx<M> for NodeApi<'a, M> {
         self.world.enqueue_frame(self.node, None, msg);
     }
 
+    // ag-lint: hot-path
     /// Schedules [`Protocol::on_timer`](crate::Protocol::on_timer) with `key` after `delay`.
     ///
     /// Timers are not cancellable; see [`TimerKey`] for the idiom.
@@ -74,20 +75,24 @@ impl<'a, M: Message> ProtoCtx<M> for NodeApi<'a, M> {
         self.world.counters.add(name, n);
     }
 
+    // ag-lint: hot-path
     fn jitter(&mut self, bound: u64) -> u64 {
         self.world.node_rngs[self.node].random_range(0..bound)
     }
 
+    // ag-lint: hot-path
     fn chance(&mut self, p: f64) -> bool {
         // Drawn unconditionally (even for p ∈ {0, 1}) so the node RNG
         // stream is bit-identical to the pre-facade engine.
         self.world.node_rngs[self.node].random_bool(p)
     }
 
+    // ag-lint: hot-path
     fn pick_index(&mut self, n: usize) -> usize {
         self.world.node_rngs[self.node].random_range(0..n)
     }
 
+    // ag-lint: hot-path
     fn pick_weighted<F: Fn(usize) -> f64>(&mut self, n: usize, weight: F) -> usize {
         assert!(n > 0, "weighted pick over no candidates");
         // Two passes, so nothing allocates: the walk recomputes the

@@ -13,6 +13,7 @@ use crate::mac::{MacState, OutFrame};
 use crate::{reference, Message, NodeId, Protocol, RxKind};
 
 impl<M: Message> World<M> {
+    // ag-lint: hot-path
     /// Queues a frame and kicks the MAC if it was idle. Frames from a
     /// down radio are silently discarded (counted): the hardware is
     /// off, so there is no carrier feedback to report.
@@ -32,6 +33,7 @@ impl<M: Message> World<M> {
         }
     }
 
+    // ag-lint: hot-path
     /// Arms a DIFS + backoff attempt for `node`'s head frame, counted
     /// from `idle_from`: now for a fresh frame or a retry, the end of
     /// the audible busy period for a deferral.
@@ -51,6 +53,7 @@ impl<M: Message> World<M> {
         );
     }
 
+    // ag-lint: hot-path
     /// Handles an armed attempt firing: carrier-sense, then transmit or
     /// defer.
     pub(super) fn handle_attempt(&mut self, node: usize, gen: u64) {
@@ -73,6 +76,7 @@ impl<M: Message> World<M> {
         self.start_tx(node);
     }
 
+    // ag-lint: hot-path
     /// Puts `node`'s head frame on the air.
     fn start_tx(&mut self, node: usize) {
         // The head frame stays queued until ACKed (unicast) or completed
@@ -112,6 +116,7 @@ impl<M: Message> World<M> {
         self.queue.schedule(end, Event::TxEnd { tx_id: id });
     }
 
+    // ag-lint: hot-path
     /// Completes the head frame (success or final drop) and moves the MAC
     /// on to the next queued frame.
     fn finish_head_frame(&mut self, node: usize) -> OutFrame<M> {
@@ -143,6 +148,7 @@ impl<M: Message> World<M> {
 }
 
 impl<P: Protocol> Engine<P> {
+    // ag-lint: hot-path
     /// A transmission leaves the air: compute who heard it, advance the
     /// sender's MAC, and deliver.
     pub(super) fn handle_tx_end(&mut self, tx_id: u64) {

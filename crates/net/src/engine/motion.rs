@@ -35,6 +35,7 @@ impl MotionBound {
         bound
     }
 
+    // ag-lint: hot-path
     /// Takes in `new`, which replaces `old` at `now`.
     pub fn load(&mut self, old: &LegSample, new: &LegSample, now: SimTime) {
         self.take(new);
@@ -43,6 +44,7 @@ impl MotionBound {
         }
     }
 
+    // ag-lint: hot-path
     /// Takes in one leg's motion: its speed, or for a jump — a move with
     /// no queryable instant inside its travel — a void at its arrival,
     /// so one teleport does not shorten every list for the rest of the

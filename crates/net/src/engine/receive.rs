@@ -175,6 +175,7 @@ fn stride_for(legs: &[LegSample], reach: f64) -> usize {
     ((SLOT_HEADROOM * mean).ceil().clamp(8.0, 1024.0) as usize).min(legs.len() - 1)
 }
 
+// ag-lint: hot-path
 /// `true` while a list built for a shot that started at `start` may
 /// serve its sender's `TxEnd` at `now`: no void at or after `start`,
 /// and `2·v̄·(now − start) ≤ skin − ε`, with `ε` four [`GRID_PAD`]s of
@@ -184,12 +185,14 @@ fn fresh(bound: &MotionBound, start: SimTime, now: SimTime, range: f64) -> bool 
     bound.voided_at < start && now.duration_since(start).as_nanos() as f64 <= life_ns
 }
 
+// ag-lint: hot-path
 /// Pass 2's positions: each of `ids`' node at `now`, into `pos`.
 fn measure(legs: &[LegSample], now: SimTime, ids: &[u32], pos: &mut Vec<Vec2>) {
     pos.clear();
     pos.extend(ids.iter().map(|&rid| legs[rid as usize].position_at(now)));
 }
 
+// ag-lint: hot-path
 /// Fetches `sender`'s candidates afresh: the snapshot's buckets within
 /// `R + skin` of `shot` and its drift, retaking it first if stale, the
 /// sender left out; sorted ascending, measured, the ones within reach
@@ -229,6 +232,7 @@ fn rebuild<F>(view: &RxView<'_, F>, s: &mut RxScratch, shot: &TxShot, sender: us
     kept
 }
 
+// ag-lint: hot-path
 /// Keyed-hash reception-model decision for one `(transmission,
 /// receiver)` pair, serving shadowing decisions from `cache` when one
 /// was allocated. Bit-identical to [`ReceptionModel::receives`] (which
@@ -260,6 +264,7 @@ fn channel_receives<F>(
     }
 }
 
+// ag-lint: hot-path
 /// Fills `s.receivers` with every node that hears transmission `id`
 /// (described by `shot`, sent by `sender`) uncorrupted, in ascending
 /// node order, and returns what the others lost it to.

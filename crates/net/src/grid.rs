@@ -153,6 +153,7 @@ impl NodeGrid {
         ((c.1 - self.origin.1) * self.dims.0 + c.0 - self.origin.0) as usize
     }
 
+    // ag-lint: hot-path
     /// Retakes the snapshot: node `i` at `pos[i]`, unless `skip[i]`.
     pub fn retake(&mut self, pos: &[Vec2], skip: &[bool]) {
         debug_assert!(pos.len() == skip.len() && pos.len() <= self.ids.len());
@@ -186,6 +187,7 @@ impl NodeGrid {
         }
     }
 
+    // ag-lint: hot-path
     /// Hands `f` the bucket of every cell within radius `r` (+pad) of
     /// `center`, in place, each once, rows ascending. A bucket may hold
     /// nodes farther than `r`; the caller runs the exact distance test.
@@ -327,6 +329,7 @@ impl<F> AirIndex<F> {
         self.live_count > 0
     }
 
+    // ag-lint: hot-path
     /// The latest time any live transmission audible within `range` of
     /// `pos` stays on the air, or `None` if the medium is free there.
     pub fn busy_until(&self, pos: Vec2, range: f64) -> Option<SimTime> {
@@ -338,6 +341,7 @@ impl<F> AirIndex<F> {
             .max()
     }
 
+    // ag-lint: hot-path
     /// Appends to `out` the sender position of every transmission
     /// other than `exclude` — live or finished — whose airtime overlaps
     /// `shot`'s and whose sender stood within `2·range` of `shot`'s.

@@ -235,6 +235,7 @@ impl<E> EventQueue<E> {
         }
     }
 
+    // ag-lint: hot-path
     /// Schedules `event` to fire at `time`.
     ///
     /// Events scheduled for the same instant fire in the order they were
@@ -269,6 +270,7 @@ impl<E> EventQueue<E> {
         }
     }
 
+    // ag-lint: hot-path
     /// Removes and returns the earliest event, or `None` if empty.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         let heap_top = self.overflow.peek().map(|h| (h.0.time, h.0.seq));
@@ -324,6 +326,7 @@ impl<E> EventQueue<E> {
         Some((time, entry.event))
     }
 
+    // ag-lint: hot-path
     /// The timestamp of the earliest pending event, if any.
     pub fn peek_time(&self) -> Option<SimTime> {
         let heap_top = self.overflow.peek().map(|h| h.0.time);
@@ -369,6 +372,7 @@ impl<E> EventQueue<E> {
         (day & (self.buckets.len() as u64 - 1)) as usize
     }
 
+    // ag-lint: hot-path
     /// Where a new entry due at `time` links into `day`'s chain:
     /// `Some(prev)` to go after node `prev` (`NIL`: at the head), or
     /// `None` for the overflow heap — `day` is outside the window, or
@@ -396,6 +400,7 @@ impl<E> EventQueue<E> {
         None
     }
 
+    // ag-lint: hot-path
     /// Stores `node` in a slot off the free list, or in one more.
     fn alloc(&mut self, node: Node<E>) -> u32 {
         let id = self.free;
@@ -411,6 +416,7 @@ impl<E> EventQueue<E> {
         (self.nodes.len() - 1) as u32
     }
 
+    // ag-lint: hot-path
     /// Puts the unlinked node `id` on the free list and returns the
     /// entry it held.
     fn release(&mut self, id: u32) -> EventEntry<E> {
@@ -424,6 +430,7 @@ impl<E> EventQueue<E> {
         }
     }
 
+    // ag-lint: hot-path
     /// Links node `id` into bucket `slot` after node `prev` (`NIL`: at
     /// the head).
     fn link(&mut self, slot: usize, prev: u32, id: u32) {
@@ -438,6 +445,7 @@ impl<E> EventQueue<E> {
         self.nodes[id as usize].next = next;
     }
 
+    // ag-lint: hot-path
     /// Re-locates the earliest near entry: the head of the first
     /// non-empty bucket from `cursor_day` on. One bucket is one day, so
     /// one pass over the window is exhaustive.

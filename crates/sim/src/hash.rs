@@ -16,6 +16,7 @@
 //! use the [`DetHashMap`]/[`DetHashSet`] aliases instead of the std
 //! defaults.
 
+// ag-lint: allow(det-hash) -- the Det* aliases wrap these std types with the fixed-key hasher
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};

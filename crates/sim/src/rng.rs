@@ -108,6 +108,7 @@ impl SeedSplitter {
 
     /// Creates the RNG for stream `(kind, index)`.
     pub fn stream(&self, kind: StreamKind, index: u64) -> SmallRng {
+        // ag-lint: allow(stream-discipline) -- the one StreamKind-keyed constructor
         SmallRng::seed_from_u64(self.derive(kind, index))
     }
 }

@@ -3,7 +3,8 @@
 //! byte-for-byte by the current build.
 //!
 //! The snapshots are rendered with exact float bits
-//! (`report::render_json` / `{:#?}`), so *any* numeric drift in the
+//! (`report::render_json` / `{:#?}`, see
+//! `anonymous_gossip::golden_snapshots`), so *any* numeric drift in the
 //! kernel, mobility, PHY/MAC, MAODV, gossip or harness layers fails
 //! this test — the paper's figures cannot silently shift under a
 //! refactor. The new opt-in stress knobs (reception models, churn) are
@@ -12,20 +13,18 @@
 //! Intentional changes (recorded in CHANGES.md) refresh the
 //! snapshots with `cargo run --release --example regen_golden`.
 
-use ag_harness::figures::{fig2, fig8};
-use ag_harness::{report, Parallelism};
-
-/// Must match `examples/regen_golden.rs`.
-const GOLDEN_SEEDS: u64 = 1;
-/// Must match `examples/regen_golden.rs`.
-const GOLDEN_SECS: u64 = 30;
+/// Renders the golden snapshot written to `tests/golden/<file>`.
+fn render(file: &str) -> String {
+    let (_, content) = anonymous_gossip::golden_snapshots()
+        .into_iter()
+        .find(|(name, _)| *name == file)
+        .expect("a golden snapshot of that name");
+    content
+}
 
 #[test]
 fn fig2_small_sweep_matches_committed_snapshot() {
-    let points = fig2()
-        .with_duration_secs(GOLDEN_SECS)
-        .run(GOLDEN_SEEDS, Parallelism::auto());
-    let got = report::render_json(&points);
+    let got = render("fig2_small.json");
     let want = include_str!("golden/fig2_small.json");
     assert_eq!(
         got, want,
@@ -37,8 +36,7 @@ fn fig2_small_sweep_matches_committed_snapshot() {
 
 #[test]
 fn fig8_small_series_matches_committed_snapshot() {
-    let series = fig8(GOLDEN_SEEDS, GOLDEN_SECS, Parallelism::auto());
-    let got = format!("{series:#?}\n");
+    let got = render("fig8_small.txt");
     let want = include_str!("golden/fig8_small.txt");
     assert_eq!(
         got, want,
