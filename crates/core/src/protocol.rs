@@ -13,7 +13,7 @@ use ag_maodv::{
     GroupId, Maodv, MaodvConfig, MaodvCtx, MaodvMsg, TrafficSource, Upcall, TIMER_USER_BASE,
 };
 use ag_net::{NodeId, Protocol, RxKind, TimerKey};
-use ag_sim::{SimDuration, SimTime};
+use ag_sim::SimDuration;
 
 use crate::message::{AgMsg, GossipReply, GossipRequest, PacketId, PacketRecord};
 use crate::{AgConfig, GossipMetrics, HistoryTable, LostTable, MemberCache};
@@ -460,7 +460,7 @@ impl Protocol for AnonymousGossip {
             api.set_timer(cfg.gossip_interval + jitter, TIMER_GOSSIP);
         }
         if let Some(t) = self.gossip.member().traffic {
-            api.set_timer(t.start.duration_since(SimTime::ZERO), TIMER_TRAFFIC);
+            t.arm(api, TIMER_TRAFFIC);
         }
     }
 
@@ -495,11 +495,10 @@ impl Protocol for AnonymousGossip {
             }
             TIMER_TRAFFIC => {
                 if let Some(t) = gossip.member().traffic {
-                    if api.now() <= t.end {
+                    t.tick(api, TIMER_TRAFFIC, |api| {
                         let seq = maodv.send_data(api, t.payload_len);
                         gossip.deliver(maodv.id(), seq, t.payload_len, DeliveryPath::Tree);
-                        api.set_timer(t.interval, TIMER_TRAFFIC);
-                    }
+                    });
                 }
             }
             _ => {}
@@ -517,6 +516,7 @@ mod tests {
     use ag_mobility::{Field, Mobility, PauseRange, RandomWaypoint, SpeedRange, Stationary, Vec2};
     use ag_net::{ChurnParams, Engine, NodeSetup, PhyParams, ProtoCtx};
     use ag_sim::rng::{SeedSplitter, StreamKind};
+    use ag_sim::SimTime;
     use rand::rngs::SmallRng;
     use rand::Rng;
 

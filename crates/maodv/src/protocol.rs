@@ -5,7 +5,7 @@
 //! optional [`TrafficSource`] reproduces the paper's traffic model (64-
 //! byte payloads every 200 ms from t = 120 s to t = 560 s).
 
-use ag_net::{NodeId, ProtoCtx, Protocol, RxKind, TimerKey};
+use ag_net::{Message, NodeId, ProtoCtx, Protocol, RxKind, TimerKey};
 use ag_sim::{SimDuration, SimTime};
 
 use crate::delivery::{DeliveryLog, DeliveryPath};
@@ -49,22 +49,66 @@ impl TrafficSource {
     }
 
     /// A compressed source for tests/benches: `n` packets every
-    /// `interval` starting at `start`.
+    /// `interval` starting at `start`. With `n = 0` it ends before it
+    /// starts (one interval late), so it sends nothing.
     pub fn compact(start: SimTime, interval: SimDuration, n: u32, payload_len: u16) -> Self {
+        let (start, end) = match n.checked_sub(1) {
+            Some(last) => (start, start + interval * last as u64),
+            None => (start + interval, start),
+        };
         TrafficSource {
             start,
-            end: start + interval * (n.saturating_sub(1)) as u64,
+            end,
             interval,
             payload_len,
         }
     }
 
     /// Number of packets this source will emit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the interval is zero (see [`TrafficSource::arm`]).
     pub fn packet_count(&self) -> u64 {
+        let interval = self.interval_ns();
         if self.end < self.start {
             return 0;
         }
-        self.end.duration_since(self.start).as_nanos() / self.interval.as_nanos() + 1
+        self.end.duration_since(self.start).as_nanos() / interval + 1
+    }
+
+    /// Enters a run: arms the first packet's timer under `key`, which
+    /// the stack hands to [`TrafficSource::tick`] when it fires.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the interval is zero: the timer would re-arm at one
+    /// instant for ever, and the run would never leave it.
+    pub fn arm<M: Message, C: ProtoCtx<M>>(&self, api: &mut C, key: TimerKey) {
+        self.interval_ns();
+        api.set_timer(self.start.duration_since(SimTime::ZERO), key);
+    }
+
+    /// The timer under `key` fired: while the source is on (`now <=
+    /// end`), `send` emits one packet and the timer re-arms one interval
+    /// ahead.
+    pub fn tick<M: Message, C: ProtoCtx<M>>(
+        &self,
+        api: &mut C,
+        key: TimerKey,
+        send: impl FnOnce(&mut C),
+    ) {
+        if api.now() <= self.end {
+            send(api);
+            api.set_timer(self.interval, key);
+        }
+    }
+
+    /// The interval in nanoseconds, refusing zero.
+    fn interval_ns(&self) -> u64 {
+        let ns = self.interval.as_nanos();
+        assert!(ns > 0, "TrafficSource interval must be positive");
+        ns
     }
 }
 
@@ -147,7 +191,7 @@ impl Protocol for MaodvProtocol {
     fn start<C: ProtoCtx<Self::Msg>>(&mut self, api: &mut C) {
         self.node.start(api);
         if let Some(t) = self.traffic {
-            api.set_timer(t.start.duration_since(SimTime::ZERO), TIMER_TRAFFIC);
+            t.arm(api, TIMER_TRAFFIC);
         }
     }
 
@@ -174,13 +218,12 @@ impl Protocol for MaodvProtocol {
     fn on_timer<C: ProtoCtx<Self::Msg>>(&mut self, api: &mut C, key: TimerKey) {
         if !self.node.on_timer(api, key) && key == TIMER_TRAFFIC {
             if let Some(t) = self.traffic {
-                if api.now() <= t.end {
+                t.tick(api, TIMER_TRAFFIC, |api| {
                     let seq = self.node.send_data(api, t.payload_len);
                     // The origin trivially "receives" its own packet.
                     self.delivery
                         .record(self.node.id(), seq, DeliveryPath::Tree);
-                    api.set_timer(t.interval, TIMER_TRAFFIC);
-                }
+                });
             }
         }
     }
@@ -259,13 +302,17 @@ mod tests {
     #[test]
     fn traffic_source_packet_counts() {
         assert_eq!(TrafficSource::paper().packet_count(), 2201);
-        let c = TrafficSource::compact(SimTime::from_secs(1), SimDuration::from_millis(100), 7, 64);
-        assert_eq!(c.packet_count(), 7);
-        assert_eq!(
-            TrafficSource::compact(SimTime::from_secs(1), SimDuration::from_millis(100), 1, 64)
-                .packet_count(),
-            1
-        );
+        let every = SimDuration::from_millis(100);
+        for (n, start) in [(7, 1), (1, 1), (0, 1), (0, 0)] {
+            let c = TrafficSource::compact(SimTime::from_secs(start), every, n, 64);
+            assert_eq!(c.packet_count(), n as u64, "n = {n} from {start} s");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "interval must be positive")]
+    fn zero_interval_source_is_refused() {
+        TrafficSource::compact(SimTime::from_secs(1), SimDuration::ZERO, 5, 64).packet_count();
     }
 
     #[test]

@@ -16,8 +16,9 @@
 //! is fire-and-forget.
 //!
 //! This file holds the state, construction, the event loop and the one
-//! protocol upcall; the handlers hang off it by seam: `dcf` (MAC and
-//! `TxEnd` delivery), `receive` (the receiver-set kernel; its oracle is
+//! protocol upcall; the handlers hang off it by seam: `dcf` (the
+//! 802.11 DCF's constants, per-node MAC and handlers, and `TxEnd`
+//! delivery), `receive` (the receiver-set kernel; its oracle is
 //! [`crate::reference`]), `motion` (mobility, churn, the motion bound)
 //! and `api` ([`NodeApi`]).
 
@@ -40,8 +41,8 @@ pub(crate) use receive::RxCounts;
 
 use crate::ctx::Dispatch;
 use crate::grid::AirIndex;
-use crate::mac::{Mac, OutFrame};
 use crate::{Message, NodeId, PhyParams, Protocol, TimerKey};
+use dcf::{Mac, OutFrame};
 use motion::MotionBound;
 use receive::RxScratch;
 
@@ -69,10 +70,12 @@ pub(crate) struct PendingTx<M> {
     frame: OutFrame<M>,
 }
 
-/// The engine's own hot-path counters, kept as plain fields — a
-/// name-keyed map lookup per transmission is measurable at scale.
-/// [`Engine::counters`] folds them into the public [`CounterSet`]
-/// under their historical names.
+/// The engine's own hot-path counters, kept as plain fields: bumping
+/// the 14 counts through the name-keyed [`CounterSet`] instead read
+/// `paper_sweep` `wall_s` 1.678 → 1.845 s (+9.9 %, slower in 10/10
+/// alternating `agbench` pairs on a 2-CPU host) and `city_20k`
+/// 2.228 → 2.394 s (+7.4 %, 6/10). [`Engine::counters`] folds them
+/// into that set under their historical names.
 #[derive(Debug, Default, Clone, Copy)]
 struct HotCounters {
     enqueued: u64,
@@ -257,9 +260,7 @@ impl<P: Protocol> Engine<P> {
         let mut world = World {
             now: SimTime::ZERO,
             queue: EventQueue::new(),
-            macs: (0..n)
-                .map(|_| Mac::new(phy.queue_capacity(), phy.cw_min()))
-                .collect(),
+            macs: (0..n).map(|_| Mac::new()).collect(),
             mobility,
             legs,
             node_rngs: (0..n)

@@ -5,8 +5,8 @@
 use ag_mobility::LegSample;
 use ag_sim::{SimDuration, SimTime};
 
+use super::dcf::OutFrame;
 use super::{Event, World};
-use crate::mac::{MacState, OutFrame};
 use crate::Message;
 
 /// What the receive kernel's neighbour lists and snapshot must know of
@@ -92,14 +92,7 @@ impl<M: Message> World<M> {
         } else {
             self.down[node] = true;
             self.hot.churn_fail += 1;
-            // Drop in-flight MAC state and invalidate any armed attempt.
-            while let Some(frame) = self.macs[node].pop_head() {
-                dropped.push(frame);
-            }
-            self.macs[node].retries = 0;
-            self.macs[node].cw = self.phy.cw_min();
-            self.macs[node].bump_attempt_gen();
-            self.macs[node].set_state(MacState::Idle);
+            self.macs[node].fail(dropped);
             // A frame mid-air is truncated: disown it so `TxEnd`
             // delivers it to nobody (it still occupies its airtime
             // window for interference purposes until pruned).

@@ -650,8 +650,8 @@ fn set_threads_is_inert() {
 
 #[test]
 fn queue_drop_counter() {
-    // Capacity-4 queue, 10 back-to-back frames from one timer burst.
-    let script: Vec<_> = (0..10)
+    // The 128-frame queue, 134 back-to-back frames from one timer burst.
+    let script: Vec<_> = (0..134)
         .map(|i| (SimDuration::from_secs(1), Action::Broadcast(msg(i))))
         .collect();
     let nodes = vec![
@@ -664,11 +664,10 @@ fn queue_drop_counter() {
             protocol: Scripted::default(),
         },
     ];
-    let phy = PhyParams::paper_default(75.0).with_queue_capacity(4);
-    let mut e = Engine::new(phy, 8, nodes);
+    let mut e = Engine::new(PhyParams::paper_default(75.0), 8, nodes);
     e.run_until(SimTime::from_secs(2));
     assert_eq!(e.counters().get("mac.queue_drop"), 6);
-    assert_eq!(e.protocol(NodeId::new(1)).received.len(), 4);
+    assert_eq!(e.protocol(NodeId::new(1)).received.len(), 128);
 }
 
 #[test]

@@ -3,12 +3,15 @@
 //! Replaces GloMoSim's PHY/MAC layers for the Anonymous Gossip
 //! reproduction. It provides:
 //!
-//! * [`PhyParams`] — a unit-disk radio at 2 Mbps with IEEE 802.11b DSSS
-//!   timing constants (slot/DIFS/SIFS/preamble) and per-frame airtime.
-//! * a simplified **802.11 DCF MAC** (module [`mac`]): carrier sense,
-//!   DIFS + slotted random backoff with binary exponential contention
-//!   window, per-receiver collision corruption, unicast ACK + retransmit
-//!   with a retry limit and a link-failure upcall, unacknowledged broadcast.
+//! * [`PhyParams`] — what a scenario varies about the radio: the
+//!   unit-disk range, the receiver-set kernel, the reception model and
+//!   radio churn.
+//! * a simplified **802.11 DCF MAC** inside the [`Engine`], fixed to
+//!   the paper's 2 Mbps 802.11b DSSS timing (slot/DIFS/SIFS/preamble):
+//!   carrier sense, DIFS + slotted random backoff with binary
+//!   exponential contention window, per-receiver collision corruption,
+//!   unicast ACK + retransmit with a retry limit and a link-failure
+//!   upcall, unacknowledged broadcast.
 //! * [`Engine`] — the discrete-event network engine. It owns every node's
 //!   MAC, mobility model and RNG streams, and drives an upper-layer
 //!   [`Protocol`] implementation per node (MAODV in `ag-maodv`, Anonymous
@@ -44,7 +47,6 @@ mod reference;
 mod types;
 
 pub mod ctx;
-pub mod mac;
 pub mod phy;
 
 pub use ctx::{Dispatch, ProtoCtx};

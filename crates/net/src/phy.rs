@@ -1,9 +1,9 @@
-//! The physical layer: a unit-disk radio with 802.11b DSSS timing.
+//! The physical layer: a unit-disk radio.
 //!
 //! The paper (§5.1) fixes the MAC to IEEE 802.11 and the channel to
 //! 2 Mbps, and sweeps the *transmission range* from 45 m to 85 m. The PHY
-//! here is therefore parameterized primarily by `range_m`; everything else
-//! defaults to the 802.11b DSSS constants.
+//! here is therefore parameterized by `range_m`; the 802.11b DSSS timing
+//! and the DCF's contention values are constants of the engine's MAC.
 //!
 //! ## Stress knobs (strictly opt-in)
 //!
@@ -266,7 +266,7 @@ fn sample_exp<R: Rng + ?Sized>(mean_secs: f64, rng: &mut R) -> SimDuration {
     SimDuration::from_secs_f64((-mean_secs * (1.0 - u).ln()).max(1e-9))
 }
 
-/// Radio and MAC timing parameters.
+/// What a scenario varies about the radio.
 ///
 /// # Example
 ///
@@ -274,35 +274,12 @@ fn sample_exp<R: Rng + ?Sized>(mean_secs: f64, rng: &mut R) -> SimDuration {
 /// use ag_net::PhyParams;
 /// let phy = PhyParams::paper_default(75.0);
 /// assert_eq!(phy.range_m(), 75.0);
-/// // A 64-byte payload at 2 Mbps: preamble + (header+payload)·8/2e6.
-/// let t = phy.airtime(64);
-/// assert!(t > ag_sim::SimDuration::from_micros(192));
+/// assert!(phy.reception().is_ideal() && phy.churn().is_none());
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PhyParams {
     /// Unit-disk transmission (and carrier-sense) range in metres.
     range_m: f64,
-    /// Channel bitrate in bits/second.
-    bitrate_bps: u64,
-    /// PHY preamble + PLCP header time, µs.
-    preamble_us: u64,
-    /// MAC framing overhead added to every payload, bytes.
-    mac_header_bytes: usize,
-    /// Slot time, µs.
-    slot_us: u64,
-    /// DIFS, µs.
-    difs_us: u64,
-    /// SIFS, µs.
-    sifs_us: u64,
-    /// Minimum contention window (slots − 1, i.e. backoff drawn from 0..=cw).
-    cw_min: u32,
-    /// Maximum contention window.
-    cw_max: u32,
-    /// Unicast retransmission limit before the frame is dropped and the
-    /// upper layer's `on_send_failure` fires.
-    retry_limit: u32,
-    /// MAC transmit-queue capacity (drop-tail beyond this).
-    queue_capacity: usize,
     /// Compute each transmission's receivers with the node-grid kernel
     /// (`true`, the default) or the brute-force reference scan (`false`,
     /// kept for differential testing). Both produce identical
@@ -316,8 +293,9 @@ pub struct PhyParams {
 }
 
 impl PhyParams {
-    /// The paper's configuration: 2 Mbps 802.11 with the given transmission
-    /// range in metres.
+    /// The paper's configuration at the given transmission range in
+    /// metres: the ideal channel, no churn and the node-grid kernel. (The
+    /// 2 Mbps 802.11 MAC is fixed; it is not a parameter.)
     ///
     /// # Panics
     ///
@@ -329,27 +307,10 @@ impl PhyParams {
         );
         PhyParams {
             range_m,
-            bitrate_bps: 2_000_000,
-            preamble_us: 192,     // 802.11b long preamble + PLCP
-            mac_header_bytes: 28, // 24 B MAC header + 4 B FCS
-            slot_us: 20,
-            difs_us: 50,
-            sifs_us: 10,
-            cw_min: 31,
-            cw_max: 1023,
-            retry_limit: 7,
-            queue_capacity: 128,
             spatial_index: true,
             reception: ReceptionModel::Ideal,
             churn: None,
         }
-    }
-
-    /// Returns a copy with a different MAC queue capacity.
-    pub fn with_queue_capacity(mut self, cap: usize) -> Self {
-        assert!(cap > 0, "queue capacity must be positive");
-        self.queue_capacity = cap;
-        self
     }
 
     /// Returns a copy selecting how a `TxEnd` finds its receivers: the
@@ -366,46 +327,6 @@ impl PhyParams {
     /// Transmission range in metres.
     pub fn range_m(&self) -> f64 {
         self.range_m
-    }
-
-    /// Channel bitrate in bits per second.
-    pub fn bitrate_bps(&self) -> u64 {
-        self.bitrate_bps
-    }
-
-    /// Slot time.
-    pub fn slot(&self) -> SimDuration {
-        SimDuration::from_micros(self.slot_us)
-    }
-
-    /// DIFS (DCF inter-frame space).
-    pub fn difs(&self) -> SimDuration {
-        SimDuration::from_micros(self.difs_us)
-    }
-
-    /// SIFS (short inter-frame space).
-    pub fn sifs(&self) -> SimDuration {
-        SimDuration::from_micros(self.sifs_us)
-    }
-
-    /// Minimum contention window.
-    pub fn cw_min(&self) -> u32 {
-        self.cw_min
-    }
-
-    /// Maximum contention window.
-    pub fn cw_max(&self) -> u32 {
-        self.cw_max
-    }
-
-    /// Unicast retry limit.
-    pub fn retry_limit(&self) -> u32 {
-        self.retry_limit
-    }
-
-    /// MAC queue capacity.
-    pub fn queue_capacity(&self) -> usize {
-        self.queue_capacity
     }
 
     /// Returns a copy with a different reception model (the default,
@@ -441,28 +362,6 @@ impl PhyParams {
     pub fn churn(&self) -> Option<ChurnParams> {
         self.churn
     }
-
-    /// Time the channel is occupied by a data frame with `payload_bytes` of
-    /// upper-layer payload: preamble plus serialized bits at the bitrate.
-    pub fn airtime(&self, payload_bytes: usize) -> SimDuration {
-        let bits = ((self.mac_header_bytes + payload_bytes) * 8) as u64;
-        let tx_ns = bits * 1_000_000_000 / self.bitrate_bps;
-        SimDuration::from_micros(self.preamble_us) + SimDuration::from_nanos(tx_ns)
-    }
-
-    /// Extra channel time consumed by the ACK exchange after a unicast
-    /// frame: SIFS + ACK preamble + 14-byte ACK frame.
-    pub fn ack_overhead(&self) -> SimDuration {
-        let ack_bits = 14 * 8;
-        let tx_ns = ack_bits * 1_000_000_000 / self.bitrate_bps;
-        self.sifs() + SimDuration::from_micros(self.preamble_us) + SimDuration::from_nanos(tx_ns)
-    }
-
-    /// The next contention window after a failed attempt (binary
-    /// exponential backoff, capped at `cw_max`).
-    pub fn next_cw(&self, cw: u32) -> u32 {
-        ((cw + 1) * 2 - 1).min(self.cw_max)
-    }
 }
 
 #[cfg(test)]
@@ -472,48 +371,14 @@ mod tests {
     #[test]
     fn paper_default_constants() {
         let p = PhyParams::paper_default(75.0);
-        assert_eq!(p.bitrate_bps(), 2_000_000);
         assert_eq!(p.range_m(), 75.0);
-        assert_eq!(p.cw_min(), 31);
-        assert_eq!(p.retry_limit(), 7);
-    }
-
-    #[test]
-    fn airtime_scales_with_payload() {
-        let p = PhyParams::paper_default(75.0);
-        let small = p.airtime(0);
-        let big = p.airtime(1000);
-        assert!(big > small);
-        // 64-byte paper payload: 192 µs preamble + (28+64)·8 bits / 2 Mbps = 192 + 368 µs.
-        assert_eq!(p.airtime(64), SimDuration::from_micros(192 + 368));
-    }
-
-    #[test]
-    fn ack_overhead_is_positive_and_small() {
-        let p = PhyParams::paper_default(75.0);
-        assert!(p.ack_overhead() > SimDuration::ZERO);
-        assert!(p.ack_overhead() < p.airtime(64));
-    }
-
-    #[test]
-    fn bexp_backoff_caps() {
-        let p = PhyParams::paper_default(75.0);
-        assert_eq!(p.next_cw(31), 63);
-        assert_eq!(p.next_cw(63), 127);
-        assert_eq!(p.next_cw(1023), 1023);
-        let mut cw = p.cw_min();
-        for _ in 0..20 {
-            cw = p.next_cw(cw);
-        }
-        assert_eq!(cw, p.cw_max());
+        assert!(p.spatial_index());
     }
 
     #[test]
     fn builder_style_overrides() {
-        let p = PhyParams::paper_default(55.0)
-            .with_queue_capacity(4)
-            .with_spatial_index(false);
-        assert_eq!(p.queue_capacity(), 4);
+        let p = PhyParams::paper_default(55.0).with_spatial_index(false);
+        assert_eq!(p.range_m(), 55.0);
         assert!(!p.spatial_index());
     }
 

@@ -174,7 +174,7 @@ impl Protocol for OdmrpProtocol {
                 .as_nanos()
                 .saturating_sub(self.cfg.query_interval.as_nanos());
             api.set_timer(SimDuration::from_nanos(lead), TIMER_QUERY);
-            api.set_timer(t.start.duration_since(SimTime::ZERO), TIMER_TRAFFIC);
+            t.arm(api, TIMER_TRAFFIC);
         }
     }
 
@@ -276,7 +276,7 @@ impl Protocol for OdmrpProtocol {
             }
             TIMER_TRAFFIC => {
                 if let Some(t) = self.traffic {
-                    if api.now() <= t.end {
+                    t.tick(api, TIMER_TRAFFIC, |api| {
                         self.data_seq += 1;
                         self.data_seen.insert((self.id, self.data_seq));
                         self.delivery
@@ -288,8 +288,7 @@ impl Protocol for OdmrpProtocol {
                             seq: self.data_seq,
                             payload_len: t.payload_len,
                         });
-                        api.set_timer(t.interval, TIMER_TRAFFIC);
-                    }
+                    });
                 }
             }
             TIMER_RELAY => self.relay.drain(api),
