@@ -1,6 +1,6 @@
 //! Lockstep conformance of engine runs: [`Conform`].
 
-use ag_net::{Dispatch, Message, NodeId, ProtoCtx, Protocol, RxKind, TimerKey};
+use ag_net::{Counter, Dispatch, Message, NodeId, ProtoCtx, Protocol, RxKind, TimerKey};
 use ag_sim::{SimDuration, SimTime};
 
 use crate::explore::state_key;
@@ -96,6 +96,8 @@ impl<P: Protocol + Clone> Conform<P> {
 impl<P: Protocol + Clone> Protocol for Conform<P> {
     type Msg = P::Msg;
 
+    const COUNTER_SLOTS: usize = P::COUNTER_SLOTS;
+
     fn start<C: ProtoCtx<P::Msg>>(&mut self, ctx: &mut C) {
         self.check(ctx, Dispatch::Start);
     }
@@ -161,8 +163,8 @@ impl<M: Message, C: ProtoCtx<M>> ProtoCtx<M> for RecordCtx<'_, C> {
         self.ctx.set_timer(delay, key);
     }
 
-    fn count(&mut self, name: &'static str) {
-        self.ctx.count(name);
+    fn bump_n(&mut self, counter: Counter, n: u64) {
+        self.ctx.bump_n(counter, n);
     }
 
     fn count_n(&mut self, name: &'static str, n: u64) {
@@ -218,8 +220,6 @@ impl<M: Message> ProtoCtx<M> for ReplayCtx<'_> {
     fn broadcast(&mut self, _msg: M) {}
 
     fn set_timer(&mut self, _delay: SimDuration, _key: TimerKey) {}
-
-    fn count(&mut self, _name: &'static str) {}
 
     fn count_n(&mut self, _name: &'static str, _n: u64) {}
 

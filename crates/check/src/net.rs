@@ -300,8 +300,6 @@ impl<M: Message> ProtoCtx<M> for CheckCtx<'_, M> {
         self.timers.push((delay, key));
     }
 
-    fn count(&mut self, _name: &'static str) {}
-
     fn count_n(&mut self, _name: &'static str, _n: u64) {}
 
     fn jitter(&mut self, bound: u64) -> u64 {

@@ -144,7 +144,7 @@ fn gossip_conforms_under_motion_churn_and_loss() {
     let phy = PhyParams::paper_default(75.0)
         .with_churn(ChurnParams::new(15.0, 3.0))
         .with_reception(ReceptionModel::DistanceGraded { edge_per: 0.4 });
-    let (mut e, steps) = run(phy, 3, 20, 12, place, build);
+    let (e, steps) = run(phy, 3, 20, 12, place, build);
     let counters = e.counters();
     println!("churn conformance: {steps} dispatches checked in lockstep; {counters:?}");
     for name in [

@@ -46,6 +46,7 @@
 #![warn(missing_docs)]
 
 mod config;
+pub mod counters;
 mod history;
 mod lost;
 mod member_cache;

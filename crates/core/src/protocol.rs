@@ -15,6 +15,7 @@ use ag_maodv::{
 use ag_net::{NodeId, Protocol, RxKind, TimerKey};
 use ag_sim::SimDuration;
 
+use crate::counters;
 use crate::message::{AgMsg, GossipReply, GossipRequest, PacketId, PacketRecord};
 use crate::{AgConfig, GossipMetrics, HistoryTable, LostTable, MemberCache};
 
@@ -325,17 +326,17 @@ impl Gossip {
             (true, Some(next), _) | (false, Some(next), None) => {
                 self.metrics.rounds_anonymous += 1;
                 maodv.send_ext_neighbor(api, next, AgMsg::request(req));
-                api.count("ag.request_anon_sent");
+                api.bump(counters::REQUEST_ANON_SENT);
             }
             (false, _, Some(entry)) | (true, None, Some(entry)) => {
                 self.metrics.rounds_cached += 1;
                 self.cache.record_gossip(entry.node, api.now());
                 maodv.send_ext_routed(api, entry.node, AgMsg::request(req));
-                api.count("ag.request_cached_sent");
+                api.bump(counters::REQUEST_CACHED_SENT);
             }
             (_, None, None) => {
                 self.metrics.rounds_skipped += 1;
-                api.count("ag.round_skipped");
+                api.bump(counters::ROUND_SKIPPED);
             }
         }
     }
@@ -395,7 +396,7 @@ impl Gossip {
             }
             None => {
                 self.metrics.requests_dropped += 1;
-                api.count("ag.request_dead_end");
+                api.bump(counters::REQUEST_DEAD_END);
             }
         }
     }
@@ -415,11 +416,11 @@ impl Gossip {
         self.cache.observe(r.initiator, hops);
         let packets = select_reply_packets(&self.member().history, r, &self.cfg);
         if packets.is_empty() {
-            api.count("ag.reply_empty");
+            api.bump(counters::REPLY_EMPTY);
             return;
         }
         self.metrics.reply_packets_sent += packets.len() as u64;
-        api.count_n("ag.reply_packets_sent", packets.len() as u64);
+        api.bump_n(counters::REPLY_PACKETS_SENT, packets.len() as u64);
         let responder = maodv.id();
         maodv.send_ext_routed(
             api,
@@ -441,9 +442,9 @@ impl Gossip {
             let new = self.deliver(p.id.origin, p.id.seq, p.payload_len, DeliveryPath::Gossip);
             if new {
                 self.metrics.reply_packets_useful += 1;
-                api.count("ag.recovered");
+                api.bump(counters::RECOVERED);
             } else {
-                api.count("ag.reply_duplicate");
+                api.bump(counters::REPLY_DUPLICATE);
             }
         }
     }
@@ -451,6 +452,8 @@ impl Gossip {
 
 impl Protocol for AnonymousGossip {
     type Msg = MaodvMsg<AgMsg>;
+
+    const COUNTER_SLOTS: usize = counters::END;
 
     fn start<C: MaodvCtx<AgMsg>>(&mut self, api: &mut C) {
         self.maodv.start(api);
@@ -540,7 +543,6 @@ mod tests {
         fn send(&mut self, _dest: NodeId, _msg: MaodvMsg<AgMsg>) {}
         fn broadcast(&mut self, _msg: MaodvMsg<AgMsg>) {}
         fn set_timer(&mut self, _delay: SimDuration, _key: TimerKey) {}
-        fn count(&mut self, _name: &'static str) {}
         fn count_n(&mut self, _name: &'static str, _n: u64) {}
         fn jitter(&mut self, bound: u64) -> u64 {
             self.rng.random_range(0..bound)
@@ -1013,15 +1015,21 @@ mod tests {
     }
 
     /// Forwards every handler to the wrapped stack; `prefetch` only
-    /// when `FORWARD`, else the trait's default no-op.
+    /// when `FORWARD` (counting the calls), else the trait's default
+    /// no-op.
     #[derive(Debug)]
-    struct Wrap<const FORWARD: bool>(AnonymousGossip);
+    struct Wrap<const FORWARD: bool> {
+        ag: AnonymousGossip,
+        prefetches: std::cell::Cell<u64>,
+    }
 
     impl<const FORWARD: bool> Protocol for Wrap<FORWARD> {
         type Msg = MaodvMsg<AgMsg>;
 
+        const COUNTER_SLOTS: usize = AnonymousGossip::COUNTER_SLOTS;
+
         fn start<C: MaodvCtx<AgMsg>>(&mut self, api: &mut C) {
-            self.0.start(api);
+            self.ag.start(api);
         }
         fn on_packet<C: MaodvCtx<AgMsg>>(
             &mut self,
@@ -1030,29 +1038,33 @@ mod tests {
             msg: Self::Msg,
             rx: RxKind,
         ) {
-            self.0.on_packet(api, from, msg, rx);
+            self.ag.on_packet(api, from, msg, rx);
         }
         fn on_timer<C: MaodvCtx<AgMsg>>(&mut self, api: &mut C, key: TimerKey) {
-            self.0.on_timer(api, key);
+            self.ag.on_timer(api, key);
         }
         fn on_send_failure<C: MaodvCtx<AgMsg>>(&mut self, api: &mut C, to: NodeId, msg: Self::Msg) {
-            self.0.on_send_failure(api, to, msg);
+            self.ag.on_send_failure(api, to, msg);
         }
         fn prefetch(&self, from: NodeId, msg: &Self::Msg) {
             if FORWARD {
-                self.0.prefetch(from, msg);
+                self.prefetches.set(self.prefetches.get() + 1);
+                self.ag.prefetch(from, msg);
             }
         }
     }
 
     /// `Protocol::prefetch` cannot change a result by construction
-    /// (`&self`, no context); this pins it on a churny 60-node gossip
-    /// run — join floods, data, gossip rounds, send failures — by
-    /// running it with the pre-pass and without.
+    /// (`&self`, no context); this pins it on a churny gossip run —
+    /// join floods, data, gossip rounds, send failures — by running it
+    /// with the pre-pass and without. The engine runs the pre-pass only
+    /// above `PREFETCH_ABOVE_NODES` nodes, so 60 mobile nodes do the
+    /// work and stationary ones, each out of everyone's range, fill
+    /// the engine past that count.
     #[test]
     fn prefetch_is_inert() {
         type Digest = (Vec<String>, Vec<(&'static str, u64)>, u64, u64);
-        fn run<const FORWARD: bool>() -> Digest {
+        fn run<const FORWARD: bool>() -> (Digest, u64) {
             let field = Field::new(400.0, 400.0);
             let t = TrafficSource::compact(
                 SimTime::from_secs(10),
@@ -1060,31 +1072,48 @@ mod tests {
                 100,
                 64,
             );
-            let nodes = (0..60u32)
+            let nodes = (0..=ag_net::PREFETCH_ABOVE_NODES as u32)
                 .map(|i| {
                     let mut rng = SeedSplitter::new(5).stream(StreamKind::Placement, i.into());
-                    NodeSetup {
-                        mobility: Box::new(RandomWaypoint::new(
+                    let mobility: Box<dyn Mobility> = if i < 60 {
+                        Box::new(RandomWaypoint::new(
                             field,
                             SpeedRange::new(0.5, 5.0),
                             PauseRange::uniform_secs(0.0, 2.0),
                             &mut rng,
-                        )) as Box<dyn Mobility>,
-                        protocol: Wrap::<FORWARD>(ag_node(i, i % 3 == 0, (i == 0).then_some(t))),
+                        ))
+                    } else {
+                        let (x, y) = (f64::from(i % 64), f64::from(i / 64));
+                        Box::new(Stationary::new(Vec2::new(600.0 + 100.0 * x, 100.0 * y)))
+                    };
+                    NodeSetup {
+                        mobility,
+                        protocol: Wrap::<FORWARD> {
+                            ag: ag_node(i, i < 60 && i % 3 == 0, (i == 0).then_some(t)),
+                            prefetches: Default::default(),
+                        },
                     }
                 })
                 .collect();
             let phy = PhyParams::paper_default(75.0).with_churn(ChurnParams::new(15.0, 3.0));
             let mut e = Engine::new(phy, 5, nodes);
             e.run_until(SimTime::from_secs(40));
-            (
-                e.protocols().iter().map(|p| format!("{:?}", p.0)).collect(),
+            let digest = (
+                e.protocols()
+                    .iter()
+                    .map(|p| format!("{:?}", p.ag))
+                    .collect(),
                 e.counters().iter().collect(),
                 e.events_processed(),
                 e.events_scheduled(),
+            );
+            (
+                digest,
+                e.protocols().iter().map(|p| p.prefetches.get()).sum(),
             )
         }
-        let (with, without) = (run::<true>(), run::<false>());
+        let ((with, prefetches), (without, _)) = (run::<true>(), run::<false>());
+        assert!(prefetches > 0, "the pre-pass must run");
         assert!(
             with.1.iter().any(|&(k, v)| k == "ag.recovered" && v > 0)
                 && with.1.iter().any(|&(k, v)| k == "churn.fail" && v > 0),

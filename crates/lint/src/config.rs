@@ -1,6 +1,6 @@
 //! Rule scopes: which files the path-scoped rules apply to.
 //!
-//! Two rules police only part of the tree, and this module holds their
+//! Three rules police only part of the tree, and this module holds their
 //! path prefixes as data, so the scanning machinery in
 //! [`crate::rules`] never hard-codes a path. The other rules apply
 //! everywhere. Exceptions are never listed here: each one is a
@@ -26,6 +26,10 @@ pub struct Config {
     /// modules that render reports, figures and golden artifacts, where
     /// hash-order iteration would leak into committed bytes.
     pub ordered_iteration_scope: Vec<String>,
+    /// Path prefixes the **typed-counter** rule applies to: the
+    /// protocol crates, whose handlers bump declared counters. Test
+    /// regions are exempt.
+    pub typed_counter_scope: Vec<String>,
 }
 
 impl Config {
@@ -51,6 +55,7 @@ impl Config {
                 "examples/regen_golden.rs",
                 "src/lib.rs",
             ]),
+            typed_counter_scope: s(&["crates/maodv/src/", "crates/core/src/", "crates/odmrp/src/"]),
         }
     }
 
@@ -60,6 +65,7 @@ impl Config {
         Config {
             det_hash_scope: vec![String::new()],
             ordered_iteration_scope: vec![String::new()],
+            typed_counter_scope: vec![String::new()],
         }
     }
 }

@@ -7,7 +7,10 @@
 //! stripped out:
 //!
 //! * line comments, doc comments and (nested) block comments,
-//! * string literals, including raw (`r#"…"#`) and byte (`b"…"`) forms,
+//! * the contents of string literals, including raw (`r#"…"#`) and
+//!   byte (`b"…"`) forms: each literal leaves one `"` punctuation token,
+//!   so a rule can see *that* a string stands somewhere, never what it
+//!   says,
 //! * character literals (disambiguated from lifetimes),
 //! * numeric literals (they carry no lint signal).
 //!
@@ -113,10 +116,18 @@ pub fn lex(src: &str) -> Lexed {
         }
         // Raw / byte string literals: r"…", r#"…"#, b"…", br#"…"#.
         if (ch == 'r' || ch == 'b') && string_prefix_len(&c, i).is_some() {
+            out.tokens.push(Token {
+                tok: Tok::Punct('"'),
+                line,
+            });
             i = skip_prefixed_string(&c, i, &mut line);
             continue;
         }
         if ch == '"' {
+            out.tokens.push(Token {
+                tok: Tok::Punct('"'),
+                line,
+            });
             i = skip_plain_string(&c, i, &mut line);
             continue;
         }

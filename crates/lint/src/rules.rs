@@ -16,6 +16,9 @@
 //!   `zero_alloc` test).
 //! * **ordered-iteration** — iterating a `DetHashMap`/`DetHashSet` in
 //!   report/figure/golden code must sort before emitting.
+//! * **typed-counter** — no string literal as the first argument of
+//!   `.count(`/`.count_n(` in non-test protocol code: a handler bumps a
+//!   declared `Counter` instead.
 //! * **waiver-reason** — the meta-rule: every waiver comment must name
 //!   a real rule and carry a `-- <reason>`, and a hot-path marker must
 //!   be exactly `hot-path`.
@@ -51,17 +54,20 @@ pub enum Rule {
     HotPathAlloc,
     /// Unsorted hash-map iteration feeding rendered output.
     OrderedIteration,
+    /// A counter bumped by a string-literal name in protocol code.
+    TypedCounter,
     /// Malformed or reason-less waivers, and malformed hot-path markers.
     WaiverReason,
 }
 
 /// Every rule, for registry-style iteration.
-pub const ALL_RULES: [Rule; 6] = [
+pub const ALL_RULES: [Rule; 7] = [
     Rule::DetHash,
     Rule::WallClock,
     Rule::StreamDiscipline,
     Rule::HotPathAlloc,
     Rule::OrderedIteration,
+    Rule::TypedCounter,
     Rule::WaiverReason,
 ];
 
@@ -74,6 +80,7 @@ impl Rule {
             Rule::StreamDiscipline => "stream-discipline",
             Rule::HotPathAlloc => "hot-path-alloc",
             Rule::OrderedIteration => "ordered-iteration",
+            Rule::TypedCounter => "typed-counter",
             Rule::WaiverReason => "waiver-reason",
         }
     }
@@ -106,6 +113,10 @@ impl Rule {
             Rule::OrderedIteration => {
                 "sort before emitting (collect + sort_unstable) so rendered bytes never depend \
                  on hash-map iteration order; see docs/LINTS.md#ordered-iteration"
+            }
+            Rule::TypedCounter => {
+                "declare the name once in the crate's `counters!` block and bump it with \
+                 `.bump(counters::NAME)`; see docs/LINTS.md#typed-counter"
             }
             Rule::WaiverReason => {
                 "waivers are `// ag-lint: allow(<rule>) -- <reason>`; the reason is mandatory; \
@@ -190,6 +201,9 @@ pub fn scan_file(rel_path: &str, src: &str, cfg: &Config) -> FileScan {
     }
     if matches_any(rel_path, &cfg.ordered_iteration_scope) {
         ordered_iteration(tokens, &in_test, &mut findings);
+    }
+    if matches_any(rel_path, &cfg.typed_counter_scope) {
+        typed_counter(tokens, &in_test, &mut findings);
     }
 
     // One finding per (rule, line): the same construct often matches
@@ -693,6 +707,31 @@ fn ordered_iteration(tokens: &[Token], in_test: &[bool], findings: &mut Vec<Find
                 message: format!(
                     "iteration over Det collection `{name}` feeds output without a nearby sort"
                 ),
+            });
+        }
+    }
+}
+
+/// typed-counter: `.count("…")` / `.count_n("…", n)` in non-test
+/// protocol code. The named call is the fallback a context wrapper
+/// takes; a handler that names its counter by string pays a map walk
+/// with string compares on every bump.
+fn typed_counter(tokens: &[Token], in_test: &[bool], findings: &mut Vec<Finding>) {
+    for (i, &test) in in_test.iter().enumerate() {
+        if test || !is_punct(tokens, i, '.') || !is_punct(tokens, i + 2, '(') {
+            continue;
+        }
+        let Some(method) = ["count", "count_n"]
+            .into_iter()
+            .find(|m| is_ident(tokens, i + 1, m))
+        else {
+            continue;
+        };
+        if is_punct(tokens, i + 3, '"') {
+            findings.push(Finding {
+                rule: Rule::TypedCounter,
+                line: tokens[i].line,
+                message: format!("`.{method}(\"…\")` bumps a counter by a string-literal name"),
             });
         }
     }

@@ -165,6 +165,18 @@ fn ordered_iteration_must_pass() {
 }
 
 #[test]
+fn typed_counter_must_fire() {
+    // `count` and `count_n` with a plain or raw string literal first,
+    // also when the call is split over lines.
+    assert_fires("typed_counter_fire.rs", Rule::TypedCounter, &[4, 5, 6, 8]);
+}
+
+#[test]
+fn typed_counter_must_pass() {
+    assert_passes("typed_counter_pass.rs");
+}
+
+#[test]
 fn waiver_reason_must_fire() {
     // Missing reason, empty reason, unknown rule, waiving the
     // meta-rule, a non-allow form, and a hot-path marker with a tail.

@@ -46,6 +46,7 @@ mod messages;
 mod node;
 mod protocol;
 
+pub mod counters;
 pub mod delivery;
 pub mod mrt;
 pub mod route_table;

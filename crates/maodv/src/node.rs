@@ -30,6 +30,7 @@ use ag_sim::hash::DetHashMap as HashMap;
 use ag_net::{Message, NodeId, ProtoCtx, RxKind, TimerKey};
 use ag_sim::{SimDuration, SimTime};
 
+use crate::counters;
 use crate::messages::{
     DataHeader, GrphPayload, MactKind, MactPayload, MaodvMsg, RoutedExt, RrepPayload, RreqPayload,
 };
@@ -370,7 +371,7 @@ impl<X: Message> Maodv<X> {
                     api.broadcast(MaodvMsg::Grph(base));
                     // …and the tree-scoped copy (connectivity proof).
                     api.broadcast(MaodvMsg::Grph(GrphPayload { tree: true, ..base }));
-                    api.count("maodv.grph_originated");
+                    api.bump(counters::GRPH_ORIGINATED);
                 }
                 let jitter = SimDuration::from_micros(api.jitter(500_000));
                 api.set_timer(self.cfg.group_hello_interval + jitter, TIMER_GRPH);
@@ -443,12 +444,12 @@ impl<X: Message> Maodv<X> {
     /// Handles a MAC-level unicast failure (retry limit exhausted): the
     /// primary link-break detector.
     pub fn on_send_failure<C: MaodvCtx<X>>(&mut self, api: &mut C, to: NodeId, msg: MaodvMsg<X>) {
-        api.count("maodv.send_failure");
+        api.bump(counters::SEND_FAILURE);
         self.rt.forget(to);
         self.rt.invalidate_via(to);
         self.rt.invalidate(to);
         if let MaodvMsg::Routed(_) = msg {
-            api.count("maodv.routed_dropped");
+            api.bump(counters::ROUTED_DROPPED);
         }
         let was_tree_edge = self.mrt.next_hop(to).is_some_and(|h| h.enabled);
         if was_tree_edge {
@@ -472,9 +473,9 @@ impl<X: Message> Maodv<X> {
                 payload_len,
                 hops: 0,
             }));
-            api.count("maodv.data_originated");
+            api.bump(counters::DATA_ORIGINATED);
         } else {
-            api.count("maodv.data_sent_detached");
+            api.bump(counters::DATA_SENT_DETACHED);
         }
         seq
     }
@@ -514,7 +515,7 @@ impl<X: Message> Maodv<X> {
                 if d.buffer.len() < room {
                     d.buffer.push(payload);
                 } else {
-                    api.count("maodv.discovery_buffer_drop");
+                    api.bump(counters::DISCOVERY_BUFFER_DROP);
                 }
             }
             None => {
@@ -563,10 +564,10 @@ impl<X: Message> Maodv<X> {
 
     fn start_join<C: MaodvCtx<X>>(&mut self, api: &mut C, repair: Option<u8>) {
         self.join_started = true;
-        api.count(if repair.is_some() {
-            "maodv.repair_rreq"
+        api.bump(if repair.is_some() {
+            counters::REPAIR_RREQ
         } else {
-            "maodv.join_rreq"
+            counters::JOIN_RREQ
         });
         let rreq_id = self.flood_join_rreq(api, repair);
         let sent_at = api.now();
@@ -609,7 +610,7 @@ impl<X: Message> Maodv<X> {
     /// Floods a new unicast route discovery for `dest` and returns its id.
     fn flood_unicast_rreq<C: MaodvCtx<X>>(&mut self, api: &mut C, dest: NodeId) -> u32 {
         let rreq_id = self.fresh_rreq_id();
-        api.count("maodv.unicast_rreq");
+        api.bump(counters::UNICAST_RREQ);
         api.broadcast(MaodvMsg::Rreq(RreqPayload {
             origin: self.id,
             origin_seq: self.node_seq,
@@ -641,7 +642,7 @@ impl<X: Message> Maodv<X> {
         self.mrt.group_seq += 1;
         self.mrt.hops_to_leader = 0;
         self.last_tree_grph = Some(api.now());
-        api.count("maodv.became_leader");
+        api.bump(counters::BECAME_LEADER);
     }
 
     fn tick<C: MaodvCtx<X>>(&mut self, api: &mut C) {
@@ -650,7 +651,7 @@ impl<X: Message> Maodv<X> {
         for dead in self.rt.sweep_dead(now, self.cfg.neighbor_timeout()) {
             self.rt.invalidate_via(dead);
             if self.mrt.next_hop(dead).is_some_and(|h| h.enabled) {
-                api.count("maodv.hello_link_break");
+                api.bump(counters::HELLO_LINK_BREAK);
                 // Best-effort prune so a *spurious* break (hellos lost to
                 // collisions, neighbour actually fine) cannot leave the
                 // tree edge dangling on one side only.
@@ -663,11 +664,11 @@ impl<X: Message> Maodv<X> {
             if now.duration_since(j.sent_at) >= self.cfg.rrep_wait {
                 if let Some(best) = Self::select_candidate(&j.candidates) {
                     self.graft(api, best, self.id, j.rreq_id);
-                    api.count("maodv.mact_sent");
+                    api.bump(counters::MACT_SENT);
                 } else if j.retries < self.cfg.rreq_retries {
                     j.retries += 1;
                     j.sent_at = now;
-                    api.count("maodv.join_rreq_retry");
+                    api.bump(counters::JOIN_RREQ_RETRY);
                     j.rreq_id = self.flood_join_rreq(api, j.repair);
                     self.cold_mut().join = Some(j);
                 } else {
@@ -687,7 +688,7 @@ impl<X: Message> Maodv<X> {
         // 3b. A member that fell off the tree entirely (pruned away or
         //     failed graft) re-joins from scratch.
         if self.is_member && self.join_started && !self.on_tree() && !self.joining() {
-            api.count("maodv.member_rejoin");
+            api.bump(counters::MEMBER_REJOIN);
             self.start_join(api, None);
         }
         // 3c. An orphaned subtree: local tree edges look fine but no
@@ -702,7 +703,7 @@ impl<X: Message> Maodv<X> {
             let jitter_ns = api.jitter(self.cfg.group_hello_interval.as_nanos());
             let stale_for = now.duration_since(self.last_tree_grph.expect("checked"));
             if stale_for.as_nanos() > self.cfg.group_hello_interval.as_nanos() * 5 / 2 + jitter_ns {
-                api.count("maodv.orphan_repair");
+                api.bump(counters::ORPHAN_REPAIR);
                 self.start_join(api, None);
             }
         }
@@ -734,8 +735,8 @@ impl<X: Message> Maodv<X> {
         }
         for dest in to_fail {
             if let Some(d) = self.cold_mut().discoveries.remove(&dest) {
-                api.count_n("maodv.discovery_failed_pkts", d.buffer.len() as u64);
-                api.count("maodv.discovery_failed");
+                api.bump_n(counters::DISCOVERY_FAILED_PKTS, d.buffer.len() as u64);
+                api.bump(counters::DISCOVERY_FAILED);
             }
         }
         // 5. Expire stale pending-join bookkeeping.
@@ -830,7 +831,7 @@ impl<X: Message> Maodv<X> {
                 && (r.repair_hops.is_none_or(|rh| self.mrt.hops_to_leader < rh)
                     || self.canary_accept_stale_seq);
             if can_reply {
-                api.count("maodv.join_rrep_sent");
+                api.bump(counters::JOIN_RREP_SENT);
                 api.send(
                     from,
                     MaodvMsg::Rrep(RrepPayload {
@@ -845,14 +846,14 @@ impl<X: Message> Maodv<X> {
         } else {
             if r.dest == self.id {
                 self.node_seq = self.node_seq.max(r.known_seq);
-                api.count("maodv.unicast_rrep_sent");
+                api.bump(counters::UNICAST_RREP_SENT);
                 let seq = self.node_seq;
                 api.send(from, MaodvMsg::Rrep(RrepPayload { seq, ..reply }));
                 return;
             }
             if let Some(route) = self.rt.lookup(r.dest, now) {
                 if route.seq >= r.known_seq {
-                    api.count("maodv.unicast_rrep_intermediate");
+                    api.bump(counters::UNICAST_RREP_INTERMEDIATE);
                     api.send(
                         from,
                         MaodvMsg::Rrep(RrepPayload {
@@ -888,7 +889,7 @@ impl<X: Message> Maodv<X> {
         let now = api.now();
         if p.hop_count >= self.cfg.flood_ttl.saturating_mul(2) {
             // A reply circulating on stale reverse routes; kill the loop.
-            api.count("maodv.rrep_loop_dropped");
+            api.bump(counters::RREP_LOOP_DROPPED);
             return;
         }
         let expires = now + self.cfg.active_route_timeout;
@@ -948,7 +949,7 @@ impl<X: Message> Maodv<X> {
         }
         // Forward toward the origin along the reverse route.
         let Some(rev) = self.rt.lookup(p.origin, now) else {
-            api.count("maodv.rrep_no_reverse_route");
+            api.bump(counters::RREP_NO_REVERSE_ROUTE);
             return;
         };
         let rev_next = rev.next_hop;
@@ -991,7 +992,7 @@ impl<X: Message> Maodv<X> {
         }
         match m.kind {
             MactKind::Prune => {
-                api.count("maodv.prune_received");
+                api.bump(counters::PRUNE_RECEIVED);
                 let was_upstream = self.mrt.upstream() == Some(from);
                 self.mrt.remove_next_hop(from);
                 self.propagate_nearest_member(api);
@@ -1005,7 +1006,7 @@ impl<X: Message> Maodv<X> {
                 }
             }
             MactKind::Join => {
-                api.count("maodv.mact_join_received");
+                api.bump(counters::MACT_JOIN_RECEIVED);
                 let was_on_tree = self.on_tree();
                 self.mrt.enable_next_hop(from, m.sender_is_member);
                 self.exchange_nearest_member(api, from);
@@ -1045,7 +1046,7 @@ impl<X: Message> Maodv<X> {
             // 3-node MAODV line in `docs/MODEL_CHECKING.md` checks it
             // stays loop-free). Only leader-connected nodes answer join
             // RREQs, so the graft cannot land in our own subtree.
-            api.count("maodv.leader_merge_defer");
+            api.bump(counters::LEADER_MERGE_DEFER);
             self.is_leader = false;
             self.mrt.leader = Some(g.leader);
             self.mrt.group_seq = self.mrt.group_seq.max(g.group_seq);
@@ -1090,7 +1091,7 @@ impl<X: Message> Maodv<X> {
         self.mrt.group_seq = self.mrt.group_seq.max(g.group_seq);
         self.mrt.hops_to_leader = g.hop_count.saturating_add(1);
         self.last_tree_grph = Some(api.now());
-        api.count("maodv.tree_grph_adopted");
+        api.bump(counters::TREE_GRPH_ADOPTED);
         if self.mrt.enabled().any(|h| h.node != from) {
             self.relay_grph(api, g);
         }
@@ -1111,11 +1112,11 @@ impl<X: Message> Maodv<X> {
         self.learn_route(now, d.origin, from, d.hops.saturating_add(1));
         // Tree discipline: accept only over an activated tree edge.
         if !self.mrt.next_hop(from).is_some_and(|h| h.enabled) {
-            api.count("maodv.data_non_tree_ignored");
+            api.bump(counters::DATA_NON_TREE_IGNORED);
             return;
         }
         if !self.cold_mut().data_seen.insert((d.origin, d.seq)) {
-            api.count("maodv.data_duplicate");
+            api.bump(counters::DATA_DUPLICATE);
             return;
         }
         if self.is_member {
@@ -1129,7 +1130,7 @@ impl<X: Message> Maodv<X> {
         // Forward along the remaining tree edges (one broadcast reaches
         // them all; non-tree neighbours ignore it).
         if self.mrt.enabled().any(|h| h.node != from) {
-            api.count("maodv.data_forwarded");
+            api.bump(counters::DATA_FORWARDED);
             api.broadcast(MaodvMsg::Data(DataHeader {
                 hops: d.hops.saturating_add(1),
                 ..d
@@ -1156,11 +1157,11 @@ impl<X: Message> Maodv<X> {
             return;
         }
         if r.ttl <= 1 {
-            api.count("maodv.routed_ttl_expired");
+            api.bump(counters::ROUTED_TTL_EXPIRED);
             return;
         }
         let Some(route) = self.rt.lookup(r.dest, now) else {
-            api.count("maodv.routed_no_route");
+            api.bump(counters::ROUTED_NO_ROUTE);
             return;
         };
         let next = route.next_hop;
@@ -1179,7 +1180,7 @@ impl<X: Message> Maodv<X> {
         let was_upstream = self.mrt.upstream() == Some(neighbor);
         self.mrt.remove_next_hop(neighbor);
         self.propagate_nearest_member(api);
-        api.count("maodv.tree_link_break");
+        api.bump(counters::TREE_LINK_BREAK);
         if was_upstream && !self.is_leader {
             // Paper §3: only the downstream node repairs, advertising its
             // old distance to the leader so only closer nodes answer.
@@ -1201,7 +1202,7 @@ impl<X: Message> Maodv<X> {
         }
         if self.mrt.enabled_count() == 1 {
             let last = self.mrt.enabled().next().expect("count checked").node;
-            api.count("maodv.prune_sent");
+            api.bump(counters::PRUNE_SENT);
             api.send(last, self.mact(MactKind::Prune, self.id, 0));
             self.mrt.remove_next_hop(last);
         }
@@ -1220,7 +1221,7 @@ impl<X: Message> Maodv<X> {
         let group = self.group;
         self.mrt.advertise_changes(self.is_member, |to, value| {
             api.send(to, MaodvMsg::NmUpdate { group, value });
-            api.count("maodv.nm_update_sent");
+            api.bump(counters::NM_UPDATE_SENT);
         });
     }
 }
@@ -1250,7 +1251,6 @@ mod tests {
         }
         fn broadcast(&mut self, _msg: MaodvMsg<NoExt>) {}
         fn set_timer(&mut self, _delay: SimDuration, _key: TimerKey) {}
-        fn count(&mut self, _name: &'static str) {}
         fn count_n(&mut self, _name: &'static str, _n: u64) {}
         fn jitter(&mut self, _bound: u64) -> u64 {
             0

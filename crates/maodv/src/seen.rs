@@ -278,7 +278,6 @@ mod tests {
         fn set_timer(&mut self, delay: SimDuration, key: TimerKey) {
             self.timers.push((delay, key));
         }
-        fn count(&mut self, _name: &'static str) {}
         fn count_n(&mut self, _name: &'static str, _n: u64) {}
         fn jitter(&mut self, bound: u64) -> u64 {
             bound - 1

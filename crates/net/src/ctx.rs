@@ -24,6 +24,7 @@
 
 use ag_sim::{SimDuration, SimTime};
 
+use crate::counter::Counter;
 use crate::types::{Message, NodeId, RxKind, TimerKey};
 
 /// Everything a protocol can observe or do, as a trait.
@@ -62,10 +63,29 @@ pub trait ProtoCtx<M: Message> {
     /// Schedules `on_timer` with `key` after `delay` (not cancellable).
     fn set_timer(&mut self, delay: SimDuration, key: TimerKey);
 
-    /// Adds 1 to the observability counter `name`.
-    fn count(&mut self, name: &'static str);
+    /// Adds 1 to `counter`.
+    #[inline]
+    fn bump(&mut self, counter: Counter) {
+        self.bump_n(counter, 1);
+    }
 
-    /// Adds `n` to the observability counter `name`.
+    /// Adds `n` to `counter`. The engine's [`NodeApi`](crate::NodeApi)
+    /// adds at the counter's slot; the default is the named fallback,
+    /// `count_n(counter.name(), n)`, so a context wrapper that forwards
+    /// only the required methods still counts, under the same names.
+    #[inline]
+    fn bump_n(&mut self, counter: Counter, n: u64) {
+        self.count_n(counter.name(), n);
+    }
+
+    /// Adds 1 to the counter named `name`: the fallback of
+    /// [`ProtoCtx::bump`]. Protocol code bumps a [`Counter`] instead.
+    fn count(&mut self, name: &'static str) {
+        self.count_n(name, 1);
+    }
+
+    /// Adds `n` to the counter named `name`: the fallback of
+    /// [`ProtoCtx::bump_n`]. Protocol code bumps a [`Counter`] instead.
     fn count_n(&mut self, name: &'static str, n: u64);
 
     /// A uniform draw from `0..bound` (nanoseconds or microseconds by

@@ -39,6 +39,7 @@ use rand::rngs::SmallRng;
 pub use api::NodeApi;
 pub(crate) use receive::RxCounts;
 
+use crate::counter::Tally;
 use crate::ctx::Dispatch;
 use crate::grid::AirIndex;
 use crate::{Message, NodeId, PhyParams, Protocol, TimerKey};
@@ -70,59 +71,17 @@ pub(crate) struct PendingTx<M> {
     frame: OutFrame<M>,
 }
 
-/// The engine's own hot-path counters, kept as plain fields: bumping
-/// the 14 counts through the name-keyed [`CounterSet`] instead read
-/// `paper_sweep` `wall_s` 1.678 → 1.845 s (+9.9 %, slower in 10/10
-/// alternating `agbench` pairs on a 2-CPU host) and `city_20k`
-/// 2.228 → 2.394 s (+7.4 %, 6/10). [`Engine::counters`] folds them
-/// into that set under their historical names.
-#[derive(Debug, Default, Clone, Copy)]
-struct HotCounters {
-    enqueued: u64,
-    queue_drop: u64,
-    cs_busy: u64,
-    unicast_tx: u64,
-    broadcast_tx: u64,
-    rx_delivered: u64,
-    rx_collision: u64,
-    unicast_retry: u64,
-    send_fail: u64,
-    mob_transition: u64,
-    /// In-range, uncollided receptions lost to the (non-ideal)
-    /// reception model.
-    rx_channel_drop: u64,
-    /// Frames discarded because the sender's radio was down.
-    down_drop: u64,
-    churn_fail: u64,
-    churn_recover: u64,
-}
-
-impl HotCounters {
-    /// Folds the non-zero counters into `set`: an entry exists once
-    /// its event has happened.
-    fn fold_into(&self, set: &mut CounterSet) {
-        for (name, v) in [
-            ("mac.enqueued", self.enqueued),
-            ("mac.queue_drop", self.queue_drop),
-            ("mac.cs_busy", self.cs_busy),
-            ("mac.unicast_tx", self.unicast_tx),
-            ("mac.broadcast_tx", self.broadcast_tx),
-            ("mac.rx_delivered", self.rx_delivered),
-            ("mac.rx_collision", self.rx_collision),
-            ("mac.unicast_retry", self.unicast_retry),
-            ("mac.send_fail", self.send_fail),
-            ("mob.transition", self.mob_transition),
-            ("mac.rx_channel_drop", self.rx_channel_drop),
-            ("mac.down_drop", self.down_drop),
-            ("churn.fail", self.churn_fail),
-            ("churn.recover", self.churn_recover),
-        ] {
-            if v > 0 {
-                set.add(name, v);
-            }
-        }
-    }
-}
+/// The node count above which a broadcast's delivery starts with the
+/// [`Protocol::prefetch`] pre-pass. At or below it every receiver's
+/// tables already sit in L1/L2, and the pre-pass only repeats each
+/// handler's first probe.
+///
+/// Placed from `examples/city_scale` (`AG_SIM_SECS=30`, seed 7)
+/// events/s with the pre-pass over without it, medians of alternating
+/// runs on a 2-CPU host: 500 nodes +0.1 % (faster in 3 of 6 pairs),
+/// 1,000 −1.2 % (2/6), 1,500 +5.1 % (5/8), 2,000 +8.5 % (5/6), 5,000
+/// +15.7 % (6/6). The crossover lies between 1,000 and 1,500 nodes.
+pub const PREFETCH_ABOVE_NODES: usize = 1_024;
 
 /// Everything in the simulation except the protocol instances.
 ///
@@ -164,8 +123,8 @@ pub(crate) struct World<M: Message> {
     /// carrying each live transmission's sender and frame.
     pub(crate) air: AirIndex<PendingTx<M>>,
     next_tx_id: u64,
-    counters: CounterSet,
-    hot: HotCounters,
+    /// Every count: the engine's and the protocols'.
+    tally: Tally,
 }
 
 impl<M: Message> World<M> {
@@ -286,8 +245,7 @@ impl<P: Protocol> Engine<P> {
             bound,
             air: AirIndex::new(),
             next_tx_id: 0,
-            counters: CounterSet::new(),
-            hot: HotCounters::default(),
+            tally: Tally::new(P::COUNTER_SLOTS),
             phy,
         };
         for node in 0..n {
@@ -401,16 +359,13 @@ impl<P: Protocol> Engine<P> {
         self.world.queue.scheduled_count()
     }
 
-    /// Engine-global counters: MAC statistics plus anything protocols
-    /// record through [`ProtoCtx::count`](crate::ProtoCtx::count). The MAC hot path bumps plain
-    /// fields, not map entries; this folds those accumulated deltas
-    /// into the persistent [`CounterSet`] (draining them, so repeated
-    /// calls stay correct) and returns a borrow — no clone of the map
-    /// per snapshot.
-    pub fn counters(&mut self) -> &CounterSet {
-        let hot = std::mem::take(&mut self.world.hot);
-        hot.fold_into(&mut self.world.counters);
-        &self.world.counters
+    /// Every counter of the run under its name: the engine's MAC,
+    /// mobility and churn counts once above zero, and each count a
+    /// protocol made (typed through [`ProtoCtx::bump`](crate::ProtoCtx::bump),
+    /// or by name) once made, even by 0. Rendered from the engine's
+    /// counter array on each call.
+    pub fn counters(&self) -> CounterSet {
+        self.world.tally.render()
     }
 
     /// The protocol instance of `node`.

@@ -5,7 +5,7 @@ use rand::Rng;
 
 use super::{Event, World};
 use crate::ctx::ProtoCtx;
-use crate::{Message, NodeId, TimerKey};
+use crate::{Counter, Message, NodeId, TimerKey};
 
 /// The per-node view of the world handed to [`Protocol`](crate::Protocol) callbacks.
 ///
@@ -67,12 +67,12 @@ impl<'a, M: Message> ProtoCtx<M> for NodeApi<'a, M> {
         );
     }
 
-    fn count(&mut self, name: &'static str) {
-        self.world.counters.incr(name);
+    fn bump_n(&mut self, counter: Counter, n: u64) {
+        self.world.tally.bump(counter, n);
     }
 
     fn count_n(&mut self, name: &'static str, n: u64) {
-        self.world.counters.add(name, n);
+        self.world.tally.add_named(name, n);
     }
 
     // ag-lint: hot-path

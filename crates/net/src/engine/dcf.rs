@@ -26,7 +26,8 @@ use ag_sim::{SimDuration, SimTime};
 use rand::Rng;
 
 use super::receive::{self, RxView};
-use super::{Engine, Event, PendingTx, World};
+use super::{Engine, Event, PendingTx, World, PREFETCH_ABOVE_NODES};
+use crate::counter::engine;
 use crate::ctx::Dispatch;
 use crate::grid::TxShot;
 use crate::{reference, Message, NodeId, Protocol, RxKind};
@@ -129,17 +130,17 @@ impl<M: Message> World<M> {
     /// off, so there is no carrier feedback to report.
     pub(super) fn enqueue_frame(&mut self, node: usize, dest: Option<NodeId>, msg: M) {
         if self.down[node] {
-            self.hot.down_drop += 1;
+            self.tally.add(engine::DOWN_DROP, 1);
             return;
         }
         let queue = &mut self.macs[node].queue;
         if queue.len() >= QUEUE_CAPACITY {
-            self.hot.queue_drop += 1;
+            self.tally.add(engine::QUEUE_DROP, 1);
             return;
         }
         let was_idle = queue.is_empty();
         queue.push_back(OutFrame { dest, msg });
-        self.hot.enqueued += 1;
+        self.tally.add(engine::ENQUEUED, 1);
         if was_idle {
             self.arm_attempt(node, self.now);
         }
@@ -177,7 +178,7 @@ impl<M: Message> World<M> {
         if self.air.any_live() {
             let pos = self.position(node);
             if let Some(busy_until) = self.air.busy_until(pos, self.phy.range_m()) {
-                self.hot.cs_busy += 1;
+                self.tally.add(engine::CS_BUSY, 1);
                 self.arm_attempt(node, busy_until);
                 return;
             }
@@ -218,9 +219,9 @@ impl<M: Message> World<M> {
             },
         );
         if unicast {
-            self.hot.unicast_tx += 1;
+            self.tally.add(engine::UNICAST_TX, 1);
         } else {
-            self.hot.broadcast_tx += 1;
+            self.tally.add(engine::BROADCAST_TX, 1);
         }
         self.queue.schedule(end, Event::TxEnd { tx_id: id });
     }
@@ -245,11 +246,11 @@ impl<M: Message> World<M> {
         let mac = &mut self.macs[node];
         mac.retries += 1;
         if mac.retries > RETRY_LIMIT {
-            self.hot.send_fail += 1;
+            self.tally.add(engine::SEND_FAIL, 1);
             Some(self.finish_head_frame(node))
         } else {
             mac.cw = next_cw(mac.cw);
-            self.hot.unicast_retry += 1;
+            self.tally.add(engine::UNICAST_RETRY, 1);
             self.arm_attempt(node, self.now);
             None
         }
@@ -291,8 +292,8 @@ impl<P: Protocol> Engine<P> {
         } else {
             reference::receivers(world, tx_id, &shot, sender, &mut rx.receivers)
         };
-        world.hot.rx_collision += lost.collisions;
-        world.hot.rx_channel_drop += lost.channel_drops;
+        world.tally.add(engine::RX_COLLISION, lost.collisions);
+        world.tally.add(engine::RX_CHANNEL_DROP, lost.channel_drops);
         world.air.prune();
         let receivers = &rx.receivers;
         let from = NodeId::new(sender as u32);
@@ -304,13 +305,18 @@ impl<P: Protocol> Engine<P> {
                 // `Message` cheap-clone contract at work: for `Arc`-backed
                 // payloads it is a refcount bump, not a deep copy.
                 world.finish_head_frame(sender);
-                world.hot.rx_delivered += receivers.len() as u64;
-                // Two passes: every receiver first loads what its
-                // handler is about to probe, so the receivers' cold
-                // misses overlap (`Protocol::prefetch` cannot change
-                // state); then the handlers run in order.
-                for &r in receivers {
-                    protocols[r].prefetch(from, &frame.msg);
+                world
+                    .tally
+                    .add(engine::RX_DELIVERED, receivers.len() as u64);
+                // Above a cache-resident population, two passes: every
+                // receiver first loads what its handler is about to
+                // probe, so the receivers' cold misses overlap
+                // (`Protocol::prefetch` cannot change state); then the
+                // handlers run in order.
+                if protocols.len() > PREFETCH_ABOVE_NODES {
+                    for &r in receivers {
+                        protocols[r].prefetch(from, &frame.msg);
+                    }
                 }
                 for &r in receivers {
                     let heard = packet(frame.msg.clone(), RxKind::Broadcast);
@@ -318,7 +324,7 @@ impl<P: Protocol> Engine<P> {
                 }
             }
             Some(dest) if receivers.contains(&dest.index()) => {
-                world.hot.rx_delivered += 1;
+                world.tally.add(engine::RX_DELIVERED, 1);
                 world.finish_head_frame(sender);
                 // Exactly one receiver: the air record's copy of the
                 // frame is moved, not cloned.

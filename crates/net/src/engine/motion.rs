@@ -7,6 +7,7 @@ use ag_sim::{SimDuration, SimTime};
 
 use super::dcf::OutFrame;
 use super::{Event, World};
+use crate::counter::engine;
 use crate::Message;
 
 /// What the receive kernel's neighbour lists and snapshot must know of
@@ -64,7 +65,7 @@ impl<M: Message> World<M> {
     /// transition.
     pub(super) fn handle_mobility(&mut self, node: usize) {
         self.mobility[node].transition(self.now, &mut self.mobility_rngs[node]);
-        self.hot.mob_transition += 1;
+        self.tally.add(engine::MOB_TRANSITION, 1);
         let leg = self.mobility[node].current_leg();
         self.bound.load(&self.legs[node], &leg, self.now);
         self.legs[node] = leg;
@@ -87,11 +88,11 @@ impl<M: Message> World<M> {
             self.up_since[node] = self.now;
             // Left out of snapshots while down, it is on no list.
             self.bound.voided_at = self.bound.voided_at.max(self.now);
-            self.hot.churn_recover += 1;
+            self.tally.add(engine::CHURN_RECOVER, 1);
             churn.sample_up(&mut self.churn_rngs[node])
         } else {
             self.down[node] = true;
-            self.hot.churn_fail += 1;
+            self.tally.add(engine::CHURN_FAIL, 1);
             self.macs[node].fail(dropped);
             // A frame mid-air is truncated: disown it so `TxEnd`
             // delivers it to nobody (it still occupies its airtime

@@ -695,3 +695,102 @@ fn run_until_is_resumable() {
     e.run_until(SimTime::from_secs(4));
     assert_eq!(e.protocol(NodeId::new(1)).received.len(), 2);
 }
+
+/// Counts the [`Protocol::prefetch`] calls it gets; node 0 broadcasts
+/// once, at 1 ms.
+#[derive(Debug, Default)]
+struct CountsPrefetch {
+    calls: std::cell::Cell<usize>,
+}
+
+impl Protocol for CountsPrefetch {
+    type Msg = TMsg;
+
+    fn start<C: ProtoCtx<TMsg>>(&mut self, ctx: &mut C) {
+        if ctx.id() == NodeId::new(0) {
+            ctx.set_timer(SimDuration::from_millis(1), 0);
+        }
+    }
+
+    fn on_packet<C: ProtoCtx<TMsg>>(&mut self, _: &mut C, _: NodeId, _: TMsg, _: RxKind) {}
+
+    fn on_timer<C: ProtoCtx<TMsg>>(&mut self, ctx: &mut C, _key: TimerKey) {
+        ctx.broadcast(msg(1));
+    }
+
+    fn on_send_failure<C: ProtoCtx<TMsg>>(&mut self, _: &mut C, _: NodeId, _: TMsg) {}
+
+    fn prefetch(&self, _from: NodeId, _msg: &TMsg) {
+        self.calls.set(self.calls.get() + 1);
+    }
+}
+
+#[test]
+fn prefetch_runs_only_above_the_node_threshold() {
+    // (pre-pass calls, receptions) of one broadcast that all `n - 1`
+    // other nodes hear.
+    let one_broadcast = |n: usize| {
+        let nodes = (0..n)
+            .map(|i| NodeSetup {
+                mobility: stationary((i % 50) as f64),
+                protocol: CountsPrefetch::default(),
+            })
+            .collect();
+        let mut e = Engine::new(PhyParams::paper_default(75.0), 1, nodes);
+        e.run_until(SimTime::from_secs(1));
+        let calls: usize = e.protocols().iter().map(|p| p.calls.get()).sum();
+        (calls, e.counters().get("mac.rx_delivered"))
+    };
+    let at = PREFETCH_ABOVE_NODES;
+    assert_eq!(one_broadcast(at), (0, at as u64 - 1));
+    assert_eq!(one_broadcast(at + 1), (at, at as u64));
+}
+
+mod zero_counts {
+    crate::counters! {
+        after crate::counter::engine::END;
+        ZERO = "test.zero",
+        ONE = "test.one",
+    }
+}
+
+/// Bumps its counters once at start: one typed by 0, one typed by 1,
+/// and one by name by 0. `TYPED_SLOTS` sizes the engine's array.
+#[derive(Debug)]
+struct BumpsAtStart<const TYPED_SLOTS: usize>;
+
+impl<const TYPED_SLOTS: usize> Protocol for BumpsAtStart<TYPED_SLOTS> {
+    type Msg = TMsg;
+
+    const COUNTER_SLOTS: usize = TYPED_SLOTS;
+
+    fn start<C: ProtoCtx<TMsg>>(&mut self, ctx: &mut C) {
+        ctx.bump_n(zero_counts::ZERO, 0);
+        ctx.bump(zero_counts::ONE);
+        ctx.count_n("test.named_zero", 0);
+    }
+
+    fn on_packet<C: ProtoCtx<TMsg>>(&mut self, _: &mut C, _: NodeId, _: TMsg, _: RxKind) {}
+
+    fn on_timer<C: ProtoCtx<TMsg>>(&mut self, _: &mut C, _: TimerKey) {}
+
+    fn on_send_failure<C: ProtoCtx<TMsg>>(&mut self, _: &mut C, _: NodeId, _: TMsg) {}
+}
+
+#[test]
+fn zero_counts_render_alike_typed_and_named() {
+    fn rendered<const TYPED_SLOTS: usize>() -> Vec<(&'static str, u64)> {
+        let nodes = vec![NodeSetup {
+            mobility: stationary(0.0),
+            protocol: BumpsAtStart::<TYPED_SLOTS>,
+        }];
+        let e = Engine::new(PhyParams::paper_default(75.0), 1, nodes);
+        e.counters().iter().collect()
+    }
+    // A protocol count renders once bumped, even by 0; an engine count
+    // (all still 0 here) only once above 0. Past the array's end, the
+    // typed bumps take the named path and render the same.
+    let expected = vec![("test.named_zero", 0), ("test.one", 1), ("test.zero", 0)];
+    assert_eq!(rendered::<{ zero_counts::END }>(), expected);
+    assert_eq!(rendered::<0>(), expected);
+}

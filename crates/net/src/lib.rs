@@ -22,6 +22,9 @@
 //!   world. The same handler code therefore also runs under `ag-check`'s
 //!   model checker, and its `Conform` wrapper checks an engine run
 //!   against a replica dispatch by dispatch, with no engine hook.
+//! * [`Counter`] (module [`counter`]) — a named count with a dense slot
+//!   in the engine's one counter array; each crate declares its block
+//!   once with [`counters!`].
 //!
 //! ## Fidelity notes
 //!
@@ -46,10 +49,12 @@ mod grid;
 mod reference;
 mod types;
 
+pub mod counter;
 pub mod ctx;
 pub mod phy;
 
+pub use counter::Counter;
 pub use ctx::{Dispatch, ProtoCtx};
-pub use engine::{Engine, NodeApi, NodeSetup};
+pub use engine::{Engine, NodeApi, NodeSetup, PREFETCH_ABOVE_NODES};
 pub use phy::{ChurnParams, PhyParams, ReceptionModel};
 pub use types::{Message, NodeId, Protocol, RxKind, TimerKey};

@@ -129,11 +129,15 @@ pub trait Protocol: Sized + fmt::Debug {
     fn on_send_failure<C: ProtoCtx<Self::Msg>>(&mut self, ctx: &mut C, to: NodeId, msg: Self::Msg);
 
     /// A hint that [`Protocol::on_packet`]`(from, msg)` is about to run
-    /// here: the engine calls this on every receiver of a broadcast
-    /// before it delivers to the first, so an implementation can read
-    /// (through [`std::hint::black_box`]) the table entries `on_packet`
-    /// will probe, and the receivers' cache-miss chains overlap
-    /// instead of queueing behind one another's handlers.
+    /// here: in an engine of more than
+    /// [`PREFETCH_ABOVE_NODES`](crate::PREFETCH_ABOVE_NODES) nodes, the
+    /// engine calls this on every receiver of a broadcast before it
+    /// delivers to the first, so an implementation can read (through
+    /// [`std::hint::black_box`]) the table entries `on_packet` will
+    /// probe, and the receivers' cache-miss chains overlap instead of
+    /// queueing behind one another's handlers. A smaller engine's
+    /// tables stay in cache, where the pre-pass only repeats each
+    /// probe, so it is not called there.
     ///
     /// `&self` and no [`ProtoCtx`]: it cannot send, schedule, draw or
     /// change state, so implementing it, or not, cannot alter a
@@ -147,6 +151,13 @@ pub trait Protocol: Sized + fmt::Debug {
     /// shipped path.
     #[inline]
     fn prefetch(&self, _from: NodeId, _msg: &Self::Msg) {}
+
+    /// One past the highest [`Counter`](crate::Counter) slot this
+    /// protocol bumps, usually its crate's `counters::END`: the engine
+    /// sizes its counter array to it. A bump past the array's end takes
+    /// the named path and renders the same, so the default, 0, is never
+    /// wrong, only slower; a wrapping protocol forwards its inner one's.
+    const COUNTER_SLOTS: usize = 0;
 }
 
 #[cfg(test)]

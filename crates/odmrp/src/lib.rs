@@ -30,6 +30,7 @@
 #![warn(missing_docs)]
 
 mod config;
+pub mod counters;
 mod messages;
 mod protocol;
 

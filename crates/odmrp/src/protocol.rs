@@ -8,7 +8,7 @@ use ag_maodv::{GroupId, TrafficSource};
 use ag_net::{NodeId, ProtoCtx, Protocol, RxKind, TimerKey};
 use ag_sim::{SimDuration, SimTime};
 
-use crate::{OdmrpConfig, OdmrpMsg};
+use crate::{counters, OdmrpConfig, OdmrpMsg};
 
 const TIMER_QUERY: TimerKey = 1;
 const TIMER_TRAFFIC: TimerKey = 2;
@@ -126,7 +126,7 @@ impl OdmrpProtocol {
     fn flood_query<C: ProtoCtx<OdmrpMsg>>(&mut self, api: &mut C) {
         self.query_round += 1;
         self.query_seen.insert((self.id, self.query_round));
-        api.count("odmrp.query_originated");
+        api.bump(counters::QUERY_ORIGINATED);
         api.broadcast(OdmrpMsg::JoinQuery {
             group: self.group,
             source: self.id,
@@ -151,7 +151,7 @@ impl OdmrpProtocol {
         if route.expires <= api.now() {
             return;
         }
-        api.count("odmrp.reply_sent");
+        api.bump(counters::REPLY_SENT);
         api.broadcast(OdmrpMsg::JoinReply {
             group: self.group,
             source,
@@ -163,6 +163,8 @@ impl OdmrpProtocol {
 
 impl Protocol for OdmrpProtocol {
     type Msg = OdmrpMsg;
+
+    const COUNTER_SLOTS: usize = counters::END;
 
     fn start<C: ProtoCtx<OdmrpMsg>>(&mut self, api: &mut C) {
         if let Some(t) = self.traffic {
@@ -219,7 +221,7 @@ impl Protocol for OdmrpProtocol {
                     ttl,
                 };
                 if self.relay.relay(api, TIMER_RELAY, hops, ttl, copy) {
-                    api.count("odmrp.query_relayed");
+                    api.bump(counters::QUERY_RELAYED);
                 }
             }
             OdmrpMsg::JoinReply {
@@ -235,7 +237,7 @@ impl Protocol for OdmrpProtocol {
                 if next_hop == self.id && source != self.id {
                     if !self.canary_skip_fg_refresh {
                         self.fg_until = now + self.cfg.fg_lifetime;
-                        api.count("odmrp.fg_refreshed");
+                        api.bump(counters::FG_REFRESHED);
                     }
                     self.send_reply(api, source, round);
                 }
@@ -247,14 +249,14 @@ impl Protocol for OdmrpProtocol {
                     return;
                 }
                 if !self.data_seen.insert((source, seq)) {
-                    api.count("odmrp.data_duplicate");
+                    api.bump(counters::DATA_DUPLICATE);
                     return;
                 }
                 if self.is_member {
                     self.delivery.record(source, seq, DeliveryPath::Tree);
                 }
                 if self.in_forwarding_group(now) {
-                    api.count("odmrp.data_forwarded");
+                    api.bump(counters::DATA_FORWARDED);
                     // Jittered: redundant mesh forwarders are often
                     // mutually hidden, and synchronized forwards would
                     // collide at the receivers between them.
@@ -281,7 +283,7 @@ impl Protocol for OdmrpProtocol {
                         self.data_seen.insert((self.id, self.data_seq));
                         self.delivery
                             .record(self.id, self.data_seq, DeliveryPath::Tree);
-                        api.count("odmrp.data_originated");
+                        api.bump(counters::DATA_ORIGINATED);
                         api.broadcast(OdmrpMsg::Data {
                             group: self.group,
                             source: self.id,
