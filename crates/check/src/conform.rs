@@ -1,9 +1,10 @@
 //! Lockstep conformance of engine runs: [`Conform`].
 
-use ag_net::{Counter, Dispatch, Message, NodeId, ProtoCtx, Protocol, RxKind, TimerKey};
-use ag_sim::{SimDuration, SimTime};
+use std::hash::Hash;
 
-use crate::explore::state_key;
+use ag_net::{Counter, Dispatch, Message, NodeId, ProtoCtx, Protocol, RxKind, TimerKey};
+use ag_sim::hash::state_key;
+use ag_sim::{SimDuration, SimTime};
 
 /// The outcome of one named random choice.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -30,7 +31,7 @@ enum Choice {
 /// # Panics
 ///
 /// A handler panics at the first dispatch after which the replica drew
-/// other choices than the live instance, or renders another state
+/// other choices than the live instance, or hashes to another state
 /// ([`state_key`]): a handler read ambient state or drew randomness
 /// outside the named-choice surface. The message names the node, the
 /// time, the input and the node's step.
@@ -41,7 +42,7 @@ pub struct Conform<P> {
     checked: usize,
 }
 
-impl<P: Protocol + Clone> Conform<P> {
+impl<P: Protocol + Clone + Hash> Conform<P> {
     /// Wraps `protocol`, cloning it as the replica.
     pub fn new(protocol: P) -> Self {
         Conform {
@@ -93,7 +94,7 @@ impl<P: Protocol + Clone> Conform<P> {
     }
 }
 
-impl<P: Protocol + Clone> Protocol for Conform<P> {
+impl<P: Protocol + Clone + Hash> Protocol for Conform<P> {
     type Msg = P::Msg;
 
     const COUNTER_SLOTS: usize = P::COUNTER_SLOTS;

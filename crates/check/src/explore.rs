@@ -1,42 +1,9 @@
-//! Breadth-first exhaustive exploration with canonical state hashing.
+//! Breadth-first exhaustive exploration, states identified by
+//! [`state_key`].
 
-use std::fmt;
-use std::hash::Hasher;
-
-use ag_sim::hash::{DetHashMap, FastHasher};
+use ag_sim::hash::{state_key, DetHashMap};
 
 use crate::machine::Machine;
-
-/// 128 bits of canonical state identity: [`FastHasher`] plus an
-/// independent FNV-1a pass, both streamed over the state's `Debug`
-/// rendering. The keyed protocol tables
-/// ([`DetHashMap`]/[`DetHashSet`](ag_sim::hash::DetHashSet)) render in
-/// key order, so states with equal contents render identically whatever
-/// insert/remove history produced them. Two hashes make an accidental
-/// visited-set collision astronomically unlikely even at millions of
-/// states, which lets the explorer drop full states after expansion.
-pub fn state_key<T: fmt::Debug>(value: &T) -> (u64, u64) {
-    struct KeyWriter {
-        fast: FastHasher,
-        fnv: u64,
-    }
-    impl fmt::Write for KeyWriter {
-        fn write_str(&mut self, s: &str) -> fmt::Result {
-            self.fast.write(s.as_bytes());
-            for &b in s.as_bytes() {
-                self.fnv ^= u64::from(b);
-                self.fnv = self.fnv.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-            Ok(())
-        }
-    }
-    let mut w = KeyWriter {
-        fast: FastHasher::default(),
-        fnv: 0xcbf2_9ce4_8422_2325,
-    };
-    let _ = fmt::write(&mut w, format_args!("{value:?}"));
-    (w.fast.finish(), w.fnv)
-}
 
 /// Exploration bounds. Exceeding a bound stops the search with
 /// [`Exploration::complete`]` == false` instead of erroring.
@@ -59,14 +26,13 @@ impl Default for Limits {
 /// Full states are *not* retained (a few hundred thousand protocol
 /// states would not fit in memory); instead each state keeps a
 /// user-projected observation `O` (the fields the properties read), its
-/// canonical key, its BFS tree parent, and its outgoing edges.
+/// BFS tree parent, and its outgoing edges; the visited set keeps its
+/// [`state_key`].
 /// [`Exploration::replay_path`] re-derives the concrete states along
 /// any path via [`Machine::successors`].
 pub struct Exploration<M: Machine, O> {
     /// Per-state property observations, indexed by state id.
     pub obs: Vec<O>,
-    /// Canonical state keys (see [`state_key`]).
-    pub keys: Vec<(u64, u64)>,
     /// BFS tree parent and the index of the edge in `edges[parent]`
     /// that led here (`None` for the initial state). Parent chains give
     /// *shortest* counterexamples.
@@ -147,13 +113,12 @@ pub fn explore<M: Machine, O>(
     let initial = machine.initial();
     let mut ex = Exploration {
         obs: vec![observe(&initial)],
-        keys: vec![state_key(&initial)],
         parent: vec![None],
         edges: Vec::new(),
         complete: true,
     };
     let mut index: DetHashMap<(u64, u64), u32> = DetHashMap::default();
-    index.insert(ex.keys[0], 0);
+    index.insert(state_key(&initial), 0);
 
     // Frontier holds the concrete states awaiting expansion; they are
     // dropped once expanded.
@@ -185,7 +150,6 @@ pub fn explore<M: Machine, O>(
                     }
                     index.insert(key, i);
                     ex.obs.push(observe(&next));
-                    ex.keys.push(key);
                     ex.parent.push(Some((id, out.len() as u32)));
                     frontier.push_back((i, next));
                     i
@@ -257,35 +221,8 @@ mod tests {
     #[test]
     fn state_key_distinguishes() {
         assert_eq!(state_key(&(1, 2)), state_key(&(1, 2)));
-        assert_ne!(state_key(&(1, 2)), state_key(&(2, 1)));
-    }
-
-    proptest::proptest! {
-        /// Tables with equal contents are one state, whatever
-        /// insert/remove history produced them. The second history grows
-        /// the tables with keys it later removes, so their capacity, and
-        /// with it the slot order, differs from the first's.
-        #[test]
-        fn prop_identity_ignores_operation_order(
-            keys in proptest::collection::vec(0u32..10_000, 0..40),
-            noise in proptest::collection::vec(10_000u32..20_000, 0..200),
-        ) {
-            type Tables = (DetHashMap<u32, u64>, ag_sim::hash::DetHashSet<u32>);
-            fn tables(noise: &[u32], keys: impl Iterator<Item = u32>) -> Tables {
-                let mut t = Tables::default();
-                for k in noise.iter().copied().chain(keys) {
-                    t.0.insert(k, u64::from(k) * 7);
-                    t.1.insert(k);
-                }
-                for k in noise {
-                    t.0.remove(k);
-                    t.1.remove(k);
-                }
-                t
-            }
-            let plain = tables(&[], keys.iter().copied());
-            let churned = tables(&noise, keys.iter().rev().copied());
-            proptest::prop_assert_eq!(state_key(&plain), state_key(&churned));
-        }
+        let (a, b) = (state_key(&(1, 2)), state_key(&(2, 1)));
+        assert_ne!(a.0, b.0);
+        assert_ne!(a.1, b.1);
     }
 }

@@ -34,8 +34,9 @@ pub mod logic;
 pub mod machine;
 pub mod net;
 
+pub use ag_sim::hash::state_key;
 pub use conform::Conform;
-pub use explore::{explore, state_key, Exploration, Limits};
+pub use explore::{explore, Exploration, Limits};
 pub use logic::{
     always, eventually, exists, leads_to, render_counterexample, Counterexample, Verdict,
 };

@@ -1,6 +1,7 @@
 //! The transition-system abstraction the checker explores.
 
 use std::fmt;
+use std::hash::Hash;
 
 /// A finite(ly explorable) nondeterministic transition system: an
 /// initial state and an enumerator of the actions (with all their
@@ -14,9 +15,9 @@ use std::fmt;
 /// actions through it again (see
 /// [`Exploration::replay_path`](crate::Exploration::replay_path)).
 pub trait Machine {
-    /// A full world state. `Debug` is the canonical form the visited
-    /// set hashes (see [`state_key`](crate::explore::state_key)).
-    type State: Clone + fmt::Debug;
+    /// A full world state; its `Hash` is its identity (see
+    /// [`state_key`](crate::state_key)).
+    type State: Clone + Hash;
     /// One resolved transition label (deterministic given the state).
     /// Equality picks a recorded action out of a state's successors.
     type Action: Clone + fmt::Debug + PartialEq;

@@ -35,6 +35,7 @@
 //! and the checker explores fire/delivery interleavings instead.
 
 use std::collections::VecDeque;
+use std::hash::Hash;
 
 use ag_net::{Dispatch, Message, NodeId, ProtoCtx, Protocol, RxKind, TimerKey};
 use ag_sim::{SimDuration, SimTime};
@@ -58,7 +59,7 @@ pub struct NetModel<P: Protocol + Clone> {
     root: Option<Box<NetState<P>>>,
 }
 
-impl<P: Protocol + Clone> NetModel<P> {
+impl<P: Protocol<Msg: Hash> + Clone + Hash> NetModel<P> {
     /// Builds a model over `protocols` (index = node id) with the given
     /// undirected `adjacency` pairs. Timers scheduled past `horizon`
     /// are parked (discarded); once quiescent, time jumps to `end_time`
@@ -151,7 +152,7 @@ impl<P: Protocol + Clone> NetModel<P> {
 }
 
 /// One world state: real protocol states plus the abstract network.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Hash)]
 pub struct NetState<P: Protocol + Clone> {
     /// Current simulated time.
     pub now: SimTime,
@@ -332,7 +333,7 @@ impl<M: Message> ProtoCtx<M> for CheckCtx<'_, M> {
     }
 }
 
-impl<P: Protocol + Clone> NetModel<P> {
+impl<P: Protocol<Msg: Hash> + Clone + Hash> NetModel<P> {
     /// Runs `disp` (plus the send-failure cascade it provokes) against
     /// `st`, drawing choices from `tape`.
     fn apply_dispatch(
@@ -472,7 +473,7 @@ impl<P: Protocol + Clone> NetModel<P> {
     }
 }
 
-impl<P: Protocol + Clone> Machine for NetModel<P> {
+impl<P: Protocol<Msg: Hash> + Clone + Hash> Machine for NetModel<P> {
     type State = NetState<P>;
     type Action = NetAction;
 

@@ -11,6 +11,7 @@
 //! ambient state) fails here with the exact divergent step; the last
 //! two tests show that it does.
 
+use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use ag_check::Conform;
@@ -34,7 +35,7 @@ fn line(i: u32) -> Box<dyn Mobility> {
 /// Runs `n` nodes, each `build(i)` wrapped in [`Conform`] and placed by
 /// `place(i)`, until `secs`; returns the engine and the dispatches
 /// checked.
-fn run<P: Protocol + Clone>(
+fn run<P: Protocol + Clone + Hash>(
     phy: PhyParams,
     seed: u64,
     secs: u64,
@@ -176,7 +177,7 @@ impl Message for Ping {
 /// A protocol whose every handler reads a `static` counter, ambient
 /// state the facade cannot see. With `FOLD` it keeps the counter in its
 /// state; without, it draws a choice only when the counter is odd.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, Hash)]
 struct Ambient<const FOLD: bool> {
     seen: u64,
 }

@@ -1,5 +1,7 @@
 //! Gossip-layer configuration.
 
+use std::hash::{Hash, Hasher};
+
 use ag_sim::SimDuration;
 
 /// Anonymous Gossip parameters.
@@ -91,6 +93,37 @@ impl Default for AgConfig {
     }
 }
 
+/// Hashes the probabilities by their bits (`f64` has no `Hash`). Names
+/// every field, so a new one cannot be left out of state identity.
+impl Hash for AgConfig {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        let AgConfig {
+            gossip_interval,
+            p_anon,
+            p_accept,
+            lost_buffer_max,
+            member_cache_capacity,
+            lost_table_capacity,
+            history_capacity,
+            gossip_ttl,
+            reply_max_packets,
+            tail_recovery_max,
+            locality_weighting,
+        } = self;
+        gossip_interval.hash(state);
+        p_anon.to_bits().hash(state);
+        p_accept.to_bits().hash(state);
+        lost_buffer_max.hash(state);
+        member_cache_capacity.hash(state);
+        lost_table_capacity.hash(state);
+        history_capacity.hash(state);
+        gossip_ttl.hash(state);
+        reply_max_packets.hash(state);
+        tail_recovery_max.hash(state);
+        locality_weighting.hash(state);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -104,6 +137,15 @@ mod tests {
         assert_eq!(c.lost_table_capacity, 200);
         assert_eq!(c.history_capacity, 100);
         c.validate();
+    }
+
+    #[test]
+    fn p_anon_is_part_of_identity() {
+        let c = AgConfig::paper_default();
+        let other = AgConfig { p_anon: 0.25, ..c };
+        let key = ag_sim::hash::state_key;
+        assert_ne!(key(&c), key(&other));
+        assert_eq!(key(&c), key(&AgConfig::paper_default()));
     }
 
     #[test]

@@ -20,7 +20,7 @@ use crate::message::{PacketId, PacketRecord};
 /// assert!(h.contains(&id));
 /// assert_eq!(h.get(&id).unwrap().payload_len, 64);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Hash)]
 pub struct HistoryTable(FifoTable<PacketId, PacketRecord>);
 
 impl HistoryTable {

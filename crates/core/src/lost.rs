@@ -32,7 +32,7 @@ use crate::message::PacketId;
 /// lt.recover(ag_core::PacketId::new(origin, 2));
 /// assert_eq!(lt.len(), 1);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Hash)]
 pub struct LostTable {
     lost: SeenCache<PacketId>,
     expected: BTreeMap<NodeId, u32>,

@@ -7,7 +7,7 @@ use ag_sim::SimTime;
 
 /// One cached member: `(node_addr, numhops, last_gossip)` exactly as
 /// §4.3 defines.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CacheEntry {
     /// The member's address.
     pub node: NodeId,
@@ -34,7 +34,7 @@ pub struct CacheEntry {
 /// assert_eq!(mc.len(), 1);
 /// assert_eq!(mc.entries()[0].numhops, 2);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Hash)]
 pub struct MemberCache {
     entries: Vec<CacheEntry>,
     capacity: usize,

@@ -25,7 +25,7 @@ impl PacketId {
 
 /// A stored data packet (payload bytes are virtual; identity + length is
 /// all the simulator carries).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PacketRecord {
     /// The packet's identity.
     pub id: PacketId,
@@ -35,7 +35,7 @@ pub struct PacketRecord {
 
 /// The gossip message (§4.1): group, source, lost buffer, its size
 /// (implicit in the vec) and the expected sequence numbers.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct GossipRequest {
     /// The multicast group gossiped about.
     pub group: GroupId,
@@ -56,7 +56,7 @@ pub struct GossipRequest {
 
 /// A gossip reply: the packets a member found in its history table for
 /// the initiator (§4.4, pull mode).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct GossipReply {
     /// The group.
     pub group: GroupId,
@@ -73,7 +73,7 @@ pub struct GossipReply {
 /// [`Message`] cheap-clone contract), and the request/reply bodies carry
 /// heap-backed `Vec`s that would otherwise be deep-copied each time.
 /// Cloning an `AgMsg` is a refcount bump.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum AgMsg {
     /// A gossip request walking the tree or unicast to a cached member.
     Request(Arc<GossipRequest>),

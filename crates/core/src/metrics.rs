@@ -7,7 +7,7 @@
 /// received through gossip replies to the total number of messages
 /// received through gossip replies" — the fraction of recovery traffic
 /// that was actually useful.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, Hash)]
 pub struct GossipMetrics {
     /// Gossip rounds that chose anonymous gossip.
     pub rounds_anonymous: u64,

@@ -122,7 +122,7 @@ pub(crate) fn select_reply_packets(
 /// e.run_until(SimTime::from_secs(40));
 /// assert_eq!(e.protocol(NodeId::new(1)).delivery().distinct(), 20);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Hash)]
 pub struct AnonymousGossip {
     maodv: Maodv<AgMsg>,
     /// Reused per-reception upcall buffer (a fresh `Vec` per received
@@ -135,7 +135,7 @@ pub struct AnonymousGossip {
 /// the upcall buffer so one handler can borrow all three at once: MAODV
 /// fills the buffer, the gossip layer drains it while sending through
 /// MAODV.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Hash)]
 struct Gossip {
     cfg: AgConfig,
     cache: MemberCache,
@@ -150,7 +150,7 @@ struct Gossip {
 
 /// What only a member (or the source) touches: the delivery record, the
 /// §4.4 pull state and the CBR source.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Hash)]
 struct MemberState {
     delivery: DeliveryLog,
     lost: LostTable,

@@ -15,7 +15,7 @@ use ag_sim::SimDuration;
 /// let cfg = MaodvConfig::paper_default();
 /// assert_eq!(cfg.allowed_hello_loss, 4);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Hash)]
 pub struct MaodvConfig {
     /// Interval between HELLO broadcasts (paper: 600 ms).
     pub hello_interval: SimDuration,

@@ -19,7 +19,7 @@ pub enum DeliveryPath {
 }
 
 /// Per-member record of every distinct data packet received.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, Hash)]
 pub struct DeliveryLog {
     seen: HashSet<(NodeId, u32)>,
     via_tree: u64,

@@ -16,7 +16,7 @@ use crate::GroupId;
 /// (`group == Some(_)`, `repair_hops == Some(d)` where `d` is the
 /// requester's old distance to the group leader — only tree nodes
 /// strictly closer may answer).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct RreqPayload {
     /// The requesting node.
     pub origin: NodeId,
@@ -40,7 +40,7 @@ pub struct RreqPayload {
 }
 
 /// RREP: route reply, unicast hop-by-hop along the reverse path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct RrepPayload {
     /// The RREQ origin this reply answers.
     pub origin: NodeId,
@@ -64,7 +64,7 @@ pub struct RrepPayload {
 }
 
 /// MACT variants.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MactKind {
     /// Activate the tree branch toward the sender.
     Join,
@@ -73,7 +73,7 @@ pub enum MactKind {
 }
 
 /// MACT: multicast activation, unicast to the chosen next hop.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct MactPayload {
     /// The group.
     pub group: GroupId,
@@ -97,7 +97,7 @@ pub struct MactPayload {
 /// is relayed only from a node's upstream tree edge downward; receiving
 /// one is proof of a live tree path to the leader, and its absence is
 /// how an orphaned subtree learns it must repair.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct GrphPayload {
     /// The group.
     pub group: GroupId,
@@ -115,7 +115,7 @@ pub struct GrphPayload {
 
 /// Multicast data header (payload bytes are virtual — only identity and
 /// length exist in the simulator).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct DataHeader {
     /// The group.
     pub group: GroupId,
@@ -131,7 +131,7 @@ pub struct DataHeader {
 
 /// A unicast extension payload routed hop-by-hop via the AODV route
 /// table (gossip replies and cached gossip take this path).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct RoutedExt<X> {
     /// Original sender.
     pub src: NodeId,
@@ -146,7 +146,7 @@ pub struct RoutedExt<X> {
 }
 
 /// The MAODV frame set, generic over the extension payload `X`.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub enum MaodvMsg<X> {
     /// 1-hop neighbour beacon.
     Hello,
@@ -176,7 +176,7 @@ pub enum MaodvMsg<X> {
 
 /// Extension type for bare-MAODV stacks: uninhabited, zero-sized on the
 /// wire, never constructed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum NoExt {}
 
 impl Message for NoExt {

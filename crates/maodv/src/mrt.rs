@@ -25,7 +25,7 @@ use ag_net::NodeId;
 use crate::GroupId;
 
 /// One next-hop entry of the multicast route table.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct NextHop {
     /// The neighbour.
     pub node: NodeId,
@@ -60,7 +60,7 @@ pub struct NextHop {
 /// assert_eq!(mrt.advertised_nearest_member(d, false), 4); // 1 + nm[F]
 /// assert_eq!(mrt.advertised_nearest_member(f, false), 2); // 1 + nm[D]
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Hash)]
 pub struct MulticastRouteTable {
     /// The group this entry is for.
     pub group: GroupId,

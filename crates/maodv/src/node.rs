@@ -21,7 +21,7 @@
 //! hop-count-to-leader RREQ extension to rule out replies from its own
 //! subtree (loop prevention).
 
-use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::hint::black_box;
 use std::ops::{Deref, DerefMut};
 
@@ -53,7 +53,7 @@ pub const TIMER_RELAY: TimerKey = 5;
 pub const TIMER_USER_BASE: TimerKey = 64;
 
 /// Events surfaced to the layer above MAODV.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub enum Upcall<X> {
     /// A multicast data packet was delivered to this (member) node along
     /// the tree. It also says its origin is a member `hops` away; no
@@ -95,7 +95,7 @@ pub enum Upcall<X> {
 }
 
 /// An in-flight join or repair attempt at this node.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Hash)]
 struct JoinAttempt {
     rreq_id: u32,
     sent_at: SimTime,
@@ -107,7 +107,7 @@ struct JoinAttempt {
 
 /// A branch a graft can take: the neighbour a join reply came from and
 /// what the reply offered through it.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Hash)]
 struct JoinCandidate {
     via: NodeId,
     group_seq: u32,
@@ -116,7 +116,7 @@ struct JoinCandidate {
 }
 
 /// An in-flight unicast route discovery with its packet buffer.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Hash)]
 struct Discovery<X> {
     rreq_id: u32,
     sent_at: SimTime,
@@ -128,7 +128,7 @@ struct Discovery<X> {
 /// joins or repairs, relays a join reply, discovers a route, or forwards
 /// data or group hellos — most routers of a large run never do. Boxed on
 /// first use ([`Maodv::cold_mut`]); never freed.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Hash)]
 struct Cold<X> {
     join: Option<JoinAttempt>,
     /// Join replies relayed toward their origin, per `(origin, rreq_id)`:
@@ -181,16 +181,16 @@ impl<X> Cold<X> {
     }
 }
 
-/// The [`Cold`] box, `None` until first needed. Renders an emptied box
-/// as an absent one, so a node that never needed the box and one whose
-/// box emptied again are the same state (state identity is the
-/// rendering).
-#[derive(Clone)]
+/// The [`Cold`] box, `None` until first needed.
+#[derive(Debug, Clone)]
 struct ColdBox<X>(Option<Box<Cold<X>>>);
 
-impl<X: fmt::Debug> fmt::Debug for ColdBox<X> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        self.0.as_ref().filter(|c| !c.is_empty()).fmt(f)
+/// Hashes an emptied box as an absent one, so a node that never needed
+/// the box and one whose box emptied again are the same state.
+impl<X: Hash> Hash for ColdBox<X> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        let ColdBox(cold) = self;
+        cold.as_ref().filter(|c| !c.is_empty()).hash(state);
     }
 }
 
@@ -208,7 +208,7 @@ impl<X> DerefMut for ColdBox<X> {
 }
 
 /// The MAODV routing state of one node. See module docs.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Hash)]
 pub struct Maodv<X: Message> {
     cfg: MaodvConfig,
     id: NodeId,
@@ -1230,6 +1230,7 @@ impl<X: Message> Maodv<X> {
 mod tests {
     use super::*;
     use crate::NoExt;
+    use ag_sim::hash::state_key;
 
     /// Records unicasts; every other effect is swallowed and every draw
     /// is zero.
@@ -1266,8 +1267,8 @@ mod tests {
         }
     }
 
-    /// An absent cold box renders as its empty contents: a node whose
-    /// box was allocated and then emptied again is the same state as a
+    /// An emptied cold box hashes as an absent one: a node whose box
+    /// was allocated and then emptied again is the same state as a
     /// fresh one.
     #[test]
     fn emptied_cold_box_digests_like_an_absent_one() {
@@ -1282,10 +1283,10 @@ mod tests {
         let mut used = fresh();
         let key = (NodeId::new(1), 1);
         used.cold_mut().forwarded_rreps.insert(key, (1, 1));
-        assert_ne!(format!("{used:?}"), format!("{:?}", fresh()));
+        assert_ne!(state_key(&used), state_key(&fresh()));
         used.cold_mut().forwarded_rreps.clear();
         assert!(used.cold.is_some() && fresh().cold.is_none());
-        assert_eq!(format!("{used:?}"), format!("{:?}", fresh()));
+        assert_eq!(state_key(&used), state_key(&fresh()));
     }
 
     /// A tree neighbour that prunes itself and grafts again is told our

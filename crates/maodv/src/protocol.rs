@@ -24,7 +24,7 @@ const TIMER_TRAFFIC: TimerKey = TIMER_USER_BASE;
 /// let t = TrafficSource::paper();
 /// assert_eq!(t.packet_count(), 2201);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TrafficSource {
     /// First packet at this time.
     pub start: SimTime,
@@ -140,7 +140,7 @@ impl TrafficSource {
 /// let member = e.protocol(NodeId::new(1));
 /// assert_eq!(member.delivery().distinct(), 20);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Hash)]
 pub struct MaodvProtocol {
     node: Maodv<NoExt>,
     delivery: DeliveryLog,

@@ -20,7 +20,7 @@
 //! stamp — and a record goes once both halves are empty, so every
 //! answer is the one two separate tables gave.
 
-use std::fmt;
+use std::hash::{Hash, Hasher};
 
 use ag_sim::hash::DetHashMap as HashMap;
 
@@ -43,7 +43,7 @@ pub struct RouteEntry {
 /// What a node knows about one peer, packed into 32 bytes (a 40-byte
 /// bucket with its key): the route to it, meaningful iff `routed`, and
 /// when it was last heard, meaningful iff `heard`.
-#[derive(Clone, Copy)]
+#[derive(Debug, Clone, Copy)]
 struct Peer {
     expires: SimTime,
     heard_at: SimTime,
@@ -125,14 +125,21 @@ impl Peer {
     }
 }
 
-/// Renders the live halves only, so equal knowledge renders equally
+/// Hashes the live halves only, so equal knowledge is one state
 /// whatever a cleared half left behind.
-impl fmt::Debug for Peer {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Peer")
-            .field("route", &self.route())
-            .field("heard", &self.last_heard())
-            .finish()
+impl Hash for Peer {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        let Peer {
+            expires,
+            heard_at,
+            next_hop,
+            seq,
+            hops,
+            routed,
+            heard,
+        } = *self;
+        routed.then_some((next_hop, seq, hops, expires)).hash(state);
+        heard.then_some(heard_at).hash(state);
     }
 }
 
@@ -160,12 +167,12 @@ impl fmt::Debug for Peer {
 /// assert_eq!(rt.sweep_dead(now + SimDuration::from_secs(3), timeout), [NodeId::new(2)]);
 /// assert_eq!(rt.last_heard(NodeId::new(2)), None);
 /// ```
-#[derive(Clone)]
+#[derive(Debug, Clone)]
 pub struct RouteTable {
     peers: HashMap<NodeId, Peer>,
     /// A lower bound on every liveness stamp in `peers` (`MAX` when
     /// there is none): lowered by each stamp, recomputed only by a
-    /// sweep that looks. A cache, so `Debug` leaves it out.
+    /// sweep that looks. A cache, so `Hash` leaves it out.
     oldest: SimTime,
 }
 
@@ -178,11 +185,10 @@ impl Default for RouteTable {
     }
 }
 
-impl fmt::Debug for RouteTable {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("RouteTable")
-            .field("peers", &self.peers)
-            .finish()
+impl Hash for RouteTable {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        let RouteTable { peers, oldest: _ } = self;
+        peers.hash(state);
     }
 }
 
@@ -350,6 +356,7 @@ impl RouteTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ag_sim::hash::state_key;
 
     fn t(s: u64) -> SimTime {
         SimTime::from_secs(s)
@@ -503,9 +510,9 @@ mod tests {
     }
 
     /// The sweep's bound is a cache: two tables that know the same but
-    /// swept differently (so their bounds differ) render the same.
+    /// swept differently (so their bounds differ) are one state.
     #[test]
-    fn sweep_bound_stays_out_of_the_state_rendering() {
+    fn sweep_bound_stays_out_of_state_identity() {
         let timeout = SimDuration::from_secs(2);
         let (a, b) = (NodeId::new(1), NodeId::new(2));
         let mut swept = RouteTable::new();
@@ -517,7 +524,7 @@ mod tests {
         fresh.forget(a);
         fresh.heard_from(b, t(3), t(9));
         assert_ne!(swept.oldest, fresh.oldest);
-        assert_eq!(format!("{swept:?}"), format!("{fresh:?}"));
+        assert_eq!(state_key(&swept), state_key(&fresh));
     }
 
     /// A sweep that finds nothing to expire returns before looking, and

@@ -41,14 +41,14 @@ use ag_sim::SimDuration;
 /// assert_eq!(t.remove(&"b"), Some(2));
 /// assert_eq!(t.keys().collect::<Vec<_>>(), [&"c"]);
 /// ```
-#[derive(Debug, Clone)]
-pub struct FifoTable<K: Ord, V> {
+#[derive(Debug, Clone, Hash)]
+pub struct FifoTable<K, V> {
     map: HashMap<K, V>,
     order: VecDeque<K>,
     capacity: usize,
 }
 
-impl<K: Ord + Hash + Clone, V> FifoTable<K, V> {
+impl<K: Hash + Eq + Clone, V> FifoTable<K, V> {
     /// Creates a table remembering up to `capacity` keys.
     ///
     /// # Panics
@@ -142,7 +142,7 @@ impl<K: Ord + Hash + Clone, V> FifoTable<K, V> {
 /// ```
 pub type SeenCache<K> = FifoTable<K, ()>;
 
-impl<K: Ord + Hash + Clone> FifoTable<K, ()> {
+impl<K: Hash + Eq + Clone> FifoTable<K, ()> {
     /// Inserts `key`; returns `true` if it was *not* already present.
     pub fn insert(&mut self, key: K) -> bool {
         self.push(key, ())
@@ -156,7 +156,7 @@ impl<K: Ord + Hash + Clone> FifoTable<K, ()> {
 /// collide at the nodes between them *every* round — the classic
 /// broadcast-storm pathology jitter exists to break. Deduplication stays
 /// with the caller's [`SeenCache`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Hash)]
 pub struct FloodRelay<M>(VecDeque<M>);
 
 impl<M> Default for FloodRelay<M> {
@@ -230,6 +230,25 @@ mod tests {
         assert!(s.contains(&1));
         assert!(s.contains(&3));
         assert_eq!(s.len(), 3);
+    }
+
+    /// Only the hash index is identified order-free: two caches with
+    /// the same keys pushed in another order evict differently, so they
+    /// are different states.
+    #[test]
+    fn fifo_order_stays_in_identity() {
+        use ag_sim::hash::state_key;
+        let (mut ab, mut ba) = (SeenCache::new(2), SeenCache::new(2));
+        for k in [1, 2] {
+            ab.insert(k);
+        }
+        for k in [2, 1] {
+            ba.insert(k);
+        }
+        assert_ne!(state_key(&ab), state_key(&ba));
+        ab.insert(3);
+        ba.insert(3);
+        assert!(ab.contains(&2) && !ba.contains(&2));
     }
 
     #[test]

@@ -96,10 +96,8 @@ pub trait Message: Clone + fmt::Debug + Send + 'static {
 /// `ag-check` model checker's enumerating context, and the replaying
 /// context of `ag-check`'s conformance wrapper.
 ///
-/// The `Debug` supertrait is the observability half of that contract:
-/// a protocol's full state must be renderable, because state identity
-/// is its rendering: the checker canonicalizes explored states by it,
-/// and conformance compares a live instance with its replica by it.
+/// State identity is `Hash`, required only where `ag-check` keys
+/// states; `Debug` keeps a state printable.
 pub trait Protocol: Sized + fmt::Debug {
     /// The frame payload type this protocol family exchanges.
     type Msg: Message;

@@ -4,7 +4,7 @@ use ag_sim::SimDuration;
 
 /// ODMRP timing parameters (defaults follow the WCNC '99 paper: 3 s
 /// Join-Query refresh, forwarding-group lifetime of three refreshes).
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Hash)]
 pub struct OdmrpConfig {
     /// Interval between a source's Join-Query floods.
     pub query_interval: SimDuration,

@@ -4,7 +4,7 @@ use ag_maodv::GroupId;
 use ag_net::{Message, NodeId};
 
 /// The ODMRP frame set.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OdmrpMsg {
     /// Source-originated periodic flood; builds backward routes.
     JoinQuery {

@@ -16,7 +16,7 @@ const TIMER_RELAY: TimerKey = 3;
 
 /// Backward-learning entry: how to reach `source` (learned from its
 /// Join-Query flood).
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Hash)]
 struct BackRoute {
     prev_hop: NodeId,
     expires: SimTime,
@@ -49,7 +49,7 @@ struct BackRoute {
 /// e.run_until(SimTime::from_secs(30));
 /// assert_eq!(e.protocol(NodeId::new(1)).delivery().distinct(), 25);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Hash)]
 pub struct OdmrpProtocol {
     cfg: OdmrpConfig,
     id: NodeId,

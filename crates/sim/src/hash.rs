@@ -1,4 +1,4 @@
-//! Deterministic hashing for simulation-side maps.
+//! Deterministic hashing: simulation-side maps and state identity.
 //!
 //! `std`'s default `RandomState` draws fresh SipHash keys per process.
 //! That never changes simulation *results* here — every protocol is
@@ -15,12 +15,34 @@
 //! nothing against a workload we generate ourselves). Protocol tables
 //! use the [`DetHashMap`]/[`DetHashSet`] aliases instead of the std
 //! defaults.
+//!
+//! State identity lives here too: [`state_key`], a value's `Hash` in
+//! 128 bits, keys the model checker's visited set and its conformance
+//! check. A type holding a cache leaves it out of its `Hash`, and the
+//! `Det*` maps hash their entries order-free ([`OrderFree`]).
 
 // ag-lint: allow(det-hash) -- the Det* aliases wrap these std types with the fixed-key hasher
 use std::collections::{HashMap, HashSet};
 use std::fmt;
-use std::hash::{BuildHasherDefault, Hasher};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::ops::{Deref, DerefMut};
+
+/// Feeds `bytes` to `fold` as little-endian words. A short tail is
+/// zero-padded with its length in the top byte, so "ab" + "c" and
+/// "a" + "bc" differ.
+#[inline]
+fn for_each_word(bytes: &[u8], mut fold: impl FnMut(u64)) {
+    let mut chunks = bytes.chunks_exact(8);
+    for c in chunks.by_ref() {
+        fold(u64::from_le_bytes(c.try_into().expect("8-byte chunk")));
+    }
+    let rest = chunks.remainder();
+    if !rest.is_empty() {
+        let mut word = [0u8; 8];
+        word[..rest.len()].copy_from_slice(rest);
+        fold(u64::from_le_bytes(word) ^ ((rest.len() as u64) << 56));
+    }
+}
 
 /// An FxHash-style multiply-rotate hasher with no per-process state.
 ///
@@ -54,17 +76,7 @@ impl Hasher for FastHasher {
 
     #[inline]
     fn write(&mut self, bytes: &[u8]) {
-        let mut chunks = bytes.chunks_exact(8);
-        for c in chunks.by_ref() {
-            self.fold(u64::from_le_bytes(c.try_into().expect("8-byte chunk")));
-        }
-        let rest = chunks.remainder();
-        if !rest.is_empty() {
-            let mut word = [0u8; 8];
-            word[..rest.len()].copy_from_slice(rest);
-            // Fold the length in so "ab" + "c" and "a" + "bc" differ.
-            self.fold(u64::from_le_bytes(word) ^ ((rest.len() as u64) << 56));
-        }
+        for_each_word(bytes, |w| self.fold(w));
     }
 
     #[inline]
@@ -97,23 +109,58 @@ impl Hasher for FastHasher {
 /// identical in every process.
 pub type DetBuildHasher = BuildHasherDefault<FastHasher>;
 
-/// Wrapper behind [`DetHashMap`] and [`DetHashSet`]. Storage, hashing
-/// and every lookup are the std collection's, reached through `Deref`.
-/// The one difference is `Debug`, which renders entries in **key
-/// order**: slot order depends on the insert/remove history, and state
-/// identity (`ag_check::state_key`, which the checker's visited set and
-/// its conformance wrapper both use) hashes the rendering, so equal
-/// contents must render equally.
+/// The hasher behind [`state_key`]: a [`FastHasher`] lane and an
+/// xxHash64-round lane over the same words. The lanes share no mixing
+/// function; the second starts non-zero because the first starts at 0
+/// and so absorbs leading zero words.
+struct StateHasher(FastHasher, u64);
+
+/// xxHash64's primes: the second lane's multipliers and its start.
+const XX_PRIME_1: u64 = 0x9e37_79b1_85eb_ca87;
+const XX_PRIME_2: u64 = 0xc2b2_ae3d_27d4_eb4f;
+const XX_PRIME_5: u64 = 0x27d4_eb2f_1656_67c5;
+
+impl Hasher for StateHasher {
+    fn finish(&self) -> u64 {
+        self.0.finish()
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for_each_word(bytes, |w| self.write_u64(w));
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.0.fold(word);
+        let mixed = self.1.wrapping_add(word.wrapping_mul(XX_PRIME_2));
+        self.1 = mixed.rotate_left(31).wrapping_mul(XX_PRIME_1);
+    }
+}
+
+/// 128 bits of state identity: `value`'s `Hash` through two
+/// independent 64-bit lanes. An accidental collision is astronomically
+/// unlikely even at millions of states, which lets the model checker
+/// keep only the keys of the states it has expanded.
+pub fn state_key<T: Hash + ?Sized>(value: &T) -> (u64, u64) {
+    let mut h = StateHasher(FastHasher::default(), XX_PRIME_5);
+    value.hash(&mut h);
+    (h.finish(), h.1)
+}
+
+/// Wrapper behind [`DetHashMap`] and [`DetHashSet`]: storage and every
+/// lookup are the std collection's, reached through `Deref`. It adds
+/// `Hash`, order-free because slot order depends on the insert/remove
+/// history: each entry is hashed on its own ([`state_key`]) and the
+/// lanes are summed, with no sort and no allocation.
 #[derive(Clone, Default)]
-pub struct KeyOrdered<T>(T);
+pub struct OrderFree<T>(T);
 
 /// A `HashMap` with deterministic, per-process-stable hashing.
-pub type DetHashMap<K, V> = KeyOrdered<HashMap<K, V, DetBuildHasher>>;
+pub type DetHashMap<K, V> = OrderFree<HashMap<K, V, DetBuildHasher>>;
 
 /// A `HashSet` with deterministic, per-process-stable hashing.
-pub type DetHashSet<K> = KeyOrdered<HashSet<K, DetBuildHasher>>;
+pub type DetHashSet<K> = OrderFree<HashSet<K, DetBuildHasher>>;
 
-impl<T> Deref for KeyOrdered<T> {
+impl<T> Deref for OrderFree<T> {
     type Target = T;
     #[inline]
     fn deref(&self) -> &T {
@@ -121,33 +168,37 @@ impl<T> Deref for KeyOrdered<T> {
     }
 }
 
-impl<T> DerefMut for KeyOrdered<T> {
+impl<T> DerefMut for OrderFree<T> {
     #[inline]
     fn deref_mut(&mut self) -> &mut T {
         &mut self.0
     }
 }
 
-impl<K: Ord + fmt::Debug, V: fmt::Debug> fmt::Debug for DetHashMap<K, V> {
+impl<T: fmt::Debug> fmt::Debug for OrderFree<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let mut entries: Vec<(&K, &V)> = self.0.iter().collect();
-        entries.sort_unstable_by_key(|&(k, _)| k);
-        f.debug_map().entries(entries).finish()
+        self.0.fmt(f)
     }
 }
 
-impl<K: Ord + fmt::Debug> fmt::Debug for DetHashSet<K> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let mut keys: Vec<&K> = self.0.iter().collect();
-        keys.sort_unstable();
-        f.debug_set().entries(keys).finish()
+impl<T> Hash for OrderFree<T>
+where
+    for<'a> &'a T: IntoIterator<Item: Hash>,
+{
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        let (mut len, mut a, mut b) = (0usize, 0u64, 0u64);
+        for entry in &self.0 {
+            let (x, y) = state_key(&entry);
+            (len, a, b) = (len + 1, a.wrapping_add(x), b.wrapping_add(y));
+        }
+        (len, a, b).hash(state);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::hash::{BuildHasher, Hash};
+    use std::hash::BuildHasher;
 
     fn hash_of<T: Hash>(v: &T) -> u64 {
         DetBuildHasher::default().hash_one(v)
@@ -185,5 +236,34 @@ mod tests {
             m.iter().map(|(&k, &v)| (k, v)).collect::<Vec<_>>()
         };
         assert_eq!(collect(), collect());
+    }
+
+    proptest::proptest! {
+        /// Tables with equal contents are one state, whatever
+        /// insert/remove history produced them. The second history grows
+        /// the tables with keys it later removes, so their capacity, and
+        /// with it the slot order, differs from the first's.
+        #[test]
+        fn prop_identity_ignores_operation_order(
+            keys in proptest::collection::vec(0u32..10_000, 0..40),
+            noise in proptest::collection::vec(10_000u32..20_000, 0..200),
+        ) {
+            type Tables = (DetHashMap<u32, u64>, DetHashSet<u32>);
+            fn tables(noise: &[u32], keys: impl Iterator<Item = u32>) -> Tables {
+                let mut t = Tables::default();
+                for k in noise.iter().copied().chain(keys) {
+                    t.0.insert(k, u64::from(k) * 7);
+                    t.1.insert(k);
+                }
+                for k in noise {
+                    t.0.remove(k);
+                    t.1.remove(k);
+                }
+                t
+            }
+            let plain = tables(&[], keys.iter().copied());
+            let churned = tables(&noise, keys.iter().rev().copied());
+            proptest::prop_assert_eq!(state_key(&plain), state_key(&churned));
+        }
     }
 }
