@@ -31,8 +31,12 @@
 //! Named random choices ([`ProtoCtx::chance`], `pick_index`,
 //! `pick_weighted`) are enumerated via a *choice tape*: a handler runs
 //! once per distinct outcome vector, depth-first over the choice tree.
-//! [`ProtoCtx::jitter`] resolves to 0 — jitter only perturbs timing,
-//! and the checker explores fire/delivery interleavings instead.
+//! [`ProtoCtx::jitter`] resolves to 0. A draw that delays a timer
+//! changes only *when* it fires, and the checker explores fire/delivery
+//! interleavings instead. MAODV's orphan repair (`Maodv::tick`, step
+//! 3c) compares a node's staleness with a draw, so there the draw
+//! decides *whether* a repair starts in this tick: the checker explores
+//! only the earliest repair, never one a larger draw defers.
 
 use std::collections::VecDeque;
 use std::hash::Hash;
@@ -122,10 +126,6 @@ impl<P: Protocol<Msg: Hash> + Clone + Hash> NetModel<P> {
     pub fn with_root(mut self, state: NetState<P>) -> Self {
         self.root = Some(Box::new(state));
         self
-    }
-
-    fn link_index(&self, from: u32, to: u32) -> Option<usize> {
-        self.links.iter().position(|&l| l == (from, to))
     }
 
     /// Runs the world forward deterministically (first enabled
@@ -225,11 +225,6 @@ pub enum NetAction {
     },
 }
 
-enum Effect<M> {
-    Send(NodeId, M),
-    Broadcast(M),
-}
-
 /// A choice tape: the prefix it starts with replays fixed outcomes;
 /// past the prefix, the first outcome (0) is taken and recorded so the
 /// enumerator can bump to sibling branches. `arities` holds one entry
@@ -265,15 +260,21 @@ fn bump(values: &mut Vec<usize>, arities: &[usize]) -> bool {
     false
 }
 
-/// The enumerating [`ProtoCtx`]: sends and timers are captured as
-/// effects, named choices come off the [`Tape`].
+/// The enumerating [`ProtoCtx`]: sends, broadcasts and timers land in
+/// the world as the handler makes them, named choices come off the
+/// [`Tape`].
 struct CheckCtx<'a, M: Message> {
     now: SimTime,
     id: NodeId,
-    node_count: usize,
     tape: &'a mut Tape,
-    effects: Vec<Effect<M>>,
-    timers: Vec<(SimDuration, TimerKey)>,
+    /// The model's directed links, parallel to `channels`.
+    links: &'a [(u32, u32)],
+    horizon: SimTime,
+    alive: &'a [bool],
+    channels: &'a mut [VecDeque<(M, RxKind)>],
+    timers: &'a mut Vec<(SimTime, u32, TimerKey)>,
+    /// Send failures the handler provoked, dispatched after it returns.
+    failures: &'a mut VecDeque<(usize, Dispatch<M>)>,
 }
 
 impl<M: Message> ProtoCtx<M> for CheckCtx<'_, M> {
@@ -286,19 +287,44 @@ impl<M: Message> ProtoCtx<M> for CheckCtx<'_, M> {
     }
 
     fn node_count(&self) -> usize {
-        self.node_count
+        self.alive.len()
     }
 
     fn send(&mut self, dest: NodeId, msg: M) {
-        self.effects.push(Effect::Send(dest, msg));
+        // A down radio's unicasts die in its MAC queue; so do unicasts
+        // to nodes that were never in range. Both surface as send
+        // failures.
+        let from = self.id.raw();
+        let link = self.links.iter().position(|&l| l == (from, dest.raw()));
+        match link {
+            Some(li) if self.alive[from as usize] => {
+                self.channels[li].push_back((msg, RxKind::Unicast));
+            }
+            _ => self
+                .failures
+                .push_back((from as usize, Dispatch::SendFailure { to: dest, msg })),
+        }
     }
 
     fn broadcast(&mut self, msg: M) {
-        self.effects.push(Effect::Broadcast(msg));
+        let from = self.id.raw();
+        if !self.alive[from as usize] {
+            return;
+        }
+        for (li, &(f, _)) in self.links.iter().enumerate() {
+            if f == from {
+                self.channels[li].push_back((msg.clone(), RxKind::Broadcast));
+            }
+        }
     }
 
     fn set_timer(&mut self, delay: SimDuration, key: TimerKey) {
-        self.timers.push((delay, key));
+        let at = self.now + delay;
+        // Parked timer: its firing would land beyond the active
+        // horizon, so it can never be observed.
+        if at <= self.horizon {
+            self.timers.push((at, self.id.raw(), key));
+        }
     }
 
     fn count_n(&mut self, _name: &'static str, _n: u64) {}
@@ -352,61 +378,37 @@ impl<P: Protocol<Msg: Hash> + Clone + Hash> NetModel<P> {
                 steps <= MAX_CASCADE,
                 "send-failure cascade did not terminate"
             );
+            let NetState {
+                now,
+                nodes,
+                alive,
+                channels,
+                timers,
+                ..
+            } = st;
             let mut ctx = CheckCtx {
-                now: st.now,
+                now: *now,
                 id: NodeId::new(n as u32),
-                node_count: st.nodes.len(),
                 tape,
-                effects: Vec::new(),
-                timers: Vec::new(),
+                links: &self.links,
+                horizon: self.horizon,
+                alive,
+                channels,
+                timers,
+                failures: &mut work,
             };
-            d.deliver(&mut st.nodes[n], &mut ctx);
-            let CheckCtx {
-                effects, timers, ..
-            } = ctx;
-            for (delay, key) in timers {
-                let at = st.now + delay;
-                // Parked timer: its firing would land beyond the active
-                // horizon, so it can never be observed.
-                if at <= self.horizon {
-                    st.timers.push((at, n as u32, key));
-                }
-            }
-            for eff in effects {
-                match eff {
-                    Effect::Send(dest, msg) => {
-                        // A down radio's unicasts die in its MAC queue;
-                        // so do unicasts to nodes that were never in
-                        // range. Both surface as send failures.
-                        let li = self.link_index(n as u32, dest.raw());
-                        match li {
-                            Some(li) if st.alive[n] => {
-                                st.channels[li].push_back((msg, RxKind::Unicast));
-                            }
-                            _ => work.push_back((n, Dispatch::SendFailure { to: dest, msg })),
-                        }
-                    }
-                    Effect::Broadcast(msg) => {
-                        if !st.alive[n] {
-                            continue;
-                        }
-                        for (li, &(from, _)) in self.links.iter().enumerate() {
-                            if from == n as u32 {
-                                st.channels[li].push_back((msg.clone(), RxKind::Broadcast));
-                            }
-                        }
-                    }
-                }
-            }
+            d.deliver(&mut nodes[n], &mut ctx);
         }
         st.timers.sort_by_key(|&(at, n, k)| (at, n, k));
     }
 
-    /// Runs `disp` on (a clone of) `prepped` once per distinct
-    /// choice-outcome vector; returns `(tape, successor)` pairs.
+    /// Runs `disp` once per distinct choice-outcome vector, each time on
+    /// one clone of `st` that `prep` readies first (pops the dispatched
+    /// channel head, say); returns `(tape, successor)` pairs.
     fn enumerate_dispatch(
         &self,
-        prepped: &NetState<P>,
+        st: &NetState<P>,
+        prep: impl Fn(&mut NetState<P>),
         node: usize,
         disp: &Dispatch<P::Msg>,
     ) -> Vec<(Vec<usize>, NetState<P>)> {
@@ -417,59 +419,20 @@ impl<P: Protocol<Msg: Hash> + Clone + Hash> NetModel<P> {
                 values: prefix,
                 arities: Vec::new(),
             };
-            let mut st = prepped.clone();
-            self.apply_dispatch(&mut st, node, disp.clone(), &mut tape);
+            let mut next = st.clone();
+            prep(&mut next);
+            self.apply_dispatch(&mut next, node, disp.clone(), &mut tape);
             assert_eq!(
                 tape.values.len(),
                 tape.arities.len(),
                 "handler drew fewer choices than the prefix it was given"
             );
-            out.push((tape.values.clone(), st));
+            out.push((tape.values.clone(), next));
             prefix = tape.values;
             if !bump(&mut prefix, &tape.arities) {
                 return out;
             }
         }
-    }
-
-    /// The popped-head channel state plus how the head must be
-    /// dispatched (receiver packet, sender failure, or vanish).
-    #[allow(clippy::type_complexity)]
-    fn prep_head(
-        &self,
-        st: &NetState<P>,
-        li: usize,
-        consume_drop: bool,
-    ) -> (NetState<P>, Option<(usize, Dispatch<P::Msg>)>) {
-        let (from, to) = self.links[li];
-        let mut prepped = st.clone();
-        let (msg, rx) = prepped.channels[li].pop_front().expect("head exists");
-        if consume_drop {
-            prepped.drops_left -= 1;
-        }
-        let dispatch = if !consume_drop && st.alive[to as usize] {
-            Some((
-                to as usize,
-                Dispatch::Packet {
-                    from: NodeId::new(from),
-                    msg,
-                    rx,
-                },
-            ))
-        } else if rx == RxKind::Unicast {
-            // Dropped or undeliverable unicast: the sender's MAC gives
-            // up and reports the failure.
-            Some((
-                from as usize,
-                Dispatch::SendFailure {
-                    to: NodeId::new(to),
-                    msg,
-                },
-            ))
-        } else {
-            None
-        };
-        (prepped, dispatch)
     }
 }
 
@@ -493,7 +456,7 @@ impl<P: Protocol<Msg: Hash> + Clone + Hash> Machine for NetModel<P> {
             parked: false,
         };
         for node in 0..n {
-            let outs = self.enumerate_dispatch(&st, node, &Dispatch::Start);
+            let outs = self.enumerate_dispatch(&st, |_| {}, node, &Dispatch::Start);
             assert_eq!(
                 outs.len(),
                 1,
@@ -510,16 +473,21 @@ impl<P: Protocol<Msg: Hash> + Clone + Hash> Machine for NetModel<P> {
         }
         let mut out = Vec::new();
         // 1. Channel heads: deliver, and (budget allowing) drop.
-        for li in 0..self.links.len() {
-            if st.channels[li].is_empty() {
+        for (li, &link) in self.links.iter().enumerate() {
+            let Some((msg, rx)) = st.channels[li].front() else {
                 continue;
-            }
-            let link = self.links[li];
+            };
+            let (from, to) = link;
             for consume_drop in [false, true] {
                 if consume_drop && st.drops_left == 0 {
                     continue;
                 }
-                let (prepped, dispatch) = self.prep_head(st, li, consume_drop);
+                let pop = |next: &mut NetState<P>| {
+                    next.channels[li].pop_front();
+                    if consume_drop {
+                        next.drops_left -= 1;
+                    }
+                };
                 let mk = |tape| {
                     if consume_drop {
                         NetAction::Drop { link, tape }
@@ -527,13 +495,23 @@ impl<P: Protocol<Msg: Hash> + Clone + Hash> Machine for NetModel<P> {
                         NetAction::Deliver { link, tape }
                     }
                 };
-                match dispatch {
-                    Some((node, disp)) => {
-                        for (tape, next) in self.enumerate_dispatch(&prepped, node, &disp) {
-                            out.push((mk(tape), next));
-                        }
-                    }
-                    None => out.push((mk(Vec::new()), prepped)),
+                let (node, disp) = if !consume_drop && st.alive[to as usize] {
+                    let (from, msg, rx) = (NodeId::new(from), msg.clone(), *rx);
+                    (to, Dispatch::Packet { from, msg, rx })
+                } else if *rx == RxKind::Unicast {
+                    // Dropped or undeliverable unicast: the sender's MAC
+                    // gives up and reports the failure.
+                    let (to, msg) = (NodeId::new(to), msg.clone());
+                    (from, Dispatch::SendFailure { to, msg })
+                } else {
+                    // A broadcast copy nobody hears just vanishes.
+                    let mut next = st.clone();
+                    pop(&mut next);
+                    out.push((mk(Vec::new()), next));
+                    continue;
+                };
+                for (tape, next) in self.enumerate_dispatch(st, pop, node as usize, &disp) {
+                    out.push((mk(tape), next));
                 }
             }
         }
@@ -547,11 +525,11 @@ impl<P: Protocol<Msg: Hash> + Clone + Hash> Machine for NetModel<P> {
         // adds no engine-reachable behavior.
         if let Some(&(at, node, key)) = st.timers.first() {
             if at == st.now {
-                let mut prepped = st.clone();
-                prepped.timers.remove(0);
-                for (tape, next) in
-                    self.enumerate_dispatch(&prepped, node as usize, &Dispatch::Timer { key })
-                {
+                let due = |next: &mut NetState<P>| {
+                    next.timers.remove(0);
+                };
+                let disp = Dispatch::Timer { key };
+                for (tape, next) in self.enumerate_dispatch(st, due, node as usize, &disp) {
                     out.push((NetAction::Fire { node, key, tape }, next));
                 }
             }

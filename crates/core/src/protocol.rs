@@ -138,8 +138,6 @@ pub struct AnonymousGossip {
 #[derive(Debug, Clone, Hash)]
 struct Gossip {
     cfg: AgConfig,
-    cache: MemberCache,
-    metrics: GossipMetrics,
     /// Reused `(node, nearest_member)` candidate buffer for
     /// [`weighted_pick`].
     cand_scratch: Vec<(NodeId, u8)>,
@@ -149,12 +147,15 @@ struct Gossip {
 }
 
 /// What only a member (or the source) touches: the delivery record, the
-/// §4.4 pull state and the CBR source.
+/// §4.4 pull state, the §4.3 member cache, the §5.5 counts and the CBR
+/// source.
 #[derive(Debug, Clone, Hash)]
 struct MemberState {
     delivery: DeliveryLog,
     lost: LostTable,
     history: HistoryTable,
+    cache: MemberCache,
+    metrics: GossipMetrics,
     traffic: Option<TrafficSource>,
 }
 
@@ -164,13 +165,27 @@ impl MemberState {
             delivery: DeliveryLog::new(),
             lost: LostTable::new(cfg.lost_table_capacity),
             history: HistoryTable::new(cfg.history_capacity),
+            cache: MemberCache::new(cfg.member_cache_capacity),
+            metrics: GossipMetrics::new(),
             traffic,
         }
+    }
+
+    /// A data packet reached this member (any path): account for it and
+    /// keep a copy for future gossip replies.
+    fn deliver(&mut self, origin: NodeId, seq: u32, payload_len: u16, path: DeliveryPath) -> bool {
+        let new = self.delivery.record(origin, seq, path);
+        self.history.push(PacketRecord {
+            id: PacketId::new(origin, seq),
+            payload_len,
+        });
+        self.lost.observe(origin, seq);
+        new
     }
 }
 
 /// What a router's member-only accessors answer from: nothing delivered,
-/// nothing lost, nothing kept.
+/// nothing lost, nothing kept, no member known, no round run.
 static NO_MEMBER: LazyLock<MemberState> =
     LazyLock::new(|| MemberState::new(&AgConfig::paper_default(), None));
 
@@ -193,8 +208,6 @@ impl AnonymousGossip {
             maodv: Maodv::new(maodv_cfg, id, group, is_member),
             up: Vec::new(),
             gossip: Gossip {
-                cache: MemberCache::new(cfg.member_cache_capacity),
-                metrics: GossipMetrics::new(),
                 cand_scratch: Vec::new(),
                 member: (is_member || traffic.is_some())
                     .then(|| Box::new(MemberState::new(&cfg, traffic))),
@@ -209,9 +222,10 @@ impl AnonymousGossip {
         &self.gossip.member().delivery
     }
 
-    /// This node's gossip activity counters (goodput etc.).
+    /// This node's gossip activity counters (goodput etc.); zero at a
+    /// router.
     pub fn metrics(&self) -> &GossipMetrics {
-        &self.gossip.metrics
+        &self.gossip.member().metrics
     }
 
     /// The underlying MAODV state.
@@ -219,9 +233,9 @@ impl AnonymousGossip {
         &self.maodv
     }
 
-    /// The member cache.
+    /// The member cache; empty at a router.
     pub fn member_cache(&self) -> &MemberCache {
-        &self.gossip.cache
+        &self.gossip.member().cache
     }
 
     /// The lost table; empty at a router.
@@ -236,26 +250,15 @@ impl Gossip {
         self.member.as_deref().unwrap_or(&NO_MEMBER)
     }
 
-    // ───────────────────────── delivery plumbing ─────────────────────────
-
-    /// A data packet reached this member (any path): account for it and
-    /// keep a copy for future gossip replies. Only members and the
-    /// source are delivered to: tree data reaches the gossip layer only
-    /// at members, and replies go to gossip initiators, which are
-    /// members.
-    fn deliver(&mut self, origin: NodeId, seq: u32, payload_len: u16, path: DeliveryPath) -> bool {
-        let m = self
-            .member
+    /// The member-only state, for what only members and the source do:
+    /// take tree data or gossip replies, run rounds, send packets.
+    fn member_mut(&mut self) -> &mut MemberState {
+        self.member
             .as_deref_mut()
-            .expect("only members and the source are delivered to");
-        let new = m.delivery.record(origin, seq, path);
-        m.history.push(PacketRecord {
-            id: PacketId::new(origin, seq),
-            payload_len,
-        });
-        m.lost.observe(origin, seq);
-        new
+            .expect("only members and the source keep member state")
     }
+
+    // ───────────────────────── delivery plumbing ─────────────────────────
 
     fn process_upcalls<C: MaodvCtx<AgMsg>>(
         &mut self,
@@ -271,13 +274,18 @@ impl Gossip {
                     payload_len,
                     hops,
                 } => {
-                    self.deliver(origin, seq, payload_len, DeliveryPath::Tree);
+                    let m = self.member_mut();
+                    m.deliver(origin, seq, payload_len, DeliveryPath::Tree);
                     // Data implies the origin is a member (free cache feed).
-                    self.cache.observe(origin, hops);
+                    m.cache.observe(origin, hops);
                 }
                 Upcall::MemberObserved { member, hops } => {
-                    if member != maodv.id() {
-                        self.cache.observe(member, hops);
+                    // A router's own join replies name members too; it
+                    // keeps no cache to put them in.
+                    if let Some(m) = self.member.as_deref_mut() {
+                        if member != maodv.id() {
+                            m.cache.observe(member, hops);
+                        }
                     }
                 }
                 Upcall::ExtNeighbor { from, msg } => match msg {
@@ -320,24 +328,21 @@ impl Gossip {
                 .extend(maodv.mrt().enabled().map(|h| (h.node, h.nearest_member)));
             weighted_pick(&self.cand_scratch, self.cfg.locality_weighting, api)
         };
-        let cached_target = self.cache.pick_via(maodv.id(), |n| api.pick_index(n));
         let req = self.build_request(maodv, 0, self.cfg.gossip_ttl);
+        let m = self.member_mut();
+        m.metrics.rounds += 1;
+        let cached_target = m.cache.pick_via(maodv.id(), |n| api.pick_index(n));
         match (want_anon, anon_target, cached_target) {
             (true, Some(next), _) | (false, Some(next), None) => {
-                self.metrics.rounds_anonymous += 1;
                 maodv.send_ext_neighbor(api, next, AgMsg::request(req));
                 api.bump(counters::REQUEST_ANON_SENT);
             }
             (false, _, Some(entry)) | (true, None, Some(entry)) => {
-                self.metrics.rounds_cached += 1;
-                self.cache.record_gossip(entry.node, api.now());
+                m.cache.record_gossip(entry.node, api.now());
                 maodv.send_ext_routed(api, entry.node, AgMsg::request(req));
                 api.bump(counters::REQUEST_CACHED_SENT);
             }
-            (_, None, None) => {
-                self.metrics.rounds_skipped += 1;
-                api.bump(counters::ROUND_SKIPPED);
-            }
+            (_, None, None) => api.bump(counters::ROUND_SKIPPED),
         }
     }
 
@@ -351,7 +356,6 @@ impl Gossip {
     ) {
         if r.initiator == maodv.id() {
             // The walk came back around; nothing useful to do.
-            self.metrics.requests_dropped += 1;
             return;
         }
         // Record the reverse path: this is what lets the eventual
@@ -380,7 +384,6 @@ impl Gossip {
         };
         match next {
             Some(next) => {
-                self.metrics.requests_propagated += 1;
                 // The walk normally holds the only reference to the
                 // body by now (the delivering frame has left the air),
                 // so stepping hops/ttl is an in-place update, not a
@@ -394,10 +397,7 @@ impl Gossip {
                 // Nowhere to go: accept rather than waste the walk.
                 self.accept_request(maodv, api, &r, r.hops.saturating_add(1));
             }
-            None => {
-                self.metrics.requests_dropped += 1;
-                api.bump(counters::REQUEST_DEAD_END);
-            }
+            None => api.bump(counters::REQUEST_DEAD_END),
         }
     }
 
@@ -412,14 +412,14 @@ impl Gossip {
         r: &GossipRequest,
         hops: u8,
     ) {
-        self.metrics.requests_accepted += 1;
-        self.cache.observe(r.initiator, hops);
+        if let Some(m) = self.member.as_deref_mut() {
+            m.cache.observe(r.initiator, hops);
+        }
         let packets = select_reply_packets(&self.member().history, r, &self.cfg);
         if packets.is_empty() {
             api.bump(counters::REPLY_EMPTY);
             return;
         }
-        self.metrics.reply_packets_sent += packets.len() as u64;
         api.bump_n(counters::REPLY_PACKETS_SENT, packets.len() as u64);
         let responder = maodv.id();
         maodv.send_ext_routed(
@@ -436,12 +436,12 @@ impl Gossip {
     /// A gossip reply arrived: deliver anything new (this is the paper's
     /// loss recovery) and measure goodput.
     fn handle_reply<C: MaodvCtx<AgMsg>>(&mut self, api: &mut C, rep: Arc<GossipReply>, hops: u8) {
-        self.cache.observe(rep.responder, hops);
+        let m = self.member_mut();
+        m.cache.observe(rep.responder, hops);
         for &p in &rep.packets {
-            self.metrics.reply_packets_received += 1;
-            let new = self.deliver(p.id.origin, p.id.seq, p.payload_len, DeliveryPath::Gossip);
-            if new {
-                self.metrics.reply_packets_useful += 1;
+            m.metrics.reply_packets_received += 1;
+            if m.deliver(p.id.origin, p.id.seq, p.payload_len, DeliveryPath::Gossip) {
+                m.metrics.reply_packets_useful += 1;
                 api.bump(counters::RECOVERED);
             } else {
                 api.bump(counters::REPLY_DUPLICATE);
@@ -500,7 +500,12 @@ impl Protocol for AnonymousGossip {
                 if let Some(t) = gossip.member().traffic {
                     t.tick(api, TIMER_TRAFFIC, |api| {
                         let seq = maodv.send_data(api, t.payload_len);
-                        gossip.deliver(maodv.id(), seq, t.payload_len, DeliveryPath::Tree);
+                        gossip.member_mut().deliver(
+                            maodv.id(),
+                            seq,
+                            t.payload_len,
+                            DeliveryPath::Tree,
+                        );
                     });
                 }
             }
@@ -758,7 +763,7 @@ mod tests {
         let maodv = size_of::<Maodv<AgMsg>>();
         let bare = size_of::<ag_maodv::MaodvProtocol>();
         assert!(
-            ag <= 560 && maodv <= 320 && bare <= 440,
+            ag <= 448 && maodv <= 312 && bare <= 424,
             "{ag} / {maodv} / {bare}"
         );
     }
@@ -771,6 +776,8 @@ mod tests {
         assert!(router.gossip.member.is_none());
         assert_eq!(router.delivery().distinct(), 0);
         assert!(router.lost_table().is_empty());
+        assert!(router.member_cache().is_empty());
+        assert_eq!(router.metrics().rounds_total(), 0);
         assert!(ag_node(0, true, None).gossip.member.is_some());
     }
 
@@ -933,6 +940,50 @@ mod tests {
             assert!(g > 50.0, "goodput unexpectedly low: {g}");
         }
         assert!(m.rounds_total() > 0);
+        // A useful reply packet is exactly a first delivery by gossip.
+        for p in e.protocols() {
+            assert_eq!(p.metrics().reply_packets_useful, p.delivery().via_gossip());
+        }
+    }
+
+    /// A router's own join and repair floods draw replies that name
+    /// members; only a member gossips, so the router keeps none of them.
+    /// Twenty mobile nodes repair their tree often enough that non-member
+    /// routers collect such replies.
+    #[test]
+    fn routers_keep_no_member_cache() {
+        let field = Field::new(300.0, 300.0);
+        let t = TrafficSource::compact(
+            SimTime::from_secs(10),
+            SimDuration::from_millis(200),
+            100,
+            64,
+        );
+        let nodes = (0..20u32)
+            .map(|i| {
+                let mut rng = SeedSplitter::new(5).stream(StreamKind::Placement, i.into());
+                NodeSetup {
+                    mobility: Box::new(RandomWaypoint::new(
+                        field,
+                        SpeedRange::new(0.5, 5.0),
+                        PauseRange::uniform_secs(0.0, 2.0),
+                        &mut rng,
+                    )) as Box<dyn Mobility>,
+                    protocol: ag_node(i, i % 3 == 0, (i == 0).then_some(t)),
+                }
+            })
+            .collect();
+        let mut e = Engine::new(PhyParams::paper_default(75.0), 5, nodes);
+        e.run_until(SimTime::from_secs(40));
+        assert!(
+            e.counters()
+                .iter()
+                .any(|(k, v)| k == "maodv.repair_rreq" && v > 0),
+            "the run must repair its tree"
+        );
+        for i in (0..20).filter(|i| i % 3 != 0) {
+            assert!(e.protocol(id(i)).member_cache().is_empty(), "router {i}");
+        }
     }
 
     #[test]
@@ -1004,8 +1055,7 @@ mod tests {
                     let p = e.protocol(id(i));
                     (
                         p.delivery().distinct(),
-                        p.metrics().rounds_anonymous,
-                        p.metrics().rounds_cached,
+                        p.metrics().rounds,
                         p.metrics().reply_packets_received,
                     )
                 })

@@ -22,7 +22,6 @@ pub enum DeliveryPath {
 #[derive(Debug, Clone, Default, Hash)]
 pub struct DeliveryLog {
     seen: HashSet<(NodeId, u32)>,
-    via_tree: u64,
     via_gossip: u64,
     duplicates: u64,
 }
@@ -37,9 +36,8 @@ impl DeliveryLog {
     /// if it was new (first delivery).
     pub fn record(&mut self, origin: NodeId, seq: u32, path: DeliveryPath) -> bool {
         if self.seen.insert((origin, seq)) {
-            match path {
-                DeliveryPath::Tree => self.via_tree += 1,
-                DeliveryPath::Gossip => self.via_gossip += 1,
+            if path == DeliveryPath::Gossip {
+                self.via_gossip += 1;
             }
             true
         } else {
@@ -58,9 +56,10 @@ impl DeliveryLog {
         self.seen.len() as u64
     }
 
-    /// Distinct packets that arrived along the tree.
+    /// Distinct packets that arrived along the tree: every first
+    /// delivery not made by gossip.
     pub fn via_tree(&self) -> u64 {
-        self.via_tree
+        self.distinct() - self.via_gossip
     }
 
     /// Distinct packets first delivered by a gossip reply.

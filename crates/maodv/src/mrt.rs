@@ -22,8 +22,6 @@
 
 use ag_net::NodeId;
 
-use crate::GroupId;
-
 /// One next-hop entry of the multicast route table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct NextHop {
@@ -47,12 +45,11 @@ pub struct NextHop {
 ///
 /// ```
 /// use ag_maodv::mrt::MulticastRouteTable;
-/// use ag_maodv::GroupId;
 /// use ag_net::NodeId;
 ///
 /// let d = NodeId::new(3); // member, one hop away
 /// let f = NodeId::new(5); // router toward member H (3 hops)
-/// let mut mrt = MulticastRouteTable::new(GroupId(0), 32);
+/// let mut mrt = MulticastRouteTable::new(32);
 /// mrt.enable_next_hop(d, true);  // MACT from a member: nearest_member = 1
 /// mrt.enable_next_hop(f, false);
 /// mrt.set_nearest_member(f, 3);
@@ -62,10 +59,6 @@ pub struct NextHop {
 /// ```
 #[derive(Debug, Clone, Hash)]
 pub struct MulticastRouteTable {
-    /// The group this entry is for.
-    pub group: GroupId,
-    /// Current group leader as far as this node knows.
-    pub leader: Option<NodeId>,
     /// Freshest group sequence number seen.
     pub group_seq: u32,
     /// Hops to the leader (updated from GRPH floods).
@@ -77,10 +70,8 @@ pub struct MulticastRouteTable {
 impl MulticastRouteTable {
     /// Creates an empty entry; `infinity` is the saturation value for
     /// `nearest_member` distances.
-    pub fn new(group: GroupId, infinity: u8) -> Self {
+    pub fn new(infinity: u8) -> Self {
         MulticastRouteTable {
-            group,
-            leader: None,
             group_seq: 0,
             hops_to_leader: u8::MAX,
             next_hops: Vec::new(),
@@ -227,7 +218,7 @@ mod tests {
     }
 
     fn table() -> MulticastRouteTable {
-        MulticastRouteTable::new(GroupId(0), 32)
+        MulticastRouteTable::new(32)
     }
 
     #[test]

@@ -118,7 +118,6 @@ struct JoinCandidate {
 /// An in-flight unicast route discovery with its packet buffer.
 #[derive(Debug, Clone, Hash)]
 struct Discovery<X> {
-    rreq_id: u32,
     sent_at: SimTime,
     retries: u32,
     buffer: Vec<X>,
@@ -261,7 +260,7 @@ impl<X: Message> Maodv<X> {
             next_rreq_id: 0,
             data_seq: 0,
             rt: RouteTable::new(),
-            mrt: MulticastRouteTable::new(group, cfg.nearest_member_infinity),
+            mrt: MulticastRouteTable::new(cfg.nearest_member_infinity),
             rreq_seen: SeenCache::new(cfg.rreq_seen_capacity),
             join_started: false,
             last_tree_grph: None,
@@ -519,11 +518,10 @@ impl<X: Message> Maodv<X> {
                 }
             }
             None => {
-                let rreq_id = self.flood_unicast_rreq(api, dest);
+                self.flood_unicast_rreq(api, dest);
                 self.cold_mut().discoveries.insert(
                     dest,
                     Discovery {
-                        rreq_id,
                         sent_at: now,
                         retries: 0,
                         buffer: vec![payload],
@@ -607,8 +605,9 @@ impl<X: Message> Maodv<X> {
         rreq_id
     }
 
-    /// Floods a new unicast route discovery for `dest` and returns its id.
-    fn flood_unicast_rreq<C: MaodvCtx<X>>(&mut self, api: &mut C, dest: NodeId) -> u32 {
+    /// Floods a new unicast route discovery for `dest`; the RREP that
+    /// answers it is matched on `dest`, not on the request's id.
+    fn flood_unicast_rreq<C: MaodvCtx<X>>(&mut self, api: &mut C, dest: NodeId) {
         let rreq_id = self.fresh_rreq_id();
         api.bump(counters::UNICAST_RREQ);
         api.broadcast(MaodvMsg::Rreq(RreqPayload {
@@ -622,7 +621,6 @@ impl<X: Message> Maodv<X> {
             ttl: self.cfg.flood_ttl,
             repair_hops: None,
         }));
-        rreq_id
     }
 
     /// A MACT of ours for the group (`rreq_id` is unused by prunes).
@@ -638,7 +636,6 @@ impl<X: Message> Maodv<X> {
 
     fn become_leader<C: MaodvCtx<X>>(&mut self, api: &mut C) {
         self.is_leader = true;
-        self.mrt.leader = Some(self.id);
         self.mrt.group_seq += 1;
         self.mrt.hops_to_leader = 0;
         self.last_tree_grph = Some(api.now());
@@ -726,11 +723,10 @@ impl<X: Message> Maodv<X> {
         to_retry.sort();
         to_fail.sort();
         for dest in to_retry {
-            let rreq_id = self.flood_unicast_rreq(api, dest);
+            self.flood_unicast_rreq(api, dest);
             if let Some(d) = self.cold_mut().discoveries.get_mut(&dest) {
                 d.retries += 1;
                 d.sent_at = now;
-                d.rreq_id = rreq_id;
             }
         }
         for dest in to_fail {
@@ -1048,7 +1044,6 @@ impl<X: Message> Maodv<X> {
             // RREQs, so the graft cannot land in our own subtree.
             api.bump(counters::LEADER_MERGE_DEFER);
             self.is_leader = false;
-            self.mrt.leader = Some(g.leader);
             self.mrt.group_seq = self.mrt.group_seq.max(g.group_seq);
             // Grace period: our subtree stays "connected" through us
             // while the graft completes.
@@ -1087,7 +1082,6 @@ impl<X: Message> Maodv<X> {
             }
         }
         self.cold_mut().adopted_grph = Some((g.leader, g.group_seq));
-        self.mrt.leader = Some(g.leader);
         self.mrt.group_seq = self.mrt.group_seq.max(g.group_seq);
         self.mrt.hops_to_leader = g.hop_count.saturating_add(1);
         self.last_tree_grph = Some(api.now());

@@ -91,9 +91,12 @@ pub trait ProtoCtx<M: Message> {
     /// A uniform draw from `0..bound` (nanoseconds or microseconds by
     /// caller convention) used to de-synchronize periodic timers.
     ///
-    /// Jitter never changes *what* a protocol does, only *when*; the
+    /// As a timer delay, jitter changes only *when* a protocol acts; the
     /// model checker resolves it to 0 and explores timer-tie orders
-    /// nondeterministically instead.
+    /// nondeterministically instead. A draw compared with state can
+    /// change *whether* it acts: MAODV's orphan repair starts only once
+    /// staleness exceeds a threshold plus a draw, and the checker
+    /// explores only the zero draw, the earliest repair.
     ///
     /// # Panics
     ///
