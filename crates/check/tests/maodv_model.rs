@@ -122,8 +122,8 @@ fn maodv_line_merge_is_loop_free() {
         ex.len(),
         ex.terminals().count()
     );
-    // Pinned: state identity is the `Debug` rendering, so a cache leaking
-    // into it (or a field dropped from it) moves this count.
+    // Pinned: state identity is `state_key`, the value's `Hash`, so a
+    // cache leaking into it (or a field dropped from it) moves this count.
     assert_eq!((ex.len(), ex.terminals().count()), (10_054, 204));
 
     // The tentpole property: the upstream graph is acyclic everywhere.

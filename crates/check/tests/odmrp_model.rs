@@ -106,8 +106,8 @@ fn odmrp_chain_holds_fg_expiry_and_delivery() {
         ex.len(),
         ex.terminals().count()
     );
-    // Pinned: state identity is the `Debug` rendering, so a cache leaking
-    // into it (or a field dropped from it) moves this count.
+    // Pinned: state identity is `state_key`, the value's `Hash`, so a
+    // cache leaking into it (or a field dropped from it) moves this count.
     assert_eq!((ex.len(), ex.terminals().count()), (2_689, 18));
 
     // Terminal worlds are exactly the parked ones.

@@ -24,29 +24,32 @@ const TIMER_GOSSIP: TimerKey = TIMER_USER_BASE;
 /// Timer: CBR traffic source.
 const TIMER_TRAFFIC: TimerKey = TIMER_USER_BASE + 1;
 
-/// Picks a next hop from `(node, nearest_member)` candidates, weighting
-/// toward smaller member distances with weight `1 / nearest_member`
-/// (§4.2), or uniformly when `locality` is off.
+/// Picks a next hop from the `(node, nearest_member)` candidates that
+/// `candidates` yields afresh on each call, weighting toward smaller
+/// member distances with weight `1 / nearest_member` (§4.2), or
+/// uniformly when `locality` is off.
 ///
 /// The selection is a single [`ProtoCtx`] named choice
 /// ([`ProtoCtx::pick_weighted`] / [`ProtoCtx::pick_index`]), so the
 /// engine draws exactly the values the pre-facade code drew while the
-/// model checker enumerates every candidate.
-fn weighted_pick<C: MaodvCtx<AgMsg>>(
-    candidates: &[(NodeId, u8)],
+/// model checker enumerates every candidate. The candidates are walked
+/// again rather than collected (count, then `nth`), so nothing is kept.
+fn weighted_pick<C: MaodvCtx<AgMsg>, I: Iterator<Item = (NodeId, u8)>>(
+    candidates: impl Fn() -> I,
     locality: bool,
     ctx: &mut C,
 ) -> Option<NodeId> {
-    if candidates.is_empty() {
+    let nth = |i: usize| candidates().nth(i).expect("draw out of range");
+    let n = candidates().count();
+    if n == 0 {
         return None;
     }
     let picked = if locality {
-        let weight = |i: usize| 1.0 / f64::from(candidates[i].1.max(1));
-        ctx.pick_weighted(candidates.len(), weight)
+        ctx.pick_weighted(n, |i| 1.0 / f64::from(nth(i).1.max(1)))
     } else {
-        ctx.pick_index(candidates.len())
+        ctx.pick_index(n)
     };
-    Some(candidates[picked].0)
+    Some(nth(picked).0)
 }
 
 /// Chooses what a member puts into a gossip reply (§4.4 pull):
@@ -125,22 +128,15 @@ pub(crate) fn select_reply_packets(
 #[derive(Debug, Clone, Hash)]
 pub struct AnonymousGossip {
     maodv: Maodv<AgMsg>,
-    /// Reused per-reception upcall buffer (a fresh `Vec` per received
-    /// frame was a steady-state allocation); MAODV's timers fill none.
-    up: Vec<Upcall<AgMsg>>,
     gossip: Gossip,
 }
 
-/// The gossip layer's own state, kept apart from the [`Maodv`] core and
-/// the upcall buffer so one handler can borrow all three at once: MAODV
-/// fills the buffer, the gossip layer drains it while sending through
-/// MAODV.
+/// The gossip layer's own state, kept apart from the [`Maodv`] core so
+/// one handler can borrow both at once: MAODV returns the upcall, the
+/// gossip layer handles it while sending through MAODV.
 #[derive(Debug, Clone, Hash)]
 struct Gossip {
     cfg: AgConfig,
-    /// Reused `(node, nearest_member)` candidate buffer for
-    /// [`weighted_pick`].
-    cand_scratch: Vec<(NodeId, u8)>,
     /// Boxed in `new` at members and the source; a router, which never
     /// delivers, carries only the pointer.
     member: Option<Box<MemberState>>,
@@ -206,9 +202,7 @@ impl AnonymousGossip {
         cfg.validate();
         AnonymousGossip {
             maodv: Maodv::new(maodv_cfg, id, group, is_member),
-            up: Vec::new(),
             gossip: Gossip {
-                cand_scratch: Vec::new(),
                 member: (is_member || traffic.is_some())
                     .then(|| Box::new(MemberState::new(&cfg, traffic))),
                 cfg,
@@ -260,44 +254,43 @@ impl Gossip {
 
     // ───────────────────────── delivery plumbing ─────────────────────────
 
-    fn process_upcalls<C: MaodvCtx<AgMsg>>(
+    /// Handles what one of MAODV's receptions surfaced.
+    fn on_upcall<C: MaodvCtx<AgMsg>>(
         &mut self,
         maodv: &mut Maodv<AgMsg>,
         api: &mut C,
-        upcalls: &mut Vec<Upcall<AgMsg>>,
+        up: Upcall<AgMsg>,
     ) {
-        for up in upcalls.drain(..) {
-            match up {
-                Upcall::DataReceived {
-                    origin,
-                    seq,
-                    payload_len,
-                    hops,
-                } => {
-                    let m = self.member_mut();
-                    m.deliver(origin, seq, payload_len, DeliveryPath::Tree);
-                    // Data implies the origin is a member (free cache feed).
-                    m.cache.observe(origin, hops);
-                }
-                Upcall::MemberObserved { member, hops } => {
-                    // A router's own join replies name members too; it
-                    // keeps no cache to put them in.
-                    if let Some(m) = self.member.as_deref_mut() {
-                        if member != maodv.id() {
-                            m.cache.observe(member, hops);
-                        }
+        match up {
+            Upcall::DataReceived {
+                origin,
+                seq,
+                payload_len,
+                hops,
+            } => {
+                let m = self.member_mut();
+                m.deliver(origin, seq, payload_len, DeliveryPath::Tree);
+                // Data implies the origin is a member (free cache feed).
+                m.cache.observe(origin, hops);
+            }
+            Upcall::MemberObserved { member, hops } => {
+                // A router's own join replies name members too; it
+                // keeps no cache to put them in.
+                if let Some(m) = self.member.as_deref_mut() {
+                    if member != maodv.id() {
+                        m.cache.observe(member, hops);
                     }
                 }
-                Upcall::ExtNeighbor { from, msg } => match msg {
-                    AgMsg::Request(r) => self.handle_walking_request(maodv, api, from, r),
-                    AgMsg::Reply(rep) => self.handle_reply(api, rep, 1),
-                },
-                Upcall::ExtRouted { hops, msg, .. } => match msg {
-                    // Cached gossip addressed to us: always accept.
-                    AgMsg::Request(r) => self.accept_request(maodv, api, &r, hops),
-                    AgMsg::Reply(rep) => self.handle_reply(api, rep, hops),
-                },
             }
+            Upcall::ExtNeighbor { from, msg } => match msg {
+                AgMsg::Request(r) => self.handle_walking_request(maodv, api, from, r),
+                AgMsg::Reply(rep) => self.handle_reply(api, rep, 1),
+            },
+            Upcall::ExtRouted { hops, msg, .. } => match msg {
+                // Cached gossip addressed to us: always accept.
+                AgMsg::Request(r) => self.accept_request(maodv, api, &r, hops),
+                AgMsg::Reply(rep) => self.handle_reply(api, rep, hops),
+            },
         }
     }
 
@@ -322,12 +315,12 @@ impl Gossip {
             return;
         }
         let want_anon = api.chance(self.cfg.p_anon);
-        let anon_target = {
-            self.cand_scratch.clear();
-            self.cand_scratch
-                .extend(maodv.mrt().enabled().map(|h| (h.node, h.nearest_member)));
-            weighted_pick(&self.cand_scratch, self.cfg.locality_weighting, api)
-        };
+        let mrt = maodv.mrt();
+        let anon_target = weighted_pick(
+            || mrt.enabled().map(|h| (h.node, h.nearest_member)),
+            self.cfg.locality_weighting,
+            api,
+        );
         let req = self.build_request(maodv, 0, self.cfg.gossip_ttl);
         let m = self.member_mut();
         m.metrics.rounds += 1;
@@ -371,16 +364,16 @@ impl Gossip {
         let next = if r.ttl <= 1 {
             None
         } else {
-            let initiator = r.initiator;
-            self.cand_scratch.clear();
-            self.cand_scratch.extend(
-                maodv
-                    .mrt()
-                    .enabled()
-                    .filter(|h| h.node != from && h.node != initiator)
-                    .map(|h| (h.node, h.nearest_member)),
-            );
-            weighted_pick(&self.cand_scratch, self.cfg.locality_weighting, api)
+            let (initiator, mrt) = (r.initiator, maodv.mrt());
+            weighted_pick(
+                || {
+                    mrt.enabled()
+                        .filter(|h| h.node != from && h.node != initiator)
+                        .map(|h| (h.node, h.nearest_member))
+                },
+                self.cfg.locality_weighting,
+                api,
+            )
         };
         match next {
             Some(next) => {
@@ -472,22 +465,21 @@ impl Protocol for AnonymousGossip {
         api: &mut C,
         from: NodeId,
         msg: Self::Msg,
-        rx: RxKind,
+        _rx: RxKind,
     ) {
-        let AnonymousGossip { maodv, up, gossip } = self;
-        maodv.on_packet(api, from, msg, rx, up);
-        gossip.process_upcalls(maodv, api, up);
+        let AnonymousGossip { maodv, gossip } = self;
+        if let Some(up) = maodv.on_packet(api, from, msg) {
+            gossip.on_upcall(maodv, api, up);
+        }
     }
 
     // ag-lint: hot-path
     fn prefetch(&self, from: NodeId, msg: &Self::Msg) {
         self.maodv.prefetch(from, msg);
-        // `on_packet` hands this buffer to MAODV first.
-        std::hint::black_box(self.up.capacity());
     }
 
     fn on_timer<C: MaodvCtx<AgMsg>>(&mut self, api: &mut C, key: TimerKey) {
-        let AnonymousGossip { maodv, gossip, .. } = self;
+        let AnonymousGossip { maodv, gossip } = self;
         if maodv.on_timer(api, key) {
             return;
         }
@@ -589,15 +581,18 @@ mod tests {
     #[test]
     fn weighted_pick_empty_is_none() {
         let mut ctx = rng_ctx(1, 0);
-        assert_eq!(weighted_pick(&[], true, &mut ctx), None);
-        assert_eq!(weighted_pick(&[], false, &mut ctx), None);
+        assert_eq!(weighted_pick(std::iter::empty, true, &mut ctx), None);
+        assert_eq!(weighted_pick(std::iter::empty, false, &mut ctx), None);
     }
 
     #[test]
     fn weighted_pick_single_always_chosen() {
         let mut ctx = rng_ctx(1, 1);
         for _ in 0..10 {
-            assert_eq!(weighted_pick(&[(id(4), 9)], true, &mut ctx), Some(id(4)));
+            assert_eq!(
+                weighted_pick(|| [(id(4), 9)].into_iter(), true, &mut ctx),
+                Some(id(4))
+            );
         }
     }
 
@@ -609,7 +604,7 @@ mod tests {
         let mut near = 0u32;
         let n = 20_000;
         for _ in 0..n {
-            if weighted_pick(&cands, true, &mut ctx) == Some(id(1)) {
+            if weighted_pick(|| cands.into_iter(), true, &mut ctx) == Some(id(1)) {
                 near += 1;
             }
         }
@@ -624,7 +619,7 @@ mod tests {
         let mut near = 0u32;
         let n = 20_000;
         for _ in 0..n {
-            if weighted_pick(&cands, false, &mut ctx) == Some(id(1)) {
+            if weighted_pick(|| cands.into_iter(), false, &mut ctx) == Some(id(1)) {
                 near += 1;
             }
         }
@@ -636,7 +631,7 @@ mod tests {
     fn weighted_pick_handles_zero_nearest_member() {
         // nm is clamped to 1 in the weight; must not divide by zero.
         let mut ctx = rng_ctx(4, 4);
-        assert!(weighted_pick(&[(id(1), 0)], true, &mut ctx).is_some());
+        assert!(weighted_pick(|| [(id(1), 0)].into_iter(), true, &mut ctx).is_some());
     }
 
     // ── select_reply_packets (the §4.4 reply rule) ──
@@ -763,7 +758,7 @@ mod tests {
         let maodv = size_of::<Maodv<AgMsg>>();
         let bare = size_of::<ag_maodv::MaodvProtocol>();
         assert!(
-            ag <= 448 && maodv <= 312 && bare <= 424,
+            ag <= 400 && maodv <= 312 && bare <= 400,
             "{ag} / {maodv} / {bare}"
         );
     }

@@ -27,7 +27,7 @@ use std::ops::{Deref, DerefMut};
 
 use ag_sim::hash::DetHashMap as HashMap;
 
-use ag_net::{Message, NodeId, ProtoCtx, RxKind, TimerKey};
+use ag_net::{Message, NodeId, ProtoCtx, TimerKey};
 use ag_sim::{SimDuration, SimTime};
 
 use crate::counters;
@@ -410,15 +410,14 @@ impl<X: Message> Maodv<X> {
         }
     }
 
-    /// Handles a received frame. Returns the resulting upcalls.
+    /// Handles a received frame. Returns what it surfaces to the layer
+    /// above, if anything (at most one upcall per frame).
     pub fn on_packet<C: MaodvCtx<X>>(
         &mut self,
         api: &mut C,
         from: NodeId,
         msg: MaodvMsg<X>,
-        _rx: RxKind,
-        up: &mut Vec<Upcall<X>>,
-    ) {
+    ) -> Option<Upcall<X>> {
         let now = api.now();
         // The sender is alive, and any frame gives us a 1-hop route to it.
         self.rt
@@ -426,18 +425,19 @@ impl<X: Message> Maodv<X> {
         match msg {
             MaodvMsg::Hello => {}
             MaodvMsg::Rreq(r) => self.handle_rreq(api, from, r),
-            MaodvMsg::Rrep(p) => self.handle_rrep(api, from, p, up),
+            MaodvMsg::Rrep(p) => return self.handle_rrep(api, from, p),
             MaodvMsg::Mact(m) => self.handle_mact(api, from, m),
             MaodvMsg::Grph(g) => self.handle_grph(api, from, g),
-            MaodvMsg::Data(d) => self.handle_data(api, from, d, up),
+            MaodvMsg::Data(d) => return self.handle_data(api, from, d),
             MaodvMsg::NmUpdate { group, value } => {
                 if group == self.group && self.mrt.set_nearest_member(from, value) {
                     self.propagate_nearest_member(api);
                 }
             }
-            MaodvMsg::Ext(x) => up.push(Upcall::ExtNeighbor { from, msg: x }),
-            MaodvMsg::Routed(r) => self.handle_routed(api, from, r, up),
+            MaodvMsg::Ext(x) => return Some(Upcall::ExtNeighbor { from, msg: x }),
+            MaodvMsg::Routed(r) => return self.handle_routed(api, from, r),
         }
+        None
     }
 
     /// Handles a MAC-level unicast failure (retry limit exhausted): the
@@ -880,13 +880,12 @@ impl<X: Message> Maodv<X> {
         api: &mut C,
         from: NodeId,
         p: RrepPayload,
-        up: &mut Vec<Upcall<X>>,
-    ) {
+    ) -> Option<Upcall<X>> {
         let now = api.now();
         if p.hop_count >= self.cfg.flood_ttl.saturating_mul(2) {
             // A reply circulating on stale reverse routes; kill the loop.
             api.bump(counters::RREP_LOOP_DROPPED);
-            return;
+            return None;
         }
         let expires = now + self.cfg.active_route_timeout;
         // Forward route to the reply's destination/responder.
@@ -911,12 +910,6 @@ impl<X: Message> Maodv<X> {
         if p.origin == self.id {
             match p.group {
                 Some(g) if g == self.group => {
-                    if p.responder_is_member {
-                        up.push(Upcall::MemberObserved {
-                            member: p.responder,
-                            hops: p.hop_count.saturating_add(1),
-                        });
-                    }
                     if let Some(j) = self.cold.as_mut().and_then(|c| c.join.as_mut()) {
                         if j.rreq_id == p.rreq_id {
                             j.candidates.push(JoinCandidate {
@@ -927,6 +920,10 @@ impl<X: Message> Maodv<X> {
                             });
                         }
                     }
+                    return p.responder_is_member.then_some(Upcall::MemberObserved {
+                        member: p.responder,
+                        hops: p.hop_count.saturating_add(1),
+                    });
                 }
                 _ => {
                     // Unicast discovery answered: flush the buffer.
@@ -941,12 +938,12 @@ impl<X: Message> Maodv<X> {
                     }
                 }
             }
-            return;
+            return None;
         }
         // Forward toward the origin along the reverse route.
         let Some(rev) = self.rt.lookup(p.origin, now) else {
             api.bump(counters::RREP_NO_REVERSE_ROUTE);
-            return;
+            return None;
         };
         let rev_next = rev.next_hop;
         if p.group.is_some() {
@@ -958,7 +955,7 @@ impl<X: Message> Maodv<X> {
             let cold = self.cold_mut();
             if let Some(&(best_seq, best_hops)) = cold.forwarded_rreps.get(&key) {
                 if p.seq < best_seq || (p.seq == best_seq && p.hop_count >= best_hops) {
-                    return;
+                    return None;
                 }
             }
             cold.forwarded_rreps.insert(key, score);
@@ -980,6 +977,7 @@ impl<X: Message> Maodv<X> {
                 ..p
             }),
         );
+        None
     }
 
     fn handle_mact<C: MaodvCtx<X>>(&mut self, api: &mut C, from: NodeId, m: MactPayload) {
@@ -1096,10 +1094,9 @@ impl<X: Message> Maodv<X> {
         api: &mut C,
         from: NodeId,
         d: DataHeader,
-        up: &mut Vec<Upcall<X>>,
-    ) {
+    ) -> Option<Upcall<X>> {
         if d.group != self.group || d.origin == self.id {
-            return;
+            return None;
         }
         let now = api.now();
         // Free reverse route toward the origin (used by gossip replies).
@@ -1107,19 +1104,11 @@ impl<X: Message> Maodv<X> {
         // Tree discipline: accept only over an activated tree edge.
         if !self.mrt.next_hop(from).is_some_and(|h| h.enabled) {
             api.bump(counters::DATA_NON_TREE_IGNORED);
-            return;
+            return None;
         }
         if !self.cold_mut().data_seen.insert((d.origin, d.seq)) {
             api.bump(counters::DATA_DUPLICATE);
-            return;
-        }
-        if self.is_member {
-            up.push(Upcall::DataReceived {
-                origin: d.origin,
-                seq: d.seq,
-                payload_len: d.payload_len,
-                hops: d.hops.saturating_add(1),
-            });
+            return None;
         }
         // Forward along the remaining tree edges (one broadcast reaches
         // them all; non-tree neighbours ignore it).
@@ -1130,6 +1119,12 @@ impl<X: Message> Maodv<X> {
                 ..d
             }));
         }
+        self.is_member.then_some(Upcall::DataReceived {
+            origin: d.origin,
+            seq: d.seq,
+            payload_len: d.payload_len,
+            hops: d.hops.saturating_add(1),
+        })
     }
 
     fn handle_routed<C: MaodvCtx<X>>(
@@ -1137,26 +1132,24 @@ impl<X: Message> Maodv<X> {
         api: &mut C,
         from: NodeId,
         r: RoutedExt<X>,
-        up: &mut Vec<Upcall<X>>,
-    ) {
+    ) -> Option<Upcall<X>> {
         let now = api.now();
         // The routed frame teaches us the way back to its source.
         self.learn_route(now, r.src, from, r.hops.saturating_add(1));
         if r.dest == self.id {
-            up.push(Upcall::ExtRouted {
+            return Some(Upcall::ExtRouted {
                 src: r.src,
                 hops: r.hops.saturating_add(1),
                 msg: r.payload,
             });
-            return;
         }
         if r.ttl <= 1 {
             api.bump(counters::ROUTED_TTL_EXPIRED);
-            return;
+            return None;
         }
         let Some(route) = self.rt.lookup(r.dest, now) else {
             api.bump(counters::ROUTED_NO_ROUTE);
-            return;
+            return None;
         };
         let next = route.next_hop;
         self.rt.refresh(r.dest, now + self.cfg.active_route_timeout);
@@ -1168,6 +1161,7 @@ impl<X: Message> Maodv<X> {
                 ..r
             }),
         );
+        None
     }
 
     fn handle_tree_break<C: MaodvCtx<X>>(&mut self, api: &mut C, neighbor: NodeId) {
@@ -1301,10 +1295,9 @@ mod tests {
                 sender_is_member: false,
             })
         };
-        let mut up = Vec::new();
         for kind in [MactKind::Join, MactKind::Prune, MactKind::Join] {
             let mut api = SendLog::default();
-            node.on_packet(&mut api, neighbour, mact(kind), RxKind::Unicast, &mut up);
+            node.on_packet(&mut api, neighbour, mact(kind));
             let expect = match kind {
                 MactKind::Join => vec![(neighbour, MaodvMsg::NmUpdate { group, value: 1 })],
                 MactKind::Prune => vec![],
@@ -1340,11 +1333,10 @@ mod tests {
             leader_hops: 0,
             responder_is_member: false,
         };
-        let mut up = Vec::new();
         for (hops, forwarded) in [(200, true), (255, false)] {
             let mut api = SendLog::default();
             let msg = MaodvMsg::Rrep(rrep(hops));
-            node.on_packet(&mut api, from, msg, RxKind::Unicast, &mut up);
+            node.on_packet(&mut api, from, msg);
             let expect = if forwarded {
                 vec![(rev_next, MaodvMsg::Rrep(rrep(hops + 1)))]
             } else {

@@ -145,9 +145,6 @@ pub struct MaodvProtocol {
     node: Maodv<NoExt>,
     delivery: DeliveryLog,
     traffic: Option<TrafficSource>,
-    /// Reused per-reception upcall buffer (a fresh `Vec` per engine
-    /// callback was a steady-state allocation).
-    up: Vec<Upcall<NoExt>>,
 }
 
 impl MaodvProtocol {
@@ -163,7 +160,6 @@ impl MaodvProtocol {
             node: Maodv::new(cfg, id, group, is_member),
             delivery: DeliveryLog::new(),
             traffic,
-            up: Vec::new(),
         }
     }
 
@@ -202,18 +198,12 @@ impl Protocol for MaodvProtocol {
         api: &mut C,
         from: NodeId,
         msg: Self::Msg,
-        rx: RxKind,
+        _rx: RxKind,
     ) {
-        self.node.on_packet(api, from, msg, rx, &mut self.up);
         // The baseline only keeps deliveries.
-        for up in self.up.drain(..) {
-            match up {
-                Upcall::DataReceived { origin, seq, .. } => {
-                    self.delivery.record(origin, seq, DeliveryPath::Tree);
-                }
-                Upcall::ExtNeighbor { msg, .. } | Upcall::ExtRouted { msg, .. } => match msg {},
-                Upcall::MemberObserved { .. } => {}
-            }
+        if let Some(Upcall::DataReceived { origin, seq, .. }) = self.node.on_packet(api, from, msg)
+        {
+            self.delivery.record(origin, seq, DeliveryPath::Tree);
         }
     }
 
