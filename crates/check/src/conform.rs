@@ -2,52 +2,49 @@
 
 use std::hash::Hash;
 
-use ag_net::{Counter, Dispatch, Message, NodeId, ProtoCtx, Protocol, RxKind, TimerKey};
+use ag_net::{
+    Choice, Dispatch, Message, NodeId, NodeSetup, Observer, ProtoCtx, Protocol, TimerKey,
+};
 use ag_sim::hash::state_key;
 use ag_sim::{SimDuration, SimTime};
 
-/// The outcome of one named random choice.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Choice {
-    Jitter(u64),
-    Chance(bool),
-    Index(usize),
-}
-
-/// A [`Protocol`] that checks every dispatch of the `P` it wraps
-/// against a replica: the proof that the model the checker explores is
-/// the code the simulator runs.
+/// An engine [`Observer`] that checks every dispatch of a run against a
+/// replica of its node: the proof that the model the checker explores
+/// is the code the simulator runs.
 ///
-/// Build each node's protocol as `Conform::new(p)` and run a plain
-/// `ag_net::Engine`. Each dispatch goes first to the live instance,
-/// through the engine's context with every named-choice outcome
-/// recorded, then to a replica cloned at construction, through a
+/// Build the nodes, then run them with
+/// `Engine::observed(phy, seed, nodes, Conform::new(&nodes))`; the run
+/// is the plain engine run, handlers, [`Protocol::prefetch`] and
+/// counters alike. Around each upcall the observer records the dispatch
+/// and the named-choice outcomes the handler draws, then hands the
+/// dispatch to the node's replica (cloned from the setup) through a
 /// context that serves those outcomes back and drops every effect (a
-/// transition returns its effects, so a replica can ignore them). The
-/// live instance answers every call, [`Protocol::prefetch`] included,
-/// so a wrapped run takes the shipped path and gets the unwrapped
-/// run's results.
+/// transition returns its effects, so a replica can ignore them).
 ///
 /// # Panics
 ///
-/// A handler panics at the first dispatch after which the replica drew
+/// The engine panics at the first dispatch after which the replica drew
 /// other choices than the live instance, or hashes to another state
 /// ([`state_key`]): a handler read ambient state or drew randomness
 /// outside the named-choice surface. The message names the node, the
-/// time, the input and the node's step.
+/// time, the input and the run's step.
 #[derive(Debug)]
-pub struct Conform<P> {
-    live: P,
-    replica: P,
+pub struct Conform<P: Protocol> {
+    replicas: Vec<P>,
+    /// The time and dispatch of the upcall under way.
+    pending: Option<(SimTime, Dispatch<P::Msg>)>,
+    /// The choices the live instance has drawn in it.
+    drawn: Vec<Choice>,
     checked: usize,
 }
 
 impl<P: Protocol + Clone + Hash> Conform<P> {
-    /// Wraps `protocol`, cloning it as the replica.
-    pub fn new(protocol: P) -> Self {
+    /// Clones each node's protocol as its replica.
+    pub fn new(nodes: &[NodeSetup<P>]) -> Self {
         Conform {
-            replica: protocol.clone(),
-            live: protocol,
+            replicas: nodes.iter().map(|n| n.protocol.clone()).collect(),
+            pending: None,
+            drawn: Vec::new(),
             checked: 0,
         }
     }
@@ -56,37 +53,40 @@ impl<P: Protocol + Clone + Hash> Conform<P> {
     pub fn checked(&self) -> usize {
         self.checked
     }
+}
 
-    /// The live instance.
-    pub fn inner(&self) -> &P {
-        &self.live
+impl<P: Protocol + Clone + Hash> Observer<P> for Conform<P> {
+    fn dispatching(&mut self, _node: NodeId, now: SimTime, dispatch: &Dispatch<P::Msg>) {
+        self.pending = Some((now, dispatch.clone()));
+        self.drawn.clear();
     }
 
-    fn check<C: ProtoCtx<P::Msg>>(&mut self, ctx: &mut C, dispatch: Dispatch<P::Msg>) {
-        let (now, id, node_count) = (ctx.now(), ctx.id(), ctx.node_count());
-        let mut live = RecordCtx {
-            ctx,
-            drawn: Vec::new(),
-        };
-        dispatch.clone().deliver(&mut self.live, &mut live);
-        let mut replica = ReplayCtx {
+    fn chose(&mut self, choice: Choice) {
+        self.drawn.push(choice);
+    }
+
+    fn dispatched(&mut self, id: NodeId, live: &P) {
+        let (now, dispatch) = self.pending.take().expect("dispatched without dispatching");
+        let node_count = self.replicas.len();
+        let replica = &mut self.replicas[id.index()];
+        let mut replay = ReplayCtx {
             now,
             id,
             node_count,
-            recorded: live.drawn.iter(),
+            recorded: self.drawn.iter(),
             drawn: Vec::new(),
         };
-        dispatch.clone().deliver(&mut self.replica, &mut replica);
+        dispatch.clone().deliver(replica, &mut replay);
         let step = self.checked;
         assert!(
-            replica.drawn == live.drawn,
+            replay.drawn == self.drawn,
             "{id} at {now:?}, step #{step} ({dispatch:?}): the replica drew the choices {:?} \
              where the live instance drew {:?}",
-            replica.drawn,
-            live.drawn,
+            replay.drawn,
+            self.drawn,
         );
         assert!(
-            state_key(&self.live) == state_key(&self.replica),
+            state_key(live) == state_key(&*replica),
             "{id} at {now:?}, step #{step} ({dispatch:?}): the replica's state diverged \
              from the live instance's",
         );
@@ -94,100 +94,10 @@ impl<P: Protocol + Clone + Hash> Conform<P> {
     }
 }
 
-impl<P: Protocol + Clone + Hash> Protocol for Conform<P> {
-    type Msg = P::Msg;
-
-    const COUNTER_SLOTS: usize = P::COUNTER_SLOTS;
-
-    fn start<C: ProtoCtx<P::Msg>>(&mut self, ctx: &mut C) {
-        self.check(ctx, Dispatch::Start);
-    }
-
-    fn on_packet<C: ProtoCtx<P::Msg>>(
-        &mut self,
-        ctx: &mut C,
-        from: NodeId,
-        msg: P::Msg,
-        rx: RxKind,
-    ) {
-        self.check(ctx, Dispatch::Packet { from, msg, rx });
-    }
-
-    fn on_timer<C: ProtoCtx<P::Msg>>(&mut self, ctx: &mut C, key: TimerKey) {
-        self.check(ctx, Dispatch::Timer { key });
-    }
-
-    fn on_send_failure<C: ProtoCtx<P::Msg>>(&mut self, ctx: &mut C, to: NodeId, msg: P::Msg) {
-        self.check(ctx, Dispatch::SendFailure { to, msg });
-    }
-
-    fn prefetch(&self, from: NodeId, msg: &P::Msg) {
-        self.live.prefetch(from, msg);
-    }
-}
-
 /// Appends choice outcome `v` to `drawn` and returns it.
 fn logged<T: Copy>(drawn: &mut Vec<Choice>, v: T, choice: fn(T) -> Choice) -> T {
     drawn.push(choice(v));
     v
-}
-
-/// The live instance's context: the engine's, with each choice outcome
-/// logged as it is drawn.
-struct RecordCtx<'a, C> {
-    ctx: &'a mut C,
-    drawn: Vec<Choice>,
-}
-
-impl<M: Message, C: ProtoCtx<M>> ProtoCtx<M> for RecordCtx<'_, C> {
-    fn now(&self) -> SimTime {
-        self.ctx.now()
-    }
-
-    fn id(&self) -> NodeId {
-        self.ctx.id()
-    }
-
-    fn node_count(&self) -> usize {
-        self.ctx.node_count()
-    }
-
-    fn send(&mut self, dest: NodeId, msg: M) {
-        self.ctx.send(dest, msg);
-    }
-
-    fn broadcast(&mut self, msg: M) {
-        self.ctx.broadcast(msg);
-    }
-
-    fn set_timer(&mut self, delay: SimDuration, key: TimerKey) {
-        self.ctx.set_timer(delay, key);
-    }
-
-    fn bump_n(&mut self, counter: Counter, n: u64) {
-        self.ctx.bump_n(counter, n);
-    }
-
-    fn count_n(&mut self, name: &'static str, n: u64) {
-        self.ctx.count_n(name, n);
-    }
-
-    fn jitter(&mut self, bound: u64) -> u64 {
-        logged(&mut self.drawn, self.ctx.jitter(bound), Choice::Jitter)
-    }
-
-    fn chance(&mut self, p: f64) -> bool {
-        logged(&mut self.drawn, self.ctx.chance(p), Choice::Chance)
-    }
-
-    fn pick_index(&mut self, n: usize) -> usize {
-        logged(&mut self.drawn, self.ctx.pick_index(n), Choice::Index)
-    }
-
-    fn pick_weighted<F: Fn(usize) -> f64>(&mut self, n: usize, weight: F) -> usize {
-        let v = self.ctx.pick_weighted(n, weight);
-        logged(&mut self.drawn, v, Choice::Index)
-    }
 }
 
 /// The replica's context: swallows every effect and serves the

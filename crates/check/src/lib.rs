@@ -13,11 +13,12 @@
 //!    and every named choice branch nondeterministically. Temporal
 //!    properties (`always` / `eventually` / `leads_to`) are decided
 //!    over the full reachable graph with lasso-shaped counterexamples.
-//! 2. **Lockstep conformance** ([`Conform`]): a wrapper run under a
-//!    plain engine delivers every dispatch to the live protocol and,
-//!    with the choices it drew, to a replica, asserting the same
-//!    choices and the same [`state_key`] after each — the proof that
-//!    the model the checker explores *is* the code the simulator runs.
+//! 2. **Lockstep conformance** ([`Conform`]): an engine observer that
+//!    replays every dispatch of a plain engine run, with the choices
+//!    the live handler drew, into a replica of the node, asserting the
+//!    same choices and the same [`state_key`] after each — the proof
+//!    that the model the checker explores *is* the code the simulator
+//!    runs.
 //!
 //! Everything is implemented in-workspace (no external model-checking
 //! dependency), mirroring the vendored-shim policy in `vendor/`.

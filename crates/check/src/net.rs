@@ -40,6 +40,7 @@
 
 use std::collections::VecDeque;
 use std::hash::Hash;
+use std::sync::Arc;
 
 use ag_net::{Dispatch, Message, NodeId, ProtoCtx, Protocol, RxKind, TimerKey};
 use ag_sim::{SimDuration, SimTime};
@@ -156,8 +157,9 @@ impl<P: Protocol<Msg: Hash> + Clone + Hash> NetModel<P> {
 pub struct NetState<P: Protocol + Clone> {
     /// Current simulated time.
     pub now: SimTime,
-    /// Protocol instance per node.
-    pub nodes: Vec<P>,
+    /// Protocol instance per node, shared by every state that has not
+    /// dispatched to it since ([`Arc::make_mut`]).
+    pub nodes: Vec<Arc<P>>,
     /// Radio up/down per node (churn toggles these).
     pub alive: Vec<bool>,
     /// FIFO frame channels, parallel to the model's directed links.
@@ -397,7 +399,7 @@ impl<P: Protocol<Msg: Hash> + Clone + Hash> NetModel<P> {
                 timers,
                 failures: &mut work,
             };
-            d.deliver(&mut nodes[n], &mut ctx);
+            d.deliver(Arc::make_mut(&mut nodes[n]), &mut ctx);
         }
         st.timers.sort_by_key(|&(at, n, k)| (at, n, k));
     }
@@ -447,7 +449,7 @@ impl<P: Protocol<Msg: Hash> + Clone + Hash> Machine for NetModel<P> {
         let n = self.protocols.len();
         let mut st = NetState {
             now: SimTime::ZERO,
-            nodes: self.protocols.clone(),
+            nodes: self.protocols.iter().cloned().map(Arc::new).collect(),
             alive: vec![true; n],
             channels: vec![VecDeque::new(); self.links.len()],
             timers: Vec::new(),

@@ -1,15 +1,15 @@
 //! Lockstep conformance: the model the checker explores is the code
 //! the simulator runs.
 //!
-//! Each test wraps every node's protocol in [`Conform`] and runs a
-//! plain engine simulation. `Conform` hands each dispatch to the live
-//! instance and, with the choices it drew, to a replica through the
-//! pure [`ProtoCtx`](ag_net::ProtoCtx) facade, asserting the same
-//! choices and the same state after **every single dispatch**. Any
-//! drift between what runs under `ag_net::Engine` and what the model
-//! checker executes (an unrecorded RNG draw, a handler peeking at
-//! ambient state) fails here with the exact divergent step; the last
-//! two tests show that it does.
+//! Each test runs a plain engine simulation watched by [`Conform`].
+//! After each upcall `Conform` hands the dispatch, with the choices the
+//! live instance drew, to a replica of the node through the pure
+//! [`ProtoCtx`](ag_net::ProtoCtx) facade, asserting the same choices
+//! and the same state after **every single dispatch**. Any drift
+//! between what runs under `ag_net::Engine` and what the model checker
+//! executes (an unrecorded RNG draw, a handler peeking at ambient
+//! state) fails here with the exact divergent step; the last two tests
+//! show that it does.
 
 use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -24,6 +24,7 @@ use ag_net::{
 };
 use ag_odmrp::{OdmrpConfig, OdmrpProtocol};
 use ag_sim::rng::{SeedSplitter, StreamKind};
+use ag_sim::stats::CounterSet;
 use ag_sim::{SimDuration, SimTime};
 
 /// Nodes stationary on a line, 40 m apart (75 m radio range, so only
@@ -32,8 +33,22 @@ fn line(i: u32) -> Box<dyn Mobility> {
     Box::new(Stationary::new(Vec2::new(40.0 * f64::from(i), 0.0)))
 }
 
-/// Runs `n` nodes, each `build(i)` wrapped in [`Conform`] and placed by
-/// `place(i)`, until `secs`; returns the engine and the dispatches
+/// `n` nodes, each `build(i)` placed by `place(i)`.
+fn setups<P>(
+    n: u32,
+    place: impl Fn(u32) -> Box<dyn Mobility>,
+    build: impl Fn(u32) -> P,
+) -> Vec<NodeSetup<P>> {
+    (0..n)
+        .map(|i| NodeSetup {
+            mobility: place(i),
+            protocol: build(i),
+        })
+        .collect()
+}
+
+/// Runs `n` nodes, each `build(i)` placed by `place(i)`, under
+/// [`Conform`] until `secs`; returns the engine and the dispatches
 /// checked.
 fn run<P: Protocol + Clone + Hash>(
     phy: PhyParams,
@@ -42,16 +57,12 @@ fn run<P: Protocol + Clone + Hash>(
     n: u32,
     place: impl Fn(u32) -> Box<dyn Mobility>,
     build: impl Fn(u32) -> P,
-) -> (Engine<Conform<P>>, usize) {
-    let nodes = (0..n)
-        .map(|i| NodeSetup {
-            mobility: place(i),
-            protocol: Conform::new(build(i)),
-        })
-        .collect();
-    let mut e = Engine::new(phy, seed, nodes);
+) -> (Engine<P, Conform<P>>, usize) {
+    let nodes = setups(n, place, build);
+    let conform = Conform::new(&nodes);
+    let mut e = Engine::observed(phy, seed, nodes, conform);
     e.run_until(SimTime::from_secs(secs));
-    let checked = e.protocols().iter().map(Conform::checked).sum();
+    let checked = e.observer().checked();
     (e, checked)
 }
 
@@ -125,12 +136,16 @@ fn gossip_trace_replays_through_the_facade() {
     assert_eq!(steps, 3_090);
 }
 
-/// The gossip stack where the engine's rarer paths run: walking nodes,
-/// radios that fail and recover, and frames lost to a graded channel.
-#[test]
-fn gossip_conforms_under_motion_churn_and_loss() {
+/// Twelve gossip nodes where the engine's rarer paths run: walking
+/// nodes, radios that fail and recover, and frames lost to a graded
+/// channel. Returns the radio, the placement and the protocol of each node.
+fn churny_gossip() -> (
+    PhyParams,
+    impl Fn(u32) -> Box<dyn Mobility>,
+    impl Fn(u32) -> AnonymousGossip,
+) {
     let field = Field::new(200.0, 200.0);
-    let place = |i: u32| -> Box<dyn Mobility> {
+    let place = move |i: u32| -> Box<dyn Mobility> {
         let mut rng = SeedSplitter::new(3).stream(StreamKind::Placement, i.into());
         Box::new(RandomWaypoint::new(
             field,
@@ -141,10 +156,16 @@ fn gossip_conforms_under_motion_churn_and_loss() {
     };
     let traffic =
         TrafficSource::compact(SimTime::from_secs(5), SimDuration::from_millis(200), 60, 64);
-    let build = |i: u32| gossip_node(i, i.is_multiple_of(2), (i == 0).then_some(traffic));
+    let build = move |i: u32| gossip_node(i, i.is_multiple_of(2), (i == 0).then_some(traffic));
     let phy = PhyParams::paper_default(75.0)
         .with_churn(ChurnParams::new(15.0, 3.0))
         .with_reception(ReceptionModel::DistanceGraded { edge_per: 0.4 });
+    (phy, place, build)
+}
+
+#[test]
+fn gossip_conforms_under_motion_churn_and_loss() {
+    let (phy, place, build) = churny_gossip();
     let (e, steps) = run(phy, 3, 20, 12, place, build);
     let counters = e.counters();
     println!("churn conformance: {steps} dispatches checked in lockstep; {counters:?}");
@@ -156,13 +177,26 @@ fn gossip_conforms_under_motion_churn_and_loss() {
     ] {
         assert!(counters.get(name) > 0, "{name} never happened");
     }
-    let delivered: u64 = e
-        .protocols()
-        .iter()
-        .map(|c| c.inner().delivery().distinct())
-        .sum();
+    let delivered: u64 = e.protocols().iter().map(|p| p.delivery().distinct()).sum();
     assert!(delivered > 0, "no member received data");
     assert_eq!(steps, 4_313);
+}
+
+/// Watching a run changes nothing: the churny gossip run gives the same
+/// counters, events and deliveries under [`Conform`] as without it.
+#[test]
+fn conform_leaves_the_run_unchanged() {
+    let (phy, place, build) = churny_gossip();
+    let mut plain = Engine::new(phy, 3, setups(12, &place, &build));
+    plain.run_until(SimTime::from_secs(20));
+    let (checked, _) = run(phy, 3, 20, 12, place, build);
+    let counters = |c: CounterSet| c.iter().collect::<Vec<_>>();
+    let delivered = |ps: &[AnonymousGossip]| -> Vec<u64> {
+        ps.iter().map(|p| p.delivery().distinct()).collect()
+    };
+    assert_eq!(counters(plain.counters()), counters(checked.counters()));
+    assert_eq!(plain.events_processed(), checked.events_processed());
+    assert_eq!(delivered(plain.protocols()), delivered(checked.protocols()));
 }
 
 #[derive(Debug, Clone)]

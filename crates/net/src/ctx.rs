@@ -1,6 +1,6 @@
-//! The protocol ↔ world boundary.
+//! The protocol ↔ world boundary, and what the engine shows of it.
 //!
-//! [`ProtoCtx`] is the *only* surface a [`Protocol`](crate::Protocol)
+//! [`ProtoCtx`] is the *only* surface a [`Protocol`]
 //! implementation may touch: simulated time, its own address, frame
 //! sends, timers, counters, and **named random choices**. Protocol code
 //! written against this trait is pure with respect to the world — the
@@ -18,20 +18,19 @@
 //! rather than an ambient capability. Each names the *decision* a
 //! protocol makes (jitter a timer, accept with probability `p`, pick a
 //! next hop), which is what lets the checker treat them as
-//! nondeterministic branch points, and `ag-check`'s `Conform` wrapper
-//! replay each engine dispatch choice-for-choice into a replica of the
-//! node.
+//! nondeterministic branch points, and lets an engine [`Observer`]
+//! (`ag-check`'s `Conform`) replay a run choice-for-choice.
 
 use ag_sim::{SimDuration, SimTime};
 
 use crate::counter::Counter;
-use crate::types::{Message, NodeId, RxKind, TimerKey};
+use crate::types::{Message, NodeId, Protocol, RxKind, TimerKey};
 
 /// Everything a protocol can observe or do, as a trait.
 ///
 /// The engine's [`NodeApi`](crate::NodeApi) is the production
 /// implementation; `ag-check` provides an enumerating one (model
-/// checking), and a recording and a replaying one (conformance).
+/// checking) and a replaying one (conformance).
 /// Handlers are generic over `C`, so the engine pays no dynamic
 /// dispatch: the same code monomorphizes per context.
 ///
@@ -134,9 +133,9 @@ pub trait ProtoCtx<M: Message> {
 /// What the engine dispatched into a protocol instance.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Dispatch<M> {
-    /// [`Protocol::start`](crate::Protocol::start) at time zero.
+    /// [`Protocol::start`] at time zero.
     Start,
-    /// [`Protocol::on_packet`](crate::Protocol::on_packet).
+    /// [`Protocol::on_packet`].
     Packet {
         /// The sending node.
         from: NodeId,
@@ -145,12 +144,12 @@ pub enum Dispatch<M> {
         /// Unicast or broadcast reception.
         rx: RxKind,
     },
-    /// [`Protocol::on_timer`](crate::Protocol::on_timer).
+    /// [`Protocol::on_timer`].
     Timer {
         /// The timer tag.
         key: TimerKey,
     },
-    /// [`Protocol::on_send_failure`](crate::Protocol::on_send_failure).
+    /// [`Protocol::on_send_failure`].
     SendFailure {
         /// The unreachable destination.
         to: NodeId,
@@ -162,14 +161,10 @@ pub enum Dispatch<M> {
 impl<M: Message> Dispatch<M> {
     /// Invokes the handler this dispatch names on `protocol`. The one
     /// `Dispatch` → handler mapping in the workspace: the engine's
-    /// upcall, the conformance check and the model checker all go
+    /// upcall, the conformance replay and the model checker all go
     /// through it, so they cannot disagree on what a dispatch means.
     #[inline(always)]
-    pub fn deliver<P: crate::Protocol<Msg = M>, C: ProtoCtx<M>>(
-        self,
-        protocol: &mut P,
-        ctx: &mut C,
-    ) {
+    pub fn deliver<P: Protocol<Msg = M>, C: ProtoCtx<M>>(self, protocol: &mut P, ctx: &mut C) {
         match self {
             Dispatch::Start => protocol.start(ctx),
             Dispatch::Packet { from, msg, rx } => protocol.on_packet(ctx, from, msg, rx),
@@ -178,6 +173,50 @@ impl<M: Message> Dispatch<M> {
         }
     }
 }
+
+/// The outcome of one named random choice, as a [`ProtoCtx`] choice
+/// method returned it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Choice {
+    /// [`ProtoCtx::jitter`].
+    Jitter(u64),
+    /// [`ProtoCtx::chance`].
+    Chance(bool),
+    /// [`ProtoCtx::pick_index`] or [`ProtoCtx::pick_weighted`].
+    Index(usize),
+}
+
+/// A watcher of an engine run, called around every protocol upcall:
+/// [`dispatching`](Observer::dispatching), then
+/// [`chose`](Observer::chose) once per named choice the handler draws,
+/// then [`dispatched`](Observer::dispatched). Upcalls never nest, and
+/// every node's [`Dispatch::Start`] comes first, in node-id order,
+/// while the engine is built.
+///
+/// The hooks get shared views only, neither the world nor a `&mut`
+/// protocol, so watching a run cannot change it. Each does nothing by
+/// default; under [`Quiet`], the engine's default observer, they
+/// compile away.
+pub trait Observer<P: Protocol> {
+    /// `dispatch` is about to reach `node` at `now`.
+    #[inline]
+    fn dispatching(&mut self, _node: NodeId, _now: SimTime, _dispatch: &Dispatch<P::Msg>) {}
+
+    /// The handler under way drew `choice`.
+    #[inline]
+    fn chose(&mut self, _choice: Choice) {}
+
+    /// The handler returned, leaving `node` in state `protocol`.
+    #[inline]
+    fn dispatched(&mut self, _node: NodeId, _protocol: &P) {}
+}
+
+/// The observer that watches nothing: [`Engine`](crate::Engine)'s
+/// default.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Quiet;
+
+impl<P: Protocol> Observer<P> for Quiet {}
 
 #[cfg(test)]
 mod tests {

@@ -16,7 +16,8 @@
 //! is fire-and-forget.
 //!
 //! This file holds the state, construction, the event loop and the one
-//! protocol upcall; the handlers hang off it by seam: `dcf` (the
+//! protocol upcall, which is also where the run's [`Observer`] is
+//! called; the handlers hang off it by seam: `dcf` (the
 //! 802.11 DCF's constants, per-node MAC and handlers, and `TxEnd`
 //! delivery), `receive` (the receiver-set kernel; its oracle is
 //! [`crate::reference`]), `motion` (mobility, churn, the motion bound)
@@ -40,7 +41,7 @@ pub use api::NodeApi;
 pub(crate) use receive::RxCounts;
 
 use crate::counter::Tally;
-use crate::ctx::Dispatch;
+use crate::ctx::{Dispatch, Observer, Quiet};
 use crate::grid::AirIndex;
 use crate::{Message, NodeId, PhyParams, Protocol, TimerKey};
 use dcf::{Mac, OutFrame};
@@ -186,9 +187,13 @@ pub struct NodeSetup<P> {
 /// engine.run_until(SimTime::from_secs(1));
 /// assert_eq!(engine.protocol(NodeId::new(1)).got, 1);
 /// ```
-pub struct Engine<P: Protocol> {
+///
+/// `O` watches the run ([`Engine::observed`]); the default, [`Quiet`],
+/// watches nothing.
+pub struct Engine<P: Protocol, O: Observer<P> = Quiet> {
     world: World<P::Msg>,
     protocols: Vec<P>,
+    obs: O,
     /// The receive kernel's buffers and the receiver list it fills —
     /// beside the world, so delivery reads one while mutating the other.
     rx: RxScratch,
@@ -198,12 +203,20 @@ pub struct Engine<P: Protocol> {
 
 impl<P: Protocol> Engine<P> {
     /// Builds the engine and runs every protocol's [`Protocol::start`] at
-    /// time zero (in node-id order).
+    /// time zero (in node-id order); [`Engine::observed`] with [`Quiet`].
     ///
     /// # Panics
     ///
     /// Panics if `nodes` is empty or has more than `u32::MAX` entries.
     pub fn new(phy: PhyParams, seed: u64, nodes: Vec<NodeSetup<P>>) -> Self {
+        Self::observed(phy, seed, nodes, Quiet)
+    }
+}
+
+impl<P: Protocol, O: Observer<P>> Engine<P, O> {
+    /// [`Engine::new`] (panics included), with `obs` watching every
+    /// upcall from the first `start` on.
+    pub fn observed(phy: PhyParams, seed: u64, nodes: Vec<NodeSetup<P>>, obs: O) -> Self {
         assert!(!nodes.is_empty(), "need at least one node");
         assert!(nodes.len() <= u32::MAX as usize, "too many nodes");
         let splitter = SeedSplitter::new(seed);
@@ -264,26 +277,33 @@ impl<P: Protocol> Engine<P> {
             churn_dropped: Vec::new(),
             world,
             protocols,
+            obs,
         };
-        let (world, protocols) = (&mut engine.world, &mut engine.protocols);
+        let (world, protocols, obs) = (&mut engine.world, &mut engine.protocols, &mut engine.obs);
         for node in 0..n {
-            Self::upcall(world, protocols, node, Dispatch::Start);
+            Self::upcall(world, protocols, obs, node, Dispatch::Start);
         }
         engine
     }
 
     // ag-lint: hot-path
     /// The one protocol upcall: hands `dispatch` to `node`'s handler
-    /// through a [`NodeApi`]. Associated (not `&mut self`) so a caller
-    /// can keep the receiver list borrowed across it.
+    /// through a [`NodeApi`], between the observer's two hooks.
+    /// Associated (not `&mut self`) so a caller can keep the receiver
+    /// list borrowed across it.
     #[inline(always)]
     fn upcall(
         world: &mut World<P::Msg>,
         protocols: &mut [P],
+        obs: &mut O,
         node: usize,
         dispatch: Dispatch<P::Msg>,
     ) {
-        dispatch.deliver(&mut protocols[node], &mut NodeApi { world, node });
+        let id = NodeId::new(node as u32);
+        obs.dispatching(id, world.now, &dispatch);
+        let protocol = &mut protocols[node];
+        dispatch.deliver(protocol, &mut NodeApi { world, obs, node });
+        obs.dispatched(id, protocol);
     }
 
     /// Inert: the engine has no intra-run parallelism (ARCHITECTURE.md,
@@ -313,10 +333,10 @@ impl<P: Protocol> Engine<P> {
     }
 
     fn dispatch(&mut self, ev: Event) {
-        let (world, protocols) = (&mut self.world, &mut self.protocols);
+        let (world, protocols, obs) = (&mut self.world, &mut self.protocols, &mut self.obs);
         match ev {
             Event::Timer { node, key } => {
-                Self::upcall(world, protocols, node, Dispatch::Timer { key });
+                Self::upcall(world, protocols, obs, node, Dispatch::Timer { key });
             }
             Event::MacAttempt { node, gen } => world.handle_attempt(node, gen),
             Event::Mobility { node } => world.handle_mobility(node),
@@ -328,7 +348,7 @@ impl<P: Protocol> Engine<P> {
                 for frame in self.churn_dropped.drain(..) {
                     if let Some(to) = frame.dest {
                         let failure = Dispatch::SendFailure { to, msg: frame.msg };
-                        Self::upcall(world, protocols, node, failure);
+                        Self::upcall(world, protocols, obs, node, failure);
                     }
                 }
             }
@@ -380,6 +400,11 @@ impl<P: Protocol> Engine<P> {
     /// All protocol instances, indexed by node.
     pub fn protocols(&self) -> &[P] {
         &self.protocols
+    }
+
+    /// The observer watching this run.
+    pub fn observer(&self) -> &O {
+        &self.obs
     }
 
     /// Current position of `node`.

@@ -4,22 +4,24 @@ use ag_sim::{SimDuration, SimTime};
 use rand::Rng;
 
 use super::{Event, World};
-use crate::ctx::ProtoCtx;
-use crate::{Counter, Message, NodeId, TimerKey};
+use crate::ctx::{Choice, Observer, ProtoCtx};
+use crate::{Counter, NodeId, Protocol, TimerKey};
 
 /// The per-node view of the world handed to [`Protocol`](crate::Protocol) callbacks.
 ///
 /// This is the engine's implementation of [`ProtoCtx`]: sends become
 /// MAC-queued frames, timers become kernel events, and every named
 /// random choice draws from the node's [`StreamKind::Node`](ag_sim::rng::StreamKind) stream —
-/// nothing else touches that stream, which is what makes engine runs
-/// replayable choice-for-choice through the pure facade (`ag-check`).
-pub struct NodeApi<'a, M: Message> {
-    pub(super) world: &'a mut World<M>,
+/// nothing else touches that stream, and each outcome is shown to the
+/// engine's [`Observer`], which is what makes engine runs replayable
+/// choice-for-choice through the pure facade (`ag-check`).
+pub struct NodeApi<'a, P: Protocol, O> {
+    pub(super) world: &'a mut World<P::Msg>,
+    pub(super) obs: &'a mut O,
     pub(super) node: usize,
 }
 
-impl<'a, M: Message> ProtoCtx<M> for NodeApi<'a, M> {
+impl<P: Protocol, O: Observer<P>> ProtoCtx<P::Msg> for NodeApi<'_, P, O> {
     fn now(&self) -> SimTime {
         self.world.now
     }
@@ -37,7 +39,7 @@ impl<'a, M: Message> ProtoCtx<M> for NodeApi<'a, M> {
     /// through — including when a radio failure destroys it while
     /// queued). Exception: a frame sent while this node's own radio is
     /// already down (churn) is discarded without a callback.
-    fn send(&mut self, dest: NodeId, msg: M) {
+    fn send(&mut self, dest: NodeId, msg: P::Msg) {
         debug_assert!(
             dest.index() < self.world.node_count(),
             "unknown destination {dest}"
@@ -48,7 +50,7 @@ impl<'a, M: Message> ProtoCtx<M> for NodeApi<'a, M> {
 
     /// Queues a local broadcast frame (heard by every node in range,
     /// unacknowledged).
-    fn broadcast(&mut self, msg: M) {
+    fn broadcast(&mut self, msg: P::Msg) {
         self.world.enqueue_frame(self.node, None, msg);
     }
 
@@ -77,19 +79,25 @@ impl<'a, M: Message> ProtoCtx<M> for NodeApi<'a, M> {
 
     // ag-lint: hot-path
     fn jitter(&mut self, bound: u64) -> u64 {
-        self.world.node_rngs[self.node].random_range(0..bound)
+        let v = self.world.node_rngs[self.node].random_range(0..bound);
+        self.obs.chose(Choice::Jitter(v));
+        v
     }
 
     // ag-lint: hot-path
     fn chance(&mut self, p: f64) -> bool {
         // Drawn unconditionally (even for p ∈ {0, 1}) so the node RNG
         // stream is bit-identical to the pre-facade engine.
-        self.world.node_rngs[self.node].random_bool(p)
+        let v = self.world.node_rngs[self.node].random_bool(p);
+        self.obs.chose(Choice::Chance(v));
+        v
     }
 
     // ag-lint: hot-path
     fn pick_index(&mut self, n: usize) -> usize {
-        self.world.node_rngs[self.node].random_range(0..n)
+        let v = self.world.node_rngs[self.node].random_range(0..n);
+        self.obs.chose(Choice::Index(v));
+        v
     }
 
     // ag-lint: hot-path
@@ -109,6 +117,7 @@ impl<'a, M: Message> ProtoCtx<M> for NodeApi<'a, M> {
             }
             draw -= w;
         }
+        self.obs.chose(Choice::Index(picked));
         picked
     }
 }

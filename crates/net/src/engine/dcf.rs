@@ -28,7 +28,7 @@ use rand::Rng;
 use super::receive::{self, RxView};
 use super::{Engine, Event, PendingTx, World, PREFETCH_ABOVE_NODES};
 use crate::counter::engine;
-use crate::ctx::Dispatch;
+use crate::ctx::{Dispatch, Observer};
 use crate::grid::TxShot;
 use crate::{reference, Message, NodeId, Protocol, RxKind};
 
@@ -257,12 +257,13 @@ impl<M: Message> World<M> {
     }
 }
 
-impl<P: Protocol> Engine<P> {
+impl<P: Protocol, O: Observer<P>> Engine<P, O> {
     // ag-lint: hot-path
     /// A transmission leaves the air: compute who heard it, advance the
     /// sender's MAC, and deliver.
     pub(super) fn handle_tx_end(&mut self, tx_id: u64) {
-        let (world, protocols, rx) = (&mut self.world, &mut self.protocols, &mut self.rx);
+        let (world, protocols, obs) = (&mut self.world, &mut self.protocols, &mut self.obs);
+        let rx = &mut self.rx;
         let Some((shot, PendingTx { sender, frame })) = world.air.finish(tx_id) else {
             debug_assert!(false, "TxEnd for unknown transmission");
             return;
@@ -320,7 +321,7 @@ impl<P: Protocol> Engine<P> {
                 }
                 for &r in receivers {
                     let heard = packet(frame.msg.clone(), RxKind::Broadcast);
-                    Self::upcall(world, protocols, r, heard);
+                    Self::upcall(world, protocols, obs, r, heard);
                 }
             }
             Some(dest) if receivers.contains(&dest.index()) => {
@@ -329,11 +330,12 @@ impl<P: Protocol> Engine<P> {
                 // Exactly one receiver: the air record's copy of the
                 // frame is moved, not cloned.
                 let heard = packet(frame.msg, RxKind::Unicast);
-                Self::upcall(world, protocols, dest.index(), heard);
+                Self::upcall(world, protocols, obs, dest.index(), heard);
             }
             Some(to) => {
                 if let Some(OutFrame { msg, .. }) = world.unicast_retry_or_fail(sender) {
-                    Self::upcall(world, protocols, sender, Dispatch::SendFailure { to, msg });
+                    let failure = Dispatch::SendFailure { to, msg };
+                    Self::upcall(world, protocols, obs, sender, failure);
                 }
             }
         }

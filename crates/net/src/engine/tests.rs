@@ -794,3 +794,125 @@ fn zero_counts_render_alike_typed_and_named() {
     assert_eq!(rendered::<{ zero_counts::END }>(), expected);
     assert_eq!(rendered::<0>(), expected);
 }
+
+/// Draws named choices in every handler and counts its upcalls and
+/// draws: each timer jitters its next firing, picks a peer and unicasts
+/// to it or broadcasts by a coin; a reception draws a coin, a send
+/// failure a weighted pick.
+#[derive(Debug, Default)]
+struct Draws {
+    upcalls: usize,
+    draws: usize,
+    failures: usize,
+}
+
+impl Draws {
+    fn rearm<C: ProtoCtx<TMsg>>(&mut self, ctx: &mut C) {
+        let delay = SimDuration::from_millis(20 + ctx.jitter(30));
+        self.draws += 1;
+        ctx.set_timer(delay, 0);
+    }
+}
+
+impl Protocol for Draws {
+    type Msg = TMsg;
+
+    fn start<C: ProtoCtx<TMsg>>(&mut self, ctx: &mut C) {
+        self.upcalls += 1;
+        self.rearm(ctx);
+    }
+
+    fn on_packet<C: ProtoCtx<TMsg>>(&mut self, ctx: &mut C, _: NodeId, _: TMsg, _: RxKind) {
+        self.upcalls += 1;
+        ctx.chance(0.5);
+        self.draws += 1;
+    }
+
+    fn on_timer<C: ProtoCtx<TMsg>>(&mut self, ctx: &mut C, _key: TimerKey) {
+        self.upcalls += 1;
+        let n = ctx.node_count();
+        let peer = (ctx.id().index() + 1 + ctx.pick_index(n - 1)) % n;
+        if ctx.chance(0.5) {
+            ctx.send(NodeId::new(peer as u32), msg(1));
+        } else {
+            ctx.broadcast(msg(2));
+        }
+        self.draws += 2;
+        self.rearm(ctx);
+    }
+
+    fn on_send_failure<C: ProtoCtx<TMsg>>(&mut self, ctx: &mut C, _: NodeId, _: TMsg) {
+        self.upcalls += 1;
+        self.failures += 1;
+        ctx.pick_weighted(3, |i| (i + 1) as f64);
+        self.draws += 1;
+    }
+}
+
+/// Records each upcall the engine shows it as `(node, is start,
+/// choices seen between its two hooks, the node's own draw count
+/// after it)`, and every hook out of place.
+#[derive(Debug, Default)]
+struct Seam {
+    upcalls: Vec<(NodeId, bool, usize, usize)>,
+    open: Option<NodeId>,
+    misplaced: Vec<&'static str>,
+}
+
+impl Observer<Draws> for Seam {
+    fn dispatching(&mut self, node: NodeId, _now: SimTime, dispatch: &Dispatch<TMsg>) {
+        if self.open.replace(node).is_some() {
+            self.misplaced.push("nested dispatching");
+        }
+        let start = matches!(dispatch, Dispatch::Start);
+        self.upcalls.push((node, start, 0, 0));
+    }
+
+    fn chose(&mut self, _choice: crate::Choice) {
+        match (self.open, self.upcalls.last_mut()) {
+            (Some(_), Some(upcall)) => upcall.2 += 1,
+            _ => self.misplaced.push("chose outside an upcall"),
+        }
+    }
+
+    fn dispatched(&mut self, node: NodeId, protocol: &Draws) {
+        match (self.open.take(), self.upcalls.last_mut()) {
+            (Some(open), Some(upcall)) if open == node => upcall.3 = protocol.draws,
+            _ => self.misplaced.push("unpaired dispatched"),
+        }
+    }
+}
+
+#[test]
+fn observer_sees_each_upcall_once_with_its_choices() {
+    let n = 4;
+    let nodes = (0..n)
+        .map(|i| NodeSetup {
+            mobility: stationary(20.0 * i as f64),
+            protocol: Draws::default(),
+        })
+        .collect();
+    let phy = PhyParams::paper_default(75.0).with_churn(crate::ChurnParams::new(3.0, 2.0));
+    let mut e = Engine::observed(phy, 5, nodes, Seam::default());
+    // Every node's `Start`, in id order, before construction returns.
+    let starts: Vec<_> = (0..n).map(|i| (NodeId::new(i), true, 1, 1)).collect();
+    assert_eq!(e.observer().upcalls, starts);
+    e.run_until(SimTime::from_secs(30));
+    let seam = e.observer();
+    assert!(seam.misplaced.is_empty(), "{:?}", seam.misplaced);
+    assert!(seam.open.is_none());
+    assert!(seam.upcalls[n as usize..].iter().all(|u| !u.1));
+    assert!(e.counters().get("churn.fail") > 0);
+    assert!(e.protocols().iter().any(|p| p.failures > 0));
+    // One hook pair per upcall, carrying exactly the upcall's draws.
+    for (i, p) in e.protocols().iter().enumerate() {
+        let mut drawn = 0;
+        let mut upcalls = 0;
+        for u in seam.upcalls.iter().filter(|u| u.0.index() == i) {
+            drawn += u.2;
+            upcalls += 1;
+            assert_eq!(drawn, u.3, "node {i}, upcall {upcalls}");
+        }
+        assert_eq!((upcalls, drawn), (p.upcalls, p.draws), "node {i}");
+    }
+}

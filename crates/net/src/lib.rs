@@ -20,8 +20,12 @@
 //!   are written against: effects (frames, timers, counters) and *named
 //!   random choices* flow through the context, never directly into the
 //!   world. The same handler code therefore also runs under `ag-check`'s
-//!   model checker, and its `Conform` wrapper checks an engine run
-//!   against a replica dispatch by dispatch, with no engine hook.
+//!   model checker.
+//! * [`Observer`] — what the engine shows of a run: each upcall's
+//!   [`Dispatch`], the [`Choice`]s its handler draws and the node's
+//!   state after it, through shared views only. The default, [`Quiet`],
+//!   compiles away; `ag-check`'s `Conform` is an observer that replays
+//!   every dispatch of a plain engine run into a replica of its node.
 //! * [`Counter`] (module [`counter`]) — a named count with a dense slot
 //!   in the engine's one counter array; each crate declares its block
 //!   once with [`counters!`].
@@ -54,7 +58,7 @@ pub mod ctx;
 pub mod phy;
 
 pub use counter::Counter;
-pub use ctx::{Dispatch, ProtoCtx};
+pub use ctx::{Choice, Dispatch, Observer, ProtoCtx, Quiet};
 pub use engine::{Engine, NodeApi, NodeSetup, PREFETCH_ABOVE_NODES};
 pub use phy::{ChurnParams, PhyParams, ReceptionModel};
 pub use types::{Message, NodeId, Protocol, RxKind, TimerKey};

@@ -94,7 +94,7 @@ pub trait Message: Clone + fmt::Debug + Send + 'static {
 /// Handlers are generic over the context, so the identical protocol
 /// code runs under the engine's [`NodeApi`](crate::NodeApi), the
 /// `ag-check` model checker's enumerating context, and the replaying
-/// context of `ag-check`'s conformance wrapper.
+/// context of `ag-check`'s conformance observer.
 ///
 /// State identity is `Hash`, required only where `ag-check` keys
 /// states; `Debug` keeps a state printable.
@@ -145,8 +145,8 @@ pub trait Protocol: Sized + fmt::Debug {
     /// What it buys: with the engine's pre-pass loop deleted, `agbench`'s
     /// `city_20k` read `wall_s` 2.334 → 2.635 s on a 2-CPU host, +12.9 %,
     /// worse in 5 of 5 alternating pairs, every digest equal.
-    /// `ag_check::Conform` forwards it, so a checked run takes the
-    /// shipped path.
+    /// `ag_check::Conform` observes the engine rather than wrapping the
+    /// protocol, so a checked run takes the shipped path.
     #[inline]
     fn prefetch(&self, _from: NodeId, _msg: &Self::Msg) {}
 
