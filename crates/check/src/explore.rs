@@ -5,8 +5,9 @@ use ag_sim::hash::{state_key, DetHashMap};
 
 use crate::machine::Machine;
 
-/// Exploration bounds. Exceeding a bound stops the search with
-/// [`Exploration::complete`]` == false` instead of erroring.
+/// Exploration bounds. At a bound the search refuses new states (and
+/// the edges to them) and ends with [`Exploration::complete`]` ==
+/// false`; the temporal operators then give no `Holds` verdict.
 #[derive(Debug, Clone, Copy)]
 pub struct Limits {
     /// Maximum number of distinct states to expand.
@@ -21,30 +22,35 @@ impl Default for Limits {
     }
 }
 
-/// The explored state graph.
+/// The explored state graph, states named by their ids (discovery
+/// order, the initial state is 0).
 ///
 /// Full states are *not* retained (a few hundred thousand protocol
-/// states would not fit in memory); instead each state keeps a
-/// user-projected observation `O` (the fields the properties read), its
-/// BFS tree parent, and its outgoing edges; the visited set keeps its
-/// [`state_key`].
-/// [`Exploration::replay_path`] re-derives the concrete states along
-/// any path via [`Machine::successors`].
-pub struct Exploration<M: Machine, O> {
+/// states would not fit in memory), and neither are actions: each
+/// state keeps a user-projected observation `O` (the fields the
+/// properties read), its BFS tree parent and its successor ids, and the
+/// visited index keeps its [`state_key`].
+/// [`Exploration::replay_path`] re-derives the concrete states and
+/// actions along any path via [`Machine::successors`].
+pub struct Exploration<O> {
     /// Per-state property observations, indexed by state id.
     pub obs: Vec<O>,
-    /// BFS tree parent and the index of the edge in `edges[parent]`
-    /// that led here (`None` for the initial state). Parent chains give
-    /// *shortest* counterexamples.
-    pub parent: Vec<Option<(u32, u32)>>,
-    /// Outgoing edges: `(action, successor id)` per state.
-    pub edges: Vec<Vec<(M::Action, u32)>>,
+    /// BFS tree parent (`None` for the initial state). Parent chains
+    /// give *shortest* counterexamples.
+    pub parent: Vec<Option<u32>>,
+    /// Successor ids per state, in [`Machine::successors`] order.
+    pub edges: Vec<Vec<u32>>,
     /// `true` if the full reachable graph fit inside the limits
     /// (fixpoint reached).
     pub complete: bool,
+    /// The visited index: each state's [`state_key`] to its id.
+    index: DetHashMap<(u64, u64), u32>,
 }
 
-impl<M: Machine, O> Exploration<M, O> {
+/// One replayed step: the action taken and the state it reaches.
+pub type Step<M> = (<M as Machine>::Action, <M as Machine>::State);
+
+impl<O> Exploration<O> {
     /// Number of distinct states discovered.
     pub fn len(&self) -> usize {
         self.obs.len()
@@ -65,40 +71,46 @@ impl<M: Machine, O> Exploration<M, O> {
             .map(|(i, _)| i)
     }
 
-    /// The action sequence from the initial state to `state` along BFS
-    /// tree parents (one shortest path).
-    pub fn path_to(&self, state: usize) -> Vec<M::Action> {
-        let mut actions = Vec::new();
-        let mut cur = state;
-        while let Some((p, e)) = self.parent[cur] {
-            actions.push(self.edges[p as usize][e as usize].0.clone());
-            cur = p as usize;
+    /// The state ids from the initial state to `state` along BFS tree
+    /// parents (one shortest path, both ends included).
+    pub fn path_to(&self, state: usize) -> Vec<u32> {
+        let mut path = vec![state as u32];
+        while let Some(p) = self.parent[*path.last().expect("non-empty") as usize] {
+            path.push(p);
         }
-        actions.reverse();
-        actions
+        path.reverse();
+        path
     }
 
-    /// Re-derives the concrete states visited along `actions` starting
-    /// from the initial state (the first element is the initial state,
-    /// so the result has `actions.len() + 1` entries). Each step takes
-    /// the successor [`Machine::successors`] pairs with the recorded
-    /// action.
+    /// Re-derives the concrete run along `path`, a sequence of state
+    /// ids starting at the initial state: the initial state, then one
+    /// [`Step`] per later id. Each step takes the successor of the
+    /// current state, in [`Machine::successors`], whose [`state_key`]
+    /// the visited index maps to the next id.
     ///
     /// # Panics
     ///
-    /// Panics, naming the action, if a recorded action is not enabled
-    /// in the state the path has reached.
-    pub fn replay_path(&self, machine: &M, actions: &[M::Action]) -> Vec<M::State> {
-        let mut states = vec![machine.initial()];
-        for (i, a) in actions.iter().enumerate() {
-            let (_, next) = machine
-                .successors(states.last().expect("non-empty"))
+    /// Panics if `path` does not start at state 0, or, naming the step,
+    /// if a later id is not a successor of the state before it.
+    pub fn replay_path<M: Machine>(&self, machine: &M, path: &[u32]) -> (M::State, Vec<Step<M>>) {
+        assert_eq!(path.first(), Some(&0), "a replayed path starts at state 0");
+        let initial = machine.initial();
+        let mut steps: Vec<Step<M>> = Vec::with_capacity(path.len() - 1);
+        for (i, &id) in path.iter().enumerate().skip(1) {
+            let cur = steps.last().map_or(&initial, |(_, s)| s);
+            let step = machine
+                .successors(cur)
                 .into_iter()
-                .find(|(b, _)| b == a)
-                .unwrap_or_else(|| panic!("replayed action #{} {a:?} is not enabled", i + 1));
-            states.push(next);
+                .find(|(_, next)| self.index.get(&state_key(next)) == Some(&id))
+                .unwrap_or_else(|| {
+                    panic!(
+                        "replayed step #{i}: state {id} is not a successor of state {}",
+                        path[i - 1]
+                    )
+                });
+            steps.push(step);
         }
-        states
+        (initial, steps)
     }
 }
 
@@ -109,16 +121,16 @@ pub fn explore<M: Machine, O>(
     machine: &M,
     limits: Limits,
     observe: impl Fn(&M::State) -> O,
-) -> Exploration<M, O> {
+) -> Exploration<O> {
     let initial = machine.initial();
     let mut ex = Exploration {
         obs: vec![observe(&initial)],
         parent: vec![None],
         edges: Vec::new(),
         complete: true,
+        index: DetHashMap::default(),
     };
-    let mut index: DetHashMap<(u64, u64), u32> = DetHashMap::default();
-    index.insert(state_key(&initial), 0);
+    ex.index.insert(state_key(&initial), 0);
 
     // Frontier holds the concrete states awaiting expansion; they are
     // dropped once expanded.
@@ -138,9 +150,9 @@ pub fn explore<M: Machine, O>(
         }
         let succs = machine.successors(&state);
         let mut out = Vec::with_capacity(succs.len());
-        for (action, next) in succs {
+        for (_, next) in succs {
             let key = state_key(&next);
-            let next_id = match index.get(&key) {
+            let next_id = match ex.index.get(&key) {
                 Some(&i) => i,
                 None => {
                     let i = ex.obs.len() as u32;
@@ -148,14 +160,14 @@ pub fn explore<M: Machine, O>(
                         ex.complete = false;
                         continue;
                     }
-                    index.insert(key, i);
+                    ex.index.insert(key, i);
                     ex.obs.push(observe(&next));
-                    ex.parent.push(Some((id, out.len() as u32)));
+                    ex.parent.push(Some(id));
                     frontier.push_back((i, next));
                     i
                 }
             };
-            out.push((action, next_id));
+            out.push(next_id);
         }
         ex.edges.push(out);
     }
@@ -199,16 +211,42 @@ mod tests {
         let three = ex.obs.iter().position(|&o| o == 3).unwrap();
         // 0 →2→ 2 →(1|2)→ 3 is depth 2; the +1-only path is depth 3.
         let path = ex.path_to(three);
-        assert_eq!(path.len(), 2);
-        let states = ex.replay_path(&Counter, &path);
-        assert_eq!(*states.last().unwrap(), 3);
+        assert_eq!(path.len(), 3);
+        let (_, steps) = ex.replay_path(&Counter, &path);
+        assert_eq!(steps.len(), 2);
+        assert_eq!(steps.last().unwrap().1, 3);
     }
 
     #[test]
-    #[should_panic(expected = "replayed action #2 3 is not enabled")]
+    #[should_panic(expected = "replayed step #2: state 0 is not a successor of state 1")]
     fn replay_names_a_disabled_action() {
         let ex = explore(&Counter, Limits::default(), |s| *s);
-        ex.replay_path(&Counter, &[1, 3]);
+        ex.replay_path(&Counter, &[0, 1, 0]);
+    }
+
+    /// `0 -x-> 1` and `0 -x-> 2`: one label, two successors.
+    struct Fork;
+    impl Machine for Fork {
+        type State = u8;
+        type Action = char;
+        fn initial(&self) -> u8 {
+            0
+        }
+        fn successors(&self, s: &u8) -> Vec<(char, u8)> {
+            match s {
+                0 => vec![('x', 1), ('x', 2)],
+                _ => vec![],
+            }
+        }
+    }
+
+    #[test]
+    fn replay_follows_states_not_labels() {
+        let ex = explore(&Fork, Limits::default(), |s| *s);
+        let two = ex.obs.iter().position(|&o| o == 2).unwrap();
+        let (initial, steps) = ex.replay_path(&Fork, &ex.path_to(two));
+        assert_eq!(initial, 0);
+        assert_eq!(steps, vec![('x', 2)]);
     }
 
     #[test]

@@ -10,9 +10,13 @@
 //! 1. **Explicit-state model checking** ([`net::NetModel`] +
 //!    [`explore()`] + [`logic`]): small-N abstract networks where frame
 //!    delivery order, budgeted loss, budgeted radio churn, timer ties
-//!    and every named choice branch nondeterministically. Temporal
-//!    properties (`always` / `eventually` / `leads_to`) are decided
-//!    over the full reachable graph with lasso-shaped counterexamples.
+//!    and every named choice branch nondeterministically. The explored
+//!    graph is state ids: per state a projection, a parent and its
+//!    successor ids, no actions. Temporal properties (`always` /
+//!    `leads_to`) are decided over the full reachable graph; a
+//!    counterexample is a path of state ids, terminal or lasso-shaped,
+//!    whose states and actions are replayed through the machine by
+//!    state identity.
 //! 2. **Lockstep conformance** ([`Conform`]): an engine observer that
 //!    replays every dispatch of a plain engine run, with the choices
 //!    the live handler drew, into a replica of the node, asserting the
@@ -38,8 +42,6 @@ pub mod net;
 pub use ag_sim::hash::state_key;
 pub use conform::Conform;
 pub use explore::{explore, Exploration, Limits};
-pub use logic::{
-    always, eventually, exists, leads_to, render_counterexample, Counterexample, Verdict,
-};
+pub use logic::{always, exists, leads_to, render_counterexample, Counterexample, Verdict};
 pub use machine::Machine;
 pub use net::{NetAction, NetModel, NetState};

@@ -11,22 +11,20 @@ use std::hash::Hash;
 /// *paired with* the state it produces, because enumerating an action
 /// (running a protocol handler to discover its choice points) already
 /// computes the successor. It is the only transition function: the
-/// explorer re-derives counterexample states by following recorded
-/// actions through it again (see
+/// explorer re-derives counterexample states and actions by following
+/// recorded state ids through it again (see
 /// [`Exploration::replay_path`](crate::Exploration::replay_path)).
 pub trait Machine {
     /// A full world state; its `Hash` is its identity (see
     /// [`state_key`](crate::state_key)).
     type State: Clone + Hash;
-    /// One resolved transition label (deterministic given the state).
-    /// Equality picks a recorded action out of a state's successors.
-    type Action: Clone + fmt::Debug + PartialEq;
+    /// One resolved transition label, printed in counterexamples.
+    type Action: fmt::Debug;
 
     /// The unique initial state.
     fn initial(&self) -> Self::State;
 
     /// Every `(action, successor)` pair enabled in `state`, in a
-    /// deterministic order, with no action listed twice. An empty
-    /// result marks a terminal state.
+    /// deterministic order. An empty result marks a terminal state.
     fn successors(&self, state: &Self::State) -> Vec<(Self::Action, Self::State)>;
 }

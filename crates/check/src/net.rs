@@ -181,10 +181,10 @@ impl<P: Protocol + Clone> NetState<P> {
     }
 }
 
-/// One resolved transition of a [`NetModel`]. The `tape` pins every
-/// named-choice outcome drawn during the dispatch, so no two successors
-/// of a state share an action.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// One resolved transition of a [`NetModel`]. The `tape` lists every
+/// named-choice outcome drawn during the dispatch, so a printed trace
+/// shows which branch each step took.
+#[derive(Debug)]
 pub enum NetAction {
     /// Deliver the head frame of the `from → to` channel.
     Deliver {
