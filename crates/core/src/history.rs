@@ -16,58 +16,20 @@ use crate::message::{PacketId, PacketRecord};
 ///
 /// let mut h = HistoryTable::new(100);
 /// let id = PacketId::new(NodeId::new(1), 7);
-/// h.push(PacketRecord { id, payload_len: 64 });
+/// h.push(id, PacketRecord { id, payload_len: 64 });
 /// assert!(h.contains(&id));
 /// assert_eq!(h.get(&id).unwrap().payload_len, 64);
 /// ```
-#[derive(Debug, Clone, Hash)]
-pub struct HistoryTable(FifoTable<PacketId, PacketRecord>);
+///
+/// A record must be pushed under its own `id`: the reply rule filters
+/// stored records by `PacketRecord::id`, not by their key.
+pub type HistoryTable = FifoTable<PacketId, PacketRecord>;
 
-impl HistoryTable {
-    /// Creates a history holding at most `capacity` packets.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    pub fn new(capacity: usize) -> Self {
-        HistoryTable(FifoTable::new(capacity))
-    }
-
-    /// Stores a packet (no-op if already present); evicts the oldest
-    /// packet when full.
-    pub fn push(&mut self, rec: PacketRecord) {
-        self.0.push(rec.id, rec);
-    }
-
-    /// Fetches a stored packet.
-    pub fn get(&self, id: &PacketId) -> Option<&PacketRecord> {
-        self.0.get(id)
-    }
-
-    /// `true` if `id` is currently stored.
-    pub fn contains(&self, id: &PacketId) -> bool {
-        self.0.contains(id)
-    }
-
-    /// Iterates over stored packets, oldest first.
-    pub fn iter(&self) -> impl Iterator<Item = &PacketRecord> {
-        self.0.values()
-    }
-
-    /// Number of stored packets.
-    pub fn len(&self) -> usize {
-        self.0.len()
-    }
-
-    /// `true` if nothing is stored.
-    pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
-    }
-
-    /// Capacity.
-    pub fn capacity(&self) -> usize {
-        self.0.capacity()
-    }
+/// Stores a 64-byte packet `seq` from `origin` under its own id.
+#[cfg(test)]
+pub(crate) fn push_packet(h: &mut HistoryTable, origin: u32, seq: u32) {
+    let (id, payload_len) = (PacketId::new(ag_net::NodeId::new(origin), seq), 64);
+    h.push(id, PacketRecord { id, payload_len });
 }
 
 #[cfg(test)]
@@ -76,17 +38,10 @@ mod tests {
     use ag_net::NodeId;
     use proptest::prelude::*;
 
-    fn rec(origin: u32, seq: u32) -> PacketRecord {
-        PacketRecord {
-            id: PacketId::new(NodeId::new(origin), seq),
-            payload_len: 64,
-        }
-    }
-
     #[test]
     fn stores_and_fetches() {
         let mut h = HistoryTable::new(4);
-        h.push(rec(1, 1));
+        push_packet(&mut h, 1, 1);
         assert!(h.contains(&PacketId::new(NodeId::new(1), 1)));
         assert!(!h.contains(&PacketId::new(NodeId::new(1), 2)));
         assert_eq!(h.len(), 1);
@@ -96,8 +51,8 @@ mod tests {
     #[test]
     fn duplicate_push_is_noop() {
         let mut h = HistoryTable::new(4);
-        h.push(rec(1, 1));
-        h.push(rec(1, 1));
+        push_packet(&mut h, 1, 1);
+        push_packet(&mut h, 1, 1);
         assert_eq!(h.len(), 1);
     }
 
@@ -105,12 +60,12 @@ mod tests {
     fn evicts_fifo() {
         let mut h = HistoryTable::new(3);
         for s in 1..=4 {
-            h.push(rec(1, s));
+            push_packet(&mut h, 1, s);
         }
         assert_eq!(h.len(), 3);
         assert!(!h.contains(&PacketId::new(NodeId::new(1), 1)));
         assert!(h.contains(&PacketId::new(NodeId::new(1), 4)));
-        let order: Vec<u32> = h.iter().map(|r| r.id.seq).collect();
+        let order: Vec<u32> = h.values().map(|r| r.id.seq).collect();
         assert_eq!(order, vec![2, 3, 4]);
     }
 
@@ -126,9 +81,9 @@ mod tests {
         fn prop_bounded_and_consistent(seqs in prop::collection::vec(0u32..40, 0..200), cap in 1usize..16) {
             let mut h = HistoryTable::new(cap);
             for &s in &seqs {
-                h.push(rec(1, s));
+                push_packet(&mut h, 1, s);
                 prop_assert!(h.len() <= cap);
-                prop_assert_eq!(h.iter().count(), h.len());
+                prop_assert_eq!(h.values().count(), h.len());
             }
         }
 
@@ -137,7 +92,7 @@ mod tests {
         fn prop_recent_retained(n in 1u32..50, cap in 1usize..10) {
             let mut h = HistoryTable::new(cap);
             for s in 1..=n {
-                h.push(rec(1, s));
+                push_packet(&mut h, 1, s);
             }
             let lo = n.saturating_sub(cap as u32 - 1).max(1);
             for s in lo..=n {

@@ -30,6 +30,8 @@
 //! same bounded FIFO table MAODV's flood-id windows use
 //! ([`ag_maodv::seen::FifoTable`]): keyed by packet id, evicting the
 //! oldest entry at capacity, allocating nothing until first used.
+//! [`HistoryTable`] is that table itself, a type alias with the packet
+//! record as its value.
 //!
 //! [`AnonymousGossip`] is the full node stack ([`ag_net::Protocol`]
 //! implementation) used by the examples, the experiment harness, the

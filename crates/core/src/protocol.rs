@@ -78,7 +78,7 @@ pub(crate) fn select_reply_packets(
             break;
         }
         let mut tail: Vec<PacketRecord> = history
-            .iter()
+            .values()
             .filter(|p| p.id.origin == origin && p.id.seq >= expected)
             .copied()
             .collect();
@@ -171,10 +171,8 @@ impl MemberState {
     /// keep a copy for future gossip replies.
     fn deliver(&mut self, origin: NodeId, seq: u32, payload_len: u16, path: DeliveryPath) -> bool {
         let new = self.delivery.record(origin, seq, path);
-        self.history.push(PacketRecord {
-            id: PacketId::new(origin, seq),
-            payload_len,
-        });
+        let id = PacketId::new(origin, seq);
+        self.history.push(id, PacketRecord { id, payload_len });
         self.lost.observe(origin, seq);
         new
     }
@@ -446,8 +444,6 @@ impl Gossip {
 impl Protocol for AnonymousGossip {
     type Msg = MaodvMsg<AgMsg>;
 
-    const COUNTER_SLOTS: usize = counters::END;
-
     fn start<C: MaodvCtx<AgMsg>>(&mut self, api: &mut C) {
         self.maodv.start(api);
         let cfg = &self.gossip.cfg;
@@ -513,6 +509,7 @@ impl Protocol for AnonymousGossip {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::history::push_packet;
     use ag_mobility::{Field, Mobility, PauseRange, RandomWaypoint, SpeedRange, Stationary, Vec2};
     use ag_net::{ChurnParams, Engine, NodeSetup, PhyParams, ProtoCtx};
     use ag_sim::rng::{SeedSplitter, StreamKind};
@@ -639,10 +636,7 @@ mod tests {
     fn history_with(origin: u32, seqs: &[u32]) -> HistoryTable {
         let mut h = HistoryTable::new(100);
         for &s in seqs {
-            h.push(crate::PacketRecord {
-                id: crate::PacketId::new(id(origin), s),
-                payload_len: 64,
-            });
+            push_packet(&mut h, origin, s);
         }
         h
     }
@@ -734,10 +728,7 @@ mod tests {
     #[test]
     fn reply_tail_recovery_covers_multiple_origins() {
         let mut h = history_with(1, &[3, 4]);
-        h.push(crate::PacketRecord {
-            id: crate::PacketId::new(id(2), 7),
-            payload_len: 64,
-        });
+        push_packet(&mut h, 2, 7);
         let cfg = AgConfig::paper_default();
         let r = request(vec![], vec![(id(1), 3), (id(2), 7)]);
         let mut got: Vec<(u32, u32)> = select_reply_packets(&h, &r, &cfg)
@@ -1070,8 +1061,6 @@ mod tests {
 
     impl<const FORWARD: bool> Protocol for Wrap<FORWARD> {
         type Msg = MaodvMsg<AgMsg>;
-
-        const COUNTER_SLOTS: usize = AnonymousGossip::COUNTER_SLOTS;
 
         fn start<C: MaodvCtx<AgMsg>>(&mut self, api: &mut C) {
             self.ag.start(api);

@@ -184,8 +184,6 @@ impl MaodvProtocol {
 impl Protocol for MaodvProtocol {
     type Msg = MaodvMsg<NoExt>;
 
-    const COUNTER_SLOTS: usize = crate::counters::END;
-
     fn start<C: ProtoCtx<Self::Msg>>(&mut self, api: &mut C) {
         self.node.start(api);
         if let Some(t) = self.traffic {

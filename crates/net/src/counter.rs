@@ -19,6 +19,11 @@
 
 use ag_sim::stats::CounterSet;
 
+/// The length of every engine's counter array. [`counters!`](crate::counters)
+/// rejects at compile time any block that would end past it, so no
+/// stack states its own count.
+pub const SLOTS: usize = 64;
+
 /// A named count with a fixed slot in the engine's counter array.
 ///
 /// Made by [`counters!`](crate::counters), never by hand, so two names
@@ -66,6 +71,18 @@ impl Counter {
 /// assert_eq!(counters::PONGS.name(), "demo.pongs");
 /// assert_eq!(counters::END, counters::PINGS.slot() + 2);
 /// ```
+///
+/// A block that would end past [`SLOTS`](crate::counter::SLOTS) does
+/// not compile:
+///
+/// ```compile_fail
+/// mod counters {
+///     ag_net::counters! {
+///         after ag_net::counter::SLOTS;
+///         OVERFLOW = "demo.overflow",
+///     }
+/// }
+/// ```
 #[macro_export]
 macro_rules! counters {
     (after $base:expr; $($(#[$doc:meta])* $id:ident = $name:literal,)+) => {
@@ -82,6 +99,10 @@ macro_rules! counters {
         pub const ALL: &[$crate::Counter] = &[$($id),+];
         /// One past this block's last slot: where the next block starts.
         pub const END: usize = $base + ALL.len();
+        const _: () = assert!(
+            END <= $crate::counter::SLOTS,
+            "this counter block ends past ag_net::counter::SLOTS"
+        );
     };
 }
 
@@ -110,19 +131,18 @@ pub mod engine {
     }
 }
 
-/// One engine's counts: a slot per [`Counter`] up to the end of its
-/// protocol's block, and the counts made by name.
+/// One engine's counts: a slot per [`Counter`], [`SLOTS`] in all, and
+/// the counts made by name.
 ///
 /// The engine's own slots sit inline and hold only their values, so
 /// each of its bumps compiles to one add at a fixed offset, as when
-/// they were plain fields.
+/// they were plain fields; the protocol's slots follow, inline too.
 pub(crate) struct Tally {
     engine: [u64; engine::END],
     /// The protocol's slots, from `engine::END` on.
-    protocol: Box<[Slot]>,
-    /// Counts that came by name ([`ProtoCtx::count_n`](crate::ProtoCtx::count_n)):
-    /// from a context wrapper that does not forward the typed bump, or
-    /// a counter past the array's end.
+    protocol: [Slot; SLOTS - engine::END],
+    /// Counts that came by name ([`ProtoCtx::count_n`](crate::ProtoCtx::count_n)),
+    /// from a context wrapper that does not forward the typed bump.
     named: CounterSet,
 }
 
@@ -135,11 +155,11 @@ struct Slot {
 }
 
 impl Tally {
-    /// An array of `slots` slots, and never fewer than the engine's.
-    pub(crate) fn new(slots: usize) -> Self {
+    /// Every slot at zero and not yet bumped.
+    pub(crate) fn new() -> Self {
         Tally {
             engine: [0; engine::END],
-            protocol: vec![Slot::default(); slots.saturating_sub(engine::END)].into_boxed_slice(),
+            protocol: [Slot::default(); SLOTS - engine::END],
             named: CounterSet::new(),
         }
     }
@@ -150,34 +170,18 @@ impl Tally {
         self.engine[counter.slot()] += n;
     }
 
-    /// Adds `n` to a protocol's count; by name if its slot lies past
-    /// the array.
+    /// Adds `n` to a protocol's count.
     #[inline]
     pub(crate) fn bump(&mut self, counter: Counter, n: u64) {
         debug_assert!(counter.slot() >= engine::END, "an engine count");
-        match self
-            .protocol
-            .get_mut(counter.slot().wrapping_sub(engine::END))
-        {
-            Some(slot) => {
-                debug_assert!(
-                    slot.name.is_none_or(|name| name == counter.name()),
-                    "two counters share slot {}",
-                    counter.slot()
-                );
-                slot.value += n;
-                slot.name = Some(counter.name());
-            }
-            None => self.bump_past_the_array(counter, n),
-        }
-    }
-
-    /// [`Tally::bump`]'s fallback, out of line: only a protocol whose
-    /// `COUNTER_SLOTS` falls short of its counters takes it.
-    #[cold]
-    #[inline(never)]
-    fn bump_past_the_array(&mut self, counter: Counter, n: u64) {
-        self.named.add(counter.name(), n);
+        let slot = &mut self.protocol[counter.slot() - engine::END];
+        debug_assert!(
+            slot.name.is_none_or(|name| name == counter.name()),
+            "two counters share slot {}",
+            counter.slot()
+        );
+        slot.value += n;
+        slot.name = Some(counter.name());
     }
 
     /// Adds `n` to the count named `name`.
@@ -195,7 +199,7 @@ impl Tally {
                 set.add(counter.name(), value);
             }
         }
-        for slot in &self.protocol[..] {
+        for slot in &self.protocol {
             if let Some(name) = slot.name {
                 set.add(name, slot.value);
             }

@@ -258,7 +258,7 @@ impl<P: Protocol, O: Observer<P>> Engine<P, O> {
             bound,
             air: AirIndex::new(),
             next_tx_id: 0,
-            tally: Tally::new(P::COUNTER_SLOTS),
+            tally: Tally::new(),
             phy,
         };
         for node in 0..n {

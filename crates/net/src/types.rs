@@ -96,6 +96,10 @@ pub trait Message: Clone + fmt::Debug + Send + 'static {
 /// `ag-check` model checker's enumerating context, and the replaying
 /// context of `ag-check`'s conformance observer.
 ///
+/// A protocol states nothing about its counters: the engine's array
+/// has a slot for every [`Counter`](crate::Counter), so a wrapping
+/// protocol has nothing about counting to forward.
+///
 /// State identity is `Hash`, required only where `ag-check` keys
 /// states; `Debug` keeps a state printable.
 pub trait Protocol: Sized + fmt::Debug {
@@ -149,13 +153,6 @@ pub trait Protocol: Sized + fmt::Debug {
     /// protocol, so a checked run takes the shipped path.
     #[inline]
     fn prefetch(&self, _from: NodeId, _msg: &Self::Msg) {}
-
-    /// One past the highest [`Counter`](crate::Counter) slot this
-    /// protocol bumps, usually its crate's `counters::END`: the engine
-    /// sizes its counter array to it. A bump past the array's end takes
-    /// the named path and renders the same, so the default, 0, is never
-    /// wrong, only slower; a wrapping protocol forwards its inner one's.
-    const COUNTER_SLOTS: usize = 0;
 }
 
 #[cfg(test)]

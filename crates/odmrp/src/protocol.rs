@@ -164,8 +164,6 @@ impl OdmrpProtocol {
 impl Protocol for OdmrpProtocol {
     type Msg = OdmrpMsg;
 
-    const COUNTER_SLOTS: usize = counters::END;
-
     fn start<C: ProtoCtx<OdmrpMsg>>(&mut self, api: &mut C) {
         if let Some(t) = self.traffic {
             // Queries lead the data by one interval so the mesh exists
