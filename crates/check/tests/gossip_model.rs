@@ -64,6 +64,16 @@ fn maodv_cfg() -> MaodvConfig {
     }
 }
 
+/// The model's configurations pass the rules every run is held to.
+#[test]
+fn model_configs_validate() {
+    assert_eq!(ag_cfg().validate(), Ok(()));
+    assert_eq!(maodv_cfg().validate(), Ok(()));
+    let traffic =
+        TrafficSource::compact(SimTime::from_millis(5500), SimDuration::from_secs(1), 2, 64);
+    assert_eq!(traffic.validate(), Ok(()));
+}
+
 /// Chain model warmed up to a formed tree at t = 5.5 s.
 fn warmed_model() -> NetModel<AnonymousGossip> {
     let traffic =

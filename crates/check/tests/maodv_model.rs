@@ -98,6 +98,14 @@ fn upstream_acyclic(upstream: &[Option<u32>]) -> bool {
     true
 }
 
+/// Both model configurations pass the rules every run is held to.
+#[test]
+fn model_configs_validate() {
+    for (hello_ms, flood_ttl) in [(10_000, 2), (1_900, 4)] {
+        assert_eq!(cfg(hello_ms, flood_ttl).validate(), Ok(()));
+    }
+}
+
 #[test]
 fn maodv_line_merge_is_loop_free() {
     // Hellos pushed past the horizon: neighbour liveness inside the

@@ -32,6 +32,14 @@ fn cfg() -> OdmrpConfig {
     }
 }
 
+/// The model's configuration passes the rules every run is held to.
+#[test]
+fn model_config_validates() {
+    assert_eq!(cfg().validate(), Ok(()));
+    let traffic = TrafficSource::compact(SimTime::from_secs(2), SimDuration::from_secs(2), 2, 64);
+    assert_eq!(traffic.validate(), Ok(()));
+}
+
 fn chain_model(arm_canary: bool, drop_budget: u8) -> NetModel<OdmrpProtocol> {
     // Packets at t = 2 s and t = 4 s; queries at t = 0, 2, 4.
     let traffic = TrafficSource::compact(SimTime::from_secs(2), SimDuration::from_secs(2), 2, 64);

@@ -58,6 +58,14 @@ fn obs(st: &NetState<MaodvProtocol>) -> (SimTime, Vec<Option<u32>>, Vec<bool>) {
     )
 }
 
+/// The probe's configurations pass the rules every run is held to.
+#[test]
+fn probe_configs_validate() {
+    for hello_ms in [10_000, 2_000] {
+        assert_eq!(cfg(hello_ms, 0, 2_000).validate(), Ok(()));
+    }
+}
+
 #[test]
 #[ignore]
 fn probe_sizes() {

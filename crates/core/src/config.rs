@@ -2,7 +2,7 @@
 
 use std::hash::{Hash, Hasher};
 
-use ag_sim::SimDuration;
+use ag_sim::{ConfigError, SimDuration};
 
 /// Anonymous Gossip parameters.
 ///
@@ -71,19 +71,25 @@ impl AgConfig {
         }
     }
 
-    /// Validates probability fields.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p_anon` or `p_accept` is outside `[0, 1]`.
-    pub fn validate(&self) {
-        assert!((0.0..=1.0).contains(&self.p_anon), "p_anon out of range");
-        assert!(
-            (0.0..=1.0).contains(&self.p_accept),
-            "p_accept out of range"
-        );
-        assert!(self.lost_buffer_max > 0, "lost buffer must be positive");
-        assert!(self.reply_max_packets > 0, "reply budget must be positive");
+    /// Checks the rules: the gossip timer re-arms, so its interval is
+    /// above zero; `p_anon` and `p_accept` lie in `[0, 1]`; the walk's
+    /// TTL, both budgets and the three table capacities are at least 1.
+    /// [`AnonymousGossip::new`](crate::AnonymousGossip::new) expects it
+    /// to pass.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        ConfigError::nonzero("AgConfig.gossip_interval", self.gossip_interval)?;
+        for (field, p) in [
+            ("AgConfig.p_anon", self.p_anon),
+            ("AgConfig.p_accept", self.p_accept),
+        ] {
+            ConfigError::check((0.0..=1.0).contains(&p), field, p, "in [0, 1]")?;
+        }
+        ConfigError::at_least_one("AgConfig.gossip_ttl", self.gossip_ttl.into())?;
+        ConfigError::at_least_one("AgConfig.lost_buffer_max", self.lost_buffer_max)?;
+        ConfigError::at_least_one("AgConfig.reply_max_packets", self.reply_max_packets)?;
+        ConfigError::at_least_one("AgConfig.member_cache_capacity", self.member_cache_capacity)?;
+        ConfigError::at_least_one("AgConfig.lost_table_capacity", self.lost_table_capacity)?;
+        ConfigError::at_least_one("AgConfig.history_capacity", self.history_capacity)
     }
 }
 
@@ -136,7 +142,7 @@ mod tests {
         assert_eq!(c.member_cache_capacity, 10);
         assert_eq!(c.lost_table_capacity, 200);
         assert_eq!(c.history_capacity, 100);
-        c.validate();
+        assert_eq!(c.validate(), Ok(()));
     }
 
     #[test]
@@ -149,12 +155,11 @@ mod tests {
     }
 
     #[test]
-    #[should_panic]
     fn validate_rejects_bad_probability() {
         let c = AgConfig {
             p_anon: 1.5,
             ..AgConfig::paper_default()
         };
-        c.validate();
+        assert_eq!(c.validate().unwrap_err().field, "AgConfig.p_anon");
     }
 }

@@ -188,7 +188,8 @@ impl AnonymousGossip {
     ///
     /// # Panics
     ///
-    /// Panics if `cfg` fails [`AgConfig::validate`].
+    /// Panics if `cfg` fails [`AgConfig::validate`] or `maodv_cfg` fails
+    /// [`MaodvConfig::validate`].
     pub fn new(
         cfg: AgConfig,
         maodv_cfg: MaodvConfig,
@@ -197,7 +198,7 @@ impl AnonymousGossip {
         is_member: bool,
         traffic: Option<TrafficSource>,
     ) -> Self {
-        cfg.validate();
+        cfg.validate().expect("AnonymousGossip::new");
         AnonymousGossip {
             maodv: Maodv::new(maodv_cfg, id, group, is_member),
             gossip: Gossip {
@@ -448,7 +449,7 @@ impl Protocol for AnonymousGossip {
         self.maodv.start(api);
         let cfg = &self.gossip.cfg;
         if self.maodv.is_member() {
-            let jitter = SimDuration::from_nanos(api.jitter(cfg.gossip_interval.as_nanos().max(1)));
+            let jitter = SimDuration::from_nanos(api.jitter(cfg.gossip_interval.as_nanos()));
             api.set_timer(cfg.gossip_interval + jitter, TIMER_GOSSIP);
         }
         if let Some(t) = self.gossip.member().traffic {

@@ -88,25 +88,6 @@ pub fn sweep_point(sc: &Scenario, x: f64, seeds: u64, par: Parallelism) -> Sweep
     }
 }
 
-/// Sweeps `xs` on `par` worker threads, applying `apply(scenario, x)` to
-/// a fresh copy of `base` at each point (seeds of one point run
-/// concurrently; points run in order so output streams deterministically).
-pub fn sweep(
-    base: &Scenario,
-    xs: &[f64],
-    apply: fn(&mut Scenario, f64),
-    seeds: u64,
-    par: Parallelism,
-) -> Vec<SweepPoint> {
-    xs.iter()
-        .map(|&x| {
-            let mut sc = base.clone();
-            apply(&mut sc, x);
-            sweep_point(&sc, x, seeds, par)
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -125,14 +106,15 @@ mod tests {
 
     #[test]
     fn sweep_applies_parameter() {
-        let base = Scenario::paper(6, 50.0, 0.2).with_duration_secs(30);
-        let pts = sweep(
-            &base,
-            &[60.0, 90.0],
-            |sc, x| sc.range_m = x,
-            1,
-            Parallelism::serial(),
-        );
+        let spec = crate::figures::FigureSpec {
+            id: "test",
+            title: "",
+            xlabel: "",
+            xs: vec![60.0, 90.0],
+            apply: |sc, x| sc.range_m = x,
+            base: Scenario::paper(6, 50.0, 0.2).with_duration_secs(30),
+        };
+        let pts = spec.run(1, Parallelism::serial()).expect("valid scenarios");
         assert_eq!(pts.len(), 2);
         assert_eq!(pts[0].x, 60.0);
         assert_eq!(pts[1].x, 90.0);

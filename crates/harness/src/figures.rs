@@ -1,10 +1,11 @@
-//! One spec per paper figure (2–8), mapping §5's sweeps onto
-//! [`crate::experiment::sweep`].
+//! One spec per paper figure (2–8): §5's sweeps, each point pooled by
+//! [`crate::experiment::sweep_point`].
 
 use ag_mobility::density;
 use ag_sim::stats::Histogram;
+use ag_sim::ConfigError;
 
-use crate::experiment::{pool, sweep, SweepPoint};
+use crate::experiment::{pool, sweep_point, SweepPoint};
 use crate::parallel::Parallelism;
 use crate::{ProtocolKind, Scenario};
 
@@ -27,11 +28,29 @@ pub struct FigureSpec {
 }
 
 impl FigureSpec {
+    /// The scenario at each swept value, once every one passes
+    /// [`Scenario::validate`].
+    pub fn scenarios(&self) -> Result<Vec<(f64, Scenario)>, ConfigError> {
+        self.xs
+            .iter()
+            .map(|&x| {
+                let mut sc = self.base.clone();
+                (self.apply)(&mut sc, x);
+                sc.validate().map(|()| (x, sc))
+            })
+            .collect()
+    }
+
     /// Runs the figure's sweep with `seeds` seeds per point on `par`
-    /// worker threads. Output is identical for every `par` (seeds merge
-    /// in seed order).
-    pub fn run(&self, seeds: u64, par: Parallelism) -> Vec<SweepPoint> {
-        sweep(&self.base, &self.xs, self.apply, seeds, par)
+    /// worker threads, once [`FigureSpec::scenarios`] passes. Points run
+    /// in order and seeds merge in seed order, so output is identical
+    /// for every `par`.
+    pub fn run(&self, seeds: u64, par: Parallelism) -> Result<Vec<SweepPoint>, ConfigError> {
+        let points = self.scenarios()?;
+        Ok(points
+            .iter()
+            .map(|(x, sc)| sweep_point(sc, *x, seeds, par))
+            .collect())
     }
 
     /// Rescales the base scenario (for tests/benches).
@@ -153,30 +172,41 @@ pub struct GoodputSeries {
     pub goodput_hist: Histogram,
 }
 
-/// Figure 8: goodput at the group members for
-/// {45 m, 75 m} × {0.2 m/s, 2 m/s} (gossip runs only). Seeds of each
-/// configuration run on `par` worker threads; pooled observations keep
-/// seed order, so output is thread-count independent.
-pub fn fig8(seeds: u64, duration_secs: u64, par: Parallelism) -> Vec<GoodputSeries> {
-    let configs = [(45.0, 0.2), (75.0, 0.2), (45.0, 2.0), (75.0, 2.0)];
-    configs
+/// Figure 8's four configurations, {45 m, 75 m} × {0.2 m/s, 2 m/s}, run
+/// for `secs` seconds, once each passes [`Scenario::validate`].
+pub fn fig8_scenarios(secs: u64) -> Result<Vec<Scenario>, ConfigError> {
+    [(45.0, 0.2), (75.0, 0.2), (45.0, 2.0), (75.0, 2.0)]
+        .into_iter()
+        .map(|(range, speed)| {
+            let sc = Scenario::paper(40, range, speed).with_duration_secs(secs);
+            sc.validate().map(|()| sc)
+        })
+        .collect()
+}
+
+/// Figure 8: goodput at the group members in each of
+/// [`fig8_scenarios`] (gossip runs only). Seeds of each configuration
+/// run on `par` worker threads; pooled observations keep seed order, so
+/// output is thread-count independent.
+pub fn fig8(seeds: u64, secs: u64, par: Parallelism) -> Result<Vec<GoodputSeries>, ConfigError> {
+    let scenarios = fig8_scenarios(secs)?;
+    Ok(scenarios
         .iter()
-        .map(|&(range, speed)| {
-            let sc = Scenario::paper(40, range, speed).with_duration_secs(duration_secs);
-            let member_goodput = pool(&sc, ProtocolKind::Gossip, seeds, par).goodput;
+        .map(|sc| {
+            let member_goodput = pool(sc, ProtocolKind::Gossip, seeds, par).goodput;
             let mut goodput_hist = Histogram::new(0.0, 100.0, 20);
             for &g in &member_goodput {
                 goodput_hist.record(g);
             }
             GoodputSeries {
-                label: format!("{range}m, {speed}m/s"),
-                range_m: range,
-                max_speed: speed,
+                label: format!("{}m, {}m/s", sc.range_m, sc.max_speed),
+                range_m: sc.range_m,
+                max_speed: sc.max_speed,
                 member_goodput,
                 goodput_hist,
             }
         })
-        .collect()
+        .collect())
 }
 
 #[cfg(test)]
@@ -225,5 +255,17 @@ mod tests {
     fn all_line_figures_enumerates_six() {
         let ids: Vec<&str> = all_line_figures().iter().map(|f| f.id).collect();
         assert_eq!(ids, vec!["fig2", "fig3", "fig4", "fig5", "fig6", "fig7"]);
+    }
+
+    /// A bad last point fails the figure before its good points run
+    /// (they would take minutes, then panic in `run_counting`).
+    #[test]
+    fn a_bad_point_fails_before_any_point_runs() {
+        let mut f7 = fig7().with_duration_secs(30);
+        f7.xs.push(1.0);
+        let err = f7.run(1, Parallelism::serial()).unwrap_err();
+        assert_eq!(err.field, "Scenario.nodes");
+        let err = fig8(1, 0, Parallelism::serial()).unwrap_err();
+        assert_eq!(err.field, "Scenario.sim_time");
     }
 }

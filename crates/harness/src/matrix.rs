@@ -19,11 +19,13 @@
 //! use ag_harness::matrix::MatrixSpec;
 //! let spec = MatrixSpec::paper_stress(10, 600).with_speeds(vec![0.2]);
 //! assert_eq!(spec.cell_count(), 3 * 3 * 3); // protocols × losses × churns
+//! assert!(spec.validate().is_ok());
 //! // spec.run(par) executes all 27 cells × 10 seeds (see examples/stress_matrix.rs).
 //! ```
 
 use ag_net::{ChurnParams, ReceptionModel};
 use ag_sim::stats::Summary;
+use ag_sim::ConfigError;
 
 use crate::experiment::pool;
 use crate::parallel::Parallelism;
@@ -153,7 +155,6 @@ impl MatrixSpec {
 
     /// Returns a copy with a different speed axis.
     pub fn with_speeds(mut self, speeds: Vec<f64>) -> Self {
-        assert!(!speeds.is_empty(), "need at least one speed");
         self.speeds = speeds;
         self
     }
@@ -163,39 +164,53 @@ impl MatrixSpec {
         self.protocols.len() * self.losses.len() * self.churns.len() * self.speeds.len()
     }
 
-    /// Runs the matrix on `par` worker threads (seeds of one cell run
-    /// concurrently; cells run in order, so the report is identical for
-    /// every thread count).
-    pub fn run(&self, par: Parallelism) -> MatrixReport {
-        assert!(!self.protocols.is_empty(), "need at least one protocol");
-        assert!(!self.losses.is_empty(), "need at least one loss level");
-        assert!(!self.churns.is_empty(), "need at least one churn level");
-        assert!(!self.speeds.is_empty(), "need at least one speed");
-        let mut cells = Vec::with_capacity(self.cell_count());
-        for loss in &self.losses {
-            for churn in &self.churns {
-                for &speed in &self.speeds {
+    /// Checks that no axis is empty and that every cell's scenario passes
+    /// [`Scenario::validate`].
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        let cells = self.cell_count();
+        ConfigError::check(cells >= 1, "MatrixSpec.cell_count()", cells, "at least 1")?;
+        self.configs().try_for_each(|(.., sc)| sc.validate())
+    }
+
+    /// Each (loss, churn, speed) configuration with its scenario, in
+    /// run order.
+    fn configs(&self) -> impl Iterator<Item = (&LossLevel, &ChurnLevel, f64, Scenario)> {
+        self.losses.iter().flat_map(move |loss| {
+            self.churns.iter().flat_map(move |churn| {
+                self.speeds.iter().map(move |&speed| {
                     let mut sc = self.base.clone().with_reception(loss.model);
                     sc.max_speed = speed;
                     sc.churn = churn.churn;
-                    for &kind in &self.protocols {
-                        let pooled = pool(&sc, kind, self.seeds, par);
-                        cells.push(MatrixCell {
-                            protocol: kind,
-                            loss: loss.label.clone(),
-                            churn: churn.label.clone(),
-                            max_speed: speed,
-                            sent: pooled.sent,
-                            received: pooled.received,
-                        });
-                    }
-                }
+                    (loss, churn, speed, sc)
+                })
+            })
+        })
+    }
+
+    /// Runs the matrix on `par` worker threads, once it passes
+    /// [`MatrixSpec::validate`] (seeds of one cell run concurrently;
+    /// cells run in order, so the report is identical for every thread
+    /// count).
+    pub fn run(&self, par: Parallelism) -> Result<MatrixReport, ConfigError> {
+        self.validate()?;
+        let mut cells = Vec::with_capacity(self.cell_count());
+        for (loss, churn, speed, sc) in self.configs() {
+            for &kind in &self.protocols {
+                let pooled = pool(&sc, kind, self.seeds, par);
+                cells.push(MatrixCell {
+                    protocol: kind,
+                    loss: loss.label.clone(),
+                    churn: churn.label.clone(),
+                    max_speed: speed,
+                    sent: pooled.sent,
+                    received: pooled.received,
+                });
             }
         }
-        MatrixReport {
+        Ok(MatrixReport {
             protocols: self.protocols.clone(),
             cells,
-        }
+        })
     }
 }
 
@@ -215,7 +230,7 @@ mod tests {
     fn matrix_covers_the_full_cross_product() {
         let spec = tiny_spec();
         assert_eq!(spec.cell_count(), 3 * 2 * 2);
-        let report = spec.run(Parallelism::serial());
+        let report = spec.run(Parallelism::serial()).expect("valid spec");
         assert_eq!(report.cells.len(), spec.cell_count());
         // Protocols vary fastest; every (loss, churn) pair appears.
         assert_eq!(report.cells[0].protocol, ProtocolKind::Gossip);
@@ -238,11 +253,26 @@ mod tests {
         }
     }
 
+    /// A bad churn level in the last cells, or an empty axis, fails the
+    /// matrix before its first cell runs.
+    #[test]
+    fn a_bad_cell_fails_before_any_cell_runs() {
+        let mut spec = tiny_spec();
+        spec.churns.push(ChurnLevel {
+            label: "bad".into(),
+            churn: Some(ChurnParams::new(0.0, 1.0)),
+        });
+        let err = spec.run(Parallelism::serial()).unwrap_err();
+        assert_eq!(err.field, "ChurnParams.mean_up_secs");
+        let err = tiny_spec().with_speeds(vec![]).validate().unwrap_err();
+        assert_eq!(err.field, "MatrixSpec.cell_count()");
+    }
+
     #[test]
     fn matrix_is_thread_count_invariant() {
         let spec = tiny_spec();
-        let one = spec.run(Parallelism::new(1));
-        let four = spec.run(Parallelism::new(4));
+        let one = spec.run(Parallelism::new(1)).expect("valid spec");
+        let four = spec.run(Parallelism::new(4)).expect("valid spec");
         assert_eq!(format!("{one:?}"), format!("{four:?}"));
     }
 }

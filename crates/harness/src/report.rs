@@ -3,14 +3,16 @@
 
 use std::fmt::Write as _;
 
+use ag_sim::ConfigError;
+
 use crate::experiment::SweepPoint;
 use crate::figures::GoodputSeries;
 use crate::matrix::MatrixReport;
 
-/// Environment knob: seeds per sweep point (`AG_SEEDS`, default 10 —
-/// the paper's count).
+/// Environment knob: seeds per sweep point (`AG_SEEDS`, at least 1,
+/// default 10 — the paper's count).
 pub fn env_seeds() -> u64 {
-    env_knob("AG_SEEDS", 0, 10)
+    env_knob("AG_SEEDS", 1, 10)
 }
 
 /// Environment knob: run length in seconds (`AG_SIM_SECS`, default 600
@@ -43,6 +45,16 @@ pub(crate) fn env_knob(name: &str, min: u64, default: u64) -> u64 {
             "error: {name}={:?} is not an integer of at least {min}",
             raw.unwrap_or_default()
         );
+        std::process::exit(2)
+    })
+}
+
+/// An entry point's configuration check: the value when `checked` is
+/// `Ok`; otherwise the process ends with status 2 and the error's one
+/// line, as it does for a bad `AG_*` knob.
+pub fn or_exit<T>(checked: Result<T, ConfigError>) -> T {
+    checked.unwrap_or_else(|e| {
+        eprintln!("error: {e}");
         std::process::exit(2)
     })
 }

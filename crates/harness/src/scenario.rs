@@ -7,7 +7,7 @@ use ag_maodv::{GroupId, MaodvConfig, MaodvProtocol, TrafficSource};
 use ag_mobility::{Field, Mobility, PauseRange, RandomWaypoint, SpeedRange};
 use ag_net::{ChurnParams, Engine, NodeId, NodeSetup, PhyParams, Protocol, ReceptionModel};
 use ag_sim::rng::{SeedSplitter, StreamKind};
-use ag_sim::SimTime;
+use ag_sim::{ConfigError, SimTime};
 use rand::Rng;
 
 use crate::result::{MemberStats, RunResult};
@@ -76,7 +76,6 @@ impl Scenario {
     /// (minimum 2); the first member is the source; traffic is 64-byte
     /// packets every 200 ms from 120 s to 560 s (2201 packets).
     pub fn paper(nodes: usize, range_m: f64, max_speed: f64) -> Self {
-        assert!(nodes >= 2, "need at least two nodes");
         Scenario {
             nodes,
             member_count: (nodes / 3).max(2),
@@ -143,10 +142,6 @@ impl Scenario {
 
     /// Returns a copy with per-node radio churn: exponential up/down
     /// periods with the given means in seconds.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless both means are strictly positive and finite.
     pub fn with_churn(mut self, mean_up_secs: f64, mean_down_secs: f64) -> Self {
         self.churn = Some(ChurnParams::new(mean_up_secs, mean_down_secs));
         self
@@ -165,6 +160,29 @@ impl Scenario {
             payload_len: self.traffic.payload_len,
         };
         self
+    }
+
+    /// Checks 2 to `u32::MAX` nodes, 1 to `nodes` members, finite speeds
+    /// with `0 <= min_speed <= max_speed` and a run above zero (a
+    /// [`Field`] is valid by construction), then the radio's, source's,
+    /// gossip's and MAODV's own `validate`. [`run_counting`] expects it.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        let (nodes, members) = (self.nodes, self.member_count);
+        let ok = (2..=u32::MAX as usize).contains(&nodes);
+        ConfigError::check(ok, "Scenario.nodes", nodes, "in [2, u32::MAX]")?;
+        let ok = (1..=nodes).contains(&members);
+        ConfigError::check(ok, "Scenario.member_count", members, "in [1, nodes]")?;
+        let (min, max) = (self.min_speed, self.max_speed);
+        let ok = min >= 0.0 && min.is_finite();
+        ConfigError::check(ok, "Scenario.min_speed", min, ">= 0 and finite")?;
+        let ok = max >= min && max.is_finite();
+        ConfigError::check(ok, "Scenario.max_speed", max, ">= min_speed and finite")?;
+        let run = self.sim_time.duration_since(SimTime::ZERO);
+        ConfigError::nonzero("Scenario.sim_time", run)?;
+        self.phy().validate()?;
+        self.traffic.validate()?;
+        self.ag.validate()?;
+        self.maodv.validate()
     }
 
     /// Number of data packets the source will emit.
@@ -285,7 +303,7 @@ fn tree_only_stats(node: NodeId, delivery: &DeliveryLog) -> MemberStats {
 }
 
 /// Runs the requested protocol stack once. Deterministic in
-/// `(scenario, seed)`.
+/// `(scenario, seed)`. Panics as [`run_counting`] does.
 pub fn run(sc: &Scenario, seed: u64, kind: ProtocolKind) -> RunResult {
     run_counting(sc, seed, kind).0
 }
@@ -294,8 +312,10 @@ pub fn run(sc: &Scenario, seed: u64, kind: ProtocolKind) -> RunResult {
 /// events/second numerator `examples/city_scale.rs` prints) — `agbench`
 /// runs every `paper_sweep` and `stress_harsh` job through this and
 /// reads `sim.events_processed` off the count. The [`RunResult`] is
-/// identical to [`run`]'s.
+/// identical to [`run`]'s. Panics, before it builds anything, if `sc`
+/// fails [`Scenario::validate`].
 pub fn run_counting(sc: &Scenario, seed: u64, kind: ProtocolKind) -> (RunResult, u64) {
+    sc.validate().expect("run_counting");
     match kind {
         ProtocolKind::Gossip => run_stack(
             sc,

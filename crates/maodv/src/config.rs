@@ -1,6 +1,6 @@
 //! Protocol constants.
 
-use ag_sim::SimDuration;
+use ag_sim::{ConfigError, SimDuration};
 
 /// MAODV timing and retry parameters.
 ///
@@ -70,6 +70,20 @@ impl MaodvConfig {
     /// Link timeout implied by the hello settings.
     pub fn neighbor_timeout(&self) -> SimDuration {
         self.hello_interval * self.allowed_hello_loss as u64
+    }
+
+    /// Checks the rules: the hello, group-hello and tick timers re-arm,
+    /// so their intervals are above zero; `flood_ttl` and both cache
+    /// capacities are at least 1. [`Maodv::new`](crate::Maodv::new)
+    /// expects it to pass.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        ConfigError::nonzero("MaodvConfig.hello_interval", self.hello_interval)?;
+        let grph = self.group_hello_interval;
+        ConfigError::nonzero("MaodvConfig.group_hello_interval", grph)?;
+        ConfigError::nonzero("MaodvConfig.tick_interval", self.tick_interval)?;
+        ConfigError::at_least_one("MaodvConfig.flood_ttl", self.flood_ttl.into())?;
+        ConfigError::at_least_one("MaodvConfig.data_seen_capacity", self.data_seen_capacity)?;
+        ConfigError::at_least_one("MaodvConfig.rreq_seen_capacity", self.rreq_seen_capacity)
     }
 }
 

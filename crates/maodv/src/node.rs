@@ -249,8 +249,10 @@ impl<X: Message, C: ProtoCtx<MaodvMsg<X>>> MaodvCtx<X> for C {}
 
 impl<X: Message> Maodv<X> {
     /// Creates the routing state for `id`. Members join the group after a
-    /// random jitter once [`Maodv::start`] runs.
+    /// random jitter once [`Maodv::start`] runs. Panics if `cfg` fails
+    /// [`MaodvConfig::validate`].
     pub fn new(cfg: MaodvConfig, id: NodeId, group: GroupId, is_member: bool) -> Self {
+        cfg.validate().expect("Maodv::new");
         Maodv {
             id,
             group,
@@ -328,11 +330,9 @@ impl<X: Message> Maodv<X> {
 
     /// Schedules the initial timers. Call once from `Protocol::start`.
     pub fn start<C: MaodvCtx<X>>(&mut self, api: &mut C) {
-        let hello_jitter =
-            SimDuration::from_nanos(api.jitter(self.cfg.hello_interval.as_nanos().max(1)));
+        let hello_jitter = SimDuration::from_nanos(api.jitter(self.cfg.hello_interval.as_nanos()));
         api.set_timer(hello_jitter, TIMER_HELLO);
-        let tick_jitter =
-            SimDuration::from_nanos(api.jitter(self.cfg.tick_interval.as_nanos().max(1)));
+        let tick_jitter = SimDuration::from_nanos(api.jitter(self.cfg.tick_interval.as_nanos()));
         api.set_timer(self.cfg.tick_interval + tick_jitter, TIMER_TICK);
         api.set_timer(self.cfg.group_hello_interval, TIMER_GRPH);
         if self.is_member {

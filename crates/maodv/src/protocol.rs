@@ -6,7 +6,7 @@
 //! byte payloads every 200 ms from t = 120 s to t = 560 s).
 
 use ag_net::{Message, NodeId, ProtoCtx, Protocol, RxKind, TimerKey};
-use ag_sim::{SimDuration, SimTime};
+use ag_sim::{ConfigError, SimDuration, SimTime};
 
 use crate::delivery::{DeliveryLog, DeliveryPath};
 use crate::node::{Maodv, Upcall, TIMER_USER_BASE};
@@ -64,28 +64,26 @@ impl TrafficSource {
         }
     }
 
-    /// Number of packets this source will emit.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the interval is zero (see [`TrafficSource::arm`]).
+    /// Checks the one rule: the timer re-arms one interval ahead, so the
+    /// interval is above zero. [`TrafficSource::arm`] expects it to pass.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        ConfigError::nonzero("TrafficSource.interval", self.interval)
+    }
+
+    /// Number of packets this source will emit (a division by the
+    /// interval, which [`TrafficSource::validate`] holds above zero).
     pub fn packet_count(&self) -> u64 {
-        let interval = self.interval_ns();
         if self.end < self.start {
             return 0;
         }
-        self.end.duration_since(self.start).as_nanos() / interval + 1
+        self.end.duration_since(self.start).as_nanos() / self.interval.as_nanos() + 1
     }
 
     /// Enters a run: arms the first packet's timer under `key`, which
-    /// the stack hands to [`TrafficSource::tick`] when it fires.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the interval is zero: the timer would re-arm at one
-    /// instant for ever, and the run would never leave it.
+    /// the stack hands to [`TrafficSource::tick`] when it fires. Panics
+    /// if the source fails [`TrafficSource::validate`].
     pub fn arm<M: Message, C: ProtoCtx<M>>(&self, api: &mut C, key: TimerKey) {
-        self.interval_ns();
+        self.validate().expect("TrafficSource::arm");
         api.set_timer(self.start.duration_since(SimTime::ZERO), key);
     }
 
@@ -102,13 +100,6 @@ impl TrafficSource {
             send(api);
             api.set_timer(self.interval, key);
         }
-    }
-
-    /// The interval in nanoseconds, refusing zero.
-    fn interval_ns(&self) -> u64 {
-        let ns = self.interval.as_nanos();
-        assert!(ns > 0, "TrafficSource interval must be positive");
-        ns
     }
 }
 
@@ -300,9 +291,10 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "interval must be positive")]
     fn zero_interval_source_is_refused() {
-        TrafficSource::compact(SimTime::from_secs(1), SimDuration::ZERO, 5, 64).packet_count();
+        let t = TrafficSource::compact(SimTime::from_secs(1), SimDuration::ZERO, 5, 64);
+        assert_eq!(t.validate().unwrap_err().field, "TrafficSource.interval");
+        assert_eq!(TrafficSource::paper().validate(), Ok(()));
     }
 
     #[test]

@@ -207,7 +207,8 @@ impl<P: Protocol> Engine<P> {
     ///
     /// # Panics
     ///
-    /// Panics if `nodes` is empty or has more than `u32::MAX` entries.
+    /// Panics if `phy` fails [`PhyParams::validate`], or if `nodes` is
+    /// empty or has more than `u32::MAX` entries.
     pub fn new(phy: PhyParams, seed: u64, nodes: Vec<NodeSetup<P>>) -> Self {
         Self::observed(phy, seed, nodes, Quiet)
     }
@@ -217,6 +218,7 @@ impl<P: Protocol, O: Observer<P>> Engine<P, O> {
     /// [`Engine::new`] (panics included), with `obs` watching every
     /// upcall from the first `start` on.
     pub fn observed(phy: PhyParams, seed: u64, nodes: Vec<NodeSetup<P>>, obs: O) -> Self {
+        phy.validate().expect("Engine::observed");
         assert!(!nodes.is_empty(), "need at least one node");
         assert!(nodes.len() <= u32::MAX as usize, "too many nodes");
         let splitter = SeedSplitter::new(seed);

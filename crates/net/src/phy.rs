@@ -22,7 +22,7 @@
 //!   streams.
 
 use ag_sim::rng::splitmix64;
-use ag_sim::SimDuration;
+use ag_sim::{ConfigError, SimDuration};
 use rand::Rng;
 
 /// Maps a 64-bit hash to a uniform draw in `[0, 1)` (53 mantissa bits).
@@ -82,32 +82,6 @@ pub enum ReceptionModel {
 }
 
 impl ReceptionModel {
-    /// Panics unless the model's parameters are sane.
-    fn validate(&self) {
-        match *self {
-            ReceptionModel::Ideal => {}
-            ReceptionModel::DistanceGraded { edge_per } => {
-                assert!(
-                    (0.0..=1.0).contains(&edge_per),
-                    "edge_per {edge_per} outside [0, 1]"
-                );
-            }
-            ReceptionModel::Shadowing {
-                sigma_db,
-                path_loss_exp,
-            } => {
-                assert!(
-                    sigma_db >= 0.0 && sigma_db.is_finite(),
-                    "invalid sigma_db {sigma_db}"
-                );
-                assert!(
-                    path_loss_exp > 0.0 && path_loss_exp.is_finite(),
-                    "invalid path_loss_exp {path_loss_exp}"
-                );
-            }
-        }
-    }
-
     /// `true` when this model can never drop a reception (the engine
     /// skips hashing entirely).
     pub fn is_ideal(&self) -> bool {
@@ -217,20 +191,9 @@ pub struct ChurnParams {
 
 impl ChurnParams {
     /// Creates a churn model with the given mean up and down durations
-    /// in seconds.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless both means are strictly positive and finite.
+    /// in seconds; [`PhyParams::validate`] holds both to positive and
+    /// finite.
     pub fn new(mean_up_secs: f64, mean_down_secs: f64) -> Self {
-        assert!(
-            mean_up_secs > 0.0 && mean_up_secs.is_finite(),
-            "invalid mean_up_secs {mean_up_secs}"
-        );
-        assert!(
-            mean_down_secs > 0.0 && mean_down_secs.is_finite(),
-            "invalid mean_down_secs {mean_down_secs}"
-        );
         ChurnParams {
             mean_up_secs,
             mean_down_secs,
@@ -296,15 +259,7 @@ impl PhyParams {
     /// The paper's configuration at the given transmission range in
     /// metres: the ideal channel, no churn and the node-grid kernel. (The
     /// 2 Mbps 802.11 MAC is fixed; it is not a parameter.)
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `range_m` is strictly positive and finite.
     pub fn paper_default(range_m: f64) -> Self {
-        assert!(
-            range_m > 0.0 && range_m.is_finite(),
-            "invalid range {range_m}"
-        );
         PhyParams {
             range_m,
             spatial_index: true,
@@ -332,12 +287,7 @@ impl PhyParams {
     /// Returns a copy with a different reception model (the default,
     /// [`ReceptionModel::Ideal`], reproduces the paper's channel
     /// exactly).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the model's parameters are out of range.
     pub fn with_reception(mut self, model: ReceptionModel) -> Self {
-        model.validate();
         self.reception = model;
         self
     }
@@ -362,6 +312,37 @@ impl PhyParams {
     pub fn churn(&self) -> Option<ChurnParams> {
         self.churn
     }
+
+    /// Checks the rules: the range, `path_loss_exp` and the churn means
+    /// are positive and finite, `edge_per` lies in `[0, 1]` and
+    /// `sigma_db` is finite and at least 0. [`Engine::observed`](crate::Engine::observed)
+    /// expects it to pass.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        let positive = |field: &'static str, x: f64| {
+            ConfigError::check(x > 0.0 && x.is_finite(), field, x, "> 0 and finite")
+        };
+        positive("PhyParams.range_m", self.range_m)?;
+        match self.reception {
+            ReceptionModel::Ideal => {}
+            ReceptionModel::DistanceGraded { edge_per } => {
+                let ok = (0.0..=1.0).contains(&edge_per);
+                ConfigError::check(ok, "ReceptionModel.edge_per", edge_per, "in [0, 1]")?;
+            }
+            ReceptionModel::Shadowing {
+                sigma_db,
+                path_loss_exp,
+            } => {
+                let ok = sigma_db >= 0.0 && sigma_db.is_finite();
+                ConfigError::check(ok, "ReceptionModel.sigma_db", sigma_db, ">= 0 and finite")?;
+                positive("ReceptionModel.path_loss_exp", path_loss_exp)?;
+            }
+        }
+        if let Some(churn) = self.churn {
+            positive("ChurnParams.mean_up_secs", churn.mean_up_secs)?;
+            positive("ChurnParams.mean_down_secs", churn.mean_down_secs)?;
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -383,9 +364,10 @@ mod tests {
     }
 
     #[test]
-    #[should_panic]
     fn rejects_nonpositive_range() {
-        let _ = PhyParams::paper_default(0.0);
+        let err = PhyParams::paper_default(0.0).validate().unwrap_err();
+        assert_eq!(err.field, "PhyParams.range_m");
+        assert_eq!(PhyParams::paper_default(75.0).validate(), Ok(()));
     }
 
     #[test]
@@ -460,16 +442,19 @@ mod tests {
     }
 
     #[test]
-    #[should_panic]
     fn rejects_out_of_range_edge_per() {
-        let _ = PhyParams::paper_default(75.0)
+        let phy = PhyParams::paper_default(75.0)
             .with_reception(ReceptionModel::DistanceGraded { edge_per: 1.5 });
+        assert_eq!(phy.validate().unwrap_err().field, "ReceptionModel.edge_per");
     }
 
     #[test]
-    #[should_panic]
     fn rejects_nonpositive_churn_mean() {
-        let _ = ChurnParams::new(0.0, 5.0);
+        let phy = PhyParams::paper_default(75.0).with_churn(ChurnParams::new(0.0, 5.0));
+        assert_eq!(
+            phy.validate().unwrap_err().field,
+            "ChurnParams.mean_up_secs"
+        );
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! ODMRP constants.
 
-use ag_sim::SimDuration;
+use ag_sim::{ConfigError, SimDuration};
 
 /// ODMRP timing parameters (defaults follow the WCNC '99 paper: 3 s
 /// Join-Query refresh, forwarding-group lifetime of three refreshes).
@@ -29,6 +29,16 @@ impl OdmrpConfig {
             seen_capacity: 2048,
         }
     }
+
+    /// Checks the rules: the Join-Query timer re-arms, so its interval
+    /// is above zero; `flood_ttl` and `seen_capacity` are at least 1.
+    /// [`OdmrpProtocol::new`](crate::OdmrpProtocol::new) expects it to
+    /// pass.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        ConfigError::nonzero("OdmrpConfig.query_interval", self.query_interval)?;
+        ConfigError::at_least_one("OdmrpConfig.flood_ttl", self.flood_ttl.into())?;
+        ConfigError::at_least_one("OdmrpConfig.seen_capacity", self.seen_capacity)
+    }
 }
 
 impl Default for OdmrpConfig {
@@ -45,6 +55,6 @@ mod tests {
     fn defaults_are_consistent() {
         let c = OdmrpConfig::default();
         assert_eq!(c.fg_lifetime, c.query_interval * 3);
-        assert!(c.flood_ttl > 0);
+        assert_eq!(c.validate(), Ok(()));
     }
 }

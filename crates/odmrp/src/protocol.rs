@@ -75,7 +75,8 @@ pub struct OdmrpProtocol {
 }
 
 impl OdmrpProtocol {
-    /// Creates a node; `traffic` makes it a multicast source.
+    /// Creates a node; `traffic` makes it a multicast source. Panics if
+    /// `cfg` fails [`OdmrpConfig::validate`].
     pub fn new(
         cfg: OdmrpConfig,
         id: NodeId,
@@ -83,6 +84,7 @@ impl OdmrpProtocol {
         is_member: bool,
         traffic: Option<TrafficSource>,
     ) -> Self {
+        cfg.validate().expect("OdmrpProtocol::new");
         OdmrpProtocol {
             cfg,
             id,

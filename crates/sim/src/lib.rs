@@ -17,6 +17,7 @@
 //!   node or a protocol never perturbs the randomness seen by others.
 //! * [`stats`] — counters, summaries and histograms used by the experiment
 //!   harness to build the paper's tables and error bars.
+//! * [`ConfigError`] — what every configuration type's `validate` returns.
 //!
 //! The kernel is *sequential*: GloMoSim's parallelism was a wall-clock
 //! optimisation, not a semantic feature, and a sequential kernel buys exact
@@ -38,6 +39,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod config;
 mod event;
 mod time;
 
@@ -46,5 +48,6 @@ pub mod reference;
 pub mod rng;
 pub mod stats;
 
+pub use config::ConfigError;
 pub use event::{EventEntry, EventQueue};
 pub use time::{SimDuration, SimTime};

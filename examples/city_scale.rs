@@ -41,10 +41,13 @@ use ag_sim::SimTime;
 const BEACON_NODES: usize = 500;
 
 fn main() {
-    // Read the knobs first: a garbage value ends the process before any
-    // work is done.
+    // Read the knobs and check the scenario first: a garbage value or a
+    // scenario that fails `Scenario::validate` ends the process with
+    // status 2 before any work is done.
     let nodes = report::env_nodes(500);
     let sim_secs = report::env_sim_secs_or(60);
+    let sc = Scenario::city_scale(nodes).with_duration_secs(sim_secs);
+    report::or_exit(sc.validate());
 
     // ── Part 1: raw engine throughput, grid vs brute force. ──
     let beacon_secs = 5;
@@ -66,7 +69,6 @@ fn main() {
     println!("  speedup: {:.1}x\n", wall[1] / wall[0]);
 
     // ── Part 2: the full gossip stack at city (or metropolis) scale. ──
-    let sc = Scenario::city_scale(nodes).with_duration_secs(sim_secs);
     println!(
         "full stack: {} nodes, {} members, {:.0} m x {:.0} m, range {} m, {} s simulated",
         sc.nodes,

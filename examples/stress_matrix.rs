@@ -36,6 +36,7 @@ fn main() {
     let seeds = report::env_seeds();
     let secs = report::env_sim_secs();
     let spec = MatrixSpec::paper_stress(seeds, secs);
+    report::or_exit(spec.validate());
     eprintln!(
         "stress matrix: {} protocols x {} loss x {} churn x {} speeds = {} cells, \
          {seeds} seeds each, {secs} s simulated",
@@ -47,7 +48,7 @@ fn main() {
     );
     // ag-lint: allow(wall-clock) -- driver-side progress timing, outside the simulation
     let t0 = Instant::now();
-    let result = spec.run(Parallelism::auto());
+    let result = report::or_exit(spec.run(Parallelism::auto()));
     eprintln!("completed in {:.1} s wall", t0.elapsed().as_secs_f64());
     println!("{}", report::render_matrix(&result));
 

@@ -45,8 +45,10 @@ pub fn golden_snapshots() -> [(&'static str, String); 2] {
     use harness::{figures, report, Parallelism};
     let points = figures::fig2()
         .with_duration_secs(GOLDEN_SECS)
-        .run(GOLDEN_SEEDS, Parallelism::auto());
-    let series = figures::fig8(GOLDEN_SEEDS, GOLDEN_SECS, Parallelism::auto());
+        .run(GOLDEN_SEEDS, Parallelism::auto())
+        .expect("fig2 scenarios are valid");
+    let series = figures::fig8(GOLDEN_SEEDS, GOLDEN_SECS, Parallelism::auto())
+        .expect("fig8 scenarios are valid");
     [
         ("fig2_small.json", report::render_json(&points)),
         ("fig8_small.txt", format!("{series:#?}\n")),

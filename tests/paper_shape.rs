@@ -174,13 +174,13 @@ fn figure_specs_run_end_to_end_scaled() {
     for spec in figures::all_line_figures() {
         let mut spec = spec.with_duration_secs(60);
         spec.xs = vec![spec.xs[0], *spec.xs.last().unwrap()];
-        let pts = spec.run(1, Parallelism::auto());
+        let pts = spec.run(1, Parallelism::auto()).expect("valid scenarios");
         assert_eq!(pts.len(), 2, "{} did not produce both points", spec.id);
         for p in &pts {
             assert!(p.sent > 0);
             assert!(p.gossip.count() > 0 && p.maodv.count() > 0);
         }
     }
-    let g8 = figures::fig8(1, 60, Parallelism::auto());
+    let g8 = figures::fig8(1, 60, Parallelism::auto()).expect("valid scenarios");
     assert_eq!(g8.len(), 4);
 }

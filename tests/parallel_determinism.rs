@@ -25,8 +25,8 @@ fn sweep_point_is_byte_identical_across_thread_counts() {
 /// histogram) is likewise thread-count invariant.
 #[test]
 fn fig8_is_byte_identical_across_thread_counts() {
-    let one = fig8(2, 30, Parallelism::new(1));
-    let four = fig8(2, 30, Parallelism::new(4));
+    let one = fig8(2, 30, Parallelism::new(1)).expect("valid scenarios");
+    let four = fig8(2, 30, Parallelism::new(4)).expect("valid scenarios");
     assert_eq!(
         report::render_goodput(&one).into_bytes(),
         report::render_goodput(&four).into_bytes()
