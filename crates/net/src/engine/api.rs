@@ -63,7 +63,7 @@ impl<P: Protocol, O: Observer<P>> ProtoCtx<P::Msg> for NodeApi<'_, P, O> {
         self.world.queue.schedule(
             at,
             Event::Timer {
-                node: self.node,
+                node: self.node as u32,
                 key,
             },
         );

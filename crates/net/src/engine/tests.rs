@@ -252,6 +252,38 @@ fn mac_queue_drains_in_order() {
     assert_eq!(tags, vec![0, 1, 2, 3, 4]);
 }
 
+/// A MAC queue's first frame reserves one slot, not `VecDeque`'s four;
+/// a second frame queued behind it grows the queue as before.
+#[test]
+fn mac_queue_reserves_one_slot_first() {
+    let burst = |frames: u32| -> Vec<_> {
+        (0..frames)
+            .map(|i| (SimDuration::from_secs(1), Action::Broadcast(msg(i))))
+            .collect()
+    };
+    let nodes = vec![
+        NodeSetup {
+            mobility: stationary(0.0),
+            protocol: Scripted::with_script(burst(1)),
+        },
+        NodeSetup {
+            mobility: stationary(10.0),
+            protocol: Scripted::with_script(burst(2)),
+        },
+        NodeSetup {
+            mobility: stationary(20.0),
+            protocol: Scripted::default(),
+        },
+    ];
+    let mut e = Engine::new(PhyParams::paper_default(75.0), 6, nodes);
+    e.run_until(SimTime::from_secs(2));
+    let slots: Vec<usize> = e.world.macs.iter().map(|m| m.queue.capacity()).collect();
+    assert_eq!(slots[0], 1);
+    assert!(slots[1] >= 2);
+    assert_eq!(slots[2], 0);
+    assert_eq!(e.protocol(NodeId::new(2)).received.len(), 3);
+}
+
 #[test]
 fn timers_fire_at_requested_times() {
     let nodes = vec![NodeSetup {
@@ -668,6 +700,13 @@ fn queue_drop_counter() {
     e.run_until(SimTime::from_secs(2));
     assert_eq!(e.counters().get("mac.queue_drop"), 6);
     assert_eq!(e.protocol(NodeId::new(1)).received.len(), 128);
+}
+
+/// Every pending event is one of these in the calendar queue; 80 k are
+/// pending at once on `city_20k`.
+#[test]
+fn kernel_event_is_16_bytes() {
+    assert!(std::mem::size_of::<Event>() <= 16);
 }
 
 #[test]
